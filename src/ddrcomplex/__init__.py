@@ -52,12 +52,11 @@ from .mesh import (
     parse_pattern_text,
     save_mesh,
 )
-from .operators import DdrComplex, assemble_global, build_dof_layout, ddr0_closed_forms
+from .operators import DdrComplex, ddr0_closed_forms
 from .quadrature import QuadratureRule, entity_rule
 from .spaces import (
     ScaledMonomialBasis,
     SubspaceBasis,
-    apply_differential,
     entity_basis,
     gram_matrix,
     space_dim,
@@ -83,8 +82,7 @@ __all__ = [
     "MeshFormatError", "MeshReferenceError", "MeshTopologyError",
     "OrientationTable", "QuadratureDegreeError", "QuadratureRule",
     "RankOptions", "RankResult", "ScaledMonomialBasis", "SubspaceBasis",
-    "VerificationReport", "apply_differential", "assemble_global",
-    "betti_numbers", "build_cochain_complex", "build_dof_layout",
+    "VerificationReport", "betti_numbers", "build_cochain_complex",
     "build_voxel_mesh", "builtin_pattern", "cohomology_generators",
     "compute_orientation", "corrupt_orientation", "ddr0_closed_forms",
     "de_rham_map", "de_rham_scaling", "entity_basis", "entity_rule",

@@ -7,8 +7,7 @@ Subcommands::
     ddrcomplex verify     --builtin cavity --degree 1 --checks complex,cochain
 
 Exit codes: 0 success, 1 failed check or cohomology/Betti mismatch,
-2 invalid input.  The environment variable DDR_THREADS caps the worker
-count used for per-entity operator construction.
+2 invalid input.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import sys
 import numpy as np
 
 from .errors import DdrError, InputError
+# unused here, but perfbench/traced.py patches both names in this module
 from .homology import betti_numbers, build_cochain_complex
 from .mesh import (
     Mesh,
@@ -31,7 +31,6 @@ from .mesh import (
     parse_pattern_text,
     save_mesh,
 )
-from .operators import DdrComplex
 from .verification import RankOptions, corrupt_orientation, run_all
 from .vtkio import write_vtk
 
@@ -135,16 +134,15 @@ def cmd_mesh(args) -> int:
     return EXIT_OK
 
 
-def _generator_fields(high, low, mesh) -> dict[str, np.ndarray]:
-    """One constant potential vector per element for each lifted generator."""
-    from .lifting import lift_generators
-
+def _generator_fields(high, generators: list[dict]) -> dict[str, np.ndarray]:
+    """One constant potential vector per element for each lifted generator
+    of a report, reconstructed on the report's degree-k complex ``high``."""
     fields: dict[str, np.ndarray] = {}
     for index in (1, 2):
-        lifted = lift_generators(high, low, index)
-        for j, vec in enumerate(lifted.vectors):
-            values = np.zeros((mesh.n_elements, 3))
-            for t in range(mesh.n_elements):
+        vectors = [g["vector"] for g in generators if g["cohomology_index"] == index]
+        for j, vec in enumerate(vectors):
+            values = np.zeros((high.mesh.n_elements, 3))
+            for t in range(high.mesh.n_elements):
                 if index == 1:
                     ops = high.cell_curl_ops(t)
                 else:
@@ -167,15 +165,14 @@ def cmd_cohomology(args) -> int:
     report = run_all(mesh, orient, k, selection, opts, timestamp=_timestamp(args))
     if args.no_timestamp:
         report.strip_timing()
-    if args.generators:
-        high = DdrComplex(mesh, orient, k)
-        low = high if k == 0 else DdrComplex(mesh, orient, 0)
-        write_vtk(args.generators, mesh, _generator_fields(high, low, mesh),
-                  title=f"cohomology generators (degree {k})")
+    lifted = all(c.passed for c in report.checks if c.name.startswith("generators."))
+    if args.generators and lifted:
+        fields = _generator_fields(report.session.high, report.generators)
+        write_vtk(args.generators, mesh, fields, title=f"cohomology generators (degree {k})")
     _emit(report.as_dict(), args.out)
-    betti = betti_numbers(build_cochain_complex(mesh, orient)).as_tuple()
-    expect = [0, betti[1], betti[2], 0]
-    if report.cohomology_ddr != expect or not report.passed:
+    betti = report.betti_cw        # empty when the Betti numbers could not be computed
+    expect = [0, betti[1], betti[2], 0] if betti else None
+    if not betti or report.cohomology_ddr != expect or not report.passed:
         print(f"cohomology mismatch: discrete {report.cohomology_ddr} vs "
               f"CW-derived {expect}", file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -2,9 +2,11 @@
 
 The reduction keeps the component attached to the lowest-dimensional entity
 of each space (vertex values, edge/face means, element means).  The
-extension rebuilds a degree-k vector from degree-0 data by solving, entity
-by entity and in order of increasing dimension, the same moment systems
-that define the discrete operators, so that the pair is a one-sided inverse
+extension copies the degree-0 unknowns into the leading coefficient of their
+degree-k components, then solves, entity by entity and in order of
+increasing dimension, the moment systems that the local operators of
+:mod:`.operators` store, with the degree-0 operator value as right-hand side
+and the already extended boundary as data.  The pair is a one-sided inverse
 (reduction after extension is the identity) and both are cochain maps.
 
 The generator pipeline lifts exact CW cohomology generators through the
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import monomials as mono
 from .errors import CertificationError, DomainError
 from .homology import (
     build_cochain_complex,
@@ -96,20 +97,37 @@ def zero_reduction_basis(complex_: DdrComplex, space: str) -> sp.csr_matrix:
 # ---------------------------------------------------------------------------
 # extensions
 
+# The components each extension solves for, in order of entity dimension:
+# (entity kind, local builder, operator, solved part, tests, projected part,
+# projection source).  The solved part is fixed by the builder's moment
+# system restricted to the tests: ``None`` drops the constant test function,
+# whose moment only sees boundary data; "Rc"/"Gc" test against that
+# degree-k subspace.  The projected part is the L2 projection of the
+# degree-0 operator's tangential trace or potential.
+_LIFTS = {
+    "Xgrad": (("edge", "edge_ops", "grad", "poly", None, None, None),
+              ("face", "face_grad_ops", "grad", "poly", "Rc", None, None),
+              ("cell", "cell_grad_ops", "grad", "poly", "Rc", None, None)),
+    "Xcurl": (("face", "face_curl_ops", "curl", "R", None, "Rc", "ttrace"),
+              ("cell", "cell_curl_ops", "curl", "R", "Gc", "Rc", "potential")),
+    "Xdiv": (("cell", "cell_div_ops", "div", "G", None, "Gc", "potential"),),
+    "Pk": (),
+}
+
+
 @dataclass
 class ExtensionMaps:
     """Extension matrices from the degree-0 complex into a degree-k one.
 
-    Construction is staged: edges, then faces (using extended edge traces),
-    then elements (using extended face data), mirroring the sequential
-    dependency of the defining systems.
+    The degree-0 unknowns are copied into the leading coefficient of their
+    degree-k components.  Edges, then faces, then elements solve the
+    operators' own moment systems for their remaining unknowns, with the
+    already extended boundary rows as data, so that the degree-k operator
+    of an extended vector is the degree-0 one.
     """
 
     high: DdrComplex
     low: DdrComplex
-    _edge_grad: dict[int, np.ndarray] = field(default_factory=dict)
-    _face_grad: dict[int, np.ndarray] = field(default_factory=dict)
-    _face_curl: dict[int, np.ndarray] = field(default_factory=dict)
     _cache: dict[str, sp.csr_matrix] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -118,309 +136,50 @@ class ExtensionMaps:
         if self.high.mesh is not self.low.mesh or self.high.orient is not self.low.orient:
             raise DomainError("extension endpoints must share mesh and orientation")
 
-    # -- gradient space -----------------------------------------------------
-
-    def edge_grad_lift(self, e: int) -> np.ndarray:
-        """X_grad(0) on E -> X_grad(k) on E (vertex rows identity)."""
-        if e in self._edge_grad:
-            return self._edge_grad[e]
-        high, k = self.high, self.high.k
-        hmap = high.layout("Xgrad").restriction("edge", e)
-        out = np.zeros((hmap.total, 2))
-        v1, v2 = (int(v) for v in high.mesh.edges[e])
-        out[hmap.local_indices("vertex", v1, "val")[0], 0] = 1.0
-        out[hmap.local_indices("vertex", v2, "val")[0], 1] = 1.0
-        if k >= 1:
-            g_mm = high.gram("edge", e, k - 1, k - 1)
-            deriv = mono.to_float(mono.derivative_matrix(1, k, 0)) / high.orient.edge_length[e]
-            system = (g_mm @ deriv).T[1:, :]          # tests: monomials of degree 1..k
-            rule = high.rule("edge", e)
-            phi_k = high.basis("edge", e, k).eval(rule.points)
-            ints = rule.integrate(phi_k)              # integral of each P^k monomial
-            ends = high.basis("edge", e, k).eval(high.mesh.vertices[[v1, v2]])
-            length = high.orient.edge_length[e]
-            rhs = np.empty((k, 2))
-            rhs[:, 0] = ints[1:] / length - ends[0, 1:]
-            rhs[:, 1] = -ints[1:] / length + ends[1, 1:]
-            out[hmap.local_indices("edge", e, "poly"), :] = checked_solve(
-                system, rhs, f"edge {e}: gradient extension")
-        self._edge_grad[e] = out
-        return out
-
-    def face_grad_lift(self, f: int) -> np.ndarray:
-        """X_grad(0) on F -> X_grad(k) on F."""
-        if f in self._face_grad:
-            return self._face_grad[f]
-        high, low, k = self.high, self.low, self.high.k
-        hmap = high.layout("Xgrad").restriction("face", f)
-        lmap = low.layout("Xgrad").restriction("face", f)
-        out = np.zeros((hmap.total, lmap.total))
-        verts = sorted(set(high.mesh.face_loops[f]))
-        for v in verts:
-            out[hmap.local_indices("vertex", v, "val")[0],
-                lmap.local_indices("vertex", v, "val")[0]] = 1.0
-        edge_lifts = {}
-        for e in high.mesh.face_edges[f]:
-            lift = self.edge_grad_lift(e)
-            cols = lmap.embed(low.layout("Xgrad").restriction("edge", e))
-            edge_lifts[e] = (lift, cols)
-            if k >= 1:
-                rows = hmap.local_indices("edge", e, "poly")
-                lift_rows = high.layout("Xgrad").restriction("edge", e) \
-                               .local_indices("edge", e, "poly")
-                out[np.ix_(rows, cols)] = lift[lift_rows, :]
-        if k >= 1:
-            sub_rc = high.subspace("Rc", ("face", f), k)
-            c_rc = sub_rc.coeffs_float
-            divf = mono.to_float(mono.div_matrix(2, k)) / high.orient.face_diameter[f]
-            g_mm = high.gram("face", f, k - 1, k - 1)
-            system = (g_mm @ (divf @ c_rc)).T
-            vg_k0 = high.gram("face", f, k, 0, vector=True)
-            rhs = -(c_rc.T @ vg_k0 @ low.face_grad_ops(f).grad)
-            for pos, e in enumerate(high.mesh.face_edges[f]):
-                omega = high.orient.face_edge_sign[f][pos]
-                nfe = high.orient.face_edge_normal[f][pos]
-                erule = high.rule("edge", e)
-                lift, cols = edge_lifts[e]
-                tr = high.edge_ops(e).trace @ lift    # (k+2, 2)
-                phi_tr = high.basis("edge", e, k + 1).eval(erule.points) @ tr
-                wn = sub_rc.eval_vector(erule.points) @ nfe
-                rhs[:, cols] += omega * wn.T @ (erule.weights[:, None] * phi_tr)
-            out[hmap.local_indices("face", f, "poly"), :] = checked_solve(
-                system, rhs, f"face {f}: gradient extension")
-        self._face_grad[f] = out
-        return out
-
-    def _cell_grad_lift(self, t: int) -> np.ndarray:
-        high, low, k = self.high, self.low, self.high.k
-        hmap = high.layout("Xgrad").restriction("cell", t)
-        lmap = low.layout("Xgrad").restriction("cell", t)
-        out = np.zeros((hmap.total, lmap.total))
-        for v in high.mesh.element_vertices(t):
-            out[hmap.local_indices("vertex", v, "val")[0],
-                lmap.local_indices("vertex", v, "val")[0]] = 1.0
-        if k == 0:
-            return out
-        for e in high.mesh.element_edges(t):
-            lift = self.edge_grad_lift(e)
-            cols = lmap.embed(low.layout("Xgrad").restriction("edge", e))
-            rows = hmap.local_indices("edge", e, "poly")
-            lift_rows = high.layout("Xgrad").restriction("edge", e) \
-                           .local_indices("edge", e, "poly")
-            out[np.ix_(rows, cols)] = lift[lift_rows, :]
-        face_lifts = {}
-        for f in high.mesh.element_faces[t]:
-            lift = self.face_grad_lift(f)
-            cols = lmap.embed(low.layout("Xgrad").restriction("face", f))
-            face_lifts[f] = (lift, cols)
-            rows = hmap.local_indices("face", f, "poly")
-            lift_rows = high.layout("Xgrad").restriction("face", f) \
-                           .local_indices("face", f, "poly")
-            out[np.ix_(rows, cols)] = lift[lift_rows, :]
-        sub_rc = high.subspace("Rc", ("cell", t), k)
-        c_rc = sub_rc.coeffs_float
-        div3 = mono.to_float(mono.div_matrix(3, k)) / high.orient.cell_diameter[t]
-        g_mm = high.gram("cell", t, k - 1, k - 1)
-        system = (g_mm @ (div3 @ c_rc)).T
-        vg_k0 = high.gram("cell", t, k, 0, vector=True)
-        rhs = -(c_rc.T @ vg_k0 @ low.cell_grad_ops(t).grad)
-        for pos, f in enumerate(high.mesh.element_faces[t]):
-            omega = high.orient.cell_face_sign[t][pos]
-            nf = high.orient.face_normal[f]
-            frule = high.rule("face", f)
-            lift, cols = face_lifts[f]
-            tr = high.face_grad_ops(f).trace @ lift
-            phi_tr = high.basis("face", f, k + 1).eval(frule.points) @ tr
-            wn = sub_rc.eval_vector(frule.points) @ nf
-            rhs[:, cols] += omega * wn.T @ (frule.weights[:, None] * phi_tr)
-        out[hmap.local_indices("cell", t, "poly"), :] = checked_solve(
-            system, rhs, f"element {t}: gradient extension")
-        return out
-
-    # -- curl space ----------------------------------------------------------
-
-    def face_curl_lift(self, f: int) -> np.ndarray:
-        """X_curl(0) on F -> X_curl(k) on F (edge constants copied)."""
-        if f in self._face_curl:
-            return self._face_curl[f]
-        high, low, k = self.high, self.low, self.high.k
-        hmap = high.layout("Xcurl").restriction("face", f)
-        lmap = low.layout("Xcurl").restriction("face", f)
-        out = np.zeros((hmap.total, lmap.total))
-        for e in high.mesh.face_edges[f]:
-            out[hmap.local_indices("edge", e, "poly")[0],
-                lmap.local_indices("edge", e, "poly")[0]] = 1.0
-        if k >= 1:
-            sub_r = high.subspace("R", ("face", f), k - 1)
-            vrot_k = mono.to_float(mono.vrot_matrix(k)) / high.orient.face_diameter[f]
-            vg_mm = high.gram("face", f, k - 1, k - 1, vector=True)
-            system = (sub_r.coeffs_float.T @ vg_mm @ vrot_k).T[1:, :]
-            g_k0 = high.gram("face", f, k, 0)
-            rhs = (g_k0 @ low.face_curl_ops(f).curl)[1:, :]
-            scal_k = high.basis("face", f, k)
-            for pos, e in enumerate(high.mesh.face_edges[f]):
-                omega = high.orient.face_edge_sign[f][pos]
-                erule = high.rule("edge", e)
-                ints = erule.integrate(scal_k.eval(erule.points))
-                rhs[:, lmap.local_indices("edge", e, "poly")[0]] += omega * ints[1:]
-            out[hmap.local_indices("face", f, "R"), :] = checked_solve(
-                system, rhs, f"face {f}: curl extension")
-            out[hmap.local_indices("face", f, "Rc"), :] = high.project_onto(
-                "Rc", ("face", f), k, 0, low.face_curl_ops(f).ttrace)
-        self._face_curl[f] = out
-        return out
-
-    def _cell_curl_lift(self, t: int) -> np.ndarray:
-        high, low, k = self.high, self.low, self.high.k
-        hmap = high.layout("Xcurl").restriction("cell", t)
-        lmap = low.layout("Xcurl").restriction("cell", t)
-        out = np.zeros((hmap.total, lmap.total))
-        for e in high.mesh.element_edges(t):
-            out[hmap.local_indices("edge", e, "poly")[0],
-                lmap.local_indices("edge", e, "poly")[0]] = 1.0
-        if k == 0:
-            return out
-        face_lifts = {}
-        for f in high.mesh.element_faces[t]:
-            lift = self.face_curl_lift(f)
-            cols = lmap.embed(low.layout("Xcurl").restriction("face", f))
-            face_lifts[f] = (lift, cols)
-            fmap_h = high.layout("Xcurl").restriction("face", f)
-            for part in ("R", "Rc"):
-                rows = hmap.local_indices("face", f, part)
-                out[np.ix_(rows, cols)] = lift[fmap_h.local_indices("face", f, part), :]
-        sub_r = high.subspace("R", ("cell", t), k - 1)
-        sub_gc = high.subspace("Gc", ("cell", t), k)
-        curl_k = mono.to_float(mono.curl_matrix(k)) / high.orient.cell_diameter[t]
-        vg_mm = high.gram("cell", t, k - 1, k - 1, vector=True)
-        system = (sub_r.coeffs_float.T @ vg_mm @ (curl_k @ sub_gc.coeffs_float)).T
-        vg_k0 = high.gram("cell", t, k, 0, vector=True)
-        rhs = (sub_gc.coeffs_float.T @ vg_k0) @ low.cell_curl_ops(t).curl
-        vb_k = high.basis("cell", t, k, vector=True)
-        for pos, f in enumerate(high.mesh.element_faces[t]):
-            omega = high.orient.cell_face_sign[t][pos]
-            nf = high.orient.face_normal[f]
-            frule = high.rule("face", f)
-            lift, cols = face_lifts[f]
-            gt = high.face_curl_ops(f).ttrace @ lift   # vP^k(F) coeffs per low col
-            gt_vals = np.einsum("pax,ab->pbx",
-                                high.basis("face", f, k, vector=True).eval_vector(frule.points),
-                                gt)
-            w_gt = frule.weights[:, None, None] * gt_vals
-            w_vals = np.einsum("pax,ab->pbx", vb_k.eval_vector(frule.points),
-                               sub_gc.coeffs_float)
-            wxn = np.cross(w_vals, nf[None, None, :])
-            rhs[:, cols] -= omega * np.einsum("qjx,qlx->jl", wxn, w_gt)
-        out[hmap.local_indices("cell", t, "R"), :] = checked_solve(
-            system, rhs, f"element {t}: curl extension")
-        out[hmap.local_indices("cell", t, "Rc"), :] = high.project_onto(
-            "Rc", ("cell", t), k, 0, low.cell_curl_ops(t).potential)
-        return out
-
-    # -- divergence space ------------------------------------------------------
-
-    def _cell_div_lift(self, t: int) -> np.ndarray:
-        high, low, k = self.high, self.low, self.high.k
-        hmap = high.layout("Xdiv").restriction("cell", t)
-        lmap = low.layout("Xdiv").restriction("cell", t)
-        out = np.zeros((hmap.total, lmap.total))
-        for f in high.mesh.element_faces[t]:
-            out[hmap.local_indices("face", f, "poly")[0],
-                lmap.local_indices("face", f, "poly")[0]] = 1.0
-        if k == 0:
-            return out
-        sub_g = high.subspace("G", ("cell", t), k - 1)
-        grad3 = mono.to_float(mono.grad_matrix(3, k)) / high.orient.cell_diameter[t]
-        vg_mm = high.gram("cell", t, k - 1, k - 1, vector=True)
-        system = (sub_g.coeffs_float.T @ vg_mm @ grad3).T[1:, :]
-        g_k0 = high.gram("cell", t, k, 0)
-        rhs = -(g_k0 @ low.cell_div_ops(t).div)[1:, :]
-        scal_k = high.basis("cell", t, k)
-        for pos, f in enumerate(high.mesh.element_faces[t]):
-            omega = high.orient.cell_face_sign[t][pos]
-            frule = high.rule("face", f)
-            ints = frule.integrate(scal_k.eval(frule.points))
-            rhs[:, lmap.local_indices("face", f, "poly")[0]] += omega * ints[1:]
-        out[hmap.local_indices("cell", t, "G"), :] = checked_solve(
-            system, rhs, f"element {t}: divergence extension")
-        out[hmap.local_indices("cell", t, "Gc"), :] = high.project_onto(
-            "Gc", ("cell", t), k, 0, low.cell_div_ops(t).potential)
-        return out
-
-    # -- global matrices ---------------------------------------------------------
-
     def matrix(self, space: str) -> sp.csr_matrix:
         if space in self._cache:
             return self._cache[space]
-        high, low, mesh = self.high, self.low, self.high.mesh
-        hlay = high.layout(space)
-        llay = low.layout(space)
-        coo = _Coo()
-        if space == "Xgrad":
-            for v in range(mesh.n_vertices):
-                coo.add(hlay.indices("vertex", v, "val"), llay.indices("vertex", v, "val"),
-                        np.ones((1, 1)))
-            for e in range(mesh.n_edges):
-                rows = hlay.indices("edge", e, "poly")
-                if rows.size:
-                    lift = self.edge_grad_lift(e)
-                    sub = high.layout("Xgrad").restriction("edge", e)
-                    cols = np.asarray([llay.indices("vertex", int(v), "val")[0]
-                                       for v in mesh.edges[e]])
-                    coo.add(rows, cols, lift[sub.local_indices("edge", e, "poly"), :])
-            for f in range(mesh.n_faces):
-                rows = hlay.indices("face", f, "poly")
-                if rows.size:
-                    lift = self.face_grad_lift(f)
-                    sub = high.layout("Xgrad").restriction("face", f)
-                    cols = low.layout("Xgrad").restriction("face", f).globals
-                    coo.add(rows, cols, lift[sub.local_indices("face", f, "poly"), :])
-            for t in range(mesh.n_elements):
-                rows = hlay.indices("cell", t, "poly")
-                if rows.size:
-                    lift = self._cell_grad_lift(t)
-                    sub = high.layout("Xgrad").restriction("cell", t)
-                    cols = low.layout("Xgrad").restriction("cell", t).globals
-                    coo.add(rows, cols, lift[sub.local_indices("cell", t, "poly"), :])
-        elif space == "Xcurl":
-            for e in range(mesh.n_edges):
-                coo.add(hlay.indices("edge", e, "poly")[:1], llay.indices("edge", e, "poly"),
-                        np.ones((1, 1)))
-            for f in range(mesh.n_faces):
-                lift = self.face_curl_lift(f)
-                sub = high.layout("Xcurl").restriction("face", f)
-                cols = low.layout("Xcurl").restriction("face", f).globals
-                for part in ("R", "Rc"):
-                    rows = hlay.indices("face", f, part)
-                    if rows.size:
-                        coo.add(rows, cols, lift[sub.local_indices("face", f, part), :])
-            for t in range(mesh.n_elements):
-                lift = self._cell_curl_lift(t)
-                sub = high.layout("Xcurl").restriction("cell", t)
-                cols = low.layout("Xcurl").restriction("cell", t).globals
-                for part in ("R", "Rc"):
-                    rows = hlay.indices("cell", t, part)
-                    if rows.size:
-                        coo.add(rows, cols, lift[sub.local_indices("cell", t, part), :])
-        elif space == "Xdiv":
-            for f in range(mesh.n_faces):
-                coo.add(hlay.indices("face", f, "poly")[:1], llay.indices("face", f, "poly"),
-                        np.ones((1, 1)))
-            for t in range(mesh.n_elements):
-                lift = self._cell_div_lift(t)
-                sub = high.layout("Xdiv").restriction("cell", t)
-                cols = low.layout("Xdiv").restriction("cell", t).globals
-                for part in ("G", "Gc"):
-                    rows = hlay.indices("cell", t, part)
-                    if rows.size:
-                        coo.add(rows, cols, lift[sub.local_indices("cell", t, part), :])
-        elif space == "Pk":
-            mat = high.inclusion
-            self._cache[space] = mat
-            return mat
-        else:
+        if space not in _LIFTS:
             raise DomainError(f"unknown space {space!r}")
-        mat = coo.build((hlay.total, llay.total))
+        high, low, k, mesh = self.high, self.low, self.high.k, self.high.mesh
+        hlay, llay = high.layout(space), low.layout(space)
+        shape = (hlay.total, llay.total)
+        coo = _Coo()
+        for c in llay.components:
+            if c.dim:  # degree-0 unknowns sit on one entity kind, one per entity
+                coo.add(hlay.indices(c.entity_kind, c.entity, c.part)[:1],
+                        np.asarray([c.offset]), np.ones((1, 1)))
+        counts = {"edge": mesh.n_edges, "face": mesh.n_faces, "cell": mesh.n_elements}
+        for kind, build, op, part, tests, projected, source in _LIFTS[space]:
+            done = coo.build(shape)   # rows of lower-dimensional entities
+            for i in range(counts[kind]):
+                rows = hlay.indices(kind, i, part)
+                if not rows.size:     # k = 0: nothing beyond the copied unknowns
+                    continue
+                hops, lops = getattr(high, build)(i), getattr(low, build)(i)
+                cols = lops.lmap.globals
+                # extended boundary rows; zero on the entity's own unknowns
+                known = done[hops.lmap.globals][:, cols].toarray()
+                # The degree-0 operator value is the constant coefficient
+                # leading each component, so its moments are the leading
+                # columns of the mass matrix.
+                mass, rhs = hops.moments.mass, hops.moments.rhs
+                low_op = getattr(lops, op)
+                lead = np.arange(low_op.shape[0]) * (mass.shape[0] // low_op.shape[0])
+                target = mass[:, lead] @ low_op - rhs @ known
+                solved = rhs[:, hops.lmap.local_indices(kind, i, part)]
+                if tests is None:
+                    solved, target = solved[1:], target[1:]
+                else:
+                    p = high.subspace(tests, (kind, i), k).coeffs_float.T
+                    solved, target = p @ solved, p @ target
+                where = "element" if kind == "cell" else kind
+                coo.add(rows, cols, checked_solve(solved, target,
+                                                  f"{where} {i}: {op} extension"))
+                if projected:
+                    coo.add(hlay.indices(kind, i, projected), cols, high.project_onto(
+                        projected, (kind, i), k, 0, getattr(lops, source)))
+        mat = coo.build(shape)
         self._cache[space] = mat
         return mat
 

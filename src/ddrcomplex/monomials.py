@@ -121,18 +121,6 @@ def block_rows(blocks: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = frac_zeros(rows, cols)
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
-
-
 def grad_matrix(dim: int, degree: int) -> np.ndarray:
     """Scaled-coordinate gradient: P^degree -> (P^(degree-1))^dim."""
     return block_rows([derivative_matrix(dim, degree, ax) for ax in range(dim)])
@@ -163,22 +151,6 @@ def vrot_matrix(degree: int) -> np.ndarray:
     d1 = derivative_matrix(2, degree, 0)
     d2 = derivative_matrix(2, degree, 1)
     return block_rows([d2, -d1])
-
-
-def rot_matrix(degree: int) -> np.ndarray:
-    """Scaled-coordinate face scalar rot: div(z^perp): (P^deg)^2 -> P^(deg-1)."""
-    d1 = derivative_matrix(2, degree, 0)
-    d2 = derivative_matrix(2, degree, 1)
-    return np.concatenate([-d2, d1], axis=1)
-
-
-def perp_matrix(degree: int) -> np.ndarray:
-    """(z1, z2) -> (z2, -z1) on (P^degree)^2 coefficients."""
-    n = n_monomials(2, degree)
-    out = frac_zeros(2 * n, 2 * n)
-    out[:n, n:] = frac_eye(n)
-    out[n:, :n] = -frac_eye(n)
-    return out
 
 
 def independent_columns(mat: np.ndarray) -> list[int]:

@@ -5,7 +5,9 @@ integration by parts: the unknown polynomial is tested against a space of
 polynomial test functions, boundary terms feed in the traces built on the
 lower-dimensional entities.  All defining systems are dense Gram or pairing
 systems solved per entity; global operators collect the local blocks into
-sparse matrices with deterministic (entity-index ascending) ordering.
+sparse matrices with deterministic (entity-index ascending) ordering.  Each
+gradient/curl/divergence builder keeps its moment system (:class:`Moments`),
+which the extensions of :mod:`.lifting` solve with degree-0 data.
 
 :class:`DdrComplex` memoizes bases, quadrature rules, Gram matrices, local
 operators, and assembled global matrices for one (mesh, orientation, degree).
@@ -13,8 +15,6 @@ operators, and assembled global matrices for one (mesh, orientation, degree).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,21 +36,16 @@ from .spaces import (
 )
 
 
-def worker_count() -> int:
-    """Worker cap from DDR_THREADS (default 1 = serial)."""
-    try:
-        return max(1, int(os.environ.get("DDR_THREADS", "1")))
-    except ValueError:
-        return 1
+@dataclass(frozen=True)
+class Moments:
+    """The moment system ``mass @ op = rhs`` that defines a local operator.
 
+    ``mass`` is the Gram matrix of the operator's target space; ``rhs`` holds
+    the tested integration-by-parts terms, one column per local dof.
+    """
 
-def _pmap(fn, items, workers: int):
-    """Order-preserving map, optionally threaded (results merged in order)."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    mass: np.ndarray
+    rhs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -58,6 +53,7 @@ class EdgeOps:
     lmap: LocalMap        # restriction of Xgrad to the edge
     trace: np.ndarray     # to P^(k+1)(E)
     grad: np.ndarray      # to P^k(E)
+    moments: Moments      # of grad
 
 
 @dataclass(frozen=True)
@@ -65,6 +61,7 @@ class FaceGradOps:
     lmap: LocalMap        # restriction of Xgrad to the face
     grad: np.ndarray      # to vP^k(F)
     trace: np.ndarray     # to P^(k+1)(F)
+    moments: Moments      # of grad
 
 
 @dataclass(frozen=True)
@@ -72,12 +69,14 @@ class FaceCurlOps:
     lmap: LocalMap        # restriction of Xcurl to the face
     curl: np.ndarray      # to P^k(F)
     ttrace: np.ndarray    # to vP^k(F)
+    moments: Moments      # of curl
 
 
 @dataclass(frozen=True)
 class CellGradOps:
     lmap: LocalMap
     grad: np.ndarray      # to vP^k(T)
+    moments: Moments      # of grad
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,7 @@ class CellCurlOps:
     lmap: LocalMap
     curl: np.ndarray      # to vP^k(T)
     potential: np.ndarray # to vP^k(T)
+    moments: Moments      # of curl
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,7 @@ class CellDivOps:
     lmap: LocalMap
     div: np.ndarray       # to P^k(T)
     potential: np.ndarray # to vP^k(T)
+    moments: Moments      # of div
 
 
 class _Coo:
@@ -233,7 +234,7 @@ class DdrComplex:
         b[:, c_v2] += phi_k_ends[1]
         grad = checked_solve(g_kk, b, f"edge {e}: gradient")
 
-        ops = EdgeOps(lmap, trace, grad)
+        ops = EdgeOps(lmap, trace, grad, Moments(g_kk, b))
         self._edge_ops[e] = ops
         return ops
 
@@ -286,7 +287,7 @@ class DdrComplex:
             rhs[:, embed] += omega * wn.T @ wphi
         trace = checked_solve(system, rhs, f"face {f}: scalar trace")
 
-        ops = FaceGradOps(lmap, grad, trace)
+        ops = FaceGradOps(lmap, grad, trace, Moments(vg_kk, b))
         self._face_grad[f] = ops
         return ops
 
@@ -318,7 +319,7 @@ class DdrComplex:
             vn = vbasis_k.eval_vector(frule.points) @ nf
             b[:, embed] += omega * vn.T @ wphi
         grad = checked_solve(vg_kk, b, f"element {t}: gradient")
-        ops = CellGradOps(lmap, grad)
+        ops = CellGradOps(lmap, grad, Moments(vg_kk, b))
         self._cell_grad[t] = ops
         return ops
 
@@ -377,7 +378,7 @@ class DdrComplex:
         ttrace = checked_solve(system, np.concatenate([rhs1, rhs2], axis=0),
                                f"face {f}: tangential trace")
 
-        ops = FaceCurlOps(lmap, curl, ttrace)
+        ops = FaceCurlOps(lmap, curl, ttrace, Moments(g_kk, b))
         self._face_curl[f] = ops
         return ops
 
@@ -439,7 +440,7 @@ class DdrComplex:
         potential = checked_solve(system, np.concatenate([rhs1, rhs2], axis=0),
                                   f"element {t}: curl potential")
 
-        ops = CellCurlOps(lmap, curl, potential)
+        ops = CellCurlOps(lmap, curl, potential, Moments(vg_kk, b))
         self._cell_curl[t] = ops
         return ops
 
@@ -498,7 +499,7 @@ class DdrComplex:
         potential = checked_solve(system, np.concatenate([rhs1, rhs2], axis=0),
                                   f"element {t}: divergence potential")
 
-        ops = CellDivOps(lmap, div, potential)
+        ops = CellDivOps(lmap, div, potential, Moments(g_kk, b))
         self._cell_div[t] = ops
         return ops
 
@@ -512,19 +513,17 @@ class DdrComplex:
         k = self.k
         src = self.layout("Xgrad")
         tgt = self.layout("Xcurl")
-        workers = worker_count()
         coo = _Coo()
-
-        blocks = _pmap(lambda e: (e, self.edge_ops(e)), range(self.mesh.n_edges), workers)
-        for e, ops in blocks:
+        for e in range(self.mesh.n_edges):
+            ops = self.edge_ops(e)
             coo.add(tgt.indices("edge", e, "poly"), ops.lmap.globals, ops.grad)
-        fblocks = _pmap(lambda f: (f, self.face_grad_ops(f)), range(self.mesh.n_faces), workers)
-        for f, ops in fblocks:
+        for f in range(self.mesh.n_faces):
+            ops = self.face_grad_ops(f)
             for part, deg in (("R", k - 1), ("Rc", k)):
                 coo.add(tgt.indices("face", f, part), ops.lmap.globals,
                         self.project_onto(part, ("face", f), deg, k, ops.grad))
-        cblocks = _pmap(lambda t: (t, self.cell_grad_ops(t)), range(self.mesh.n_elements), workers)
-        for t, ops in cblocks:
+        for t in range(self.mesh.n_elements):
+            ops = self.cell_grad_ops(t)
             for part, deg in (("R", k - 1), ("Rc", k)):
                 coo.add(tgt.indices("cell", t, part), ops.lmap.globals,
                         self.project_onto(part, ("cell", t), deg, k, ops.grad))
@@ -540,13 +539,12 @@ class DdrComplex:
         k = self.k
         src = self.layout("Xcurl")
         tgt = self.layout("Xdiv")
-        workers = worker_count()
         coo = _Coo()
-        fblocks = _pmap(lambda f: (f, self.face_curl_ops(f)), range(self.mesh.n_faces), workers)
-        for f, ops in fblocks:
+        for f in range(self.mesh.n_faces):
+            ops = self.face_curl_ops(f)
             coo.add(tgt.indices("face", f, "poly"), ops.lmap.globals, ops.curl)
-        cblocks = _pmap(lambda t: (t, self.cell_curl_ops(t)), range(self.mesh.n_elements), workers)
-        for t, ops in cblocks:
+        for t in range(self.mesh.n_elements):
+            ops = self.cell_curl_ops(t)
             for part, deg in (("G", k - 1), ("Gc", k)):
                 coo.add(tgt.indices("cell", t, part), ops.lmap.globals,
                         self.project_onto(part, ("cell", t), deg, k, ops.curl))
@@ -561,10 +559,9 @@ class DdrComplex:
             return self._globals["divergence"]
         src = self.layout("Xdiv")
         tgt = self.layout("Pk")
-        workers = worker_count()
         coo = _Coo()
-        blocks = _pmap(lambda t: (t, self.cell_div_ops(t)), range(self.mesh.n_elements), workers)
-        for t, ops in blocks:
+        for t in range(self.mesh.n_elements):
+            ops = self.cell_div_ops(t)
             coo.add(tgt.indices("cell", t, "poly"), ops.lmap.globals, ops.div)
         mat = coo.build((tgt.total, src.total))
         self._globals["divergence"] = mat
@@ -623,28 +620,9 @@ class DdrComplex:
             coo.add(np.asarray([t]), lay.indices("cell", t, "poly"), means[None, :])
         return coo.build((self.mesh.n_elements, lay.total))
 
-    @property
-    def inclusion(self) -> sp.csr_matrix:
-        """Piecewise constants into Pk (constant monomial coefficient)."""
-        lay = self.layout("Pk")
-        coo = _Coo()
-        for t in range(self.mesh.n_elements):
-            off = lay.indices("cell", t, "poly")[0]
-            coo.add(np.asarray([off]), np.asarray([t]), np.ones((1, 1)))
-        return coo.build((lay.total, self.mesh.n_elements))
-
 
 # ---------------------------------------------------------------------------
-# module-level conveniences mirroring the operator catalogue
-
-def build_dof_layout(space: str, degree: int, mesh: Mesh) -> DofLayout:
-    return DofLayout(space, degree, mesh)
-
-
-def assemble_global(which: str, degree: int, mesh: Mesh,
-                    orientation: OrientationTable) -> sp.csr_matrix:
-    return DdrComplex(mesh, orientation, degree).operator(which)
-
+# degree-0 closed forms
 
 def ddr0_closed_forms(mesh: Mesh, orientation: OrientationTable
                       ) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:

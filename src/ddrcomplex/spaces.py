@@ -271,71 +271,3 @@ def project_columns(sub: SubspaceBasis, gram_own: np.ndarray, gram_cross: np.nda
         return np.zeros((0, columns.shape[1]))
     return checked_solve(c.T @ gram_own @ c, c.T @ gram_cross @ columns,
                          f"projection onto {sub.kind}^{sub.ambient.degree}")
-
-
-def project_values(basis: ScaledMonomialBasis, rule: QuadratureRule,
-                   values: np.ndarray) -> np.ndarray:
-    """L2 projection of pointwise sampled values onto a scalar basis."""
-    if basis.size == 0:
-        return np.zeros(0)
-    phi = basis.eval(rule.points)
-    g = phi.T @ (rule.weights[:, None] * phi)
-    rhs = phi.T @ (rule.weights * values)
-    return checked_solve(g, rhs, f"projection onto P^{basis.degree} on {basis.entity}")
-
-
-# ---------------------------------------------------------------------------
-# exact differential operators on coefficient vectors
-
-_OPS = ("grad", "div", "curl", "grad_F", "div_F", "vrot_F", "rot_F", "perp")
-
-
-def apply_differential(op: str, coeffs: np.ndarray, basis: ScaledMonomialBasis):
-    """Exact differential/rotation of a coefficient vector on its basis.
-
-    Returns ``(new_coeffs, new_basis)`` with Fraction coefficients; physical
-    derivatives carry the exact rational factor 1/Fraction(length).
-    """
-    if op not in _OPS:
-        raise DomainError(f"unknown differential {op!r}")
-    inv_h = Fraction(1) / Fraction(float(basis.length))
-    d, l = basis.dim, basis.degree
-
-    def out_basis(deg, vector):
-        return ScaledMonomialBasis(basis.entity, d, deg, basis.center,
-                                   basis.length, basis.frame, vector=vector)
-
-    if op == "grad":
-        _need(basis, vector=False, dim=3, op=op)
-        mat, tgt = mono.grad_matrix(3, l) * inv_h, out_basis(l - 1, True)
-    elif op == "div":
-        _need(basis, vector=True, dim=3, op=op)
-        mat, tgt = mono.div_matrix(3, l) * inv_h, out_basis(l - 1, False)
-    elif op == "curl":
-        _need(basis, vector=True, dim=3, op=op)
-        mat, tgt = mono.curl_matrix(l) * inv_h, out_basis(l - 1, True)
-    elif op == "grad_F":
-        _need(basis, vector=False, dim=2, op=op)
-        mat, tgt = mono.grad_matrix(2, l) * inv_h, out_basis(l - 1, True)
-    elif op == "div_F":
-        _need(basis, vector=True, dim=2, op=op)
-        mat, tgt = mono.div_matrix(2, l) * inv_h, out_basis(l - 1, False)
-    elif op == "vrot_F":
-        _need(basis, vector=False, dim=2, op=op)
-        mat, tgt = mono.vrot_matrix(l) * inv_h, out_basis(l - 1, True)
-    elif op == "rot_F":
-        _need(basis, vector=True, dim=2, op=op)
-        mat, tgt = mono.rot_matrix(l) * inv_h, out_basis(l - 1, False)
-    else:  # perp
-        _need(basis, vector=True, dim=2, op=op)
-        mat, tgt = mono.perp_matrix(l), out_basis(l, True)
-
-    coeffs = np.asarray(coeffs, dtype=object)
-    return mat @ coeffs, tgt
-
-
-def _need(basis: ScaledMonomialBasis, vector: bool, dim: int, op: str) -> None:
-    if basis.vector != vector or basis.dim != dim:
-        raise DomainError(
-            f"{op} needs a {'vector' if vector else 'scalar'} basis of intrinsic "
-            f"dimension {dim}; got vector={basis.vector}, dim={basis.dim}")

@@ -151,6 +151,9 @@ class VerificationReport:
     seed: int
     timestamp: str | None = None
     generators: list[dict] = field(default_factory=list)
+    # the session that produced the report, for callers that reuse its
+    # operators; never serialized
+    session: VerifySession | None = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -636,6 +639,7 @@ def run_all(mesh: Mesh, orientation: OrientationTable, degree: int,
         seed=(opts or RankOptions()).seed,
         timestamp=timestamp,
         generators=generator_payload,
+        session=s,
     )
 
 

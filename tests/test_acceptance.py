@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ddrcomplex import (
+    DofLayout,
     betti_numbers,
     build_cochain_complex,
     ddr0_closed_forms,
@@ -145,8 +146,7 @@ def test_criterion_06_euler_dof_identity():
         mesh, _ = mesh_and_orientation(name)
         chi = mesh.euler_characteristic
         for k in (0, 1, 2, 3):
-            from ddrcomplex import build_dof_layout
-            dims = [build_dof_layout(s, k, mesh).total
+            dims = [DofLayout(s, k, mesh).total
                     for s in ("Xgrad", "Xcurl", "Xdiv", "Pk")]
             assert dims[0] - dims[1] + dims[2] - dims[3] == chi, (name, k)
             if (name, k) in expected:

@@ -1,10 +1,13 @@
 """CLI integration: subcommands, exit-code contract, golden reports, VTK export."""
 
+import collections
 import json
 
 import pytest
 
+from ddrcomplex import lifting
 from ddrcomplex.cli import main
+from ddrcomplex.operators import DdrComplex
 
 
 def run_cli(*argv):
@@ -135,3 +138,57 @@ def test_cohomology_generators_vtk_higher_degree(tmp_path):
     assert gens[0]["kernel_residual"] <= 1e-9
     text = vtk.read_text()
     assert "h1_generator_0 3 8 double" in text
+
+
+def test_cohomology_generators_reuse_the_report_session(tmp_path, monkeypatch):
+    # the VTK fields come from the report's generators and complexes: one
+    # complex per degree, one generator computation per cohomology index
+    built = collections.Counter()
+    init = DdrComplex.__init__
+
+    def counting_init(self, mesh, orientation, degree, *args, **kwargs):
+        built[degree] += 1
+        init(self, mesh, orientation, degree, *args, **kwargs)
+
+    calls = collections.Counter()
+    generators = lifting.cohomology_generators
+
+    def counting_generators(cc, index):
+        calls[index] += 1
+        return generators(cc, index)
+
+    monkeypatch.setattr(DdrComplex, "__init__", counting_init)
+    monkeypatch.setattr(lifting, "cohomology_generators", counting_generators)
+    assert run_cli("cohomology", "--builtin", "ring", "--degree", "1",
+                   "--generators", str(tmp_path / "gen.vtk"),
+                   "--out", str(tmp_path / "rep.json"), "--no-timestamp") == 0
+    assert built == {1: 1, 0: 1}
+    assert calls == {1: 1, 2: 1}
+
+
+def test_cohomology_without_betti_numbers_exit_1(tmp_path, monkeypatch):
+    # an errored Betti computation leaves betti_cw empty; the CLI still answers
+    from ddrcomplex import CertificationError, verification
+
+    def failing_betti(cc):
+        raise CertificationError("Betti numbers unavailable")
+
+    monkeypatch.setattr(verification, "betti_numbers", failing_betti)
+    out = tmp_path / "rep.json"
+    assert run_cli("cohomology", "--builtin", "cube", "--degree", "0",
+                   "--out", str(out), "--no-timestamp") == 1
+    assert json.loads(out.read_text())["betti_cw"] == []
+
+
+def test_failed_generator_check_writes_no_vtk(tmp_path, monkeypatch):
+    from ddrcomplex import CertificationError, verification
+
+    def failing_lift(high, low, index, **kwargs):
+        raise CertificationError("lift refused")
+
+    monkeypatch.setattr(verification, "lift_generators", failing_lift)
+    vtk = tmp_path / "gen.vtk"
+    assert run_cli("cohomology", "--builtin", "ring", "--degree", "0",
+                   "--generators", str(vtk), "--out", str(tmp_path / "rep.json"),
+                   "--no-timestamp") == 1
+    assert not vtk.exists()

@@ -16,7 +16,8 @@ from conftest import complex_for, extensions_for, mesh_and_orientation
 SPACES = ("Xgrad", "Xcurl", "Xdiv", "Pk")
 
 
-@pytest.mark.parametrize("name,k", [("cube", 1), ("cube", 2), ("ring", 1), ("cavity", 1)])
+@pytest.mark.parametrize("name,k", [("cube", 1), ("cube", 2), ("cube", 3), ("ring", 1),
+                                    ("cavity", 1)])
 def test_reduction_after_extension_is_identity(name, k):
     high = complex_for(name, k)
     ext = extensions_for(name, k)
@@ -55,7 +56,7 @@ def test_extension_of_zero_is_zero():
         assert np.abs(m @ np.zeros(m.shape[1])).max() == 0.0
 
 
-@pytest.mark.parametrize("name,k", [("cube", 1), ("cube", 2), ("ring", 1),
+@pytest.mark.parametrize("name,k", [("cube", 1), ("cube", 2), ("cube", 3), ("ring", 1),
                                     ("ring", 2), ("cavity", 1)])
 def test_extension_cochain_identities(name, k):
     high = complex_for(name, k)

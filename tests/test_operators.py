@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ddrcomplex import build_dof_layout, ddr0_closed_forms
+from ddrcomplex import DofLayout, ddr0_closed_forms
 
 from conftest import complex_for, mesh_and_orientation
 
@@ -12,17 +12,17 @@ from conftest import complex_for, mesh_and_orientation
 
 def test_layout_dims_cube_k1():
     mesh, _ = mesh_and_orientation("cube")
-    dims = [build_dof_layout(s, 1, mesh).total for s in ("Xgrad", "Xcurl", "Xdiv", "Pk")]
+    dims = [DofLayout(s, 1, mesh).total for s in ("Xgrad", "Xcurl", "Xdiv", "Pk")]
     assert dims == [27, 46, 24, 4]
     assert dims[0] - dims[1] + dims[2] - dims[3] == 1
 
 
 def test_layout_dims_ring_cavity_k1():
     mesh, _ = mesh_and_orientation("ring")
-    dims = [build_dof_layout(s, 1, mesh).total for s in ("Xgrad", "Xcurl", "Xdiv", "Pk")]
+    dims = [DofLayout(s, 1, mesh).total for s in ("Xgrad", "Xcurl", "Xdiv", "Pk")]
     assert dims == [144, 280, 168, 32]
     mesh, _ = mesh_and_orientation("cavity")
-    dims = [build_dof_layout(s, 1, mesh).total for s in ("Xgrad", "Xcurl", "Xdiv", "Pk")]
+    dims = [DofLayout(s, 1, mesh).total for s in ("Xgrad", "Xcurl", "Xdiv", "Pk")]
     assert dims == [342, 716, 480, 104]
 
 
@@ -30,13 +30,13 @@ def test_layout_dims_ring_cavity_k1():
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_layout_euler_identity(name, chi, k):
     mesh, _ = mesh_and_orientation(name)
-    dims = [build_dof_layout(s, k, mesh).total for s in ("Xgrad", "Xcurl", "Xdiv", "Pk")]
+    dims = [DofLayout(s, k, mesh).total for s in ("Xgrad", "Xcurl", "Xdiv", "Pk")]
     assert dims[0] - dims[1] + dims[2] - dims[3] == chi
 
 
 def test_layout_offsets_partition():
     mesh, _ = mesh_and_orientation("cube")
-    lay = build_dof_layout("Xcurl", 2, mesh)
+    lay = DofLayout("Xcurl", 2, mesh)
     seen = sorted(np.concatenate([np.arange(c.offset, c.offset + c.dim)
                                   for c in lay.components if c.dim]))
     assert seen == list(range(lay.total))
@@ -45,7 +45,7 @@ def test_layout_offsets_partition():
 def test_layout_k0_single_scalar_components():
     mesh, _ = mesh_and_orientation("cube")
     for space, count in (("Xgrad", 8), ("Xcurl", 12), ("Xdiv", 6), ("Pk", 1)):
-        assert build_dof_layout(space, 0, mesh).total == count
+        assert DofLayout(space, 0, mesh).total == count
 
 
 # -- edge operators --------------------------------------------------------------
@@ -321,16 +321,3 @@ def test_interpolate_linear_k1():
         idx = lay.indices("edge", e, "poly")
         assert abs(vec[idx][0] - orient.edge_midpoint[e][0]) < 1e-13
 
-
-def test_worker_count_does_not_change_output(monkeypatch):
-    # DDR_THREADS caps the worker pool; results merge in entity order, so the
-    # assembled matrices are identical for any worker count
-    from ddrcomplex import DdrComplex
-    mesh, orient = mesh_and_orientation("ring")
-    serial = DdrComplex(mesh, orient, 1)
-    ref = (serial.gradient.toarray(), serial.curl.toarray(), serial.divergence.toarray())
-    monkeypatch.setenv("DDR_THREADS", "4")
-    threaded = DdrComplex(mesh, orient, 1)
-    got = (threaded.gradient.toarray(), threaded.curl.toarray(), threaded.divergence.toarray())
-    for a, b in zip(ref, got):
-        assert np.array_equal(a, b)

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ddrcomplex import DomainError, apply_differential, space_dim
+from ddrcomplex import DomainError, space_dim
+from ddrcomplex import monomials as mono
 from ddrcomplex.monomials import frac_rank, to_float
 from ddrcomplex.spaces import gram_matrix, project_columns
 
@@ -64,52 +65,39 @@ def test_rc_face_degree_one_is_koszul_field():
 
 
 def test_differential_examples_exact():
+    # physical derivatives are the scaled-coordinate matrices times 1/h
     c = complex_for("cube", 1)
-    basis = c.basis("cell", 0, 1)
-    h = Fraction(float(basis.length))
+    h = Fraction(float(c.basis("cell", 0, 1).length))
     coeffs = np.full(4, Fraction(0), dtype=object)
     coeffs[1] = Fraction(1)                       # the monomial y1 = (x - x_T)_1 / h
-    out, tgt = apply_differential("grad", coeffs, basis)
+    out = mono.grad_matrix(3, 1) @ coeffs / h
     assert out[0] == 1 / h and out[1] == 0 and out[2] == 0
     # div of the Koszul field x - x_T = h * (y1, y2, y3): exactly 3
-    vec = c.basis("cell", 0, 1, vector=True)
     koszul = np.full(12, Fraction(0), dtype=object)
     koszul[1] = h      # y1 in component 1
     koszul[4 + 2] = h  # y2 in component 2
     koszul[8 + 3] = h  # y3 in component 3
-    out, _ = apply_differential("div", koszul, vec)
+    out = mono.div_matrix(3, 1) @ koszul / h
     assert out[0] == 3 and all(x == 0 for x in out[1:])
 
 
 def test_vrot_of_first_frame_coordinate():
     # vrot(s1) = (grad s1)^perp = (0, -1) in the oriented frame
     c = complex_for("cube", 1)
-    basis = c.basis("face", 0, 1)
-    h = Fraction(float(basis.length))
+    h = Fraction(float(c.basis("face", 0, 1).length))
     coeffs = np.full(3, Fraction(0), dtype=object)
     coeffs[1] = h                                  # s1 = h * y1
-    out, tgt = apply_differential("vrot_F", coeffs, basis)
-    vals = to_float(out)
-    assert np.allclose(vals, [0.0, -1.0])
+    out = mono.vrot_matrix(1) @ coeffs / h
+    assert np.allclose(to_float(out), [0.0, -1.0])
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_composition_identities_exact(degree):
-    c = complex_for("cube", 1)
-    scal = c.basis("cell", 0, degree)
-    vec = c.basis("cell", 0, degree - 1, vector=True)
-    for j in range(scal.n_scalar):
-        coeffs = np.full(scal.n_scalar, Fraction(0), dtype=object)
-        coeffs[j] = Fraction(1)
-        g, gb = apply_differential("grad", coeffs, scal)
-        cg, _ = apply_differential("curl", g, gb)
-        assert all(x == 0 for x in cg)             # curl(grad) = 0 exactly
-    for j in range(3 * vec.n_scalar):
-        coeffs = np.full(3 * vec.n_scalar, Fraction(0), dtype=object)
-        coeffs[j] = Fraction(1)
-        cu, cb = apply_differential("curl", coeffs, vec)
-        dc, _ = apply_differential("div", cu, cb)
-        assert all(x == 0 for x in dc)             # div(curl) = 0 exactly
+    # unit coefficient vectors, so each product is a column of the composition
+    curl_grad = mono.curl_matrix(degree - 1) @ mono.grad_matrix(3, degree)
+    assert all(x == 0 for x in curl_grad.ravel())  # curl(grad) = 0 exactly
+    div_curl = mono.div_matrix(3, degree - 1) @ mono.curl_matrix(degree)
+    assert all(x == 0 for x in div_curl.ravel())   # div(curl) = 0 exactly
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -181,12 +169,3 @@ def test_singular_gram_raises_conditioning_error():
     with pytest.raises(ConditioningError):
         checked_solve(singular, np.eye(2), "test system")
 
-
-def test_apply_differential_domain_errors():
-    c = complex_for("cube", 1)
-    scal = c.basis("cell", 0, 1)
-    coeffs = np.full(scal.n_scalar, Fraction(0), dtype=object)
-    with pytest.raises(DomainError):
-        apply_differential("div", coeffs, scal)       # div needs a vector basis
-    with pytest.raises(DomainError):
-        apply_differential("bogus", coeffs, scal)
