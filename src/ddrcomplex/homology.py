@@ -7,16 +7,16 @@ Coboundary matrices use the orientation table signs:
 * d1[F, E] = -omega_FE  (the sign that makes the degree-0 curl diagram commute);
 * d2[T, F] = +omega_TF.
 
-Everything here is exact: integer matrices, fraction-free ranks (Python
-integers never overflow), rational kernel bases, and integer generator
-representatives certified by rank identities.
+Everything here is exact.  One fraction-free elimination over Python
+integers (:func:`_echelon`) gives the ranks, the kernel bases (primitive
+integer vectors) and the generator selection; the integer generator
+representatives are certified by rank identities.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -78,30 +78,62 @@ def build_cochain_complex(mesh: Mesh, orientation: OrientationTable) -> CochainC
     return CochainComplexInt(d0, d1, d2)
 
 
-def integer_rank(mat: np.ndarray) -> int:
-    """Exact rank over the rationals via fraction-free (Bareiss) elimination."""
-    a = [[int(x) for x in row] for row in np.asarray(mat)]
-    if not a or not a[0]:
-        return 0
-    rows, cols = len(a), len(a[0])
-    rank = 0
+def _echelon(mat, reduce: bool = False) -> tuple[list[list[int]], list[int]]:
+    """Exact elimination of an integer matrix over the rationals, fraction-free.
+
+    Returns the eliminated rows and the pivot columns.  Columns are scanned
+    left to right, so each pivot column is the leftmost column independent of
+    the columns before it, and their number is the rank.  Every entry stays
+    an integer minor of the input (Bareiss), so each division is exact and
+    Python integers never overflow.  With ``reduce`` the rows above each
+    pivot are eliminated too (fraction-free Gauss-Jordan): each pivot row
+    then holds the last pivot value at its own pivot column and zero at the
+    other pivot columns.
+    """
+    a = [[int(x) for x in row] for row in mat]
+    pivots: list[int] = []
     prev = 1
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == len(a):
+            break
+        pivot = next((i for i in range(r, len(a)) if a[i][c]), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
+        row, p = a[r], a[r][c]
+        for i in range(len(a)) if reduce else range(r + 1, len(a)):
+            if i == r:
+                continue
+            f = a[i][c]
+            if f:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
+            elif p != prev:
+                a[i] = [p * x // prev for x in a[i]]
+        prev = p
+        pivots.append(c)
+    return a, pivots
+
+
+def integer_rank(mat: np.ndarray) -> int:
+    """Exact rank over the rationals via fraction-free (Bareiss) elimination."""
+    return len(_echelon(np.asarray(mat))[1])
+
+
+def _kernel(mat: np.ndarray) -> list[list[int]]:
+    """Exact kernel basis: one primitive integer vector per free column,
+    positive at that column and zero at the other free columns."""
+    a, pivots = _echelon(mat, reduce=True)
+    d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    basis = []
+    for free in sorted(set(range(mat.shape[1])) - set(pivots)):
+        vec = [0] * mat.shape[1]
+        vec[free] = d
+        for row, c in zip(a, pivots):
+            vec[c] = -row[free]
+        g = math.gcd(*vec) if d > 0 else -math.gcd(*vec)
+        basis.append([x // g for x in vec])
+    return basis
 
 
 def betti_numbers(complex_: CochainComplexInt) -> BettiVector:
@@ -117,71 +149,27 @@ def betti_numbers(complex_: CochainComplexInt) -> BettiVector:
     )
 
 
-def _rational_nullspace(mat: np.ndarray) -> list[list[Fraction]]:
-    """Exact kernel basis (one vector per free column after RREF)."""
-    a = [[Fraction(int(x)) for x in row] for row in np.asarray(mat)]
-    rows = len(a)
-    cols = len(a[0]) if rows else np.asarray(mat).shape[1]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(cols):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * cols
-        vec[free] = Fraction(1)
-        for pr, pc in pivots:
-            vec[pc] = -a[pr][free]
-        basis.append(vec)
-    return basis
-
-
-def _clear_denominators(vec: list[Fraction]) -> list[int]:
-    lcm = 1
-    for x in vec:
-        if x.denominator != 1:
-            lcm = lcm // math.gcd(lcm, x.denominator) * x.denominator
-    return [int(x * lcm) for x in vec]
-
-
 def cohomology_generators(complex_: CochainComplexInt, i: int) -> list[np.ndarray]:
     """Integer representatives of H^i generators (i in {1, 2}), certified.
 
-    Exact linear algebra: kernel of d_i modulo image of d_(i-1); each kept
-    kernel vector must raise the rank of [image basis | generators] by one.
+    Exact linear algebra: the kernel basis of d_i whose columns are pivots of
+    [d_(i-1) | kernel] beyond d_(i-1); their number is the Betti number
+    dim ker d_i - rank d_(i-1).  Certificates: the generators raise the rank
+    of [d_(i-1) | generators] by their count and lie in the kernel of d_i.
     """
     if i not in (1, 2):
         raise DomainError("generators are computed for cohomology indices 1 and 2")
     d_out = complex_.boundary(i)
     d_in = complex_.boundary(i - 1)
-    betti = betti_numbers(complex_).as_tuple()[i]
-    kernel = _rational_nullspace(d_out)
-    if not kernel and betti:
-        raise CertificationError("kernel smaller than the Betti number")
-
+    kernel = _kernel(d_out)
     r_in = integer_rank(d_in)
-    cols = [[Fraction(int(x)) for x in d_in[:, j]] for j in range(d_in.shape[1])]
-    ncand = len(cols)
-    stacked = np.asarray(cols + kernel, dtype=object).T  # rows = cochain entries
-    keep = _independent_columns_count(stacked, first_block=ncand, target_rank=r_in,
-                                      want=betti)
-    gens = [np.asarray(_clear_denominators(kernel[j]), dtype=np.int64) for j in keep]
+    betti = len(kernel) - r_in
+    gens = []
+    if betti > 0:
+        n = d_in.shape[1]
+        stacked = np.concatenate([d_in, np.asarray(kernel, dtype=object).T], axis=1)
+        gens = [np.asarray(kernel[j - n], dtype=np.int64)
+                for j in _echelon(stacked)[1] if j >= n]
 
     certify = np.concatenate([d_in, np.asarray(gens, dtype=np.int64).T], axis=1) \
         if gens else d_in
@@ -193,33 +181,6 @@ def cohomology_generators(complex_: CochainComplexInt, i: int) -> list[np.ndarra
     if len(gens) != betti:
         raise CertificationError(f"expected {betti} generators, selected {len(gens)}")
     return gens
-
-
-def _independent_columns_count(mat: np.ndarray, first_block: int, target_rank: int,
-                               want: int) -> list[int]:
-    """Indices (relative to the second block) of columns adding rank beyond the first block."""
-    rows, cols = mat.shape
-    work = mat.copy()
-    pivot_rows: list[int] = []
-    kept_cols: list[int] = []
-    selected: list[int] = []
-    for j in range(cols):
-        col = work[:, j]
-        for pr, pc in zip(pivot_rows, kept_cols):
-            f = col[pr]
-            if f:
-                col = col - f * work[:, pc]
-        pivot = next((idx for idx in range(rows) if col[idx] != 0), None)
-        if pivot is None:
-            continue
-        work[:, j] = col / col[pivot]
-        pivot_rows.append(pivot)
-        kept_cols.append(j)
-        if j >= first_block:
-            selected.append(j - first_block)
-            if len(selected) == want:
-                break
-    return selected
 
 
 def de_rham_scaling(orientation: OrientationTable) -> DeRhamScaling:

@@ -306,9 +306,24 @@ def mesh_from_document(doc: dict) -> Mesh:
         raise MeshFormatError(f"bad vertex array: {exc}")
     if vertices.ndim != 2 or vertices.shape[1] != 3:
         raise MeshFormatError("vertices must be an array of [x, y, z] triples")
-    loops = [tuple(int(v) for v in loop) for loop in doc["faces"]]
-    elements = [tuple(int(f) for f in faces) for faces in doc["elements"]]
-    return _build_mesh(vertices, loops, elements)
+    if not np.isfinite(vertices).all():
+        raise MeshFormatError("vertex coordinates must be finite")
+    return _build_mesh(vertices, _index_lists(doc, "faces", "face"),
+                       _index_lists(doc, "elements", "element"))
+
+
+def _index_lists(doc: dict, key: str, item: str) -> list[tuple[int, ...]]:
+    """A document's face loops or element face lists as integer tuples;
+    integral floats (``3.0``) are accepted, any other non-integer is not."""
+    lists = doc[key]
+    if not isinstance(lists, list) or not all(isinstance(x, list) for x in lists):
+        raise MeshFormatError(f"{key!r} must be a list of index lists")
+    for n, indices in enumerate(lists):
+        for x in indices:
+            integral = isinstance(x, float) and x.is_integer()
+            if isinstance(x, bool) or not (integral or isinstance(x, (int, np.integer))):
+                raise MeshFormatError(f"{item} {n}: index {x!r} is not an integer")
+    return [tuple(int(x) for x in indices) for indices in lists]
 
 
 def load_mesh(path: str) -> Mesh:

@@ -137,6 +137,7 @@ class DdrComplex:
         self._bases: dict[tuple, ScaledMonomialBasis] = {}
         self._grams: dict[tuple, np.ndarray] = {}
         self._subs: dict[tuple, SubspaceBasis] = {}
+        self._means: dict[tuple, np.ndarray] = {}
         self._edge_ops: dict[int, EdgeOps] = {}
         self._face_grad: dict[int, FaceGradOps] = {}
         self._face_curl: dict[int, FaceCurlOps] = {}
@@ -183,6 +184,15 @@ class DdrComplex:
             self._subs[key] = subspace_basis(self.mesh, self.orient, kind, entity,
                                              degree, rule)
         return self._subs[key]
+
+    def means(self, kind: str, index: int) -> np.ndarray:
+        """Mean over one entity of each scalar degree-k basis monomial."""
+        key = (kind, index)
+        if key not in self._means:
+            rule = self.rule(kind, index)
+            phi = self.basis(kind, index, self.k).eval(rule.points)
+            self._means[key] = rule.integrate(phi) / rule.measure
+        return self._means[key]
 
     def _inv_h(self, kind: str, index: int) -> float:
         return 1.0 / self.orient.entity_diameter(kind, index)
@@ -590,11 +600,10 @@ class DdrComplex:
                 if idx.size == 0:
                     continue
                 rule = self.rule(kind, i)
-                basis = self.basis(kind, i, self.k - 1)
-                phi = basis.eval(rule.points)
+                phi = self.basis(kind, i, self.k - 1).eval(rule.points)
                 vals = np.asarray([fn(p) for p in rule.points], dtype=float)
-                g = phi.T @ (rule.weights[:, None] * phi)
-                out[idx] = checked_solve(g, phi.T @ (rule.weights * vals),
+                out[idx] = checked_solve(self.gram(kind, i, self.k - 1, self.k - 1),
+                                         phi.T @ (rule.weights * vals),
                                          f"interpolation on {kind} {i}")
         return out
 
@@ -607,18 +616,6 @@ class DdrComplex:
             if c.dim:
                 out[c.offset] = 1.0   # constant monomial is the first basis member
         return out
-
-    @property
-    def pi0(self) -> sp.csr_matrix:
-        """Elementwise mean: Pk -> one value per element."""
-        lay = self.layout("Pk")
-        coo = _Coo()
-        for t in range(self.mesh.n_elements):
-            rule = self.rule("cell", t)
-            phi = self.basis("cell", t, self.k).eval(rule.points)
-            means = rule.integrate(phi) / rule.measure
-            coo.add(np.asarray([t]), lay.indices("cell", t, "poly"), means[None, :])
-        return coo.build((self.mesh.n_elements, lay.total))
 
 
 # ---------------------------------------------------------------------------

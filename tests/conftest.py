@@ -6,6 +6,7 @@ construction, so sharing is safe.
 """
 
 import pytest
+from hypothesis import settings
 
 from ddrcomplex import (
     DdrComplex,
@@ -13,7 +14,12 @@ from ddrcomplex import (
     build_voxel_mesh,
     builtin_pattern,
     compute_orientation,
+    mesh_to_document,
 )
+
+# Property tests draw the same examples on every run, with bounded cost.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=10)
+settings.load_profile("tier1")
 
 _MESHES = {}
 _COMPLEXES = {}
@@ -40,6 +46,46 @@ def extensions_for(name, degree):
     if key not in _EXTENSIONS:
         _EXTENSIONS[key] = ExtensionMaps(complex_for(name, degree), complex_for(name, 0))
     return _EXTENSIONS[key]
+
+
+# Defects of a mesh document, each with the MeshFormatError message it raises.
+MALFORMED = {
+    "fractional face index": r"face 0: index \d+\.5 is not an integer",
+    "fractional element index": r"element 0: index \d+\.5 is not an integer",
+    "null face index": "face 2: index None is not an integer",
+    "string element index": "element 0: index '0' is not an integer",
+    "boolean face index": "face 0: index True is not an integer",
+    "faces not a list": "'faces' must be a list of index lists",
+    "elements not index lists": "'elements' must be a list of index lists",
+    "nan coordinate": "vertex coordinates must be finite",
+    "infinite coordinate": "vertex coordinates must be finite",
+}
+
+
+def malformed_cube_document(case):
+    """The builtin cube's mesh document with the one defect named by ``case``."""
+    doc = mesh_to_document(build_voxel_mesh(builtin_pattern("cube")))
+    if case == "fractional face index":
+        doc["faces"][0][1] += 0.5       # int() would truncate it to a valid index
+    elif case == "fractional element index":
+        doc["elements"][0][5] += 0.5
+    elif case == "null face index":
+        doc["faces"][2][0] = None
+    elif case == "string element index":
+        doc["elements"][0][0] = "0"
+    elif case == "boolean face index":
+        doc["faces"][0][0] = True
+    elif case == "faces not a list":
+        doc["faces"] = 5
+    elif case == "elements not index lists":
+        doc["elements"] = [5]
+    elif case == "nan coordinate":
+        doc["vertices"][3][2] = float("nan")
+    elif case == "infinite coordinate":
+        doc["vertices"][0][0] = float("inf")
+    else:
+        raise ValueError(case)
+    return doc
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,8 @@ from ddrcomplex import lifting
 from ddrcomplex.cli import main
 from ddrcomplex.operators import DdrComplex
 
+from conftest import MALFORMED, malformed_cube_document
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -42,6 +44,15 @@ def test_mesh_disconnected_pattern_exit_2(tmp_path, capsys):
 
 def test_missing_mesh_file_exit_2(tmp_path):
     assert run_cli("verify", "--mesh", str(tmp_path / "nope.json"), "--degree", "0") == 2
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_mesh_document_exit_2(tmp_path, capsys, case):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(malformed_cube_document(case)))
+    assert run_cli("verify", "--mesh", str(path), "--degree", "0", "--checks", "complex",
+                   "--out", str(tmp_path / "r.json")) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_bad_degree_exit_2(tmp_path):

@@ -1,10 +1,14 @@
 """Integer cochain complex, exact ranks, Betti numbers, generators, de Rham maps."""
 
+import collections
+
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, strategies as st
 
 from ddrcomplex import (
     DdrError,
+    InputError,
     betti_numbers,
     build_cochain_complex,
     build_voxel_mesh,
@@ -14,7 +18,11 @@ from ddrcomplex import (
     corrupt_orientation,
     de_rham_map,
     de_rham_scaling,
+    homology,
     integer_rank,
+    lifting,
+    run_all,
+    verification,
 )
 
 from conftest import complex_for, mesh_and_orientation
@@ -80,6 +88,71 @@ def test_generator_cavity_h2(cavity):
     assert np.abs(cc.d2 @ g).max() == 0
     stacked = np.concatenate([cc.d1, g[:, None]], axis=1)
     assert integer_rank(stacked) == integer_rank(cc.d1) + 1
+
+
+@st.composite
+def voxel_patterns(draw):
+    """Blocks of at most 3x3x2 cells with up to four cells removed, kept when
+    still face-connected (so that ``build_voxel_mesh`` accepts them)."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    pattern = np.ones(shape, dtype=bool)
+    cells = [tuple(c) for c in np.argwhere(pattern)]
+    for cell in draw(st.lists(st.sampled_from(cells), max_size=4, unique=True)):
+        pattern[cell] = False
+    try:
+        build_voxel_mesh(pattern)
+    except InputError:
+        reject()
+    return pattern
+
+
+def test_elimination_against_sympy_on_voxel_patterns():
+    sympy = pytest.importorskip("sympy")
+
+    def rank(mat):
+        return sympy.Matrix(mat).rank()
+
+    ring = builtin_pattern("ring")
+    tunnel = np.concatenate([ring, ring], axis=2)
+
+    @given(voxel_patterns())
+    @example(ring)
+    @example(tunnel)
+    @example(np.concatenate([ring, np.ones_like(ring)], axis=2))   # a dent, no tunnel
+    def check(pattern):
+        mesh = build_voxel_mesh(pattern)
+        cc = build_cochain_complex(mesh, compute_orientation(mesh))
+        for d in (cc.d0, cc.d1, cc.d2):
+            assert integer_rank(d) == rank(d)
+        betti = betti_numbers(cc)
+        assert betti.b0 - betti.b1 + betti.b2 - betti.b3 == mesh.euler_characteristic
+        for i in (1, 2):
+            gens = cohomology_generators(cc, i)
+            assert len(gens) == betti.as_tuple()[i]
+            d_in, d_out = cc.boundary(i - 1), cc.boundary(i)
+            for g in gens:
+                assert not np.any(d_out @ g)
+            if gens:
+                stacked = np.concatenate([d_in, np.asarray(gens).T], axis=1)
+                assert rank(stacked) == rank(d_in) + len(gens)
+
+    check()
+
+
+def test_generators_and_lifts_share_one_betti_computation(ring, monkeypatch):
+    calls = collections.Counter()
+    for module in (homology, lifting, verification):
+        original = module.betti_numbers
+
+        def counting(cc, _original=original, _name=module.__name__):
+            calls[_name] += 1
+            return _original(cc)
+
+        monkeypatch.setattr(module, "betti_numbers", counting)
+    mesh, orient = ring
+    report = run_all(mesh, orient, 1, ["cohomology", "generators"])
+    assert report.passed
+    assert sum(calls.values()) == 1
 
 
 def test_de_rham_map_quarter_edge():

@@ -21,7 +21,7 @@ from ddrcomplex import (
     save_mesh,
 )
 
-from conftest import mesh_and_orientation
+from conftest import MALFORMED, malformed_cube_document, mesh_and_orientation
 
 
 def brute_force_voxel_counts(pattern):
@@ -101,6 +101,18 @@ def test_dangling_face_index_rejected():
     doc["elements"][0] = [0, 1, 2, 3, 4, 99]
     with pytest.raises(MeshReferenceError, match="99"):
         mesh_from_document(doc)
+
+
+@pytest.mark.parametrize("case,message", MALFORMED.items())
+def test_malformed_document_rejected(case, message):
+    with pytest.raises(MeshFormatError, match=message):
+        mesh_from_document(malformed_cube_document(case))
+
+
+def test_integral_float_indices_accepted():
+    doc = mesh_to_document(build_voxel_mesh(builtin_pattern("cube")))
+    doc["elements"][0] = [float(f) for f in doc["elements"][0]]
+    assert mesh_from_document(doc).element_faces == ((0, 1, 2, 3, 4, 5),)
 
 
 def test_face_in_three_elements_rejected():
