@@ -86,6 +86,9 @@ class DofLayout:
         self.components = tuple(comps)
         self.total = off
         self._index = {(c.entity_kind, c.entity, c.part): c for c in comps}
+        self._by_entity: dict[tuple[str, int], list[Component]] = {}
+        for c in comps:
+            self._by_entity.setdefault((c.entity_kind, c.entity), []).append(c)
 
     def component(self, kind: str, entity: int, part: str) -> Component:
         return self._index[(kind, entity, part)]
@@ -95,7 +98,7 @@ class DofLayout:
         return np.arange(c.offset, c.offset + c.dim)
 
     def entity_components(self, kind: str, entity: int) -> list[Component]:
-        return [c for c in self.components if c.entity_kind == kind and c.entity == entity]
+        return list(self._by_entity.get((kind, entity), ()))
 
     def restriction(self, kind: str, entity: int) -> "LocalMap":
         """Local dof map gathering the entity's own and boundary components.

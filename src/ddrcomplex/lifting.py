@@ -200,19 +200,22 @@ def lift_generators(high: DdrComplex, low: DdrComplex, index: int,
     vector) -> curl/div extension.  Certificates: kernel residual of the
     outgoing operator below ``kernel_tol`` (relative), and each lifted
     vector raising the rank of [outgoing-image basis | lifted] by one.
+    Without CW generators there is nothing to lift or certify, and no
+    extension or rank is computed.
     """
     if index not in (1, 2):
         raise DomainError("cohomology index must be 1 or 2")
     mesh, orient = high.mesh, high.orient
     cc = build_cochain_complex(mesh, orient)
     gens = cohomology_generators(cc, index)
+    space = "Xcurl" if index == 1 else "Xdiv"
+    if not gens:
+        return LiftedGenerators(high.k, index, space, (), ())
     scaling = de_rham_scaling(orient)
     if index == 1:
-        space, measures = "Xcurl", scaling.edge
-        incoming, outgoing = high.gradient, high.curl
+        measures, incoming, outgoing = scaling.edge, high.gradient, high.curl
     else:
-        space, measures = "Xdiv", scaling.face
-        incoming, outgoing = high.curl, high.divergence
+        measures, incoming, outgoing = scaling.face, high.curl, high.divergence
     ext = ExtensionMaps(high, low).matrix(space)
 
     vectors, certs = [], []

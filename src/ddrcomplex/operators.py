@@ -121,6 +121,16 @@ class _Coo:
         return coo.tocsr()
 
 
+def _field_values(fn, points: np.ndarray) -> np.ndarray:
+    """``fn`` at an ``(n, 3)`` array of points, as ``n`` floats."""
+    vals = np.asarray(fn(points), dtype=float)
+    try:
+        return np.broadcast_to(vals, (len(points),))
+    except ValueError:
+        raise DomainError(f"interpolated field gave shape {vals.shape} "
+                          f"at {len(points)} points; expected ({len(points)},)") from None
+
+
 class DdrComplex:
     """All discrete spaces and operators of one mesh at one degree."""
 
@@ -588,11 +598,17 @@ class DdrComplex:
     # -- interpolation and tail maps --------------------------------------------
 
     def interpolate_grad(self, fn) -> np.ndarray:
-        """Interpolate a scalar field: vertex values + L2 projections."""
+        """Interpolate a scalar field: vertex values + L2 projections.
+
+        ``fn`` is vectorised: it maps an ``(n, 3)`` array of points to ``n``
+        values (a scalar broadcasts).  It is called once on the vertices and
+        once on each entity's quadrature points.
+        """
         lay = self.layout("Xgrad")
         out = np.zeros(lay.total)
-        for v in range(self.mesh.n_vertices):
-            out[lay.indices("vertex", v, "val")[0]] = fn(self.mesh.vertices[v])
+        vertex_dofs = [lay.component("vertex", v, "val").offset
+                       for v in range(self.mesh.n_vertices)]
+        out[vertex_dofs] = _field_values(fn, self.mesh.vertices)
         for kind, count in (("edge", self.mesh.n_edges), ("face", self.mesh.n_faces),
                             ("cell", self.mesh.n_elements)):
             for i in range(count):
@@ -601,7 +617,7 @@ class DdrComplex:
                     continue
                 rule = self.rule(kind, i)
                 phi = self.basis(kind, i, self.k - 1).eval(rule.points)
-                vals = np.asarray([fn(p) for p in rule.points], dtype=float)
+                vals = _field_values(fn, rule.points)
                 out[idx] = checked_solve(self.gram(kind, i, self.k - 1, self.k - 1),
                                          phi.T @ (rule.weights * vals),
                                          f"interpolation on {kind} {i}")

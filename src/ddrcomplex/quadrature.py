@@ -10,6 +10,7 @@ be chosen to integrate total degree d exactly with all-positive weights.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,16 @@ class QuadratureRule:
         return np.tensordot(self.weights, values, axes=(0, 0))
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [0, 1], read-only (shared by every caller)."""
     if n > _MAX_GAUSS:
         raise QuadratureDegreeError(f"Gauss order {n} exceeds supported maximum {_MAX_GAUSS}")
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _npts(degree: int) -> int:

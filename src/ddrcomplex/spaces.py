@@ -249,13 +249,13 @@ def checked_solve(system: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """Dense solve with a condition-number guard (limit 1e14)."""
     if system.size == 0:
         return np.zeros((system.shape[1], *rhs.shape[1:]))
-    cond = np.linalg.cond(system)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise ConditioningError(f"{what}: condition number {cond:.3e} beyond limit")
     try:
+        cond = np.linalg.cond(system)
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise ConditioningError(f"{what}: condition number {cond:.3e} beyond limit")
         return np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"{what}: {exc}")
+        raise ConditioningError(f"{what}: {exc}") from exc
 
 
 def project_columns(sub: SubspaceBasis, gram_own: np.ndarray, gram_cross: np.ndarray,

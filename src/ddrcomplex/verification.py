@@ -466,84 +466,113 @@ def _monomial_sweep(degree: int):
             yield tuple(alpha)
 
 
+def _monomial(alpha):
+    """The monomial x^alpha as a field on an ``(n, 3)`` array of points."""
+    def q(p):
+        return p[:, 0] ** alpha[0] * p[:, 1] ** alpha[1] * p[:, 2] ** alpha[2]
+    return q
+
+
+def _monomial_gradient(p: np.ndarray, alpha) -> np.ndarray:
+    """Gradient ``(n, 3)`` of x^alpha at an ``(n, 3)`` array of points."""
+    g = np.zeros(p.shape)
+    for ax in range(3):
+        if alpha[ax]:
+            b = list(alpha)
+            b[ax] -= 1
+            g[:, ax] = alpha[ax] * p[:, 0] ** b[0] * p[:, 1] ** b[1] * p[:, 2] ** b[2]
+    return g
+
+
+def _relative_error(approx: np.ndarray, exact: np.ndarray) -> float:
+    return np.abs(approx - exact).max() / max(1.0, np.abs(exact).max())
+
+
+def _worst(residuals: np.ndarray) -> tuple[float, tuple[int, int] | None]:
+    """Largest entry of a (monomial, entity) residual table and its position.
+
+    ``argmax`` scans monomial-major and keeps the first maximum; a table of
+    zeros has no worst position.
+    """
+    if residuals.size == 0:
+        return 0.0, None
+    j = int(np.argmax(residuals))
+    val = float(residuals.flat[j])
+    return val, (divmod(j, residuals.shape[1]) if val != 0.0 else None)
+
+
 def check_consistency(s: VerifySession) -> list[CheckResult]:
-    """Trace and gradient consistency for interpolated monomials of degree <= k+1."""
+    """Trace and gradient consistency for interpolated monomials of degree <= k+1.
+
+    Each monomial and its gradient are evaluated on whole quadrature rules,
+    and each entity's bases once for all monomials.  The operators act on one
+    monomial's local dofs at a time: a product with all monomials as columns
+    rounds differently and moves the residuals and their worst places.
+    """
     tol = TOLERANCES["consistency"]
-    high = s.high
-    k = s.k
-    worst = {name: (0.0, "") for name in
-             ("edge_trace", "edge_gradient", "face_trace", "face_gradient",
-              "element_gradient")}
-
-    def update(name, val, where):
-        if val > worst[name][0]:
-            worst[name] = (val, where)
-
-    out: list[CheckResult] = []
+    high, mesh, orient, k = s.high, s.mesh, s.orient, s.k
+    alphas = list(_monomial_sweep(k + 1))
     start = time.perf_counter()
     try:
-        for alpha in _monomial_sweep(k + 1):
-            def q(p, alpha=alpha):
-                return p[0] ** alpha[0] * p[1] ** alpha[1] * p[2] ** alpha[2]
-
-            def grad_q(p, alpha=alpha):
-                g = np.zeros(3)
-                for ax in range(3):
-                    if alpha[ax]:
-                        b = list(alpha)
-                        b[ax] -= 1
-                        g[ax] = alpha[ax] * p[0] ** b[0] * p[1] ** b[1] * p[2] ** b[2]
-                return g
-
-            vec = high.interpolate_grad(q)
-            tagged = f"monomial x^{alpha[0]} y^{alpha[1]} z^{alpha[2]}"
-            for e in range(s.mesh.n_edges):
-                ops = high.edge_ops(e)
-                rule = high.rule("edge", e)
-                loc = ops.lmap.gather(vec)
-                qv = np.asarray([q(p) for p in rule.points])
-                scale = max(1.0, np.abs(qv).max())
-                tv = high.basis("edge", e, k + 1).eval(rule.points) @ (ops.trace @ loc)
-                update("edge_trace", np.abs(tv - qv).max() / scale, f"{tagged}, edge {e}")
-                dq = np.asarray([grad_q(p) @ s.orient.edge_tangent[e] for p in rule.points])
-                gv = high.basis("edge", e, k).eval(rule.points) @ (ops.grad @ loc)
-                update("edge_gradient", np.abs(gv - dq).max() / max(1.0, np.abs(dq).max()),
-                       f"{tagged}, edge {e}")
-            for f in range(s.mesh.n_faces):
-                ops = high.face_grad_ops(f)
-                rule = high.rule("face", f)
-                loc = ops.lmap.gather(vec)
-                qv = np.asarray([q(p) for p in rule.points])
-                scale = max(1.0, np.abs(qv).max())
-                tv = high.basis("face", f, k + 1).eval(rule.points) @ (ops.trace @ loc)
-                update("face_trace", np.abs(tv - qv).max() / scale, f"{tagged}, face {f}")
-                n = s.orient.face_normal[f]
-                gq = np.asarray([grad_q(p) - (grad_q(p) @ n) * n for p in rule.points])
-                gv = np.einsum("pax,a->px",
-                               high.basis("face", f, k, vector=True).eval_vector(rule.points),
-                               ops.grad @ loc)
-                update("face_gradient", np.abs(gv - gq).max() / max(1.0, np.abs(gq).max()),
-                       f"{tagged}, face {f}")
-            for t in range(s.mesh.n_elements):
-                ops = high.cell_grad_ops(t)
-                rule = high.rule("cell", t)
-                loc = ops.lmap.gather(vec)
-                gq = np.asarray([grad_q(p) for p in rule.points])
-                gv = np.einsum("pax,a->px",
-                               high.basis("cell", t, k, vector=True).eval_vector(rule.points),
-                               ops.grad @ loc)
-                update("element_gradient", np.abs(gv - gq).max() / max(1.0, np.abs(gq).max()),
-                       f"{tagged}, element {t}")
+        fields = [_monomial(alpha) for alpha in alphas]
+        vecs = [high.interpolate_grad(q) for q in fields]
+        res = {name: np.zeros((len(alphas), count)) for name, count in
+               (("edge_trace", mesh.n_edges), ("edge_gradient", mesh.n_edges),
+                ("face_trace", mesh.n_faces), ("face_gradient", mesh.n_faces),
+                ("element_gradient", mesh.n_elements))}
+        for e in range(mesh.n_edges):
+            ops = high.edge_ops(e)
+            pts = high.rule("edge", e).points
+            trace_phi = high.basis("edge", e, k + 1).eval(pts)
+            grad_phi = high.basis("edge", e, k).eval(pts)
+            tangent = orient.edge_tangent[e]
+            for m, alpha in enumerate(alphas):
+                loc = ops.lmap.gather(vecs[m])
+                qv = fields[m](pts)
+                tv = trace_phi @ (ops.trace @ loc)
+                res["edge_trace"][m, e] = _relative_error(tv, qv)
+                dq = _monomial_gradient(pts, alpha) @ tangent
+                gv = grad_phi @ (ops.grad @ loc)
+                res["edge_gradient"][m, e] = _relative_error(gv, dq)
+        for f in range(mesh.n_faces):
+            ops = high.face_grad_ops(f)
+            pts = high.rule("face", f).points
+            trace_phi = high.basis("face", f, k + 1).eval(pts)
+            grad_phi = high.basis("face", f, k, vector=True).eval_vector(pts)
+            n = orient.face_normal[f]
+            for m, alpha in enumerate(alphas):
+                loc = ops.lmap.gather(vecs[m])
+                qv = fields[m](pts)
+                tv = trace_phi @ (ops.trace @ loc)
+                res["face_trace"][m, f] = _relative_error(tv, qv)
+                g = _monomial_gradient(pts, alpha)
+                gq = g - (g @ n)[:, None] * n
+                gv = np.einsum("pax,a->px", grad_phi, ops.grad @ loc)
+                res["face_gradient"][m, f] = _relative_error(gv, gq)
+        for t in range(mesh.n_elements):
+            ops = high.cell_grad_ops(t)
+            pts = high.rule("cell", t).points
+            grad_phi = high.basis("cell", t, k, vector=True).eval_vector(pts)
+            for m, alpha in enumerate(alphas):
+                gq = _monomial_gradient(pts, alpha)
+                gv = np.einsum("pax,a->px", grad_phi, ops.grad @ ops.lmap.gather(vecs[m]))
+                res["element_gradient"][m, t] = _relative_error(gv, gq)
+            del grad_phi   # the largest array here; free it before the next one is built
     except DdrError as exc:
         return [CheckResult("consistency.sweep", passed=False,
                             seconds=time.perf_counter() - start,
                             error=f"{type(exc).__name__}: {exc}")]
     elapsed = time.perf_counter() - start
-    for name, (val, where) in worst.items():
+    out: list[CheckResult] = []
+    for name, table in res.items():
+        val, at = _worst(table)
+        detail = ""
+        if at is not None:
+            (a0, a1, a2), i = alphas[at[0]], at[1]
+            detail = f"worst: monomial x^{a0} y^{a1} z^{a2}, {name.split('_')[0]} {i}"
         out.append(CheckResult(f"consistency.{name}", passed=val <= tol,
-                               residual=float(val), tolerance=tol,
-                               detail=f"worst: {where}" if where else "",
-                               seconds=elapsed / len(worst)))
+                               residual=val, tolerance=tol, detail=detail,
+                               seconds=elapsed / len(res)))
     return out
 
 

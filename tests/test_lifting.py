@@ -31,7 +31,7 @@ def test_reduction_after_extension_is_identity(name, k):
 def test_reduction_of_interpolate_is_vertex_values():
     c = complex_for("cube", 2)
     mesh, _ = mesh_and_orientation("cube")
-    vec = c.interpolate_grad(lambda p: p[0] * p[1] + 2.0)
+    vec = c.interpolate_grad(lambda p: p[:, 0] * p[:, 1] + 2.0)
     red = reduce_vector(c, "Xgrad", vec)
     expected = np.asarray([p[0] * p[1] + 2.0 for p in mesh.vertices])
     assert np.abs(red - expected).max() < 1e-13
@@ -142,6 +142,21 @@ def test_lift_generators(name, k, index, count):
     for vec, cert in zip(lifted.vectors, lifted.certificates):
         assert np.linalg.norm(outgoing @ vec) <= 1e-9 * np.linalg.norm(vec)
         assert cert["independence_rank"] == cert["image_rank"] + 1
+
+
+@pytest.mark.parametrize("index", [1, 2])
+def test_lift_without_generators_builds_nothing(monkeypatch, index):
+    # b1 = b2 = 0 on the cube: no extension matrix and no dense rank are needed
+    import ddrcomplex.lifting as lifting
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("dense work without generators")
+
+    monkeypatch.setattr(lifting.ExtensionMaps, "matrix", unexpected)
+    monkeypatch.setattr(lifting.np.linalg, "matrix_rank", unexpected)
+    lifted = lift_generators(complex_for("cube", 1), complex_for("cube", 0), index)
+    assert (lifted.vectors, lifted.certificates) == ((), ())
+    assert lifted.space == ("Xcurl" if index == 1 else "Xdiv")
 
 
 @pytest.mark.parametrize("k", [1, 2])

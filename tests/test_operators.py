@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ddrcomplex import DofLayout, ddr0_closed_forms
+from ddrcomplex import DofLayout, DomainError, ddr0_closed_forms
 
 from conftest import complex_for, mesh_and_orientation
 
@@ -24,6 +24,18 @@ def test_layout_dims_ring_cavity_k1():
     mesh, _ = mesh_and_orientation("cavity")
     dims = [DofLayout(s, 1, mesh).total for s in ("Xgrad", "Xcurl", "Xdiv", "Pk")]
     assert dims == [342, 716, 480, 104]
+
+
+@pytest.mark.parametrize("space", ["Xgrad", "Xcurl", "Xdiv", "Pk"])
+def test_entity_components_follow_layout_order(space):
+    mesh, _ = mesh_and_orientation("ring")
+    lay = DofLayout(space, 2, mesh)
+    counts = {"vertex": mesh.n_vertices, "edge": mesh.n_edges, "face": mesh.n_faces,
+              "cell": mesh.n_elements}
+    for kind, n in counts.items():
+        for i in range(n):
+            scan = [c for c in lay.components if c.entity_kind == kind and c.entity == i]
+            assert lay.entity_components(kind, i) == scan
 
 
 @pytest.mark.parametrize("name,chi", [("cube", 1), ("ring", 0), ("cavity", 2)])
@@ -74,7 +86,7 @@ def test_edge_trace_exact_for_full_degree(k):
     # q in P^(k+1) restricted to an edge reproduces exactly
     c = complex_for("cube", k)
     mesh, orient = mesh_and_orientation("cube")
-    q = lambda p: (p[0] + 0.25) ** (k + 1)
+    q = lambda p: (p[:, 0] + 0.25) ** (k + 1)
     vec = c.interpolate_grad(q)
     for e in range(mesh.n_edges):
         if abs(orient.edge_tangent[e][0]) < 0.5:
@@ -82,7 +94,7 @@ def test_edge_trace_exact_for_full_degree(k):
         ops = c.edge_ops(e)
         rule = c.rule("edge", e)
         vals = c.basis("edge", e, k + 1).eval(rule.points) @ (ops.trace @ ops.lmap.gather(vec))
-        exact = np.asarray([q(p) for p in rule.points])
+        exact = q(rule.points)
         assert np.abs(vals - exact).max() < 1e-11
         deriv = c.basis("edge", e, k).eval(rule.points) @ (ops.grad @ ops.lmap.gather(vec))
         dexact = np.asarray([(k + 1) * (p[0] + 0.25) ** k * orient.edge_tangent[e][0]
@@ -123,7 +135,7 @@ def test_face_gradient_of_affine(k):
     c = complex_for("cube", k)
     mesh, orient = mesh_and_orientation("cube")
     coeffs = np.asarray([0.7, -1.3, 0.4])
-    vec = c.interpolate_grad(lambda p: coeffs @ p + 0.2)
+    vec = c.interpolate_grad(lambda p: p @ coeffs + 0.2)
     for f in range(mesh.n_faces):
         ops = c.face_grad_ops(f)
         rule = c.rule("face", f)
@@ -191,7 +203,7 @@ def test_tangential_trace_of_gradient_is_face_gradient(k):
 @pytest.mark.parametrize("k", [1, 2])
 def test_element_gradient_consistency(k):
     c = complex_for("cube", k)
-    vec = c.interpolate_grad(lambda p: p[0])
+    vec = c.interpolate_grad(lambda p: p[:, 0])
     ops = c.cell_grad_ops(0)
     rule = c.rule("cell", 0)
     gv = np.einsum("pax,a->px",
@@ -313,7 +325,7 @@ def test_interpolate_constant():
 def test_interpolate_linear_k1():
     c = complex_for("cube", 1)
     mesh, orient = mesh_and_orientation("cube")
-    vec = c.interpolate_grad(lambda p: p[0])
+    vec = c.interpolate_grad(lambda p: p[:, 0])
     lay = c.layout("Xgrad")
     for v in range(mesh.n_vertices):
         assert vec[lay.indices("vertex", v, "val")[0]] in (0.0, 1.0)
@@ -321,3 +333,11 @@ def test_interpolate_linear_k1():
         idx = lay.indices("edge", e, "poly")
         assert abs(vec[idx][0] - orient.edge_midpoint[e][0]) < 1e-13
 
+
+@pytest.mark.parametrize("field", [lambda p: p, lambda p: p[:, :1], lambda p: np.ones(2)],
+                         ids=["vector", "column", "wrong_length"])
+def test_interpolate_rejects_field_of_wrong_shape(field):
+    # a field maps (n, 3) points to n values; anything that will not broadcast is an error
+    c = complex_for("cube", 1)
+    with pytest.raises(DomainError, match="interpolated field"):
+        c.interpolate_grad(field)

@@ -169,3 +169,10 @@ def test_singular_gram_raises_conditioning_error():
     with pytest.raises(ConditioningError):
         checked_solve(singular, np.eye(2), "test system")
 
+
+def test_non_finite_system_raises_labelled_conditioning_error():
+    # the condition estimate itself fails (SVD does not converge) on a NaN system
+    from ddrcomplex import ConditioningError
+    from ddrcomplex.spaces import checked_solve
+    with pytest.raises(ConditioningError, match="^test system: "):
+        checked_solve(np.full((2, 2), np.nan), np.eye(2), "test system")

@@ -7,14 +7,23 @@ import pytest
 
 from ddrcomplex import (
     RankOptions,
+    compute_orientation,
     corrupt_orientation,
     numeric_rank,
     run_all,
     InputError,
 )
-from ddrcomplex.verification import FAMILIES, check_cochain_diagram, VerifySession
+from ddrcomplex.verification import (
+    FAMILIES,
+    TOLERANCES,
+    VerifySession,
+    _monomial_sweep,
+    check_cochain_diagram,
+    check_consistency,
+)
 
 from conftest import complex_for, mesh_and_orientation
+from test_general_meshes import prism_pair
 
 
 def test_numeric_rank_examples():
@@ -144,3 +153,92 @@ def test_fault_injection_completeness_sampled():
         report = run_all(mesh, bad, 0,
                          selection=["complex", "cochain", "closed_forms"])
         assert not report.passed, f"corruption {fault} went unnoticed"
+
+
+def _pointwise_consistency(s):
+    """Reference consistency sweep: every field value and gradient one point at a time.
+
+    Returns ``{check name: (worst residual, where)}``; the first strictly
+    larger residual in monomial, then entity order is the worst.
+    """
+    high, k, orient = s.high, s.k, s.orient
+    worst = {name: (0.0, "") for name in ("edge_trace", "edge_gradient", "face_trace",
+                                          "face_gradient", "element_gradient")}
+
+    def update(name, val, where):
+        if val > worst[name][0]:
+            worst[name] = (val, where)
+
+    for alpha in _monomial_sweep(k + 1):
+        def q(p, alpha=alpha):
+            return p[0] ** alpha[0] * p[1] ** alpha[1] * p[2] ** alpha[2]
+
+        def grad_q(p, alpha=alpha):
+            g = np.zeros(3)
+            for ax in range(3):
+                if alpha[ax]:
+                    b = list(alpha)
+                    b[ax] -= 1
+                    g[ax] = alpha[ax] * p[0] ** b[0] * p[1] ** b[1] * p[2] ** b[2]
+            return g
+
+        vec = high.interpolate_grad(lambda pts: np.asarray([q(p) for p in pts]))
+        tagged = f"monomial x^{alpha[0]} y^{alpha[1]} z^{alpha[2]}"
+        for e in range(s.mesh.n_edges):
+            ops, rule = high.edge_ops(e), high.rule("edge", e)
+            loc = ops.lmap.gather(vec)
+            qv = np.asarray([q(p) for p in rule.points])
+            tv = high.basis("edge", e, k + 1).eval(rule.points) @ (ops.trace @ loc)
+            update("edge_trace", np.abs(tv - qv).max() / max(1.0, np.abs(qv).max()),
+                   f"{tagged}, edge {e}")
+            dq = np.asarray([grad_q(p) @ orient.edge_tangent[e] for p in rule.points])
+            gv = high.basis("edge", e, k).eval(rule.points) @ (ops.grad @ loc)
+            update("edge_gradient", np.abs(gv - dq).max() / max(1.0, np.abs(dq).max()),
+                   f"{tagged}, edge {e}")
+        for f in range(s.mesh.n_faces):
+            ops, rule = high.face_grad_ops(f), high.rule("face", f)
+            loc = ops.lmap.gather(vec)
+            qv = np.asarray([q(p) for p in rule.points])
+            tv = high.basis("face", f, k + 1).eval(rule.points) @ (ops.trace @ loc)
+            update("face_trace", np.abs(tv - qv).max() / max(1.0, np.abs(qv).max()),
+                   f"{tagged}, face {f}")
+            n = orient.face_normal[f]
+            gq = np.asarray([grad_q(p) - (grad_q(p) @ n) * n for p in rule.points])
+            gv = np.einsum("pax,a->px",
+                           high.basis("face", f, k, vector=True).eval_vector(rule.points),
+                           ops.grad @ loc)
+            update("face_gradient", np.abs(gv - gq).max() / max(1.0, np.abs(gq).max()),
+                   f"{tagged}, face {f}")
+        for t in range(s.mesh.n_elements):
+            ops, rule = high.cell_grad_ops(t), high.rule("cell", t)
+            gq = np.asarray([grad_q(p) for p in rule.points])
+            gv = np.einsum("pax,a->px",
+                           high.basis("cell", t, k, vector=True).eval_vector(rule.points),
+                           ops.grad @ ops.lmap.gather(vec))
+            update("element_gradient", np.abs(gv - gq).max() / max(1.0, np.abs(gq).max()),
+                   f"{tagged}, element {t}")
+    return worst
+
+
+@pytest.mark.parametrize("name,k", [("cube", 0), ("ring", 0), ("cavity", 0),
+                                    ("cube", 1), ("ring", 1), ("cavity", 1), ("cube", 2),
+                                    ("prism_pair", 1)])
+def test_consistency_matches_pointwise_oracle(name, k):
+    # prism_pair brings a diagonal face and diagonal edges: tangential projections
+    # that are not exact in floating point
+    if name == "prism_pair":
+        mesh = prism_pair()
+        s = VerifySession(mesh, compute_orientation(mesh), k)
+    else:
+        mesh, orient = mesh_and_orientation(name)
+        s = VerifySession(mesh, orient, k)
+        s._high = complex_for(name, k)
+    want = _pointwise_consistency(s)
+    got = check_consistency(s)
+    assert [c.name for c in got] == [f"consistency.{n}" for n in want]
+    tol = TOLERANCES["consistency"]
+    for c in got:
+        val, where = want[c.name.split(".", 1)[1]]
+        assert c.residual == val, c.name
+        assert c.passed == (val <= tol), c.name
+        assert c.detail == (f"worst: {where}" if where else ""), c.name
