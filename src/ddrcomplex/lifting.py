@@ -24,6 +24,7 @@ import scipy.sparse as sp
 from .errors import CertificationError, DomainError
 # betti_numbers is unused here, but perfbench/traced.py patches it in this module
 from .homology import (
+    CochainComplexInt,
     build_cochain_complex,
     betti_numbers,
     cohomology_generators,
@@ -193,7 +194,8 @@ class LiftedGenerators:
 
 
 def lift_generators(high: DdrComplex, low: DdrComplex, index: int,
-                    kernel_tol: float = 1e-9) -> LiftedGenerators:
+                    kernel_tol: float = 1e-9, *, cochain: CochainComplexInt | None = None,
+                    ext: ExtensionMaps | None = None) -> LiftedGenerators:
     """Certified degree-k cohomology representatives from CW generators.
 
     Pipeline: exact CW generator -> inverse de Rham scaling (a degree-0
@@ -201,13 +203,18 @@ def lift_generators(high: DdrComplex, low: DdrComplex, index: int,
     outgoing operator below ``kernel_tol`` (relative), and each lifted
     vector raising the rank of [outgoing-image basis | lifted] by one.
     Without CW generators there is nothing to lift or certify, and no
-    extension or rank is computed.
+    extension or rank is computed.  A caller that already holds the integer
+    cochain complex or the extension maps of ``(high, low)`` passes them as
+    ``cochain`` and ``ext``; otherwise they are built here.
     """
     if index not in (1, 2):
         raise DomainError("cohomology index must be 1 or 2")
+    if ext is not None and (ext.high is not high or ext.low is not low):
+        raise DomainError("extension maps of other complexes")
     mesh, orient = high.mesh, high.orient
-    cc = build_cochain_complex(mesh, orient)
-    gens = cohomology_generators(cc, index)
+    if cochain is None:
+        cochain = build_cochain_complex(mesh, orient)
+    gens = cohomology_generators(cochain, index)
     space = "Xcurl" if index == 1 else "Xdiv"
     if not gens:
         return LiftedGenerators(high.k, index, space, (), ())
@@ -216,14 +223,14 @@ def lift_generators(high: DdrComplex, low: DdrComplex, index: int,
         measures, incoming, outgoing = scaling.edge, high.gradient, high.curl
     else:
         measures, incoming, outgoing = scaling.face, high.curl, high.divergence
-    ext = ExtensionMaps(high, low).matrix(space)
+    ext_mat = (ext or ExtensionMaps(high, low)).matrix(space)
 
     vectors, certs = [], []
     image = incoming.toarray()
     rank_in = np.linalg.matrix_rank(image)
     stacked = image
     for j, g in enumerate(gens):
-        lifted = ext @ (np.asarray(g, dtype=float) / measures)
+        lifted = ext_mat @ (np.asarray(g, dtype=float) / measures)
         res = float(np.linalg.norm(outgoing @ lifted))
         rel = res / max(np.linalg.norm(lifted), 1e-300)
         if rel > kernel_tol:

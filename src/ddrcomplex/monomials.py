@@ -153,6 +153,22 @@ def vrot_matrix(degree: int) -> np.ndarray:
     return block_rows([d2, -d1])
 
 
+_EXACT_MATRICES = {"derivative": derivative_matrix, "grad": grad_matrix, "div": div_matrix,
+                   "curl": curl_matrix, "vrot": vrot_matrix}
+
+
+@functools.lru_cache(maxsize=None)
+def float_matrix(name: str, *args: int) -> np.ndarray:
+    """Float form of one exact matrix, converted once and read-only.
+
+    ``name`` is derivative, grad, div, curl or vrot; ``args`` are that
+    matrix function's arguments, e.g. ``float_matrix("div", 2, k)``.
+    """
+    out = to_float(_EXACT_MATRICES[name](*args))
+    out.setflags(write=False)
+    return out
+
+
 def independent_columns(mat: np.ndarray) -> list[int]:
     """Leftmost-pivot maximal independent column subset, exact arithmetic.
 

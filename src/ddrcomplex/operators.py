@@ -29,6 +29,7 @@ from .spaces import (
     ScaledMonomialBasis,
     SubspaceBasis,
     checked_solve,
+    checked_solves,
     entity_basis,
     gram_matrix,
     project_columns,
@@ -107,9 +108,8 @@ class _Coo:
         block = np.asarray(block, dtype=float)
         if block.size == 0:
             return
-        r, c = np.meshgrid(rows, cols, indexing="ij")
-        self.rows.append(r.ravel())
-        self.cols.append(c.ravel())
+        self.rows.append(np.repeat(rows, len(cols)))
+        self.cols.append(np.tile(cols, len(rows)))
         self.vals.append(block.ravel())
 
     def build(self, shape: tuple[int, int]) -> sp.csr_matrix:
@@ -246,7 +246,7 @@ class DdrComplex:
         trace = checked_solve(system, rhs, f"edge {e}: scalar trace")
 
         g_kk = self.gram("edge", e, k, k)
-        deriv = mono.to_float(mono.derivative_matrix(1, k, 0)) * self._inv_h("edge", e)
+        deriv = mono.float_matrix("derivative", 1, k, 0) * self._inv_h("edge", e)
         phi_k_ends = self.basis("edge", e, k).eval(mesh.vertices[[v1, v2]])
         b = np.zeros((g_kk.shape[0], nloc))
         b[:, c_qe] = -(g_mm @ deriv).T
@@ -268,7 +268,7 @@ class DdrComplex:
         nloc = lmap.total
         vg_kk = self.gram("face", f, k, k, vector=True)
         nk = self.basis("face", f, k).n_scalar
-        divf_k = mono.to_float(mono.div_matrix(2, k)) * self._inv_h("face", f)
+        divf_k = mono.float_matrix("div", 2, k) * self._inv_h("face", f)
         g_mm = self.gram("face", f, k - 1, k - 1)
 
         b = np.zeros((2 * nk, nloc))
@@ -295,7 +295,7 @@ class DdrComplex:
         # div_F : Rc^(k+2) -> P^(k+1) is an isomorphism
         sub_rc2 = self.subspace("Rc", ("face", f), k + 2)
         c2 = sub_rc2.coeffs_float
-        divf_k2 = mono.to_float(mono.div_matrix(2, k + 2)) * self._inv_h("face", f)
+        divf_k2 = mono.float_matrix("div", 2, k + 2) * self._inv_h("face", f)
         g_11 = self.gram("face", f, k + 1, k + 1)
         system = (divf_k2 @ c2).T @ g_11
         vg_2k = self.gram("face", f, k + 2, k, vector=True)
@@ -319,7 +319,7 @@ class DdrComplex:
         nloc = lmap.total
         vg_kk = self.gram("cell", t, k, k, vector=True)
         nk = self.basis("cell", t, k).n_scalar
-        div3 = mono.to_float(mono.div_matrix(3, k)) * self._inv_h("cell", t)
+        div3 = mono.float_matrix("div", 3, k) * self._inv_h("cell", t)
         g_mm = self.gram("cell", t, k - 1, k - 1)
 
         b = np.zeros((3 * nk, nloc))
@@ -353,7 +353,7 @@ class DdrComplex:
         nloc = lmap.total
         nk = self.basis("face", f, k).n_scalar
         g_kk = self.gram("face", f, k, k)
-        vrot_k = mono.to_float(mono.vrot_matrix(k)) * self._inv_h("face", f)
+        vrot_k = mono.float_matrix("vrot", k) * self._inv_h("face", f)
         sub_r = self.subspace("R", ("face", f), k - 1)
         sub_rc = self.subspace("Rc", ("face", f), k)
         vg_mm = self.gram("face", f, k - 1, k - 1, vector=True)
@@ -378,7 +378,7 @@ class DdrComplex:
 
         # tangential trace: tests vrot(P^{0,k+1}) + Rc^k span vP^k
         sub_p0 = self.subspace("P0", ("face", f), k + 1)
-        vrot_k1 = mono.to_float(mono.vrot_matrix(k + 1)) * self._inv_h("face", f)
+        vrot_k1 = mono.float_matrix("vrot", k + 1) * self._inv_h("face", f)
         t1 = vrot_k1 @ sub_p0.coeffs_float                  # (2nk, n_{k+1}-1)
         t2 = sub_rc.coeffs_float                            # (2nk, dim Rc)
         tests = np.concatenate([t1, t2], axis=1)
@@ -410,7 +410,7 @@ class DdrComplex:
         nloc = lmap.total
         nk = self.basis("cell", t, k).n_scalar
         vg_kk = self.gram("cell", t, k, k, vector=True)
-        curl_k = mono.to_float(mono.curl_matrix(k)) * self._inv_h("cell", t)
+        curl_k = mono.float_matrix("curl", k) * self._inv_h("cell", t)
         sub_r = self.subspace("R", ("cell", t), k - 1)
         sub_rc = self.subspace("Rc", ("cell", t), k)
         vg_mm = self.gram("cell", t, k - 1, k - 1, vector=True)
@@ -439,7 +439,7 @@ class DdrComplex:
 
         # potential: tests curl(Gc^{k+1}) + Rc^k span vP^k
         sub_gc1 = self.subspace("Gc", ("cell", t), k + 1)
-        curl_k1 = mono.to_float(mono.curl_matrix(k + 1)) * self._inv_h("cell", t)
+        curl_k1 = mono.float_matrix("curl", k + 1) * self._inv_h("cell", t)
         t1 = curl_k1 @ sub_gc1.coeffs_float
         t2 = sub_rc.coeffs_float
         tests = np.concatenate([t1, t2], axis=1)
@@ -474,7 +474,7 @@ class DdrComplex:
         nloc = lmap.total
         nk = self.basis("cell", t, k).n_scalar
         g_kk = self.gram("cell", t, k, k)
-        grad3 = mono.to_float(mono.grad_matrix(3, k)) * self._inv_h("cell", t)
+        grad3 = mono.float_matrix("grad", 3, k) * self._inv_h("cell", t)
         sub_g = self.subspace("G", ("cell", t), k - 1)
         sub_gc = self.subspace("Gc", ("cell", t), k)
         vg_mm = self.gram("cell", t, k - 1, k - 1, vector=True)
@@ -499,7 +499,7 @@ class DdrComplex:
 
         # potential: tests grad(P^{0,k+1}) + Gc^k span vP^k
         sub_p0 = self.subspace("P0", ("cell", t), k + 1)
-        grad_k1 = mono.to_float(mono.grad_matrix(3, k + 1)) * self._inv_h("cell", t)
+        grad_k1 = mono.float_matrix("grad", 3, k + 1) * self._inv_h("cell", t)
         t1 = grad_k1 @ sub_p0.coeffs_float
         t2 = sub_gc.coeffs_float
         tests = np.concatenate([t1, t2], axis=1)
@@ -602,13 +602,18 @@ class DdrComplex:
 
         ``fn`` is vectorised: it maps an ``(n, 3)`` array of points to ``n``
         values (a scalar broadcasts).  It is called once on the vertices and
-        once on each entity's quadrature points.
+        once on each entity's quadrature points.  A list of fields gives one
+        interpolate per field, as the rows of an array; each entity's basis
+        is then evaluated, and its Gram's conditioning checked, once for all
+        of them, while each field keeps its own solve.
         """
+        fields = list(fn) if isinstance(fn, (list, tuple)) else [fn]
         lay = self.layout("Xgrad")
-        out = np.zeros(lay.total)
+        out = np.zeros((len(fields), lay.total))
         vertex_dofs = [lay.component("vertex", v, "val").offset
                        for v in range(self.mesh.n_vertices)]
-        out[vertex_dofs] = _field_values(fn, self.mesh.vertices)
+        for row, field in zip(out, fields):
+            row[vertex_dofs] = _field_values(field, self.mesh.vertices)
         for kind, count in (("edge", self.mesh.n_edges), ("face", self.mesh.n_faces),
                             ("cell", self.mesh.n_elements)):
             for i in range(count):
@@ -617,11 +622,11 @@ class DdrComplex:
                     continue
                 rule = self.rule(kind, i)
                 phi = self.basis(kind, i, self.k - 1).eval(rule.points)
-                vals = _field_values(fn, rule.points)
-                out[idx] = checked_solve(self.gram(kind, i, self.k - 1, self.k - 1),
-                                         phi.T @ (rule.weights * vals),
-                                         f"interpolation on {kind} {i}")
-        return out
+                rhs = [phi.T @ (rule.weights * _field_values(field, rule.points))
+                       for field in fields]
+                out[:, idx] = checked_solves(self.gram(kind, i, self.k - 1, self.k - 1),
+                                             rhs, f"interpolation on {kind} {i}")
+        return out if isinstance(fn, (list, tuple)) else out[0]
 
     @property
     def head_column(self) -> np.ndarray:

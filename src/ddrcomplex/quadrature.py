@@ -38,16 +38,19 @@ class QuadratureRule:
         return np.tensordot(self.weights, values, axes=(0, 0))
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes and weights on [0, 1], read-only (shared by every caller)."""
     if n > _MAX_GAUSS:
         raise QuadratureDegreeError(f"Gauss order {n} exceeds supported maximum {_MAX_GAUSS}")
     x, w = np.polynomial.legendre.leggauss(n)
-    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return _read_only(0.5 * (x + 1.0), 0.5 * w)
 
 
 def _npts(degree: int) -> int:
@@ -60,8 +63,9 @@ def segment_points(p0: np.ndarray, p1: np.ndarray, degree: int) -> tuple[np.ndar
     return pts, w * np.linalg.norm(p1 - p0)
 
 
-def triangle_points(p0, p1, p2, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Collapsed tensor rule on a (possibly embedded) triangle.
+@functools.lru_cache(maxsize=None)
+def _triangle_ref(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference collapsed rule: xi, eta and weights on the unit right triangle.
 
     Under (a, b) -> (xi, eta) = (a, b(1-a)) the integrand of total degree d
     becomes degree d+1 in a (Jacobian 1-a) and d in b.
@@ -73,14 +77,12 @@ def triangle_points(p0, p1, p2, degree: int) -> tuple[np.ndarray, np.ndarray]:
     xi = A.ravel()
     eta = (B * (1.0 - A)).ravel()
     w = (np.outer(wa, wb) * (1.0 - A)).ravel()
-    e1, e2 = np.asarray(p1) - p0, np.asarray(p2) - p0
-    pts = p0[None, :] + xi[:, None] * e1[None, :] + eta[:, None] * e2[None, :]
-    area2 = np.linalg.norm(np.cross(e1, e2))
-    return pts, w * area2
+    return _read_only(xi, eta, w)
 
 
-def tetra_points(p0, p1, p2, p3, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Collapsed tensor rule on a tetrahedron (weights use |det|)."""
+@functools.lru_cache(maxsize=None)
+def _tetra_ref(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Reference collapsed rule: xi, eta, zeta and weights on the unit tetrahedron."""
     na, nb, nc = _npts(degree + 2), _npts(degree + 1), _npts(degree)
     a, wa = _gauss01(na)
     b, wb = _gauss01(nb)
@@ -91,6 +93,23 @@ def tetra_points(p0, p1, p2, p3, degree: int) -> tuple[np.ndarray, np.ndarray]:
     zeta = (C * (1.0 - A) * (1.0 - B)).ravel()
     w = (wa[:, None, None] * wb[None, :, None] * wc[None, None, :]
          * (1.0 - A) ** 2 * (1.0 - B)).ravel()
+    return _read_only(xi, eta, zeta, w)
+
+
+def triangle_points(p0, p1, p2, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Collapsed tensor rule on a (possibly embedded) triangle: the cached
+    reference rule mapped affinely."""
+    xi, eta, w = _triangle_ref(degree)
+    e1, e2 = np.asarray(p1) - p0, np.asarray(p2) - p0
+    pts = p0[None, :] + xi[:, None] * e1[None, :] + eta[:, None] * e2[None, :]
+    area2 = np.linalg.norm(np.cross(e1, e2))
+    return pts, w * area2
+
+
+def tetra_points(p0, p1, p2, p3, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Collapsed tensor rule on a tetrahedron (weights use |det|): the cached
+    reference rule mapped affinely."""
+    xi, eta, zeta, w = _tetra_ref(degree)
     e1, e2, e3 = np.asarray(p1) - p0, np.asarray(p2) - p0, np.asarray(p3) - p0
     pts = (p0[None, :] + xi[:, None] * e1[None, :]
            + eta[:, None] * e2[None, :] + zeta[:, None] * e3[None, :])

@@ -130,18 +130,16 @@ def entity_basis(mesh, orientation, kind: str, index: int, degree: int,
 class SubspaceBasis:
     """A polynomial subspace as exact-rational columns over an ambient basis."""
 
-    def __init__(self, ambient: ScaledMonomialBasis, kind: str, coeffs: np.ndarray):
+    def __init__(self, ambient: ScaledMonomialBasis, kind: str, coeffs: np.ndarray,
+                 coeffs_float: np.ndarray | None = None):
         self.ambient = ambient
         self.kind = kind
         self.coeffs = coeffs
+        self.coeffs_float = mono.to_float(coeffs) if coeffs_float is None else coeffs_float
 
     @property
     def dim(self) -> int:
         return self.coeffs.shape[1]
-
-    @functools.cached_property
-    def coeffs_float(self) -> np.ndarray:
-        return mono.to_float(self.coeffs)
 
     def eval_vector(self, pts: np.ndarray) -> np.ndarray:
         """Ambient 3D values (npts, dim, 3) of the subspace columns."""
@@ -194,6 +192,14 @@ def _span_matrix(kind: str, dim: int, degree: int) -> np.ndarray:
     return picked
 
 
+@functools.lru_cache(maxsize=None)
+def _span_float(kind: str, dim: int, degree: int) -> np.ndarray:
+    """Float form of :func:`_span_matrix`, converted once and read-only."""
+    out = mono.to_float(_span_matrix(kind, dim, degree))
+    out.setflags(write=False)
+    return out
+
+
 def subspace_basis(mesh, orientation, kind: str, entity: tuple[str, int], degree: int,
                    rule: QuadratureRule | None = None) -> SubspaceBasis:
     """Build a tagged subspace over the entity's scaled monomial ambient basis.
@@ -223,7 +229,8 @@ def subspace_basis(mesh, orientation, kind: str, entity: tuple[str, int], degree
     ambient = entity_basis(mesh, orientation, ekind, eidx, degree, vector=True)
     if kind == "vP":
         return SubspaceBasis(ambient, kind, mono.frac_eye(ambient.size))
-    return SubspaceBasis(ambient, kind, _span_matrix(kind, dim, degree))
+    return SubspaceBasis(ambient, kind, _span_matrix(kind, dim, degree),
+                         _span_float(kind, dim, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +254,22 @@ def gram_matrix(a: ScaledMonomialBasis, b: ScaledMonomialBasis,
 
 def checked_solve(system: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """Dense solve with a condition-number guard (limit 1e14)."""
+    return checked_solves(system, [rhs], what)[0]
+
+
+def checked_solves(system: np.ndarray, rhs: list[np.ndarray], what: str) -> list[np.ndarray]:
+    """:func:`checked_solve` for several right-hand sides, with one guard.
+
+    Each right-hand side is solved on its own, so each result is the one
+    :func:`checked_solve` gives for it alone.
+    """
     if system.size == 0:
-        return np.zeros((system.shape[1], *rhs.shape[1:]))
+        return [np.zeros((system.shape[1], *b.shape[1:])) for b in rhs]
     try:
         cond = np.linalg.cond(system)
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise ConditioningError(f"{what}: condition number {cond:.3e} beyond limit")
-        return np.linalg.solve(system, rhs)
+        return [np.linalg.solve(system, b) for b in rhs]
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"{what}: {exc}") from exc
 

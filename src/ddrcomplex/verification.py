@@ -515,7 +515,7 @@ def check_consistency(s: VerifySession) -> list[CheckResult]:
     start = time.perf_counter()
     try:
         fields = [_monomial(alpha) for alpha in alphas]
-        vecs = [high.interpolate_grad(q) for q in fields]
+        vecs = high.interpolate_grad(fields)           # one row per monomial
         res = {name: np.zeros((len(alphas), count)) for name, count in
                (("edge_trace", mesh.n_edges), ("edge_gradient", mesh.n_edges),
                 ("face_trace", mesh.n_faces), ("face_gradient", mesh.n_faces),
@@ -583,7 +583,8 @@ def check_generators(s: VerifySession) -> tuple[list[CheckResult], list[LiftedGe
     for index, tag in ((1, "h1"), (2, "h2")):
         start = time.perf_counter()
         try:
-            lg = lift_generators(s.high, s.low, index, kernel_tol=tol)
+            lg = lift_generators(s.high, s.low, index, kernel_tol=tol,
+                                 cochain=s.cochain, ext=s.ext)
             lifted.append(lg)
             want = s.betti.as_tuple()[index]
             res = max((c["kernel_residual"] for c in lg.certificates), default=0.0)
