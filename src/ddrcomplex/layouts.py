@@ -106,26 +106,25 @@ class DofLayout:
         Order: vertices ascending, edges ascending, faces ascending, cell;
         per entity the component order matches the global layout.
         """
-        mesh = self.mesh
-        if kind == "edge":
-            vs = [int(v) for v in mesh.edges[entity]]
-            es, fs, cs = [entity], [], []
-        elif kind == "face":
-            vs = sorted(set(mesh.face_loops[entity]))
-            es, fs, cs = sorted(mesh.face_edges[entity]), [entity], []
-        elif kind == "cell":
-            vs = list(mesh.element_vertices(entity))
-            es = list(mesh.element_edges(entity))
-            fs = sorted(mesh.element_faces[entity])
-            cs = [entity]
-        else:
-            raise DomainError(f"no restriction to entity kind {kind!r}")
-
         comps: list[Component] = []
-        for ekind, ents in (("vertex", vs), ("edge", es), ("face", fs), ("cell", cs)):
+        for ekind, ents in zip(("vertex", "edge", "face", "cell"),
+                               closure(self.mesh, kind, entity)):
             for ent in ents:
                 comps.extend(self.entity_components(ekind, ent))
         return LocalMap(self, comps)
+
+
+def closure(mesh, kind: str, entity: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Vertices, edges, faces and cells of one entity's closure, in local order."""
+    if kind == "edge":
+        return [int(v) for v in mesh.edges[entity]], [entity], [], []
+    if kind == "face":
+        return (sorted(set(mesh.face_loops[entity])), sorted(mesh.face_edges[entity]),
+                [entity], [])
+    if kind == "cell":
+        return (list(mesh.element_vertices(entity)), list(mesh.element_edges(entity)),
+                sorted(mesh.element_faces[entity]), [entity])
+    raise DomainError(f"no restriction to entity kind {kind!r}")
 
 
 class LocalMap:

@@ -11,18 +11,23 @@ which the extensions of :mod:`.lifting` solve with degree-0 data.
 
 :class:`DdrComplex` memoizes bases, quadrature rules, Gram matrices, local
 operators, and assembled global matrices for one (mesh, orientation, degree).
+The moment systems are written in scaled monomials centred at the entity, so
+they depend on the entity's shape and not on where it sits: congruent
+translated copies (see :func:`shape_key`) share one build of their local
+operators, their projected blocks and their monomial means.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import monomials as mono
 from .errors import DomainError
-from .layouts import DofLayout, LocalMap
+from .layouts import DofLayout, LocalMap, closure
 from .mesh import Mesh, OrientationTable
 from .quadrature import QuadratureRule, entity_rule
 from .spaces import (
@@ -96,6 +101,67 @@ class CellDivOps:
     moments: Moments      # of div
 
 
+# Two entities share their local operators when every float of their shape
+# keys, as a length, agrees to within this many entity diameters: 25 times
+# below the tightest certificate tolerance (cw_diagram, 1e-13).
+_SHAPE_TOL = 4e-15
+# Grid, in entity diameters, on which keys are rounded for lookup; far
+# coarser than _SHAPE_TOL, so congruent copies rarely straddle a grid line.
+_SHAPE_GRID = 2.0 ** -20
+
+
+def shape_key(mesh: Mesh, orientation: OrientationTable, kind: str,
+              index: int) -> tuple[tuple, np.ndarray]:
+    """What fixes one entity's local operators: its shape, up to translation.
+
+    The pattern holds the local index structure of the closure (edge
+    endpoints, face loops, face-edge and element-face order, all as positions
+    in the local order of :func:`.layouts.closure`) and the omega_FE and
+    omega_TF signs.  The lengths hold the closure's vertex coordinates
+    relative to the entity centre, then per closure edge its tangent,
+    centre and length, per closure face its n_FE, n_F, tau1, tau2, centre,
+    diameter and area, and the element's diameter and volume.  Centres are
+    relative to the entity centre; unit vectors are scaled by the entity
+    diameter h, areas divided by h and volumes by h**2, so that every float
+    is a length.
+    """
+    o = orientation
+    vs, es, fs, _ = closure(mesh, kind, index)
+    h = o.entity_diameter(kind, index)
+    center = o.entity_center(kind, index)
+    vpos = {v: n for n, v in enumerate(vs)}
+    epos = {e: n for n, e in enumerate(es)}
+    fpos = {f: n for n, f in enumerate(fs)}
+    pattern: list = [kind, len(vs), len(es), len(fs)]
+    lengths = [mesh.vertices[vs] - center]
+    for e in es:
+        pattern += [vpos[int(v)] for v in mesh.edges[e]]
+        lengths += [o.edge_tangent[e] * h, o.edge_midpoint[e] - center, [o.edge_length[e]]]
+    for f in fs:
+        loop = mesh.face_loops[f]
+        pattern += [len(loop), *(vpos[v] for v in loop), *(epos[e] for e in mesh.face_edges[f]),
+                    *o.face_edge_sign[f]]
+        lengths += [o.face_edge_normal[f] * h, o.face_normal[f] * h, o.face_tau1[f] * h,
+                    o.face_tau2[f] * h, o.face_center[f] - center,
+                    [o.face_diameter[f], o.face_area[f] / h]]
+    if kind == "cell":
+        pattern += [*(fpos[f] for f in mesh.element_faces[index]), *o.cell_face_sign[index]]
+        lengths += [[o.cell_diameter[index], o.cell_volume[index] / h ** 2]]
+    return tuple(pattern), np.concatenate([np.ravel(x) for x in lengths])
+
+
+def _read_only(obj):
+    """Mark the arrays of an array or of a local-operator record read-only."""
+    if isinstance(obj, np.ndarray):
+        obj.setflags(write=False)
+    else:
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if isinstance(value, (np.ndarray, Moments)):
+                _read_only(value)
+    return obj
+
+
 class _Coo:
     """COO accumulator for dense blocks."""
 
@@ -148,12 +214,13 @@ class DdrComplex:
         self._grams: dict[tuple, np.ndarray] = {}
         self._subs: dict[tuple, SubspaceBasis] = {}
         self._means: dict[tuple, np.ndarray] = {}
-        self._edge_ops: dict[int, EdgeOps] = {}
-        self._face_grad: dict[int, FaceGradOps] = {}
-        self._face_curl: dict[int, FaceCurlOps] = {}
-        self._cell_grad: dict[int, CellGradOps] = {}
-        self._cell_curl: dict[int, CellCurlOps] = {}
-        self._cell_div: dict[int, CellDivOps] = {}
+        # shape sharing: representative per (kind, entity), lookup buckets of
+        # (representative, key lengths), local operators per builder and entity,
+        # projected blocks per (builder, part, representative)
+        self._reps: dict[tuple[str, int], int] = {}
+        self._shapes: dict[tuple, list[tuple[int, np.ndarray]]] = {}
+        self._ops: dict[str, dict[int, object]] = {}
+        self._projected: dict[tuple, np.ndarray] = {}
         self._globals: dict[str, sp.csr_matrix] = {}
 
     # -- cached geometry-level objects ------------------------------------
@@ -196,13 +263,50 @@ class DdrComplex:
         return self._subs[key]
 
     def means(self, kind: str, index: int) -> np.ndarray:
-        """Mean over one entity of each scalar degree-k basis monomial."""
-        key = (kind, index)
+        """Mean over one entity of each scalar degree-k basis monomial
+        (shared by congruent copies, read-only)."""
+        key = (kind, self.representative(kind, index))
         if key not in self._means:
-            rule = self.rule(kind, index)
-            phi = self.basis(kind, index, self.k).eval(rule.points)
-            self._means[key] = rule.integrate(phi) / rule.measure
+            rule = self.rule(*key)
+            phi = self.basis(*key, self.k).eval(rule.points)
+            self._means[key] = _read_only(rule.integrate(phi) / rule.measure)
         return self._means[key]
+
+    def representative(self, kind: str, index: int) -> int:
+        """The entity whose local operators this one shares: the first entity
+        of its kind looked up with a matching :func:`shape_key`, every float
+        within 4e-15 diameters of that entity's."""
+        if (kind, index) not in self._reps:
+            pattern, lengths = shape_key(self.mesh, self.orient, kind, index)
+            h = self.orient.entity_diameter(kind, index)
+            bucket = self._shapes.setdefault(
+                (pattern, round(math.log2(h) / _SHAPE_GRID),
+                 np.round(lengths / (_SHAPE_GRID * h)).astype(np.int64).tobytes()), [])
+            for rep, ref in bucket:
+                if np.all(np.abs(lengths - ref)
+                          <= _SHAPE_TOL * self.orient.entity_diameter(kind, rep)):
+                    break
+            else:
+                rep = index
+                bucket.append((rep, lengths))
+            self._reps[(kind, index)] = rep
+        return self._reps[(kind, index)]
+
+    def _shared(self, builder, kind: str, space: str, index: int):
+        """The local operators ``builder`` gives an entity.
+
+        A representative is built and its arrays are marked read-only; a
+        congruent copy gets the same arrays with its own LocalMap.
+        """
+        cache = self._ops.setdefault(builder.__name__, {})
+        if index not in cache:
+            rep = self.representative(kind, index)
+            if rep == index:
+                cache[index] = _read_only(builder(index))
+            else:
+                cache[index] = replace(self._shared(builder, kind, space, rep),
+                                       lmap=self.layout(space).restriction(kind, index))
+        return cache[index]
 
     def _inv_h(self, kind: str, index: int) -> float:
         return 1.0 / self.orient.entity_diameter(kind, index)
@@ -210,19 +314,31 @@ class DdrComplex:
     def project_onto(self, part: str, entity: tuple[str, int], degree: int,
                      source_degree: int, columns: np.ndarray) -> np.ndarray:
         """Project vector-valued coefficient columns (over vP^source_degree)
-        onto a tagged subspace of vP^degree on the same entity."""
-        sub = self.subspace(part, entity, degree)
+        onto a tagged subspace of vP^degree on the same entity (its Grams are
+        those of the entity's representative)."""
         kind, idx = entity
-        return project_columns(sub,
-                               self.gram(kind, idx, degree, degree, vector=True),
-                               self.gram(kind, idx, degree, source_degree, vector=True),
+        rep = self.representative(kind, idx)
+        return project_columns(self.subspace(part, (kind, rep), degree),
+                               self.gram(kind, rep, degree, degree, vector=True),
+                               self.gram(kind, rep, degree, source_degree, vector=True),
                                columns)
+
+    def _projected_op(self, builder: str, op: str, part: str, kind: str, index: int,
+                      degree: int) -> np.ndarray:
+        """A local operator projected onto a degree-k part, shared by shape."""
+        key = (builder, part, self.representative(kind, index))
+        if key not in self._projected:
+            ops = getattr(self, builder)(key[2])
+            self._projected[key] = _read_only(
+                self.project_onto(part, (kind, key[2]), degree, self.k, getattr(ops, op)))
+        return self._projected[key]
 
     # -- edge operators -----------------------------------------------------
 
     def edge_ops(self, e: int) -> EdgeOps:
-        if e in self._edge_ops:
-            return self._edge_ops[e]
+        return self._shared(self._build_edge_ops, "edge", "Xgrad", e)
+
+    def _build_edge_ops(self, e: int) -> EdgeOps:
         k = self.k
         mesh = self.mesh
         lmap = self.layout("Xgrad").restriction("edge", e)
@@ -254,15 +370,14 @@ class DdrComplex:
         b[:, c_v2] += phi_k_ends[1]
         grad = checked_solve(g_kk, b, f"edge {e}: gradient")
 
-        ops = EdgeOps(lmap, trace, grad, Moments(g_kk, b))
-        self._edge_ops[e] = ops
-        return ops
+        return EdgeOps(lmap, trace, grad, Moments(g_kk, b))
 
     # -- face operators (gradient side) --------------------------------------
 
     def face_grad_ops(self, f: int) -> FaceGradOps:
-        if f in self._face_grad:
-            return self._face_grad[f]
+        return self._shared(self._build_face_grad_ops, "face", "Xgrad", f)
+
+    def _build_face_grad_ops(self, f: int) -> FaceGradOps:
         k = self.k
         lmap = self.layout("Xgrad").restriction("face", f)
         nloc = lmap.total
@@ -307,13 +422,12 @@ class DdrComplex:
             rhs[:, embed] += omega * wn.T @ wphi
         trace = checked_solve(system, rhs, f"face {f}: scalar trace")
 
-        ops = FaceGradOps(lmap, grad, trace, Moments(vg_kk, b))
-        self._face_grad[f] = ops
-        return ops
+        return FaceGradOps(lmap, grad, trace, Moments(vg_kk, b))
 
     def cell_grad_ops(self, t: int) -> CellGradOps:
-        if t in self._cell_grad:
-            return self._cell_grad[t]
+        return self._shared(self._build_cell_grad_ops, "cell", "Xgrad", t)
+
+    def _build_cell_grad_ops(self, t: int) -> CellGradOps:
         k = self.k
         lmap = self.layout("Xgrad").restriction("cell", t)
         nloc = lmap.total
@@ -339,15 +453,14 @@ class DdrComplex:
             vn = vbasis_k.eval_vector(frule.points) @ nf
             b[:, embed] += omega * vn.T @ wphi
         grad = checked_solve(vg_kk, b, f"element {t}: gradient")
-        ops = CellGradOps(lmap, grad, Moments(vg_kk, b))
-        self._cell_grad[t] = ops
-        return ops
+        return CellGradOps(lmap, grad, Moments(vg_kk, b))
 
     # -- face operators (curl side) -------------------------------------------
 
     def face_curl_ops(self, f: int) -> FaceCurlOps:
-        if f in self._face_curl:
-            return self._face_curl[f]
+        return self._shared(self._build_face_curl_ops, "face", "Xcurl", f)
+
+    def _build_face_curl_ops(self, f: int) -> FaceCurlOps:
         k = self.k
         lmap = self.layout("Xcurl").restriction("face", f)
         nloc = lmap.total
@@ -398,13 +511,12 @@ class DdrComplex:
         ttrace = checked_solve(system, np.concatenate([rhs1, rhs2], axis=0),
                                f"face {f}: tangential trace")
 
-        ops = FaceCurlOps(lmap, curl, ttrace, Moments(g_kk, b))
-        self._face_curl[f] = ops
-        return ops
+        return FaceCurlOps(lmap, curl, ttrace, Moments(g_kk, b))
 
     def cell_curl_ops(self, t: int) -> CellCurlOps:
-        if t in self._cell_curl:
-            return self._cell_curl[t]
+        return self._shared(self._build_cell_curl_ops, "cell", "Xcurl", t)
+
+    def _build_cell_curl_ops(self, t: int) -> CellCurlOps:
         k = self.k
         lmap = self.layout("Xcurl").restriction("cell", t)
         nloc = lmap.total
@@ -460,15 +572,14 @@ class DdrComplex:
         potential = checked_solve(system, np.concatenate([rhs1, rhs2], axis=0),
                                   f"element {t}: curl potential")
 
-        ops = CellCurlOps(lmap, curl, potential, Moments(vg_kk, b))
-        self._cell_curl[t] = ops
-        return ops
+        return CellCurlOps(lmap, curl, potential, Moments(vg_kk, b))
 
     # -- element operators (divergence side) ----------------------------------
 
     def cell_div_ops(self, t: int) -> CellDivOps:
-        if t in self._cell_div:
-            return self._cell_div[t]
+        return self._shared(self._build_cell_div_ops, "cell", "Xdiv", t)
+
+    def _build_cell_div_ops(self, t: int) -> CellDivOps:
         k = self.k
         lmap = self.layout("Xdiv").restriction("cell", t)
         nloc = lmap.total
@@ -519,9 +630,7 @@ class DdrComplex:
         potential = checked_solve(system, np.concatenate([rhs1, rhs2], axis=0),
                                   f"element {t}: divergence potential")
 
-        ops = CellDivOps(lmap, div, potential, Moments(g_kk, b))
-        self._cell_div[t] = ops
-        return ops
+        return CellDivOps(lmap, div, potential, Moments(g_kk, b))
 
     # -- global assembly -------------------------------------------------------
 
@@ -541,12 +650,12 @@ class DdrComplex:
             ops = self.face_grad_ops(f)
             for part, deg in (("R", k - 1), ("Rc", k)):
                 coo.add(tgt.indices("face", f, part), ops.lmap.globals,
-                        self.project_onto(part, ("face", f), deg, k, ops.grad))
+                        self._projected_op("face_grad_ops", "grad", part, "face", f, deg))
         for t in range(self.mesh.n_elements):
             ops = self.cell_grad_ops(t)
             for part, deg in (("R", k - 1), ("Rc", k)):
                 coo.add(tgt.indices("cell", t, part), ops.lmap.globals,
-                        self.project_onto(part, ("cell", t), deg, k, ops.grad))
+                        self._projected_op("cell_grad_ops", "grad", part, "cell", t, deg))
         mat = coo.build((tgt.total, src.total))
         self._globals["gradient"] = mat
         return mat
@@ -567,7 +676,7 @@ class DdrComplex:
             ops = self.cell_curl_ops(t)
             for part, deg in (("G", k - 1), ("Gc", k)):
                 coo.add(tgt.indices("cell", t, part), ops.lmap.globals,
-                        self.project_onto(part, ("cell", t), deg, k, ops.curl))
+                        self._projected_op("cell_curl_ops", "curl", part, "cell", t, deg))
         mat = coo.build((tgt.total, src.total))
         self._globals["curl"] = mat
         return mat

@@ -181,3 +181,39 @@ def test_potentials_reproduce_extended_constant_fields(k):
     vals = np.einsum("pax,a->px", basis.eval_vector(rule.points),
                      dops.potential @ dops.lmap.gather(wk))
     assert np.abs(vals - const[None, :]).max() < 1e-11
+
+
+def test_generator_family_reuses_the_session(monkeypatch):
+    # the cochain complex and each extension matrix are built once per verify run
+    import ddrcomplex.lifting as lifting
+    import ddrcomplex.verification as verification
+    from ddrcomplex import run_all
+
+    cochains, extensions = [], []
+    build = verification.build_cochain_complex
+    matrix = lifting.ExtensionMaps.matrix
+
+    def counting_build(mesh, orient):
+        cochains.append(1)
+        return build(mesh, orient)
+
+    def counting_matrix(self, space):
+        if space not in self._cache:
+            extensions.append(space)
+        return matrix(self, space)
+
+    monkeypatch.setattr(verification, "build_cochain_complex", counting_build)
+    monkeypatch.setattr(lifting, "build_cochain_complex", counting_build)
+    monkeypatch.setattr(lifting.ExtensionMaps, "matrix", counting_matrix)
+    mesh, orient = mesh_and_orientation("ring")
+    report = run_all(mesh, orient, 1, ["cochain", "generators"])
+    assert report.passed and len(report.generators) == 1
+    assert len(cochains) == 1
+    assert sorted(extensions) == ["Pk", "Xcurl", "Xdiv", "Xgrad"]
+
+
+def test_lift_rejects_extensions_of_other_complexes():
+    from ddrcomplex import DomainError
+    with pytest.raises(DomainError, match="extension maps"):
+        lift_generators(complex_for("ring", 1), complex_for("ring", 0), 1,
+                        ext=extensions_for("ring", 2))

@@ -341,3 +341,28 @@ def test_interpolate_rejects_field_of_wrong_shape(field):
     c = complex_for("cube", 1)
     with pytest.raises(DomainError, match="interpolated field"):
         c.interpolate_grad(field)
+
+
+def test_interpolate_list_of_fields_gives_one_row_per_field(monkeypatch):
+    # each row is bit-identical to interpolating its field alone; each entity's
+    # Gram conditioning is checked once for the whole list
+    c = complex_for("ring", 2)
+    fields = [lambda p: p[:, 0] * p[:, 1], lambda p: 2.5, lambda p: p[:, 2] ** 2]
+    single = np.stack([c.interpolate_grad(f) for f in fields])
+    conds = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: conds.append(1) or cond(a))
+    rows = c.interpolate_grad(fields)
+    assert rows.shape == (3, c.layout("Xgrad").total)
+    assert np.array_equal(rows, single)
+    mesh = c.mesh
+    assert len(conds) == mesh.n_edges + mesh.n_faces + mesh.n_elements
+
+
+def test_coo_blocks_keep_row_major_order():
+    from ddrcomplex.operators import _Coo
+    coo = _Coo()
+    coo.add(np.asarray([4, 1]), np.asarray([0, 2, 3]), np.arange(6.0).reshape(2, 3))
+    assert coo.rows[0].tolist() == [4, 4, 4, 1, 1, 1]
+    assert coo.cols[0].tolist() == [0, 2, 3, 0, 2, 3]
+    assert coo.build((5, 4)).toarray()[4].tolist() == [0.0, 0.0, 1.0, 2.0]

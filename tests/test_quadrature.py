@@ -95,3 +95,24 @@ def test_measures_sum(name):
     total = sum(entity_rule(mesh, orient, "cell", t, 2).measure
                 for t in range(mesh.n_elements))
     assert abs(total - orient.cell_volume.sum()) < 1e-12
+
+
+@pytest.mark.parametrize("degree", [0, 3, 6])
+def test_reference_rules_are_cached_and_mapped_affinely(degree):
+    # one read-only reference rule per degree; each simplex maps it affinely
+    from ddrcomplex.quadrature import _tetra_ref, _triangle_ref, tetra_points, triangle_points
+
+    assert _triangle_ref(degree) is _triangle_ref(degree)
+    assert _tetra_ref(degree) is _tetra_ref(degree)
+    assert not any(a.flags.writeable for a in _triangle_ref(degree) + _tetra_ref(degree))
+    p = np.asarray([[0.3, -1.0, 2.0], [1.4, -0.8, 2.1], [0.2, 0.5, 1.9], [0.5, -0.4, 3.0]])
+    xi, eta, w = _triangle_ref(degree)
+    pts, wts = triangle_points(p[0], p[1], p[2], degree)
+    assert np.array_equal(pts, p[0] + xi[:, None] * (p[1] - p[0]) + eta[:, None] * (p[2] - p[0]))
+    assert wts.sum() == pytest.approx(0.5 * np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0])))
+    xi, eta, zeta, w = _tetra_ref(degree)
+    pts, wts = tetra_points(p[0], p[1], p[2], p[3], degree)
+    e = p[1:] - p[0]
+    assert np.array_equal(pts, p[0] + xi[:, None] * e[0] + eta[:, None] * e[1]
+                          + zeta[:, None] * e[2])
+    assert wts.sum() == pytest.approx(abs(np.linalg.det(e)) / 6)

@@ -176,3 +176,27 @@ def test_non_finite_system_raises_labelled_conditioning_error():
     from ddrcomplex.spaces import checked_solve
     with pytest.raises(ConditioningError, match="^test system: "):
         checked_solve(np.full((2, 2), np.nan), np.eye(2), "test system")
+
+
+@pytest.mark.parametrize("name,args", [("derivative", (1, 3, 0)), ("grad", (3, 2)),
+                                       ("div", (2, 3)), ("curl", (2,)), ("vrot", (3,))])
+def test_float_matrices_converted_once(name, args):
+    exact = getattr(mono, f"{name}_matrix")(*args)
+    got = mono.float_matrix(name, *args)
+    assert got is mono.float_matrix(name, *args)
+    assert not got.flags.writeable
+    assert np.array_equal(got, to_float(exact))
+
+
+def test_checked_solves_match_single_solves(monkeypatch):
+    from ddrcomplex.spaces import checked_solve, checked_solves
+    rng = np.random.default_rng(3)
+    system = rng.normal(size=(6, 6)) + 6 * np.eye(6)
+    rhs = [rng.normal(size=6) for _ in range(4)]
+    conds = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: conds.append(1) or cond(a))
+    got = checked_solves(system, rhs, "test system")
+    assert len(conds) == 1
+    for g, b in zip(got, rhs):
+        assert np.array_equal(g, checked_solve(system, b, "test system"))
