@@ -10,7 +10,8 @@ Coboundary matrices use the orientation table signs:
 Everything here is exact.  One fraction-free elimination over Python
 integers (:func:`_echelon`) gives the ranks, the kernel bases (primitive
 integer vectors) and the generator selection; the integer generator
-representatives are certified by rank identities.
+representatives are certified by rank identities.  The exact subspace
+bases of :mod:`.spaces` pick their columns with the same elimination.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CertificationError, DomainError
 # betti_numbers is unused here, but perfbench/traced.py patches it in this module
@@ -32,12 +31,13 @@ from .homology import (
 )
 from .operators import DdrComplex, _Coo
 from .spaces import checked_solve
+from .sparse import CsrMatrix
 
 
 # ---------------------------------------------------------------------------
 # reductions
 
-def reduction_matrix(complex_: DdrComplex, space: str) -> sp.csr_matrix:
+def reduction_matrix(complex_: DdrComplex, space: str) -> CsrMatrix:
     """Sparse reduction onto the degree-0 layout of one space."""
     mesh = complex_.mesh
     lay = complex_.layout(space)
@@ -60,7 +60,7 @@ def reduce_vector(complex_: DdrComplex, space: str, vector: np.ndarray) -> np.nd
     return reduction_matrix(complex_, space) @ np.asarray(vector, dtype=float)
 
 
-def zero_reduction_basis(complex_: DdrComplex, space: str) -> sp.csr_matrix:
+def zero_reduction_basis(complex_: DdrComplex, space: str) -> CsrMatrix:
     """Columns spanning the kernel of the reduction (zero-mean completions).
 
     On the reduction-carrying entities the polynomial block is replaced by
@@ -122,7 +122,7 @@ class ExtensionMaps:
 
     high: DdrComplex
     low: DdrComplex
-    _cache: dict[str, sp.csr_matrix] = field(default_factory=dict)
+    _cache: dict[str, CsrMatrix] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.low.k != 0:
@@ -130,7 +130,7 @@ class ExtensionMaps:
         if self.high.mesh is not self.low.mesh or self.high.orient is not self.low.orient:
             raise DomainError("extension endpoints must share mesh and orientation")
 
-    def matrix(self, space: str) -> sp.csr_matrix:
+    def matrix(self, space: str) -> CsrMatrix:
         if space in self._cache:
             return self._cache[space]
         if space not in _LIFTS:
@@ -153,7 +153,7 @@ class ExtensionMaps:
                 hops, lops = getattr(high, build)(i), getattr(low, build)(i)
                 cols = lops.lmap.globals
                 # extended boundary rows; zero on the entity's own unknowns
-                known = done[hops.lmap.globals][:, cols].toarray()
+                known = done.gather(hops.lmap.globals, cols)
                 # The degree-0 operator value is the constant coefficient
                 # leading each component, so its moments are the leading
                 # columns of the mass matrix.

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -169,30 +169,16 @@ def float_matrix(name: str, *args: int) -> np.ndarray:
     return out
 
 
-def independent_columns(mat: np.ndarray) -> list[int]:
-    """Leftmost-pivot maximal independent column subset, exact arithmetic.
+def integer_columns(mat: np.ndarray) -> np.ndarray:
+    """``mat`` with each column scaled by the lcm of its denominators.
 
-    Standard Gaussian elimination over Fractions; deterministic: a column is
-    kept iff it is independent of all kept columns to its left.
+    The result holds Python integers.  Scaling a column by a nonzero number
+    keeps which columns are independent of the ones to their left, so an
+    exact integer elimination of the result selects the same columns.
     """
-    rows, cols = mat.shape
-    work = mat.astype(object).copy()
-    pivot_rows: list[int] = []
-    kept: list[int] = []
-    for j in range(cols):
-        col = work[:, j]
-        for pr, pc in zip(pivot_rows, kept):
-            factor = col[pr]
-            if factor:
-                col = col - factor * work[:, pc]
-        pivot = next((i for i in range(rows) if col[i] != 0 and i not in pivot_rows), None)
-        if pivot is None:
-            continue
-        work[:, j] = col / col[pivot]
-        kept.append(j)
-        pivot_rows.append(pivot)
-    return kept
-
-
-def frac_rank(mat: np.ndarray) -> int:
-    return len(independent_columns(mat))
+    out = np.empty(mat.shape, dtype=object)
+    for j in range(mat.shape[1]):
+        col = [Fraction(x) for x in mat[:, j]]
+        scale = lcm(*(x.denominator for x in col))
+        out[:, j] = [int(x * scale) for x in col]
+    return out

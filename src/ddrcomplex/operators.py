@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import monomials as mono
 from .errors import DomainError
@@ -40,6 +39,7 @@ from .spaces import (
     project_columns,
     subspace_basis,
 )
+from .sparse import CsrMatrix
 
 
 @dataclass(frozen=True)
@@ -178,13 +178,11 @@ class _Coo:
         self.cols.append(np.tile(cols, len(rows)))
         self.vals.append(block.ravel())
 
-    def build(self, shape: tuple[int, int]) -> sp.csr_matrix:
+    def build(self, shape: tuple[int, int]) -> CsrMatrix:
         if not self.rows:
-            return sp.csr_matrix(shape)
-        coo = sp.coo_matrix(
-            (np.concatenate(self.vals),
-             (np.concatenate(self.rows), np.concatenate(self.cols))), shape=shape)
-        return coo.tocsr()
+            return CsrMatrix.from_coo(shape, [], [], [])
+        return CsrMatrix.from_coo(shape, np.concatenate(self.rows),
+                                  np.concatenate(self.cols), np.concatenate(self.vals))
 
 
 def _field_values(fn, points: np.ndarray) -> np.ndarray:
@@ -221,7 +219,7 @@ class DdrComplex:
         self._shapes: dict[tuple, list[tuple[int, np.ndarray]]] = {}
         self._ops: dict[str, dict[int, object]] = {}
         self._projected: dict[tuple, np.ndarray] = {}
-        self._globals: dict[str, sp.csr_matrix] = {}
+        self._globals: dict[str, CsrMatrix] = {}
 
     # -- cached geometry-level objects ------------------------------------
 
@@ -635,7 +633,7 @@ class DdrComplex:
     # -- global assembly -------------------------------------------------------
 
     @property
-    def gradient(self) -> sp.csr_matrix:
+    def gradient(self) -> CsrMatrix:
         """Xgrad -> Xcurl."""
         if "gradient" in self._globals:
             return self._globals["gradient"]
@@ -661,7 +659,7 @@ class DdrComplex:
         return mat
 
     @property
-    def curl(self) -> sp.csr_matrix:
+    def curl(self) -> CsrMatrix:
         """Xcurl -> Xdiv."""
         if "curl" in self._globals:
             return self._globals["curl"]
@@ -682,7 +680,7 @@ class DdrComplex:
         return mat
 
     @property
-    def divergence(self) -> sp.csr_matrix:
+    def divergence(self) -> CsrMatrix:
         """Xdiv -> Pk."""
         if "divergence" in self._globals:
             return self._globals["divergence"]
@@ -696,7 +694,7 @@ class DdrComplex:
         self._globals["divergence"] = mat
         return mat
 
-    def operator(self, which: str) -> sp.csr_matrix:
+    def operator(self, which: str) -> CsrMatrix:
         try:
             return {"gradient": lambda: self.gradient,
                     "curl": lambda: self.curl,
@@ -752,7 +750,7 @@ class DdrComplex:
 # degree-0 closed forms
 
 def ddr0_closed_forms(mesh: Mesh, orientation: OrientationTable
-                      ) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+                      ) -> tuple[CsrMatrix, CsrMatrix, CsrMatrix]:
     """Degree-0 gradient/curl/divergence from the boundary-value formulas.
 
     grad: (q_V2 - q_V1)/|E| per edge; curl: -(1/|F|) sum omega_FE |E| v_E;

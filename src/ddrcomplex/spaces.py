@@ -17,6 +17,7 @@ import numpy as np
 
 from . import monomials as mono
 from .errors import BasisRankError, ConditioningError, DomainError
+from .homology import _echelon
 from .quadrature import QuadratureRule
 
 KINDS = ("P", "P0", "vP", "G", "Gc", "R", "Rc")
@@ -152,8 +153,10 @@ def _span_matrix(kind: str, dim: int, degree: int) -> np.ndarray:
     """Exact coefficient matrix of G/Gc/R/Rc over the ambient vector basis.
 
     Built in pure scaled coordinates (uniform positive h factors dropped:
-    they rescale the defining map but not its image).  Columns are a
-    deterministic leftmost-pivot independent subset of the generating set.
+    they rescale the defining map but not its image).  Columns are the
+    leftmost-pivot independent subset of the generating set, picked by the
+    exact integer elimination of :mod:`.homology` once each column's
+    denominators are cleared.
     """
     expected = space_dim(kind, degree, dim)
     nvec = dim * mono.n_monomials(dim, degree)
@@ -184,7 +187,7 @@ def _span_matrix(kind: str, dim: int, degree: int) -> np.ndarray:
     else:
         raise DomainError(f"no span construction for kind {kind!r}")
 
-    keep = mono.independent_columns(cand)
+    keep = _echelon(mono.integer_columns(cand))[1]
     picked = cand[:, keep]
     if picked.shape[1] != expected:
         raise BasisRankError(

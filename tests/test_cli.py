@@ -2,9 +2,13 @@
 
 import collections
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ddrcomplex
 from ddrcomplex import lifting
 from ddrcomplex.cli import main
 from ddrcomplex.operators import DdrComplex
@@ -203,3 +207,13 @@ def test_failed_generator_check_writes_no_vtk(tmp_path, monkeypatch):
                    "--generators", str(vtk), "--out", str(tmp_path / "rep.json"),
                    "--no-timestamp") == 1
     assert not vtk.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.sparse alone costs more start-up than the whole package; keep it out
+    code = "import sys, ddrcomplex.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddrcomplex.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -97,7 +97,7 @@ def _cross_check(mesh, orient, k, shared):
                 block = fresh.project_onto(part, (kind, i), k + shift, k,
                                            ops.grad if which == "gradient" else ops.curl)
                 rows = rows_of.indices(kind, i, part)
-                got = glob[rows][:, ops.lmap.globals].toarray()
+                got = glob.gather(rows, ops.lmap.globals)
                 worst = max(worst, _rel(got, block))
         for kind, ents in chosen.items():
             for i in ents:

@@ -1,6 +1,7 @@
 """Rank diagnostics, check families, report schema, determinism, fault injection."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from ddrcomplex import (
     run_all,
     InputError,
 )
+from ddrcomplex import lifting
+from ddrcomplex.errors import ConditioningError
 from ddrcomplex.verification import (
     FAMILIES,
     TOLERANCES,
@@ -55,6 +58,40 @@ def test_cochain_diagram_sixteen_identities():
     names = {c.name for c in checks}
     assert {"cochain.RE_grad", "cochain.RE_tail", "cochain.red_curl",
             "cochain.ext_div", "cochain.cw_grad"} <= names
+
+
+def test_cochain_checks_time_the_extension_solves(monkeypatch):
+    # every extension build is slowed by a fixed delay, which the cochain
+    # checks' own seconds must cover
+    delay, build = 0.1, lifting.ExtensionMaps.matrix
+
+    def slow(self, space):
+        if space not in self._cache:
+            time.sleep(delay)
+        return build(self, space)
+
+    monkeypatch.setattr(lifting.ExtensionMaps, "matrix", slow)
+    mesh, orient = mesh_and_orientation("cube")
+    checks = check_cochain_diagram(VerifySession(mesh, orient, 1))
+    assert all(c.passed for c in checks)
+    assert sum(c.seconds for c in checks) >= 4 * delay
+
+
+def test_extension_error_names_the_check_that_built_it(monkeypatch):
+    build = lifting.ExtensionMaps.matrix
+
+    def failing(self, space):
+        if space == "Xdiv":
+            raise ConditioningError("planted")
+        return build(self, space)
+
+    monkeypatch.setattr(lifting.ExtensionMaps, "matrix", failing)
+    mesh, orient = mesh_and_orientation("cube")
+    checks = check_cochain_diagram(VerifySession(mesh, orient, 1))
+    assert len(checks) == 16
+    errored = [c.name for c in checks if c.error]
+    assert errored == ["cochain.RE_div", "cochain.ext_curl", "cochain.ext_div"]
+    assert all("planted" in c.error for c in checks if c.error)
 
 
 @pytest.mark.parametrize("name,k", [("cube", 1), ("ring", 2)])
