@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Elements per row block of a sparse product: the block's dense accumulator
-# and its expanded products each hold about this many entries.
+# Size of a row block of a sparse product: at most this many expanded
+# products, and this many (row, column) keys in the block's slot table.
 _BLOCK = 1 << 18
 
 
@@ -78,9 +78,6 @@ class CsrMatrix:
     def nnz(self) -> int:
         """Stored entries, explicit zeros included."""
         return len(self.data)
-
-    def __repr__(self) -> str:
-        return f"CsrMatrix(shape={self.shape}, nnz={self.nnz})"
 
     def _row_of_entries(self) -> np.ndarray:
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
@@ -143,9 +140,8 @@ class CsrMatrix:
         per_entry = np.diff(other.indptr)[self.indices]   # products of each stored entry
         before = np.concatenate([[0], np.cumsum(per_entry)])[self.indptr]
         entry_row = self._row_of_entries()
-        # Rows are taken in blocks of at most _BLOCK products and _BLOCK
-        # (row, column) keys.  ``slot`` maps a block's keys to their output
-        # entries; only the entries of keys that occur are ever read.
+        # Rows go in blocks (see _BLOCK).  ``slot`` maps a block's keys to
+        # their output entries; only the entries of keys that occur are read.
         block_rows = max(1, _BLOCK // max(n, 1))
         slot = np.empty(block_rows * n, dtype=np.int64)
         out_keys, out_data = [], []
@@ -169,7 +165,8 @@ class CsrMatrix:
             out_keys.append(distinct[nonzero] + start * n)
             out_data.append(sums[nonzero])
             start = stop
-        return CsrMatrix._from_keys((m, n), np.concatenate(out_keys + [np.zeros(0, dtype=np.int64)]),
+        return CsrMatrix._from_keys((m, n),
+                                    np.concatenate(out_keys + [np.zeros(0, dtype=np.int64)]),
                                     np.concatenate(out_data + [np.zeros(0)]))
 
     def __sub__(self, other):

@@ -211,7 +211,8 @@ def test_failed_generator_check_writes_no_vtk(tmp_path, monkeypatch):
 
 def test_cli_import_loads_no_scipy():
     # scipy.sparse alone costs more start-up than the whole package; keep it out
-    code = "import sys, ddrcomplex.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code = ("import sys, ddrcomplex.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     src = os.path.dirname(os.path.dirname(os.path.abspath(ddrcomplex.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ddrcomplex import sparse
 from ddrcomplex.sparse import CsrMatrix
 
 from conftest import complex_for
@@ -45,6 +46,16 @@ def random_csr(rng, shape, **kw):
 def dense_of(shape, rows, cols, vals):
     out = np.zeros(shape)
     np.add.at(out, (rows, cols), vals)
+    return out
+
+
+def loop_product(a: CsrMatrix, b) -> np.ndarray:
+    """Dense ``a @ b`` by loops: each entry adds its products one at a time, from 0."""
+    b = b.toarray() if isinstance(b, CsrMatrix) else np.asarray(b, dtype=float)
+    out = np.zeros((a.shape[0],) + b.shape[1:])
+    for i in range(a.shape[0]):
+        for p in range(a.indptr[i], a.indptr[i + 1]):
+            out[i] += a.data[p] * b[a.indices[p]]
     return out
 
 
@@ -109,16 +120,29 @@ def test_products_match_dense(shape, seed):
     m, n = shape
     vec = rng.standard_normal(n)
     block = rng.standard_normal((n, 3))
-    assert np.allclose(a @ vec, a.toarray() @ vec, rtol=1e-13, atol=1e-13)
+    assert same_bits(a @ vec, loop_product(a, vec))
+    assert same_bits(a @ block, loop_product(a, block))
     assert np.allclose(a @ block, a.toarray() @ block, rtol=1e-13, atol=1e-13)
-    assert (a @ vec).shape == (m,) and (a @ block).shape == (m, 3)
-    assert (a @ np.arange(n)).dtype == float
+    assert same_bits(a @ np.arange(n), loop_product(a, np.arange(n)))
     for k in (0, 1, 7):
         b = random_csr(rng, (n, k))
         prod = a @ b
         assert isinstance(prod, CsrMatrix) and prod.shape == (m, k)
-        assert np.allclose(prod.toarray(), a.toarray() @ b.toarray(), rtol=1e-13, atol=1e-13)
+        assert same_bits(prod.toarray(), loop_product(a, b))
         assert stored_zeros(prod) == 0
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_sparse_product_is_the_same_in_any_row_blocks(monkeypatch, block):
+    rng = np.random.default_rng(3)
+    a, b = random_csr(rng, (40, 30)), random_csr(rng, (30, 20))
+    whole = a @ b
+    monkeypatch.setattr(sparse, "_BLOCK", block)
+    blocked = a @ b
+    assert same_bits(blocked.toarray(), loop_product(a, b))
+    assert np.array_equal(blocked.indptr, whole.indptr)
+    assert np.array_equal(blocked.indices, whole.indices)
+    assert same_bits(blocked.data, whole.data)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
