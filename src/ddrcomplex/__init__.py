@@ -23,18 +23,18 @@ from .errors import (
 from .homology import (
     BettiVector,
     CochainComplexInt,
-    DeRhamScaling,
     betti_numbers,
     build_cochain_complex,
     cohomology_generators,
-    de_rham_map,
-    de_rham_scaling,
     integer_rank,
 )
 from .layouts import DofLayout
 from .lifting import (
+    DeRhamScaling,
     ExtensionMaps,
     LiftedGenerators,
+    de_rham_map,
+    de_rham_scaling,
     lift_generators,
     reduce_vector,
     reduction_matrix,

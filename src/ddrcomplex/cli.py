@@ -31,6 +31,7 @@ from .mesh import (
     parse_pattern_text,
     save_mesh,
 )
+from .operators import OPERATORS
 from .verification import RankOptions, corrupt_orientation, run_all
 from .vtkio import write_vtk
 
@@ -139,15 +140,13 @@ def _generator_fields(high, generators: list[dict]) -> dict[str, np.ndarray]:
     of a report, reconstructed on the report's degree-k complex ``high``."""
     fields: dict[str, np.ndarray] = {}
     for index in (1, 2):
+        cells = OPERATORS[index].blocks[-1]   # the element block of the outgoing operator
         vectors = [g["vector"] for g in generators if g["cohomology_index"] == index]
         for j, vec in enumerate(vectors):
             values = np.zeros((high.mesh.n_elements, 3))
             for t in range(high.mesh.n_elements):
-                if index == 1:
-                    ops = high.cell_curl_ops(t)
-                else:
-                    ops = high.cell_div_ops(t)
-                coeff = ops.potential @ ops.lmap.gather(vec)
+                ops = getattr(high, cells.builder)(t)
+                coeff = getattr(ops, cells.lift) @ ops.lmap.gather(vec)
                 basis = high.basis("cell", t, high.k, vector=True)
                 values[t] = np.einsum(
                     "pax,a->px", basis.eval_vector(high.orient.cell_center[t][None, :]),

@@ -52,15 +52,6 @@ class BettiVector:
         return (self.b0, self.b1, self.b2, self.b3)
 
 
-@dataclass(frozen=True)
-class DeRhamScaling:
-    """Diagonal measure scalings identifying DDR(0) vectors with cochains."""
-
-    edge: np.ndarray    # |E|
-    face: np.ndarray    # |F|
-    cell: np.ndarray    # |T|
-
-
 def build_cochain_complex(mesh: Mesh, orientation: OrientationTable) -> CochainComplexInt:
     d0 = np.zeros((mesh.n_edges, mesh.n_vertices), dtype=np.int64)
     for e, (v1, v2) in enumerate(mesh.edges):
@@ -137,17 +128,19 @@ def _kernel(mat: np.ndarray) -> list[list[int]]:
     return basis
 
 
+def cohomology_dims(dims, ranks, head: int = 0) -> tuple[int, ...]:
+    """Cohomology dimensions of a complex from its space dimensions and the
+    ranks of its operators: at each space, the kernel of the outgoing
+    operator less the image of the incoming one.  ``head`` is the rank of
+    the map into the first space (1 for the constants of a de Rham complex).
+    """
+    incoming, outgoing = (head, *ranks), (*ranks, 0)
+    return tuple(d - o - i for d, o, i in zip(dims, outgoing, incoming))
+
+
 def betti_numbers(complex_: CochainComplexInt) -> BettiVector:
-    v, e, f, t = complex_.counts
-    r0 = integer_rank(complex_.d0)
-    r1 = integer_rank(complex_.d1)
-    r2 = integer_rank(complex_.d2)
-    return BettiVector(
-        b0=v - r0,
-        b1=(e - r1) - r0,
-        b2=(f - r2) - r1,
-        b3=t - r2,
-    )
+    ranks = [integer_rank(d) for d in (complex_.d0, complex_.d1, complex_.d2)]
+    return BettiVector(*cohomology_dims(complex_.counts, ranks))
 
 
 def cohomology_generators(complex_: CochainComplexInt, i: int) -> list[np.ndarray]:
@@ -182,36 +175,3 @@ def cohomology_generators(complex_: CochainComplexInt, i: int) -> list[np.ndarra
     if len(gens) != betti:
         raise CertificationError(f"expected {betti} generators, selected {len(gens)}")
     return gens
-
-
-def de_rham_scaling(orientation: OrientationTable) -> DeRhamScaling:
-    return DeRhamScaling(edge=orientation.edge_length.copy(),
-                         face=orientation.face_area.copy(),
-                         cell=orientation.cell_volume.copy())
-
-
-def de_rham_map(direction: str, space: str, scaling: DeRhamScaling,
-                vector: np.ndarray) -> np.ndarray:
-    """Diagonal identification of DDR(0) vectors with integer cochains.
-
-    forward: vertex values id, edge values * |E|, face * |F|, element * |T|;
-    inverse divides.  forward(inverse(x)) == x exactly (IEEE x/x = 1).
-    """
-    diag = {
-        "Xgrad": None,
-        "Xcurl": scaling.edge,
-        "Xdiv": scaling.face,
-        "Pk": scaling.cell,
-    }.get(space, "missing")
-    if isinstance(diag, str):
-        raise DomainError(f"unknown space {space!r}")
-    vector = np.asarray(vector, dtype=float)
-    if diag is None:
-        return vector.copy()
-    if vector.shape[0] != diag.shape[0]:
-        raise DomainError("vector length does not match the space layout")
-    if direction == "forward":
-        return vector * diag
-    if direction == "inverse":
-        return vector / diag
-    raise DomainError(f"direction must be forward or inverse, got {direction!r}")

@@ -20,10 +20,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .monomials import n_monomials
 from .spaces import space_dim
 
-SPACES = ("Xgrad", "Xcurl", "Xdiv", "Pk")
+KINDS = ("vertex", "edge", "face", "cell")
+# Each space's components per entity kind, in order of dimension, as
+# (part, degree - k): "val" is a vertex value, "poly" the scalar P on the
+# entity, R/G and their complements Rc/Gc the vector subspaces of .spaces.
+PARTS = {
+    "Xgrad": {"vertex": (("val", 0),), "edge": (("poly", -1),), "face": (("poly", -1),),
+              "cell": (("poly", -1),)},
+    "Xcurl": {"edge": (("poly", 0),), "face": (("R", -1), ("Rc", 0)),
+              "cell": (("R", -1), ("Rc", 0))},
+    "Xdiv": {"face": (("poly", 0),), "cell": (("G", -1), ("Gc", 0))},
+    "Pk": {"cell": (("poly", 0),)},
+}
+SPACES = tuple(PARTS)
+# The entity kind carrying each space's degree-0 unknowns, its first: what
+# the reductions keep and what the de Rham map scales by its measure.
+CARRIERS = {space: next(iter(parts)) for space, parts in PARTS.items()}
+
+
+def entity_count(mesh, kind: str) -> int:
+    """Number of entities of one kind (vertex, edge, face or cell)."""
+    return mesh.counts[KINDS.index(kind)]
 
 
 @dataclass(frozen=True)
@@ -48,40 +67,13 @@ class DofLayout:
         self.mesh = mesh
         comps: list[Component] = []
         off = 0
-
-        def add(kind, ent, part, dim):
-            nonlocal off
-            comps.append(Component(kind, ent, part, dim, off))
-            off += dim
-
-        k = degree
-        if space == "Xgrad":
-            for v in range(mesh.n_vertices):
-                add("vertex", v, "val", 1)
-            for e in range(mesh.n_edges):
-                add("edge", e, "poly", n_monomials(1, k - 1))
-            for f in range(mesh.n_faces):
-                add("face", f, "poly", n_monomials(2, k - 1))
-            for t in range(mesh.n_elements):
-                add("cell", t, "poly", n_monomials(3, k - 1))
-        elif space == "Xcurl":
-            for e in range(mesh.n_edges):
-                add("edge", e, "poly", n_monomials(1, k))
-            for f in range(mesh.n_faces):
-                add("face", f, "R", space_dim("R", k - 1, 2))
-                add("face", f, "Rc", space_dim("Rc", k, 2))
-            for t in range(mesh.n_elements):
-                add("cell", t, "R", space_dim("R", k - 1, 3))
-                add("cell", t, "Rc", space_dim("Rc", k, 3))
-        elif space == "Xdiv":
-            for f in range(mesh.n_faces):
-                add("face", f, "poly", n_monomials(2, k))
-            for t in range(mesh.n_elements):
-                add("cell", t, "G", space_dim("G", k - 1, 3))
-                add("cell", t, "Gc", space_dim("Gc", k, 3))
-        else:  # Pk
-            for t in range(mesh.n_elements):
-                add("cell", t, "poly", n_monomials(3, k))
+        for kind, parts in PARTS[space].items():
+            for ent in range(entity_count(mesh, kind)):
+                for part, shift in parts:
+                    dim = 1 if part == "val" else space_dim(
+                        "P" if part == "poly" else part, degree + shift, KINDS.index(kind))
+                    comps.append(Component(kind, ent, part, dim, off))
+                    off += dim
 
         self.components = tuple(comps)
         self.total = off
@@ -107,8 +99,7 @@ class DofLayout:
         per entity the component order matches the global layout.
         """
         comps: list[Component] = []
-        for ekind, ents in zip(("vertex", "edge", "face", "cell"),
-                               closure(self.mesh, kind, entity)):
+        for ekind, ents in zip(KINDS, closure(self.mesh, kind, entity)):
             for ent in ents:
                 comps.extend(self.entity_components(ekind, ent))
         return LocalMap(self, comps)

@@ -9,9 +9,11 @@ increasing dimension, the moment systems that the local operators of
 and the already extended boundary as data.  The pair is a one-sided inverse
 (reduction after extension is the identity) and both are cochain maps.
 
-The generator pipeline lifts exact CW cohomology generators through the
-inverse de Rham scaling and the curl/div extension, producing certified
-representatives of the degree-k cohomology.
+The de Rham scaling, diagonal in the measures of the carrier entities,
+identifies the degree-0 complex with the CW cochain complex.  The generator
+pipeline lifts exact CW cohomology generators through the inverse scaling
+and the curl/div extension, producing certified representatives of the
+degree-k cohomology.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from .homology import (
     build_cochain_complex,
     betti_numbers,
     cohomology_generators,
-    de_rham_scaling,
 )
-from .operators import DdrComplex, _Coo
+from .layouts import CARRIERS, PARTS, entity_count
+from .mesh import OrientationTable
+from .operators import OPERATORS, DdrComplex, _Coo
 from .spaces import checked_solve
 from .sparse import CsrMatrix
 
@@ -37,22 +40,22 @@ from .sparse import CsrMatrix
 # ---------------------------------------------------------------------------
 # reductions
 
+def _carrier_weights(complex_: DdrComplex, kind: str, index: int) -> np.ndarray:
+    """What the reduction takes of a carrier's leading component: a vertex
+    value as it is, elsewhere the mean of each basis monomial."""
+    return np.ones(1) if kind == "vertex" else complex_.means(kind, index)
+
+
 def reduction_matrix(complex_: DdrComplex, space: str) -> CsrMatrix:
     """Sparse reduction onto the degree-0 layout of one space."""
-    mesh = complex_.mesh
     lay = complex_.layout(space)
+    kind = CARRIERS[space]
+    count = entity_count(complex_.mesh, kind)
     coo = _Coo()
-    if space == "Xgrad":
-        for v in range(mesh.n_vertices):
-            coo.add(np.asarray([v]), lay.indices("vertex", v, "val"), np.ones((1, 1)))
-        return coo.build((mesh.n_vertices, lay.total))
-    carriers = {"Xcurl": ("edge", mesh.n_edges), "Xdiv": ("face", mesh.n_faces),
-                "Pk": ("cell", mesh.n_elements)}
-    if space not in carriers:
-        raise DomainError(f"unknown space {space!r}")
-    kind, count = carriers[space]
     for i in range(count):
-        coo.add(np.asarray([i]), lay.indices(kind, i, "poly"), complex_.means(kind, i)[None, :])
+        c = lay.entity_components(kind, i)[0]
+        coo.add(np.asarray([i]), np.arange(c.offset, c.offset + c.dim),
+                _carrier_weights(complex_, kind, i)[None, :])
     return coo.build((count, lay.total))
 
 
@@ -67,9 +70,8 @@ def zero_reduction_basis(complex_: DdrComplex, space: str) -> CsrMatrix:
     the monomials of degree >= 1 minus their entity mean; all other
     components contribute identity columns.
     """
-    mesh = complex_.mesh
     lay = complex_.layout(space)
-    carrier = {"Xgrad": "vertex", "Xcurl": "edge", "Xdiv": "face", "Pk": "cell"}[space]
+    carrier = CARRIERS[space]
     coo = _Coo()
     col = 0
     for c in lay.components:
@@ -78,10 +80,8 @@ def zero_reduction_basis(complex_: DdrComplex, space: str) -> CsrMatrix:
                 coo.add(np.asarray([c.offset + j]), np.asarray([col]), np.ones((1, 1)))
                 col += 1
             continue
-        if carrier == "vertex":
-            continue  # the whole component is the reduction target
-        means = complex_.means(carrier, c.entity)
-        for j in range(1, c.dim):
+        means = _carrier_weights(complex_, carrier, c.entity)
+        for j in range(1, c.dim):   # none on a vertex: its value is the reduction
             rows = np.asarray([c.offset, c.offset + j])
             coo.add(rows, np.asarray([col]), np.asarray([[-means[j]], [1.0]]))
             col += 1
@@ -89,25 +89,52 @@ def zero_reduction_basis(complex_: DdrComplex, space: str) -> CsrMatrix:
 
 
 # ---------------------------------------------------------------------------
+# the degree-0 complex as the CW cochain complex
+
+@dataclass(frozen=True)
+class DeRhamScaling:
+    """Diagonal measure scalings identifying DDR(0) vectors with cochains."""
+
+    edge: np.ndarray    # |E|
+    face: np.ndarray    # |F|
+    cell: np.ndarray    # |T|
+
+    def measure(self, space: str) -> np.ndarray | None:
+        """Measures of the carriers of a space's degree-0 unknowns (None for
+        vertices: their values are the cochain)."""
+        if space not in CARRIERS:
+            raise DomainError(f"unknown space {space!r}")
+        return None if CARRIERS[space] == "vertex" else getattr(self, CARRIERS[space])
+
+
+def de_rham_scaling(orientation: OrientationTable) -> DeRhamScaling:
+    return DeRhamScaling(edge=orientation.edge_length.copy(),
+                         face=orientation.face_area.copy(),
+                         cell=orientation.cell_volume.copy())
+
+
+def de_rham_map(direction: str, space: str, scaling: DeRhamScaling,
+                vector: np.ndarray) -> np.ndarray:
+    """Diagonal identification of DDR(0) vectors with integer cochains.
+
+    forward: vertex values id, edge values * |E|, face * |F|, element * |T|;
+    inverse divides.  forward(inverse(x)) == x exactly (IEEE x/x = 1).
+    """
+    diag = scaling.measure(space)
+    vector = np.asarray(vector, dtype=float)
+    if diag is None:
+        return vector.copy()
+    if vector.shape[0] != diag.shape[0]:
+        raise DomainError("vector length does not match the space layout")
+    if direction == "forward":
+        return vector * diag
+    if direction == "inverse":
+        return vector / diag
+    raise DomainError(f"direction must be forward or inverse, got {direction!r}")
+
+
+# ---------------------------------------------------------------------------
 # extensions
-
-# The components each extension solves for, in order of entity dimension:
-# (entity kind, local builder, operator, solved part, tests, projected part,
-# projection source).  The solved part is fixed by the builder's moment
-# system restricted to the tests: ``None`` drops the constant test function,
-# whose moment only sees boundary data; "Rc"/"Gc" test against that
-# degree-k subspace.  The projected part is the L2 projection of the
-# degree-0 operator's tangential trace or potential.
-_LIFTS = {
-    "Xgrad": (("edge", "edge_ops", "grad", "poly", None, None, None),
-              ("face", "face_grad_ops", "grad", "poly", "Rc", None, None),
-              ("cell", "cell_grad_ops", "grad", "poly", "Rc", None, None)),
-    "Xcurl": (("face", "face_curl_ops", "curl", "R", None, "Rc", "ttrace"),
-              ("cell", "cell_curl_ops", "curl", "R", "Gc", "Rc", "potential")),
-    "Xdiv": (("cell", "cell_div_ops", "div", "G", None, "Gc", "potential"),),
-    "Pk": (),
-}
-
 
 @dataclass
 class ExtensionMaps:
@@ -133,9 +160,7 @@ class ExtensionMaps:
     def matrix(self, space: str) -> CsrMatrix:
         if space in self._cache:
             return self._cache[space]
-        if space not in _LIFTS:
-            raise DomainError(f"unknown space {space!r}")
-        high, low, k, mesh = self.high, self.low, self.high.k, self.high.mesh
+        high, low, k = self.high, self.low, self.high.k
         hlay, llay = high.layout(space), low.layout(space)
         shape = (hlay.total, llay.total)
         coo = _Coo()
@@ -143,14 +168,21 @@ class ExtensionMaps:
             if c.dim:  # degree-0 unknowns sit on one entity kind, one per entity
                 coo.add(hlay.indices(c.entity_kind, c.entity, c.part)[:1],
                         np.asarray([c.offset]), np.ones((1, 1)))
-        counts = {"edge": mesh.n_edges, "face": mesh.n_faces, "cell": mesh.n_elements}
-        for kind, build, op, part, tests, projected, source in _LIFTS[space]:
+        # Each block of the operator leaving ``space`` solves for its entities'
+        # own unknowns of ``space``.  The first component is fixed by the
+        # block's moment system restricted to tests: a "poly" target drops the
+        # constant test function, whose moment only sees boundary data; an
+        # image/complement target tests against its degree-k complement.  A
+        # second component is the L2 projection of the degree-0 block's lift.
+        for op, block in [(op, b) for op in OPERATORS if op.source == space for b in op.blocks]:
+            kind, targets = block.kind, PARTS[op.target][block.kind]
             done = coo.build(shape)   # rows of lower-dimensional entities
-            for i in range(counts[kind]):
-                rows = hlay.indices(kind, i, part)
+            for i in range(entity_count(high.mesh, kind)):
+                own, *complement = hlay.entity_components(kind, i)
+                rows = hlay.indices(kind, i, own.part)
                 if not rows.size:     # k = 0: nothing beyond the copied unknowns
                     continue
-                hops, lops = getattr(high, build)(i), getattr(low, build)(i)
+                hops, lops = getattr(high, block.builder)(i), getattr(low, block.builder)(i)
                 cols = lops.lmap.globals
                 # extended boundary rows; zero on the entity's own unknowns
                 known = done.gather(hops.lmap.globals, cols)
@@ -158,27 +190,24 @@ class ExtensionMaps:
                 # leading each component, so its moments are the leading
                 # columns of the mass matrix.
                 mass, rhs = hops.moments.mass, hops.moments.rhs
-                low_op = getattr(lops, op)
+                low_op = getattr(lops, op.local)
                 lead = np.arange(low_op.shape[0]) * (mass.shape[0] // low_op.shape[0])
                 target = mass[:, lead] @ low_op - rhs @ known
-                solved = rhs[:, hops.lmap.local_indices(kind, i, part)]
-                if tests is None:
+                solved = rhs[:, hops.lmap.local_indices(kind, i, own.part)]
+                if len(targets) == 1:
                     solved, target = solved[1:], target[1:]
                 else:
-                    p = high.subspace(tests, (kind, i), k).coeffs_float.T
+                    p = high.subspace(targets[1][0], (kind, i), k).coeffs_float.T
                     solved, target = p @ solved, p @ target
                 where = "element" if kind == "cell" else kind
                 coo.add(rows, cols, checked_solve(solved, target,
-                                                  f"{where} {i}: {op} extension"))
-                if projected:
-                    coo.add(hlay.indices(kind, i, projected), cols, high.project_onto(
-                        projected, (kind, i), k, 0, getattr(lops, source)))
+                                                  f"{where} {i}: {op.local} extension"))
+                for c in complement:
+                    coo.add(hlay.indices(kind, i, c.part), cols, high.project_onto(
+                        c.part, (kind, i), k, 0, getattr(lops, block.lift)))
         mat = coo.build(shape)
         self._cache[space] = mat
         return mat
-
-    def extend(self, space: str, vector: np.ndarray) -> np.ndarray:
-        return self.matrix(space) @ np.asarray(vector, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -215,23 +244,20 @@ def lift_generators(high: DdrComplex, low: DdrComplex, index: int,
     if cochain is None:
         cochain = build_cochain_complex(mesh, orient)
     gens = cohomology_generators(cochain, index)
-    space = "Xcurl" if index == 1 else "Xdiv"
+    incoming, outgoing = OPERATORS[index - 1], OPERATORS[index]
+    space = outgoing.source
     if not gens:
         return LiftedGenerators(high.k, index, space, (), ())
-    scaling = de_rham_scaling(orient)
-    if index == 1:
-        measures, incoming, outgoing = scaling.edge, high.gradient, high.curl
-    else:
-        measures, incoming, outgoing = scaling.face, high.curl, high.divergence
+    measures = de_rham_scaling(orient).measure(space)
     ext_mat = (ext or ExtensionMaps(high, low)).matrix(space)
 
     vectors, certs = [], []
-    image = incoming.toarray()
+    image = high.operator(incoming.name).toarray()
     rank_in = np.linalg.matrix_rank(image)
     stacked = image
     for j, g in enumerate(gens):
         lifted = ext_mat @ (np.asarray(g, dtype=float) / measures)
-        res = float(np.linalg.norm(outgoing @ lifted))
+        res = float(np.linalg.norm(high.operator(outgoing.name) @ lifted))
         rel = res / max(np.linalg.norm(lifted), 1e-300)
         if rel > kernel_tol:
             raise CertificationError(

@@ -41,9 +41,6 @@ class Mesh:
     face_loops: tuple[tuple[int, ...], ...]  # CCW vertex loops
     element_faces: tuple[tuple[int, ...], ...]
     face_edges: tuple[tuple[int, ...], ...] = field(default=())      # derived
-    face_edge_dirs: tuple[tuple[int, ...], ...] = field(default=())  # +1 if loop follows t_E
-    edge_faces: tuple[tuple[int, ...], ...] = field(default=())
-    face_elements: tuple[tuple[int, ...], ...] = field(default=())
 
     @property
     def n_vertices(self) -> int:
@@ -69,9 +66,6 @@ class Mesh:
     def euler_characteristic(self) -> int:
         v, e, f, t = self.counts
         return v - e + f - t
-
-    def face_vertices(self, f: int) -> tuple[int, ...]:
-        return tuple(sorted(set(self.face_loops[f])))
 
     def element_vertices(self, t: int) -> tuple[int, ...]:
         return tuple(sorted({v for f in self.element_faces[t] for v in self.face_loops[f]}))
@@ -103,14 +97,9 @@ def _build_mesh(vertices: np.ndarray,
     edge_list = sorted(edge_ids)
     edge_ids = {key: i for i, key in enumerate(edge_list)}
 
-    face_edges, face_edge_dirs = [], []
-    for loop in face_loops:
-        ids, dirs = [], []
-        for a, b in zip(loop, loop[1:] + loop[:1]):
-            ids.append(edge_ids[(min(a, b), max(a, b))])
-            dirs.append(1 if a < b else -1)
-        face_edges.append(tuple(ids))
-        face_edge_dirs.append(tuple(dirs))
+    face_edges = [tuple(edge_ids[(min(a, b), max(a, b))]
+                        for a, b in zip(loop, loop[1:] + loop[:1]))
+                  for loop in face_loops]
 
     nf = len(face_loops)
     face_elements: list[list[int]] = [[] for _ in range(nf)]
@@ -126,11 +115,6 @@ def _build_mesh(vertices: np.ndarray,
             raise MeshTopologyError(f"face {fi} belongs to no element")
         if len(owners) > 2:
             raise MeshTopologyError(f"face {fi} belongs to {len(owners)} elements (max 2)")
-
-    edge_faces: list[list[int]] = [[] for _ in range(len(edge_list))]
-    for fi, ids in enumerate(face_edges):
-        for e in ids:
-            edge_faces[e].append(fi)
 
     # vertex-edge graph connectivity (the domain must be connected)
     adj: list[list[int]] = [[] for _ in range(nv)]
@@ -155,9 +139,6 @@ def _build_mesh(vertices: np.ndarray,
         face_loops=tuple(tuple(int(v) for v in loop) for loop in face_loops),
         element_faces=tuple(tuple(int(f) for f in faces) for faces in element_faces),
         face_edges=tuple(face_edges),
-        face_edge_dirs=tuple(face_edge_dirs),
-        edge_faces=tuple(tuple(x) for x in edge_faces),
-        face_elements=tuple(tuple(x) for x in face_elements),
     )
 
 

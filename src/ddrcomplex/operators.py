@@ -8,6 +8,8 @@ systems solved per entity; global operators collect the local blocks into
 sparse matrices with deterministic (entity-index ascending) ordering.  Each
 gradient/curl/divergence builder keeps its moment system (:class:`Moments`),
 which the extensions of :mod:`.lifting` solve with degree-0 data.
+:data:`OPERATORS` describes the complex once, operator by operator and entity
+kind by entity kind; assembly, extensions and checks all loop over it.
 
 :class:`DdrComplex` memoizes bases, quadrature rules, Gram matrices, local
 operators, and assembled global matrices for one (mesh, orientation, degree).
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import monomials as mono
 from .errors import DomainError
-from .layouts import DofLayout, LocalMap, closure
+from .layouts import KINDS, PARTS, DofLayout, LocalMap, closure, entity_count
 from .mesh import Mesh, OrientationTable
 from .quadrature import QuadratureRule, entity_rule
 from .spaces import (
@@ -99,6 +101,44 @@ class CellDivOps:
     div: np.ndarray       # to P^k(T)
     potential: np.ndarray # to vP^k(T)
     moments: Moments      # of div
+
+
+@dataclass(frozen=True)
+class Block:
+    """One entity kind's share of a global operator.
+
+    The local operator fills the target's components on the entity, read
+    from :data:`.layouts.PARTS`: ``poly`` as it is, or the degree-(k-1)
+    image and the degree-k complement, each the local operator's
+    projection.  ``lift`` names the local record's field that the
+    extensions project onto the source's complement part.
+    """
+
+    kind: str
+    builder: str
+    lift: str | None = None
+
+
+@dataclass(frozen=True)
+class Operator:
+    name: str
+    source: str
+    target: str
+    local: str            # the local records' field holding the operator
+    blocks: tuple[Block, ...]
+
+
+# The complex Xgrad -> Xcurl -> Xdiv -> Pk, entity kinds in order of dimension.
+OPERATORS = (
+    Operator("gradient", "Xgrad", "Xcurl", "grad",
+             (Block("edge", "edge_ops"), Block("face", "face_grad_ops"),
+              Block("cell", "cell_grad_ops"))),
+    Operator("curl", "Xcurl", "Xdiv", "curl",
+             (Block("face", "face_curl_ops", "ttrace"),
+              Block("cell", "cell_curl_ops", "potential"))),
+    Operator("divergence", "Xdiv", "Pk", "div",
+             (Block("cell", "cell_div_ops", "potential"),)),
+)
 
 
 # Two entities share their local operators when every float of their shape
@@ -198,14 +238,13 @@ def _field_values(fn, points: np.ndarray) -> np.ndarray:
 class DdrComplex:
     """All discrete spaces and operators of one mesh at one degree."""
 
-    def __init__(self, mesh: Mesh, orientation: OrientationTable, degree: int,
-                 quad_margin: int = 4):
+    def __init__(self, mesh: Mesh, orientation: OrientationTable, degree: int):
         if degree < 0:
             raise DomainError("degree must be >= 0")
         self.mesh = mesh
         self.orient = orientation
         self.k = degree
-        self.quad_degree = 2 * degree + quad_margin
+        self.quad_degree = 2 * degree + 4
         self._layouts: dict[str, DofLayout] = {}
         self._rules: dict[tuple, QuadratureRule] = {}
         self._bases: dict[tuple, ScaledMonomialBasis] = {}
@@ -330,6 +369,19 @@ class DdrComplex:
             self._projected[key] = _read_only(
                 self.project_onto(part, (kind, key[2]), degree, self.k, getattr(ops, op)))
         return self._projected[key]
+
+    def _complement_solve(self, lmap: LocalMap, entity: tuple[str, int], part: str,
+                          t1: np.ndarray, rhs1: np.ndarray, what: str) -> np.ndarray:
+        """A degree-k vector potential from its moments against the tests
+        ``[t1 | t2]``, with ``t2`` the basis of the complement ``part``: the
+        ``t1`` moments are ``rhs1``, the ``t2`` moments those of the entity's
+        own ``part`` unknowns."""
+        vg_kk = self.gram(*entity, self.k, self.k, vector=True)
+        t2 = self.subspace(part, entity, self.k).coeffs_float
+        tests = np.concatenate([t1, t2], axis=1)
+        rhs2 = np.zeros((t2.shape[1], lmap.total))
+        rhs2[:, lmap.local_indices(*entity, part)] = t2.T @ vg_kk @ t2
+        return checked_solve(tests.T @ vg_kk, np.concatenate([rhs1, rhs2], axis=0), what)
 
     # -- edge operators -----------------------------------------------------
 
@@ -466,7 +518,6 @@ class DdrComplex:
         g_kk = self.gram("face", f, k, k)
         vrot_k = mono.float_matrix("vrot", k) * self._inv_h("face", f)
         sub_r = self.subspace("R", ("face", f), k - 1)
-        sub_rc = self.subspace("Rc", ("face", f), k)
         vg_mm = self.gram("face", f, k - 1, k - 1, vector=True)
 
         b = np.zeros((nk, nloc))
@@ -490,24 +541,14 @@ class DdrComplex:
         # tangential trace: tests vrot(P^{0,k+1}) + Rc^k span vP^k
         sub_p0 = self.subspace("P0", ("face", f), k + 1)
         vrot_k1 = mono.float_matrix("vrot", k + 1) * self._inv_h("face", f)
-        t1 = vrot_k1 @ sub_p0.coeffs_float                  # (2nk, n_{k+1}-1)
-        t2 = sub_rc.coeffs_float                            # (2nk, dim Rc)
-        tests = np.concatenate([t1, t2], axis=1)
-        vg_kk = self.gram("face", f, k, k, vector=True)
-        system = tests.T @ vg_kk
-
         g_k_k1 = self.gram("face", f, k, k + 1)
         rhs1 = (g_k_k1 @ sub_p0.coeffs_float).T @ curl      # (n_{k+1}-1, nloc)
         phi_k1 = self.basis("face", f, k + 1)
         for e, omega, erule, c_ve, wphi_ve in edge_cache:
             phi_r = phi_k1.eval(erule.points) @ sub_p0.coeffs_float
             rhs1[:, c_ve] += omega * phi_r.T @ wphi_ve
-        rhs2 = np.zeros((t2.shape[1], nloc))
-        c_rc = lmap.local_indices("face", f, "Rc")
-        if c_rc.size:
-            rhs2[:, c_rc] = t2.T @ vg_kk @ t2
-        ttrace = checked_solve(system, np.concatenate([rhs1, rhs2], axis=0),
-                               f"face {f}: tangential trace")
+        ttrace = self._complement_solve(lmap, ("face", f), "Rc", vrot_k1 @ sub_p0.coeffs_float,
+                                        rhs1, f"face {f}: tangential trace")
 
         return FaceCurlOps(lmap, curl, ttrace, Moments(g_kk, b))
 
@@ -522,7 +563,6 @@ class DdrComplex:
         vg_kk = self.gram("cell", t, k, k, vector=True)
         curl_k = mono.float_matrix("curl", k) * self._inv_h("cell", t)
         sub_r = self.subspace("R", ("cell", t), k - 1)
-        sub_rc = self.subspace("Rc", ("cell", t), k)
         vg_mm = self.gram("cell", t, k - 1, k - 1, vector=True)
 
         b = np.zeros((3 * nk, nloc))
@@ -550,11 +590,6 @@ class DdrComplex:
         # potential: tests curl(Gc^{k+1}) + Rc^k span vP^k
         sub_gc1 = self.subspace("Gc", ("cell", t), k + 1)
         curl_k1 = mono.float_matrix("curl", k + 1) * self._inv_h("cell", t)
-        t1 = curl_k1 @ sub_gc1.coeffs_float
-        t2 = sub_rc.coeffs_float
-        tests = np.concatenate([t1, t2], axis=1)
-        system = tests.T @ vg_kk
-
         vg_k1_k = self.gram("cell", t, k + 1, k, vector=True)
         rhs1 = (sub_gc1.coeffs_float.T @ vg_k1_k) @ curl
         vb_k1 = self.basis("cell", t, k + 1, vector=True)
@@ -563,12 +598,8 @@ class DdrComplex:
                                sub_gc1.coeffs_float)
             wxn = np.cross(w_vals, nf[None, None, :])
             rhs1[:, embed] -= omega * np.einsum("qjx,qlx->jl", wxn, w_gt)
-        rhs2 = np.zeros((t2.shape[1], nloc))
-        c_rc = lmap.local_indices("cell", t, "Rc")
-        if c_rc.size:
-            rhs2[:, c_rc] = t2.T @ vg_kk @ t2
-        potential = checked_solve(system, np.concatenate([rhs1, rhs2], axis=0),
-                                  f"element {t}: curl potential")
+        potential = self._complement_solve(lmap, ("cell", t), "Rc", curl_k1 @ sub_gc1.coeffs_float,
+                                           rhs1, f"element {t}: curl potential")
 
         return CellCurlOps(lmap, curl, potential, Moments(vg_kk, b))
 
@@ -585,7 +616,6 @@ class DdrComplex:
         g_kk = self.gram("cell", t, k, k)
         grad3 = mono.float_matrix("grad", 3, k) * self._inv_h("cell", t)
         sub_g = self.subspace("G", ("cell", t), k - 1)
-        sub_gc = self.subspace("Gc", ("cell", t), k)
         vg_mm = self.gram("cell", t, k - 1, k - 1, vector=True)
 
         b = np.zeros((nk, nloc))
@@ -609,98 +639,46 @@ class DdrComplex:
         # potential: tests grad(P^{0,k+1}) + Gc^k span vP^k
         sub_p0 = self.subspace("P0", ("cell", t), k + 1)
         grad_k1 = mono.float_matrix("grad", 3, k + 1) * self._inv_h("cell", t)
-        t1 = grad_k1 @ sub_p0.coeffs_float
-        t2 = sub_gc.coeffs_float
-        tests = np.concatenate([t1, t2], axis=1)
-        vg_kk = self.gram("cell", t, k, k, vector=True)
-        system = tests.T @ vg_kk
-
         g_k1_k = self.gram("cell", t, k + 1, k)
         rhs1 = -(sub_p0.coeffs_float.T @ g_k1_k) @ div
         phi_k1 = self.basis("cell", t, k + 1)
         for f, omega, frule, c_wf, wphi_wf in face_cache:
             phi_r = phi_k1.eval(frule.points) @ sub_p0.coeffs_float
             rhs1[:, c_wf] += omega * phi_r.T @ wphi_wf
-        rhs2 = np.zeros((t2.shape[1], nloc))
-        c_gc = lmap.local_indices("cell", t, "Gc")
-        if c_gc.size:
-            rhs2[:, c_gc] = t2.T @ vg_kk @ t2
-        potential = checked_solve(system, np.concatenate([rhs1, rhs2], axis=0),
-                                  f"element {t}: divergence potential")
+        potential = self._complement_solve(lmap, ("cell", t), "Gc", grad_k1 @ sub_p0.coeffs_float,
+                                           rhs1, f"element {t}: divergence potential")
 
         return CellDivOps(lmap, div, potential, Moments(g_kk, b))
 
     # -- global assembly -------------------------------------------------------
 
-    @property
-    def gradient(self) -> CsrMatrix:
-        """Xgrad -> Xcurl."""
-        if "gradient" in self._globals:
-            return self._globals["gradient"]
-        k = self.k
-        src = self.layout("Xgrad")
-        tgt = self.layout("Xcurl")
-        coo = _Coo()
-        for e in range(self.mesh.n_edges):
-            ops = self.edge_ops(e)
-            coo.add(tgt.indices("edge", e, "poly"), ops.lmap.globals, ops.grad)
-        for f in range(self.mesh.n_faces):
-            ops = self.face_grad_ops(f)
-            for part, deg in (("R", k - 1), ("Rc", k)):
-                coo.add(tgt.indices("face", f, part), ops.lmap.globals,
-                        self._projected_op("face_grad_ops", "grad", part, "face", f, deg))
-        for t in range(self.mesh.n_elements):
-            ops = self.cell_grad_ops(t)
-            for part, deg in (("R", k - 1), ("Rc", k)):
-                coo.add(tgt.indices("cell", t, part), ops.lmap.globals,
-                        self._projected_op("cell_grad_ops", "grad", part, "cell", t, deg))
-        mat = coo.build((tgt.total, src.total))
-        self._globals["gradient"] = mat
-        return mat
-
-    @property
-    def curl(self) -> CsrMatrix:
-        """Xcurl -> Xdiv."""
-        if "curl" in self._globals:
-            return self._globals["curl"]
-        k = self.k
-        src = self.layout("Xcurl")
-        tgt = self.layout("Xdiv")
-        coo = _Coo()
-        for f in range(self.mesh.n_faces):
-            ops = self.face_curl_ops(f)
-            coo.add(tgt.indices("face", f, "poly"), ops.lmap.globals, ops.curl)
-        for t in range(self.mesh.n_elements):
-            ops = self.cell_curl_ops(t)
-            for part, deg in (("G", k - 1), ("Gc", k)):
-                coo.add(tgt.indices("cell", t, part), ops.lmap.globals,
-                        self._projected_op("cell_curl_ops", "curl", part, "cell", t, deg))
-        mat = coo.build((tgt.total, src.total))
-        self._globals["curl"] = mat
-        return mat
-
-    @property
-    def divergence(self) -> CsrMatrix:
-        """Xdiv -> Pk."""
-        if "divergence" in self._globals:
-            return self._globals["divergence"]
-        src = self.layout("Xdiv")
-        tgt = self.layout("Pk")
-        coo = _Coo()
-        for t in range(self.mesh.n_elements):
-            ops = self.cell_div_ops(t)
-            coo.add(tgt.indices("cell", t, "poly"), ops.lmap.globals, ops.div)
-        mat = coo.build((tgt.total, src.total))
-        self._globals["divergence"] = mat
-        return mat
-
     def operator(self, which: str) -> CsrMatrix:
-        try:
-            return {"gradient": lambda: self.gradient,
-                    "curl": lambda: self.curl,
-                    "divergence": lambda: self.divergence}[which]()
-        except KeyError:
-            raise DomainError(f"unknown operator {which!r}")
+        """The global operator named ``which``, assembled from the local
+        blocks of :data:`OPERATORS` in entity order."""
+        if which not in self._globals:
+            op = next((op for op in OPERATORS if op.name == which), None)
+            if op is None:
+                raise DomainError(f"unknown operator {which!r}")
+            tgt = self.layout(op.target)
+            coo = _Coo()
+            for block in op.blocks:
+                parts = PARTS[op.target][block.kind]
+                for i in range(entity_count(self.mesh, block.kind)):
+                    ops = getattr(self, block.builder)(i)
+                    if len(parts) == 1:
+                        coo.add(tgt.indices(block.kind, i, parts[0][0]), ops.lmap.globals,
+                                getattr(ops, op.local))
+                        continue
+                    for part, shift in parts:
+                        coo.add(tgt.indices(block.kind, i, part), ops.lmap.globals,
+                                self._projected_op(block.builder, op.local, part,
+                                                   block.kind, i, self.k + shift))
+            self._globals[which] = coo.build((tgt.total, self.layout(op.source).total))
+        return self._globals[which]
+
+    gradient = property(lambda self: self.operator("gradient"), doc="Xgrad -> Xcurl.")
+    curl = property(lambda self: self.operator("curl"), doc="Xcurl -> Xdiv.")
+    divergence = property(lambda self: self.operator("divergence"), doc="Xdiv -> Pk.")
 
     # -- interpolation and tail maps --------------------------------------------
 
@@ -721,9 +699,8 @@ class DdrComplex:
                        for v in range(self.mesh.n_vertices)]
         for row, field in zip(out, fields):
             row[vertex_dofs] = _field_values(field, self.mesh.vertices)
-        for kind, count in (("edge", self.mesh.n_edges), ("face", self.mesh.n_faces),
-                            ("cell", self.mesh.n_elements)):
-            for i in range(count):
+        for kind in KINDS[1:]:
+            for i in range(entity_count(self.mesh, kind)):
                 idx = lay.indices(kind, i, "poly")
                 if idx.size == 0:
                     continue

@@ -29,24 +29,23 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DdrError, DomainError, InputError
-from .homology import (
-    betti_numbers,
-    build_cochain_complex,
-    de_rham_scaling,
-)
+from .homology import betti_numbers, build_cochain_complex, cohomology_dims
+from .layouts import SPACES
 from .lifting import (
     ExtensionMaps,
     LiftedGenerators,
+    de_rham_scaling,
     lift_generators,
     reduction_matrix,
     zero_reduction_basis,
 )
 from .mesh import Mesh, OrientationTable
-from .operators import DdrComplex, ddr0_closed_forms
+from .operators import OPERATORS, DdrComplex, ddr0_closed_forms
 from .sparse import CsrMatrix
 
 FAMILIES = ("complex", "cohomology", "cochain", "zero_reduction",
@@ -72,12 +71,16 @@ MIN_SPECTRAL_GAP = 10.0
 @dataclass(frozen=True)
 class RankOptions:
     """Singular-value thresholding rule: tau = rel_tol * sigma_max, with
-    rel_tol defaulting to max(m, n) * machine epsilon; optional absolute
-    floor; the seed is recorded for report reproducibility."""
+    rel_tol strictly between 0 and 1, defaulting to max(m, n) * machine
+    epsilon; the seed is recorded for report reproducibility."""
 
     rel_tol: float | None = None
-    abs_floor: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.rel_tol is not None and not 0.0 < self.rel_tol < 1.0:
+            raise InputError(f"rank tolerance must lie strictly between 0 and 1, "
+                             f"got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -88,10 +91,6 @@ class RankResult:
     sigma_next: float      # largest discarded singular value
     tau: float
     gap: float             # sigma_rank / sigma_next (inf when clean)
-
-    @property
-    def ambiguous(self) -> bool:
-        return np.isfinite(self.gap) and self.gap < MIN_SPECTRAL_GAP
 
     def as_dict(self) -> dict:
         return {"rank": self.rank, "sigma_max": self.sigma_max, "tau": self.tau,
@@ -108,7 +107,7 @@ def numeric_rank(mat: np.ndarray, opts: RankOptions | None = None) -> RankResult
     sigma = np.linalg.svd(mat, compute_uv=False)
     smax = float(sigma[0])
     rel = opts.rel_tol if opts.rel_tol is not None else max(mat.shape) * np.finfo(float).eps
-    tau = max(rel * smax, opts.abs_floor)
+    tau = rel * smax
     rank = int((sigma > tau).sum())
     s_rank = float(sigma[rank - 1]) if rank else float("inf")
     s_next = float(sigma[rank]) if rank < sigma.size else 0.0
@@ -233,42 +232,27 @@ class VerifySession:
         self.orient = orientation
         self.k = degree
         self.opts = opts or RankOptions()
-        self._high: DdrComplex | None = None
-        self._low: DdrComplex | None = None
-        self._ext: ExtensionMaps | None = None
         self._ranks: dict[str, RankResult] = {}
-        self._betti = None
-        self._cochain = None
 
-    @property
+    @cached_property
     def high(self) -> DdrComplex:
-        if self._high is None:
-            self._high = DdrComplex(self.mesh, self.orient, self.k)
-        return self._high
+        return DdrComplex(self.mesh, self.orient, self.k)
 
-    @property
+    @cached_property
     def low(self) -> DdrComplex:
-        if self._low is None:
-            self._low = self.high if self.k == 0 else DdrComplex(self.mesh, self.orient, 0)
-        return self._low
+        return self.high if self.k == 0 else DdrComplex(self.mesh, self.orient, 0)
 
-    @property
+    @cached_property
     def ext(self) -> ExtensionMaps:
-        if self._ext is None:
-            self._ext = ExtensionMaps(self.high, self.low)
-        return self._ext
+        return ExtensionMaps(self.high, self.low)
 
-    @property
+    @cached_property
     def cochain(self):
-        if self._cochain is None:
-            self._cochain = build_cochain_complex(self.mesh, self.orient)
-        return self._cochain
+        return build_cochain_complex(self.mesh, self.orient)
 
-    @property
+    @cached_property
     def betti(self):
-        if self._betti is None:
-            self._betti = betti_numbers(self.cochain)
-        return self._betti
+        return betti_numbers(self.cochain)
 
     def operator_rank(self, which: str) -> RankResult:
         if which not in self._ranks:
@@ -278,15 +262,11 @@ class VerifySession:
 
     @property
     def dims(self) -> dict[str, int]:
-        return {s: self.high.layout(s).total for s in ("Xgrad", "Xcurl", "Xdiv", "Pk")}
+        return {sp: self.high.layout(sp).total for sp in SPACES}
 
     def cohomology_dims(self) -> tuple[int, int, int, int]:
-        d = self.dims
-        rg = self.operator_rank("gradient").rank
-        rc = self.operator_rank("curl").rank
-        rd = self.operator_rank("divergence").rank
-        return (d["Xgrad"] - rg - 1, (d["Xcurl"] - rc) - rg,
-                (d["Xdiv"] - rd) - rc, d["Pk"] - rd)
+        ranks = [self.operator_rank(op.name).rank for op in OPERATORS]
+        return cohomology_dims(self.dims.values(), ranks, head=1)
 
 
 def _timed(checks: list[CheckResult], name: str, fn) -> None:
@@ -318,10 +298,10 @@ def check_complex(s: VerifySession) -> list[CheckResult]:
     out: list[CheckResult] = []
     _timed(out, "complex.grad_of_constant", lambda: _residual_check(
         residual_between([s.high.gradient, s.high.head_column[:, None]]), tol))
-    _timed(out, "complex.curl_grad", lambda: _residual_check(
-        residual_between([s.high.curl, s.high.gradient]), tol))
-    _timed(out, "complex.div_curl", lambda: _residual_check(
-        residual_between([s.high.divergence, s.high.curl]), tol))
+    for first, then in zip(OPERATORS, OPERATORS[1:]):
+        _timed(out, f"complex.{then.local}_{first.local}", lambda first=first, then=then:
+               _residual_check(residual_between([s.high.operator(then.name),
+                                                 s.high.operator(first.name)]), tol))
     return out
 
 
@@ -334,8 +314,7 @@ def check_cohomology(s: VerifySession) -> list[CheckResult]:
         return _flag_check(h == want, f"H={list(h)} betti={list(s.betti.as_tuple())}")
 
     def euler_dofs():
-        d = s.dims
-        alt = d["Xgrad"] - d["Xcurl"] + d["Xdiv"] - d["Pk"]
+        alt = sum((-1) ** i * d for i, d in enumerate(s.dims.values()))
         chi = s.mesh.euler_characteristic
         return _flag_check(alt == chi, f"dim alternating sum {alt} vs chi {chi}")
 
@@ -347,7 +326,7 @@ def check_cohomology(s: VerifySession) -> list[CheckResult]:
                            f"betti {list(b.as_tuple())} alternating sum {alt} vs chi {chi}")
 
     def spectral_gaps():
-        gaps = {w: s.operator_rank(w).gap for w in ("gradient", "curl", "divergence")}
+        gaps = {op.name: s.operator_rank(op.name).gap for op in OPERATORS}
         ok = all(not np.isfinite(g) or g >= MIN_SPECTRAL_GAP for g in gaps.values())
         txt = ", ".join(f"{w}: {'inf' if np.isinf(g) else f'{g:.1e}'}" for w, g in gaps.items())
         return _flag_check(ok, f"rank gaps {txt}")
@@ -366,7 +345,6 @@ def check_cochain_diagram(s: VerifySession) -> list[CheckResult]:
     that uses it, so its cost, or the error it raises, belongs to that check.
     """
     out: list[CheckResult] = []
-    spaces = ("Xgrad", "Xcurl", "Xdiv", "Pk")
     reds: dict[str, CsrMatrix] = {}
 
     def red(sp: str) -> CsrMatrix:
@@ -378,49 +356,39 @@ def check_cochain_diagram(s: VerifySession) -> list[CheckResult]:
     high, low = s.high, s.low
 
     tol = TOLERANCES["re_identity"]
-    for sp, tag in zip(spaces, ("grad", "curl", "div", "tail")):
-        _timed(out, f"cochain.RE_{tag}", lambda sp=sp: _residual_check(
+    tags = {op.source: op.local for op in OPERATORS}
+    for sp in SPACES:
+        _timed(out, f"cochain.RE_{tags.get(sp, 'tail')}", lambda sp=sp: _residual_check(
             residual_between([red(sp), ext(sp)], [np.eye(ext(sp).shape[1])]), tol))
 
     tol = TOLERANCES["reduction_commute"]
     _timed(out, "cochain.red_interp", lambda: _residual_check(
-        residual_between([red("Xgrad"), high.head_column[:, None]],
+        residual_between([red(SPACES[0]), high.head_column[:, None]],
                          [low.head_column[:, None]]), tol))
-    _timed(out, "cochain.red_grad", lambda: _residual_check(
-        residual_between([red("Xcurl"), high.gradient], [low.gradient, red("Xgrad")]), tol))
-    _timed(out, "cochain.red_curl", lambda: _residual_check(
-        residual_between([red("Xdiv"), high.curl], [low.curl, red("Xcurl")]), tol))
-    _timed(out, "cochain.red_div", lambda: _residual_check(
-        residual_between([red("Pk"), high.divergence], [low.divergence, red("Xdiv")]), tol))
+    for op in OPERATORS:
+        _timed(out, f"cochain.red_{op.local}", lambda op=op: _residual_check(residual_between(
+            [red(op.target), high.operator(op.name)], [low.operator(op.name), red(op.source)]),
+            tol))
 
     tol = TOLERANCES["extension_commute"]
     _timed(out, "cochain.ext_interp", lambda: _residual_check(
         residual_between([high.head_column[:, None]],
-                         [ext("Xgrad"), low.head_column[:, None]]), tol))
-    _timed(out, "cochain.ext_grad", lambda: _residual_check(
-        residual_between([high.gradient, ext("Xgrad")], [ext("Xcurl"), low.gradient]), tol))
-    _timed(out, "cochain.ext_curl", lambda: _residual_check(
-        residual_between([high.curl, ext("Xcurl")], [ext("Xdiv"), low.curl]), tol))
-    _timed(out, "cochain.ext_div", lambda: _residual_check(
-        residual_between([high.divergence, ext("Xdiv")], [ext("Pk"), low.divergence]), tol))
+                         [ext(SPACES[0]), low.head_column[:, None]]), tol))
+    for op in OPERATORS:
+        _timed(out, f"cochain.ext_{op.local}", lambda op=op: _residual_check(residual_between(
+            [high.operator(op.name), ext(op.source)], [ext(op.target), low.operator(op.name)]),
+            tol))
 
     tol = TOLERANCES["cw_diagram"]
     sc = de_rham_scaling(s.orient)
-    kappa_c = np.diag(sc.edge)
-    kappa_d = np.diag(sc.face)
-    kappa_p = np.diag(sc.cell)
+    kappa = {sp: [] if sc.measure(sp) is None else [np.diag(sc.measure(sp))] for sp in SPACES}
     ones = np.ones((s.mesh.n_vertices, 1))
     _timed(out, "cochain.cw_interp", lambda: _residual_check(
         residual_between([low.head_column[:, None]], [ones]), tol))
-    _timed(out, "cochain.cw_grad", lambda: _residual_check(
-        residual_between([kappa_c, low.gradient.toarray()],
-                         [s.cochain.d0.astype(float)]), tol))
-    _timed(out, "cochain.cw_curl", lambda: _residual_check(
-        residual_between([kappa_d, low.curl.toarray()],
-                         [s.cochain.d1.astype(float), kappa_c]), tol))
-    _timed(out, "cochain.cw_div", lambda: _residual_check(
-        residual_between([kappa_p, low.divergence.toarray()],
-                         [s.cochain.d2.astype(float), kappa_d]), tol))
+    for i, op in enumerate(OPERATORS):
+        _timed(out, f"cochain.cw_{op.local}", lambda i=i, op=op: _residual_check(
+            residual_between(kappa[op.target] + [low.operator(op.name).toarray()],
+                             [s.cochain.boundary(i).astype(float)] + kappa[op.source]), tol))
     return out
 
 
@@ -430,19 +398,13 @@ def check_zero_reduction(s: VerifySession) -> list[CheckResult]:
     def exactness():
         if s.k == 0:
             return _flag_check(True, "trivial at degree 0 (all subspaces are zero)")
-        bases = {sp: zero_reduction_basis(s.high, sp).toarray()
-                 for sp in ("Xgrad", "Xcurl", "Xdiv", "Pk")}
-        rg = numeric_rank(s.high.gradient @ bases["Xgrad"], s.opts).rank
-        rc = numeric_rank(s.high.curl @ bases["Xcurl"], s.opts).rank
-        rd = numeric_rank(s.high.divergence @ bases["Xdiv"], s.opts).rank
-        dims = {sp: b.shape[1] for sp, b in bases.items()}
-        deficits = (dims["Xgrad"] - rg,
-                    (dims["Xcurl"] - rc) - rg,
-                    (dims["Xdiv"] - rd) - rc,
-                    dims["Pk"] - rd)
-        ok = deficits == (0, 0, 0, 0)
-        return _flag_check(ok, f"stage deficits {list(deficits)} "
-                               f"(dims {list(dims.values())}, ranks {[rg, rc, rd]})")
+        bases = {sp: zero_reduction_basis(s.high, sp).toarray() for sp in SPACES}
+        ranks = [numeric_rank(s.high.operator(op.name) @ bases[op.source], s.opts).rank
+                 for op in OPERATORS]
+        dims = [b.shape[1] for b in bases.values()]
+        deficits = cohomology_dims(dims, ranks)
+        return _flag_check(not any(deficits), f"stage deficits {list(deficits)} "
+                                              f"(dims {dims}, ranks {ranks})")
 
     _timed(out, "zero_reduction.exact", exactness)
     return out
@@ -450,23 +412,14 @@ def check_zero_reduction(s: VerifySession) -> list[CheckResult]:
 
 def check_closed_forms(s: VerifySession) -> list[CheckResult]:
     tol = TOLERANCES["closed_forms"]
-    out: list[CheckResult] = []
-
-    def run():
-        g, c, d = ddr0_closed_forms(s.mesh, s.orient)
-        return {"gradient": residual_between([s.low.gradient], [g]),
-                "curl": residual_between([s.low.curl], [c]),
-                "divergence": residual_between([s.low.divergence], [d])}
-
     try:
-        res = run()
+        res = [(op.name, residual_between([s.low.operator(op.name)], [closed]))
+               for op, closed in zip(OPERATORS, ddr0_closed_forms(s.mesh, s.orient))]
     except DdrError as exc:
-        return [CheckResult("closed_forms.gradient", passed=False,
+        return [CheckResult(f"closed_forms.{OPERATORS[0].name}", passed=False,
                             error=f"{type(exc).__name__}: {exc}")]
-    for name, value in res.items():
-        out.append(CheckResult(f"closed_forms.{name}", passed=value <= tol,
-                               residual=float(value), tolerance=tol))
-    return out
+    return [CheckResult(f"closed_forms.{name}", passed=value <= tol, residual=float(value),
+                        tolerance=tol) for name, value in res]
 
 
 def _monomial_sweep(degree: int):
@@ -661,9 +614,9 @@ def run_all(mesh: Mesh, orientation: OrientationTable, degree: int,
                                       error=f"{type(exc).__name__}: {exc}"))
 
     ranks = {}
-    for which in ("gradient", "curl", "divergence"):
-        if which in s._ranks:
-            ranks[which] = s._ranks[which].as_dict()
+    for op in OPERATORS:
+        if op.name in s._ranks:
+            ranks[op.name] = s._ranks[op.name].as_dict()
 
     try:
         betti_cw = list(s.betti.as_tuple())
@@ -688,28 +641,46 @@ def run_all(mesh: Mesh, orientation: OrientationTable, degree: int,
 # ---------------------------------------------------------------------------
 # fault injection (verification targets, not user API)
 
+# fault kind: (orientation field, names of its indices)
+_FAULTS = {"omega_tf": ("cell_face_sign", ("element", "local face")),
+           "omega_fe": ("face_edge_sign", ("face", "local edge")),
+           "edge_length": ("edge_length", ("edge",))}
+
+
+def _fault_index(given: list[str], pos: int, count: int, what: str) -> int:
+    text = given[pos] if pos < len(given) else "0"
+    try:
+        index = int(text)
+    except ValueError:
+        raise InputError(f"{what} index {text!r} is not an integer") from None
+    if not 0 <= index < count:
+        raise InputError(f"{what} index {index} out of range [0, {count - 1}]")
+    return index
+
+
 def corrupt_orientation(orientation: OrientationTable, fault: str) -> OrientationTable:
     """A copy of the table with one deliberate defect.
 
     ``fault`` is KIND[:i[:j]] with KIND one of omega_tf, omega_fe,
     edge_length; i selects the element/face/edge (default 0) and j the
-    local face/edge position (default 0).
+    local face/edge position (default 0).  An index that is not an integer
+    in range raises :class:`InputError`.
     """
-    parts = fault.split(":")
-    kind = parts[0]
-    i = int(parts[1]) if len(parts) > 1 else 0
-    j = int(parts[2]) if len(parts) > 2 else 0
-    if kind == "omega_tf":
-        signs = [list(sg) for sg in orientation.cell_face_sign]
-        signs[i][j] = -signs[i][j]
-        return replace(orientation, cell_face_sign=tuple(tuple(sg) for sg in signs))
-    if kind == "omega_fe":
-        signs = [list(sg) for sg in orientation.face_edge_sign]
-        signs[i][j] = -signs[i][j]
-        return replace(orientation, face_edge_sign=tuple(tuple(sg) for sg in signs))
+    kind, *given = fault.split(":")
+    if kind not in _FAULTS:
+        raise InputError(f"unknown fault kind {kind!r} "
+                         "(choose omega_tf, omega_fe, or edge_length)")
+    field_name, names = _FAULTS[kind]
+    if len(given) > len(names):
+        raise InputError(f"fault {fault!r}: too many indices; {kind} takes "
+                         f"{' and '.join(names)}")
+    table = getattr(orientation, field_name)
+    i = _fault_index(given, 0, len(table), f"{kind}: {names[0]}")
     if kind == "edge_length":
-        lengths = orientation.edge_length.copy()
+        lengths = table.copy()
         lengths[i] *= 1.0 + 1e-3
         return replace(orientation, edge_length=lengths)
-    raise InputError(f"unknown fault kind {kind!r} "
-                     "(choose omega_tf, omega_fe, or edge_length)")
+    j = _fault_index(given, 1, len(table[i]), f"{kind}: {names[1]}")
+    signs = [list(sg) for sg in table]
+    signs[i][j] = -signs[i][j]
+    return replace(orientation, **{field_name: tuple(tuple(sg) for sg in signs)})

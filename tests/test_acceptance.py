@@ -34,8 +34,8 @@ def _announce(num, text):
 def _session(name, k):
     mesh, orient = mesh_and_orientation(name)
     s = VerifySession(mesh, orient, k)
-    s._high = complex_for(name, k)
-    s._low = complex_for(name, 0)
+    s.high = complex_for(name, k)
+    s.low = complex_for(name, 0)
     return s
 
 

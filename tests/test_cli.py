@@ -218,3 +218,36 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _cli_subprocess(*argv):
+    """Exit code and stderr of the CLI run in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddrcomplex.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "ddrcomplex.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("omega_tf:999", "omega_tf: element index 999 out of range [0, 7]"),
+    ("omega_tf:x", "omega_tf: element index 'x' is not an integer"),
+    ("omega_fe:0:99", "omega_fe: local edge index 99 out of range [0, 3]"),
+    ("edge_length:99999", "edge_length: edge index 99999 out of range [0, 63]"),
+    ("edge_length:-1", "edge_length: edge index -1 out of range [0, 63]"),
+])
+def test_bad_fault_spec_exit_2(tmp_path, spec, message):
+    code, err = _cli_subprocess("verify", "--builtin", "ring", "--degree", "0",
+                                "--inject-fault", spec, "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "1", "nan", "inf"])
+def test_rank_tolerance_outside_unit_interval_exit_2(tmp_path, tol):
+    code, err = _cli_subprocess("cohomology", "--builtin", "ring", f"--rank-tol={tol}",
+                                "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    assert "error: rank tolerance must lie strictly between 0 and 1" in err
+    assert "Traceback" not in err

@@ -14,7 +14,8 @@ from ddrcomplex import (
     run_all,
     InputError,
 )
-from ddrcomplex import lifting
+from ddrcomplex import betti_numbers, build_cochain_complex, integer_rank, lifting
+from ddrcomplex.homology import cohomology_dims
 from ddrcomplex.errors import ConditioningError
 from ddrcomplex.verification import (
     FAMILIES,
@@ -53,11 +54,37 @@ def test_cochain_diagram_sixteen_identities():
     mesh, orient = mesh_and_orientation("cube")
     s = VerifySession(mesh, orient, 1)
     checks = check_cochain_diagram(s)
-    assert len(checks) == 16
     assert all(c.passed for c in checks)
-    names = {c.name for c in checks}
-    assert {"cochain.RE_grad", "cochain.RE_tail", "cochain.red_curl",
-            "cochain.ext_div", "cochain.cw_grad"} <= names
+    assert [c.name for c in checks] == [
+        "cochain.RE_grad", "cochain.RE_curl", "cochain.RE_div", "cochain.RE_tail",
+        "cochain.red_interp", "cochain.red_grad", "cochain.red_curl", "cochain.red_div",
+        "cochain.ext_interp", "cochain.ext_grad", "cochain.ext_curl", "cochain.ext_div",
+        "cochain.cw_interp", "cochain.cw_grad", "cochain.cw_curl", "cochain.cw_div"]
+
+
+@pytest.mark.parametrize("name", ["cube", "ring", "cavity"])
+def test_cohomology_dims_agrees_with_betti_numbers_and_session(name):
+    mesh, orient = mesh_and_orientation(name)
+    cc = build_cochain_complex(mesh, orient)
+    (v, e, f, t), (r0, r1, r2) = cc.counts, [integer_rank(d) for d in (cc.d0, cc.d1, cc.d2)]
+    betti = betti_numbers(cc).as_tuple()
+    assert cohomology_dims(cc.counts, [r0, r1, r2]) == betti == \
+        (v - r0, e - r1 - r0, f - r2 - r1, t - r2)
+    for k in (0, 1, 2):
+        s = VerifySession(mesh, orient, k)
+        s.high = complex_for(name, k)
+        dg, dc, dd, dp = s.dims.values()
+        rg, rc, rd = (s.operator_rank(w).rank for w in ("gradient", "curl", "divergence"))
+        want = (dg - rg - 1, dc - rc - rg, dd - rd - rc, dp - rd)
+        assert s.cohomology_dims() == cohomology_dims([dg, dc, dd, dp], [rg, rc, rd], head=1) \
+            == want == (0, betti[1], betti[2], 0)
+
+
+def test_rank_options_reject_tolerances_outside_the_unit_interval():
+    for tol in (-1.0, 0.0, 1.0, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="strictly between 0 and 1"):
+            RankOptions(rel_tol=tol)
+    assert RankOptions(rel_tol=1e-6).rel_tol == 1e-6
 
 
 def test_cochain_checks_time_the_extension_solves(monkeypatch):
@@ -269,7 +296,7 @@ def test_consistency_matches_pointwise_oracle(name, k):
     else:
         mesh, orient = mesh_and_orientation(name)
         s = VerifySession(mesh, orient, k)
-        s._high = complex_for(name, k)
+        s.high = complex_for(name, k)
     want = _pointwise_consistency(s)
     got = check_consistency(s)
     assert [c.name for c in got] == [f"consistency.{n}" for n in want]

@@ -1,0 +1,67 @@
+"""Hashes of every CLI output a behaviour-preserving refactor must keep.
+
+Usage (from anywhere; the package is taken from this checkout's ``src``)::
+
+    python3 tools/refactor_gate.py > gate.txt
+
+Runs, with ``--no-timestamp``:
+
+* ``verify`` (all families) on the builtins cube, ring and cavity at
+  k = 0..2: report, stdout, stderr and exit code;
+* ``cohomology --generators`` on the same nine cases: report, stdout,
+  stderr, exit code and VTK file;
+* ``verify`` on ring k = 1 with each ``--inject-fault`` kind: report,
+  stdout, stderr and exit code.
+
+and prints one ``sha256  name`` line per output file (93 in all), sorted by
+name.  Run it on two commits and ``diff`` the outputs: no difference means
+the reports, messages, exit codes and VTK files are byte-identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MESHES = ("cube", "ring", "cavity")
+DEGREES = (0, 1, 2)
+FAULTS = ("omega_tf", "omega_fe", "edge_length")
+
+
+def _runs():
+    """(name, CLI arguments, writes a VTK file) for every gated request."""
+    for mesh in MESHES:
+        for k in DEGREES:
+            yield f"verify-{mesh}-k{k}", ["verify", "--builtin", mesh, "--degree", str(k)], False
+            yield (f"cohomology-{mesh}-k{k}",
+                   ["cohomology", "--builtin", mesh, "--degree", str(k)], True)
+    for fault in FAULTS:
+        yield (f"fault-{fault}-ring-k1",
+               ["verify", "--builtin", "ring", "--degree", "1", "--inject-fault", fault], False)
+
+
+def main() -> int:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for name, args, vtk in _runs():
+            argv = [sys.executable, "-m", "ddrcomplex.cli", *args, "--no-timestamp",
+                    "--out", str(out / f"{name}.json")]
+            if vtk:
+                argv += ["--generators", str(out / f"{name}.vtk")]
+            proc = subprocess.run(argv, capture_output=True, env=env, cwd=tmp)
+            (out / f"{name}.stdout").write_bytes(proc.stdout)
+            (out / f"{name}.stderr").write_bytes(proc.stderr)
+            (out / f"{name}.rc").write_text(f"{proc.returncode}\n")
+        for path in sorted(out.iterdir()):
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
