@@ -7,7 +7,8 @@ Subcommands::
     ddrcomplex verify     --builtin cavity --degree 1 --checks complex,cochain
 
 Exit codes: 0 success, 1 failed check or cohomology/Betti mismatch,
-2 invalid input.
+2 invalid input (including a path that cannot be read or written, and an
+input file that is not UTF-8 text).
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _generator_fields(high, generators: list[dict]) -> dict[str, np.ndarray]:
             values = np.zeros((high.mesh.n_elements, 3))
             for t in range(high.mesh.n_elements):
                 ops = getattr(high, cells.builder)(t)
-                coeff = getattr(ops, cells.lift) @ ops.lmap.gather(vec)
+                coeff = ops.potential @ ops.lmap.gather(vec)
                 basis = high.basis("cell", t, high.k, vector=True)
                 values[t] = np.einsum(
                     "pax,a->px", basis.eval_vector(high.orient.cell_center[t][None, :]),
@@ -205,11 +206,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "cohomology":
             return cmd_cohomology(args)
         return cmd_verify(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:   # OSError: a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: input file is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DdrError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ from .homology import (
 )
 from .layouts import CARRIERS, PARTS, entity_count
 from .mesh import OrientationTable
-from .operators import OPERATORS, DdrComplex, _Coo
+from .operators import OPERATORS, DdrComplex, _Coo, _label
 from .spaces import checked_solve
 from .sparse import CsrMatrix
 
@@ -173,7 +173,7 @@ class ExtensionMaps:
         # block's moment system restricted to tests: a "poly" target drops the
         # constant test function, whose moment only sees boundary data; an
         # image/complement target tests against its degree-k complement.  A
-        # second component is the L2 projection of the degree-0 block's lift.
+        # second component is the L2 projection of the degree-0 block's potential.
         for op, block in [(op, b) for op in OPERATORS if op.source == space for b in op.blocks]:
             kind, targets = block.kind, PARTS[op.target][block.kind]
             done = coo.build(shape)   # rows of lower-dimensional entities
@@ -190,21 +190,19 @@ class ExtensionMaps:
                 # leading each component, so its moments are the leading
                 # columns of the mass matrix.
                 mass, rhs = hops.moments.mass, hops.moments.rhs
-                low_op = getattr(lops, op.local)
-                lead = np.arange(low_op.shape[0]) * (mass.shape[0] // low_op.shape[0])
-                target = mass[:, lead] @ low_op - rhs @ known
+                lead = np.arange(lops.op.shape[0]) * (mass.shape[0] // lops.op.shape[0])
+                target = mass[:, lead] @ lops.op - rhs @ known
                 solved = rhs[:, hops.lmap.local_indices(kind, i, own.part)]
                 if len(targets) == 1:
                     solved, target = solved[1:], target[1:]
                 else:
                     p = high.subspace(targets[1][0], (kind, i), k).coeffs_float.T
                     solved, target = p @ solved, p @ target
-                where = "element" if kind == "cell" else kind
                 coo.add(rows, cols, checked_solve(solved, target,
-                                                  f"{where} {i}: {op.local} extension"))
+                                                  f"{_label(kind, i)}: {op.local} extension"))
                 for c in complement:
                     coo.add(hlay.indices(kind, i, c.part), cols, high.project_onto(
-                        c.part, (kind, i), k, 0, getattr(lops, block.lift)))
+                        c.part, (kind, i), k, 0, lops.potential))
         mat = coo.build(shape)
         self._cache[space] = mat
         return mat

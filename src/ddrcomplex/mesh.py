@@ -173,8 +173,8 @@ def build_voxel_mesh(pattern: np.ndarray, h: float = 1.0) -> Mesh:
     pattern = np.asarray(pattern, dtype=bool)
     if pattern.ndim != 3:
         raise InputError(f"occupancy pattern must be 3D, got shape {pattern.shape}")
-    if h <= 0:
-        raise InputError("cell size must be positive")
+    if not np.isfinite(h) or h <= 0:
+        raise InputError(f"cell size must be positive and finite, got {h}")
     cells = sorted(map(tuple, np.argwhere(pattern)))
     if not cells:
         raise InputError("empty occupancy pattern")

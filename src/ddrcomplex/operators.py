@@ -5,9 +5,10 @@ integration by parts: the unknown polynomial is tested against a space of
 polynomial test functions, boundary terms feed in the traces built on the
 lower-dimensional entities.  All defining systems are dense Gram or pairing
 systems solved per entity; global operators collect the local blocks into
-sparse matrices with deterministic (entity-index ascending) ordering.  Each
-gradient/curl/divergence builder keeps its moment system (:class:`Moments`),
-which the extensions of :mod:`.lifting` solve with degree-0 data.
+sparse matrices with deterministic (entity-index ascending) ordering.  Every
+local operator is one :class:`LocalOps` record, which keeps its moment system
+(:class:`Moments`) for the extensions of :mod:`.lifting` to solve with
+degree-0 data.
 :data:`OPERATORS` describes the complex once, operator by operator and entity
 kind by entity kind; assembly, extensions and checks all loop over it.
 
@@ -22,7 +23,7 @@ operators, their projected blocks and their monomial means.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,50 +58,20 @@ class Moments:
 
 
 @dataclass(frozen=True)
-class EdgeOps:
-    lmap: LocalMap        # restriction of Xgrad to the edge
-    trace: np.ndarray     # to P^(k+1)(E)
-    grad: np.ndarray      # to P^k(E)
-    moments: Moments      # of grad
+class LocalOps:
+    """One entity's local operator, the potential built with it, and the
+    operator's moment system.
 
+    ``op`` maps the local dofs of ``lmap`` to the operator's target
+    polynomials.  ``potential`` holds the edge or face scalar trace (to
+    P^(k+1)), the face tangential trace or the element curl or divergence
+    potential (to vP^k); the element gradient has none.
+    """
 
-@dataclass(frozen=True)
-class FaceGradOps:
-    lmap: LocalMap        # restriction of Xgrad to the face
-    grad: np.ndarray      # to vP^k(F)
-    trace: np.ndarray     # to P^(k+1)(F)
-    moments: Moments      # of grad
-
-
-@dataclass(frozen=True)
-class FaceCurlOps:
-    lmap: LocalMap        # restriction of Xcurl to the face
-    curl: np.ndarray      # to P^k(F)
-    ttrace: np.ndarray    # to vP^k(F)
-    moments: Moments      # of curl
-
-
-@dataclass(frozen=True)
-class CellGradOps:
     lmap: LocalMap
-    grad: np.ndarray      # to vP^k(T)
-    moments: Moments      # of grad
-
-
-@dataclass(frozen=True)
-class CellCurlOps:
-    lmap: LocalMap
-    curl: np.ndarray      # to vP^k(T)
-    potential: np.ndarray # to vP^k(T)
-    moments: Moments      # of curl
-
-
-@dataclass(frozen=True)
-class CellDivOps:
-    lmap: LocalMap
-    div: np.ndarray       # to P^k(T)
-    potential: np.ndarray # to vP^k(T)
-    moments: Moments      # of div
+    op: np.ndarray
+    potential: np.ndarray | None
+    moments: Moments
 
 
 @dataclass(frozen=True)
@@ -110,13 +81,12 @@ class Block:
     The local operator fills the target's components on the entity, read
     from :data:`.layouts.PARTS`: ``poly`` as it is, or the degree-(k-1)
     image and the degree-k complement, each the local operator's
-    projection.  ``lift`` names the local record's field that the
-    extensions project onto the source's complement part.
+    projection.  The extensions project the degree-0 potential onto the
+    source's complement part.
     """
 
     kind: str
     builder: str
-    lift: str | None = None
 
 
 @dataclass(frozen=True)
@@ -124,7 +94,7 @@ class Operator:
     name: str
     source: str
     target: str
-    local: str            # the local records' field holding the operator
+    local: str            # short name in check names
     blocks: tuple[Block, ...]
 
 
@@ -134,10 +104,8 @@ OPERATORS = (
              (Block("edge", "edge_ops"), Block("face", "face_grad_ops"),
               Block("cell", "cell_grad_ops"))),
     Operator("curl", "Xcurl", "Xdiv", "curl",
-             (Block("face", "face_curl_ops", "ttrace"),
-              Block("cell", "cell_curl_ops", "potential"))),
-    Operator("divergence", "Xdiv", "Pk", "div",
-             (Block("cell", "cell_div_ops", "potential"),)),
+             (Block("face", "face_curl_ops"), Block("cell", "cell_curl_ops"))),
+    Operator("divergence", "Xdiv", "Pk", "div", (Block("cell", "cell_div_ops"),)),
 )
 
 
@@ -191,15 +159,18 @@ def shape_key(mesh: Mesh, orientation: OrientationTable, kind: str,
 
 
 def _read_only(obj):
-    """Mark the arrays of an array or of a local-operator record read-only."""
-    if isinstance(obj, np.ndarray):
-        obj.setflags(write=False)
-    else:
-        for f in fields(obj):
-            value = getattr(obj, f.name)
-            if isinstance(value, (np.ndarray, Moments)):
-                _read_only(value)
+    """Mark an array, or the arrays of a local-operator record, read-only."""
+    arrays = ((obj.op, obj.potential, obj.moments.mass, obj.moments.rhs)
+              if isinstance(obj, LocalOps) else (obj,))
+    for a in arrays:
+        if a is not None:
+            a.setflags(write=False)
     return obj
+
+
+def _label(kind: str, index: int) -> str:
+    """An entity as solve and error messages name it."""
+    return f"{'element' if kind == 'cell' else kind} {index}"
 
 
 class _Coo:
@@ -252,11 +223,11 @@ class DdrComplex:
         self._subs: dict[tuple, SubspaceBasis] = {}
         self._means: dict[tuple, np.ndarray] = {}
         # shape sharing: representative per (kind, entity), lookup buckets of
-        # (representative, key lengths), local operators per builder and entity,
-        # projected blocks per (builder, part, representative)
+        # (representative, key lengths), local operators per (kind, space) and
+        # entity, projected blocks per (builder, part, representative)
         self._reps: dict[tuple[str, int], int] = {}
         self._shapes: dict[tuple, list[tuple[int, np.ndarray]]] = {}
-        self._ops: dict[str, dict[int, object]] = {}
+        self._ops: dict[tuple[str, str], dict[int, LocalOps]] = {}
         self._projected: dict[tuple, np.ndarray] = {}
         self._globals: dict[str, CsrMatrix] = {}
 
@@ -329,24 +300,35 @@ class DdrComplex:
             self._reps[(kind, index)] = rep
         return self._reps[(kind, index)]
 
-    def _shared(self, builder, kind: str, space: str, index: int):
-        """The local operators ``builder`` gives an entity.
+    def _shared(self, build, kind: str, space: str, index: int, *data) -> LocalOps:
+        """The local operators ``build`` gives an entity of ``kind`` on ``space``.
 
-        A representative is built and its arrays are marked read-only; a
-        congruent copy gets the same arrays with its own LocalMap.
+        A representative is built, as ``build(lmap, kind, index, *data)``,
+        and its arrays are marked read-only; a congruent copy gets the same
+        arrays with its own LocalMap.
         """
-        cache = self._ops.setdefault(builder.__name__, {})
+        cache = self._ops.setdefault((kind, space), {})
         if index not in cache:
             rep = self.representative(kind, index)
+            lmap = self.layout(space).restriction(kind, index)
             if rep == index:
-                cache[index] = _read_only(builder(index))
+                cache[index] = _read_only(build(lmap, kind, index, *data))
             else:
-                cache[index] = replace(self._shared(builder, kind, space, rep),
-                                       lmap=self.layout(space).restriction(kind, index))
+                cache[index] = replace(self._shared(build, kind, space, rep, *data), lmap=lmap)
         return cache[index]
 
     def _inv_h(self, kind: str, index: int) -> float:
         return 1.0 / self.orient.entity_diameter(kind, index)
+
+    def _boundary(self, kind: str, index: int):
+        """``(sub-entity, omega, normal)`` for each edge of a face (omega_FE,
+        n_FE) or each face of an element (omega_TF, n_F), in mesh order."""
+        o = self.orient
+        if kind == "face":
+            return zip(self.mesh.face_edges[index], o.face_edge_sign[index],
+                       o.face_edge_normal[index])
+        return ((f, omega, o.face_normal[f]) for f, omega in
+                zip(self.mesh.element_faces[index], o.cell_face_sign[index]))
 
     def project_onto(self, part: str, entity: tuple[str, int], degree: int,
                      source_degree: int, columns: np.ndarray) -> np.ndarray:
@@ -360,14 +342,13 @@ class DdrComplex:
                                self.gram(kind, rep, degree, source_degree, vector=True),
                                columns)
 
-    def _projected_op(self, builder: str, op: str, part: str, kind: str, index: int,
-                      degree: int) -> np.ndarray:
-        """A local operator projected onto a degree-k part, shared by shape."""
-        key = (builder, part, self.representative(kind, index))
+    def _projected_op(self, block: Block, part: str, index: int, degree: int) -> np.ndarray:
+        """A block's local operator projected onto a degree-k part, shared by shape."""
+        rep = self.representative(block.kind, index)
+        key = (block.builder, part, rep)
         if key not in self._projected:
-            ops = getattr(self, builder)(key[2])
-            self._projected[key] = _read_only(
-                self.project_onto(part, (kind, key[2]), degree, self.k, getattr(ops, op)))
+            self._projected[key] = _read_only(self.project_onto(
+                part, (block.kind, rep), degree, self.k, getattr(self, block.builder)(rep).op))
         return self._projected[key]
 
     def _complement_solve(self, lmap: LocalMap, entity: tuple[str, int], part: str,
@@ -383,15 +364,32 @@ class DdrComplex:
         rhs2[:, lmap.local_indices(*entity, part)] = t2.T @ vg_kk @ t2
         return checked_solve(tests.T @ vg_kk, np.concatenate([rhs1, rhs2], axis=0), what)
 
-    # -- edge operators -----------------------------------------------------
+    # -- local operators ------------------------------------------------------
+    # edge_ops ... cell_div_ops are the blocks of OPERATORS; each returns a
+    # LocalOps.  Face and element gradient are one integration by parts, as
+    # are the face curl and the element divergence with their potentials.
 
-    def edge_ops(self, e: int) -> EdgeOps:
+    def edge_ops(self, e: int) -> LocalOps:
         return self._shared(self._build_edge_ops, "edge", "Xgrad", e)
 
-    def _build_edge_ops(self, e: int) -> EdgeOps:
+    def face_grad_ops(self, f: int) -> LocalOps:
+        return self._shared(self._build_grad_ops, "face", "Xgrad", f)
+
+    def cell_grad_ops(self, t: int) -> LocalOps:
+        return self._shared(self._build_grad_ops, "cell", "Xgrad", t)
+
+    def face_curl_ops(self, f: int) -> LocalOps:
+        return self._shared(self._build_curl_div_ops, "face", "Xcurl", f, ("vrot",), -1)
+
+    def cell_curl_ops(self, t: int) -> LocalOps:
+        return self._shared(self._build_cell_curl_ops, "cell", "Xcurl", t)
+
+    def cell_div_ops(self, t: int) -> LocalOps:
+        return self._shared(self._build_curl_div_ops, "cell", "Xdiv", t, ("grad", 3), 1)
+
+    def _build_edge_ops(self, lmap: LocalMap, kind: str, e: int) -> LocalOps:
         k = self.k
         mesh = self.mesh
-        lmap = self.layout("Xgrad").restriction("edge", e)
         v1, v2 = (int(v) for v in mesh.edges[e])
         b_k1 = self.basis("edge", e, k + 1)
         ends = b_k1.eval(mesh.vertices[[v1, v2]])          # (2, k+2)
@@ -420,167 +418,136 @@ class DdrComplex:
         b[:, c_v2] += phi_k_ends[1]
         grad = checked_solve(g_kk, b, f"edge {e}: gradient")
 
-        return EdgeOps(lmap, trace, grad, Moments(g_kk, b))
+        return LocalOps(lmap, grad, trace, Moments(g_kk, b))
 
-    # -- face operators (gradient side) --------------------------------------
-
-    def face_grad_ops(self, f: int) -> FaceGradOps:
-        return self._shared(self._build_face_grad_ops, "face", "Xgrad", f)
-
-    def _build_face_grad_ops(self, f: int) -> FaceGradOps:
+    def _build_grad_ops(self, lmap: LocalMap, kind: str, i: int) -> LocalOps:
+        """Face or element gradient, tested against vP^k: minus the entity's
+        own P^(k-1) unknowns against the divergence of the tests, plus the
+        boundary's scalar traces against their normal components.  A face
+        also gets its scalar trace, which the element gradient uses."""
         k = self.k
-        lmap = self.layout("Xgrad").restriction("face", f)
-        nloc = lmap.total
-        vg_kk = self.gram("face", f, k, k, vector=True)
-        nk = self.basis("face", f, k).n_scalar
-        divf_k = mono.float_matrix("div", 2, k) * self._inv_h("face", f)
-        g_mm = self.gram("face", f, k - 1, k - 1)
+        dim = KINDS.index(kind)
+        sub = KINDS[dim - 1]
+        inv_h = self._inv_h(kind, i)
+        vg_kk = self.gram(kind, i, k, k, vector=True)
+        nk = self.basis(kind, i, k).n_scalar
+        div_k = mono.float_matrix("div", dim, k) * inv_h
+        g_mm = self.gram(kind, i, k - 1, k - 1)
 
-        b = np.zeros((2 * nk, nloc))
-        c_qf = lmap.local_indices("face", f, "poly")
-        if c_qf.size:
-            b[:, c_qf] = -(g_mm @ divf_k).T
+        b = np.zeros((dim * nk, lmap.total))
+        (own, _), = PARTS["Xgrad"][kind]
+        c_own = lmap.local_indices(kind, i, own)
+        if c_own.size:
+            b[:, c_own] = -(g_mm @ div_k).T
 
-        vbasis_k = self.basis("face", f, k, vector=True)
-        edge_cache = []
-        for pos, e in enumerate(self.mesh.face_edges[f]):
-            omega = self.orient.face_edge_sign[f][pos]
-            nfe = self.orient.face_edge_normal[f][pos]
-            erule = self.rule("edge", e)
-            eops = self.edge_ops(e)
-            embed = lmap.embed(eops.lmap)
-            phi_tr = self.basis("edge", e, k + 1).eval(erule.points) @ eops.trace
-            wphi = erule.weights[:, None] * phi_tr          # (q, nloc_E)
-            vn = vbasis_k.eval_vector(erule.points) @ nfe   # (q, 2nk)
+        vbasis_k = self.basis(kind, i, k, vector=True)
+        boundary = []
+        for s, omega, normal in self._boundary(kind, i):
+            srule = self.rule(sub, s)
+            sops = (self.edge_ops if sub == "edge" else self.face_grad_ops)(s)
+            embed = lmap.embed(sops.lmap)
+            phi_tr = self.basis(sub, s, k + 1).eval(srule.points) @ sops.potential
+            wphi = srule.weights[:, None] * phi_tr           # (q, nloc of s)
+            vn = vbasis_k.eval_vector(srule.points) @ normal  # (q, dim nk)
             b[:, embed] += omega * vn.T @ wphi
-            edge_cache.append((pos, e, omega, erule, embed, wphi))
-        grad = checked_solve(vg_kk, b, f"face {f}: gradient")
+            boundary.append((omega, normal, srule, embed, wphi))
+        grad = checked_solve(vg_kk, b, f"{_label(kind, i)}: gradient")
+        if kind == "cell":
+            return LocalOps(lmap, grad, None, Moments(vg_kk, b))
 
         # scalar trace: pairing against Rc^(k+2), square since
         # div_F : Rc^(k+2) -> P^(k+1) is an isomorphism
-        sub_rc2 = self.subspace("Rc", ("face", f), k + 2)
+        sub_rc2 = self.subspace("Rc", (kind, i), k + 2)
         c2 = sub_rc2.coeffs_float
-        divf_k2 = mono.float_matrix("div", 2, k + 2) * self._inv_h("face", f)
-        g_11 = self.gram("face", f, k + 1, k + 1)
+        divf_k2 = mono.float_matrix("div", 2, k + 2) * inv_h
+        g_11 = self.gram(kind, i, k + 1, k + 1)
         system = (divf_k2 @ c2).T @ g_11
-        vg_2k = self.gram("face", f, k + 2, k, vector=True)
+        vg_2k = self.gram(kind, i, k + 2, k, vector=True)
         rhs = -(c2.T @ vg_2k @ grad)
-        for pos, e, omega, erule, embed, wphi in edge_cache:
-            wvals = sub_rc2.eval_vector(erule.points)       # (q, m, 3)
-            nfe = self.orient.face_edge_normal[f][pos]
-            wn = wvals @ nfe                                # (q, m)
+        for omega, normal, srule, embed, wphi in boundary:
+            wn = sub_rc2.eval_vector(srule.points) @ normal  # (q, m)
             rhs[:, embed] += omega * wn.T @ wphi
-        trace = checked_solve(system, rhs, f"face {f}: scalar trace")
+        trace = checked_solve(system, rhs, f"face {i}: scalar trace")
+        return LocalOps(lmap, grad, trace, Moments(vg_kk, b))
 
-        return FaceGradOps(lmap, grad, trace, Moments(vg_kk, b))
+    def _build_curl_div_ops(self, lmap: LocalMap, kind: str, i: int, deriv: tuple,
+                            sign: int) -> LocalOps:
+        """Face curl or element divergence, and its potential.
 
-    def cell_grad_ops(self, t: int) -> CellGradOps:
-        return self._shared(self._build_cell_grad_ops, "cell", "Xgrad", t)
-
-    def _build_cell_grad_ops(self, t: int) -> CellGradOps:
+        The operator is tested against P^k: ``-sign`` times the entity's own
+        degree-(k-1) image part against ``deriv`` of the tests (``vrot`` on a
+        face, ``grad`` on an element), plus ``sign`` times the boundary's own
+        P^k unknowns.  The potential (face tangential trace, element
+        divergence potential) is tested against ``deriv`` of P^{0,k+1}:
+        ``-sign`` times the operator plus the boundary terms.  With the
+        degree-k complement part these tests span vP^k.
+        """
         k = self.k
-        lmap = self.layout("Xgrad").restriction("cell", t)
-        nloc = lmap.total
-        vg_kk = self.gram("cell", t, k, k, vector=True)
-        nk = self.basis("cell", t, k).n_scalar
-        div3 = mono.float_matrix("div", 3, k) * self._inv_h("cell", t)
-        g_mm = self.gram("cell", t, k - 1, k - 1)
+        sub = KINDS[KINDS.index(kind) - 1]
+        (image, _), (complement, _) = PARTS[lmap.layout.space][kind]
+        name = next(op.name for op in OPERATORS if op.source == lmap.layout.space)
+        inv_h = self._inv_h(kind, i)
+        nk = self.basis(kind, i, k).n_scalar
+        g_kk = self.gram(kind, i, k, k)
+        deriv_k = mono.float_matrix(*deriv, k) * inv_h
+        sub_img = self.subspace(image, (kind, i), k - 1)
+        vg_mm = self.gram(kind, i, k - 1, k - 1, vector=True)
 
-        b = np.zeros((3 * nk, nloc))
-        c_qt = lmap.local_indices("cell", t, "poly")
-        if c_qt.size:
-            b[:, c_qt] = -(g_mm @ div3).T
+        b = np.zeros((nk, lmap.total))
+        c_img = lmap.local_indices(kind, i, image)
+        if c_img.size:
+            b[:, c_img] = -sign * (sub_img.coeffs_float.T @ vg_mm @ deriv_k).T
 
-        vbasis_k = self.basis("cell", t, k, vector=True)
-        for pos, f in enumerate(self.mesh.element_faces[t]):
-            omega = self.orient.cell_face_sign[t][pos]
-            nf = self.orient.face_normal[f]
-            frule = self.rule("face", f)
-            fops = self.face_grad_ops(f)
-            embed = lmap.embed(fops.lmap)
-            phi_tr = self.basis("face", f, k + 1).eval(frule.points) @ fops.trace
-            wphi = frule.weights[:, None] * phi_tr
-            vn = vbasis_k.eval_vector(frule.points) @ nf
-            b[:, embed] += omega * vn.T @ wphi
-        grad = checked_solve(vg_kk, b, f"element {t}: gradient")
-        return CellGradOps(lmap, grad, Moments(vg_kk, b))
+        scal_k = self.basis(kind, i, k)
+        boundary = []
+        for s, omega, _ in self._boundary(kind, i):
+            srule = self.rule(sub, s)
+            c_s = lmap.local_indices(sub, s, "poly")
+            phi_s = self.basis(sub, s, k).eval(srule.points)
+            wphi_s = srule.weights[:, None] * phi_s          # (q, n_k of s)
+            phi = scal_k.eval(srule.points)                  # (q, nk)
+            b[:, c_s] += sign * omega * phi.T @ wphi_s
+            boundary.append((omega, srule, c_s, wphi_s))
+        op = checked_solve(g_kk, b, f"{_label(kind, i)}: {name}")
 
-    # -- face operators (curl side) -------------------------------------------
+        sub_p0 = self.subspace("P0", (kind, i), k + 1)
+        deriv_k1 = mono.float_matrix(*deriv, k + 1) * inv_h
+        g_k_k1 = self.gram(kind, i, k, k + 1)
+        rhs1 = -sign * ((g_k_k1 @ sub_p0.coeffs_float).T @ op)  # (n_{k+1}-1, nloc)
+        phi_k1 = self.basis(kind, i, k + 1)
+        for omega, srule, c_s, wphi_s in boundary:
+            phi_r = phi_k1.eval(srule.points) @ sub_p0.coeffs_float
+            rhs1[:, c_s] += omega * phi_r.T @ wphi_s
+        what = "tangential trace" if kind == "face" else f"{name} potential"
+        potential = self._complement_solve(lmap, (kind, i), complement,
+                                           deriv_k1 @ sub_p0.coeffs_float, rhs1,
+                                           f"{_label(kind, i)}: {what}")
+        return LocalOps(lmap, op, potential, Moments(g_kk, b))
 
-    def face_curl_ops(self, f: int) -> FaceCurlOps:
-        return self._shared(self._build_face_curl_ops, "face", "Xcurl", f)
-
-    def _build_face_curl_ops(self, f: int) -> FaceCurlOps:
+    def _build_cell_curl_ops(self, lmap: LocalMap, kind: str, t: int) -> LocalOps:
         k = self.k
-        lmap = self.layout("Xcurl").restriction("face", f)
-        nloc = lmap.total
-        nk = self.basis("face", f, k).n_scalar
-        g_kk = self.gram("face", f, k, k)
-        vrot_k = mono.float_matrix("vrot", k) * self._inv_h("face", f)
-        sub_r = self.subspace("R", ("face", f), k - 1)
-        vg_mm = self.gram("face", f, k - 1, k - 1, vector=True)
-
-        b = np.zeros((nk, nloc))
-        c_r = lmap.local_indices("face", f, "R")
-        if c_r.size:
-            b[:, c_r] = (sub_r.coeffs_float.T @ vg_mm @ vrot_k).T
-
-        scal_k = self.basis("face", f, k)
-        edge_cache = []
-        for pos, e in enumerate(self.mesh.face_edges[f]):
-            omega = self.orient.face_edge_sign[f][pos]
-            erule = self.rule("edge", e)
-            c_ve = lmap.local_indices("edge", e, "poly")
-            phi_ve = self.basis("edge", e, k).eval(erule.points)
-            wphi_ve = erule.weights[:, None] * phi_ve       # (q, k+1)
-            phi_face = scal_k.eval(erule.points)            # (q, nk)
-            b[:, c_ve] -= omega * phi_face.T @ wphi_ve
-            edge_cache.append((e, omega, erule, c_ve, wphi_ve))
-        curl = checked_solve(g_kk, b, f"face {f}: curl")
-
-        # tangential trace: tests vrot(P^{0,k+1}) + Rc^k span vP^k
-        sub_p0 = self.subspace("P0", ("face", f), k + 1)
-        vrot_k1 = mono.float_matrix("vrot", k + 1) * self._inv_h("face", f)
-        g_k_k1 = self.gram("face", f, k, k + 1)
-        rhs1 = (g_k_k1 @ sub_p0.coeffs_float).T @ curl      # (n_{k+1}-1, nloc)
-        phi_k1 = self.basis("face", f, k + 1)
-        for e, omega, erule, c_ve, wphi_ve in edge_cache:
-            phi_r = phi_k1.eval(erule.points) @ sub_p0.coeffs_float
-            rhs1[:, c_ve] += omega * phi_r.T @ wphi_ve
-        ttrace = self._complement_solve(lmap, ("face", f), "Rc", vrot_k1 @ sub_p0.coeffs_float,
-                                        rhs1, f"face {f}: tangential trace")
-
-        return FaceCurlOps(lmap, curl, ttrace, Moments(g_kk, b))
-
-    def cell_curl_ops(self, t: int) -> CellCurlOps:
-        return self._shared(self._build_cell_curl_ops, "cell", "Xcurl", t)
-
-    def _build_cell_curl_ops(self, t: int) -> CellCurlOps:
-        k = self.k
-        lmap = self.layout("Xcurl").restriction("cell", t)
+        (image, _), (complement, _) = PARTS["Xcurl"]["cell"]
         nloc = lmap.total
         nk = self.basis("cell", t, k).n_scalar
         vg_kk = self.gram("cell", t, k, k, vector=True)
         curl_k = mono.float_matrix("curl", k) * self._inv_h("cell", t)
-        sub_r = self.subspace("R", ("cell", t), k - 1)
+        sub_r = self.subspace(image, ("cell", t), k - 1)
         vg_mm = self.gram("cell", t, k - 1, k - 1, vector=True)
 
         b = np.zeros((3 * nk, nloc))
-        c_r = lmap.local_indices("cell", t, "R")
+        c_r = lmap.local_indices("cell", t, image)
         if c_r.size:
             b[:, c_r] = (sub_r.coeffs_float.T @ vg_mm @ curl_k).T
 
         vbasis_k = self.basis("cell", t, k, vector=True)
         face_cache = []
-        for pos, f in enumerate(self.mesh.element_faces[t]):
-            omega = self.orient.cell_face_sign[t][pos]
-            nf = self.orient.face_normal[f]
+        for f, omega, nf in self._boundary("cell", t):
             frule = self.rule("face", f)
             fops = self.face_curl_ops(f)
             embed = lmap.embed(fops.lmap)
             gt_vals = np.einsum("pax,ab->pbx",
                                 self.basis("face", f, k, vector=True).eval_vector(frule.points),
-                                fops.ttrace)                # (q, nloc_F, 3)
+                                fops.potential)             # (q, nloc_F, 3)
             w_gt = frule.weights[:, None, None] * gt_vals
             wxn = np.cross(vbasis_k.eval_vector(frule.points), nf[None, None, :])
             b[:, embed] += omega * np.einsum("qjx,qlx->jl", wxn, w_gt)
@@ -598,57 +565,11 @@ class DdrComplex:
                                sub_gc1.coeffs_float)
             wxn = np.cross(w_vals, nf[None, None, :])
             rhs1[:, embed] -= omega * np.einsum("qjx,qlx->jl", wxn, w_gt)
-        potential = self._complement_solve(lmap, ("cell", t), "Rc", curl_k1 @ sub_gc1.coeffs_float,
+        potential = self._complement_solve(lmap, ("cell", t), complement,
+                                           curl_k1 @ sub_gc1.coeffs_float,
                                            rhs1, f"element {t}: curl potential")
 
-        return CellCurlOps(lmap, curl, potential, Moments(vg_kk, b))
-
-    # -- element operators (divergence side) ----------------------------------
-
-    def cell_div_ops(self, t: int) -> CellDivOps:
-        return self._shared(self._build_cell_div_ops, "cell", "Xdiv", t)
-
-    def _build_cell_div_ops(self, t: int) -> CellDivOps:
-        k = self.k
-        lmap = self.layout("Xdiv").restriction("cell", t)
-        nloc = lmap.total
-        nk = self.basis("cell", t, k).n_scalar
-        g_kk = self.gram("cell", t, k, k)
-        grad3 = mono.float_matrix("grad", 3, k) * self._inv_h("cell", t)
-        sub_g = self.subspace("G", ("cell", t), k - 1)
-        vg_mm = self.gram("cell", t, k - 1, k - 1, vector=True)
-
-        b = np.zeros((nk, nloc))
-        c_g = lmap.local_indices("cell", t, "G")
-        if c_g.size:
-            b[:, c_g] = -(sub_g.coeffs_float.T @ vg_mm @ grad3).T
-
-        scal_k = self.basis("cell", t, k)
-        face_cache = []
-        for pos, f in enumerate(self.mesh.element_faces[t]):
-            omega = self.orient.cell_face_sign[t][pos]
-            frule = self.rule("face", f)
-            c_wf = lmap.local_indices("face", f, "poly")
-            phi_wf = self.basis("face", f, k).eval(frule.points)
-            wphi_wf = frule.weights[:, None] * phi_wf
-            phi_cell = scal_k.eval(frule.points)
-            b[:, c_wf] += omega * phi_cell.T @ wphi_wf
-            face_cache.append((f, omega, frule, c_wf, wphi_wf))
-        div = checked_solve(g_kk, b, f"element {t}: divergence")
-
-        # potential: tests grad(P^{0,k+1}) + Gc^k span vP^k
-        sub_p0 = self.subspace("P0", ("cell", t), k + 1)
-        grad_k1 = mono.float_matrix("grad", 3, k + 1) * self._inv_h("cell", t)
-        g_k1_k = self.gram("cell", t, k + 1, k)
-        rhs1 = -(sub_p0.coeffs_float.T @ g_k1_k) @ div
-        phi_k1 = self.basis("cell", t, k + 1)
-        for f, omega, frule, c_wf, wphi_wf in face_cache:
-            phi_r = phi_k1.eval(frule.points) @ sub_p0.coeffs_float
-            rhs1[:, c_wf] += omega * phi_r.T @ wphi_wf
-        potential = self._complement_solve(lmap, ("cell", t), "Gc", grad_k1 @ sub_p0.coeffs_float,
-                                           rhs1, f"element {t}: divergence potential")
-
-        return CellDivOps(lmap, div, potential, Moments(g_kk, b))
+        return LocalOps(lmap, curl, potential, Moments(vg_kk, b))
 
     # -- global assembly -------------------------------------------------------
 
@@ -667,12 +588,11 @@ class DdrComplex:
                     ops = getattr(self, block.builder)(i)
                     if len(parts) == 1:
                         coo.add(tgt.indices(block.kind, i, parts[0][0]), ops.lmap.globals,
-                                getattr(ops, op.local))
+                                ops.op)
                         continue
                     for part, shift in parts:
                         coo.add(tgt.indices(block.kind, i, part), ops.lmap.globals,
-                                self._projected_op(block.builder, op.local, part,
-                                                   block.kind, i, self.k + shift))
+                                self._projected_op(block, part, i, self.k + shift))
             self._globals[which] = coo.build((tgt.total, self.layout(op.source).total))
         return self._globals[which]
 

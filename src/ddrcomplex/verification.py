@@ -411,15 +411,21 @@ def check_zero_reduction(s: VerifySession) -> list[CheckResult]:
 
 
 def check_closed_forms(s: VerifySession) -> list[CheckResult]:
+    """Each degree-0 operator against its boundary-value formula; the
+    formulas are built inside the first check."""
     tol = TOLERANCES["closed_forms"]
-    try:
-        res = [(op.name, residual_between([s.low.operator(op.name)], [closed]))
-               for op, closed in zip(OPERATORS, ddr0_closed_forms(s.mesh, s.orient))]
-    except DdrError as exc:
-        return [CheckResult(f"closed_forms.{OPERATORS[0].name}", passed=False,
-                            error=f"{type(exc).__name__}: {exc}")]
-    return [CheckResult(f"closed_forms.{name}", passed=value <= tol, residual=float(value),
-                        tolerance=tol) for name, value in res]
+    out: list[CheckResult] = []
+    closed: list[CsrMatrix] = []
+
+    def formula(i: int) -> CsrMatrix:
+        if not closed:
+            closed.extend(ddr0_closed_forms(s.mesh, s.orient))
+        return closed[i]
+
+    for i, op in enumerate(OPERATORS):
+        _timed(out, f"closed_forms.{op.name}", lambda i=i, op=op: _residual_check(
+            residual_between([s.low.operator(op.name)], [formula(i)]), tol))
+    return out
 
 
 def _monomial_sweep(degree: int):
@@ -494,10 +500,10 @@ def check_consistency(s: VerifySession) -> list[CheckResult]:
             for m, alpha in enumerate(alphas):
                 loc = ops.lmap.gather(vecs[m])
                 qv = fields[m](pts)
-                tv = trace_phi @ (ops.trace @ loc)
+                tv = trace_phi @ (ops.potential @ loc)
                 res["edge_trace"][m, e] = _relative_error(tv, qv)
                 dq = _monomial_gradient(pts, alpha) @ tangent
-                gv = grad_phi @ (ops.grad @ loc)
+                gv = grad_phi @ (ops.op @ loc)
                 res["edge_gradient"][m, e] = _relative_error(gv, dq)
         for f in range(mesh.n_faces):
             ops = high.face_grad_ops(f)
@@ -508,11 +514,11 @@ def check_consistency(s: VerifySession) -> list[CheckResult]:
             for m, alpha in enumerate(alphas):
                 loc = ops.lmap.gather(vecs[m])
                 qv = fields[m](pts)
-                tv = trace_phi @ (ops.trace @ loc)
+                tv = trace_phi @ (ops.potential @ loc)
                 res["face_trace"][m, f] = _relative_error(tv, qv)
                 g = _monomial_gradient(pts, alpha)
                 gq = g - (g @ n)[:, None] * n
-                gv = np.einsum("pax,a->px", grad_phi, ops.grad @ loc)
+                gv = np.einsum("pax,a->px", grad_phi, ops.op @ loc)
                 res["face_gradient"][m, f] = _relative_error(gv, gq)
         for t in range(mesh.n_elements):
             ops = high.cell_grad_ops(t)
@@ -520,7 +526,7 @@ def check_consistency(s: VerifySession) -> list[CheckResult]:
             grad_phi = high.basis("cell", t, k, vector=True).eval_vector(pts)
             for m, alpha in enumerate(alphas):
                 gq = _monomial_gradient(pts, alpha)
-                gv = np.einsum("pax,a->px", grad_phi, ops.grad @ ops.lmap.gather(vecs[m]))
+                gv = np.einsum("pax,a->px", grad_phi, ops.op @ ops.lmap.gather(vecs[m]))
                 res["element_gradient"][m, t] = _relative_error(gv, gq)
             del grad_phi   # the largest array here; free it before the next one is built
     except DdrError as exc:
@@ -545,23 +551,19 @@ def check_generators(s: VerifySession) -> tuple[list[CheckResult], list[LiftedGe
     tol = TOLERANCES["generator_kernel"]
     out: list[CheckResult] = []
     lifted: list[LiftedGenerators] = []
-    for index, tag in ((1, "h1"), (2, "h2")):
-        start = time.perf_counter()
-        try:
-            lg = lift_generators(s.high, s.low, index, kernel_tol=tol,
-                                 cochain=s.cochain, ext=s.ext)
-            lifted.append(lg)
-            want = s.betti.as_tuple()[index]
-            res = max((c["kernel_residual"] for c in lg.certificates), default=0.0)
-            out.append(CheckResult(
-                f"generators.{tag}", passed=len(lg.vectors) == want,
-                residual=float(res), tolerance=tol,
-                detail=f"{len(lg.vectors)} generator(s), expected {want}",
-                seconds=time.perf_counter() - start))
-        except DdrError as exc:
-            out.append(CheckResult(f"generators.{tag}", passed=False,
-                                   seconds=time.perf_counter() - start,
-                                   error=f"{type(exc).__name__}: {exc}"))
+
+    def lift(index: int) -> CheckResult:
+        lg = lift_generators(s.high, s.low, index, kernel_tol=tol,
+                             cochain=s.cochain, ext=s.ext)
+        lifted.append(lg)
+        want = s.betti.as_tuple()[index]
+        res = max((c["kernel_residual"] for c in lg.certificates), default=0.0)
+        return CheckResult("", passed=len(lg.vectors) == want, residual=float(res),
+                           tolerance=tol,
+                           detail=f"{len(lg.vectors)} generator(s), expected {want}")
+
+    for index in (1, 2):
+        _timed(out, f"generators.h{index}", lambda index=index: lift(index))
     return out, lifted
 
 

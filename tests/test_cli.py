@@ -251,3 +251,29 @@ def test_rank_tolerance_outside_unit_interval_exit_2(tmp_path, tol):
     assert code == 2
     assert "error: rank tolerance must lie strictly between 0 and 1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["verify --mesh DIR", "verify --mesh BINARY", "mesh --pattern DIR",
+                                  "mesh --pattern BINARY", "verify --out DIR"])
+def test_unusable_path_exit_2(tmp_path, case):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe#\n")
+    path = str(tmp_path if case.endswith("DIR") else binary)
+    argv = {"verify --mesh": ["verify", "--mesh", path],
+            "mesh --pattern": ["mesh", "--pattern", path, "--out", str(tmp_path / "m.json")],
+            "verify --out": ["verify", "--builtin", "cube", "--checks", "complex", "--out", path],
+            }[case.rsplit(" ", 1)[0]]
+    code, err = _cli_subprocess(*argv)
+    assert code == 2
+    message = "Is a directory" if case.endswith("DIR") else "input file is not UTF-8 text"
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("size", ["nan", "inf"])
+def test_non_finite_cell_size_exit_2(tmp_path, capsys, size):
+    out = tmp_path / "m.json"
+    assert run_cli("mesh", "--builtin", "cube", "--cell-size", size, "--out", str(out)) == 2
+    assert f"error: cell size must be positive and finite, got {size}" in capsys.readouterr().err
+    assert not out.exists()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ddrcomplex import DofLayout, DomainError, ddr0_closed_forms
+from ddrcomplex.layouts import entity_count
+from ddrcomplex.operators import OPERATORS
 
 from conftest import complex_for, mesh_and_orientation
 
@@ -67,7 +69,7 @@ def test_edge_gradient_k0_unit_edge():
     ops = c.edge_ops(0)
     # local dofs are (q_V1, q_V2); |E| = 1 and the gradient is the difference
     vec = np.asarray([0.0, 1.0])
-    assert abs(ops.grad @ vec - 1.0).max() < 1e-13
+    assert abs(ops.op @ vec - 1.0).max() < 1e-13
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -76,9 +78,9 @@ def test_edge_trace_and_gradient_constants(k):
     vec = c.interpolate_grad(lambda p: 3.5)
     ops = c.edge_ops(2)
     loc = ops.lmap.gather(vec)
-    trace = ops.trace @ loc
+    trace = ops.potential @ loc
     assert abs(trace[0] - 3.5) < 1e-12 and np.abs(trace[1:]).max() < 1e-12
-    assert np.abs(ops.grad @ loc).max() < 1e-12
+    assert np.abs(ops.op @ loc).max() < 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -93,10 +95,10 @@ def test_edge_trace_exact_for_full_degree(k):
             continue  # trace is low-degree there anyway
         ops = c.edge_ops(e)
         rule = c.rule("edge", e)
-        vals = c.basis("edge", e, k + 1).eval(rule.points) @ (ops.trace @ ops.lmap.gather(vec))
+        vals = c.basis("edge", e, k + 1).eval(rule.points) @ (ops.potential @ ops.lmap.gather(vec))
         exact = q(rule.points)
         assert np.abs(vals - exact).max() < 1e-11
-        deriv = c.basis("edge", e, k).eval(rule.points) @ (ops.grad @ ops.lmap.gather(vec))
+        deriv = c.basis("edge", e, k).eval(rule.points) @ (ops.op @ ops.lmap.gather(vec))
         dexact = np.asarray([(k + 1) * (p[0] + 0.25) ** k * orient.edge_tangent[e][0]
                              for p in rule.points])
         assert np.abs(deriv - dexact).max() < 1e-10
@@ -112,8 +114,8 @@ def test_edge_gradient_is_trace_derivative():
     rule = c.rule("edge", 5)
     from ddrcomplex import monomials as mono
     deriv = mono.to_float(mono.derivative_matrix(1, k + 1, 0)) / c.orient.edge_length[5]
-    lhs = c.basis("edge", 5, k).eval(rule.points) @ (ops.grad @ vec)
-    rhs = c.basis("edge", 5, k).eval(rule.points) @ (deriv @ ops.trace @ vec)
+    lhs = c.basis("edge", 5, k).eval(rule.points) @ (ops.op @ vec)
+    rhs = c.basis("edge", 5, k).eval(rule.points) @ (deriv @ ops.potential @ vec)
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -125,8 +127,8 @@ def test_face_ops_on_constants(k):
     vec = c.interpolate_grad(lambda p: 2.0)
     ops = c.face_grad_ops(3)
     loc = ops.lmap.gather(vec)
-    assert np.abs(ops.grad @ loc).max() < 1e-12
-    trace = ops.trace @ loc
+    assert np.abs(ops.op @ loc).max() < 1e-12
+    trace = ops.potential @ loc
     assert abs(trace[0] - 2.0) < 1e-11 and np.abs(trace[1:]).max() < 1e-11
 
 
@@ -141,7 +143,7 @@ def test_face_gradient_of_affine(k):
         rule = c.rule("face", f)
         gv = np.einsum("pax,a->px",
                        c.basis("face", f, k, vector=True).eval_vector(rule.points),
-                       ops.grad @ ops.lmap.gather(vec))
+                       ops.op @ ops.lmap.gather(vec))
         n = orient.face_normal[f]
         expected = coeffs - (coeffs @ n) * n
         assert np.abs(gv - expected[None, :]).max() < 1e-11
@@ -155,7 +157,7 @@ def test_face_curl_k0_constant_tangential_field():
     vglobal = orient.edge_tangent @ const
     for f in range(mesh.n_faces):
         ops = c.face_curl_ops(f)
-        assert np.abs(ops.curl @ ops.lmap.gather(vglobal)).max() < 1e-12
+        assert np.abs(ops.op @ ops.lmap.gather(vglobal)).max() < 1e-12
 
 
 def test_face_curl_k0_unit_circulation_sign_oracle():
@@ -170,7 +172,7 @@ def test_face_curl_k0_unit_circulation_sign_oracle():
         vglobal[e] = -sign  # unit circulation aligned against omega
         oracle += sign * orient.edge_length[e] * vglobal[e]
     oracle *= -1.0 / orient.face_area[f]
-    got = (ops.curl @ ops.lmap.gather(vglobal))[0]
+    got = (ops.op @ ops.lmap.gather(vglobal))[0]
     assert abs(abs(got) - 4.0) < 1e-12
     assert abs(got - oracle) < 1e-12
 
@@ -179,8 +181,8 @@ def test_face_zero_input_zero_output():
     c = complex_for("cube", 1)
     ops = c.face_curl_ops(2)
     z = np.zeros(ops.lmap.total)
-    assert np.abs(ops.curl @ z).max() == 0.0
-    assert np.abs(ops.ttrace @ z).max() == 0.0
+    assert np.abs(ops.op @ z).max() == 0.0
+    assert np.abs(ops.potential @ z).max() == 0.0
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -192,10 +194,25 @@ def test_tangential_trace_of_gradient_is_face_gradient(k):
     for f in range(mesh.n_faces):
         fc = c.face_curl_ops(f)
         fg = c.face_grad_ops(f)
-        lhs = fc.ttrace @ G[fc.lmap.globals, :]
+        lhs = fc.potential @ G[fc.lmap.globals, :]
         rhs = np.zeros_like(lhs)
-        rhs[:, fg.lmap.globals] = fg.grad
+        rhs[:, fg.lmap.globals] = fg.op
         assert np.abs(lhs - rhs).max() < 1e-11
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", ["cube", "ring", "cavity"])
+def test_local_records_solve_their_moment_systems(name, k):
+    # the extensions solve the stored moments with degree-0 data, which relies
+    # on mass @ op = rhs; every record but the element gradient's has a potential
+    c = complex_for(name, k)
+    for block in (b for op in OPERATORS for b in op.blocks):
+        for i in range(entity_count(c.mesh, block.kind)):
+            ops = getattr(c, block.builder)(i)
+            mass, rhs = ops.moments.mass, ops.moments.rhs
+            assert np.abs(mass @ ops.op - rhs).max() <= 1e-12 * np.abs(rhs).max(), \
+                (block.builder, i)
+            assert (ops.potential is None) == (block.builder == "cell_grad_ops")
 
 
 # -- element operators ---------------------------------------------------------------
@@ -208,7 +225,7 @@ def test_element_gradient_consistency(k):
     rule = c.rule("cell", 0)
     gv = np.einsum("pax,a->px",
                    c.basis("cell", 0, k, vector=True).eval_vector(rule.points),
-                   ops.grad @ ops.lmap.gather(vec))
+                   ops.op @ ops.lmap.gather(vec))
     assert np.abs(gv - np.asarray([1.0, 0.0, 0.0])[None, :]).max() < 1e-11
 
 
@@ -218,7 +235,7 @@ def test_element_curl_of_gradient_vanishes():
     q = rng.standard_normal(c.layout("Xgrad").total)
     v = c.gradient @ q
     ops = c.cell_curl_ops(0)
-    assert np.abs(ops.curl @ ops.lmap.gather(v)).max() < 1e-10
+    assert np.abs(ops.op @ ops.lmap.gather(v)).max() < 1e-10
 
 
 def test_pcurl_k0_of_constant_field():
@@ -241,14 +258,14 @@ def test_divergence_k0_examples():
     # constant normal flux of a constant field: closed surface, zero divergence
     const = np.asarray([0.9, -0.2, 0.7])
     w = orient.face_normal @ const
-    assert np.abs(ops.div @ ops.lmap.gather(w)).max() < 1e-12
+    assert np.abs(ops.op @ ops.lmap.gather(w)).max() < 1e-12
     # w_F = mean((x/3) . n_F): divergence theorem gives exactly 1
     w = np.empty(mesh.n_faces)
     for f in range(mesh.n_faces):
         rule = c.rule("face", f)
         w[f] = (rule.weights * ((rule.points / 3.0) @ orient.face_normal[f])).sum() \
             / orient.face_area[f]
-    val = ops.div @ ops.lmap.gather(w)
+    val = ops.op @ ops.lmap.gather(w)
     assert abs(val[0] - 1.0) < 1e-12
     # zero input
     assert np.abs(ops.potential @ np.zeros(ops.lmap.total)).max() == 0.0

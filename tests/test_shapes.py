@@ -19,14 +19,14 @@ from ddrcomplex.layouts import closure
 
 from conftest import complex_for, mesh_and_orientation
 
-# (entity kind, builder, the builder's first solve label, the arrays it returns)
+# (entity kind, builder, the builder's first solve label)
 BUILDERS = (
-    ("edge", "edge_ops", "edge {}: scalar trace", ("trace", "grad")),
-    ("face", "face_grad_ops", "face {}: gradient", ("grad", "trace")),
-    ("cell", "cell_grad_ops", "element {}: gradient", ("grad",)),
-    ("face", "face_curl_ops", "face {}: curl", ("curl", "ttrace")),
-    ("cell", "cell_curl_ops", "element {}: curl", ("curl", "potential")),
-    ("cell", "cell_div_ops", "element {}: divergence", ("div", "potential")),
+    ("edge", "edge_ops", "edge {}: scalar trace"),
+    ("face", "face_grad_ops", "face {}: gradient"),
+    ("cell", "cell_grad_ops", "element {}: gradient"),
+    ("face", "face_curl_ops", "face {}: curl"),
+    ("cell", "cell_curl_ops", "element {}: curl"),
+    ("cell", "cell_div_ops", "element {}: divergence"),
 )
 # projected blocks of the global gradient and curl: (operator, builder, kind, part, degree shift)
 PROJECTED = (
@@ -82,20 +82,21 @@ def _cross_check(mesh, orient, k, shared):
         for kind, ents in chosen.items():
             for i in ents:
                 assert fresh.representative(kind, i) == i
-        for kind, builder, _, names in BUILDERS:
+        for kind, builder, _ in BUILDERS:
             for i in chosen[kind]:
                 a, b = getattr(shared, builder)(i), getattr(fresh, builder)(i)
                 assert np.array_equal(a.lmap.globals, b.lmap.globals)
-                pairs = [(getattr(a, n), getattr(b, n)) for n in names]
-                pairs += [(a.moments.mass, b.moments.mass), (a.moments.rhs, b.moments.rhs)]
+                pairs = [(a.op, b.op), (a.moments.mass, b.moments.mass),
+                         (a.moments.rhs, b.moments.rhs)]
+                if a.potential is not None:
+                    pairs.append((a.potential, b.potential))
                 worst = max([worst] + [_rel(x, y) for x, y in pairs])
         for which, builder, kind, part, shift in PROJECTED:
             rows_of = shared.layout("Xcurl" if which == "gradient" else "Xdiv")
             glob = shared.operator(which)
             for i in chosen[kind]:
                 ops = getattr(fresh, builder)(i)
-                block = fresh.project_onto(part, (kind, i), k + shift, k,
-                                           ops.grad if which == "gradient" else ops.curl)
+                block = fresh.project_onto(part, (kind, i), k + shift, k, ops.op)
                 rows = rows_of.indices(kind, i, part)
                 got = glob.gather(rows, ops.lmap.globals)
                 worst = max(worst, _rel(got, block))
@@ -145,7 +146,7 @@ def _spy_builds(monkeypatch):
 
 
 def _build_all(c):
-    for kind, builder, _, _ in BUILDERS:
+    for kind, builder, _ in BUILDERS:
         for i in range(_counts(c.mesh)[kind]):
             getattr(c, builder)(i)
 
@@ -206,7 +207,7 @@ def test_key_sees_every_input_of_the_builders(monkeypatch, name, perturb):
     _build_all(c)
     for kind, i in targets:
         assert c.representative(kind, i) == i, (kind, i)
-        for bkind, _, label, _ in BUILDERS:
+        for bkind, _, label in BUILDERS:
             if bkind == kind:
                 assert label.format(i) in labels, (kind, i, label)
 
@@ -258,7 +259,7 @@ def test_fresh_builds_count_congruence_classes(monkeypatch, hole):
     orient = compute_orientation(mesh)
     labels = _spy_builds(monkeypatch)
     _build_all(DdrComplex(mesh, orient, 1))
-    for kind, _, label, _ in BUILDERS:
+    for kind, _, label in BUILDERS:
         n = _counts(mesh)[kind]
         builds = sum(label.format(i) in labels for i in range(n))
         classes = _congruence_classes(mesh, orient, kind)
@@ -270,7 +271,7 @@ def test_copies_share_read_only_arrays():
     e = _copy_of(c, "edge")
     rep = c.representative("edge", e)
     a, b = c.edge_ops(e), c.edge_ops(rep)
-    assert a.grad is b.grad and a.moments.rhs is b.moments.rhs
+    assert a.op is b.op and a.moments.rhs is b.moments.rhs
     assert a.lmap is not b.lmap and a.lmap.globals.tolist() != b.lmap.globals.tolist()
-    for arr in (a.grad, a.trace, a.moments.mass, a.moments.rhs, c.means("edge", e)):
+    for arr in (a.op, a.potential, a.moments.mass, a.moments.rhs, c.means("edge", e)):
         assert not arr.flags.writeable

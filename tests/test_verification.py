@@ -14,7 +14,7 @@ from ddrcomplex import (
     run_all,
     InputError,
 )
-from ddrcomplex import betti_numbers, build_cochain_complex, integer_rank, lifting
+from ddrcomplex import betti_numbers, build_cochain_complex, integer_rank, lifting, verification
 from ddrcomplex.homology import cohomology_dims
 from ddrcomplex.errors import ConditioningError
 from ddrcomplex.verification import (
@@ -22,6 +22,7 @@ from ddrcomplex.verification import (
     TOLERANCES,
     VerifySession,
     _monomial_sweep,
+    check_closed_forms,
     check_cochain_diagram,
     check_consistency,
 )
@@ -119,6 +120,25 @@ def test_extension_error_names_the_check_that_built_it(monkeypatch):
     errored = [c.name for c in checks if c.error]
     assert errored == ["cochain.RE_div", "cochain.ext_curl", "cochain.ext_div"]
     assert all("planted" in c.error for c in checks if c.error)
+
+
+def test_closed_form_rows_time_the_formula_build(monkeypatch):
+    # the boundary-value formulas are built once, inside the first row, so a
+    # delay in that build must show in the rows' own seconds
+    delay, build, calls = 0.1, verification.ddr0_closed_forms, []
+
+    def slow(mesh, orient):
+        calls.append(1)
+        time.sleep(delay)
+        return build(mesh, orient)
+
+    monkeypatch.setattr(verification, "ddr0_closed_forms", slow)
+    mesh, orient = mesh_and_orientation("ring")
+    checks = check_closed_forms(VerifySession(mesh, orient, 1))
+    assert [c.name for c in checks] == ["closed_forms.gradient", "closed_forms.curl",
+                                        "closed_forms.divergence"]
+    assert all(c.passed for c in checks) and len(calls) == 1
+    assert sum(c.seconds for c in checks) >= delay
 
 
 @pytest.mark.parametrize("name,k", [("cube", 1), ("ring", 2)])
@@ -252,25 +272,25 @@ def _pointwise_consistency(s):
             ops, rule = high.edge_ops(e), high.rule("edge", e)
             loc = ops.lmap.gather(vec)
             qv = np.asarray([q(p) for p in rule.points])
-            tv = high.basis("edge", e, k + 1).eval(rule.points) @ (ops.trace @ loc)
+            tv = high.basis("edge", e, k + 1).eval(rule.points) @ (ops.potential @ loc)
             update("edge_trace", np.abs(tv - qv).max() / max(1.0, np.abs(qv).max()),
                    f"{tagged}, edge {e}")
             dq = np.asarray([grad_q(p) @ orient.edge_tangent[e] for p in rule.points])
-            gv = high.basis("edge", e, k).eval(rule.points) @ (ops.grad @ loc)
+            gv = high.basis("edge", e, k).eval(rule.points) @ (ops.op @ loc)
             update("edge_gradient", np.abs(gv - dq).max() / max(1.0, np.abs(dq).max()),
                    f"{tagged}, edge {e}")
         for f in range(s.mesh.n_faces):
             ops, rule = high.face_grad_ops(f), high.rule("face", f)
             loc = ops.lmap.gather(vec)
             qv = np.asarray([q(p) for p in rule.points])
-            tv = high.basis("face", f, k + 1).eval(rule.points) @ (ops.trace @ loc)
+            tv = high.basis("face", f, k + 1).eval(rule.points) @ (ops.potential @ loc)
             update("face_trace", np.abs(tv - qv).max() / max(1.0, np.abs(qv).max()),
                    f"{tagged}, face {f}")
             n = orient.face_normal[f]
             gq = np.asarray([grad_q(p) - (grad_q(p) @ n) * n for p in rule.points])
             gv = np.einsum("pax,a->px",
                            high.basis("face", f, k, vector=True).eval_vector(rule.points),
-                           ops.grad @ loc)
+                           ops.op @ loc)
             update("face_gradient", np.abs(gv - gq).max() / max(1.0, np.abs(gq).max()),
                    f"{tagged}, face {f}")
         for t in range(s.mesh.n_elements):
@@ -278,7 +298,7 @@ def _pointwise_consistency(s):
             gq = np.asarray([grad_q(p) for p in rule.points])
             gv = np.einsum("pax,a->px",
                            high.basis("cell", t, k, vector=True).eval_vector(rule.points),
-                           ops.grad @ ops.lmap.gather(vec))
+                           ops.op @ ops.lmap.gather(vec))
             update("element_gradient", np.abs(gv - gq).max() / max(1.0, np.abs(gq).max()),
                    f"{tagged}, element {t}")
     return worst
