@@ -33,6 +33,7 @@ from .mesh import (
     save_mesh,
 )
 from .operators import OPERATORS
+from .spaces import frame_values
 from .verification import RankOptions, corrupt_orientation, run_all
 from .vtkio import write_vtk
 
@@ -147,11 +148,9 @@ def _generator_fields(high, generators: list[dict]) -> dict[str, np.ndarray]:
             values = np.zeros((high.mesh.n_elements, 3))
             for t in range(high.mesh.n_elements):
                 ops = getattr(high, cells.builder)(t)
-                coeff = ops.potential @ ops.lmap.gather(vec)
-                basis = high.basis("cell", t, high.k, vector=True)
-                values[t] = np.einsum(
-                    "pax,a->px", basis.eval_vector(high.orient.cell_center[t][None, :]),
-                    coeff)[0]
+                basis = high.basis("cell", t, high.k)
+                values[t] = frame_values(basis.eval(high.orient.cell_center[t]), basis.frame,
+                                         ops.potential @ ops.lmap.gather(vec))[0]
             fields[f"h{index}_generator_{j}"] = values
     return fields
 

@@ -57,16 +57,24 @@ def power_index(dim: int, degree: int) -> dict[tuple[int, ...], int]:
 
 
 def eval_monomials(dim: int, degree: int, y: np.ndarray) -> np.ndarray:
-    """Design matrix of the monomials at local coordinates y (npts, dim)."""
+    """Design matrix of the monomials at local coordinates y (npts, dim).
+
+    Each power ``y[:, ax] ** p`` is computed once, into a per-axis power
+    table, and each column is the product of its monomial's powers, axis by
+    axis, the powers 0 left out.
+    """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     powers = monomial_powers(dim, degree)
     out = np.empty((y.shape[0], len(powers)))
+    table: dict[tuple[int, int], np.ndarray] = {}
     for j, alpha in enumerate(powers):
-        col = np.ones(y.shape[0])
+        col = None
         for ax, p in enumerate(alpha):
             if p:
-                col = col * y[:, ax] ** p
-        out[:, j] = col
+                if (ax, p) not in table:
+                    table[ax, p] = y[:, ax] ** p
+                col = table[ax, p] if col is None else col * table[ax, p]
+        out[:, j] = 1.0 if col is None else col
     return out
 
 

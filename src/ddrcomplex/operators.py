@@ -38,6 +38,9 @@ from .spaces import (
     checked_solve,
     checked_solves,
     entity_basis,
+    frame_dot,
+    frame_moments,
+    frame_values,
     gram_matrix,
     project_columns,
     subspace_basis,
@@ -440,7 +443,7 @@ class DdrComplex:
         if c_own.size:
             b[:, c_own] = -(g_mm @ div_k).T
 
-        vbasis_k = self.basis(kind, i, k, vector=True)
+        scal_k = self.basis(kind, i, k)
         boundary = []
         for s, omega, normal in self._boundary(kind, i):
             srule = self.rule(sub, s)
@@ -448,7 +451,7 @@ class DdrComplex:
             embed = lmap.embed(sops.lmap)
             phi_tr = self.basis(sub, s, k + 1).eval(srule.points) @ sops.potential
             wphi = srule.weights[:, None] * phi_tr           # (q, nloc of s)
-            vn = vbasis_k.eval_vector(srule.points) @ normal  # (q, dim nk)
+            vn = frame_dot(scal_k.eval(srule.points), scal_k.frame, normal)  # (q, dim nk)
             b[:, embed] += omega * vn.T @ wphi
             boundary.append((omega, normal, srule, embed, wphi))
         grad = checked_solve(vg_kk, b, f"{_label(kind, i)}: gradient")
@@ -457,15 +460,15 @@ class DdrComplex:
 
         # scalar trace: pairing against Rc^(k+2), square since
         # div_F : Rc^(k+2) -> P^(k+1) is an isomorphism
-        sub_rc2 = self.subspace("Rc", (kind, i), k + 2)
-        c2 = sub_rc2.coeffs_float
+        c2 = self.subspace("Rc", (kind, i), k + 2).coeffs_float
+        scal_k2 = self.basis(kind, i, k + 2)
         divf_k2 = mono.float_matrix("div", 2, k + 2) * inv_h
         g_11 = self.gram(kind, i, k + 1, k + 1)
         system = (divf_k2 @ c2).T @ g_11
         vg_2k = self.gram(kind, i, k + 2, k, vector=True)
         rhs = -(c2.T @ vg_2k @ grad)
         for omega, normal, srule, embed, wphi in boundary:
-            wn = sub_rc2.eval_vector(srule.points) @ normal  # (q, m)
+            wn = frame_dot(scal_k2.eval(srule.points), scal_k2.frame, normal) @ c2  # (q, m)
             rhs[:, embed] += omega * wn.T @ wphi
         trace = checked_solve(system, rhs, f"face {i}: scalar trace")
         return LocalOps(lmap, grad, trace, Moments(vg_kk, b))
@@ -539,19 +542,22 @@ class DdrComplex:
         if c_r.size:
             b[:, c_r] = (sub_r.coeffs_float.T @ vg_mm @ curl_k).T
 
-        vbasis_k = self.basis("cell", t, k, vector=True)
+        # the boundary terms pair (test x n_F) with the weighted tangential
+        # trace w_gt; the curl and its potential both read them from
+        # u = w_gt @ cross(I, n_F).T
+        scal_k = self.basis("cell", t, k)
         face_cache = []
         for f, omega, nf in self._boundary("cell", t):
             frule = self.rule("face", f)
             fops = self.face_curl_ops(f)
             embed = lmap.embed(fops.lmap)
-            gt_vals = np.einsum("pax,ab->pbx",
-                                self.basis("face", f, k, vector=True).eval_vector(frule.points),
-                                fops.potential)             # (q, nloc_F, 3)
+            fbasis = self.basis("face", f, k)
+            gt_vals = frame_values(fbasis.eval(frule.points), fbasis.frame,
+                                   fops.potential)          # (q, nloc_F, 3)
             w_gt = frule.weights[:, None, None] * gt_vals
-            wxn = np.cross(vbasis_k.eval_vector(frule.points), nf[None, None, :])
-            b[:, embed] += omega * np.einsum("qjx,qlx->jl", wxn, w_gt)
-            face_cache.append((f, omega, frule, embed, w_gt, nf))
+            u = (w_gt.reshape(-1, 3) @ np.cross(np.eye(3), nf).T).reshape(w_gt.shape)
+            b[:, embed] += omega * frame_moments(scal_k.eval(frule.points), u)
+            face_cache.append((omega, frule, embed, u))
         curl = checked_solve(vg_kk, b, f"element {t}: curl")
 
         # potential: tests curl(Gc^{k+1}) + Rc^k span vP^k
@@ -559,12 +565,10 @@ class DdrComplex:
         curl_k1 = mono.float_matrix("curl", k + 1) * self._inv_h("cell", t)
         vg_k1_k = self.gram("cell", t, k + 1, k, vector=True)
         rhs1 = (sub_gc1.coeffs_float.T @ vg_k1_k) @ curl
-        vb_k1 = self.basis("cell", t, k + 1, vector=True)
-        for f, omega, frule, embed, w_gt, nf in face_cache:
-            w_vals = np.einsum("pax,ab->pbx", vb_k1.eval_vector(frule.points),
-                               sub_gc1.coeffs_float)
-            wxn = np.cross(w_vals, nf[None, None, :])
-            rhs1[:, embed] -= omega * np.einsum("qjx,qlx->jl", wxn, w_gt)
+        scal_k1 = self.basis("cell", t, k + 1)
+        for omega, frule, embed, u in face_cache:
+            rhs1[:, embed] -= omega * (sub_gc1.coeffs_float.T
+                                       @ frame_moments(scal_k1.eval(frule.points), u))
         potential = self._complement_solve(lmap, ("cell", t), complement,
                                            curl_k1 @ sub_gc1.coeffs_float,
                                            rhs1, f"element {t}: curl potential")

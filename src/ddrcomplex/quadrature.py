@@ -96,25 +96,33 @@ def _tetra_ref(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return _read_only(xi, eta, zeta, w)
 
 
+def _stacked(*vertices) -> list[np.ndarray]:
+    """Simplex vertices, each a 3-vector or a (T, 3) array, as (T, 3) arrays."""
+    return np.broadcast_arrays(*(np.atleast_2d(np.asarray(p, dtype=float)) for p in vertices))
+
+
 def triangle_points(p0, p1, p2, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Collapsed tensor rule on a (possibly embedded) triangle: the cached
-    reference rule mapped affinely."""
+    """Collapsed tensor rule on (possibly embedded) triangles: the cached
+    reference rule mapped affinely.  Each vertex is a 3-vector or a (T, 3)
+    array of T triangles, whose points and weights follow one another."""
     xi, eta, w = _triangle_ref(degree)
-    e1, e2 = np.asarray(p1) - p0, np.asarray(p2) - p0
-    pts = p0[None, :] + xi[:, None] * e1[None, :] + eta[:, None] * e2[None, :]
-    area2 = np.linalg.norm(np.cross(e1, e2))
-    return pts, w * area2
+    p0, p1, p2 = _stacked(p0, p1, p2)
+    e1, e2 = p1 - p0, p2 - p0
+    pts = p0[:, None] + xi[:, None] * e1[:, None] + eta[:, None] * e2[:, None]
+    area2 = np.linalg.norm(np.cross(e1, e2), axis=1)
+    return pts.reshape(-1, 3), (area2[:, None] * w).ravel()
 
 
 def tetra_points(p0, p1, p2, p3, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Collapsed tensor rule on a tetrahedron (weights use |det|): the cached
-    reference rule mapped affinely."""
+    """Collapsed tensor rule on tetrahedra (weights use |det|): the cached
+    reference rule mapped affinely.  Vertices as in :func:`triangle_points`."""
     xi, eta, zeta, w = _tetra_ref(degree)
-    e1, e2, e3 = np.asarray(p1) - p0, np.asarray(p2) - p0, np.asarray(p3) - p0
-    pts = (p0[None, :] + xi[:, None] * e1[None, :]
-           + eta[:, None] * e2[None, :] + zeta[:, None] * e3[None, :])
-    vol6 = abs(np.linalg.det(np.stack([e1, e2, e3])))
-    return pts, w * vol6
+    p0, p1, p2, p3 = _stacked(p0, p1, p2, p3)
+    e1, e2, e3 = p1 - p0, p2 - p0, p3 - p0
+    pts = (p0[:, None] + xi[:, None] * e1[:, None]
+           + eta[:, None] * e2[:, None] + zeta[:, None] * e3[:, None])
+    vol6 = np.abs(np.linalg.det(np.stack([e1, e2, e3], axis=1)))
+    return pts.reshape(-1, 3), (vol6[:, None] * w).ravel()
 
 
 def edge_rule(mesh, index: int, degree: int) -> QuadratureRule:
@@ -123,30 +131,31 @@ def edge_rule(mesh, index: int, degree: int) -> QuadratureRule:
     return QuadratureRule(("edge", index), pts, w, degree)
 
 
+def _fan(mesh, face: int) -> tuple[list[int], list[int]]:
+    """Start and end vertices of the boundary edges of a face's fan triangles."""
+    loop = list(mesh.face_loops[face])
+    return loop, loop[1:] + loop[:1]
+
+
 def face_rule(mesh, orientation, index: int, degree: int) -> QuadratureRule:
     """Centroid-fan triangulation; requires the face star-shaped w.r.t. its centroid."""
-    center = orientation.face_center[index]
-    loop = mesh.face_loops[index]
-    pts, ws = [], []
-    for a, b in zip(loop, loop[1:] + loop[:1]):
-        p, w = triangle_points(center, mesh.vertices[a], mesh.vertices[b], degree)
-        pts.append(p)
-        ws.append(w)
-    return QuadratureRule(("face", index), np.concatenate(pts), np.concatenate(ws), degree)
+    a, b = _fan(mesh, index)
+    pts, w = triangle_points(orientation.face_center[index], mesh.vertices[a],
+                             mesh.vertices[b], degree)
+    return QuadratureRule(("face", index), pts, w, degree)
 
 
 def cell_rule(mesh, orientation, index: int, degree: int) -> QuadratureRule:
     """Apex-centroid tetrahedralization over the fan triangles of each face."""
-    apex = orientation.cell_center[index]
-    pts, ws = [], []
+    centers, a, b = [], [], []
     for f in mesh.element_faces[index]:
-        fc = orientation.face_center[f]
-        loop = mesh.face_loops[f]
-        for a, b in zip(loop, loop[1:] + loop[:1]):
-            p, w = tetra_points(apex, fc, mesh.vertices[a], mesh.vertices[b], degree)
-            pts.append(p)
-            ws.append(w)
-    return QuadratureRule(("cell", index), np.concatenate(pts), np.concatenate(ws), degree)
+        start, end = _fan(mesh, f)
+        centers += [f] * len(start)
+        a += start
+        b += end
+    pts, w = tetra_points(orientation.cell_center[index], orientation.face_center[centers],
+                          mesh.vertices[a], mesh.vertices[b], degree)
+    return QuadratureRule(("cell", index), pts, w, degree)
 
 
 def entity_rule(mesh, orientation, kind: str, index: int, degree: int) -> QuadratureRule:

@@ -91,7 +91,11 @@ class ScaledMonomialBasis:
         return mono.eval_monomials(self.dim, self.degree, self.local_coords(pts))
 
     def eval_vector(self, pts: np.ndarray) -> np.ndarray:
-        """Ambient vector values (npts, size, 3) of the stacked vector basis."""
+        """Ambient vector values (npts, size, 3) of the stacked vector basis.
+
+        The reference form of the frame contractions below, which the
+        library uses instead.
+        """
         if not self.vector:
             raise DomainError("eval_vector on a scalar basis")
         phi = self.eval(pts)
@@ -100,6 +104,35 @@ class ScaledMonomialBasis:
         for c in range(self.dim):
             out[:, c * n:(c + 1) * n, :] = phi[:, :, None] * self.frame[c][None, None, :]
         return out
+
+
+# ---------------------------------------------------------------------------
+# Frame contractions.  A vector basis V is its scalar design matrix phi
+# (q, n) stacked along its frame (dim, 3): V[p, c n + j] = phi[p, j] frame[c].
+# Products with V are products of phi with a small frame factor, so no
+# (q, dim n, 3) array is built.  np.cross(V, w) is V with the frame
+# np.cross(frame, w).
+
+def frame_dot(phi: np.ndarray, frame: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``V @ u`` for a 3-vector ``u``: the (q, dim n) u-components of V."""
+    return np.hstack([phi * a for a in frame @ u])
+
+
+def frame_values(phi: np.ndarray, frame: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``einsum("pax,a...->p...x", V, coeffs)``: the ambient values
+    (q, ..., 3) of coefficient vectors ``coeffs`` (dim n, ...) over V."""
+    dim, (q, n) = frame.shape[0], phi.shape
+    parts = phi @ coeffs.reshape(dim, n, -1)                 # (dim, q, m)
+    return np.tensordot(parts, frame, axes=(0, 0)).reshape(q, *coeffs.shape[1:], 3)
+
+
+def frame_moments(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``einsum("pax,plx->al", V, F)`` from ``u = F @ frame.T`` (q, m, dim):
+    the (dim n, m) pairings of V with m vector fields, whose row block c is
+    ``phi.T @ u[:, :, c]``."""
+    (q, n), (_, m, dim) = phi.shape, u.shape
+    blocks = (phi.T @ u.reshape(q, m * dim)).reshape(n, m, dim)
+    return blocks.transpose(2, 0, 1).reshape(dim * n, m)
 
 
 def entity_basis(mesh, orientation, kind: str, index: int, degree: int,
@@ -143,7 +176,8 @@ class SubspaceBasis:
         return self.coeffs.shape[1]
 
     def eval_vector(self, pts: np.ndarray) -> np.ndarray:
-        """Ambient 3D values (npts, dim, 3) of the subspace columns."""
+        """Ambient 3D values (npts, dim, 3) of the subspace columns (the
+        reference form of :func:`frame_values` on ``coeffs_float``)."""
         amb = self.ambient.eval_vector(pts)
         return np.einsum("pax,ab->pbx", amb, self.coeffs_float)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .lifting import (
 )
 from .mesh import Mesh, OrientationTable
 from .operators import OPERATORS, DdrComplex, ddr0_closed_forms
+from .spaces import frame_values
 from .sparse import CsrMatrix
 
 FAMILIES = ("complex", "cohomology", "cochain", "zero_reduction",
@@ -478,72 +479,76 @@ def check_consistency(s: VerifySession) -> list[CheckResult]:
     Each monomial and its gradient are evaluated on whole quadrature rules,
     and each entity's bases once for all monomials.  The operators act on one
     monomial's local dofs at a time: a product with all monomials as columns
-    rounds differently and moves the residuals and their worst places.
+    rounds differently and moves the residuals and their worst places.  The
+    interpolates are built inside the first row, so each row's seconds, or
+    the error it reports, are its own.
     """
     tol = TOLERANCES["consistency"]
     high, mesh, orient, k = s.high, s.mesh, s.orient, s.k
     alphas = list(_monomial_sweep(k + 1))
-    start = time.perf_counter()
-    try:
-        fields = [_monomial(alpha) for alpha in alphas]
-        vecs = high.interpolate_grad(fields)           # one row per monomial
-        res = {name: np.zeros((len(alphas), count)) for name, count in
-               (("edge_trace", mesh.n_edges), ("edge_gradient", mesh.n_edges),
-                ("face_trace", mesh.n_faces), ("face_gradient", mesh.n_faces),
-                ("element_gradient", mesh.n_elements))}
-        for e in range(mesh.n_edges):
-            ops = high.edge_ops(e)
-            pts = high.rule("edge", e).points
-            trace_phi = high.basis("edge", e, k + 1).eval(pts)
-            grad_phi = high.basis("edge", e, k).eval(pts)
-            tangent = orient.edge_tangent[e]
-            for m, alpha in enumerate(alphas):
-                loc = ops.lmap.gather(vecs[m])
-                qv = fields[m](pts)
-                tv = trace_phi @ (ops.potential @ loc)
-                res["edge_trace"][m, e] = _relative_error(tv, qv)
-                dq = _monomial_gradient(pts, alpha) @ tangent
-                gv = grad_phi @ (ops.op @ loc)
-                res["edge_gradient"][m, e] = _relative_error(gv, dq)
-        for f in range(mesh.n_faces):
-            ops = high.face_grad_ops(f)
-            pts = high.rule("face", f).points
-            trace_phi = high.basis("face", f, k + 1).eval(pts)
-            grad_phi = high.basis("face", f, k, vector=True).eval_vector(pts)
-            n = orient.face_normal[f]
-            for m, alpha in enumerate(alphas):
-                loc = ops.lmap.gather(vecs[m])
-                qv = fields[m](pts)
-                tv = trace_phi @ (ops.potential @ loc)
-                res["face_trace"][m, f] = _relative_error(tv, qv)
-                g = _monomial_gradient(pts, alpha)
-                gq = g - (g @ n)[:, None] * n
-                gv = np.einsum("pax,a->px", grad_phi, ops.op @ loc)
-                res["face_gradient"][m, f] = _relative_error(gv, gq)
-        for t in range(mesh.n_elements):
-            ops = high.cell_grad_ops(t)
-            pts = high.rule("cell", t).points
-            grad_phi = high.basis("cell", t, k, vector=True).eval_vector(pts)
-            for m, alpha in enumerate(alphas):
-                gq = _monomial_gradient(pts, alpha)
-                gv = np.einsum("pax,a->px", grad_phi, ops.op @ ops.lmap.gather(vecs[m]))
-                res["element_gradient"][m, t] = _relative_error(gv, gq)
-            del grad_phi   # the largest array here; free it before the next one is built
-    except DdrError as exc:
-        return [CheckResult("consistency.sweep", passed=False,
-                            seconds=time.perf_counter() - start,
-                            error=f"{type(exc).__name__}: {exc}")]
-    elapsed = time.perf_counter() - start
-    out: list[CheckResult] = []
-    for name, table in res.items():
+    fields = [_monomial(alpha) for alpha in alphas]
+    interpolates: list[np.ndarray] = []
+
+    def vecs() -> np.ndarray:
+        """One interpolate per monomial, as rows, built once."""
+        if not interpolates:
+            interpolates.append(high.interpolate_grad(fields))
+        return interpolates[0]
+
+    def trace(kind: str, i: int) -> list[float]:
+        ops = high.edge_ops(i) if kind == "edge" else high.face_grad_ops(i)
+        pts = high.rule(kind, i).points
+        phi = high.basis(kind, i, k + 1).eval(pts)
+        return [_relative_error(phi @ (ops.potential @ ops.lmap.gather(vec)), q(pts))
+                for vec, q in zip(vecs(), fields)]
+
+    def edge_gradient(e: int) -> list[float]:
+        ops, pts = high.edge_ops(e), high.rule("edge", e).points
+        phi = high.basis("edge", e, k).eval(pts)
+        return [_relative_error(phi @ (ops.op @ ops.lmap.gather(vec)),
+                                _monomial_gradient(pts, alpha) @ orient.edge_tangent[e])
+                for vec, alpha in zip(vecs(), alphas)]
+
+    def face_gradient(f: int) -> list[float]:
+        ops, pts, n = high.face_grad_ops(f), high.rule("face", f).points, orient.face_normal[f]
+        basis = high.basis("face", f, k)
+        phi = basis.eval(pts)
+        res = []
+        for vec, alpha in zip(vecs(), alphas):
+            g = _monomial_gradient(pts, alpha)
+            gv = frame_values(phi, basis.frame, ops.op @ ops.lmap.gather(vec))
+            res.append(_relative_error(gv, g - (g @ n)[:, None] * n))
+        return res
+
+    def element_gradient(t: int) -> list[float]:
+        ops, pts = high.cell_grad_ops(t), high.rule("cell", t).points
+        basis = high.basis("cell", t, k)
+        phi = basis.eval(pts)
+        return [_relative_error(frame_values(phi, basis.frame, ops.op @ ops.lmap.gather(vec)),
+                                _monomial_gradient(pts, alpha))
+                for vec, alpha in zip(vecs(), alphas)]
+
+    def sweep(name: str, residuals, count: int) -> CheckResult:
+        """One row: the worst of the (monomial, entity) residual table."""
+        table = np.zeros((len(alphas), count))
+        for i in range(count):
+            table[:, i] = residuals(i)
         val, at = _worst(table)
         detail = ""
         if at is not None:
             (a0, a1, a2), i = alphas[at[0]], at[1]
             detail = f"worst: monomial x^{a0} y^{a1} z^{a2}, {name.split('_')[0]} {i}"
-        out.append(CheckResult(f"consistency.{name}", passed=val <= tol,
-                               residual=val, tolerance=tol, detail=detail,
-                               seconds=elapsed / len(res)))
+        return _residual_check(val, tol, detail)
+
+    out: list[CheckResult] = []
+    for name, residuals, count in (
+            ("edge_trace", partial(trace, "edge"), mesh.n_edges),
+            ("edge_gradient", edge_gradient, mesh.n_edges),
+            ("face_trace", partial(trace, "face"), mesh.n_faces),
+            ("face_gradient", face_gradient, mesh.n_faces),
+            ("element_gradient", element_gradient, mesh.n_elements)):
+        _timed(out, f"consistency.{name}", lambda name=name, residuals=residuals, count=count:
+               sweep(name, residuals, count))
     return out
 
 

@@ -6,14 +6,16 @@ x^p over [a, b], evaluated in closed form.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ddrcomplex import QuadratureDegreeError, entity_rule
-from ddrcomplex.quadrature import _gauss01
+from ddrcomplex import QuadratureDegreeError, compute_orientation, entity_rule
+from ddrcomplex.quadrature import _gauss01, _tetra_ref, _triangle_ref, cell_rule, face_rule
 
 from conftest import mesh_and_orientation
+from test_general_meshes import prism_pair
 
 
 def box_monomial_integral(lo, hi, alpha):
@@ -116,3 +118,46 @@ def test_reference_rules_are_cached_and_mapped_affinely(degree):
     assert np.array_equal(pts, p[0] + xi[:, None] * e[0] + eta[:, None] * e[1]
                           + zeta[:, None] * e[2])
     assert wts.sum() == pytest.approx(abs(np.linalg.det(e)) / 6)
+
+
+def _fan_rules_loop(mesh, orient, kind, index, degree):
+    """Reference: the reference rule mapped onto one fan simplex at a time,
+    concatenated in fan order."""
+    pts, wts = [], []
+    faces = [index] if kind == "face" else mesh.element_faces[index]
+    for f in faces:
+        loop = mesh.face_loops[f]
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            if kind == "face":
+                p0, (xi, eta, w) = orient.face_center[f], _triangle_ref(degree)
+                e1, e2 = mesh.vertices[a] - p0, mesh.vertices[b] - p0
+                pts.append(p0[None, :] + xi[:, None] * e1[None, :] + eta[:, None] * e2[None, :])
+                wts.append(w * np.linalg.norm(np.cross(e1, e2)))
+            else:
+                p0, (xi, eta, zeta, w) = orient.cell_center[index], _tetra_ref(degree)
+                e1, e2, e3 = (orient.face_center[f] - p0, mesh.vertices[a] - p0,
+                              mesh.vertices[b] - p0)
+                pts.append(p0[None, :] + xi[:, None] * e1[None, :] + eta[:, None] * e2[None, :]
+                           + zeta[:, None] * e3[None, :])
+                wts.append(w * abs(np.linalg.det(np.stack([e1, e2, e3]))))
+    return np.concatenate(pts), np.concatenate(wts)
+
+
+def _graded_cavity():
+    """The builtin cavity with its grid lines graded along each axis."""
+    mesh, _ = mesh_and_orientation("cavity")
+    x = mesh.vertices
+    return replace(mesh, vertices=x + np.asarray([0.13, 0.07, -0.05]) * x ** 2)
+
+
+@pytest.mark.parametrize("mesh", [_graded_cavity(), prism_pair()], ids=["graded", "prisms"])
+@pytest.mark.parametrize("degree", [4, 6, 8])
+def test_fan_rules_match_one_map_per_simplex(mesh, degree):
+    # all fan simplices of an entity are mapped at once, bit for bit as one by one
+    orient = compute_orientation(mesh)
+    for kind, rule, count in (("face", face_rule, mesh.n_faces),
+                              ("cell", cell_rule, mesh.n_elements)):
+        for i in range(count):
+            got = rule(mesh, orient, i, degree)
+            pts, wts = _fan_rules_loop(mesh, orient, kind, i, degree)
+            assert np.array_equal(got.points, pts) and np.array_equal(got.weights, wts)

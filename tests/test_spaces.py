@@ -5,13 +5,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ddrcomplex import DomainError, space_dim
+from ddrcomplex import DomainError, compute_orientation, space_dim
 from ddrcomplex import monomials as mono
 from ddrcomplex.homology import integer_rank
 from ddrcomplex.monomials import integer_columns, to_float
-from ddrcomplex.spaces import gram_matrix, project_columns
+from ddrcomplex.spaces import (
+    entity_basis,
+    frame_dot,
+    frame_moments,
+    frame_values,
+    gram_matrix,
+    project_columns,
+)
 
 from conftest import complex_for, mesh_and_orientation
+from test_general_meshes import prism_pair
 
 
 def test_space_dim_examples():
@@ -201,3 +209,57 @@ def test_checked_solves_match_single_solves(monkeypatch):
     assert len(conds) == 1
     for g, b in zip(got, rhs):
         assert np.array_equal(g, checked_solve(system, b, "test system"))
+
+
+def _relative(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+# face 4 of the prism pair lies in the x=y plane, so its frame has no axis direction
+@pytest.mark.parametrize("kind,index", [("face", 4), ("cell", 0)])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_frame_contractions_match_vector_values(kind, index, degree):
+    # each frame contraction against the eval_vector expression it stands for
+    mesh = prism_pair()
+    orient = compute_orientation(mesh)
+    basis = entity_basis(mesh, orient, kind, index, degree, vector=True)
+    rng = np.random.default_rng(10 * degree + len(kind))
+    pts = basis.center + basis.length * rng.uniform(-0.6, 0.6, (17, 3))
+    vals, phi, frame = basis.eval_vector(pts), basis.eval(pts), basis.frame
+    u = rng.normal(size=3)
+    assert _relative(frame_dot(phi, frame, u), vals @ u) <= 1e-14
+    coeffs = rng.normal(size=(basis.size, 5))
+    assert _relative(frame_values(phi, frame, coeffs),
+                     np.einsum("pax,ab->pbx", vals, coeffs)) <= 1e-14
+    assert _relative(frame_values(phi, frame, coeffs[:, 0]),
+                     np.einsum("pax,a->px", vals, coeffs[:, 0])) <= 1e-14
+    fields = rng.normal(size=(len(pts), 4, 3))
+    assert _relative(frame_moments(phi, fields @ frame.T),
+                     np.einsum("qjx,qlx->jl", vals, fields)) <= 1e-14
+    normal = orient.face_normal[index] if kind == "face" else rng.normal(size=3)
+    assert _relative(frame_moments(phi, fields @ np.cross(frame, normal).T),
+                     np.einsum("qjx,qlx->jl", np.cross(vals, normal), fields)) <= 1e-14
+
+
+def _eval_monomials_loop(dim, degree, y):
+    """Reference: one column per monomial, one factor y**p per nonzero power."""
+    powers = mono.monomial_powers(dim, degree)
+    out = np.empty((y.shape[0], len(powers)))
+    for j, alpha in enumerate(powers):
+        col = np.ones(y.shape[0])
+        for ax, p in enumerate(alpha):
+            if p:
+                col = col * y[:, ax] ** p
+        out[:, j] = col
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_eval_monomials_matches_the_column_loop(dim):
+    rng = np.random.default_rng(dim)
+    for degree in range(-1, 7):
+        for npts in (1, 9, 120):
+            y = rng.uniform(-1.3, 1.3, (npts, dim))
+            got = mono.eval_monomials(dim, degree, y)
+            assert got.shape == (npts, mono.n_monomials(dim, degree))
+            assert np.array_equal(got, _eval_monomials_loop(dim, degree, y))

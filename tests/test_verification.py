@@ -17,6 +17,8 @@ from ddrcomplex import (
 from ddrcomplex import betti_numbers, build_cochain_complex, integer_rank, lifting, verification
 from ddrcomplex.homology import cohomology_dims
 from ddrcomplex.errors import ConditioningError
+from ddrcomplex.operators import DdrComplex
+from ddrcomplex.spaces import frame_values
 from ddrcomplex.verification import (
     FAMILIES,
     TOLERANCES,
@@ -139,6 +141,24 @@ def test_closed_form_rows_time_the_formula_build(monkeypatch):
                                         "closed_forms.divergence"]
     assert all(c.passed for c in checks) and len(calls) == 1
     assert sum(c.seconds for c in checks) >= delay
+
+
+def test_consistency_rows_time_their_own_work(monkeypatch):
+    # a delay in the element gradient's builder must show in the
+    # element_gradient row alone, not spread over the sweep's rows
+    delay, build = 0.2, DdrComplex.cell_grad_ops
+
+    def slow(self, t):
+        time.sleep(delay)
+        return build(self, t)
+
+    monkeypatch.setattr(DdrComplex, "cell_grad_ops", slow)
+    mesh, orient = mesh_and_orientation("cube")
+    checks = check_consistency(VerifySession(mesh, orient, 1))
+    assert all(c.passed for c in checks)
+    seconds = {c.name: c.seconds for c in checks}
+    assert seconds.pop("consistency.element_gradient") >= delay
+    assert all(sec < delay for sec in seconds.values()), seconds
 
 
 @pytest.mark.parametrize("name,k", [("cube", 1), ("ring", 2)])
@@ -288,17 +308,15 @@ def _pointwise_consistency(s):
                    f"{tagged}, face {f}")
             n = orient.face_normal[f]
             gq = np.asarray([grad_q(p) - (grad_q(p) @ n) * n for p in rule.points])
-            gv = np.einsum("pax,a->px",
-                           high.basis("face", f, k, vector=True).eval_vector(rule.points),
-                           ops.op @ loc)
+            basis = high.basis("face", f, k)
+            gv = frame_values(basis.eval(rule.points), basis.frame, ops.op @ loc)
             update("face_gradient", np.abs(gv - gq).max() / max(1.0, np.abs(gq).max()),
                    f"{tagged}, face {f}")
         for t in range(s.mesh.n_elements):
             ops, rule = high.cell_grad_ops(t), high.rule("cell", t)
             gq = np.asarray([grad_q(p) for p in rule.points])
-            gv = np.einsum("pax,a->px",
-                           high.basis("cell", t, k, vector=True).eval_vector(rule.points),
-                           ops.op @ ops.lmap.gather(vec))
+            basis = high.basis("cell", t, k)
+            gv = frame_values(basis.eval(rule.points), basis.frame, ops.op @ ops.lmap.gather(vec))
             update("element_gradient", np.abs(gv - gq).max() / max(1.0, np.abs(gq).max()),
                    f"{tagged}, element {t}")
     return worst

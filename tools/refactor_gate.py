@@ -45,19 +45,26 @@ def _runs():
                ["verify", "--builtin", "ring", "--degree", "1", "--inject-fault", fault], False)
 
 
+def write_outputs(src: Path, out: Path) -> None:
+    """Run every gated request with the package in ``src``; its report, VTK
+    file, stdout, stderr and exit code go to ``out`` as ``<name>.json``,
+    ``.vtk``, ``.stdout``, ``.stderr`` and ``.rc``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for name, args, vtk in _runs():
+        argv = [sys.executable, "-m", "ddrcomplex.cli", *args, "--no-timestamp",
+                "--out", str(out / f"{name}.json")]
+        if vtk:
+            argv += ["--generators", str(out / f"{name}.vtk")]
+        proc = subprocess.run(argv, capture_output=True, env=env, cwd=out)
+        (out / f"{name}.stdout").write_bytes(proc.stdout)
+        (out / f"{name}.stderr").write_bytes(proc.stderr)
+        (out / f"{name}.rc").write_text(f"{proc.returncode}\n")
+
+
 def main() -> int:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        for name, args, vtk in _runs():
-            argv = [sys.executable, "-m", "ddrcomplex.cli", *args, "--no-timestamp",
-                    "--out", str(out / f"{name}.json")]
-            if vtk:
-                argv += ["--generators", str(out / f"{name}.vtk")]
-            proc = subprocess.run(argv, capture_output=True, env=env, cwd=tmp)
-            (out / f"{name}.stdout").write_bytes(proc.stdout)
-            (out / f"{name}.stderr").write_bytes(proc.stderr)
-            (out / f"{name}.rc").write_text(f"{proc.returncode}\n")
+        write_outputs(SRC, out)
         for path in sorted(out.iterdir()):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
     return 0
