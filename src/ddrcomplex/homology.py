@@ -80,9 +80,16 @@ def _echelon(mat, reduce: bool = False) -> tuple[list[list[int]], list[int]]:
     Python integers never overflow.  With ``reduce`` the rows above each
     pivot are eliminated too (fraction-free Gauss-Jordan): each pivot row
     then holds the last pivot value at its own pivot column and zero at the
-    other pivot columns.
+    other pivot columns.  Entries must be integral (``1.0`` is accepted);
+    any other entry raises :class:`DomainError`.
     """
-    a = [[int(x) for x in row] for row in mat]
+    rows = np.asarray(mat).tolist()
+    try:
+        a = [[int(x) for x in row] for row in rows]
+    except (ValueError, OverflowError):     # NaN, infinity
+        a = None
+    if a != rows:
+        raise DomainError("exact elimination needs integral entries")
     pivots: list[int] = []
     prev = 1
     for c in range(len(a[0]) if a else 0):
@@ -165,10 +172,10 @@ def cohomology_generators(complex_: CochainComplexInt, i: int) -> list[np.ndarra
         gens = [np.asarray(kernel[j - n], dtype=np.int64)
                 for j in _echelon(stacked)[1] if j >= n]
 
-    certify = np.concatenate([d_in, np.asarray(gens, dtype=np.int64).T], axis=1) \
-        if gens else d_in
-    if integer_rank(certify) != r_in + len(gens):
-        raise CertificationError("generators not independent modulo the incoming image")
+    if gens:
+        certify = np.concatenate([d_in, np.asarray(gens, dtype=np.int64).T], axis=1)
+        if integer_rank(certify) != r_in + len(gens):
+            raise CertificationError("generators not independent modulo the incoming image")
     for g in gens:
         if np.any(d_out @ g):
             raise CertificationError("generator not in the kernel of the outgoing coboundary")

@@ -196,7 +196,7 @@ class ExtensionMaps:
                 if len(targets) == 1:
                     solved, target = solved[1:], target[1:]
                 else:
-                    p = high.subspace(targets[1][0], (kind, i), k).coeffs_float.T
+                    p = high.subspace(targets[1][0], (kind, i), k).coeffs.T
                     solved, target = p @ solved, p @ target
                 coo.add(rows, cols, checked_solve(solved, target,
                                                   f"{_label(kind, i)}: {op.local} extension"))

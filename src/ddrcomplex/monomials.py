@@ -4,8 +4,9 @@ A polynomial on a mesh entity is a coefficient vector over the monomials
 ``y^alpha`` of the entity-local scaled coordinates ``y = (x - x_P)/h_P``
 (the arc-length coordinate on edges, frame coordinates on faces).  All
 differential / Koszul operators act on coefficient vectors through
-matrices with :class:`fractions.Fraction` entries, so compositions such as
-``curl(grad) = 0`` or ``div(curl) = 0`` hold *exactly*, not up to roundoff.
+integer matrices, so compositions such as ``curl(grad) = 0`` or
+``div(curl) = 0`` hold *exactly*, not up to roundoff.  Each matrix is built
+once and returned read-only; converting it to float is exact.
 
 Vector-valued polynomials stack their component coefficient vectors:
 ``(v_1 coeffs, ..., v_d coeffs)``.
@@ -15,13 +16,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 import numpy as np
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -78,19 +75,9 @@ def eval_monomials(dim: int, degree: int, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def frac_zeros(rows: int, cols: int) -> np.ndarray:
-    return np.full((rows, cols), _F0, dtype=object)
-
-
-def frac_eye(n: int) -> np.ndarray:
-    out = frac_zeros(n, n)
-    for i in range(n):
-        out[i, i] = _F1
-    return out
-
-
-def to_float(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=object).astype(np.float64)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @functools.lru_cache(maxsize=None)
@@ -102,14 +89,14 @@ def derivative_matrix(dim: int, degree: int, axis: int) -> np.ndarray:
     """
     src = monomial_powers(dim, degree)
     tgt_index = power_index(dim, degree - 1)
-    out = frac_zeros(len(tgt_index), len(src))
+    out = np.zeros((len(tgt_index), len(src)), dtype=np.int64)
     for j, alpha in enumerate(src):
         if alpha[axis] == 0:
             continue
         beta = list(alpha)
         beta[axis] -= 1
-        out[tgt_index[tuple(beta)], j] = Fraction(alpha[axis])
-    return out
+        out[tgt_index[tuple(beta)], j] = alpha[axis]
+    return _read_only(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,40 +104,45 @@ def multiply_matrix(dim: int, degree: int, axis: int) -> np.ndarray:
     """Multiplication by y_axis as a map P^degree -> P^(degree+1)."""
     src = monomial_powers(dim, degree)
     tgt_index = power_index(dim, degree + 1)
-    out = frac_zeros(len(tgt_index), len(src))
+    out = np.zeros((len(tgt_index), len(src)), dtype=np.int64)
     for j, alpha in enumerate(src):
         beta = list(alpha)
         beta[axis] += 1
-        out[tgt_index[tuple(beta)], j] = _F1
-    return out
+        out[tgt_index[tuple(beta)], j] = 1
+    return _read_only(out)
 
 
 def block_rows(blocks: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
+@functools.lru_cache(maxsize=None)
 def grad_matrix(dim: int, degree: int) -> np.ndarray:
     """Scaled-coordinate gradient: P^degree -> (P^(degree-1))^dim."""
-    return block_rows([derivative_matrix(dim, degree, ax) for ax in range(dim)])
+    return _read_only(block_rows([derivative_matrix(dim, degree, ax) for ax in range(dim)]))
 
 
+@functools.lru_cache(maxsize=None)
 def div_matrix(dim: int, degree: int) -> np.ndarray:
     """Scaled-coordinate divergence: (P^degree)^dim -> P^(degree-1)."""
-    return np.concatenate([derivative_matrix(dim, degree, ax) for ax in range(dim)], axis=1)
+    return _read_only(np.concatenate([derivative_matrix(dim, degree, ax)
+                                      for ax in range(dim)], axis=1))
 
 
+@functools.lru_cache(maxsize=None)
 def curl_matrix(degree: int) -> np.ndarray:
     """Scaled-coordinate curl: (P^degree)^3 -> (P^(degree-1))^3."""
     d = [derivative_matrix(3, degree, ax) for ax in range(3)]
     n_tgt = n_monomials(3, degree - 1)
     n_src = n_monomials(3, degree)
-    z = frac_zeros(n_tgt, n_src)
+    z = np.zeros((n_tgt, n_src), dtype=np.int64)
     row1 = np.concatenate([z, -d[2], d[1]], axis=1)
     row2 = np.concatenate([d[2], z, -d[0]], axis=1)
     row3 = np.concatenate([-d[1], d[0], z], axis=1)
-    return block_rows([row1, row2, row3])
+    return _read_only(block_rows([row1, row2, row3]))
 
 
+@functools.lru_cache(maxsize=None)
 def vrot_matrix(degree: int) -> np.ndarray:
     """Scaled-coordinate face rotated gradient (grad r)^perp: P^deg -> (P^(deg-1))^2.
 
@@ -158,35 +150,5 @@ def vrot_matrix(degree: int) -> np.ndarray:
     """
     d1 = derivative_matrix(2, degree, 0)
     d2 = derivative_matrix(2, degree, 1)
-    return block_rows([d2, -d1])
+    return _read_only(block_rows([d2, -d1]))
 
-
-_EXACT_MATRICES = {"derivative": derivative_matrix, "grad": grad_matrix, "div": div_matrix,
-                   "curl": curl_matrix, "vrot": vrot_matrix}
-
-
-@functools.lru_cache(maxsize=None)
-def float_matrix(name: str, *args: int) -> np.ndarray:
-    """Float form of one exact matrix, converted once and read-only.
-
-    ``name`` is derivative, grad, div, curl or vrot; ``args`` are that
-    matrix function's arguments, e.g. ``float_matrix("div", 2, k)``.
-    """
-    out = to_float(_EXACT_MATRICES[name](*args))
-    out.setflags(write=False)
-    return out
-
-
-def integer_columns(mat: np.ndarray) -> np.ndarray:
-    """``mat`` with each column scaled by the lcm of its denominators.
-
-    The result holds Python integers.  Scaling a column by a nonzero number
-    keeps which columns are independent of the ones to their left, so an
-    exact integer elimination of the result selects the same columns.
-    """
-    out = np.empty(mat.shape, dtype=object)
-    for j in range(mat.shape[1]):
-        col = [Fraction(x) for x in mat[:, j]]
-        scale = lcm(*(x.denominator for x in col))
-        out[:, j] = [int(x * scale) for x in col]
-    return out

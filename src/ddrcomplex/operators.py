@@ -23,6 +23,7 @@ operators, their projected blocks and their monomial means.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -361,7 +362,7 @@ class DdrComplex:
         ``t1`` moments are ``rhs1``, the ``t2`` moments those of the entity's
         own ``part`` unknowns."""
         vg_kk = self.gram(*entity, self.k, self.k, vector=True)
-        t2 = self.subspace(part, entity, self.k).coeffs_float
+        t2 = self.subspace(part, entity, self.k).coeffs
         tests = np.concatenate([t1, t2], axis=1)
         rhs2 = np.zeros((t2.shape[1], lmap.total))
         rhs2[:, lmap.local_indices(*entity, part)] = t2.T @ vg_kk @ t2
@@ -382,13 +383,15 @@ class DdrComplex:
         return self._shared(self._build_grad_ops, "cell", "Xgrad", t)
 
     def face_curl_ops(self, f: int) -> LocalOps:
-        return self._shared(self._build_curl_div_ops, "face", "Xcurl", f, ("vrot",), -1)
+        return self._shared(self._build_curl_div_ops, "face", "Xcurl", f,
+                            mono.vrot_matrix, -1)
 
     def cell_curl_ops(self, t: int) -> LocalOps:
         return self._shared(self._build_cell_curl_ops, "cell", "Xcurl", t)
 
     def cell_div_ops(self, t: int) -> LocalOps:
-        return self._shared(self._build_curl_div_ops, "cell", "Xdiv", t, ("grad", 3), 1)
+        return self._shared(self._build_curl_div_ops, "cell", "Xdiv", t,
+                            lambda degree: mono.grad_matrix(3, degree), 1)
 
     def _build_edge_ops(self, lmap: LocalMap, kind: str, e: int) -> LocalOps:
         k = self.k
@@ -413,7 +416,7 @@ class DdrComplex:
         trace = checked_solve(system, rhs, f"edge {e}: scalar trace")
 
         g_kk = self.gram("edge", e, k, k)
-        deriv = mono.float_matrix("derivative", 1, k, 0) * self._inv_h("edge", e)
+        deriv = mono.derivative_matrix(1, k, 0) * self._inv_h("edge", e)
         phi_k_ends = self.basis("edge", e, k).eval(mesh.vertices[[v1, v2]])
         b = np.zeros((g_kk.shape[0], nloc))
         b[:, c_qe] = -(g_mm @ deriv).T
@@ -434,7 +437,7 @@ class DdrComplex:
         inv_h = self._inv_h(kind, i)
         vg_kk = self.gram(kind, i, k, k, vector=True)
         nk = self.basis(kind, i, k).n_scalar
-        div_k = mono.float_matrix("div", dim, k) * inv_h
+        div_k = mono.div_matrix(dim, k) * inv_h
         g_mm = self.gram(kind, i, k - 1, k - 1)
 
         b = np.zeros((dim * nk, lmap.total))
@@ -460,9 +463,9 @@ class DdrComplex:
 
         # scalar trace: pairing against Rc^(k+2), square since
         # div_F : Rc^(k+2) -> P^(k+1) is an isomorphism
-        c2 = self.subspace("Rc", (kind, i), k + 2).coeffs_float
+        c2 = self.subspace("Rc", (kind, i), k + 2).coeffs
         scal_k2 = self.basis(kind, i, k + 2)
-        divf_k2 = mono.float_matrix("div", 2, k + 2) * inv_h
+        divf_k2 = mono.div_matrix(2, k + 2) * inv_h
         g_11 = self.gram(kind, i, k + 1, k + 1)
         system = (divf_k2 @ c2).T @ g_11
         vg_2k = self.gram(kind, i, k + 2, k, vector=True)
@@ -473,13 +476,14 @@ class DdrComplex:
         trace = checked_solve(system, rhs, f"face {i}: scalar trace")
         return LocalOps(lmap, grad, trace, Moments(vg_kk, b))
 
-    def _build_curl_div_ops(self, lmap: LocalMap, kind: str, i: int, deriv: tuple,
-                            sign: int) -> LocalOps:
+    def _build_curl_div_ops(self, lmap: LocalMap, kind: str, i: int,
+                            deriv: Callable[[int], np.ndarray], sign: int) -> LocalOps:
         """Face curl or element divergence, and its potential.
 
         The operator is tested against P^k: ``-sign`` times the entity's own
         degree-(k-1) image part against ``deriv`` of the tests (``vrot`` on a
-        face, ``grad`` on an element), plus ``sign`` times the boundary's own
+        face, ``grad`` on an element; ``deriv(degree)`` is its integer matrix
+        on P^degree), plus ``sign`` times the boundary's own
         P^k unknowns.  The potential (face tangential trace, element
         divergence potential) is tested against ``deriv`` of P^{0,k+1}:
         ``-sign`` times the operator plus the boundary terms.  With the
@@ -492,14 +496,14 @@ class DdrComplex:
         inv_h = self._inv_h(kind, i)
         nk = self.basis(kind, i, k).n_scalar
         g_kk = self.gram(kind, i, k, k)
-        deriv_k = mono.float_matrix(*deriv, k) * inv_h
+        deriv_k = deriv(k) * inv_h
         sub_img = self.subspace(image, (kind, i), k - 1)
         vg_mm = self.gram(kind, i, k - 1, k - 1, vector=True)
 
         b = np.zeros((nk, lmap.total))
         c_img = lmap.local_indices(kind, i, image)
         if c_img.size:
-            b[:, c_img] = -sign * (sub_img.coeffs_float.T @ vg_mm @ deriv_k).T
+            b[:, c_img] = -sign * (sub_img.coeffs.T @ vg_mm @ deriv_k).T
 
         scal_k = self.basis(kind, i, k)
         boundary = []
@@ -514,16 +518,16 @@ class DdrComplex:
         op = checked_solve(g_kk, b, f"{_label(kind, i)}: {name}")
 
         sub_p0 = self.subspace("P0", (kind, i), k + 1)
-        deriv_k1 = mono.float_matrix(*deriv, k + 1) * inv_h
+        deriv_k1 = deriv(k + 1) * inv_h
         g_k_k1 = self.gram(kind, i, k, k + 1)
-        rhs1 = -sign * ((g_k_k1 @ sub_p0.coeffs_float).T @ op)  # (n_{k+1}-1, nloc)
+        rhs1 = -sign * ((g_k_k1 @ sub_p0.coeffs).T @ op)  # (n_{k+1}-1, nloc)
         phi_k1 = self.basis(kind, i, k + 1)
         for omega, srule, c_s, wphi_s in boundary:
-            phi_r = phi_k1.eval(srule.points) @ sub_p0.coeffs_float
+            phi_r = phi_k1.eval(srule.points) @ sub_p0.coeffs
             rhs1[:, c_s] += omega * phi_r.T @ wphi_s
         what = "tangential trace" if kind == "face" else f"{name} potential"
         potential = self._complement_solve(lmap, (kind, i), complement,
-                                           deriv_k1 @ sub_p0.coeffs_float, rhs1,
+                                           deriv_k1 @ sub_p0.coeffs, rhs1,
                                            f"{_label(kind, i)}: {what}")
         return LocalOps(lmap, op, potential, Moments(g_kk, b))
 
@@ -533,14 +537,14 @@ class DdrComplex:
         nloc = lmap.total
         nk = self.basis("cell", t, k).n_scalar
         vg_kk = self.gram("cell", t, k, k, vector=True)
-        curl_k = mono.float_matrix("curl", k) * self._inv_h("cell", t)
+        curl_k = mono.curl_matrix(k) * self._inv_h("cell", t)
         sub_r = self.subspace(image, ("cell", t), k - 1)
         vg_mm = self.gram("cell", t, k - 1, k - 1, vector=True)
 
         b = np.zeros((3 * nk, nloc))
         c_r = lmap.local_indices("cell", t, image)
         if c_r.size:
-            b[:, c_r] = (sub_r.coeffs_float.T @ vg_mm @ curl_k).T
+            b[:, c_r] = (sub_r.coeffs.T @ vg_mm @ curl_k).T
 
         # the boundary terms pair (test x n_F) with the weighted tangential
         # trace w_gt; the curl and its potential both read them from
@@ -562,15 +566,15 @@ class DdrComplex:
 
         # potential: tests curl(Gc^{k+1}) + Rc^k span vP^k
         sub_gc1 = self.subspace("Gc", ("cell", t), k + 1)
-        curl_k1 = mono.float_matrix("curl", k + 1) * self._inv_h("cell", t)
+        curl_k1 = mono.curl_matrix(k + 1) * self._inv_h("cell", t)
         vg_k1_k = self.gram("cell", t, k + 1, k, vector=True)
-        rhs1 = (sub_gc1.coeffs_float.T @ vg_k1_k) @ curl
+        rhs1 = (sub_gc1.coeffs.T @ vg_k1_k) @ curl
         scal_k1 = self.basis("cell", t, k + 1)
         for omega, frule, embed, u in face_cache:
-            rhs1[:, embed] -= omega * (sub_gc1.coeffs_float.T
+            rhs1[:, embed] -= omega * (sub_gc1.coeffs.T
                                        @ frame_moments(scal_k1.eval(frule.points), u))
         potential = self._complement_solve(lmap, ("cell", t), complement,
-                                           curl_k1 @ sub_gc1.coeffs_float,
+                                           curl_k1 @ sub_gc1.coeffs,
                                            rhs1, f"element {t}: curl potential")
 
         return LocalOps(lmap, curl, potential, Moments(vg_kk, b))

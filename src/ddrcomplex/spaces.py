@@ -2,16 +2,16 @@
 
 An entity carries the scalar basis { y^alpha : |alpha| <= l } of its scaled
 coordinates and the stacked vector basis; the gradient/rotated-gradient/curl
-images G, R and their Koszul complements Gc, Rc are stored as exact-rational
-coefficient matrices over the ambient vector basis.  Only Gram matrices and
-L2 projections go through floating point (quadrature).
+images G, R and their Koszul complements Gc, Rc are coefficient matrices
+over the ambient vector basis, picked from integer matrices by exact
+elimination, so their entries are integers.  Only Gram matrices and L2
+projections go through floating point (quadrature).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -162,14 +162,14 @@ def entity_basis(mesh, orientation, kind: str, index: int, degree: int,
 
 
 class SubspaceBasis:
-    """A polynomial subspace as exact-rational columns over an ambient basis."""
+    """A polynomial subspace as columns over an ambient basis; ``coeffs``
+    is read-only."""
 
-    def __init__(self, ambient: ScaledMonomialBasis, kind: str, coeffs: np.ndarray,
-                 coeffs_float: np.ndarray | None = None):
+    def __init__(self, ambient: ScaledMonomialBasis, kind: str, coeffs: np.ndarray):
         self.ambient = ambient
         self.kind = kind
         self.coeffs = coeffs
-        self.coeffs_float = mono.to_float(coeffs) if coeffs_float is None else coeffs_float
+        coeffs.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -177,25 +177,25 @@ class SubspaceBasis:
 
     def eval_vector(self, pts: np.ndarray) -> np.ndarray:
         """Ambient 3D values (npts, dim, 3) of the subspace columns (the
-        reference form of :func:`frame_values` on ``coeffs_float``)."""
+        reference form of :func:`frame_values` on ``coeffs``)."""
         amb = self.ambient.eval_vector(pts)
-        return np.einsum("pax,ab->pbx", amb, self.coeffs_float)
+        return np.einsum("pax,ab->pbx", amb, self.coeffs)
 
 
 @functools.lru_cache(maxsize=None)
 def _span_matrix(kind: str, dim: int, degree: int) -> np.ndarray:
-    """Exact coefficient matrix of G/Gc/R/Rc over the ambient vector basis.
+    """Coefficient matrix of G/Gc/R/Rc over the ambient vector basis, as
+    read-only floats with integer values.
 
     Built in pure scaled coordinates (uniform positive h factors dropped:
     they rescale the defining map but not its image).  Columns are the
-    leftmost-pivot independent subset of the generating set, picked by the
-    exact integer elimination of :mod:`.homology` once each column's
-    denominators are cleared.
+    leftmost-pivot independent subset of the integer generating set, picked
+    by the exact integer elimination of :mod:`.homology`.
     """
     expected = space_dim(kind, degree, dim)
     nvec = dim * mono.n_monomials(dim, degree)
     if expected == 0:
-        return mono.frac_zeros(nvec, 0)
+        return np.zeros((nvec, 0))
 
     if kind == "G":
         cand = mono.grad_matrix(dim, degree + 1)
@@ -213,7 +213,8 @@ def _span_matrix(kind: str, dim: int, degree: int) -> np.ndarray:
     elif kind == "Gc":
         # columns y x (m e_i) over monomials m and unit vectors e_i
         m = [mono.multiply_matrix(3, degree - 1, ax) for ax in range(3)]
-        z = mono.frac_zeros(mono.n_monomials(3, degree), mono.n_monomials(3, degree - 1))
+        z = np.zeros((mono.n_monomials(3, degree), mono.n_monomials(3, degree - 1)),
+                     dtype=np.int64)
         col_e1 = mono.block_rows([z, m[2], -m[1]])     # y x e1 = (0, y3, -y2)
         col_e2 = mono.block_rows([-m[2], z, m[0]])
         col_e3 = mono.block_rows([m[1], -m[0], z])
@@ -221,18 +222,11 @@ def _span_matrix(kind: str, dim: int, degree: int) -> np.ndarray:
     else:
         raise DomainError(f"no span construction for kind {kind!r}")
 
-    keep = _echelon(mono.integer_columns(cand))[1]
-    picked = cand[:, keep]
-    if picked.shape[1] != expected:
+    keep = _echelon(cand)[1]
+    if len(keep) != expected:
         raise BasisRankError(
-            f"{kind}^{degree} in dim {dim}: got rank {picked.shape[1]}, expected {expected}")
-    return picked
-
-
-@functools.lru_cache(maxsize=None)
-def _span_float(kind: str, dim: int, degree: int) -> np.ndarray:
-    """Float form of :func:`_span_matrix`, converted once and read-only."""
-    out = mono.to_float(_span_matrix(kind, dim, degree))
+            f"{kind}^{degree} in dim {dim}: got rank {len(keep)}, expected {expected}")
+    out = cand[:, keep].astype(float)
     out.setflags(write=False)
     return out
 
@@ -251,23 +245,19 @@ def subspace_basis(mesh, orientation, kind: str, entity: tuple[str, int], degree
         ambient = entity_basis(mesh, orientation, ekind, eidx, degree, vector=False)
         n = ambient.n_scalar
         if kind == "P" or degree < 0:
-            coeffs = mono.frac_eye(n)[:, :space_dim(kind, degree, dim)]
-            return SubspaceBasis(ambient, kind, coeffs)
+            return SubspaceBasis(ambient, kind, np.eye(n)[:, :space_dim(kind, degree, dim)])
         if rule is None:
             raise DomainError("P0 basis needs a quadrature rule for entity means")
         phi = ambient.eval(rule.points)
         means = rule.integrate(phi) / rule.measure
-        coeffs = mono.frac_zeros(n, n - 1)
-        for j in range(1, n):
-            coeffs[j, j - 1] = Fraction(1)
-            coeffs[0, j - 1] = -Fraction(float(means[j]))
+        # y^alpha - mean; 0.0 - mean keeps a zero mean +0.0
+        coeffs = np.vstack([0.0 - means[1:], np.eye(n - 1)])
         return SubspaceBasis(ambient, kind, coeffs)
 
     ambient = entity_basis(mesh, orientation, ekind, eidx, degree, vector=True)
     if kind == "vP":
-        return SubspaceBasis(ambient, kind, mono.frac_eye(ambient.size))
-    return SubspaceBasis(ambient, kind, _span_matrix(kind, dim, degree),
-                         _span_float(kind, dim, degree))
+        return SubspaceBasis(ambient, kind, np.eye(ambient.size))
+    return SubspaceBasis(ambient, kind, _span_matrix(kind, dim, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +309,7 @@ def project_columns(sub: SubspaceBasis, gram_own: np.ndarray, gram_cross: np.nda
     ``gram_cross`` the Gram of that ambient basis against the basis the
     ``columns`` are expressed in.  Solves (C^T M C) alpha = C^T M_x g.
     """
-    c = sub.coeffs_float
+    c = sub.coeffs
     if sub.dim == 0:
         return np.zeros((0, columns.shape[1]))
     return checked_solve(c.T @ gram_own @ c, c.T @ gram_cross @ columns,

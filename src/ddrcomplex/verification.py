@@ -399,9 +399,9 @@ def check_zero_reduction(s: VerifySession) -> list[CheckResult]:
     def exactness():
         if s.k == 0:
             return _flag_check(True, "trivial at degree 0 (all subspaces are zero)")
-        bases = {sp: zero_reduction_basis(s.high, sp).toarray() for sp in SPACES}
-        ranks = [numeric_rank(s.high.operator(op.name) @ bases[op.source], s.opts).rank
-                 for op in OPERATORS]
+        bases = {sp: zero_reduction_basis(s.high, sp) for sp in SPACES}
+        ranks = [numeric_rank((s.high.operator(op.name) @ bases[op.source]).toarray(),
+                              s.opts).rank for op in OPERATORS]
         dims = [b.shape[1] for b in bases.values()]
         deficits = cohomology_dims(dims, ranks)
         return _flag_check(not any(deficits), f"stage deficits {list(deficits)} "

@@ -220,6 +220,19 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_cli_and_battery_load_no_fractions():
+    # the exact calculus is over integers: no second exact number type
+    code = ("import sys, ddrcomplex.cli; from ddrcomplex import *; "
+            "mesh = build_voxel_mesh(builtin_pattern('ring')); "
+            "assert run_all(mesh, compute_orientation(mesh), 1).passed; "
+            "print('fractions' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddrcomplex.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def _cli_subprocess(*argv):
     """Exit code and stderr of the CLI run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ddrcomplex.__file__)))

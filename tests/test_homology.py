@@ -8,6 +8,7 @@ from hypothesis import example, given, reject, strategies as st
 
 from ddrcomplex import (
     DdrError,
+    DomainError,
     InputError,
     betti_numbers,
     build_cochain_complex,
@@ -50,6 +51,11 @@ def test_integer_rank_basics():
     # large-entry matrix exercises arbitrary-precision arithmetic
     big = np.asarray([[10 ** 12, 1], [1, 10 ** 12]], dtype=object)
     assert integer_rank(big) == 2
+    # integral floats are integers; any other entry is refused, not truncated
+    assert integer_rank(np.asarray([[1.0, 2.0], [2.0, 4.0]])) == 1
+    for bad in ([[0.5]], [[0.5, 0.0], [0.0, 1.0]], [[np.nan]], [[np.inf]]):
+        with pytest.raises(DomainError):
+            integer_rank(np.asarray(bad))
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -77,6 +83,21 @@ def test_generator_ring_h1(ring):
     assert np.abs(cc.d1 @ g).max() == 0
     stacked = np.concatenate([cc.d0, g[:, None]], axis=1)
     assert integer_rank(stacked) == integer_rank(cc.d0) + 1
+
+
+def test_empty_generator_selection_needs_no_certifying_rank(ring, monkeypatch):
+    # b2 = 0 on the ring: the kernel of d2 and the rank of d1 settle it
+    calls = []
+    original = homology._echelon
+
+    def counting(mat, reduce=False):
+        calls.append(reduce)
+        return original(mat, reduce)
+
+    monkeypatch.setattr(homology, "_echelon", counting)
+    mesh, orient = ring
+    assert cohomology_generators(build_cochain_complex(mesh, orient), 2) == []
+    assert len(calls) == 2
 
 
 def test_generator_cavity_h2(cavity):

@@ -1,14 +1,11 @@
 """Polynomial subspace dimensions, exact calculus, Gram/projection behaviour."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 from ddrcomplex import DomainError, compute_orientation, space_dim
 from ddrcomplex import monomials as mono
 from ddrcomplex.homology import integer_rank
-from ddrcomplex.monomials import integer_columns, to_float
 from ddrcomplex.spaces import (
     entity_basis,
     frame_dot,
@@ -43,8 +40,9 @@ def test_subspace_dimensions(kind, dim, degree):
     entity = ("face", 0) if dim == 2 else ("cell", 0)
     sub = c.subspace(kind, entity, degree)
     assert sub.dim == space_dim(kind, degree, dim)
+    assert not sub.coeffs.flags.writeable
     if sub.dim:
-        assert integer_rank(integer_columns(sub.coeffs)) == sub.dim  # exact independence
+        assert integer_rank(sub.coeffs) == sub.dim  # exact independence
 
 
 @pytest.mark.parametrize("entity", [("face", 0), ("cell", 0)])
@@ -58,7 +56,7 @@ def test_complementary_pairs_span_ambient(entity, degree):
         sb = c.subspace(b, entity, degree)
         assert sa.dim + sb.dim == full
         stacked = np.concatenate([sa.coeffs, sb.coeffs], axis=1)
-        assert integer_rank(integer_columns(stacked)) == full
+        assert integer_rank(stacked) == full
 
 
 def test_rc_face_degree_one_is_koszul_field():
@@ -74,39 +72,35 @@ def test_rc_face_degree_one_is_koszul_field():
 
 
 def test_differential_examples_exact():
-    # physical derivatives are the scaled-coordinate matrices times 1/h
+    # physical derivatives are the integer scaled-coordinate matrices times 1/h
     c = complex_for("cube", 1)
-    h = Fraction(float(c.basis("cell", 0, 1).length))
-    coeffs = np.full(4, Fraction(0), dtype=object)
-    coeffs[1] = Fraction(1)                       # the monomial y1 = (x - x_T)_1 / h
-    out = mono.grad_matrix(3, 1) @ coeffs / h
-    assert out[0] == 1 / h and out[1] == 0 and out[2] == 0
+    h = c.basis("cell", 0, 1).length
+    y1 = np.array([0, 1, 0, 0])                   # the monomial y1 = (x - x_T)_1 / h
+    out = mono.grad_matrix(3, 1) @ y1
+    assert out.dtype == np.int64 and np.array_equal(out, [1, 0, 0])
+    assert np.array_equal(out / h, [1 / h, 0, 0])
     # div of the Koszul field x - x_T = h * (y1, y2, y3): exactly 3
-    koszul = np.full(12, Fraction(0), dtype=object)
-    koszul[1] = h      # y1 in component 1
-    koszul[4 + 2] = h  # y2 in component 2
-    koszul[8 + 3] = h  # y3 in component 3
-    out = mono.div_matrix(3, 1) @ koszul / h
-    assert out[0] == 3 and all(x == 0 for x in out[1:])
+    koszul = np.zeros(12, dtype=np.int64)
+    koszul[1] = 1      # y1 in component 1
+    koszul[4 + 2] = 1  # y2 in component 2
+    koszul[8 + 3] = 1  # y3 in component 3
+    out = mono.div_matrix(3, 1) @ koszul
+    assert out.dtype == np.int64 and np.array_equal(out, [3])
 
 
 def test_vrot_of_first_frame_coordinate():
-    # vrot(s1) = (grad s1)^perp = (0, -1) in the oriented frame
-    c = complex_for("cube", 1)
-    h = Fraction(float(c.basis("face", 0, 1).length))
-    coeffs = np.full(3, Fraction(0), dtype=object)
-    coeffs[1] = h                                  # s1 = h * y1
-    out = mono.vrot_matrix(1) @ coeffs / h
-    assert np.allclose(to_float(out), [0.0, -1.0])
+    # vrot(s1) = (grad s1)^perp = (0, -1) in the oriented frame, s1 = h * y1
+    out = mono.vrot_matrix(1) @ np.array([0, 1, 0])
+    assert out.dtype == np.int64 and np.array_equal(out, [0, -1])
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_composition_identities_exact(degree):
     # unit coefficient vectors, so each product is a column of the composition
     curl_grad = mono.curl_matrix(degree - 1) @ mono.grad_matrix(3, degree)
-    assert all(x == 0 for x in curl_grad.ravel())  # curl(grad) = 0 exactly
+    assert curl_grad.dtype == np.int64 and not curl_grad.any()  # curl(grad) = 0 exactly
     div_curl = mono.div_matrix(3, degree - 1) @ mono.curl_matrix(degree)
-    assert all(x == 0 for x in div_curl.ravel())   # div(curl) = 0 exactly
+    assert div_curl.dtype == np.int64 and not div_curl.any()    # div(curl) = 0 exactly
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -119,19 +113,19 @@ def test_bijective_pairings(k):
     f, t = ("face", 0), ("cell", 0)
 
     sub = c.subspace("Rc", f, k)
-    div = to_float(mono.div_matrix(2, k)) @ sub.coeffs_float
+    div = mono.div_matrix(2, k) @ sub.coeffs
     assert np.linalg.matrix_rank(div) == div.shape[1] == space_dim("P", k - 1, 2)
 
     p0 = c.subspace("P0", f, k)
-    vrot = to_float(mono.vrot_matrix(k)) @ p0.coeffs_float
+    vrot = mono.vrot_matrix(k) @ p0.coeffs
     assert np.linalg.matrix_rank(vrot) == space_dim("R", k - 1, 2) == vrot.shape[1]
 
     p0t = c.subspace("P0", t, k)
-    grad = to_float(mono.grad_matrix(3, k)) @ p0t.coeffs_float
+    grad = mono.grad_matrix(3, k) @ p0t.coeffs
     assert np.linalg.matrix_rank(grad) == space_dim("G", k - 1, 3) == grad.shape[1]
 
     gc = c.subspace("Gc", t, k)
-    curl = to_float(mono.curl_matrix(k)) @ gc.coeffs_float
+    curl = mono.curl_matrix(k) @ gc.coeffs
     assert np.linalg.matrix_rank(curl) == space_dim("R", k - 1, 3) == gc.dim
 
 
@@ -146,7 +140,7 @@ def test_gram_spd_and_projection_idempotent():
     # projecting a member of the subspace returns identical coefficients
     sub = c.subspace("R", ("cell", 0), 1)
     vg = c.gram("cell", 0, 1, 1, vector=True)
-    member = sub.coeffs_float @ np.arange(1.0, sub.dim + 1)
+    member = sub.coeffs @ np.arange(1.0, sub.dim + 1)
     alpha = project_columns(sub, vg, vg, member[:, None])
     assert np.abs(alpha.ravel() - np.arange(1.0, sub.dim + 1)).max() < 1e-12
 
@@ -166,7 +160,7 @@ def test_p0_basis_has_zero_mean():
     for entity in (("face", 0), ("cell", 0)):
         sub = c.subspace("P0", entity, 2)
         rule = c.rule(*entity)
-        vals = sub.ambient.eval(rule.points) @ sub.coeffs_float
+        vals = sub.ambient.eval(rule.points) @ sub.coeffs
         means = rule.integrate(vals) / rule.measure
         assert np.abs(means).max() < 1e-14
 
@@ -188,13 +182,14 @@ def test_non_finite_system_raises_labelled_conditioning_error():
 
 
 @pytest.mark.parametrize("name,args", [("derivative", (1, 3, 0)), ("grad", (3, 2)),
-                                       ("div", (2, 3)), ("curl", (2,)), ("vrot", (3,))])
-def test_float_matrices_converted_once(name, args):
-    exact = getattr(mono, f"{name}_matrix")(*args)
-    got = mono.float_matrix(name, *args)
-    assert got is mono.float_matrix(name, *args)
+                                       ("div", (2, 3)), ("curl", (2,)), ("vrot", (3,)),
+                                       ("multiply", (3, 2, 1))])
+def test_integer_matrices_cached_read_only(name, args):
+    build = getattr(mono, f"{name}_matrix")
+    got = build(*args)
+    assert got is build(*args)
+    assert got.dtype == np.int64
     assert not got.flags.writeable
-    assert np.array_equal(got, to_float(exact))
 
 
 def test_checked_solves_match_single_solves(monkeypatch):
