@@ -15,6 +15,7 @@ components so that k = 0 flows through the same code paths.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,13 +97,15 @@ class DofLayout:
         """Local dof map gathering the entity's own and boundary components.
 
         Order: vertices ascending, edges ascending, faces ascending, cell;
-        per entity the component order matches the global layout.
+        per entity the component order matches the global layout, so the
+        local dofs' global numbers ascend.
         """
-        comps: list[Component] = []
-        for ekind, ents in zip(KINDS, closure(self.mesh, kind, entity)):
-            for ent in ents:
-                comps.extend(self.entity_components(ekind, ent))
-        return LocalMap(self, comps)
+        comps = [c for ekind, ents in zip(KINDS, closure(self.mesh, kind, entity))
+                 for ent in ents for c in self._by_entity.get((ekind, ent), ())]
+        dims = [c.dim for c in comps]
+        starts = [0, *itertools.accumulate(dims)]
+        shifts = np.asarray([c.offset - start for c, start in zip(comps, starts)], dtype=int)
+        return LocalMap(self, np.repeat(shifts, dims) + np.arange(starts[-1]))
 
 
 def closure(mesh, kind: str, entity: int) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -119,27 +122,24 @@ def closure(mesh, kind: str, entity: int) -> tuple[list[int], list[int], list[in
 
 
 class LocalMap:
-    """Restriction of a global layout to one entity's closure."""
+    """Restriction of a global layout to one entity's closure: the global
+    numbers of its local dofs, ascending."""
 
-    def __init__(self, layout: DofLayout, comps: list[Component]):
+    def __init__(self, layout: DofLayout, globals_: np.ndarray):
         self.layout = layout
-        self.components = tuple(comps)
-        self.globals = (np.concatenate([np.arange(c.offset, c.offset + c.dim) for c in comps])
-                        if comps else np.zeros(0, dtype=int))
-        self.total = int(self.globals.size)
-        self._local: dict[tuple[str, int, str], np.ndarray] = {}
-        off = 0
-        for c in comps:
-            self._local[(c.entity_kind, c.entity, c.part)] = np.arange(off, off + c.dim)
-            off += c.dim
+        self.globals = globals_
+        self.total = int(globals_.size)
 
     def local_indices(self, kind: str, entity: int, part: str) -> np.ndarray:
-        return self._local[(kind, entity, part)]
+        c = self.layout.component(kind, entity, part)
+        start = int(np.searchsorted(self.globals, c.offset))
+        if c.dim and (start == self.total or self.globals[start] != c.offset):
+            raise KeyError((kind, entity, part))
+        return np.arange(start, start + c.dim)
 
     def embed(self, sub: "LocalMap") -> np.ndarray:
         """Positions of a sub-restriction's dofs inside this one."""
-        pos = {int(g): i for i, g in enumerate(self.globals)}
-        return np.asarray([pos[int(g)] for g in sub.globals], dtype=int)
+        return np.searchsorted(self.globals, sub.globals)
 
     def gather(self, vector: np.ndarray) -> np.ndarray:
         """Extract the local dofs from a global vector (or matrix rows)."""

@@ -4,7 +4,7 @@ Every local operator is defined by moment conditions obtained from discrete
 integration by parts: the unknown polynomial is tested against a space of
 polynomial test functions, boundary terms feed in the traces built on the
 lower-dimensional entities.  All defining systems are dense Gram or pairing
-systems solved per entity; global operators collect the local blocks into
+systems, one per entity; global operators collect the local blocks into
 sparse matrices with deterministic (entity-index ascending) ordering.  Every
 local operator is one :class:`LocalOps` record, which keeps its moment system
 (:class:`Moments`) for the extensions of :mod:`.lifting` to solve with
@@ -12,38 +12,47 @@ degree-0 data.
 :data:`OPERATORS` describes the complex once, operator by operator and entity
 kind by entity kind; assembly, extensions and checks all loop over it.
 
+Local operators are built in stacked passes.  :func:`size_groups` splits the
+entities of one kind into groups whose arrays have equal sizes (closure
+counts, and face-loop lengths in element-face order, which also fix the
+quadrature rule sizes).  The first access to any entity's operator builds
+every group of its kind: a leading entity axis runs through the boundary
+evaluations, the moment right-hand sides, the guarded solves, and later the
+projections and the global COO adds.  :meth:`DdrComplex.edge_ops` ...
+:meth:`DdrComplex.cell_div_ops` return records whose arrays are read-only
+views into their group's stacks.  A solve that fails its condition-number
+guard names the lowest-index failing entity and that entity's first failing
+solve, as a build entity by entity would.  Each entity basis is evaluated
+once per point set, at the highest degree the builders read of it (k+2 on
+faces, k+1 on edges and elements; lower degrees are column slices), and each
+entity's Gram matrices are slices of one top-degree Gram.  Element Grams are
+computed one element at a time, so no stack holds element-interior
+quadrature points.
+
 :class:`DdrComplex` memoizes bases, quadrature rules, Gram matrices, local
 operators, and assembled global matrices for one (mesh, orientation, degree).
-The moment systems are written in scaled monomials centred at the entity, so
-they depend on the entity's shape and not on where it sits: congruent
-translated copies (see :func:`shape_key`) share one build of their local
-operators, their projected blocks and their monomial means.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import monomials as mono
-from .errors import DomainError
+from .errors import ConditioningError, DomainError
 from .layouts import KINDS, PARTS, DofLayout, LocalMap, closure, entity_count
 from .mesh import Mesh, OrientationTable
 from .quadrature import QuadratureRule, entity_rule
 from .spaces import (
     ScaledMonomialBasis,
     SubspaceBasis,
-    checked_solve,
+    span_matrix,
     checked_solves,
     entity_basis,
     frame_dot,
     frame_moments,
-    frame_values,
-    gram_matrix,
-    project_columns,
+    stacked_solve,
     subspace_basis,
 )
 from .sparse import CsrMatrix
@@ -111,65 +120,32 @@ OPERATORS = (
              (Block("face", "face_curl_ops"), Block("cell", "cell_curl_ops"))),
     Operator("divergence", "Xdiv", "Pk", "div", (Block("cell", "cell_div_ops"),)),
 )
+# builder -> (entity kind, source space)
+_BLOCKS = {b.builder: (b.kind, op.source) for op in OPERATORS for b in op.blocks}
 
 
-# Two entities share their local operators when every float of their shape
-# keys, as a length, agrees to within this many entity diameters: 25 times
-# below the tightest certificate tolerance (cw_diagram, 1e-13).
-_SHAPE_TOL = 4e-15
-# Grid, in entity diameters, on which keys are rounded for lookup; far
-# coarser than _SHAPE_TOL, so congruent copies rarely straddle a grid line.
-_SHAPE_GRID = 2.0 ** -20
+def size_groups(mesh: Mesh, kind: str) -> list[np.ndarray]:
+    """The entities of one kind whose local arrays have equal sizes, each
+    group in index order, groups in order of their first entity.
 
-
-def shape_key(mesh: Mesh, orientation: OrientationTable, kind: str,
-              index: int) -> tuple[tuple, np.ndarray]:
-    """What fixes one entity's local operators: its shape, up to translation.
-
-    The pattern holds the local index structure of the closure (edge
-    endpoints, face loops, face-edge and element-face order, all as positions
-    in the local order of :func:`.layouts.closure`) and the omega_FE and
-    omega_TF signs.  The lengths hold the closure's vertex coordinates
-    relative to the entity centre, then per closure edge its tangent,
-    centre and length, per closure face its n_FE, n_F, tau1, tau2, centre,
-    diameter and area, and the element's diameter and volume.  Centres are
-    relative to the entity centre; unit vectors are scaled by the entity
-    diameter h, areas divided by h and volumes by h**2, so that every float
-    is a length.
+    Entities group together when their closures have equal vertex, edge and
+    face counts and their faces, in element-face order, equal loop lengths;
+    these fix every local dof count and quadrature rule size.
     """
-    o = orientation
-    vs, es, fs, _ = closure(mesh, kind, index)
-    h = o.entity_diameter(kind, index)
-    center = o.entity_center(kind, index)
-    vpos = {v: n for n, v in enumerate(vs)}
-    epos = {e: n for n, e in enumerate(es)}
-    fpos = {f: n for n, f in enumerate(fs)}
-    pattern: list = [kind, len(vs), len(es), len(fs)]
-    lengths = [mesh.vertices[vs] - center]
-    for e in es:
-        pattern += [vpos[int(v)] for v in mesh.edges[e]]
-        lengths += [o.edge_tangent[e] * h, o.edge_midpoint[e] - center, [o.edge_length[e]]]
-    for f in fs:
-        loop = mesh.face_loops[f]
-        pattern += [len(loop), *(vpos[v] for v in loop), *(epos[e] for e in mesh.face_edges[f]),
-                    *o.face_edge_sign[f]]
-        lengths += [o.face_edge_normal[f] * h, o.face_normal[f] * h, o.face_tau1[f] * h,
-                    o.face_tau2[f] * h, o.face_center[f] - center,
-                    [o.face_diameter[f], o.face_area[f] / h]]
-    if kind == "cell":
-        pattern += [*(fpos[f] for f in mesh.element_faces[index]), *o.cell_face_sign[index]]
-        lengths += [[o.cell_diameter[index], o.cell_volume[index] / h ** 2]]
-    return tuple(pattern), np.concatenate([np.ravel(x) for x in lengths])
+    groups: dict[tuple, list[int]] = {}
+    for i in range(entity_count(mesh, kind)):
+        faces = (i,) if kind == "face" else mesh.element_faces[i] if kind == "cell" else ()
+        key = (tuple(map(len, closure(mesh, kind, i))),
+               tuple(len(mesh.face_loops[f]) for f in faces))
+        groups.setdefault(key, []).append(i)
+    return [np.asarray(ids) for ids in groups.values()]
 
 
-def _read_only(obj):
-    """Mark an array, or the arrays of a local-operator record, read-only."""
-    arrays = ((obj.op, obj.potential, obj.moments.mass, obj.moments.rhs)
-              if isinstance(obj, LocalOps) else (obj,))
+def _read_only(*arrays):
     for a in arrays:
         if a is not None:
             a.setflags(write=False)
-    return obj
+    return arrays[0]
 
 
 def _label(kind: str, index: int) -> str:
@@ -177,8 +153,38 @@ def _label(kind: str, index: int) -> str:
     return f"{'element' if kind == 'cell' else kind} {index}"
 
 
+def _add_columns(target: np.ndarray, cols: np.ndarray, block: np.ndarray) -> None:
+    """``target[g][:, cols[g]] += block[g]`` for every stack member g (the
+    columns of one member are distinct)."""
+    target[np.arange(len(target))[:, None], :, cols] += block.swapaxes(1, 2)
+
+
+@dataclass(frozen=True)
+class _Group:
+    """Entities of one kind built together, and the first failure of each
+    failing entity of the kind (entity index -> ConditioningError)."""
+
+    kind: str
+    ids: np.ndarray
+    lmaps: list[LocalMap]
+    failed: dict[int, ConditioningError]
+
+    def solve(self, system: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+        out, errors = stacked_solve(system, rhs,
+                                    [f"{_label(self.kind, i)}: {what}" for i in self.ids])
+        for g, err in errors.items():
+            self.failed.setdefault(int(self.ids[g]), err)
+        return out
+
+    def own(self, part: str) -> np.ndarray:
+        """Local positions of the entities' own ``part`` unknowns (the same
+        for every member: an entity's own components come last)."""
+        return self.lmaps[0].local_indices(self.kind, int(self.ids[0]), part)
+
+
 class _Coo:
-    """COO accumulator for dense blocks."""
+    """COO accumulator for dense blocks; leading axes of ``rows``, ``cols``
+    and ``block`` stack blocks, added one after another."""
 
     def __init__(self):
         self.rows: list[np.ndarray] = []
@@ -189,8 +195,9 @@ class _Coo:
         block = np.asarray(block, dtype=float)
         if block.size == 0:
             return
-        self.rows.append(np.repeat(rows, len(cols)))
-        self.cols.append(np.tile(cols, len(rows)))
+        self.rows.append(np.repeat(rows, block.shape[-1]))
+        cols = np.repeat(np.asarray(cols)[..., None, :], block.shape[-2], axis=-2)
+        self.cols.append(cols.ravel())
         self.vals.append(block.ravel())
 
     def build(self, shape: tuple[int, int]) -> CsrMatrix:
@@ -210,6 +217,11 @@ def _field_values(fn, points: np.ndarray) -> np.ndarray:
                           f"at {len(points)} points; expected ({len(points)},)") from None
 
 
+def _n(kind: str, degree: int) -> int:
+    """Scalar basis size of degree ``degree`` on an entity of ``kind``."""
+    return mono.n_monomials(KINDS.index(kind), degree)
+
+
 class DdrComplex:
     """All discrete spaces and operators of one mesh at one degree."""
 
@@ -223,16 +235,16 @@ class DdrComplex:
         self._layouts: dict[str, DofLayout] = {}
         self._rules: dict[tuple, QuadratureRule] = {}
         self._bases: dict[tuple, ScaledMonomialBasis] = {}
-        self._grams: dict[tuple, np.ndarray] = {}
         self._subs: dict[tuple, SubspaceBasis] = {}
-        self._means: dict[tuple, np.ndarray] = {}
-        # shape sharing: representative per (kind, entity), lookup buckets of
-        # (representative, key lengths), local operators per (kind, space) and
-        # entity, projected blocks per (builder, part, representative)
-        self._reps: dict[tuple[str, int], int] = {}
-        self._shapes: dict[tuple, list[tuple[int, np.ndarray]]] = {}
-        self._ops: dict[tuple[str, str], dict[int, LocalOps]] = {}
-        self._projected: dict[tuple, np.ndarray] = {}
+        # per entity kind: frames, top-degree Grams, degree-k means
+        self._frames: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._top_grams: dict[str, np.ndarray] = {}
+        self._means: dict[str, np.ndarray] = {}
+        # per entity kind: size groups; per builder: every entity's record,
+        # and each group's entities with their stacked operators
+        self._groups: dict[str, list[np.ndarray]] = {}
+        self._ops: dict[str, list[LocalOps]] = {}
+        self._stacks: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._globals: dict[str, CsrMatrix] = {}
 
     # -- cached geometry-level objects ------------------------------------
@@ -259,12 +271,7 @@ class DdrComplex:
 
     def gram(self, kind: str, index: int, deg_a: int, deg_b: int,
              vector: bool = False) -> np.ndarray:
-        key = (kind, index, deg_a, deg_b, vector)
-        if key not in self._grams:
-            a = self.basis(kind, index, deg_a, vector)
-            b = self.basis(kind, index, deg_b, vector)
-            self._grams[key] = gram_matrix(a, b, self.rule(kind, index))
-        return self._grams[key]
+        return self._grams(kind, [index], deg_a, deg_b, vector)[0]
 
     def subspace(self, kind: str, entity: tuple[str, int], degree: int) -> SubspaceBasis:
         key = (kind, entity, degree)
@@ -275,98 +282,137 @@ class DdrComplex:
         return self._subs[key]
 
     def means(self, kind: str, index: int) -> np.ndarray:
-        """Mean over one entity of each scalar degree-k basis monomial
-        (shared by congruent copies, read-only)."""
-        key = (kind, self.representative(kind, index))
-        if key not in self._means:
-            rule = self.rule(*key)
-            phi = self.basis(*key, self.k).eval(rule.points)
-            self._means[key] = _read_only(rule.integrate(phi) / rule.measure)
-        return self._means[key]
+        """Mean over one entity of each scalar degree-k basis monomial (a
+        read-only view)."""
+        if kind not in self._means:
+            self._means[kind] = _read_only(self._mean_stack(kind, slice(None), self.k))
+        return self._means[kind][index]
 
-    def representative(self, kind: str, index: int) -> int:
-        """The entity whose local operators this one shares: the first entity
-        of its kind looked up with a matching :func:`shape_key`, every float
-        within 4e-15 diameters of that entity's."""
-        if (kind, index) not in self._reps:
-            pattern, lengths = shape_key(self.mesh, self.orient, kind, index)
-            h = self.orient.entity_diameter(kind, index)
-            bucket = self._shapes.setdefault(
-                (pattern, round(math.log2(h) / _SHAPE_GRID),
-                 np.round(lengths / (_SHAPE_GRID * h)).astype(np.int64).tobytes()), [])
-            for rep, ref in bucket:
-                if np.all(np.abs(lengths - ref)
-                          <= _SHAPE_TOL * self.orient.entity_diameter(kind, rep)):
-                    break
+    # -- stacked evaluation --------------------------------------------------
+
+    def _frame(self, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Centres (n, 3), diameters (n,) and frames (n, dim, 3) of every
+        entity of one kind, as :func:`.spaces.entity_basis` reads them."""
+        if kind not in self._frames:
+            o = self.orient
+            if kind == "edge":
+                geometry = (o.edge_midpoint, o.edge_length, o.edge_tangent[:, None, :])
+            elif kind == "face":
+                geometry = (o.face_center, o.face_diameter,
+                            np.stack([o.face_tau1, o.face_tau2], axis=1))
             else:
-                rep = index
-                bucket.append((rep, lengths))
-            self._reps[(kind, index)] = rep
-        return self._reps[(kind, index)]
+                geometry = (o.cell_center, o.cell_diameter,
+                            np.broadcast_to(np.eye(3), (self.mesh.n_elements, 3, 3)))
+            self._frames[kind] = geometry
+        return self._frames[kind]
 
-    def _shared(self, build, kind: str, space: str, index: int, *data) -> LocalOps:
-        """The local operators ``build`` gives an entity of ``kind`` on ``space``.
+    def _top(self, kind: str) -> int:
+        """The highest degree the builders read of a basis of ``kind``: k+2 on
+        faces (the scalar trace pairs with Rc^(k+2)), k+1 elsewhere."""
+        return self.k + (2 if kind == "face" else 1)
 
-        A representative is built, as ``build(lmap, kind, index, *data)``,
-        and its arrays are marked read-only; a congruent copy gets the same
-        arrays with its own LocalMap.
-        """
-        cache = self._ops.setdefault((kind, space), {})
-        if index not in cache:
-            rep = self.representative(kind, index)
-            lmap = self.layout(space).restriction(kind, index)
-            if rep == index:
-                cache[index] = _read_only(build(lmap, kind, index, *data))
-            else:
-                cache[index] = replace(self._shared(build, kind, space, rep, *data), lmap=lmap)
-        return cache[index]
+    def _eval(self, kind: str, ids: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """The top-degree scalar bases of entities ``ids`` at their point sets
+        ``pts`` (G, q, 3), as (G, q, n); lower degrees are leading column
+        slices."""
+        centers, diameters, frames = self._frame(kind)
+        y = ((pts - centers[ids][:, None, :]) @ frames[ids].swapaxes(1, 2)
+             / diameters[ids][:, None, None])
+        count, q, dim = y.shape
+        return mono.eval_monomials(dim, self._top(kind), y.reshape(-1, dim)).reshape(count, q, -1)
 
-    def _inv_h(self, kind: str, index: int) -> float:
-        return 1.0 / self.orient.entity_diameter(kind, index)
+    def _points(self, kind: str, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Quadrature points (G, q, 3) and weights (G, q) of equally sized rules."""
+        rules = [self.rule(kind, int(i)) for i in ids]
+        return np.stack([r.points for r in rules]), np.stack([r.weights for r in rules])
 
-    def _boundary(self, kind: str, index: int):
-        """``(sub-entity, omega, normal)`` for each edge of a face (omega_FE,
-        n_FE) or each face of an element (omega_TF, n_F), in mesh order."""
-        o = self.orient
-        if kind == "face":
-            return zip(self.mesh.face_edges[index], o.face_edge_sign[index],
-                       o.face_edge_normal[index])
-        return ((f, omega, o.face_normal[f]) for f, omega in
-                zip(self.mesh.element_faces[index], o.cell_face_sign[index]))
+    def _top_gram(self, kind: str) -> np.ndarray:
+        """The scalar Gram matrix at the top degree of every entity of one
+        kind, (n, N, N), each from its own rule.  Edges and faces are built a
+        size group at a time, elements one at a time: no array holds the
+        interior points of more than one element."""
+        if kind not in self._top_grams:
+            size = _n(kind, self._top(kind))
+            grams = np.empty((entity_count(self.mesh, kind), size, size))
+            for ids in self._size_groups(kind):
+                for part in (ids[:, None] if kind == "cell" else [ids]):
+                    pts, weights = self._points(kind, part)
+                    phi = self._eval(kind, part, pts)
+                    grams[part] = phi.swapaxes(1, 2) @ (weights[:, :, None] * phi)
+            self._top_grams[kind] = _read_only(grams)
+        return self._top_grams[kind]
+
+    def _size_groups(self, kind: str) -> list[np.ndarray]:
+        if kind not in self._groups:
+            self._groups[kind] = size_groups(self.mesh, kind)
+        return self._groups[kind]
+
+    def _grams(self, kind: str, ids, deg_a: int, deg_b: int,
+               vector: bool = False) -> np.ndarray:
+        """Gram matrices (G, ., .) between the degree ``deg_a`` and ``deg_b``
+        bases of entities ``ids``: slices of their top-degree Grams, made
+        block diagonal over the frame for vector bases."""
+        na, nb = _n(kind, deg_a), _n(kind, deg_b)
+        g = self._top_gram(kind)[ids, :na, :nb]
+        if not vector:
+            return g
+        dim = KINDS.index(kind)
+        out = np.zeros((len(g), dim * na, dim * nb))
+        for c in range(dim):
+            out[:, c * na:(c + 1) * na, c * nb:(c + 1) * nb] = g
+        return out
+
+    def _mean_stack(self, kind: str, ids, degree: int) -> np.ndarray:
+        """Entity means (G, n) of the scalar monomials of ``degree``: the
+        first row of the Gram over its first entry."""
+        top = self._top_gram(kind)[ids]
+        return top[:, 0, :_n(kind, degree)] / top[:, 0, :1]
+
+    def _p0(self, kind: str, ids: np.ndarray, degree: int) -> np.ndarray:
+        """Coefficients (G, n, n-1) of the zero-mean monomials of ``degree``:
+        y^alpha minus its entity mean, as :func:`.spaces.subspace_basis`."""
+        means = self._mean_stack(kind, ids, degree)
+        n = means.shape[1]
+        out = np.zeros((len(ids), n, n - 1))
+        out[:, 0] = 0.0 - means[:, 1:]      # 0.0 - mean keeps a zero mean +0.0
+        out[:, 1:] = np.eye(n - 1)
+        return out
+
+    def _boundary(self, grp: _Group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sub-entities (G, B), signs (G, B) and normals (G, B, 3) of a group:
+        each face's edges (omega_FE, n_FE) or each element's faces (omega_TF,
+        n_F), in mesh order."""
+        o, ids = self.orient, grp.ids
+        if grp.kind == "face":
+            subs = np.asarray([self.mesh.face_edges[i] for i in ids])
+            return (subs, np.asarray([o.face_edge_sign[i] for i in ids], dtype=float),
+                    np.stack([o.face_edge_normal[i] for i in ids]))
+        subs = np.asarray([self.mesh.element_faces[i] for i in ids])
+        return (subs, np.asarray([o.cell_face_sign[i] for i in ids], dtype=float),
+                o.face_normal[subs])
+
+    def _project(self, kind: str, ids, part: str, degree: int, source_degree: int,
+                 columns: np.ndarray) -> np.ndarray:
+        """L2 projection of stacked vector coefficient columns (G, over
+        vP^source_degree) onto a tagged subspace of vP^degree, entity by
+        entity: solves (C^T M C) alpha = C^T M_x g."""
+        c = span_matrix(part, KINDS.index(kind), degree)
+        if not c.shape[1]:
+            return np.zeros((len(ids), 0, columns.shape[-1]))
+        own = self._grams(kind, ids, degree, degree, vector=True)
+        cross = self._grams(kind, ids, degree, source_degree, vector=True)
+        out, errors = stacked_solve(c.T @ own @ c, c.T @ cross @ columns,
+                                    [f"projection onto {part}^{degree}"] * len(ids))
+        if errors:
+            raise errors[min(errors)]
+        return out
 
     def project_onto(self, part: str, entity: tuple[str, int], degree: int,
                      source_degree: int, columns: np.ndarray) -> np.ndarray:
         """Project vector-valued coefficient columns (over vP^source_degree)
-        onto a tagged subspace of vP^degree on the same entity (its Grams are
-        those of the entity's representative)."""
+        onto a tagged subspace of vP^degree on the same entity."""
         kind, idx = entity
-        rep = self.representative(kind, idx)
-        return project_columns(self.subspace(part, (kind, rep), degree),
-                               self.gram(kind, rep, degree, degree, vector=True),
-                               self.gram(kind, rep, degree, source_degree, vector=True),
-                               columns)
-
-    def _projected_op(self, block: Block, part: str, index: int, degree: int) -> np.ndarray:
-        """A block's local operator projected onto a degree-k part, shared by shape."""
-        rep = self.representative(block.kind, index)
-        key = (block.builder, part, rep)
-        if key not in self._projected:
-            self._projected[key] = _read_only(self.project_onto(
-                part, (block.kind, rep), degree, self.k, getattr(self, block.builder)(rep).op))
-        return self._projected[key]
-
-    def _complement_solve(self, lmap: LocalMap, entity: tuple[str, int], part: str,
-                          t1: np.ndarray, rhs1: np.ndarray, what: str) -> np.ndarray:
-        """A degree-k vector potential from its moments against the tests
-        ``[t1 | t2]``, with ``t2`` the basis of the complement ``part``: the
-        ``t1`` moments are ``rhs1``, the ``t2`` moments those of the entity's
-        own ``part`` unknowns."""
-        vg_kk = self.gram(*entity, self.k, self.k, vector=True)
-        t2 = self.subspace(part, entity, self.k).coeffs
-        tests = np.concatenate([t1, t2], axis=1)
-        rhs2 = np.zeros((t2.shape[1], lmap.total))
-        rhs2[:, lmap.local_indices(*entity, part)] = t2.T @ vg_kk @ t2
-        return checked_solve(tests.T @ vg_kk, np.concatenate([rhs1, rhs2], axis=0), what)
+        return self._project(kind, [idx], part, degree, source_degree, columns[None])[0]
 
     # -- local operators ------------------------------------------------------
     # edge_ops ... cell_div_ops are the blocks of OPERATORS; each returns a
@@ -374,110 +420,155 @@ class DdrComplex:
     # are the face curl and the element divergence with their potentials.
 
     def edge_ops(self, e: int) -> LocalOps:
-        return self._shared(self._build_edge_ops, "edge", "Xgrad", e)
+        return self._records("edge_ops")[e]
 
     def face_grad_ops(self, f: int) -> LocalOps:
-        return self._shared(self._build_grad_ops, "face", "Xgrad", f)
+        return self._records("face_grad_ops")[f]
 
     def cell_grad_ops(self, t: int) -> LocalOps:
-        return self._shared(self._build_grad_ops, "cell", "Xgrad", t)
+        return self._records("cell_grad_ops")[t]
 
     def face_curl_ops(self, f: int) -> LocalOps:
-        return self._shared(self._build_curl_div_ops, "face", "Xcurl", f,
-                            mono.vrot_matrix, -1)
+        return self._records("face_curl_ops")[f]
 
     def cell_curl_ops(self, t: int) -> LocalOps:
-        return self._shared(self._build_cell_curl_ops, "cell", "Xcurl", t)
+        return self._records("cell_curl_ops")[t]
 
     def cell_div_ops(self, t: int) -> LocalOps:
-        return self._shared(self._build_curl_div_ops, "cell", "Xdiv", t,
-                            lambda degree: mono.grad_matrix(3, degree), 1)
+        return self._records("cell_div_ops")[t]
 
-    def _build_edge_ops(self, lmap: LocalMap, kind: str, e: int) -> LocalOps:
-        k = self.k
-        mesh = self.mesh
-        v1, v2 = (int(v) for v in mesh.edges[e])
-        b_k1 = self.basis("edge", e, k + 1)
-        ends = b_k1.eval(mesh.vertices[[v1, v2]])          # (2, k+2)
-        g_mm = self.gram("edge", e, k - 1, k - 1)
-        g_m1 = self.gram("edge", e, k - 1, k + 1)
+    def _records(self, builder: str) -> list[LocalOps]:
+        """Every entity's LocalOps of one builder, built on first use, one
+        stacked pass per size group.  A failing solve raises for the lowest
+        failing entity once every group is built."""
+        if builder not in self._ops:
+            kind, space = _BLOCKS[builder]
+            build = {"edge_ops": self._edge_stack,
+                     "face_grad_ops": self._grad_stack, "cell_grad_ops": self._grad_stack,
+                     "face_curl_ops": lambda grp: self._curl_div_stack(grp, mono.vrot_matrix, -1),
+                     "cell_curl_ops": self._cell_curl_stack,
+                     "cell_div_ops": lambda grp: self._curl_div_stack(
+                         grp, lambda degree: mono.grad_matrix(3, degree), 1)}[builder]
+            layout = self.layout(space)
+            records: list[LocalOps] = [None] * entity_count(self.mesh, kind)
+            stacks, failed = [], {}
+            for ids in self._size_groups(kind):
+                grp = _Group(kind, ids, [layout.restriction(kind, int(i)) for i in ids], failed)
+                op, potential, mass, rhs = build(grp)
+                _read_only(op, potential, mass, rhs)
+                for g, (i, lmap) in enumerate(zip(ids, grp.lmaps)):
+                    records[i] = LocalOps(lmap, op[g], None if potential is None else potential[g],
+                                          Moments(mass[g], rhs[g]))
+                stacks.append((ids, op))
+            if failed:
+                raise failed[min(failed)]
+            self._ops[builder], self._stacks[builder] = records, stacks
+        return self._ops[builder]
 
-        n1 = b_k1.n_scalar
-        nloc = lmap.total
-        c_v1 = lmap.local_indices("vertex", v1, "val")[0]
-        c_v2 = lmap.local_indices("vertex", v2, "val")[0]
-        c_qe = lmap.local_indices("edge", e, "poly")
+    def _sub_data(self, grp: _Group, sub_builder: str, subs: np.ndarray):
+        """Per member, where one boundary sub-entity's local dofs sit in the
+        member's (G, m) and the sub-entity's potentials (G, ., m)."""
+        records = self._records(sub_builder)
+        return (np.stack([lmap.embed(records[s].lmap) for lmap, s in zip(grp.lmaps, subs)]),
+                np.stack([records[s].potential for s in subs]))
 
-        system = np.vstack([ends, g_m1])                    # (k+2, k+2)
-        rhs = np.zeros((n1, nloc))
-        rhs[0, c_v1] = 1.0
-        rhs[1, c_v2] = 1.0
-        rhs[2:, c_qe] = g_mm
-        trace = checked_solve(system, rhs, f"edge {e}: scalar trace")
+    def _edge_stack(self, grp: _Group):
+        k, ids = self.k, grp.ids
+        count, nloc = len(ids), grp.lmaps[0].total
+        ends = self.mesh.edges[ids]                                     # (G, 2)
+        phi_ends = self._eval("edge", ids, self.mesh.vertices[ends])    # (G, 2, k+3)
+        g_mm = self._grams("edge", ids, k - 1, k - 1)
+        g_m1 = self._grams("edge", ids, k - 1, k + 1)
+        c_v = np.asarray([[lmap.local_indices("vertex", int(v), "val")[0] for v in vs]
+                          for lmap, vs in zip(grp.lmaps, ends)])        # (G, 2)
+        c_qe = grp.own("poly")
+        every = np.arange(count)
 
-        g_kk = self.gram("edge", e, k, k)
-        deriv = mono.derivative_matrix(1, k, 0) * self._inv_h("edge", e)
-        phi_k_ends = self.basis("edge", e, k).eval(mesh.vertices[[v1, v2]])
-        b = np.zeros((g_kk.shape[0], nloc))
-        b[:, c_qe] = -(g_mm @ deriv).T
-        b[:, c_v1] -= phi_k_ends[0]
-        b[:, c_v2] += phi_k_ends[1]
-        grad = checked_solve(g_kk, b, f"edge {e}: gradient")
+        system = np.concatenate([phi_ends[:, :, :k + 2], g_m1], axis=1)   # (G, k+2, k+2)
+        rhs = np.zeros((count, k + 2, nloc))
+        rhs[every, 0, c_v[:, 0]] = 1.0
+        rhs[every, 1, c_v[:, 1]] = 1.0
+        rhs[:, 2:, c_qe] = g_mm
+        trace = grp.solve(system, rhs, "scalar trace")
 
-        return LocalOps(lmap, grad, trace, Moments(g_kk, b))
+        g_kk = self._grams("edge", ids, k, k)
+        inv_h = (1.0 / self._frame("edge")[1][ids])[:, None, None]
+        deriv = mono.derivative_matrix(1, k, 0) * inv_h
+        b = np.zeros((count, k + 1, nloc))
+        b[:, :, c_qe] = -(g_mm @ deriv).swapaxes(1, 2)
+        b[every, :, c_v[:, 0]] -= phi_ends[:, 0, :k + 1]
+        b[every, :, c_v[:, 1]] += phi_ends[:, 1, :k + 1]
+        grad = grp.solve(g_kk, b, "gradient")
+        return grad, trace, g_kk, b
 
-    def _build_grad_ops(self, lmap: LocalMap, kind: str, i: int) -> LocalOps:
+    def _grad_stack(self, grp: _Group):
         """Face or element gradient, tested against vP^k: minus the entity's
         own P^(k-1) unknowns against the divergence of the tests, plus the
         boundary's scalar traces against their normal components.  A face
         also gets its scalar trace, which the element gradient uses."""
-        k = self.k
+        k, kind, ids = self.k, grp.kind, grp.ids
         dim = KINDS.index(kind)
         sub = KINDS[dim - 1]
-        inv_h = self._inv_h(kind, i)
-        vg_kk = self.gram(kind, i, k, k, vector=True)
-        nk = self.basis(kind, i, k).n_scalar
+        frames = self._frame(kind)[2][ids]
+        inv_h = (1.0 / self._frame(kind)[1][ids])[:, None, None]
+        nk = _n(kind, k)
+        vg_kk = self._grams(kind, ids, k, k, vector=True)
         div_k = mono.div_matrix(dim, k) * inv_h
-        g_mm = self.gram(kind, i, k - 1, k - 1)
+        g_mm = self._grams(kind, ids, k - 1, k - 1)
 
-        b = np.zeros((dim * nk, lmap.total))
+        b = np.zeros((len(ids), dim * nk, grp.lmaps[0].total))
         (own, _), = PARTS["Xgrad"][kind]
-        c_own = lmap.local_indices(kind, i, own)
+        c_own = grp.own(own)
         if c_own.size:
-            b[:, c_own] = -(g_mm @ div_k).T
+            b[:, :, c_own] = -(g_mm @ div_k).swapaxes(1, 2)
 
-        scal_k = self.basis(kind, i, k)
+        subs, signs, normals = self._boundary(grp)
         boundary = []
-        for s, omega, normal in self._boundary(kind, i):
-            srule = self.rule(sub, s)
-            sops = (self.edge_ops if sub == "edge" else self.face_grad_ops)(s)
-            embed = lmap.embed(sops.lmap)
-            phi_tr = self.basis(sub, s, k + 1).eval(srule.points) @ sops.potential
-            wphi = srule.weights[:, None] * phi_tr           # (q, nloc of s)
-            vn = frame_dot(scal_k.eval(srule.points), scal_k.frame, normal)  # (q, dim nk)
-            b[:, embed] += omega * vn.T @ wphi
-            boundary.append((omega, normal, srule, embed, wphi))
-        grad = checked_solve(vg_kk, b, f"{_label(kind, i)}: gradient")
+        for j in range(subs.shape[1]):
+            pts, weights = self._points(sub, subs[:, j])
+            embed, potential = self._sub_data(grp, "edge_ops" if sub == "edge"
+                                              else "face_grad_ops", subs[:, j])
+            phi_tr = self._eval(sub, subs[:, j], pts)[..., :_n(sub, k + 1)] @ potential
+            wphi = weights[:, :, None] * phi_tr                  # (G, q, nloc of s)
+            phi = self._eval(kind, ids, pts)
+            vn = frame_dot(phi[..., :nk], frames, normals[:, j])   # (G, q, dim nk)
+            omega = signs[:, j, None, None]
+            _add_columns(b, embed, omega * vn.swapaxes(1, 2) @ wphi)
+            boundary.append((omega, normals[:, j], phi, embed, wphi))
+        grad = grp.solve(vg_kk, b, "gradient")
         if kind == "cell":
-            return LocalOps(lmap, grad, None, Moments(vg_kk, b))
+            return grad, None, vg_kk, b
 
         # scalar trace: pairing against Rc^(k+2), square since
         # div_F : Rc^(k+2) -> P^(k+1) is an isomorphism
-        c2 = self.subspace("Rc", (kind, i), k + 2).coeffs
-        scal_k2 = self.basis(kind, i, k + 2)
+        c2 = span_matrix("Rc", 2, k + 2)
         divf_k2 = mono.div_matrix(2, k + 2) * inv_h
-        g_11 = self.gram(kind, i, k + 1, k + 1)
-        system = (divf_k2 @ c2).T @ g_11
-        vg_2k = self.gram(kind, i, k + 2, k, vector=True)
+        g_11 = self._grams(kind, ids, k + 1, k + 1)
+        system = (divf_k2 @ c2).swapaxes(1, 2) @ g_11
+        vg_2k = self._grams(kind, ids, k + 2, k, vector=True)
         rhs = -(c2.T @ vg_2k @ grad)
-        for omega, normal, srule, embed, wphi in boundary:
-            wn = frame_dot(scal_k2.eval(srule.points), scal_k2.frame, normal) @ c2  # (q, m)
-            rhs[:, embed] += omega * wn.T @ wphi
-        trace = checked_solve(system, rhs, f"face {i}: scalar trace")
-        return LocalOps(lmap, grad, trace, Moments(vg_kk, b))
+        for omega, normal, phi, embed, wphi in boundary:
+            wn = frame_dot(phi[..., :_n(kind, k + 2)], frames, normal) @ c2   # (G, q, m)
+            _add_columns(rhs, embed, omega * wn.swapaxes(1, 2) @ wphi)
+        trace = grp.solve(system, rhs, "scalar trace")
+        return grad, trace, vg_kk, b
 
-    def _build_curl_div_ops(self, lmap: LocalMap, kind: str, i: int,
-                            deriv: Callable[[int], np.ndarray], sign: int) -> LocalOps:
+    def _complement_solve(self, grp: _Group, part: str, t1: np.ndarray, rhs1: np.ndarray,
+                          what: str) -> np.ndarray:
+        """Degree-k vector potentials from their moments against the tests
+        ``[t1 | t2]``, with ``t2`` the basis of the complement ``part``: the
+        ``t1`` moments are ``rhs1``, the ``t2`` moments those of the entity's
+        own ``part`` unknowns."""
+        kind, ids = grp.kind, grp.ids
+        vg_kk = self._grams(kind, ids, self.k, self.k, vector=True)
+        t2 = span_matrix(part, KINDS.index(kind), self.k)
+        tests = np.concatenate([t1, np.broadcast_to(t2, (len(ids), *t2.shape))], axis=2)
+        rhs2 = np.zeros((len(ids), t2.shape[1], rhs1.shape[2]))
+        rhs2[:, :, grp.own(part)] = t2.T @ vg_kk @ t2
+        return grp.solve(tests.swapaxes(1, 2) @ vg_kk, np.concatenate([rhs1, rhs2], axis=1),
+                         what)
+
+    def _curl_div_stack(self, grp: _Group, deriv, sign: int):
         """Face curl or element divergence, and its potential.
 
         The operator is tested against P^k: ``-sign`` times the entity's own
@@ -489,101 +580,104 @@ class DdrComplex:
         ``-sign`` times the operator plus the boundary terms.  With the
         degree-k complement part these tests span vP^k.
         """
-        k = self.k
-        sub = KINDS[KINDS.index(kind) - 1]
-        (image, _), (complement, _) = PARTS[lmap.layout.space][kind]
-        name = next(op.name for op in OPERATORS if op.source == lmap.layout.space)
-        inv_h = self._inv_h(kind, i)
-        nk = self.basis(kind, i, k).n_scalar
-        g_kk = self.gram(kind, i, k, k)
+        k, kind, ids = self.k, grp.kind, grp.ids
+        dim = KINDS.index(kind)
+        sub = KINDS[dim - 1]
+        space = grp.lmaps[0].layout.space
+        (image, _), (complement, _) = PARTS[space][kind]
+        name = next(op.name for op in OPERATORS if op.source == space)
+        inv_h = (1.0 / self._frame(kind)[1][ids])[:, None, None]
+        nk = _n(kind, k)
+        g_kk = self._grams(kind, ids, k, k)
         deriv_k = deriv(k) * inv_h
-        sub_img = self.subspace(image, (kind, i), k - 1)
-        vg_mm = self.gram(kind, i, k - 1, k - 1, vector=True)
+        img = span_matrix(image, dim, k - 1)
+        vg_mm = self._grams(kind, ids, k - 1, k - 1, vector=True)
 
-        b = np.zeros((nk, lmap.total))
-        c_img = lmap.local_indices(kind, i, image)
+        b = np.zeros((len(ids), nk, grp.lmaps[0].total))
+        c_img = grp.own(image)
         if c_img.size:
-            b[:, c_img] = -sign * (sub_img.coeffs.T @ vg_mm @ deriv_k).T
+            b[:, :, c_img] = -sign * (img.T @ vg_mm @ deriv_k).swapaxes(1, 2)
 
-        scal_k = self.basis(kind, i, k)
+        subs, signs, _ = self._boundary(grp)
         boundary = []
-        for s, omega, _ in self._boundary(kind, i):
-            srule = self.rule(sub, s)
-            c_s = lmap.local_indices(sub, s, "poly")
-            phi_s = self.basis(sub, s, k).eval(srule.points)
-            wphi_s = srule.weights[:, None] * phi_s          # (q, n_k of s)
-            phi = scal_k.eval(srule.points)                  # (q, nk)
-            b[:, c_s] += sign * omega * phi.T @ wphi_s
-            boundary.append((omega, srule, c_s, wphi_s))
-        op = checked_solve(g_kk, b, f"{_label(kind, i)}: {name}")
+        for j in range(subs.shape[1]):
+            pts, weights = self._points(sub, subs[:, j])
+            c_s = np.stack([lmap.local_indices(sub, int(s), "poly")
+                            for lmap, s in zip(grp.lmaps, subs[:, j])])
+            phi_s = self._eval(sub, subs[:, j], pts)[..., :_n(sub, k)]
+            wphi_s = weights[:, :, None] * phi_s                 # (G, q, n_k of s)
+            phi = self._eval(kind, ids, pts)                     # (G, q, top)
+            omega = signs[:, j, None, None]
+            _add_columns(b, c_s, sign * omega * phi[..., :nk].swapaxes(1, 2) @ wphi_s)
+            boundary.append((omega, phi, c_s, wphi_s))
+        op = grp.solve(g_kk, b, name)
 
-        sub_p0 = self.subspace("P0", (kind, i), k + 1)
+        p0 = self._p0(kind, ids, k + 1)
         deriv_k1 = deriv(k + 1) * inv_h
-        g_k_k1 = self.gram(kind, i, k, k + 1)
-        rhs1 = -sign * ((g_k_k1 @ sub_p0.coeffs).T @ op)  # (n_{k+1}-1, nloc)
-        phi_k1 = self.basis(kind, i, k + 1)
-        for omega, srule, c_s, wphi_s in boundary:
-            phi_r = phi_k1.eval(srule.points) @ sub_p0.coeffs
-            rhs1[:, c_s] += omega * phi_r.T @ wphi_s
+        g_k_k1 = self._grams(kind, ids, k, k + 1)
+        rhs1 = -sign * ((g_k_k1 @ p0).swapaxes(1, 2) @ op)   # (G, n_{k+1}-1, nloc)
+        for omega, phi, c_s, wphi_s in boundary:
+            phi_r = phi[..., :_n(kind, k + 1)] @ p0
+            _add_columns(rhs1, c_s, omega * phi_r.swapaxes(1, 2) @ wphi_s)
         what = "tangential trace" if kind == "face" else f"{name} potential"
-        potential = self._complement_solve(lmap, (kind, i), complement,
-                                           deriv_k1 @ sub_p0.coeffs, rhs1,
-                                           f"{_label(kind, i)}: {what}")
-        return LocalOps(lmap, op, potential, Moments(g_kk, b))
+        potential = self._complement_solve(grp, complement, deriv_k1 @ p0, rhs1, what)
+        return op, potential, g_kk, b
 
-    def _build_cell_curl_ops(self, lmap: LocalMap, kind: str, t: int) -> LocalOps:
-        k = self.k
+    def _cell_curl_stack(self, grp: _Group):
+        k, ids = self.k, grp.ids
         (image, _), (complement, _) = PARTS["Xcurl"]["cell"]
-        nloc = lmap.total
-        nk = self.basis("cell", t, k).n_scalar
-        vg_kk = self.gram("cell", t, k, k, vector=True)
-        curl_k = mono.curl_matrix(k) * self._inv_h("cell", t)
-        sub_r = self.subspace(image, ("cell", t), k - 1)
-        vg_mm = self.gram("cell", t, k - 1, k - 1, vector=True)
+        count, nk = len(ids), _n("cell", k)
+        inv_h = (1.0 / self._frame("cell")[1][ids])[:, None, None]
+        vg_kk = self._grams("cell", ids, k, k, vector=True)
+        curl_k = mono.curl_matrix(k) * inv_h
+        r = span_matrix(image, 3, k - 1)
+        vg_mm = self._grams("cell", ids, k - 1, k - 1, vector=True)
 
-        b = np.zeros((3 * nk, nloc))
-        c_r = lmap.local_indices("cell", t, image)
+        b = np.zeros((count, 3 * nk, grp.lmaps[0].total))
+        c_r = grp.own(image)
         if c_r.size:
-            b[:, c_r] = (sub_r.coeffs.T @ vg_mm @ curl_k).T
+            b[:, :, c_r] = (r.T @ vg_mm @ curl_k).swapaxes(1, 2)
 
         # the boundary terms pair (test x n_F) with the weighted tangential
         # trace w_gt; the curl and its potential both read them from
         # u = w_gt @ cross(I, n_F).T
-        scal_k = self.basis("cell", t, k)
-        face_cache = []
-        for f, omega, nf in self._boundary("cell", t):
-            frule = self.rule("face", f)
-            fops = self.face_curl_ops(f)
-            embed = lmap.embed(fops.lmap)
-            fbasis = self.basis("face", f, k)
-            gt_vals = frame_values(fbasis.eval(frule.points), fbasis.frame,
-                                   fops.potential)          # (q, nloc_F, 3)
-            w_gt = frule.weights[:, None, None] * gt_vals
-            u = (w_gt.reshape(-1, 3) @ np.cross(np.eye(3), nf).T).reshape(w_gt.shape)
-            b[:, embed] += omega * frame_moments(scal_k.eval(frule.points), u)
-            face_cache.append((omega, frule, embed, u))
-        curl = checked_solve(vg_kk, b, f"element {t}: curl")
+        subs, signs, normals = self._boundary(grp)
+        face_frames = self._frame("face")[2]
+        nf_k = _n("face", k)
+        boundary = []
+        for j in range(subs.shape[1]):
+            faces = subs[:, j]
+            pts, weights = self._points("face", faces)
+            embed, potential = self._sub_data(grp, "face_curl_ops", faces)
+            phi_f = self._eval("face", faces, pts)[..., :nf_k]    # (G, q, n_k of F)
+            parts = phi_f[:, None] @ potential.reshape(count, 2, nf_k, -1)   # (G, 2, q, m)
+            gt_vals = np.moveaxis(parts, 1, -1) @ face_frames[faces][:, None]  # (G, q, m, 3)
+            w_gt = weights[:, :, None, None] * gt_vals
+            cross = np.cross(np.eye(3), normals[:, j, None, :]).swapaxes(1, 2)   # (G, 3, 3)
+            u = (w_gt.reshape(count, -1, 3) @ cross).reshape(w_gt.shape)
+            phi = self._eval("cell", ids, pts)
+            omega = signs[:, j, None, None]
+            _add_columns(b, embed, omega * frame_moments(phi[..., :nk], u))
+            boundary.append((omega, phi, embed, u))
+        curl = grp.solve(vg_kk, b, "curl")
 
         # potential: tests curl(Gc^{k+1}) + Rc^k span vP^k
-        sub_gc1 = self.subspace("Gc", ("cell", t), k + 1)
-        curl_k1 = mono.curl_matrix(k + 1) * self._inv_h("cell", t)
-        vg_k1_k = self.gram("cell", t, k + 1, k, vector=True)
-        rhs1 = (sub_gc1.coeffs.T @ vg_k1_k) @ curl
-        scal_k1 = self.basis("cell", t, k + 1)
-        for omega, frule, embed, u in face_cache:
-            rhs1[:, embed] -= omega * (sub_gc1.coeffs.T
-                                       @ frame_moments(scal_k1.eval(frule.points), u))
-        potential = self._complement_solve(lmap, ("cell", t), complement,
-                                           curl_k1 @ sub_gc1.coeffs,
-                                           rhs1, f"element {t}: curl potential")
-
-        return LocalOps(lmap, curl, potential, Moments(vg_kk, b))
+        gc1 = span_matrix("Gc", 3, k + 1)
+        curl_k1 = mono.curl_matrix(k + 1) * inv_h
+        vg_k1_k = self._grams("cell", ids, k + 1, k, vector=True)
+        rhs1 = (gc1.T @ vg_k1_k) @ curl
+        for omega, phi, embed, u in boundary:
+            _add_columns(rhs1, embed,
+                         -omega * (gc1.T @ frame_moments(phi[..., :_n("cell", k + 1)], u)))
+        potential = self._complement_solve(grp, complement, curl_k1 @ gc1, rhs1,
+                                           "curl potential")
+        return curl, potential, vg_kk, b
 
     # -- global assembly -------------------------------------------------------
 
     def operator(self, which: str) -> CsrMatrix:
         """The global operator named ``which``, assembled from the local
-        blocks of :data:`OPERATORS` in entity order."""
+        blocks of :data:`OPERATORS` in entity order, one group at a time."""
         if which not in self._globals:
             op = next((op for op in OPERATORS if op.name == which), None)
             if op is None:
@@ -592,15 +686,13 @@ class DdrComplex:
             coo = _Coo()
             for block in op.blocks:
                 parts = PARTS[op.target][block.kind]
-                for i in range(entity_count(self.mesh, block.kind)):
-                    ops = getattr(self, block.builder)(i)
-                    if len(parts) == 1:
-                        coo.add(tgt.indices(block.kind, i, parts[0][0]), ops.lmap.globals,
-                                ops.op)
-                        continue
+                records = self._records(block.builder)
+                for ids, ops in self._stacks[block.builder]:
+                    cols = np.stack([records[i].lmap.globals for i in ids])
                     for part, shift in parts:
-                        coo.add(tgt.indices(block.kind, i, part), ops.lmap.globals,
-                                self._projected_op(block, part, i, self.k + shift))
+                        rows = np.stack([tgt.indices(block.kind, int(i), part) for i in ids])
+                        coo.add(rows, cols, ops if len(parts) == 1 else self._project(
+                            block.kind, ids, part, self.k + shift, self.k, ops))
             self._globals[which] = coo.build((tgt.total, self.layout(op.source).total))
         return self._globals[which]
 

@@ -111,11 +111,14 @@ class ScaledMonomialBasis:
 # (q, n) stacked along its frame (dim, 3): V[p, c n + j] = phi[p, j] frame[c].
 # Products with V are products of phi with a small frame factor, so no
 # (q, dim n, 3) array is built.  np.cross(V, w) is V with the frame
-# np.cross(frame, w).
+# np.cross(frame, w).  In frame_dot and frame_moments, leading axes of every
+# argument stack entities.
 
 def frame_dot(phi: np.ndarray, frame: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``V @ u`` for a 3-vector ``u``: the (q, dim n) u-components of V."""
-    return np.hstack([phi * a for a in frame @ u])
+    a = (frame @ u[..., None])[..., 0]                         # (..., dim)
+    return np.concatenate([phi * a[..., c, None, None] for c in range(frame.shape[-2])],
+                          axis=-1)
 
 
 def frame_values(phi: np.ndarray, frame: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -130,9 +133,10 @@ def frame_moments(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``einsum("pax,plx->al", V, F)`` from ``u = F @ frame.T`` (q, m, dim):
     the (dim n, m) pairings of V with m vector fields, whose row block c is
     ``phi.T @ u[:, :, c]``."""
-    (q, n), (_, m, dim) = phi.shape, u.shape
-    blocks = (phi.T @ u.reshape(q, m * dim)).reshape(n, m, dim)
-    return blocks.transpose(2, 0, 1).reshape(dim * n, m)
+    *lead, q, n = phi.shape
+    m, dim = u.shape[-2:]
+    blocks = (phi.swapaxes(-1, -2) @ u.reshape(*lead, q, m * dim)).reshape(*lead, n, m, dim)
+    return np.moveaxis(blocks, -1, -3).reshape(*lead, dim * n, m)
 
 
 def entity_basis(mesh, orientation, kind: str, index: int, degree: int,
@@ -183,7 +187,7 @@ class SubspaceBasis:
 
 
 @functools.lru_cache(maxsize=None)
-def _span_matrix(kind: str, dim: int, degree: int) -> np.ndarray:
+def span_matrix(kind: str, dim: int, degree: int) -> np.ndarray:
     """Coefficient matrix of G/Gc/R/Rc over the ambient vector basis, as
     read-only floats with integer values.
 
@@ -257,7 +261,7 @@ def subspace_basis(mesh, orientation, kind: str, entity: tuple[str, int], degree
     ambient = entity_basis(mesh, orientation, ekind, eidx, degree, vector=True)
     if kind == "vP":
         return SubspaceBasis(ambient, kind, np.eye(ambient.size))
-    return SubspaceBasis(ambient, kind, _span_matrix(kind, dim, degree))
+    return SubspaceBasis(ambient, kind, span_matrix(kind, dim, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +288,10 @@ def checked_solve(system: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return checked_solves(system, [rhs], what)[0]
 
 
+def _beyond_limit(what: str, cond: float) -> ConditioningError:
+    return ConditioningError(f"{what}: condition number {cond:.3e} beyond limit")
+
+
 def checked_solves(system: np.ndarray, rhs: list[np.ndarray], what: str) -> list[np.ndarray]:
     """:func:`checked_solve` for several right-hand sides, with one guard.
 
@@ -295,22 +303,44 @@ def checked_solves(system: np.ndarray, rhs: list[np.ndarray], what: str) -> list
     try:
         cond = np.linalg.cond(system)
         if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise ConditioningError(f"{what}: condition number {cond:.3e} beyond limit")
+            raise _beyond_limit(what, cond)
         return [np.linalg.solve(system, b) for b in rhs]
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"{what}: {exc}") from exc
 
 
-def project_columns(sub: SubspaceBasis, gram_own: np.ndarray, gram_cross: np.ndarray,
-                    columns: np.ndarray) -> np.ndarray:
-    """L2-orthogonal projection of coefficient columns onto a subspace.
+def stacked_solve(system: np.ndarray, rhs: np.ndarray, what: list[str]
+                  ) -> tuple[np.ndarray, dict[int, ConditioningError]]:
+    """:func:`checked_solve` over a leading stack axis: ``system`` (G, n, n)
+    and ``rhs`` (G, n, m), with one condition estimate and one solve for all
+    G members.
 
-    ``gram_own`` is the Gram of the subspace's ambient basis with itself and
-    ``gram_cross`` the Gram of that ambient basis against the basis the
-    ``columns`` are expressed in.  Solves (C^T M C) alpha = C^T M_x g.
+    ``what[g]`` names member g.  The members that fail the guard come back
+    as ``{g: error}``, each error the one :func:`checked_solve` raises for
+    that member alone; their solutions are zero, and the other members are
+    solved as usual.
     """
-    c = sub.coeffs
-    if sub.dim == 0:
-        return np.zeros((0, columns.shape[1]))
-    return checked_solve(c.T @ gram_own @ c, c.T @ gram_cross @ columns,
-                         f"projection onto {sub.kind}^{sub.ambient.degree}")
+    count, n = system.shape[0], system.shape[-1]
+    if n == 0:
+        return np.zeros((count, system.shape[1], rhs.shape[-1])), {}
+    try:
+        suspects = np.flatnonzero(~(np.linalg.cond(system) <= COND_LIMIT))
+    except np.linalg.LinAlgError:    # a non-finite member: look at each alone
+        suspects = range(count)
+    errors = {}
+    for g in suspects:
+        try:
+            cond = np.linalg.cond(system[g])
+        except np.linalg.LinAlgError as exc:
+            errors[int(g)] = ConditioningError(f"{what[g]}: {exc}")
+            continue
+        if not cond <= COND_LIMIT:
+            errors[int(g)] = _beyond_limit(what[g], cond)
+    if not errors:
+        return np.linalg.solve(system, rhs), errors
+    bad = list(errors)
+    system = system.copy()
+    system[bad] = np.eye(n)
+    out = np.linalg.solve(system, rhs)
+    out[bad] = 0.0
+    return out, errors

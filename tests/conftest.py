@@ -5,6 +5,9 @@ per (mesh, degree) for the whole session; they are immutable after
 construction, so sharing is safe.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -31,6 +34,25 @@ def mesh_and_orientation(name):
         mesh = build_voxel_mesh(builtin_pattern(name))
         _MESHES[name] = (mesh, compute_orientation(mesh))
     return _MESHES[name]
+
+
+# grid-line spacings of the graded blocks, one list per axis
+_GRADED_SPACINGS = ([0.77, 0.81, 1.39], [1.47, 1.16, 0.54], [0.83, 0.85, 1.07])
+
+
+def graded_block(n, cavity=False):
+    """An n x n x n block of hexahedra (n <= 3) on graded grid lines, with
+    the central cell removed if ``cavity``: every element differs in shape
+    from its neighbours."""
+    pattern = np.ones((n, n, n), dtype=bool)
+    if cavity:
+        pattern[n // 2, n // 2, n // 2] = False
+    mesh = build_voxel_mesh(pattern)
+    lines = [np.concatenate([[0.0], np.cumsum(s[:n])]) for s in _GRADED_SPACINGS]
+    grid = np.rint(mesh.vertices).astype(int)
+    vertices = np.stack([lines[ax][grid[:, ax]] for ax in range(3)], axis=1)
+    mesh = dataclasses.replace(mesh, vertices=vertices)
+    return mesh, compute_orientation(mesh)
 
 
 def complex_for(name, degree):

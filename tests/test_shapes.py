@@ -1,13 +1,20 @@
-"""Congruent entities share their local operators: cross-checks and key completeness."""
+"""Local operators built in stacked passes over entities of equal array sizes.
+
+Every stack member is checked against a build of that entity alone (a
+group of one), perturbations of one entity must reach its stacked
+operators, a failing solve names the same entity and solve as a build
+entity by entity, and the number of stacked solves does not grow with the
+mesh.
+"""
 
 import dataclasses
-from collections import defaultdict
 
 import numpy as np
 import pytest
 
 import ddrcomplex.operators as operators
 from ddrcomplex import (
+    ConditioningError,
     DdrComplex,
     build_voxel_mesh,
     compute_orientation,
@@ -15,29 +22,17 @@ from ddrcomplex import (
     run_all,
 )
 from ddrcomplex.cli import main
-from ddrcomplex.layouts import closure
+from ddrcomplex.layouts import closure, entity_count
 
-from conftest import complex_for, mesh_and_orientation
+from conftest import complex_for, graded_block, mesh_and_orientation
+from test_general_meshes import l_prism, prism_pair
 
-# (entity kind, builder, the builder's first solve label)
+# (entity kind, builder), in build order
 BUILDERS = (
-    ("edge", "edge_ops", "edge {}: scalar trace"),
-    ("face", "face_grad_ops", "face {}: gradient"),
-    ("cell", "cell_grad_ops", "element {}: gradient"),
-    ("face", "face_curl_ops", "face {}: curl"),
-    ("cell", "cell_curl_ops", "element {}: curl"),
-    ("cell", "cell_div_ops", "element {}: divergence"),
+    ("edge", "edge_ops"), ("face", "face_grad_ops"), ("cell", "cell_grad_ops"),
+    ("face", "face_curl_ops"), ("cell", "cell_curl_ops"), ("cell", "cell_div_ops"),
 )
-# projected blocks of the global gradient and curl: (operator, builder, kind, part, degree shift)
-PROJECTED = (
-    ("gradient", "face_grad_ops", "face", "R", -1), ("gradient", "face_grad_ops", "face", "Rc", 0),
-    ("gradient", "cell_grad_ops", "cell", "R", -1), ("gradient", "cell_grad_ops", "cell", "Rc", 0),
-    ("curl", "cell_curl_ops", "cell", "G", -1), ("curl", "cell_curl_ops", "cell", "Gc", 0),
-)
-
-
-def _counts(mesh):
-    return {"edge": mesh.n_edges, "face": mesh.n_faces, "cell": mesh.n_elements}
+KINDS = ("edge", "face", "cell")
 
 
 def _block(h, offset=0.0):
@@ -48,112 +43,110 @@ def _block(h, offset=0.0):
 
 
 def _mesh(name):
-    # integer coordinates 1e3 from the origin: element centroids round there
-    return _block(1.0, 1e3) if name == "offset_block" else mesh_and_orientation(name)
+    if name == "offset_block":   # integer coordinates 1e3 from the origin
+        return _block(1.0, 1e3)
+    if name == "graded":
+        return graded_block(3, cavity=True)
+    if name in ("prism_pair", "l_prism"):
+        mesh = prism_pair() if name == "prism_pair" else l_prism()
+        return mesh, compute_orientation(mesh)
+    return mesh_and_orientation(name)
 
 
-def _classes(c):
-    """Entities of each kind grouped by their representative."""
-    out = {}
-    for kind, n in _counts(c.mesh).items():
-        groups = defaultdict(list)
-        for i in range(n):
-            groups[c.representative(kind, i)].append(i)
-        out[kind] = list(groups.values())
-    return out
-
-
-def _rel(shared, fresh):
-    scale = np.abs(fresh).max() if fresh.size else 0.0
-    return np.abs(shared - fresh).max() / scale if scale else np.abs(shared).max(initial=0.0)
-
-
-def _cross_check(mesh, orient, k, shared):
-    """Compare every entity's shared blocks with a complex that builds it first.
-
-    Round j makes the j-th member of every class a representative of a new
-    complex, so over all rounds every entity is built fresh once.
-    """
-    classes = _classes(shared)
-    worst = 0.0
-    for j in range(max(len(g) for groups in classes.values() for g in groups)):
-        fresh = DdrComplex(mesh, orient, k)
-        chosen = {kind: [g[j] for g in groups if j < len(g)] for kind, groups in classes.items()}
-        for kind, ents in chosen.items():
-            for i in ents:
-                assert fresh.representative(kind, i) == i
-        for kind, builder, _ in BUILDERS:
-            for i in chosen[kind]:
-                a, b = getattr(shared, builder)(i), getattr(fresh, builder)(i)
-                assert np.array_equal(a.lmap.globals, b.lmap.globals)
-                pairs = [(a.op, b.op), (a.moments.mass, b.moments.mass),
-                         (a.moments.rhs, b.moments.rhs)]
-                if a.potential is not None:
-                    pairs.append((a.potential, b.potential))
-                worst = max([worst] + [_rel(x, y) for x, y in pairs])
-        for which, builder, kind, part, shift in PROJECTED:
-            rows_of = shared.layout("Xcurl" if which == "gradient" else "Xdiv")
-            glob = shared.operator(which)
-            for i in chosen[kind]:
-                ops = getattr(fresh, builder)(i)
-                block = fresh.project_onto(part, (kind, i), k + shift, k, ops.op)
-                rows = rows_of.indices(kind, i, part)
-                got = glob.gather(rows, ops.lmap.globals)
-                worst = max(worst, _rel(got, block))
-        for kind, ents in chosen.items():
-            for i in ents:
-                worst = max(worst, _rel(shared.means(kind, i), fresh.means(kind, i)))
-    return worst
-
-
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
-@pytest.mark.parametrize("name", ["ring", "cavity", "offset_block"])
-def test_shared_blocks_match_fresh_builds(name, k):
-    mesh, orient = _mesh(name)
-    shared = complex_for(name, k) if name != "offset_block" else DdrComplex(mesh, orient, k)
-    assert _cross_check(mesh, orient, k, shared) <= 1e-13
-
-
-@pytest.mark.parametrize("k", [0, 1])
-def test_offset_block_misses_and_keeps_its_verdicts(monkeypatch, k):
-    # 1e3 from the origin with h = 0.7, coordinates and centres round at about
-    # 1e-13 of a diameter, far beyond the sharing tolerance: copies are built again
-    near, far = DdrComplex(*_block(0.7), k), DdrComplex(*_block(0.7, 1e3), k)
-    for kind in ("edge", "face", "cell"):
-        assert len(_classes(far)[kind]) > len(_classes(near)[kind])
-    shared = run_all(far.mesh, far.orient, k)
-    monkeypatch.setattr(DdrComplex, "representative", lambda self, kind, index: index)
-    unshared = run_all(far.mesh, far.orient, k)
-    assert [(c.name, c.passed) for c in shared.checks] == \
-        [(c.name, c.passed) for c in unshared.checks]
-    assert shared.cohomology_ddr == unshared.cohomology_ddr == [0, 0, 0, 0]
-    # the consistency sweep evaluates monomials in absolute coordinates, which
-    # loses accuracy this far from the origin at k >= 1, with or without sharing
-    assert all(c.passed for c in shared.checks
-               if k == 0 or not c.name.startswith("consistency."))
-
-
-def _spy_builds(monkeypatch):
-    labels = []
-    solve = operators.checked_solve
-
-    def spy(system, rhs, what):
-        labels.append(what)
-        return solve(system, rhs, what)
-
-    monkeypatch.setattr(operators, "checked_solve", spy)
-    return labels
+def _rel(got, want):
+    scale = np.abs(want).max() if want.size else 0.0
+    return np.abs(got - want).max() / scale if scale else np.abs(got).max(initial=0.0)
 
 
 def _build_all(c):
-    for kind, builder, _ in BUILDERS:
-        for i in range(_counts(c.mesh)[kind]):
-            getattr(c, builder)(i)
+    for kind, builder in BUILDERS:
+        getattr(c, builder)(0)
 
 
-def _copy_of(c, kind):
-    """An entity of ``kind`` that shares the operators of an earlier one."""
-    return next(i for i in range(_counts(c.mesh)[kind]) if c.representative(kind, i) != i)
+def _alone(mesh, orient, k, monkeypatch):
+    """A complex whose every entity is a group of one, fully built."""
+    with monkeypatch.context() as m:
+        m.setattr(operators, "size_groups", lambda mesh, kind: [
+            np.asarray([i]) for i in range(entity_count(mesh, kind))])
+        c = DdrComplex(mesh, orient, k)
+        _build_all(c)
+        for which in ("gradient", "curl", "divergence"):
+            c.operator(which)
+    return c
+
+
+def _arrays(ops):
+    out = [ops.op, ops.moments.mass, ops.moments.rhs]
+    return out if ops.potential is None else out + [ops.potential]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", ["ring", "cavity", "offset_block", "graded", "prism_pair",
+                                  "l_prism"])
+def test_shared_blocks_match_fresh_builds(monkeypatch, name, k):
+    # every member of every stack, and the stacked projections and means,
+    # against the build of that entity alone
+    mesh, orient = _mesh(name)
+    stacked = complex_for(name, k) if name in ("ring", "cavity") else DdrComplex(mesh, orient, k)
+    alone = _alone(mesh, orient, k, monkeypatch)
+    worst = 0.0
+    for kind, builder in BUILDERS:
+        for i in range(entity_count(mesh, kind)):
+            a, b = getattr(stacked, builder)(i), getattr(alone, builder)(i)
+            assert np.array_equal(a.lmap.globals, b.lmap.globals)
+            assert (a.potential is None) == (b.potential is None)
+            worst = max([worst] + [_rel(x, y) for x, y in zip(_arrays(a), _arrays(b))])
+    for which in ("gradient", "curl", "divergence"):
+        worst = max(worst, _rel(stacked.operator(which).toarray(),
+                                alone.operator(which).toarray()))
+    for kind in KINDS:
+        for i in range(entity_count(mesh, kind)):
+            worst = max(worst, _rel(stacked.means(kind, i), alone.means(kind, i)))
+    assert worst <= 1e-13
+
+
+def test_groups_split_by_array_sizes():
+    # the prism pair's elements list their triangles and quadrilaterals in
+    # different orders, so each is a group of its own
+    mesh = prism_pair()
+    groups = {kind: [g.tolist() for g in operators.size_groups(mesh, kind)] for kind in KINDS}
+    assert groups["edge"] == [list(range(mesh.n_edges))]
+    assert groups["face"] == [[0, 1, 5, 6], [2, 3, 4, 7, 8]]
+    assert groups["cell"] == [[0], [1]]
+    block = build_voxel_mesh(np.ones((3, 2, 1), dtype=int))
+    assert [len(g) for g in operators.size_groups(block, "cell")] == [block.n_elements]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_offset_block_keeps_its_verdicts(monkeypatch, k):
+    # 1e3 from the origin with h = 0.7, coordinates and centres round at about
+    # 1e-13 of a diameter: the stacked build keeps the verdicts of builds
+    # entity by entity
+    mesh, orient = _block(0.7, 1e3)
+    stacked = run_all(mesh, orient, k)
+    monkeypatch.setattr(operators, "size_groups", lambda mesh, kind: [
+        np.asarray([i]) for i in range(entity_count(mesh, kind))])
+    alone = run_all(mesh, orient, k)
+    assert [(c.name, c.passed) for c in stacked.checks] == \
+        [(c.name, c.passed) for c in alone.checks]
+    assert stacked.cohomology_ddr == alone.cohomology_ddr == [0, 0, 0, 0]
+    # the consistency sweep evaluates monomials in absolute coordinates, which
+    # loses accuracy this far from the origin at k >= 1, however it is built
+    assert all(c.passed for c in stacked.checks
+               if k == 0 or not c.name.startswith("consistency."))
+
+
+def _copy_of(mesh, kind):
+    """The first entity of ``kind`` whose closure is a translated copy of an
+    earlier entity's, with the same local numbering."""
+    seen = set()
+    for i in range(entity_count(mesh, kind)):
+        pts = mesh.vertices[closure(mesh, kind, i)[0]]
+        key = tuple(np.round((pts - pts.min(axis=0)) * 1e9).astype(int).ravel())
+        if key in seen:
+            return i
+        seen.add(key)
+    raise AssertionError(f"no congruent {kind} copies")
 
 
 def _moved_vertex(mesh, v, by):
@@ -163,31 +156,32 @@ def _moved_vertex(mesh, v, by):
 
 
 def _perturbations():
-    """(name, perturb(mesh, orient, healthy complex) -> (mesh, orient, [(kind, entity)]))"""
-    def omega_tf(mesh, orient, c):
-        t = _copy_of(c, "cell")
+    """(name, perturb(mesh, orient) -> (mesh, orient, [(kind, entity)]))"""
+    def omega_tf(mesh, orient):
+        t = _copy_of(mesh, "cell")
         return mesh, corrupt_orientation(orient, f"omega_tf:{t}:2"), [("cell", t)]
 
-    def omega_fe(mesh, orient, c):
-        f = _copy_of(c, "face")
+    def omega_fe(mesh, orient):
+        f = _copy_of(mesh, "face")
         return mesh, corrupt_orientation(orient, f"omega_fe:{f}:1"), [("face", f)]
 
-    def edge_length(mesh, orient, c):
-        e = _copy_of(c, "edge")
+    def edge_length(mesh, orient):
+        e = _copy_of(mesh, "edge")
         return mesh, corrupt_orientation(orient, f"edge_length:{e}"), [("edge", e)]
 
-    def tau1(mesh, orient, c):
-        f = _copy_of(c, "face")
+    def tau1(mesh, orient):
+        f = _copy_of(mesh, "face")
         tau = orient.face_tau1.copy()
         tau[f] = -tau[f]
         return mesh, dataclasses.replace(orient, face_tau1=tau), [("face", f)]
 
-    def vertex(mesh, orient, c):
-        t = _copy_of(c, "cell")
+    def vertex(mesh, orient):
+        t = _copy_of(mesh, "cell")
         v = closure(mesh, "cell", t)[0][0]
-        moved = _moved_vertex(mesh, v, 1e-9 * orient.cell_diameter[t] * np.asarray([1.0, 0, 0]))
-        touched = [(kind, i) for kind in ("edge", "face", "cell")
-                   for i in range(_counts(mesh)[kind]) if v in closure(mesh, kind, i)[0]]
+        # along the diagonal: every edge, face and element at v changes to first order
+        moved = _moved_vertex(mesh, v, 1e-9 * orient.cell_diameter[t] * np.ones(3) / np.sqrt(3))
+        touched = [(kind, i) for kind in KINDS
+                   for i in range(entity_count(mesh, kind)) if v in closure(mesh, kind, i)[0]]
         return moved, compute_orientation(moved), touched
 
     return [("omega_tf", omega_tf), ("omega_fe", omega_fe), ("edge_length", edge_length),
@@ -195,28 +189,31 @@ def _perturbations():
 
 
 @pytest.mark.parametrize("name,perturb", _perturbations(), ids=[p[0] for p in _perturbations()])
-def test_key_sees_every_input_of_the_builders(monkeypatch, name, perturb):
+def test_stack_sees_every_input_of_the_builders(monkeypatch, name, perturb):
+    # a perturbation of one entity in a stack of congruent copies reaches that
+    # entity's stacked operators, as it reaches a build of the entity alone
     mesh = build_voxel_mesh(np.ones((3, 3, 2), dtype=int))
     orient = compute_orientation(mesh)
     healthy = DdrComplex(mesh, orient, 1)
-    mesh2, orient2, targets = perturb(mesh, orient, healthy)
-    # without the perturbation a target shares an earlier entity's operators
-    assert any(healthy.representative(kind, i) != i for kind, i in targets)
-    labels = _spy_builds(monkeypatch)
-    c = DdrComplex(mesh2, orient2, 1)
-    _build_all(c)
+    mesh2, orient2, targets = perturb(mesh, orient)
+    stacked = DdrComplex(mesh2, orient2, 1)
+    alone = _alone(mesh2, orient2, 1, monkeypatch)
     for kind, i in targets:
-        assert c.representative(kind, i) == i, (kind, i)
-        for bkind, _, label in BUILDERS:
-            if bkind == kind:
-                assert label.format(i) in labels, (kind, i, label)
+        for bkind, builder in BUILDERS:
+            if bkind != kind:
+                continue
+            got, want, before = (getattr(c, builder)(i) for c in (stacked, alone, healthy))
+            for x, y, z in zip(_arrays(got), _arrays(want), _arrays(before)):
+                assert _rel(x, y) <= 1e-13, (kind, i, builder)
+            assert max(_rel(x, z) for x, z in zip(_arrays(got), _arrays(before))) > 1e-12, \
+                (kind, i, builder)
 
 
 def _ring_with_copies():
-    c = complex_for("ring", 0)
-    return {"omega_tf": f"omega_tf:{_copy_of(c, 'cell')}:0",
-            "omega_fe": f"omega_fe:{_copy_of(c, 'face')}:0",
-            "edge_length": f"edge_length:{_copy_of(c, 'edge')}"}
+    mesh, _ = mesh_and_orientation("ring")
+    return {"omega_tf": f"omega_tf:{_copy_of(mesh, 'cell')}:0",
+            "omega_fe": f"omega_fe:{_copy_of(mesh, 'face')}:0",
+            "edge_length": f"edge_length:{_copy_of(mesh, 'edge')}"}
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -229,49 +226,70 @@ def test_fault_on_a_congruent_copy_exit_1(tmp_path, fault, k):
     assert code == 1
 
 
-def _congruence_classes(mesh, orient, kind):
-    """Classes of translated copies with the same local numbering, from scratch:
-    closure vertices relative to their lowest corner (rounded), the local
-    index patterns and the boundary signs."""
-    classes = set()
-    for i in range(_counts(mesh)[kind]):
-        vs, es, fs, _ = closure(mesh, kind, i)
-        pts = mesh.vertices[vs]
-        rel = tuple(np.round((pts - pts.min(axis=0)) * 1e9).astype(int).ravel())
-        where = {v: n for n, v in enumerate(vs)}
-        edges = tuple(where[int(v)] for e in es for v in mesh.edges[e])
-        eat = {e: n for n, e in enumerate(es)}
-        faces = tuple((tuple(where[v] for v in mesh.face_loops[f]),
-                       tuple(eat[e] for e in mesh.face_edges[f]), orient.face_edge_sign[f])
-                      for f in fs)
-        cell = ((tuple(fs.index(f) for f in mesh.element_faces[i]), orient.cell_face_sign[i])
-                if kind == "cell" else ())
-        classes.add((rel, edges, faces, cell))
-    return len(classes)
-
-
-@pytest.mark.parametrize("hole", [1, 2])
-def test_fresh_builds_count_congruence_classes(monkeypatch, hole):
-    # the 4x3x1 voxel ring of the cohomology benchmark
-    pattern = np.ones((4, 3, 1), dtype=int)
-    pattern[hole, 1, 0] = 0
-    mesh = build_voxel_mesh(pattern, h=0.7)
-    orient = compute_orientation(mesh)
-    labels = _spy_builds(monkeypatch)
-    _build_all(DdrComplex(mesh, orient, 1))
-    for kind, _, label in BUILDERS:
-        n = _counts(mesh)[kind]
-        builds = sum(label.format(i) in labels for i in range(n))
-        classes = _congruence_classes(mesh, orient, kind)
-        assert builds == classes < n, (label, builds, classes, n)
-
-
 def test_copies_share_read_only_arrays():
+    # the members of a stack view its arrays, each with its own local map
     c = complex_for("ring", 1)
-    e = _copy_of(c, "edge")
-    rep = c.representative("edge", e)
-    a, b = c.edge_ops(e), c.edge_ops(rep)
-    assert a.op is b.op and a.moments.rhs is b.moments.rhs
-    assert a.lmap is not b.lmap and a.lmap.globals.tolist() != b.lmap.globals.tolist()
-    for arr in (a.op, a.potential, a.moments.mass, a.moments.rhs, c.means("edge", e)):
+    a, b = c.edge_ops(3), c.edge_ops(7)
+    for x, y in zip(_arrays(a), _arrays(b)):
+        assert x.base is not None and x.base is y.base
+    assert a.lmap.globals.tolist() != b.lmap.globals.tolist()
+    for arr in _arrays(a) + [c.means("edge", 3)]:
         assert not arr.flags.writeable
+
+
+def _shrunk(orient, kind, entities):
+    """The table with the diameters of ``entities`` shrunk by 1e-30: their
+    scaled coordinates blow up and their first moment system is singular."""
+    field = {"edge": "edge_length", "face": "face_diameter", "cell": "cell_diameter"}[kind]
+    sizes = getattr(orient, field).copy()
+    sizes[list(entities)] *= 1e-30
+    return dataclasses.replace(orient, **{field: sizes})
+
+
+@pytest.mark.parametrize("mesh_name,kind,planted,named", [
+    ("ring", "edge", [40, 7], 7),
+    ("cavity", "cell", [9], 9),
+    ("cavity", "cell", [17, 3], 3),
+    ("prism_pair", "face", [5, 3], 3),    # face 5 is in an earlier group than face 3
+])
+def test_failing_solve_names_its_entity(monkeypatch, mesh_name, kind, planted, named):
+    mesh, orient = _mesh(mesh_name)
+    bad = _shrunk(orient, kind, planted)
+    with pytest.raises(ConditioningError) as stacked:
+        _build_all(DdrComplex(mesh, bad, 1))
+    # the message of a build entity by entity: the lowest failing entity,
+    # its first failing solve
+    with monkeypatch.context() as m:
+        m.setattr(operators, "size_groups", lambda mesh, kind: [
+            np.asarray([i]) for i in range(entity_count(mesh, kind))])
+        with pytest.raises(ConditioningError) as alone:
+            _build_all(DdrComplex(mesh, bad, 1))
+    label = {"cell": "element"}.get(kind, kind)
+    assert str(stacked.value) == str(alone.value)
+    assert str(stacked.value).startswith(f"{label} {named}: ")
+    assert str(stacked.value).endswith(" beyond limit")
+    assert " condition number " in str(stacked.value)
+
+
+def test_solve_count_does_not_grow_with_the_mesh(monkeypatch):
+    # one stacked solve per group and moment system: a graded 2x2x2 block and
+    # a graded 3x3x3 block with a cavity (8 and 26 elements) make as many
+    calls = []
+    solve = operators.stacked_solve
+
+    def spy(system, rhs, what):
+        calls.append(len(what))
+        return solve(system, rhs, what)
+
+    monkeypatch.setattr(operators, "stacked_solve", spy)
+    counts = []
+    for n, cavity in ((2, False), (3, True)):
+        c = DdrComplex(*graded_block(n, cavity), 1)
+        per_builder = []
+        for _, builder in BUILDERS:
+            before = len(calls)
+            getattr(c, builder)(0)
+            per_builder.append(len(calls) - before)
+        counts.append(per_builder)
+    assert counts[0] == counts[1] == [2, 2, 1, 2, 2, 2]
+    assert max(calls) == 144        # the larger block's edges in one stack

@@ -6,16 +6,20 @@ Usage (from anywhere; the package is taken from this checkout's ``src``)::
 
 Runs, with ``--no-timestamp``:
 
-* ``verify`` (all families) on the builtins cube, ring and cavity at
-  k = 0..2: report, stdout, stderr and exit code;
-* ``cohomology --generators`` on the same nine cases: report, stdout,
+* ``verify`` (all families) on the builtins cube, ring and cavity and on
+  ``meshes/graded_cavity.json`` at k = 0..2: report, stdout, stderr and
+  exit code;
+* ``cohomology --generators`` on the same twelve cases: report, stdout,
   stderr, exit code and VTK file;
 * ``verify`` on ring k = 1 with each ``--inject-fault`` kind: report,
   stdout, stderr and exit code.
 
-and prints one ``sha256  name`` line per output file (93 in all), sorted by
+and prints one ``sha256  name`` line per output file (120 in all), sorted by
 name.  Run it on two commits and ``diff`` the outputs: no difference means
-the reports, messages, exit codes and VTK files are byte-identical.
+the reports, messages, exit codes and VTK files are byte-identical.  The
+graded mesh (a 3x3x3 block on graded grid lines with its central cell
+removed, made with ``perfbench/meshgen.py``) has no two congruent elements,
+unlike the voxel builtins.
 """
 
 from __future__ import annotations
@@ -28,18 +32,20 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-MESHES = ("cube", "ring", "cavity")
+GRADED = Path(__file__).resolve().parent / "meshes" / "graded_cavity.json"
+# builtin name or mesh file -> CLI mesh arguments
+MESHES = {"cube": ["--builtin", "cube"], "ring": ["--builtin", "ring"],
+          "cavity": ["--builtin", "cavity"], "graded": ["--mesh", str(GRADED)]}
 DEGREES = (0, 1, 2)
 FAULTS = ("omega_tf", "omega_fe", "edge_length")
 
 
 def _runs():
     """(name, CLI arguments, writes a VTK file) for every gated request."""
-    for mesh in MESHES:
+    for mesh, where in MESHES.items():
         for k in DEGREES:
-            yield f"verify-{mesh}-k{k}", ["verify", "--builtin", mesh, "--degree", str(k)], False
-            yield (f"cohomology-{mesh}-k{k}",
-                   ["cohomology", "--builtin", mesh, "--degree", str(k)], True)
+            yield f"verify-{mesh}-k{k}", ["verify", *where, "--degree", str(k)], False
+            yield f"cohomology-{mesh}-k{k}", ["cohomology", *where, "--degree", str(k)], True
     for fault in FAULTS:
         yield (f"fault-{fault}-ring-k1",
                ["verify", "--builtin", "ring", "--degree", "1", "--inject-fault", fault], False)
