@@ -3,8 +3,8 @@
 Every stack member is checked against a build of that entity alone (a
 group of one), perturbations of one entity must reach its stacked
 operators, a failing solve names the same entity and solve as a build
-entity by entity, and the number of stacked solves does not grow with the
-mesh.
+entity by entity, the stacked builds are no more than the congruence
+classes, and the number of stacked solves does not grow with the mesh.
 """
 
 import dataclasses
@@ -269,6 +269,58 @@ def test_failing_solve_names_its_entity(monkeypatch, mesh_name, kind, planted, n
     assert str(stacked.value).startswith(f"{label} {named}: ")
     assert str(stacked.value).endswith(" beyond limit")
     assert " condition number " in str(stacked.value)
+
+
+def _congruence_classes(mesh, orient, kind):
+    """Classes of translated copies with the same local numbering, from scratch:
+    closure vertices relative to their lowest corner (rounded), the local
+    index patterns and the boundary signs."""
+    classes = set()
+    for i in range(entity_count(mesh, kind)):
+        vs, es, fs, _ = closure(mesh, kind, i)
+        pts = mesh.vertices[vs]
+        rel = tuple(np.round((pts - pts.min(axis=0)) * 1e9).astype(int).ravel())
+        where = {v: n for n, v in enumerate(vs)}
+        edges = tuple(where[int(v)] for e in es for v in mesh.edges[e])
+        eat = {e: n for n, e in enumerate(es)}
+        faces = tuple((tuple(where[v] for v in mesh.face_loops[f]),
+                       tuple(eat[e] for e in mesh.face_edges[f]), orient.face_edge_sign[f])
+                      for f in fs)
+        cell = ((tuple(fs.index(f) for f in mesh.element_faces[i]), orient.cell_face_sign[i])
+                if kind == "cell" else ())
+        classes.add((rel, edges, faces, cell))
+    return len(classes)
+
+
+@pytest.mark.parametrize("hole", [1, 2])
+def test_fresh_builds_count_congruence_classes(monkeypatch, hole):
+    # the 4x3x1 voxel ring of the cohomology benchmark: each builder makes one
+    # stacked build per size group, which covers all its entities and is never
+    # more than one build per congruence class (congruent entities have equal
+    # array sizes)
+    pattern = np.ones((4, 3, 1), dtype=int)
+    pattern[hole, 1, 0] = 0
+    mesh = build_voxel_mesh(pattern, h=0.7)
+    orient = compute_orientation(mesh)
+    built = []
+    group = operators._Group
+
+    def spy(kind, ids, *args):
+        built.append((kind, len(ids)))
+        return group(kind, ids, *args)
+
+    monkeypatch.setattr(operators, "_Group", spy)
+    c = DdrComplex(mesh, orient, 1)
+    for kind, builder in BUILDERS:
+        before = len(built)
+        getattr(c, builder)(0)
+        builds = built[before:]
+        n = entity_count(mesh, kind)
+        classes = _congruence_classes(mesh, orient, kind)
+        assert all(k == kind for k, _ in builds), (builder, builds)
+        assert sum(size for _, size in builds) == n, (builder, builds, n)
+        assert len(builds) == len(operators.size_groups(mesh, kind)) <= classes < n, \
+            (builder, len(builds), classes, n)
 
 
 def test_solve_count_does_not_grow_with_the_mesh(monkeypatch):
