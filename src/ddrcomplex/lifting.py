@@ -1,13 +1,15 @@
 """Reductions and extensions between the degree-k and degree-0 complexes.
 
 The reduction keeps the component attached to the lowest-dimensional entity
-of each space (vertex values, edge/face means, element means).  The
-extension copies the degree-0 unknowns into the leading coefficient of their
-degree-k components, then solves, entity by entity and in order of
-increasing dimension, the moment systems that the local operators of
-:mod:`.operators` store, with the degree-0 operator value as right-hand side
-and the already extended boundary as data.  The pair is a one-sided inverse
-(reduction after extension is the identity) and both are cochain maps.
+of each space (vertex values, edge/face means, element means), one sparse
+assembly per space from the carriers' stack of means.  The extension copies
+the degree-0 unknowns into the leading coefficient of their degree-k
+components, then solves, in order of increasing dimension, the moment
+systems that the local operators of :mod:`.operators` store, with the
+degree-0 operator value as right-hand side and the already extended boundary
+as data: one stacked solve per size group, read from the group stacks of the
+two complexes.  The pair is a one-sided inverse (reduction after extension
+is the identity) and both are cochain maps.
 
 The de Rham scaling, diagonal in the measures of the carrier entities,
 identifies the degree-0 complex with the CW cochain complex.  The generator
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificationError, DomainError
+from .errors import CertificationError, ConditioningError, DomainError
 # betti_numbers is unused here, but perfbench/traced.py patches it in this module
 from .homology import (
     CochainComplexInt,
@@ -30,37 +32,43 @@ from .homology import (
     betti_numbers,
     cohomology_generators,
 )
-from .layouts import CARRIERS, PARTS, entity_count
-from .mesh import OrientationTable
-from .operators import OPERATORS, DdrComplex, _Coo, _label
-from .spaces import checked_solve
+from .layouts import CARRIERS, KINDS, PARTS
+from .mesh import Mesh, OrientationTable
+from .operators import OPERATORS, DdrComplex, _Coo, _Group
+from .spaces import span_matrix
 from .sparse import CsrMatrix
+
+
+def _check_length(vector: np.ndarray, size: int, space: str) -> None:
+    if vector.shape != (size,):
+        raise DomainError(f"{space}: vector of shape {vector.shape}, expected ({size},)")
 
 
 # ---------------------------------------------------------------------------
 # reductions
 
-def _carrier_weights(complex_: DdrComplex, kind: str, index: int) -> np.ndarray:
-    """What the reduction takes of a carrier's leading component: a vertex
-    value as it is, elsewhere the mean of each basis monomial."""
-    return np.ones(1) if kind == "vertex" else complex_.means(kind, index)
+def _carrier_weights(complex_: DdrComplex, space: str) -> np.ndarray:
+    """What the reduction takes of each carrier's component, one row per
+    carrier: a vertex value as it is, elsewhere the mean of each basis
+    monomial.  The carriers' components lead the layout, one after another,
+    so carrier i's starts at i times the row length."""
+    kind = CARRIERS[space]
+    return np.ones((complex_.mesh.n_vertices, 1)) if kind == "vertex" else complex_.means(kind)
 
 
 def reduction_matrix(complex_: DdrComplex, space: str) -> CsrMatrix:
     """Sparse reduction onto the degree-0 layout of one space."""
-    lay = complex_.layout(space)
-    kind = CARRIERS[space]
-    count = entity_count(complex_.mesh, kind)
-    coo = _Coo()
-    for i in range(count):
-        c = lay.entity_components(kind, i)[0]
-        coo.add(np.asarray([i]), np.arange(c.offset, c.offset + c.dim),
-                _carrier_weights(complex_, kind, i)[None, :])
-    return coo.build((count, lay.total))
+    total = complex_.layout(space).total
+    weights = _carrier_weights(complex_, space)
+    count, n = weights.shape
+    return CsrMatrix.from_coo((count, total), np.repeat(np.arange(count), n),
+                              np.arange(count * n), weights)
 
 
 def reduce_vector(complex_: DdrComplex, space: str, vector: np.ndarray) -> np.ndarray:
-    return reduction_matrix(complex_, space) @ np.asarray(vector, dtype=float)
+    vector = np.asarray(vector, dtype=float)
+    _check_length(vector, complex_.layout(space).total, space)
+    return reduction_matrix(complex_, space) @ vector
 
 
 def zero_reduction_basis(complex_: DdrComplex, space: str) -> CsrMatrix:
@@ -70,22 +78,15 @@ def zero_reduction_basis(complex_: DdrComplex, space: str) -> CsrMatrix:
     the monomials of degree >= 1 minus their entity mean; all other
     components contribute identity columns.
     """
-    lay = complex_.layout(space)
-    carrier = CARRIERS[space]
-    coo = _Coo()
-    col = 0
-    for c in lay.components:
-        if c.entity_kind != carrier:
-            for j in range(c.dim):
-                coo.add(np.asarray([c.offset + j]), np.asarray([col]), np.ones((1, 1)))
-                col += 1
-            continue
-        means = _carrier_weights(complex_, carrier, c.entity)
-        for j in range(1, c.dim):   # none on a vertex: its value is the reduction
-            rows = np.asarray([c.offset, c.offset + j])
-            coo.add(rows, np.asarray([col]), np.asarray([[-means[j]], [1.0]]))
-            col += 1
-    return coo.build((lay.total, col))
+    total = complex_.layout(space).total
+    weights = _carrier_weights(complex_, space)
+    count, n = weights.shape
+    leads = np.arange(count) * n      # each carrier's constant (on a vertex, its value)
+    kept = np.delete(np.arange(total), leads)
+    return CsrMatrix.from_coo((total, len(kept)),
+                              np.concatenate([kept, np.repeat(leads, n - 1)]),
+                              np.concatenate([np.arange(len(kept)), np.arange(count * (n - 1))]),
+                              np.concatenate([np.ones(len(kept)), -weights[:, 1:].ravel()]))
 
 
 # ---------------------------------------------------------------------------
@@ -95,20 +96,22 @@ def zero_reduction_basis(complex_: DdrComplex, space: str) -> CsrMatrix:
 class DeRhamScaling:
     """Diagonal measure scalings identifying DDR(0) vectors with cochains."""
 
+    vertex: np.ndarray  # 1: a vertex value is its cochain
     edge: np.ndarray    # |E|
     face: np.ndarray    # |F|
     cell: np.ndarray    # |T|
 
-    def measure(self, space: str) -> np.ndarray | None:
-        """Measures of the carriers of a space's degree-0 unknowns (None for
-        vertices: their values are the cochain)."""
+    def measure(self, space: str) -> np.ndarray:
+        """Measures of the carriers of a space's degree-0 unknowns (ones on
+        vertices)."""
         if space not in CARRIERS:
             raise DomainError(f"unknown space {space!r}")
-        return None if CARRIERS[space] == "vertex" else getattr(self, CARRIERS[space])
+        return getattr(self, CARRIERS[space])
 
 
-def de_rham_scaling(orientation: OrientationTable) -> DeRhamScaling:
-    return DeRhamScaling(edge=orientation.edge_length.copy(),
+def de_rham_scaling(mesh: Mesh, orientation: OrientationTable) -> DeRhamScaling:
+    return DeRhamScaling(vertex=np.ones(mesh.n_vertices),
+                         edge=orientation.edge_length.copy(),
                          face=orientation.face_area.copy(),
                          cell=orientation.cell_volume.copy())
 
@@ -120,17 +123,12 @@ def de_rham_map(direction: str, space: str, scaling: DeRhamScaling,
     forward: vertex values id, edge values * |E|, face * |F|, element * |T|;
     inverse divides.  forward(inverse(x)) == x exactly (IEEE x/x = 1).
     """
+    if direction not in ("forward", "inverse"):
+        raise DomainError(f"direction must be forward or inverse, got {direction!r}")
     diag = scaling.measure(space)
     vector = np.asarray(vector, dtype=float)
-    if diag is None:
-        return vector.copy()
-    if vector.shape[0] != diag.shape[0]:
-        raise DomainError("vector length does not match the space layout")
-    if direction == "forward":
-        return vector * diag
-    if direction == "inverse":
-        return vector / diag
-    raise DomainError(f"direction must be forward or inverse, got {direction!r}")
+    _check_length(vector, len(diag), space)
+    return vector * diag if direction == "forward" else vector / diag
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +142,9 @@ class ExtensionMaps:
     degree-k components.  Edges, then faces, then elements solve the
     operators' own moment systems for their remaining unknowns, with the
     already extended boundary rows as data, so that the degree-k operator
-    of an extended vector is the degree-0 one.
+    of an extended vector is the degree-0 one.  The systems are read from
+    the size-group stacks of both complexes (:meth:`.DdrComplex.stacks`),
+    with one stacked solve per size group.
     """
 
     high: DdrComplex
@@ -163,46 +163,48 @@ class ExtensionMaps:
         high, low, k = self.high, self.low, self.high.k
         hlay, llay = high.layout(space), low.layout(space)
         shape = (hlay.total, llay.total)
+        # one degree-0 unknown per carrier, whose components lead both layouts
+        count, n = llay.total, hlay.components[0].dim
         coo = _Coo()
-        for c in llay.components:
-            if c.dim:  # degree-0 unknowns sit on one entity kind, one per entity
-                coo.add(hlay.indices(c.entity_kind, c.entity, c.part)[:1],
-                        np.asarray([c.offset]), np.ones((1, 1)))
+        coo.add(np.arange(count)[:, None] * n, np.arange(count)[:, None], np.ones((count, 1, 1)))
         # Each block of the operator leaving ``space`` solves for its entities'
-        # own unknowns of ``space``.  The first component is fixed by the
-        # block's moment system restricted to tests: a "poly" target drops the
-        # constant test function, whose moment only sees boundary data; an
-        # image/complement target tests against its degree-k complement.  A
-        # second component is the L2 projection of the degree-0 block's potential.
-        for op, block in [(op, b) for op in OPERATORS if op.source == space for b in op.blocks]:
+        # own unknowns of ``space`` (none at k = 0).  The first component is
+        # fixed by the block's moment system restricted to tests: a "poly"
+        # target drops the constant test function, whose moment only sees
+        # boundary data; an image/complement target tests against its degree-k
+        # complement.  A second component is the L2 projection of the degree-0
+        # block's potential.
+        blocks = [(op, b) for op in OPERATORS if op.source == space for b in op.blocks]
+        for op, block in blocks if k else []:
             kind, targets = block.kind, PARTS[op.target][block.kind]
+            (own, _), *complement = PARTS[space][kind]
             done = coo.build(shape)   # rows of lower-dimensional entities
-            for i in range(entity_count(high.mesh, kind)):
-                own, *complement = hlay.entity_components(kind, i)
-                rows = hlay.indices(kind, i, own.part)
-                if not rows.size:     # k = 0: nothing beyond the copied unknowns
-                    continue
-                hops, lops = getattr(high, block.builder)(i), getattr(low, block.builder)(i)
-                cols = lops.lmap.globals
-                # extended boundary rows; zero on the entity's own unknowns
-                known = done.gather(hops.lmap.globals, cols)
+            failed: dict[int, ConditioningError] = {}
+            for (ids, hmaps, _, _, mass, rhs), (_, lmaps, lop, lpot, _, _) in zip(
+                    high.stacks(block.builder), low.stacks(block.builder)):
+                grp = _Group(kind, ids, hmaps, failed)
+                rows = np.stack([lmap.globals for lmap in hmaps])
+                cols = np.stack([lmap.globals for lmap in lmaps])
+                # extended boundary rows; zero on the entities' own unknowns
+                known = np.stack([done.gather(r, c) for r, c in zip(rows, cols)])
                 # The degree-0 operator value is the constant coefficient
                 # leading each component, so its moments are the leading
                 # columns of the mass matrix.
-                mass, rhs = hops.moments.mass, hops.moments.rhs
-                lead = np.arange(lops.op.shape[0]) * (mass.shape[0] // lops.op.shape[0])
-                target = mass[:, lead] @ lops.op - rhs @ known
-                solved = rhs[:, hops.lmap.local_indices(kind, i, own.part)]
+                lead = np.arange(lop.shape[1]) * (mass.shape[1] // lop.shape[1])
+                target = mass[:, :, lead] @ lop - rhs @ known
+                solved = rhs[:, :, grp.own(own)]
                 if len(targets) == 1:
-                    solved, target = solved[1:], target[1:]
+                    solved, target = solved[:, 1:], target[:, 1:]
                 else:
-                    p = high.subspace(targets[1][0], (kind, i), k).coeffs.T
+                    p = span_matrix(targets[1][0], KINDS.index(kind), k).T
                     solved, target = p @ solved, p @ target
-                coo.add(rows, cols, checked_solve(solved, target,
-                                                  f"{_label(kind, i)}: {op.local} extension"))
-                for c in complement:
-                    coo.add(hlay.indices(kind, i, c.part), cols, high.project_onto(
-                        c.part, (kind, i), k, 0, lops.potential))
+                coo.add(rows[:, grp.own(own)], cols,
+                        grp.solve(solved, target, f"{op.local} extension"))
+                for part, _ in complement:
+                    coo.add(rows[:, grp.own(part)], cols,
+                            high._project(kind, ids, part, k, 0, lpot))
+            if failed:
+                raise failed[min(failed)]
         mat = coo.build(shape)
         self._cache[space] = mat
         return mat
@@ -236,6 +238,8 @@ def lift_generators(high: DdrComplex, low: DdrComplex, index: int,
     """
     if index not in (1, 2):
         raise DomainError("cohomology index must be 1 or 2")
+    if not (np.isfinite(kernel_tol) and kernel_tol > 0):
+        raise DomainError(f"kernel_tol must be finite and positive, got {kernel_tol!r}")
     if ext is not None and (ext.high is not high or ext.low is not low):
         raise DomainError("extension maps of other complexes")
     mesh, orient = high.mesh, high.orient
@@ -246,7 +250,7 @@ def lift_generators(high: DdrComplex, low: DdrComplex, index: int,
     space = outgoing.source
     if not gens:
         return LiftedGenerators(high.k, index, space, (), ())
-    measures = de_rham_scaling(orient).measure(space)
+    measures = de_rham_scaling(mesh, orient).measure(space)
     ext_mat = (ext or ExtensionMaps(high, low)).matrix(space)
 
     vectors, certs = [], []
@@ -257,7 +261,7 @@ def lift_generators(high: DdrComplex, low: DdrComplex, index: int,
         lifted = ext_mat @ (np.asarray(g, dtype=float) / measures)
         res = float(np.linalg.norm(high.operator(outgoing.name) @ lifted))
         rel = res / max(np.linalg.norm(lifted), 1e-300)
-        if rel > kernel_tol:
+        if not rel <= kernel_tol:
             raise CertificationError(
                 f"lifted generator {j}: kernel residual {rel:.3e} above {kernel_tol:.1e}")
         stacked = np.concatenate([stacked, lifted[:, None]], axis=1)

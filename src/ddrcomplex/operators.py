@@ -20,14 +20,16 @@ every group of its kind: a leading entity axis runs through the boundary
 evaluations, the moment right-hand sides, the guarded solves, and later the
 projections and the global COO adds.  :meth:`DdrComplex.edge_ops` ...
 :meth:`DdrComplex.cell_div_ops` return records whose arrays are read-only
-views into their group's stacks.  A solve that fails its condition-number
-guard names the lowest-index failing entity and that entity's first failing
-solve, as a build entity by entity would.  Each entity basis is evaluated
-once per point set, at the highest degree the builders read of it (k+2 on
-faces, k+1 on edges and elements; lower degrees are column slices), and each
-entity's Gram matrices are slices of one top-degree Gram.  Element Grams are
-computed one element at a time, so no stack holds element-interior
-quadrature points.
+views into their group's stacks; :meth:`DdrComplex.stacks` returns the
+stacks themselves, which global assembly and the extensions of
+:mod:`.lifting` read a group at a time.  A solve that fails its
+condition-number guard names the lowest-index failing entity and that
+entity's first failing solve, as a build entity by entity would.  Each
+entity basis is evaluated once per point set, at the highest degree the
+builders read of it (k+2 on faces, k+1 on edges and elements; lower degrees
+are column slices), and each entity's Gram matrices are slices of one
+top-degree Gram.  Element Grams are computed one element at a time, so no
+stack holds element-interior quadrature points.
 
 :class:`DdrComplex` memoizes bases, quadrature rules, Gram matrices, local
 operators, and assembled global matrices for one (mesh, orientation, degree).
@@ -46,14 +48,12 @@ from .mesh import Mesh, OrientationTable
 from .quadrature import QuadratureRule, entity_rule
 from .spaces import (
     ScaledMonomialBasis,
-    SubspaceBasis,
     span_matrix,
     checked_solves,
     entity_basis,
     frame_dot,
     frame_moments,
     stacked_solve,
-    subspace_basis,
 )
 from .sparse import CsrMatrix
 
@@ -235,16 +235,15 @@ class DdrComplex:
         self._layouts: dict[str, DofLayout] = {}
         self._rules: dict[tuple, QuadratureRule] = {}
         self._bases: dict[tuple, ScaledMonomialBasis] = {}
-        self._subs: dict[tuple, SubspaceBasis] = {}
         # per entity kind: frames, top-degree Grams, degree-k means
         self._frames: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._top_grams: dict[str, np.ndarray] = {}
         self._means: dict[str, np.ndarray] = {}
         # per entity kind: size groups; per builder: every entity's record,
-        # and each group's entities with their stacked operators
+        # and each group's entities with their local maps and stacked arrays
         self._groups: dict[str, list[np.ndarray]] = {}
         self._ops: dict[str, list[LocalOps]] = {}
-        self._stacks: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._stacks: dict[str, list[tuple]] = {}
         self._globals: dict[str, CsrMatrix] = {}
 
     # -- cached geometry-level objects ------------------------------------
@@ -273,20 +272,12 @@ class DdrComplex:
              vector: bool = False) -> np.ndarray:
         return self._grams(kind, [index], deg_a, deg_b, vector)[0]
 
-    def subspace(self, kind: str, entity: tuple[str, int], degree: int) -> SubspaceBasis:
-        key = (kind, entity, degree)
-        if key not in self._subs:
-            rule = self.rule(*entity) if kind == "P0" else None
-            self._subs[key] = subspace_basis(self.mesh, self.orient, kind, entity,
-                                             degree, rule)
-        return self._subs[key]
-
-    def means(self, kind: str, index: int) -> np.ndarray:
-        """Mean over one entity of each scalar degree-k basis monomial (a
-        read-only view)."""
+    def means(self, kind: str) -> np.ndarray:
+        """Mean over each entity of one kind of each scalar degree-k basis
+        monomial, (n, .), read-only."""
         if kind not in self._means:
             self._means[kind] = _read_only(self._mean_stack(kind, slice(None), self.k))
-        return self._means[kind][index]
+        return self._means[kind]
 
     # -- stacked evaluation --------------------------------------------------
 
@@ -394,8 +385,8 @@ class DdrComplex:
     def _project(self, kind: str, ids, part: str, degree: int, source_degree: int,
                  columns: np.ndarray) -> np.ndarray:
         """L2 projection of stacked vector coefficient columns (G, over
-        vP^source_degree) onto a tagged subspace of vP^degree, entity by
-        entity: solves (C^T M C) alpha = C^T M_x g."""
+        vP^source_degree) onto a tagged subspace of vP^degree, for each of
+        the entities ``ids``: solves (C^T M C) alpha = C^T M_x g."""
         c = span_matrix(part, KINDS.index(kind), degree)
         if not c.shape[1]:
             return np.zeros((len(ids), 0, columns.shape[-1]))
@@ -406,13 +397,6 @@ class DdrComplex:
         if errors:
             raise errors[min(errors)]
         return out
-
-    def project_onto(self, part: str, entity: tuple[str, int], degree: int,
-                     source_degree: int, columns: np.ndarray) -> np.ndarray:
-        """Project vector-valued coefficient columns (over vP^source_degree)
-        onto a tagged subspace of vP^degree on the same entity."""
-        kind, idx = entity
-        return self._project(kind, [idx], part, degree, source_degree, columns[None])[0]
 
     # -- local operators ------------------------------------------------------
     # edge_ops ... cell_div_ops are the blocks of OPERATORS; each returns a
@@ -459,11 +443,18 @@ class DdrComplex:
                 for g, (i, lmap) in enumerate(zip(ids, grp.lmaps)):
                     records[i] = LocalOps(lmap, op[g], None if potential is None else potential[g],
                                           Moments(mass[g], rhs[g]))
-                stacks.append((ids, op))
+                stacks.append((ids, grp.lmaps, op, potential, mass, rhs))
             if failed:
                 raise failed[min(failed)]
             self._ops[builder], self._stacks[builder] = records, stacks
         return self._ops[builder]
+
+    def stacks(self, builder: str) -> list[tuple]:
+        """One builder's size groups, each ``(ids, lmaps, op, potential,
+        mass, rhs)``: the entities, their local maps, and the read-only
+        stacks their LocalOps view."""
+        self._records(builder)
+        return self._stacks[builder]
 
     def _sub_data(self, grp: _Group, sub_builder: str, subs: np.ndarray):
         """Per member, where one boundary sub-entity's local dofs sit in the
@@ -686,9 +677,8 @@ class DdrComplex:
             coo = _Coo()
             for block in op.blocks:
                 parts = PARTS[op.target][block.kind]
-                records = self._records(block.builder)
-                for ids, ops in self._stacks[block.builder]:
-                    cols = np.stack([records[i].lmap.globals for i in ids])
+                for ids, lmaps, ops, *_ in self.stacks(block.builder):
+                    cols = np.stack([lmap.globals for lmap in lmaps])
                     for part, shift in parts:
                         rows = np.stack([tgt.indices(block.kind, int(i), part) for i in ids])
                         coo.add(rows, cols, ops if len(parts) == 1 else self._project(

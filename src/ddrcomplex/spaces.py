@@ -283,20 +283,16 @@ def gram_matrix(a: ScaledMonomialBasis, b: ScaledMonomialBasis,
     return out
 
 
-def checked_solve(system: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Dense solve with a condition-number guard (limit 1e14)."""
-    return checked_solves(system, [rhs], what)[0]
-
-
 def _beyond_limit(what: str, cond: float) -> ConditioningError:
     return ConditioningError(f"{what}: condition number {cond:.3e} beyond limit")
 
 
 def checked_solves(system: np.ndarray, rhs: list[np.ndarray], what: str) -> list[np.ndarray]:
-    """:func:`checked_solve` for several right-hand sides, with one guard.
+    """Dense solves of one system for several right-hand sides, with one
+    condition-number guard (limit 1e14).
 
-    Each right-hand side is solved on its own, so each result is the one
-    :func:`checked_solve` gives for it alone.
+    Each right-hand side is solved on its own, so no result depends on the
+    others.
     """
     if system.size == 0:
         return [np.zeros((system.shape[1], *b.shape[1:])) for b in rhs]
@@ -311,12 +307,12 @@ def checked_solves(system: np.ndarray, rhs: list[np.ndarray], what: str) -> list
 
 def stacked_solve(system: np.ndarray, rhs: np.ndarray, what: list[str]
                   ) -> tuple[np.ndarray, dict[int, ConditioningError]]:
-    """:func:`checked_solve` over a leading stack axis: ``system`` (G, n, n)
+    """:func:`checked_solves` over a leading stack axis: ``system`` (G, n, n)
     and ``rhs`` (G, n, m), with one condition estimate and one solve for all
     G members.
 
     ``what[g]`` names member g.  The members that fail the guard come back
-    as ``{g: error}``, each error the one :func:`checked_solve` raises for
+    as ``{g: error}``, each error the one :func:`checked_solves` raises for
     that member alone; their solutions are zero, and the other members are
     solved as usual.
     """

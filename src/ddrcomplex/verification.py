@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DdrError, DomainError, InputError
 from .homology import betti_numbers, build_cochain_complex, cohomology_dims
-from .layouts import SPACES
+from .layouts import CARRIERS, SPACES
 from .lifting import (
     ExtensionMaps,
     LiftedGenerators,
@@ -381,8 +381,8 @@ def check_cochain_diagram(s: VerifySession) -> list[CheckResult]:
             tol))
 
     tol = TOLERANCES["cw_diagram"]
-    sc = de_rham_scaling(s.orient)
-    kappa = {sp: [] if sc.measure(sp) is None else [np.diag(sc.measure(sp))] for sp in SPACES}
+    sc = de_rham_scaling(s.mesh, s.orient)
+    kappa = {sp: [] if CARRIERS[sp] == "vertex" else [np.diag(sc.measure(sp))] for sp in SPACES}
     ones = np.ones((s.mesh.n_vertices, 1))
     _timed(out, "cochain.cw_interp", lambda: _residual_check(
         residual_between([low.head_column[:, None]], [ones]), tol))

@@ -30,9 +30,13 @@ _EXTENSIONS = {}
 
 
 def mesh_and_orientation(name):
+    """A builtin voxel mesh, or "graded": the graded 3x3x3 block with a cavity."""
     if name not in _MESHES:
-        mesh = build_voxel_mesh(builtin_pattern(name))
-        _MESHES[name] = (mesh, compute_orientation(mesh))
+        if name == "graded":
+            _MESHES[name] = graded_block(3, cavity=True)
+        else:
+            mesh = build_voxel_mesh(builtin_pattern(name))
+            _MESHES[name] = (mesh, compute_orientation(mesh))
     return _MESHES[name]
 
 

@@ -179,7 +179,7 @@ def test_generators_and_lifts_share_one_betti_computation(ring, monkeypatch):
 def test_de_rham_map_quarter_edge():
     mesh = build_voxel_mesh(builtin_pattern("cube"), h=0.25)
     orient = compute_orientation(mesh)
-    scaling = de_rham_scaling(orient)
+    scaling = de_rham_scaling(mesh, orient)
     v = np.ones(mesh.n_edges)
     cochain = de_rham_map("forward", "Xcurl", scaling, v)
     assert np.abs(cochain - 0.25).max() < 1e-15
@@ -187,7 +187,7 @@ def test_de_rham_map_quarter_edge():
 
 def test_de_rham_roundtrip(ring):
     mesh, orient = ring
-    scaling = de_rham_scaling(orient)
+    scaling = de_rham_scaling(mesh, orient)
     rng = np.random.default_rng(11)
     for space in ("Xgrad", "Xcurl", "Xdiv", "Pk"):
         n = {"Xgrad": mesh.n_vertices, "Xcurl": mesh.n_edges,
@@ -197,12 +197,25 @@ def test_de_rham_roundtrip(ring):
         assert np.array_equal(w, v)  # x * d / d == x exactly for these measures
 
 
+def test_de_rham_map_checks_direction_and_length(ring):
+    # every space, the vertex values too: a wrong length or direction is an error
+    mesh, orient = ring
+    scaling = de_rham_scaling(mesh, orient)
+    for space, n in zip(("Xgrad", "Xcurl", "Xdiv", "Pk"), mesh.counts):
+        assert de_rham_map("forward", space, scaling, np.ones(n)).shape == (n,)
+        for bad in (np.ones(3), np.ones(n + 1), np.ones((n, 1))):
+            with pytest.raises(DomainError, match=f"^{space}: vector of shape"):
+                de_rham_map("forward", space, scaling, bad)
+        with pytest.raises(DomainError, match="direction must be forward or inverse"):
+            de_rham_map("sideways", space, scaling, np.ones(n))
+
+
 @pytest.mark.parametrize("name", ["cube", "ring", "cavity"])
 def test_diagram_commutation(name):
     mesh, orient = mesh_and_orientation(name)
     c0 = complex_for(name, 0)
     cc = build_cochain_complex(mesh, orient)
-    sc = de_rham_scaling(orient)
+    sc = de_rham_scaling(mesh, orient)
     kc, kd, kp = np.diag(sc.edge), np.diag(sc.face), np.diag(sc.cell)
     G0, C0, D0 = (m.toarray() for m in (c0.gradient, c0.curl, c0.divergence))
     assert np.abs(kc @ G0 - cc.d0).max() < 1e-13

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from ddrcomplex import (
+    CertificationError,
+    DomainError,
+    ExtensionMaps,
     lift_generators,
     numeric_rank,
     reduce_vector,
     reduction_matrix,
     zero_reduction_basis,
 )
+from ddrcomplex.sparse import CsrMatrix
 
 from conftest import complex_for, extensions_for, mesh_and_orientation
 
@@ -17,7 +21,7 @@ SPACES = ("Xgrad", "Xcurl", "Xdiv", "Pk")
 
 
 @pytest.mark.parametrize("name,k", [("cube", 1), ("cube", 2), ("cube", 3), ("ring", 1),
-                                    ("cavity", 1)])
+                                    ("cavity", 1), ("graded", 2)])
 def test_reduction_after_extension_is_identity(name, k):
     high = complex_for(name, k)
     ext = extensions_for(name, k)
@@ -35,6 +39,15 @@ def test_reduction_of_interpolate_is_vertex_values():
     red = reduce_vector(c, "Xgrad", vec)
     expected = np.asarray([p[0] * p[1] + 2.0 for p in mesh.vertices])
     assert np.abs(red - expected).max() < 1e-13
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_reduce_vector_rejects_a_wrong_length(space):
+    c = complex_for("ring", 1)
+    total = c.layout(space).total
+    for vector in (np.ones(total - 1), np.ones((total, 2))):
+        with pytest.raises(DomainError, match=f"^{space}: vector of shape"):
+            reduce_vector(c, space, vector)
 
 
 def test_extension_of_constant_is_interpolate():
@@ -71,7 +84,10 @@ def test_extension_cochain_identities(name, k):
     assert np.abs(high.head_column - e["Xgrad"] @ low.head_column).max() < 1e-11
 
 
-@pytest.mark.parametrize("name,k", [("cube", 1), ("ring", 1), ("ring", 2), ("cavity", 1)])
+# from k = 2 on, the faces and elements of the graded block each have their
+# own monomial means
+@pytest.mark.parametrize("name,k", [("cube", 1), ("ring", 1), ("ring", 2), ("cavity", 1),
+                                    ("graded", 2)])
 def test_reduction_cochain_identities(name, k):
     high = complex_for(name, k)
     low = complex_for(name, 0)
@@ -101,14 +117,14 @@ def test_random_vector_cochain_identity():
 
 
 def test_zero_reduction_bases_are_kernels():
-    high = complex_for("ring", 2)
-    for space in SPACES:
-        basis = zero_reduction_basis(high, space).toarray()
-        red = reduction_matrix(high, space).toarray()
-        assert np.abs(red @ basis).max() < 1e-13
-        lay = high.layout(space)
-        assert basis.shape == (lay.total, lay.total - red.shape[0])
-        assert np.linalg.matrix_rank(basis) == basis.shape[1]
+    for high in (complex_for("ring", 2), complex_for("graded", 2)):
+        for space in SPACES:
+            basis = zero_reduction_basis(high, space).toarray()
+            red = reduction_matrix(high, space).toarray()
+            assert np.abs(red @ basis).max() < 1e-13
+            lay = high.layout(space)
+            assert basis.shape == (lay.total, lay.total - red.shape[0])
+            assert np.linalg.matrix_rank(basis) == basis.shape[1]
 
 
 @pytest.mark.parametrize("name,k", [("ring", 1), ("ring", 2), ("cavity", 1),
@@ -212,8 +228,26 @@ def test_generator_family_reuses_the_session(monkeypatch):
     assert sorted(extensions) == ["Pk", "Xcurl", "Xdiv", "Xgrad"]
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_lift_rejects_a_kernel_tolerance_that_certifies_nothing(tol):
+    # a NaN tolerance used to certify every generator: rel > NaN is False
+    with pytest.raises(DomainError, match="kernel_tol must be finite and positive"):
+        lift_generators(complex_for("ring", 1), complex_for("ring", 0), 1, kernel_tol=tol)
+
+
+def test_lift_fails_a_nan_residual():
+    # an extension poisoned with NaN gives a NaN kernel residual, which is not
+    # below any tolerance
+    high, low = complex_for("ring", 1), complex_for("ring", 0)
+    ext = ExtensionMaps(high, low)
+    good = ext.matrix("Xcurl")
+    ext._cache["Xcurl"] = CsrMatrix(good.shape, good.indptr, good.indices,
+                                    np.full_like(good.data, np.nan))
+    with pytest.raises(CertificationError, match="kernel residual nan above"):
+        lift_generators(high, low, 1, ext=ext)
+
+
 def test_lift_rejects_extensions_of_other_complexes():
-    from ddrcomplex import DomainError
     with pytest.raises(DomainError, match="extension maps"):
         lift_generators(complex_for("ring", 1), complex_for("ring", 0), 1,
                         ext=extensions_for("ring", 2))

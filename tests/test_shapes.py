@@ -1,8 +1,9 @@
 """Local operators built in stacked passes over entities of equal array sizes.
 
-Every stack member is checked against a build of that entity alone (a
-group of one), perturbations of one entity must reach its stacked
-operators, a failing solve names the same entity and solve as a build
+Every stack member, and the extensions and reductions read from the
+stacks, are checked against builds of each entity alone (groups of one),
+perturbations of one entity must reach its stacked operators, a failing
+operator or extension solve names the same entity and solve as a build
 entity by entity, the stacked builds are no more than the congruence
 classes, and the number of stacked solves does not grow with the mesh.
 """
@@ -16,13 +17,16 @@ import ddrcomplex.operators as operators
 from ddrcomplex import (
     ConditioningError,
     DdrComplex,
+    ExtensionMaps,
     build_voxel_mesh,
     compute_orientation,
     corrupt_orientation,
+    reduction_matrix,
     run_all,
+    zero_reduction_basis,
 )
 from ddrcomplex.cli import main
-from ddrcomplex.layouts import closure, entity_count
+from ddrcomplex.layouts import SPACES, closure, entity_count
 
 from conftest import complex_for, graded_block, mesh_and_orientation
 from test_general_meshes import l_prism, prism_pair
@@ -63,16 +67,28 @@ def _build_all(c):
         getattr(c, builder)(0)
 
 
+def _singletons(m):
+    """Patch ``size_groups`` (through ``m``) to make every entity a group of one."""
+    m.setattr(operators, "size_groups", lambda mesh, kind: [
+        np.asarray([i]) for i in range(entity_count(mesh, kind))])
+
+
 def _alone(mesh, orient, k, monkeypatch):
     """A complex whose every entity is a group of one, fully built."""
     with monkeypatch.context() as m:
-        m.setattr(operators, "size_groups", lambda mesh, kind: [
-            np.asarray([i]) for i in range(entity_count(mesh, kind))])
+        _singletons(m)
         c = DdrComplex(mesh, orient, k)
         _build_all(c)
         for which in ("gradient", "curl", "divergence"):
             c.operator(which)
     return c
+
+
+def _extensions_and_reductions(high, low):
+    """The extension, reduction and zero-reduction matrices of every space, dense."""
+    ext = ExtensionMaps(high, low)
+    return [m.toarray() for space in SPACES for m in (
+        ext.matrix(space), reduction_matrix(high, space), zero_reduction_basis(high, space))]
 
 
 def _arrays(ops):
@@ -84,11 +100,13 @@ def _arrays(ops):
 @pytest.mark.parametrize("name", ["ring", "cavity", "offset_block", "graded", "prism_pair",
                                   "l_prism"])
 def test_shared_blocks_match_fresh_builds(monkeypatch, name, k):
-    # every member of every stack, and the stacked projections and means,
-    # against the build of that entity alone
+    # every member of every stack, the stacked projections and means, and the
+    # extensions and reductions read from the stacks, against the build of
+    # each entity alone
     mesh, orient = _mesh(name)
-    stacked = complex_for(name, k) if name in ("ring", "cavity") else DdrComplex(mesh, orient, k)
-    alone = _alone(mesh, orient, k, monkeypatch)
+    stacked, stacked_low = (complex_for(name, d) if name in ("ring", "cavity")
+                            else DdrComplex(mesh, orient, d) for d in (k, 0))
+    alone, alone_low = (_alone(mesh, orient, d, monkeypatch) for d in (k, 0))
     worst = 0.0
     for kind, builder in BUILDERS:
         for i in range(entity_count(mesh, kind)):
@@ -100,8 +118,11 @@ def test_shared_blocks_match_fresh_builds(monkeypatch, name, k):
         worst = max(worst, _rel(stacked.operator(which).toarray(),
                                 alone.operator(which).toarray()))
     for kind in KINDS:
-        for i in range(entity_count(mesh, kind)):
-            worst = max(worst, _rel(stacked.means(kind, i), alone.means(kind, i)))
+        worst = max(worst, _rel(stacked.means(kind), alone.means(kind)))
+    for a, b in zip(_extensions_and_reductions(stacked, stacked_low),
+                    _extensions_and_reductions(alone, alone_low)):
+        assert a.shape == b.shape
+        worst = max(worst, _rel(a, b))
     assert worst <= 1e-13
 
 
@@ -233,7 +254,7 @@ def test_copies_share_read_only_arrays():
     for x, y in zip(_arrays(a), _arrays(b)):
         assert x.base is not None and x.base is y.base
     assert a.lmap.globals.tolist() != b.lmap.globals.tolist()
-    for arr in _arrays(a) + [c.means("edge", 3)]:
+    for arr in _arrays(a) + [c.means("edge")]:
         assert not arr.flags.writeable
 
 
@@ -260,8 +281,7 @@ def test_failing_solve_names_its_entity(monkeypatch, mesh_name, kind, planted, n
     # the message of a build entity by entity: the lowest failing entity,
     # its first failing solve
     with monkeypatch.context() as m:
-        m.setattr(operators, "size_groups", lambda mesh, kind: [
-            np.asarray([i]) for i in range(entity_count(mesh, kind))])
+        _singletons(m)
         with pytest.raises(ConditioningError) as alone:
             _build_all(DdrComplex(mesh, bad, 1))
     label = {"cell": "element"}.get(kind, kind)
@@ -269,6 +289,34 @@ def test_failing_solve_names_its_entity(monkeypatch, mesh_name, kind, planted, n
     assert str(stacked.value).startswith(f"{label} {named}: ")
     assert str(stacked.value).endswith(" beyond limit")
     assert " condition number " in str(stacked.value)
+
+    # a singular extension system planted on the same entities, in the
+    # extension of the space whose operator has a block on ``kind``
+    space, local = {"edge": ("Xgrad", "grad"), "face": ("Xcurl", "curl"),
+                    "cell": ("Xdiv", "div")}[kind]
+    doomed = {f"{label} {i}: {local} extension" for i in planted}
+    solve = operators.stacked_solve
+
+    def planting(system, rhs, what):
+        hit = [g for g, w in enumerate(what) if w in doomed]
+        if hit:
+            system = system.copy()
+            system[hit] = 0.0
+        return solve(system, rhs, what)
+
+    monkeypatch.setattr(operators, "stacked_solve", planting)
+    messages = []
+    for groups in ("stacked", "singletons"):
+        with monkeypatch.context() as m:
+            if groups == "singletons":
+                _singletons(m)
+            ext = ExtensionMaps(DdrComplex(mesh, orient, 1), DdrComplex(mesh, orient, 0))
+            with pytest.raises(ConditioningError) as failure:
+                ext.matrix(space)
+        messages.append(str(failure.value))
+    # the text an extension solved entity by entity raises for the lowest one
+    assert messages == [f"{label} {named}: {local} extension: "
+                        "condition number inf beyond limit"] * 2
 
 
 def _congruence_classes(mesh, orient, kind):

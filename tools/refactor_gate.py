@@ -7,19 +7,23 @@ Usage (from anywhere; the package is taken from this checkout's ``src``)::
 Runs, with ``--no-timestamp``:
 
 * ``verify`` (all families) on the builtins cube, ring and cavity and on
-  ``meshes/graded_cavity.json`` at k = 0..2: report, stdout, stderr and
-  exit code;
-* ``cohomology --generators`` on the same twelve cases: report, stdout,
+  ``meshes/graded_cavity.json`` and ``meshes/prism_pair.json`` at
+  k = 0..2: report, stdout, stderr and exit code;
+* ``cohomology --generators`` on the same fifteen cases: report, stdout,
   stderr, exit code and VTK file;
 * ``verify`` on ring k = 1 with each ``--inject-fault`` kind: report,
   stdout, stderr and exit code.
 
-and prints one ``sha256  name`` line per output file (120 in all), sorted by
+and prints one ``sha256  name`` line per output file (147 in all), sorted by
 name.  Run it on two commits and ``diff`` the outputs: no difference means
 the reports, messages, exit codes and VTK files are byte-identical.  The
 graded mesh (a 3x3x3 block on graded grid lines with its central cell
 removed, made with ``perfbench/meshgen.py``) has no two congruent elements,
-unlike the voxel builtins.
+unlike the voxel builtins.  Each of those meshes has one size group of
+entities per kind (see ``operators.size_groups``); the prism pair (the unit
+cube cut along the plane x = y, ``tests/test_general_meshes.prism_pair``)
+has two groups of faces and two of elements, so code that pairs the groups
+of two complexes is gated too.
 """
 
 from __future__ import annotations
@@ -32,10 +36,12 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-GRADED = Path(__file__).resolve().parent / "meshes" / "graded_cavity.json"
+MESH_FILES = Path(__file__).resolve().parent / "meshes"
 # builtin name or mesh file -> CLI mesh arguments
 MESHES = {"cube": ["--builtin", "cube"], "ring": ["--builtin", "ring"],
-          "cavity": ["--builtin", "cavity"], "graded": ["--mesh", str(GRADED)]}
+          "cavity": ["--builtin", "cavity"],
+          "graded": ["--mesh", str(MESH_FILES / "graded_cavity.json")],
+          "prism_pair": ["--mesh", str(MESH_FILES / "prism_pair.json")]}
 DEGREES = (0, 1, 2)
 FAULTS = ("omega_tf", "omega_fe", "edge_length")
 
