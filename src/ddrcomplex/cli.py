@@ -139,18 +139,20 @@ def cmd_mesh(args) -> int:
 
 def _generator_fields(high, generators: list[dict]) -> dict[str, np.ndarray]:
     """One constant potential vector per element for each lifted generator
-    of a report, reconstructed on the report's degree-k complex ``high``."""
+    of a report: the potential that the element block of the generator's
+    outgoing operator reconstructs on the report's degree-k complex
+    ``high``, at the element centres, a size group at a time."""
     fields: dict[str, np.ndarray] = {}
+    centers, frames = high.orient.cell_center, high._frame("cell")[2]
     for index in (1, 2):
-        cells = OPERATORS[index].blocks[-1]   # the element block of the outgoing operator
+        cells = OPERATORS[index].blocks[-1]
         vectors = [g["vector"] for g in generators if g["cohomology_index"] == index]
-        for j, vec in enumerate(vectors):
+        for j, vec in enumerate(map(np.asarray, vectors)):
             values = np.zeros((high.mesh.n_elements, 3))
-            for t in range(high.mesh.n_elements):
-                ops = getattr(high, cells.builder)(t)
-                basis = high.basis("cell", t, high.k)
-                values[t] = frame_values(basis.eval(high.orient.cell_center[t]), basis.frame,
-                                         ops.potential @ ops.lmap.gather(vec))[0]
+            for ids, _, dofs, _, potential, *_ in high.stacks(cells.builder):
+                phi = high._eval("cell", ids, centers[ids][:, None, :], high.k)
+                coeffs = (potential @ vec[dofs][..., None])[..., 0]
+                values[ids] = frame_values(phi, frames[ids], coeffs)[:, 0]
             fields[f"h{index}_generator_{j}"] = values
     return fields
 

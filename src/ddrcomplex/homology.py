@@ -16,6 +16,7 @@ bases of :mod:`.spaces` pick their columns with the same elimination.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,19 +53,30 @@ class BettiVector:
         return (self.b0, self.b1, self.b2, self.b3)
 
 
+def _flat(table) -> tuple[np.ndarray, np.ndarray]:
+    """Row numbers and entries of a table of rows of any lengths, row by row."""
+    lengths = np.fromiter(map(len, table), dtype=np.int64, count=len(table))
+    return (np.repeat(np.arange(len(table)), lengths),
+            np.fromiter(itertools.chain.from_iterable(table), dtype=np.int64))
+
+
+def _signed_incidences(mesh: Mesh, orientation: OrientationTable
+                       ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Rows, columns and signs of the nonzeros of d0, d1 and d2, in entity
+    order and each entity's local order, with the sign rules above."""
+    edges = np.asarray(mesh.edges, dtype=np.int64).reshape(-1, 2)
+    faces, face_edges = _flat(mesh.face_edges)
+    cells, cell_faces = _flat(mesh.element_faces)
+    return ((np.repeat(np.arange(len(edges)), 2), edges.ravel(), np.tile([-1, 1], len(edges))),
+            (faces, face_edges, -_flat(orientation.face_edge_sign)[1]),
+            (cells, cell_faces, _flat(orientation.cell_face_sign)[1]))
+
+
 def build_cochain_complex(mesh: Mesh, orientation: OrientationTable) -> CochainComplexInt:
-    d0 = np.zeros((mesh.n_edges, mesh.n_vertices), dtype=np.int64)
-    for e, (v1, v2) in enumerate(mesh.edges):
-        d0[e, v2] = 1
-        d0[e, v1] = -1
-    d1 = np.zeros((mesh.n_faces, mesh.n_edges), dtype=np.int64)
-    for f in range(mesh.n_faces):
-        for pos, e in enumerate(mesh.face_edges[f]):
-            d1[f, e] = -orientation.face_edge_sign[f][pos]
-    d2 = np.zeros((mesh.n_elements, mesh.n_faces), dtype=np.int64)
-    for t in range(mesh.n_elements):
-        for pos, f in enumerate(mesh.element_faces[t]):
-            d2[t, f] = orientation.cell_face_sign[t][pos]
+    counts = mesh.counts
+    d0, d1, d2 = (np.zeros(shape, dtype=np.int64) for shape in zip(counts[1:], counts))
+    for d, (rows, cols, signs) in zip((d0, d1, d2), _signed_incidences(mesh, orientation)):
+        d[rows, cols] = signs
     if np.any(d1 @ d0) or np.any(d2 @ d1):
         raise DdrError("coboundary composition is nonzero: inconsistent orientation data")
     return CochainComplexInt(d0, d1, d2)

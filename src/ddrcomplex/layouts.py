@@ -86,9 +86,16 @@ class DofLayout:
     def component(self, kind: str, entity: int, part: str) -> Component:
         return self._index[(kind, entity, part)]
 
-    def indices(self, kind: str, entity: int, part: str) -> np.ndarray:
-        c = self.component(kind, entity, part)
-        return np.arange(c.offset, c.offset + c.dim)
+    def indices(self, kind: str, entity, part: str) -> np.ndarray:
+        """Global numbers of one entity's ``part`` unknowns, or one row of
+        them per entity of an array.  The entities of a kind follow one
+        another, each with the same components."""
+        entity = np.asarray(entity)
+        if entity.size and not 0 <= entity.min() <= entity.max() < entity_count(self.mesh, kind):
+            raise KeyError((kind, part))
+        first = self.component(kind, 0, part)
+        stride = sum(c.dim for c in self._by_entity[kind, 0])
+        return (first.offset + stride * entity)[..., None] + np.arange(first.dim)
 
     def entity_components(self, kind: str, entity: int) -> list[Component]:
         return list(self._by_entity.get((kind, entity), ()))

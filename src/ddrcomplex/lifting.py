@@ -180,11 +180,9 @@ class ExtensionMaps:
             (own, _), *complement = PARTS[space][kind]
             done = coo.build(shape)   # rows of lower-dimensional entities
             failed: dict[int, ConditioningError] = {}
-            for (ids, hmaps, _, _, mass, rhs), (_, lmaps, lop, lpot, _, _) in zip(
+            for (ids, hmaps, rows, _, _, mass, rhs), (_, _, cols, lop, lpot, _, _) in zip(
                     high.stacks(block.builder), low.stacks(block.builder)):
                 grp = _Group(kind, ids, hmaps, failed)
-                rows = np.stack([lmap.globals for lmap in hmaps])
-                cols = np.stack([lmap.globals for lmap in lmaps])
                 # extended boundary rows; zero on the entities' own unknowns
                 known = np.stack([done.gather(r, c) for r, c in zip(rows, cols)])
                 # The degree-0 operator value is the constant coefficient

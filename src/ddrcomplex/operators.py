@@ -21,17 +21,21 @@ evaluations, the moment right-hand sides, the guarded solves, and later the
 projections and the global COO adds.  :meth:`DdrComplex.edge_ops` ...
 :meth:`DdrComplex.cell_div_ops` return records whose arrays are read-only
 views into their group's stacks; :meth:`DdrComplex.stacks` returns the
-stacks themselves, which global assembly and the extensions of
-:mod:`.lifting` read a group at a time.  A solve that fails its
+stacks themselves, which global assembly, the extensions of :mod:`.lifting`,
+interpolation, the consistency sweep of :mod:`.verification` and the VTK
+potentials of :mod:`.cli` read a group at a time.  A solve that fails its
 condition-number guard names the lowest-index failing entity and that
-entity's first failing solve, as a build entity by entity would.  Each
-entity basis is evaluated once per point set, at the highest degree the
-builders read of it (k+2 on faces, k+1 on edges and elements; lower degrees
-are column slices), and each entity's Gram matrices are slices of one
-top-degree Gram.  Element Grams are computed one element at a time, so no
-stack holds element-interior quadrature points.
+entity's first failing solve, as a build entity by entity would.  The
+builders evaluate each entity basis once per point set, at the highest
+degree they read of it (k+2 on faces, k+1 on edges and elements; lower
+degrees are column slices), and each entity's Gram matrices are slices of
+one top-degree Gram.  Interpolation, the consistency sweep and the VTK
+potentials evaluate a basis at the degree they read.  Quadrature points are
+stacked a size group at a time on edges and faces but one element at a time
+(:func:`_point_stacks`), so no stack holds the interior points of more than
+one element.
 
-:class:`DdrComplex` memoizes bases, quadrature rules, Gram matrices, local
+:class:`DdrComplex` memoizes quadrature rules, frames, Gram matrices, local
 operators, and assembled global matrices for one (mesh, orientation, degree).
 """
 
@@ -43,18 +47,11 @@ import numpy as np
 
 from . import monomials as mono
 from .errors import ConditioningError, DomainError
+from .homology import _signed_incidences
 from .layouts import KINDS, PARTS, DofLayout, LocalMap, closure, entity_count
 from .mesh import Mesh, OrientationTable
 from .quadrature import QuadratureRule, entity_rule
-from .spaces import (
-    ScaledMonomialBasis,
-    span_matrix,
-    checked_solves,
-    entity_basis,
-    frame_dot,
-    frame_moments,
-    stacked_solve,
-)
+from .spaces import frame_dot, frame_moments, span_matrix, stacked_solve
 from .sparse import CsrMatrix
 
 
@@ -207,6 +204,14 @@ class _Coo:
                                   np.concatenate(self.cols), np.concatenate(self.vals))
 
 
+def _point_stacks(kind: str, ids: np.ndarray) -> list[slice]:
+    """The parts of a size group ``ids`` that share one stack of quadrature
+    points: the whole group on edges and faces, one element at a time on
+    elements, so no stack holds the interior points of more than one element
+    (3600 on a hexahedron at k = 2)."""
+    return [slice(g, g + 1) for g in range(len(ids))] if kind == "cell" else [slice(None)]
+
+
 def _field_values(fn, points: np.ndarray) -> np.ndarray:
     """``fn`` at an ``(n, 3)`` array of points, as ``n`` floats."""
     vals = np.asarray(fn(points), dtype=float)
@@ -234,7 +239,6 @@ class DdrComplex:
         self.quad_degree = 2 * degree + 4
         self._layouts: dict[str, DofLayout] = {}
         self._rules: dict[tuple, QuadratureRule] = {}
-        self._bases: dict[tuple, ScaledMonomialBasis] = {}
         # per entity kind: frames, top-degree Grams, degree-k means
         self._frames: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._top_grams: dict[str, np.ndarray] = {}
@@ -259,18 +263,6 @@ class DdrComplex:
             self._rules[key] = entity_rule(self.mesh, self.orient, kind, index,
                                            self.quad_degree)
         return self._rules[key]
-
-    def basis(self, kind: str, index: int, degree: int,
-              vector: bool = False) -> ScaledMonomialBasis:
-        key = (kind, index, degree, vector)
-        if key not in self._bases:
-            self._bases[key] = entity_basis(self.mesh, self.orient, kind, index,
-                                            degree, vector)
-        return self._bases[key]
-
-    def gram(self, kind: str, index: int, deg_a: int, deg_b: int,
-             vector: bool = False) -> np.ndarray:
-        return self._grams(kind, [index], deg_a, deg_b, vector)[0]
 
     def means(self, kind: str) -> np.ndarray:
         """Mean over each entity of one kind of each scalar degree-k basis
@@ -302,15 +294,20 @@ class DdrComplex:
         faces (the scalar trace pairs with Rc^(k+2)), k+1 elsewhere."""
         return self.k + (2 if kind == "face" else 1)
 
-    def _eval(self, kind: str, ids: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """The top-degree scalar bases of entities ``ids`` at their point sets
-        ``pts`` (G, q, 3), as (G, q, n); lower degrees are leading column
-        slices."""
+    def _eval(self, kind: str, ids: np.ndarray, pts: np.ndarray,
+              degree: int | None = None) -> np.ndarray:
+        """The scalar bases of entities ``ids`` at their point sets ``pts``
+        (G, q, 3), as (G, q, n), of ``degree`` or else of the top degree,
+        whose leading column slices are the lower degrees.  Interpolation,
+        the consistency sweep and the VTK potentials ask for the degree they
+        read: numpy multiplies a strided column slice in its own loop, which
+        rounds differently from BLAS and would move their results."""
         centers, diameters, frames = self._frame(kind)
         y = ((pts - centers[ids][:, None, :]) @ frames[ids].swapaxes(1, 2)
              / diameters[ids][:, None, None])
         count, q, dim = y.shape
-        return mono.eval_monomials(dim, self._top(kind), y.reshape(-1, dim)).reshape(count, q, -1)
+        degree = self._top(kind) if degree is None else degree
+        return mono.eval_monomials(dim, degree, y.reshape(-1, dim)).reshape(count, q, -1)
 
     def _points(self, kind: str, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature points (G, q, 3) and weights (G, q) of equally sized rules."""
@@ -319,17 +316,15 @@ class DdrComplex:
 
     def _top_gram(self, kind: str) -> np.ndarray:
         """The scalar Gram matrix at the top degree of every entity of one
-        kind, (n, N, N), each from its own rule.  Edges and faces are built a
-        size group at a time, elements one at a time: no array holds the
-        interior points of more than one element."""
+        kind, (n, N, N), each from its own rule, one point stack at a time."""
         if kind not in self._top_grams:
             size = _n(kind, self._top(kind))
             grams = np.empty((entity_count(self.mesh, kind), size, size))
             for ids in self._size_groups(kind):
-                for part in (ids[:, None] if kind == "cell" else [ids]):
-                    pts, weights = self._points(kind, part)
-                    phi = self._eval(kind, part, pts)
-                    grams[part] = phi.swapaxes(1, 2) @ (weights[:, :, None] * phi)
+                for part in _point_stacks(kind, ids):
+                    pts, weights = self._points(kind, ids[part])
+                    phi = self._eval(kind, ids[part], pts)
+                    grams[ids[part]] = phi.swapaxes(1, 2) @ (weights[:, :, None] * phi)
             self._top_grams[kind] = _read_only(grams)
         return self._top_grams[kind]
 
@@ -443,16 +438,18 @@ class DdrComplex:
                 for g, (i, lmap) in enumerate(zip(ids, grp.lmaps)):
                     records[i] = LocalOps(lmap, op[g], None if potential is None else potential[g],
                                           Moments(mass[g], rhs[g]))
-                stacks.append((ids, grp.lmaps, op, potential, mass, rhs))
+                globals_ = _read_only(np.stack([lmap.globals for lmap in grp.lmaps]))
+                stacks.append((ids, grp.lmaps, globals_, op, potential, mass, rhs))
             if failed:
                 raise failed[min(failed)]
             self._ops[builder], self._stacks[builder] = records, stacks
         return self._ops[builder]
 
     def stacks(self, builder: str) -> list[tuple]:
-        """One builder's size groups, each ``(ids, lmaps, op, potential,
-        mass, rhs)``: the entities, their local maps, and the read-only
-        stacks their LocalOps view."""
+        """One builder's size groups, each ``(ids, lmaps, globals, op,
+        potential, mass, rhs)``: the entities, their local maps, the global
+        numbers of their local dofs (G, m), and the read-only stacks their
+        LocalOps view."""
         self._records(builder)
         return self._stacks[builder]
 
@@ -677,10 +674,9 @@ class DdrComplex:
             coo = _Coo()
             for block in op.blocks:
                 parts = PARTS[op.target][block.kind]
-                for ids, lmaps, ops, *_ in self.stacks(block.builder):
-                    cols = np.stack([lmap.globals for lmap in lmaps])
+                for ids, _, cols, ops, *_ in self.stacks(block.builder):
                     for part, shift in parts:
-                        rows = np.stack([tgt.indices(block.kind, int(i), part) for i in ids])
+                        rows = tgt.indices(block.kind, ids, part)
                         coo.add(rows, cols, ops if len(parts) == 1 else self._project(
                             block.kind, ids, part, self.k + shift, self.k, ops))
             self._globals[which] = coo.build((tgt.total, self.layout(op.source).total))
@@ -697,29 +693,35 @@ class DdrComplex:
 
         ``fn`` is vectorised: it maps an ``(n, 3)`` array of points to ``n``
         values (a scalar broadcasts).  It is called once on the vertices and
-        once on each entity's quadrature points.  A list of fields gives one
-        interpolate per field, as the rows of an array; each entity's basis
-        is then evaluated, and its Gram's conditioning checked, once for all
-        of them, while each field keeps its own solve.
+        once on each stack of quadrature points of a size group (see
+        :func:`_point_stacks`).  A list of fields gives one interpolate per
+        field, as the rows of an array; the bases are then evaluated, and
+        each group's Gram conditioning checked, once for all of them, while
+        each field keeps its own solve.  A failing solve names the lowest
+        failing entity of the first kind that fails.
         """
         fields = list(fn) if isinstance(fn, (list, tuple)) else [fn]
-        lay = self.layout("Xgrad")
+        lay, k = self.layout("Xgrad"), self.k
         out = np.zeros((len(fields), lay.total))
-        vertex_dofs = [lay.component("vertex", v, "val").offset
-                       for v in range(self.mesh.n_vertices)]
+        vertex_dofs = lay.indices("vertex", np.arange(self.mesh.n_vertices), "val")[:, 0]
         for row, field in zip(out, fields):
             row[vertex_dofs] = _field_values(field, self.mesh.vertices)
-        for kind in KINDS[1:]:
-            for i in range(entity_count(self.mesh, kind)):
-                idx = lay.indices(kind, i, "poly")
-                if idx.size == 0:
-                    continue
-                rule = self.rule(kind, i)
-                phi = self.basis(kind, i, self.k - 1).eval(rule.points)
-                rhs = [phi.T @ (rule.weights * _field_values(field, rule.points))
-                       for field in fields]
-                out[:, idx] = checked_solves(self.gram(kind, i, self.k - 1, self.k - 1),
-                                             rhs, f"interpolation on {kind} {i}")
+        for kind in KINDS[1:] if k else []:
+            failed: dict[int, ConditioningError] = {}
+            for ids in self._size_groups(kind):
+                rhs = np.empty((len(fields), len(ids), _n(kind, k - 1), 1))
+                for part in _point_stacks(kind, ids):
+                    pts, weights = self._points(kind, ids[part])
+                    phi_t = self._eval(kind, ids[part], pts, k - 1).swapaxes(1, 2)
+                    for f, field in enumerate(fields):
+                        vals = _field_values(field, pts.reshape(-1, 3)).reshape(weights.shape)
+                        rhs[f, part] = phi_t @ (weights * vals)[..., None]
+                sol, errors = stacked_solve(self._grams(kind, ids, k - 1, k - 1), rhs,
+                                            [f"interpolation on {kind} {i}" for i in ids])
+                failed.update((int(ids[g]), err) for g, err in errors.items())
+                out[:, lay.indices(kind, ids, "poly")] = sol[..., 0]
+            if failed:
+                raise failed[min(failed)]
         return out if isinstance(fn, (list, tuple)) else out[0]
 
     @property
@@ -741,25 +743,14 @@ def ddr0_closed_forms(mesh: Mesh, orientation: OrientationTable
     """Degree-0 gradient/curl/divergence from the boundary-value formulas.
 
     grad: (q_V2 - q_V1)/|E| per edge; curl: -(1/|F|) sum omega_FE |E| v_E;
-    div: (1/|T|) sum omega_TF |F| w_F.  Must match the generically assembled
-    degree-0 operators entrywise.
+    div: (1/|T|) sum omega_TF |F| w_F: each CW coboundary's signs scaled by
+    the measure of the source entity over that of the target (one on
+    vertices).  Must match the generically assembled degree-0 operators
+    entrywise.
     """
     o = orientation
-    grad = _Coo()
-    for e in range(mesh.n_edges):
-        v1, v2 = mesh.edges[e]
-        grad.add(np.asarray([e]), np.asarray([v1, v2]),
-                 np.asarray([[-1.0, 1.0]]) / o.edge_length[e])
-    curl = _Coo()
-    for f in range(mesh.n_faces):
-        for pos, e in enumerate(mesh.face_edges[f]):
-            val = -o.face_edge_sign[f][pos] * o.edge_length[e] / o.face_area[f]
-            curl.add(np.asarray([f]), np.asarray([e]), np.asarray([[val]]))
-    div = _Coo()
-    for t in range(mesh.n_elements):
-        for pos, f in enumerate(mesh.element_faces[t]):
-            val = o.cell_face_sign[t][pos] * o.face_area[f] / o.cell_volume[t]
-            div.add(np.asarray([t]), np.asarray([f]), np.asarray([[val]]))
-    return (grad.build((mesh.n_edges, mesh.n_vertices)),
-            curl.build((mesh.n_faces, mesh.n_edges)),
-            div.build((mesh.n_elements, mesh.n_faces)))
+    measures = (np.ones(mesh.n_vertices), o.edge_length, o.face_area, o.cell_volume)
+    return tuple(CsrMatrix.from_coo((len(target), len(source)), rows, cols,
+                                    signs * source[cols] / target[rows])
+                 for (rows, cols, signs), source, target
+                 in zip(_signed_incidences(mesh, o), measures, measures[1:]))

@@ -111,8 +111,7 @@ class ScaledMonomialBasis:
 # (q, n) stacked along its frame (dim, 3): V[p, c n + j] = phi[p, j] frame[c].
 # Products with V are products of phi with a small frame factor, so no
 # (q, dim n, 3) array is built.  np.cross(V, w) is V with the frame
-# np.cross(frame, w).  In frame_dot and frame_moments, leading axes of every
-# argument stack entities.
+# np.cross(frame, w).  Leading axes of every argument stack entities.
 
 def frame_dot(phi: np.ndarray, frame: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``V @ u`` for a 3-vector ``u``: the (q, dim n) u-components of V."""
@@ -122,11 +121,11 @@ def frame_dot(phi: np.ndarray, frame: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def frame_values(phi: np.ndarray, frame: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """``einsum("pax,a...->p...x", V, coeffs)``: the ambient values
-    (q, ..., 3) of coefficient vectors ``coeffs`` (dim n, ...) over V."""
-    dim, (q, n) = frame.shape[0], phi.shape
-    parts = phi @ coeffs.reshape(dim, n, -1)                 # (dim, q, m)
-    return np.tensordot(parts, frame, axes=(0, 0)).reshape(q, *coeffs.shape[1:], 3)
+    """``einsum("pax,a->px", V, coeffs)``: the ambient values (q, 3) of a
+    coefficient vector ``coeffs`` (dim n) over V."""
+    dim, n = frame.shape[-2], phi.shape[-1]
+    parts = phi[..., None, :, :] @ coeffs.reshape(*coeffs.shape[:-1], dim, n, 1)
+    return parts[..., 0].swapaxes(-1, -2) @ frame           # (dim, q) -> (q, 3)
 
 
 def frame_moments(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -283,42 +282,21 @@ def gram_matrix(a: ScaledMonomialBasis, b: ScaledMonomialBasis,
     return out
 
 
-def _beyond_limit(what: str, cond: float) -> ConditioningError:
-    return ConditioningError(f"{what}: condition number {cond:.3e} beyond limit")
-
-
-def checked_solves(system: np.ndarray, rhs: list[np.ndarray], what: str) -> list[np.ndarray]:
-    """Dense solves of one system for several right-hand sides, with one
-    condition-number guard (limit 1e14).
-
-    Each right-hand side is solved on its own, so no result depends on the
-    others.
-    """
-    if system.size == 0:
-        return [np.zeros((system.shape[1], *b.shape[1:])) for b in rhs]
-    try:
-        cond = np.linalg.cond(system)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise _beyond_limit(what, cond)
-        return [np.linalg.solve(system, b) for b in rhs]
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"{what}: {exc}") from exc
-
-
 def stacked_solve(system: np.ndarray, rhs: np.ndarray, what: list[str]
                   ) -> tuple[np.ndarray, dict[int, ConditioningError]]:
-    """:func:`checked_solves` over a leading stack axis: ``system`` (G, n, n)
-    and ``rhs`` (G, n, m), with one condition estimate and one solve for all
-    G members.
+    """Dense solves of a stack of systems (G, n, n) for right-hand sides
+    (..., G, n, m), with one condition estimate (limit 1e14) and one solve
+    for all G members; leading axes of ``rhs`` beyond G solve the same
+    systems again, each on its own.
 
     ``what[g]`` names member g.  The members that fail the guard come back
-    as ``{g: error}``, each error the one :func:`checked_solves` raises for
-    that member alone; their solutions are zero, and the other members are
-    solved as usual.
+    as ``{g: error}``, the error ``"<what[g]>: condition number … beyond
+    limit"``, or the linear algebra error when the estimate itself fails;
+    their solutions are zero, and the other members are solved as usual.
     """
     count, n = system.shape[0], system.shape[-1]
     if n == 0:
-        return np.zeros((count, system.shape[1], rhs.shape[-1])), {}
+        return np.zeros((*rhs.shape[:-2], system.shape[1], rhs.shape[-1])), {}
     try:
         suspects = np.flatnonzero(~(np.linalg.cond(system) <= COND_LIMIT))
     except np.linalg.LinAlgError:    # a non-finite member: look at each alone
@@ -331,12 +309,13 @@ def stacked_solve(system: np.ndarray, rhs: np.ndarray, what: list[str]
             errors[int(g)] = ConditioningError(f"{what[g]}: {exc}")
             continue
         if not cond <= COND_LIMIT:
-            errors[int(g)] = _beyond_limit(what[g], cond)
+            errors[int(g)] = ConditioningError(
+                f"{what[g]}: condition number {cond:.3e} beyond limit")
     if not errors:
         return np.linalg.solve(system, rhs), errors
     bad = list(errors)
     system = system.copy()
     system[bad] = np.eye(n)
     out = np.linalg.solve(system, rhs)
-    out[bad] = 0.0
+    out[..., bad, :, :] = 0.0
     return out, errors

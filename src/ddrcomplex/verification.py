@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DdrError, DomainError, InputError
 from .homology import betti_numbers, build_cochain_complex, cohomology_dims
-from .layouts import CARRIERS, SPACES
+from .layouts import CARRIERS, SPACES, entity_count
 from .lifting import (
     ExtensionMaps,
     LiftedGenerators,
@@ -45,7 +45,7 @@ from .lifting import (
     zero_reduction_basis,
 )
 from .mesh import Mesh, OrientationTable
-from .operators import OPERATORS, DdrComplex, ddr0_closed_forms
+from .operators import OPERATORS, DdrComplex, _point_stacks, ddr0_closed_forms
 from .spaces import frame_values
 from .sparse import CsrMatrix
 
@@ -456,8 +456,10 @@ def _monomial_gradient(p: np.ndarray, alpha) -> np.ndarray:
     return g
 
 
-def _relative_error(approx: np.ndarray, exact: np.ndarray) -> float:
-    return np.abs(approx - exact).max() / max(1.0, np.abs(exact).max())
+def _relative_error(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """Max-norm error of each stack member (G, ...) over max(1, its |exact|)."""
+    axes = tuple(range(1, exact.ndim))
+    return np.abs(approx - exact).max(axis=axes) / np.maximum(1.0, np.abs(exact).max(axis=axes))
 
 
 def _worst(residuals: np.ndarray) -> tuple[float, tuple[int, int] | None]:
@@ -473,18 +475,31 @@ def _worst(residuals: np.ndarray) -> tuple[float, tuple[int, int] | None]:
     return val, (divmod(j, residuals.shape[1]) if val != 0.0 else None)
 
 
+# The rows of the consistency sweep: (name, entity kind, builder, trace); a
+# trace row checks the builder's potential, a gradient row its operator.
+_CONSISTENCY_ROWS = (("edge_trace", "edge", "edge_ops", True),
+                     ("edge_gradient", "edge", "edge_ops", False),
+                     ("face_trace", "face", "face_grad_ops", True),
+                     ("face_gradient", "face", "face_grad_ops", False),
+                     ("element_gradient", "cell", "cell_grad_ops", False))
+
+
 def check_consistency(s: VerifySession) -> list[CheckResult]:
     """Trace and gradient consistency for interpolated monomials of degree <= k+1.
 
-    Each monomial and its gradient are evaluated on whole quadrature rules,
-    and each entity's bases once for all monomials.  The operators act on one
-    monomial's local dofs at a time: a product with all monomials as columns
-    rounds differently and moves the residuals and their worst places.  The
+    Each row compares, on the entities' quadrature points, the trace
+    (P^(k+1)) or the gradient (P^k, tangential on edges and faces) that one
+    builder reconstructs from the interpolate with the monomial's own.  It
+    reads the builder's stacks a size group at a time, on the group's point
+    stacks (elements one at a time), and evaluates each monomial and the
+    bases once per point stack.  The operators act on one monomial's local
+    dofs at a time: a product with all monomials as columns rounds
+    differently and moves the residuals and their worst places.  The
     interpolates are built inside the first row, so each row's seconds, or
     the error it reports, are its own.
     """
     tol = TOLERANCES["consistency"]
-    high, mesh, orient, k = s.high, s.mesh, s.orient, s.k
+    high, k = s.high, s.k
     alphas = list(_monomial_sweep(k + 1))
     fields = [_monomial(alpha) for alpha in alphas]
     interpolates: list[np.ndarray] = []
@@ -495,45 +510,36 @@ def check_consistency(s: VerifySession) -> list[CheckResult]:
             interpolates.append(high.interpolate_grad(fields))
         return interpolates[0]
 
-    def trace(kind: str, i: int) -> list[float]:
-        ops = high.edge_ops(i) if kind == "edge" else high.face_grad_ops(i)
-        pts = high.rule(kind, i).points
-        phi = high.basis(kind, i, k + 1).eval(pts)
-        return [_relative_error(phi @ (ops.potential @ ops.lmap.gather(vec)), q(pts))
-                for vec, q in zip(vecs(), fields)]
+    def table(kind: str, builder: str, trace: bool) -> np.ndarray:
+        """The (monomial, entity) residual table of one row."""
+        out = np.empty((len(alphas), entity_count(s.mesh, kind)))
+        frames = high._frame(kind)[2]
+        for ids, _, dofs, op, potential, *_ in high.stacks(builder):
+            for part in _point_stacks(kind, ids):
+                sub = ids[part]
+                pts = high._points(kind, sub)[0]
+                flat = pts.reshape(-1, 3)
+                phi = high._eval(kind, sub, pts, k + 1 if trace else k)
+                for a, (vec, alpha) in enumerate(zip(vecs(), alphas)):
+                    coeffs = (potential if trace else op)[part] @ vec[dofs[part]][..., None]
+                    if trace:
+                        approx, exact = phi @ coeffs, fields[a](flat).reshape(*pts.shape[:2], 1)
+                    else:
+                        exact = _monomial_gradient(flat, alpha).reshape(pts.shape)
+                        if kind == "edge":     # the derivative along the tangent
+                            approx = phi @ coeffs
+                            exact = exact @ s.orient.edge_tangent[sub][..., None]
+                        else:
+                            approx = frame_values(phi, frames[sub], coeffs[..., 0])
+                        if kind == "face":     # the tangential part
+                            n = s.orient.face_normal[sub][..., None]
+                            exact = exact - (exact @ n) * n.swapaxes(1, 2)
+                    out[a, sub] = _relative_error(approx, exact)
+        return out
 
-    def edge_gradient(e: int) -> list[float]:
-        ops, pts = high.edge_ops(e), high.rule("edge", e).points
-        phi = high.basis("edge", e, k).eval(pts)
-        return [_relative_error(phi @ (ops.op @ ops.lmap.gather(vec)),
-                                _monomial_gradient(pts, alpha) @ orient.edge_tangent[e])
-                for vec, alpha in zip(vecs(), alphas)]
-
-    def face_gradient(f: int) -> list[float]:
-        ops, pts, n = high.face_grad_ops(f), high.rule("face", f).points, orient.face_normal[f]
-        basis = high.basis("face", f, k)
-        phi = basis.eval(pts)
-        res = []
-        for vec, alpha in zip(vecs(), alphas):
-            g = _monomial_gradient(pts, alpha)
-            gv = frame_values(phi, basis.frame, ops.op @ ops.lmap.gather(vec))
-            res.append(_relative_error(gv, g - (g @ n)[:, None] * n))
-        return res
-
-    def element_gradient(t: int) -> list[float]:
-        ops, pts = high.cell_grad_ops(t), high.rule("cell", t).points
-        basis = high.basis("cell", t, k)
-        phi = basis.eval(pts)
-        return [_relative_error(frame_values(phi, basis.frame, ops.op @ ops.lmap.gather(vec)),
-                                _monomial_gradient(pts, alpha))
-                for vec, alpha in zip(vecs(), alphas)]
-
-    def sweep(name: str, residuals, count: int) -> CheckResult:
-        """One row: the worst of the (monomial, entity) residual table."""
-        table = np.zeros((len(alphas), count))
-        for i in range(count):
-            table[:, i] = residuals(i)
-        val, at = _worst(table)
+    def row(name: str, kind: str, builder: str, trace: bool) -> CheckResult:
+        """The worst of one row's residual table."""
+        val, at = _worst(table(kind, builder, trace))
         detail = ""
         if at is not None:
             (a0, a1, a2), i = alphas[at[0]], at[1]
@@ -541,14 +547,8 @@ def check_consistency(s: VerifySession) -> list[CheckResult]:
         return _residual_check(val, tol, detail)
 
     out: list[CheckResult] = []
-    for name, residuals, count in (
-            ("edge_trace", partial(trace, "edge"), mesh.n_edges),
-            ("edge_gradient", edge_gradient, mesh.n_edges),
-            ("face_trace", partial(trace, "face"), mesh.n_faces),
-            ("face_gradient", face_gradient, mesh.n_faces),
-            ("element_gradient", element_gradient, mesh.n_elements)):
-        _timed(out, f"consistency.{name}", lambda name=name, residuals=residuals, count=count:
-               sweep(name, residuals, count))
+    for name, *how in _CONSISTENCY_ROWS:
+        _timed(out, f"consistency.{name}", partial(row, name, *how))
     return out
 
 

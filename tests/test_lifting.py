@@ -7,6 +7,7 @@ from ddrcomplex import (
     CertificationError,
     DomainError,
     ExtensionMaps,
+    entity_basis,
     lift_generators,
     numeric_rank,
     reduce_vector,
@@ -184,7 +185,7 @@ def test_potentials_reproduce_extended_constant_fields(k):
     mesh, orient = mesh_and_orientation("cube")
     const = np.asarray([0.3, -0.7, 1.1])
     rule = high.rule("cell", 0)
-    basis = high.basis("cell", 0, k, vector=True)
+    basis = entity_basis(high.mesh, high.orient, "cell", 0, k, vector=True)
 
     vk = ext.matrix("Xcurl") @ (orient.edge_tangent @ const)
     ops = high.cell_curl_ops(0)

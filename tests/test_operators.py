@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-from ddrcomplex import DofLayout, DomainError, ddr0_closed_forms
+from ddrcomplex import DofLayout, DomainError, ddr0_closed_forms, entity_basis
 from ddrcomplex.layouts import entity_count
-from ddrcomplex.operators import OPERATORS
+from ddrcomplex.operators import OPERATORS, size_groups
 
 from conftest import complex_for, mesh_and_orientation
+
+
+def basis(c, kind, index, degree, vector=False):
+    """The scaled monomial basis of one entity of the complex ``c``."""
+    return entity_basis(c.mesh, c.orient, kind, index, degree, vector)
 
 
 # -- layouts -------------------------------------------------------------------
@@ -56,6 +61,23 @@ def test_layout_offsets_partition():
     assert seen == list(range(lay.total))
 
 
+@pytest.mark.parametrize("space", ["Xgrad", "Xcurl", "Xdiv", "Pk"])
+def test_layout_indices_of_an_entity_array(space):
+    # one row per entity, each the component's own numbers; out of range is an error
+    mesh, _ = mesh_and_orientation("ring")
+    lay = DofLayout(space, 2, mesh)
+    for c in lay.components:
+        assert lay.indices(c.entity_kind, c.entity, c.part).tolist() == \
+            list(range(c.offset, c.offset + c.dim))
+    for kind in {c.entity_kind for c in lay.components}:
+        for part in {c.part for c in lay.components if c.entity_kind == kind}:
+            ids = np.arange(entity_count(mesh, kind))[::-2]
+            rows = lay.indices(kind, ids, part)
+            assert rows.tolist() == [lay.indices(kind, int(i), part).tolist() for i in ids]
+            with pytest.raises(KeyError):
+                lay.indices(kind, [0, entity_count(mesh, kind)], part)
+
+
 def test_layout_k0_single_scalar_components():
     mesh, _ = mesh_and_orientation("cube")
     for space, count in (("Xgrad", 8), ("Xcurl", 12), ("Xdiv", 6), ("Pk", 1)):
@@ -95,10 +117,11 @@ def test_edge_trace_exact_for_full_degree(k):
             continue  # trace is low-degree there anyway
         ops = c.edge_ops(e)
         rule = c.rule("edge", e)
-        vals = c.basis("edge", e, k + 1).eval(rule.points) @ (ops.potential @ ops.lmap.gather(vec))
+        loc = ops.lmap.gather(vec)
+        vals = basis(c, "edge", e, k + 1).eval(rule.points) @ (ops.potential @ loc)
         exact = q(rule.points)
         assert np.abs(vals - exact).max() < 1e-11
-        deriv = c.basis("edge", e, k).eval(rule.points) @ (ops.op @ ops.lmap.gather(vec))
+        deriv = basis(c, "edge", e, k).eval(rule.points) @ (ops.op @ loc)
         dexact = np.asarray([(k + 1) * (p[0] + 0.25) ** k * orient.edge_tangent[e][0]
                              for p in rule.points])
         assert np.abs(deriv - dexact).max() < 1e-10
@@ -114,8 +137,8 @@ def test_edge_gradient_is_trace_derivative():
     rule = c.rule("edge", 5)
     from ddrcomplex import monomials as mono
     deriv = mono.derivative_matrix(1, k + 1, 0) / c.orient.edge_length[5]
-    lhs = c.basis("edge", 5, k).eval(rule.points) @ (ops.op @ vec)
-    rhs = c.basis("edge", 5, k).eval(rule.points) @ (deriv @ ops.potential @ vec)
+    lhs = basis(c, "edge", 5, k).eval(rule.points) @ (ops.op @ vec)
+    rhs = basis(c, "edge", 5, k).eval(rule.points) @ (deriv @ ops.potential @ vec)
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -142,7 +165,7 @@ def test_face_gradient_of_affine(k):
         ops = c.face_grad_ops(f)
         rule = c.rule("face", f)
         gv = np.einsum("pax,a->px",
-                       c.basis("face", f, k, vector=True).eval_vector(rule.points),
+                       basis(c, "face", f, k, vector=True).eval_vector(rule.points),
                        ops.op @ ops.lmap.gather(vec))
         n = orient.face_normal[f]
         expected = coeffs - (coeffs @ n) * n
@@ -224,7 +247,7 @@ def test_element_gradient_consistency(k):
     ops = c.cell_grad_ops(0)
     rule = c.rule("cell", 0)
     gv = np.einsum("pax,a->px",
-                   c.basis("cell", 0, k, vector=True).eval_vector(rule.points),
+                   basis(c, "cell", 0, k, vector=True).eval_vector(rule.points),
                    ops.op @ ops.lmap.gather(vec))
     assert np.abs(gv - np.asarray([1.0, 0.0, 0.0])[None, :]).max() < 1e-11
 
@@ -247,7 +270,7 @@ def test_pcurl_k0_of_constant_field():
     coeff = ops.potential @ ops.lmap.gather(v)
     rule = c.rule("cell", 0)
     vals = np.einsum("pax,a->px",
-                     c.basis("cell", 0, 0, vector=True).eval_vector(rule.points), coeff)
+                     basis(c, "cell", 0, 0, vector=True).eval_vector(rule.points), coeff)
     assert np.abs(vals - const[None, :]).max() < 1e-11
 
 
@@ -360,9 +383,25 @@ def test_interpolate_rejects_field_of_wrong_shape(field):
         c.interpolate_grad(field)
 
 
+def test_interpolate_matches_the_entity_by_entity_reference():
+    # bit for bit: each entity's moments against its basis evaluated at
+    # degree k-1 on its own rule, solved alone with its Gram
+    c = complex_for("ring", 2)
+    lay = c.layout("Xgrad")
+    q = lambda p: p[:, 0] * p[:, 1] ** 2 - p[:, 2]
+    vec = c.interpolate_grad(q)
+    for kind in ("edge", "face", "cell"):
+        for i in range(entity_count(c.mesh, kind)):
+            rule = c.rule(kind, i)
+            phi = basis(c, kind, i, 1).eval(rule.points)
+            want = np.linalg.solve(c._grams(kind, [i], 1, 1)[0],
+                                   phi.T @ (rule.weights * q(rule.points)))
+            assert np.array_equal(vec[lay.indices(kind, i, "poly")], want), (kind, i)
+
+
 def test_interpolate_list_of_fields_gives_one_row_per_field(monkeypatch):
-    # each row is bit-identical to interpolating its field alone; each entity's
-    # Gram conditioning is checked once for the whole list
+    # each row is bit-identical to interpolating its field alone; the Gram
+    # conditioning is checked once per size group for the whole list
     c = complex_for("ring", 2)
     fields = [lambda p: p[:, 0] * p[:, 1], lambda p: 2.5, lambda p: p[:, 2] ** 2]
     single = np.stack([c.interpolate_grad(f) for f in fields])
@@ -372,8 +411,7 @@ def test_interpolate_list_of_fields_gives_one_row_per_field(monkeypatch):
     rows = c.interpolate_grad(fields)
     assert rows.shape == (3, c.layout("Xgrad").total)
     assert np.array_equal(rows, single)
-    mesh = c.mesh
-    assert len(conds) == mesh.n_edges + mesh.n_faces + mesh.n_elements
+    assert len(conds) == sum(len(size_groups(c.mesh, kind)) for kind in ("edge", "face", "cell"))
 
 
 def test_coo_blocks_keep_row_major_order():

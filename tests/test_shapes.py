@@ -1,11 +1,13 @@
 """Local operators built in stacked passes over entities of equal array sizes.
 
-Every stack member, and the extensions and reductions read from the
-stacks, are checked against builds of each entity alone (groups of one),
-perturbations of one entity must reach its stacked operators, a failing
-operator or extension solve names the same entity and solve as a build
-entity by entity, the stacked builds are no more than the congruence
-classes, and the number of stacked solves does not grow with the mesh.
+Every stack member, and the extensions, reductions, interpolates and
+consistency residuals read from the stacks, are checked against builds of
+each entity alone (groups of one), perturbations of one entity must reach
+its stacked operators, a failing operator, extension or interpolation solve
+names the same entity and solve as a build entity by entity, the stacked
+builds are no more than the congruence classes, the number of stacked solves
+does not grow with the mesh, and no stack of points holds more than one
+element's.
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import ddrcomplex.operators as operators
+import ddrcomplex.verification as verification
 from ddrcomplex import (
     ConditioningError,
     DdrComplex,
@@ -27,6 +30,7 @@ from ddrcomplex import (
 )
 from ddrcomplex.cli import main
 from ddrcomplex.layouts import SPACES, closure, entity_count
+from ddrcomplex.verification import VerifySession, check_consistency
 
 from conftest import complex_for, graded_block, mesh_and_orientation
 from test_general_meshes import l_prism, prism_pair
@@ -91,6 +95,20 @@ def _extensions_and_reductions(high, low):
         ext.matrix(space), reduction_matrix(high, space), zero_reduction_basis(high, space))]
 
 
+def _sweep(high, monkeypatch):
+    """The interpolates of the consistency sweep's monomials and its five
+    (monomial, entity) residual tables, on the complex ``high``."""
+    s = VerifySession(high.mesh, high.orient, high.k)
+    s.high = high
+    tables = []
+    worst = verification._worst
+    with monkeypatch.context() as m:
+        m.setattr(verification, "_worst", lambda table: tables.append(table) or worst(table))
+        check_consistency(s)
+    fields = [verification._monomial(a) for a in verification._monomial_sweep(high.k + 1)]
+    return [high.interpolate_grad(fields)] + tables
+
+
 def _arrays(ops):
     out = [ops.op, ops.moments.mass, ops.moments.rhs]
     return out if ops.potential is None else out + [ops.potential]
@@ -102,7 +120,7 @@ def _arrays(ops):
 def test_shared_blocks_match_fresh_builds(monkeypatch, name, k):
     # every member of every stack, the stacked projections and means, and the
     # extensions and reductions read from the stacks, against the build of
-    # each entity alone
+    # each entity alone; the interpolates and consistency residuals bit for bit
     mesh, orient = _mesh(name)
     stacked, stacked_low = (complex_for(name, d) if name in ("ring", "cavity")
                             else DdrComplex(mesh, orient, d) for d in (k, 0))
@@ -124,6 +142,9 @@ def test_shared_blocks_match_fresh_builds(monkeypatch, name, k):
         assert a.shape == b.shape
         worst = max(worst, _rel(a, b))
     assert worst <= 1e-13
+    got, want = _sweep(stacked, monkeypatch), _sweep(alone, monkeypatch)
+    assert len(got) == len(want) == 6
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_groups_split_by_array_sizes():
@@ -304,19 +325,26 @@ def test_failing_solve_names_its_entity(monkeypatch, mesh_name, kind, planted, n
             system[hit] = 0.0
         return solve(system, rhs, what)
 
+    # and a singular interpolation Gram on the same entities
+    doomed |= {f"interpolation on {kind} {i}" for i in planted}
     monkeypatch.setattr(operators, "stacked_solve", planting)
     messages = []
     for groups in ("stacked", "singletons"):
         with monkeypatch.context() as m:
             if groups == "singletons":
                 _singletons(m)
-            ext = ExtensionMaps(DdrComplex(mesh, orient, 1), DdrComplex(mesh, orient, 0))
+            high = DdrComplex(mesh, orient, 1)
             with pytest.raises(ConditioningError) as failure:
-                ext.matrix(space)
-        messages.append(str(failure.value))
-    # the text an extension solved entity by entity raises for the lowest one
-    assert messages == [f"{label} {named}: {local} extension: "
-                        "condition number inf beyond limit"] * 2
+                ExtensionMaps(high, DdrComplex(mesh, orient, 0)).matrix(space)
+            with pytest.raises(ConditioningError) as interpolation:
+                high.interpolate_grad(lambda p: p[:, 0])
+        messages.append((str(failure.value), str(interpolation.value)))
+    # the texts an extension and an interpolation solved entity by entity
+    # raise for the lowest one
+    assert messages == [(f"{label} {named}: {local} extension: "
+                         "condition number inf beyond limit",
+                         f"interpolation on {kind} {named}: "
+                         "condition number inf beyond limit")] * 2
 
 
 def _congruence_classes(mesh, orient, kind):
@@ -393,3 +421,24 @@ def test_solve_count_does_not_grow_with_the_mesh(monkeypatch):
         counts.append(per_builder)
     assert counts[0] == counts[1] == [2, 2, 1, 2, 2, 2]
     assert max(calls) == 144        # the larger block's edges in one stack
+
+
+def test_point_stacks_hold_one_element_at_most(monkeypatch):
+    # interpolation and the consistency sweep evaluate a size group of edges
+    # or faces at once, but elements one at a time: no stack holds the
+    # interior points of more than one element
+    sizes = []
+    points = DdrComplex._points
+
+    def spy(self, kind, ids):
+        sizes.append((kind, len(ids)))
+        return points(self, kind, ids)
+
+    monkeypatch.setattr(DdrComplex, "_points", spy)
+    mesh, orient = mesh_and_orientation("cavity")
+    s = VerifySession(mesh, orient, 1)
+    s.high.interpolate_grad(lambda p: p[:, 0])
+    assert all(c.passed for c in check_consistency(s))
+    assert {kind for kind, _ in sizes} == set(KINDS)
+    assert all(n == 1 for kind, n in sizes if kind == "cell")
+    assert any(n > 1 for kind, n in sizes if kind != "cell")

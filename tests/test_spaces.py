@@ -7,12 +7,12 @@ from ddrcomplex import ConditioningError, DomainError, compute_orientation, spac
 from ddrcomplex import monomials as mono
 from ddrcomplex.homology import integer_rank
 from ddrcomplex.spaces import (
-    checked_solves,
     entity_basis,
     frame_dot,
     frame_moments,
     frame_values,
     gram_matrix,
+    stacked_solve,
     subspace_basis,
 )
 
@@ -79,7 +79,7 @@ def test_rc_face_degree_one_is_koszul_field():
 def test_differential_examples_exact():
     # physical derivatives are the integer scaled-coordinate matrices times 1/h
     c = complex_for("cube", 1)
-    h = c.basis("cell", 0, 1).length
+    h = entity_basis(c.mesh, c.orient, "cell", 0, 1).length
     y1 = np.array([0, 1, 0, 0])                   # the monomial y1 = (x - x_T)_1 / h
     out = mono.grad_matrix(3, 1) @ y1
     assert out.dtype == np.int64 and np.array_equal(out, [1, 0, 0])
@@ -136,7 +136,7 @@ def test_bijective_pairings(k):
 def test_gram_spd_and_projection_idempotent():
     c = complex_for("cube", 2)
     rule = c.rule("cell", 0)
-    basis = c.basis("cell", 0, 2)
+    basis = entity_basis(c.mesh, c.orient, "cell", 0, 2)
     gram = gram_matrix(basis, basis, rule)
     assert np.abs(gram - gram.T).max() < 1e-14
     assert np.linalg.eigvalsh(gram).min() > 0
@@ -169,15 +169,21 @@ def test_p0_basis_has_zero_mean():
 
 
 def test_singular_gram_raises_conditioning_error():
+    # the singular member gets the error its caller raises and a zero
+    # solution; the other member is solved as usual
     singular = np.asarray([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(ConditioningError):
-        checked_solves(singular, [np.eye(2)], "test system")
+    out, errors = stacked_solve(np.stack([2 * np.eye(2), singular]), np.ones((2, 2, 1)),
+                                ["fine", "test system"])
+    assert list(errors) == [1] and isinstance(errors[1], ConditioningError)
+    assert str(errors[1]).startswith("test system: condition number ")
+    assert np.array_equal(out, [[[0.5], [0.5]], [[0.0], [0.0]]])
 
 
 def test_non_finite_system_raises_labelled_conditioning_error():
     # the condition estimate itself fails (SVD does not converge) on a NaN system
+    _, errors = stacked_solve(np.full((1, 2, 2), np.nan), np.ones((1, 2, 1)), ["test system"])
     with pytest.raises(ConditioningError, match="^test system: "):
-        checked_solves(np.full((2, 2), np.nan), [np.eye(2)], "test system")
+        raise errors[0]
 
 
 @pytest.mark.parametrize("name,args", [("derivative", (1, 3, 0)), ("grad", (3, 2)),
@@ -191,17 +197,21 @@ def test_integer_matrices_cached_read_only(name, args):
     assert not got.flags.writeable
 
 
-def test_checked_solves_match_single_solves(monkeypatch):
+def test_stacked_solve_matches_single_solves(monkeypatch):
+    # one condition estimate for the stack; each member and each right-hand
+    # side of a leading axis (as interpolation solves its fields) is solved
+    # on its own, bit for bit
     rng = np.random.default_rng(3)
-    system = rng.normal(size=(6, 6)) + 6 * np.eye(6)
-    rhs = [rng.normal(size=6) for _ in range(4)]
+    system = rng.normal(size=(3, 6, 6)) + 6 * np.eye(6)
+    rhs = rng.normal(size=(4, 3, 6, 1))
     conds = []
     cond = np.linalg.cond
     monkeypatch.setattr(np.linalg, "cond", lambda a: conds.append(1) or cond(a))
-    got = checked_solves(system, rhs, "test system")
-    assert len(conds) == 1
-    for g, b in zip(got, rhs):
-        assert np.array_equal(g, np.linalg.solve(system, b))
+    got, errors = stacked_solve(system, rhs, ["test system"] * 3)
+    assert not errors and len(conds) == 1
+    for f in range(4):
+        for g in range(3):
+            assert np.array_equal(got[f, g, :, 0], np.linalg.solve(system[g], rhs[f, g, :, 0]))
 
 
 def _relative(got, want):
@@ -222,8 +232,9 @@ def test_frame_contractions_match_vector_values(kind, index, degree):
     u = rng.normal(size=3)
     assert _relative(frame_dot(phi, frame, u), vals @ u) <= 1e-14
     coeffs = rng.normal(size=(basis.size, 5))
-    assert _relative(frame_values(phi, frame, coeffs),
-                     np.einsum("pax,ab->pbx", vals, coeffs)) <= 1e-14
+    # a leading axis of coefficient vectors over one basis
+    assert _relative(frame_values(phi, frame, coeffs.T),
+                     np.einsum("pax,ab->bpx", vals, coeffs)) <= 1e-14
     assert _relative(frame_values(phi, frame, coeffs[:, 0]),
                      np.einsum("pax,a->px", vals, coeffs[:, 0])) <= 1e-14
     fields = rng.normal(size=(len(pts), 4, 3))

@@ -10,6 +10,7 @@ from ddrcomplex import (
     RankOptions,
     compute_orientation,
     corrupt_orientation,
+    entity_basis,
     numeric_rank,
     run_all,
     InputError,
@@ -144,15 +145,16 @@ def test_closed_form_rows_time_the_formula_build(monkeypatch):
 
 
 def test_consistency_rows_time_their_own_work(monkeypatch):
-    # a delay in the element gradient's builder must show in the
+    # a delay in the element gradient's stack build must show in the
     # element_gradient row alone, not spread over the sweep's rows
-    delay, build = 0.2, DdrComplex.cell_grad_ops
+    delay, build = 0.2, DdrComplex._grad_stack
 
-    def slow(self, t):
-        time.sleep(delay)
-        return build(self, t)
+    def slow(self, grp):
+        if grp.kind == "cell":
+            time.sleep(delay)
+        return build(self, grp)
 
-    monkeypatch.setattr(DdrComplex, "cell_grad_ops", slow)
+    monkeypatch.setattr(DdrComplex, "_grad_stack", slow)
     mesh, orient = mesh_and_orientation("cube")
     checks = check_consistency(VerifySession(mesh, orient, 1))
     assert all(c.passed for c in checks)
@@ -247,6 +249,19 @@ def test_errored_checks_are_not_passed():
     assert all(not c.passed for c in errored)
 
 
+@pytest.mark.parametrize("fault", ["omega_tf:5:3", "omega_fe:17:2"])
+def test_closed_forms_compute_residuals_under_sign_faults(fault):
+    # a flipped sign breaks the integer cochain complex, but the closed forms
+    # use the same signs as the degree-0 assembly: their rows compute and pass
+    mesh, orient = mesh_and_orientation("ring")
+    report = run_all(mesh, corrupt_orientation(orient, fault), 0,
+                     selection=["cohomology", "closed_forms"])
+    rows = [c for c in report.checks if c.name.startswith("closed_forms.")]
+    assert len(rows) == 3 and all(c.error is None and c.passed for c in rows)
+    assert all(c.residual is not None for c in rows)
+    assert any(c.error for c in report.checks if c.name.startswith("cohomology."))
+
+
 def test_fault_injection_completeness_sampled():
     # a sampled set of single-sign/measure corruptions must each trip a check
     mesh, orient = mesh_and_orientation("ring")
@@ -266,6 +281,10 @@ def _pointwise_consistency(s):
     larger residual in monomial, then entity order is the worst.
     """
     high, k, orient = s.high, s.k, s.orient
+
+    def basis_of(kind, index, degree):
+        return entity_basis(high.mesh, orient, kind, index, degree)
+
     worst = {name: (0.0, "") for name in ("edge_trace", "edge_gradient", "face_trace",
                                           "face_gradient", "element_gradient")}
 
@@ -292,30 +311,30 @@ def _pointwise_consistency(s):
             ops, rule = high.edge_ops(e), high.rule("edge", e)
             loc = ops.lmap.gather(vec)
             qv = np.asarray([q(p) for p in rule.points])
-            tv = high.basis("edge", e, k + 1).eval(rule.points) @ (ops.potential @ loc)
+            tv = basis_of("edge", e, k + 1).eval(rule.points) @ (ops.potential @ loc)
             update("edge_trace", np.abs(tv - qv).max() / max(1.0, np.abs(qv).max()),
                    f"{tagged}, edge {e}")
             dq = np.asarray([grad_q(p) @ orient.edge_tangent[e] for p in rule.points])
-            gv = high.basis("edge", e, k).eval(rule.points) @ (ops.op @ loc)
+            gv = basis_of("edge", e, k).eval(rule.points) @ (ops.op @ loc)
             update("edge_gradient", np.abs(gv - dq).max() / max(1.0, np.abs(dq).max()),
                    f"{tagged}, edge {e}")
         for f in range(s.mesh.n_faces):
             ops, rule = high.face_grad_ops(f), high.rule("face", f)
             loc = ops.lmap.gather(vec)
             qv = np.asarray([q(p) for p in rule.points])
-            tv = high.basis("face", f, k + 1).eval(rule.points) @ (ops.potential @ loc)
+            tv = basis_of("face", f, k + 1).eval(rule.points) @ (ops.potential @ loc)
             update("face_trace", np.abs(tv - qv).max() / max(1.0, np.abs(qv).max()),
                    f"{tagged}, face {f}")
             n = orient.face_normal[f]
             gq = np.asarray([grad_q(p) - (grad_q(p) @ n) * n for p in rule.points])
-            basis = high.basis("face", f, k)
+            basis = basis_of("face", f, k)
             gv = frame_values(basis.eval(rule.points), basis.frame, ops.op @ loc)
             update("face_gradient", np.abs(gv - gq).max() / max(1.0, np.abs(gq).max()),
                    f"{tagged}, face {f}")
         for t in range(s.mesh.n_elements):
             ops, rule = high.cell_grad_ops(t), high.rule("cell", t)
             gq = np.asarray([grad_q(p) for p in rule.points])
-            basis = high.basis("cell", t, k)
+            basis = basis_of("cell", t, k)
             gv = frame_values(basis.eval(rule.points), basis.frame, ops.op @ ops.lmap.gather(vec))
             update("element_gradient", np.abs(gv - gq).max() / max(1.0, np.abs(gq).max()),
                    f"{tagged}, element {t}")
