@@ -7,14 +7,15 @@ Usage (from anywhere; the package is taken from this checkout's ``src``)::
 Runs, with ``--no-timestamp``:
 
 * ``verify`` (all families) on the builtins cube, ring and cavity and on
-  ``meshes/graded_cavity.json`` and ``meshes/prism_pair.json`` at
-  k = 0..2: report, stdout, stderr and exit code;
-* ``cohomology --generators`` on the same fifteen cases: report, stdout,
+  ``meshes/graded_cavity.json``, ``meshes/prism_pair.json`` and
+  ``meshes/sheared_ring.json`` at k = 0..2: report, stdout, stderr and exit
+  code;
+* ``cohomology --generators`` on the same eighteen cases: report, stdout,
   stderr, exit code and VTK file;
 * ``verify`` on ring k = 1 with each ``--inject-fault`` kind: report,
   stdout, stderr and exit code.
 
-and prints one ``sha256  name`` line per output file (147 in all), sorted by
+and prints one ``sha256  name`` line per output file (174 in all), sorted by
 name.  Run it on two commits and ``diff`` the outputs: no difference means
 the reports, messages, exit codes and VTK files are byte-identical.  The
 graded mesh (a 3x3x3 block on graded grid lines with its central cell
@@ -23,7 +24,11 @@ unlike the voxel builtins.  Each of those meshes has one size group of
 entities per kind (see ``operators.size_groups``); the prism pair (the unit
 cube cut along the plane x = y, ``tests/test_general_meshes.prism_pair``)
 has two groups of faces and two of elements, so code that pairs the groups
-of two complexes is gated too.
+of two complexes is gated too.  The sheared ring is the builtin ring at
+h = 0.7 under x -> Ax + b, A = [[1, 0.31, -0.17], [0.12, 0.93, 0.26],
+[-0.21, 0.08, 1.11]], b = (0.37, -1.23, 2.71): no coordinate, normal or
+measure is a round number, so a change that reorders the floating-point
+sums of the geometry moves its outputs where the voxel meshes would not.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ MESH_FILES = Path(__file__).resolve().parent / "meshes"
 MESHES = {"cube": ["--builtin", "cube"], "ring": ["--builtin", "ring"],
           "cavity": ["--builtin", "cavity"],
           "graded": ["--mesh", str(MESH_FILES / "graded_cavity.json")],
-          "prism_pair": ["--mesh", str(MESH_FILES / "prism_pair.json")]}
+          "prism_pair": ["--mesh", str(MESH_FILES / "prism_pair.json")],
+          "sheared_ring": ["--mesh", str(MESH_FILES / "sheared_ring.json")]}
 DEGREES = (0, 1, 2)
 FAULTS = ("omega_tf", "omega_fe", "edge_length")
 
