@@ -22,6 +22,7 @@ from ddrcomplex import (
 )
 
 from conftest import MALFORMED, malformed_cube_document, mesh_and_orientation
+from test_general_meshes import prism_pair
 
 
 def brute_force_voxel_counts(pattern):
@@ -132,6 +133,87 @@ def test_nonplanar_face_rejected():
     mesh = mesh_from_document(doc)
     with pytest.raises(GeometryError, match="non-planar"):
         compute_orientation(mesh)
+
+
+def _prism_pair(moves=(), elements=None):
+    """The prism pair (faces 0, 1, 5, 6 triangles, the others quadrilaterals)
+    with vertices moved, ``{vertex: position}``, and optionally its faces
+    regrouped into other elements."""
+    doc = mesh_to_document(prism_pair())
+    for v, x in dict(moves).items():
+        doc["vertices"][v] = list(x)
+    if elements is not None:
+        doc["elements"] = elements
+    return mesh_from_document(doc)
+
+
+def _dart_prism():
+    """A prism over the dart (0,0), (2,1), (0,2), (1,1), whose centroid is
+    its reflex vertex: the bottom (face 0) and top (face 1) have their
+    centres on the lines of their two inner edges."""
+    dart = [[0, 0], [2, 1], [0, 2], [1, 1]]
+    return mesh_from_document({
+        "vertices": [[x, y, 0] for x, y in dart] + [[x, y, 1] for x, y in dart],
+        "faces": [[3, 2, 1, 0], [4, 5, 6, 7]] + [[i, (i + 1) % 4, (i + 1) % 4 + 4, i + 4]
+                                                  for i in range(4)],
+        "elements": [list(range(6))]})
+
+
+def _three_elements(pyramid_z=-0.5, tetra_r=(1, 1, -2)):
+    """A tetrahedron, a square pyramid and a second tetrahedron meeting at
+    the origin, so the two tetrahedra (elements 0 and 2) are a size group
+    that comes before the pyramid's (element 1).  The pyramid's apex at
+    height 0 flattens it, and so does a fourth vertex of element 2 in the
+    plane y = 0; a fourth vertex on the line z = -1 also makes its last face
+    (face 12) a segment."""
+    o, a, b, c = [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]
+    d, e, f, g = [-1, 0, 0], [-1, -1, 0], [0, -1, 0], [-0.5, -0.5, pyramid_z]
+    p, q, r = [1, 0, -1], [0, 0, -1], list(tetra_r)
+    return mesh_from_document({
+        "vertices": [o, a, b, c, d, e, f, g, p, q, r],
+        "faces": [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3],
+                  [0, 4, 5, 6], [0, 4, 7], [4, 5, 7], [5, 6, 7], [6, 0, 7],
+                  [0, 8, 9], [0, 8, 10], [0, 9, 10], [8, 9, 10]],
+        "elements": [[0, 1, 2, 3], [4, 5, 6, 7, 8], [9, 10, 11, 12]]})
+
+
+# Every GeometryError of compute_orientation, with the exact message.  Where
+# several entities fail, the lowest index is named, faces before elements,
+# as a pass over the entities in index order would name them; a zero
+# measure must be found before anything divides by it.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build,message", [
+    # vertex 7 moved onto vertex 6
+    (lambda: _prism_pair({7: (1, 1, 1)}), "zero-length edge"),
+    # vertex 3 on the diagonal of face 5 [0, 3, 2], which flattens it to a
+    # segment and bends faces 7 and 8
+    (lambda: _prism_pair({3: (0.5, 0.5, 0)}), "face 5: zero area"),
+    # as above, and vertex 5 off the plane x = 1 bends face 3, a
+    # quadrilateral, whose size group comes after face 5's
+    (lambda: _prism_pair({3: (0.5, 0.5, 0), 5: (1.2, 0, 1)}),
+     "face 3: non-planar (deviation 9.901e-02 > tol)"),
+    (_dart_prism, "face 0, edge 5: ambiguous boundary sign"),
+    (lambda: _three_elements(tetra_r=(1, 0, -2)), "element 2: zero volume"),
+    # elements 1 and 2 flat, the lower one in the later size group
+    (lambda: _three_elements(pyramid_z=0, tetra_r=(1, 0, -2)), "element 1: zero volume"),
+    # element 1 flat, and face 12 of element 2 a segment
+    (lambda: _three_elements(pyramid_z=0, tetra_r=(2, 0, -1)), "face 12: zero area"),
+    # one element bounded by the cube and holding the diagonal face 4, on
+    # whose plane its centre lies
+    (lambda: _prism_pair(elements=[list(range(9))]),
+     "element 0, face 4: ambiguous boundary sign"),
+], ids=["edge_length", "face_area", "face_lowest", "face_edge_sign", "element_volume",
+        "element_lowest", "faces_first", "element_face_sign"])
+def test_geometry_errors_name_the_lowest_failing_entity(build, message):
+    with pytest.raises(GeometryError) as failure:
+        compute_orientation(build())
+    assert str(failure.value) == message
+
+
+def test_three_elements_are_valid_until_flattened():
+    mesh = _three_elements()
+    orient = compute_orientation(mesh)
+    assert (orient.cell_volume > 0).all()
 
 
 @pytest.mark.parametrize("name", ["cube", "ring", "cavity"])
