@@ -143,16 +143,16 @@ def _generator_fields(high, generators: list[dict]) -> dict[str, np.ndarray]:
     outgoing operator reconstructs on the report's degree-k complex
     ``high``, at the element centres, a size group at a time."""
     fields: dict[str, np.ndarray] = {}
-    centers, frames = high.orient.cell_center, high._frame("cell")[2]
+    geometry = high.orient.geometry("cell")
     for index in (1, 2):
         cells = OPERATORS[index].blocks[-1]
         vectors = [g["vector"] for g in generators if g["cohomology_index"] == index]
         for j, vec in enumerate(map(np.asarray, vectors)):
             values = np.zeros((high.mesh.n_elements, 3))
             for ids, _, dofs, _, potential, *_ in high.stacks(cells.builder):
-                phi = high._eval("cell", ids, centers[ids][:, None, :], high.k)
+                phi = high._eval("cell", ids, geometry.center[ids][:, None, :], high.k)
                 coeffs = (potential @ vec[dofs][..., None])[..., 0]
-                values[ids] = frame_values(phi, frames[ids], coeffs)[:, 0]
+                values[ids] = frame_values(phi, geometry.frame[ids], coeffs)[:, 0]
             fields[f"h{index}_generator_{j}"] = values
     return fields
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .mesh import KINDS, closure, entity_count
 from .spaces import space_dim
 
-KINDS = ("vertex", "edge", "face", "cell")
 # Each space's components per entity kind, in order of dimension, as
 # (part, degree - k): "val" is a vertex value, "poly" the scalar P on the
 # entity, R/G and their complements Rc/Gc the vector subspaces of .spaces.
@@ -39,11 +39,6 @@ SPACES = tuple(PARTS)
 # The entity kind carrying each space's degree-0 unknowns, its first: what
 # the reductions keep and what the de Rham map scales by its measure.
 CARRIERS = {space: next(iter(parts)) for space, parts in PARTS.items()}
-
-
-def entity_count(mesh, kind: str) -> int:
-    """Number of entities of one kind (vertex, edge, face or cell)."""
-    return mesh.counts[KINDS.index(kind)]
 
 
 @dataclass(frozen=True)
@@ -113,19 +108,6 @@ class DofLayout:
         starts = [0, *itertools.accumulate(dims)]
         shifts = np.asarray([c.offset - start for c, start in zip(comps, starts)], dtype=int)
         return LocalMap(self, np.repeat(shifts, dims) + np.arange(starts[-1]))
-
-
-def closure(mesh, kind: str, entity: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Vertices, edges, faces and cells of one entity's closure, in local order."""
-    if kind == "edge":
-        return [int(v) for v in mesh.edges[entity]], [entity], [], []
-    if kind == "face":
-        return (sorted(set(mesh.face_loops[entity])), sorted(mesh.face_edges[entity]),
-                [entity], [])
-    if kind == "cell":
-        return (list(mesh.element_vertices(entity)), list(mesh.element_edges(entity)),
-                sorted(mesh.element_faces[entity]), [entity])
-    raise DomainError(f"no restriction to entity kind {kind!r}")
 
 
 class LocalMap:

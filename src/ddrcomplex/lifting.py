@@ -110,10 +110,7 @@ class DeRhamScaling:
 
 
 def de_rham_scaling(mesh: Mesh, orientation: OrientationTable) -> DeRhamScaling:
-    return DeRhamScaling(vertex=np.ones(mesh.n_vertices),
-                         edge=orientation.edge_length.copy(),
-                         face=orientation.face_area.copy(),
-                         cell=orientation.cell_volume.copy())
+    return DeRhamScaling(*(orientation.geometry(kind).measure.copy() for kind in KINDS))
 
 
 def de_rham_map(direction: str, space: str, scaling: DeRhamScaling,

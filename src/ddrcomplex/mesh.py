@@ -19,11 +19,13 @@ Conventions:
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    DomainError,
     GeometryError,
     InputError,
     MeshFormatError,
@@ -317,7 +319,69 @@ def load_mesh(path: str) -> Mesh:
 
 
 # ---------------------------------------------------------------------------
-# orientation and measures
+# entity groups, orientation and measures
+
+KINDS = ("vertex", "edge", "face", "cell")
+
+
+def entity_count(mesh: Mesh, kind: str) -> int:
+    """Number of entities of one kind (vertex, edge, face or cell)."""
+    return mesh.counts[KINDS.index(kind)]
+
+
+def checked_entity(mesh: Mesh, kind: str, index) -> int:
+    """``index`` as an edge, face or cell of the mesh, else DomainError."""
+    if kind not in KINDS[1:]:
+        raise DomainError(f"unknown entity kind {kind!r}")
+    if not 0 <= index < entity_count(mesh, kind):
+        raise DomainError(f"no {kind} {index}: the mesh has {entity_count(mesh, kind)}")
+    return int(index)
+
+
+def closure(mesh, kind: str, entity: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Vertices, edges, faces and cells of one entity's closure, in local order."""
+    if kind == "edge":
+        return [int(v) for v in mesh.edges[entity]], [entity], [], []
+    if kind == "face":
+        return (sorted(set(mesh.face_loops[entity])), sorted(mesh.face_edges[entity]),
+                [entity], [])
+    if kind == "cell":
+        return (list(mesh.element_vertices(entity)), list(mesh.element_edges(entity)),
+                sorted(mesh.element_faces[entity]), [entity])
+    raise DomainError(f"no restriction to entity kind {kind!r}")
+
+
+def size_groups(mesh: Mesh, kind: str) -> list[np.ndarray]:
+    """The entities of one kind whose local arrays have equal sizes, each
+    group in index order, groups in order of their first entity.
+
+    Entities group together when their closures have equal vertex, edge and
+    face counts and their faces, in element-face order, equal loop lengths;
+    these fix every local dof count and quadrature rule size.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i in range(entity_count(mesh, kind)):
+        faces = (i,) if kind == "face" else mesh.element_faces[i] if kind == "cell" else ()
+        key = (tuple(map(len, closure(mesh, kind, i))),
+               tuple(len(mesh.face_loops[f]) for f in faces))
+        groups.setdefault(key, []).append(i)
+    return [np.asarray(ids) for ids in groups.values()]
+
+
+def face_fans(mesh: Mesh, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Face, start and end vertex of the fan triangles (G, S) of each row of
+    ``faces`` (G, m), in row and loop order; columns share loop lengths."""
+    parts = []
+    for column in np.asarray(faces).T:
+        loops = np.asarray([mesh.face_loops[f] for f in column])
+        parts.append((np.repeat(column[:, None], loops.shape[1], axis=1), loops,
+                      np.roll(loops, -1, axis=1)))
+    return tuple(np.concatenate(part, axis=1) for part in zip(*parts))
+
+
+# Centres (n, 3), diameters (n,), frames (n, dim, 3) and measures (n,) of a kind.
+EntityGeometry = namedtuple("EntityGeometry", "center diameter frame measure")
+
 
 @dataclass(frozen=True)
 class OrientationTable:
@@ -328,6 +392,7 @@ class OrientationTable:
     the verification suite.
     """
 
+    vertex_position: np.ndarray  # (V, 3)
     edge_tangent: np.ndarray    # (E, 3) unit, ascending-index direction
     edge_length: np.ndarray     # (E,)
     edge_midpoint: np.ndarray   # (E, 3)
@@ -344,31 +409,49 @@ class OrientationTable:
     cell_diameter: np.ndarray   # (T,)
     cell_face_sign: tuple[tuple[int, ...], ...]        # omega_TF per element face
 
-    def entity_center(self, kind: str, index: int) -> np.ndarray:
-        return {"edge": self.edge_midpoint, "face": self.face_center,
-                "cell": self.cell_center}[kind][index]
+    def geometry(self, kind: str) -> EntityGeometry:
+        """Centres, diameters, frames (tangent, tau1 and tau2, identity) and
+        measures of one entity kind; a vertex is its own centre with an empty
+        frame, diameter and measure one (a vertex value is its cochain)."""
+        if kind == "vertex":
+            ones = np.ones(len(self.vertex_position))
+            return EntityGeometry(self.vertex_position, ones, np.zeros((len(ones), 0, 3)), ones)
+        if kind == "edge":
+            return EntityGeometry(self.edge_midpoint, self.edge_length,
+                                  self.edge_tangent[:, None, :], self.edge_length)
+        if kind == "face":
+            frames = np.stack([self.face_tau1, self.face_tau2], axis=1)
+            return EntityGeometry(self.face_center, self.face_diameter, frames, self.face_area)
+        if kind == "cell":
+            return EntityGeometry(self.cell_center, self.cell_diameter,
+                                  np.broadcast_to(np.eye(3), (len(self.cell_center), 3, 3)),
+                                  self.cell_volume)
+        raise DomainError(f"unknown entity kind {kind!r}")
 
-    def entity_diameter(self, kind: str, index: int) -> float:
-        return float({"edge": self.edge_length, "face": self.face_diameter,
-                      "cell": self.cell_diameter}[kind][index])
 
-    def entity_measure(self, kind: str, index: int) -> float:
-        return float({"edge": self.edge_length, "face": self.face_area,
-                      "cell": self.cell_volume}[kind][index])
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the 3-vectors along the last axes of ``a`` and ``b``,
+    each rounded as one 1-D ``a @ b``: a batched matmul does so, while
+    ``einsum``, ``(a * b).sum(-1)`` and ``norm(axis=-1)`` round otherwise."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _newell_normal(coords: np.ndarray) -> np.ndarray:
-    rel = coords - coords[0]
-    nxt = np.roll(rel, -1, axis=0)
-    return 0.5 * np.cross(rel, nxt).sum(axis=0)
+def _diameters(coords: np.ndarray) -> np.ndarray:
+    """Largest distance between two of the points of each set (G, n, 3)."""
+    i, j = np.triu_indices(coords.shape[1], 1)
+    return np.sqrt(row_dot(coords[:, i] - coords[:, j], coords[:, i] - coords[:, j])).max(axis=1)
 
 
 def compute_orientation(mesh: Mesh, planarity_tol: float = 1e-9,
                         sign_tol: float = 1e-10) -> OrientationTable:
-    """Derive tangents, normals, signs, measures, and centroids.
+    """Derive tangents, normals, signs, measures, and centroids, one size
+    group of faces or elements at a time (:func:`size_groups`).  Dots and
+    norms are batched matmuls (:func:`row_dot`) and the element fan sums
+    cumulative sums, so every entry rounds as in a pass entity by entity.
 
     Raises :class:`GeometryError` for non-planar faces, zero measures, or
-    boundary-sign dot products below ``sign_tol`` times the diameter.
+    boundary-sign dot products below ``sign_tol`` times the diameter, naming
+    the lowest failing face, else element; failed members divide by one.
     """
     verts = mesh.vertices
 
@@ -379,114 +462,83 @@ def compute_orientation(mesh: Mesh, planarity_tol: float = 1e-9,
     edge_tangent = vec / edge_length[:, None]
     edge_midpoint = 0.5 * (verts[mesh.edges[:, 0]] + verts[mesh.edges[:, 1]])
 
-    nf = mesh.n_faces
-    face_normal = np.empty((nf, 3))
-    face_tau1 = np.empty((nf, 3))
-    face_tau2 = np.empty((nf, 3))
-    face_area = np.empty(nf)
-    face_center = np.empty((nf, 3))
-    face_diameter = np.empty(nf)
-    face_edge_sign: list[tuple[int, ...]] = []
-    face_edge_normal: list[np.ndarray] = []
-
-    for f, loop in enumerate(mesh.face_loops):
-        coords = verts[list(loop)]
-        normal_vec = _newell_normal(coords)
-        area = np.linalg.norm(normal_vec)
-        if area <= 0.0:
-            raise GeometryError(f"face {f}: zero area")
-        n = normal_vec / area
-        diam = max(np.linalg.norm(coords[i] - coords[j])
-                   for i in range(len(coords)) for j in range(i + 1, len(coords)))
-        dev = np.abs((coords - coords[0]) @ n).max()
-        if dev > planarity_tol * diam:
-            raise GeometryError(f"face {f}: non-planar (deviation {dev:.3e} > tol)")
-
+    nf, nt = mesh.n_faces, mesh.n_elements
+    face_normal, face_tau1, face_tau2, face_center = np.empty((4, nf, 3))
+    face_area, face_diameter = np.empty((2, nf))
+    face_edge_sign, face_edge_normal = [()] * nf, [None] * nf
+    failures: dict[int, str] = {}
+    for ids in size_groups(mesh, "face"):
+        _, start, end = face_fans(mesh, ids[:, None])
+        coords, nxt = verts[start], verts[end]                        # (G, L, 3)
+        rel = coords - coords[:, :1]
+        normal_vec = 0.5 * np.cross(rel, np.roll(rel, -1, axis=1)).sum(axis=1)
+        area = np.sqrt(row_dot(normal_vec, normal_vec))
+        zero = area <= 0.0
+        n = normal_vec / np.where(zero, 1.0, area)[:, None]
+        diam = _diameters(coords)
+        dev = np.abs(row_dot(rel, n[:, None])).max(axis=1)
+        bent = ~zero & (dev > planarity_tol * diam)
         # area centroid via the vertex-mean fan (exact for planar polygons)
-        pmean = coords.mean(axis=0)
-        tri_area = np.empty(len(loop))
-        tri_cent = np.empty((len(loop), 3))
-        for i in range(len(loop)):
-            a, b = coords[i], coords[(i + 1) % len(loop)]
-            tri_area[i] = 0.5 * np.cross(a - pmean, b - pmean) @ n
-            tri_cent[i] = (pmean + a + b) / 3.0
-        center = (tri_area[:, None] * tri_cent).sum(axis=0) / tri_area.sum()
+        pmean = coords.mean(axis=1)[:, None]
+        tri_area = row_dot(0.5 * np.cross(coords - pmean, nxt - pmean), n[:, None])
+        center = ((tri_area[..., None] * ((pmean + coords + nxt) / 3.0)).sum(axis=1)
+                  / np.where(zero | bent, 1.0, tri_area.sum(axis=1))[:, None])
+        t1 = coords[:, 1] - coords[:, 0]
+        t1 = t1 - row_dot(t1, n)[:, None] * n
+        t1 = t1 / np.where(zero | bent, 1.0, np.sqrt(row_dot(t1, t1)))[:, None]
+        edges = np.asarray([mesh.face_edges[f] for f in ids])
+        normals = np.cross(n[:, None], edge_tangent[edges])           # (G, L, 3)
+        dot = row_dot(normals, edge_midpoint[edges] - center[:, None])
+        ambiguous = np.abs(dot) <= sign_tol * diam[:, None]
+        bad = zero | bent | ambiguous.any(axis=1)
+        if bad.any():
+            g = np.argmax(bad)
+            failures[ids[g]] = (
+                f"face {ids[g]}: zero area" if zero[g] else
+                f"face {ids[g]}: non-planar (deviation {dev[g]:.3e} > tol)" if bent[g] else
+                f"face {ids[g]}, edge {edges[g, np.argmax(ambiguous[g])]}: "
+                "ambiguous boundary sign")
+        face_normal[ids], face_tau1[ids], face_tau2[ids] = n, t1, np.cross(n, t1)
+        face_area[ids], face_center[ids], face_diameter[ids] = area, center, diam
+        for f, signs, nfe in zip(ids, np.where(dot > 0, 1, -1).tolist(), normals):
+            face_edge_sign[f], face_edge_normal[f] = tuple(signs), nfe
+    if failures:
+        raise GeometryError(failures[min(failures)])
 
-        t1 = coords[1] - coords[0]
-        t1 = t1 - (t1 @ n) * n
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(n, t1)
-
-        signs, normals = [], []
-        for e in mesh.face_edges[f]:
-            nfe = np.cross(n, edge_tangent[e])
-            dot = nfe @ (edge_midpoint[e] - center)
-            if abs(dot) <= sign_tol * diam:
-                raise GeometryError(f"face {f}, edge {e}: ambiguous boundary sign")
-            signs.append(1 if dot > 0 else -1)
-            normals.append(nfe)
-        face_normal[f] = n
-        face_tau1[f] = t1
-        face_tau2[f] = t2
-        face_area[f] = area
-        face_center[f] = center
-        face_diameter[f] = diam
-        face_edge_sign.append(tuple(signs))
-        face_edge_normal.append(np.asarray(normals))
-
-    nt = mesh.n_elements
-    cell_volume = np.empty(nt)
+    cell_volume, cell_diameter = np.empty((2, nt))
     cell_center = np.empty((nt, 3))
-    cell_diameter = np.empty(nt)
-    cell_face_sign: list[tuple[int, ...]] = []
+    cell_face_sign = [()] * nt
+    for ids in size_groups(mesh, "cell"):
+        coords = verts[[mesh.element_vertices(t) for t in ids]]       # (G, V, 3)
+        pmean = coords.mean(axis=1)[:, None]
+        faces = np.asarray([mesh.element_faces[t] for t in ids])
+        owner, start, end = face_fans(mesh, faces)
+        # tetra fan (pmean, c_f, a, b), each with |signed volume| as stored
+        # loop windings are arbitrary w.r.t. the element (pmean must see the
+        # boundary: star-shaped elements), summed in fan order, not pairwise.
+        a, b, c = verts[start], verts[end], face_center[owner]        # (G, S, 3)
+        vol6 = np.abs(row_dot(np.cross(a - c, b - c), pmean - c)) / 6.0
+        volume = np.cumsum(vol6, axis=1)[:, -1]
+        zero = volume <= 0.0
+        cent = np.cumsum(vol6[..., None] * (pmean + a + b + c) / 4.0, axis=1)[:, -1]
+        cent = cent / np.where(zero, 1.0, volume)[:, None]
+        diam = _diameters(coords)
+        dot = row_dot(face_normal[faces], face_center[faces] - cent[:, None])
+        ambiguous = np.abs(dot) <= sign_tol * diam[:, None]
+        bad = zero | ambiguous.any(axis=1)
+        if bad.any():
+            g = np.argmax(bad)
+            failures[ids[g]] = (
+                f"element {ids[g]}: zero volume" if zero[g] else
+                f"element {ids[g]}, face {faces[g, np.argmax(ambiguous[g])]}: "
+                "ambiguous boundary sign")
+        cell_volume[ids], cell_center[ids], cell_diameter[ids] = volume, cent, diam
+        for t, signs in zip(ids, np.where(dot > 0, 1, -1).tolist()):
+            cell_face_sign[t] = tuple(signs)
+    if failures:
+        raise GeometryError(failures[min(failures)])
 
-    for t, faces in enumerate(mesh.element_faces):
-        vids = mesh.element_vertices(t)
-        coords = verts[list(vids)]
-        pmean = coords.mean(axis=0)
-        # tetra fan (pmean, c_f, a, b); stored loop windings are arbitrary
-        # w.r.t. the element, so each tetra enters with |signed volume|.
-        # Requires pmean to see the boundary (star-shaped elements).
-        vol_acc, cent = 0.0, np.zeros(3)
-        for f in faces:
-            loop = mesh.face_loops[f]
-            c = face_center[f]
-            for i in range(len(loop)):
-                a = verts[loop[i]]
-                b = verts[loop[(i + 1) % len(loop)]]
-                v6 = abs(np.dot(np.cross(a - c, b - c), pmean - c))
-                vol_acc += v6 / 6.0
-                cent += (v6 / 6.0) * (pmean + a + b + c) / 4.0
-        if vol_acc <= 0.0:
-            raise GeometryError(f"element {t}: zero volume")
-        cent /= vol_acc
-        diam = max(np.linalg.norm(coords[i] - coords[j])
-                   for i in range(len(coords)) for j in range(i + 1, len(coords)))
-        signs = []
-        for f in faces:
-            dot = face_normal[f] @ (face_center[f] - cent)
-            if abs(dot) <= sign_tol * diam:
-                raise GeometryError(f"element {t}, face {f}: ambiguous boundary sign")
-            signs.append(1 if dot > 0 else -1)
-        cell_volume[t] = vol_acc
-        cell_center[t] = cent
-        cell_diameter[t] = diam
-        cell_face_sign.append(tuple(signs))
-
-    return OrientationTable(
-        edge_tangent=edge_tangent,
-        edge_length=edge_length,
-        edge_midpoint=edge_midpoint,
-        face_normal=face_normal,
-        face_tau1=face_tau1,
-        face_tau2=face_tau2,
-        face_area=face_area,
-        face_center=face_center,
-        face_diameter=face_diameter,
-        face_edge_sign=tuple(face_edge_sign),
-        face_edge_normal=tuple(face_edge_normal),
-        cell_volume=cell_volume,
-        cell_center=cell_center,
-        cell_diameter=cell_diameter,
-        cell_face_sign=tuple(cell_face_sign),
-    )
+    return OrientationTable(verts, edge_tangent, edge_length, edge_midpoint, face_normal,
+                            face_tau1, face_tau2, face_area, face_center, face_diameter,
+                            tuple(face_edge_sign), tuple(face_edge_normal), cell_volume,
+                            cell_center, cell_diameter, tuple(cell_face_sign))

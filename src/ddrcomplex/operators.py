@@ -12,10 +12,10 @@ degree-0 data.
 :data:`OPERATORS` describes the complex once, operator by operator and entity
 kind by entity kind; assembly, extensions and checks all loop over it.
 
-Local operators are built in stacked passes.  :func:`size_groups` splits the
-entities of one kind into groups whose arrays have equal sizes (closure
-counts, and face-loop lengths in element-face order, which also fix the
-quadrature rule sizes).  The first access to any entity's operator builds
+Local operators are built in stacked passes.  :func:`.mesh.size_groups`
+splits the entities of one kind into groups whose arrays have equal sizes
+(closure counts, and face-loop lengths in element-face order, which also fix
+the quadrature rule sizes).  The first access to any entity's operator builds
 every group of its kind: a leading entity axis runs through the boundary
 evaluations, the moment right-hand sides, the guarded solves, and later the
 projections and the global COO adds.  :meth:`DdrComplex.edge_ops` ...
@@ -33,9 +33,9 @@ one top-degree Gram.  Interpolation, the consistency sweep and the VTK
 potentials evaluate a basis at the degree they read.  Quadrature points are
 stacked a size group at a time on edges and faces but one element at a time
 (:func:`_point_stacks`), so no stack holds the interior points of more than
-one element.
+one element.  Each kind's rules are built the same way, into one store.
 
-:class:`DdrComplex` memoizes quadrature rules, frames, Gram matrices, local
+:class:`DdrComplex` memoizes quadrature rules, Gram matrices, local
 operators, and assembled global matrices for one (mesh, orientation, degree).
 """
 
@@ -48,9 +48,9 @@ import numpy as np
 from . import monomials as mono
 from .errors import ConditioningError, DomainError
 from .homology import _signed_incidences
-from .layouts import KINDS, PARTS, DofLayout, LocalMap, closure, entity_count
-from .mesh import Mesh, OrientationTable
-from .quadrature import QuadratureRule, entity_rule
+from .layouts import KINDS, PARTS, DofLayout, LocalMap, entity_count
+from .mesh import Mesh, OrientationTable, checked_entity, size_groups
+from .quadrature import QuadratureRule, rule_stack
 from .spaces import frame_dot, frame_moments, span_matrix, stacked_solve
 from .sparse import CsrMatrix
 
@@ -119,23 +119,6 @@ OPERATORS = (
 )
 # builder -> (entity kind, source space)
 _BLOCKS = {b.builder: (b.kind, op.source) for op in OPERATORS for b in op.blocks}
-
-
-def size_groups(mesh: Mesh, kind: str) -> list[np.ndarray]:
-    """The entities of one kind whose local arrays have equal sizes, each
-    group in index order, groups in order of their first entity.
-
-    Entities group together when their closures have equal vertex, edge and
-    face counts and their faces, in element-face order, equal loop lengths;
-    these fix every local dof count and quadrature rule size.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i in range(entity_count(mesh, kind)):
-        faces = (i,) if kind == "face" else mesh.element_faces[i] if kind == "cell" else ()
-        key = (tuple(map(len, closure(mesh, kind, i))),
-               tuple(len(mesh.face_loops[f]) for f in faces))
-        groups.setdefault(key, []).append(i)
-    return [np.asarray(ids) for ids in groups.values()]
 
 
 def _read_only(*arrays):
@@ -238,9 +221,8 @@ class DdrComplex:
         self.k = degree
         self.quad_degree = 2 * degree + 4
         self._layouts: dict[str, DofLayout] = {}
-        self._rules: dict[tuple, QuadratureRule] = {}
-        # per entity kind: frames, top-degree Grams, degree-k means
-        self._frames: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # per entity kind: the rule store, top-degree Grams, degree-k means
+        self._rules: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._top_grams: dict[str, np.ndarray] = {}
         self._means: dict[str, np.ndarray] = {}
         # per entity kind: size groups; per builder: every entity's record,
@@ -258,11 +240,11 @@ class DdrComplex:
         return self._layouts[space]
 
     def rule(self, kind: str, index: int) -> QuadratureRule:
-        key = (kind, index)
-        if key not in self._rules:
-            self._rules[key] = entity_rule(self.mesh, self.orient, kind, index,
-                                           self.quad_degree)
-        return self._rules[key]
+        """One entity's rule, a read-only view into its kind's store."""
+        index = checked_entity(self.mesh, kind, index)
+        points, weights, first, count = self._rule_store(kind)
+        at = slice(first[index], first[index] + count[index])
+        return QuadratureRule((kind, index), points[at], weights[at], self.quad_degree)
 
     def means(self, kind: str) -> np.ndarray:
         """Mean over each entity of one kind of each scalar degree-k basis
@@ -272,22 +254,6 @@ class DdrComplex:
         return self._means[kind]
 
     # -- stacked evaluation --------------------------------------------------
-
-    def _frame(self, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Centres (n, 3), diameters (n,) and frames (n, dim, 3) of every
-        entity of one kind, as :func:`.spaces.entity_basis` reads them."""
-        if kind not in self._frames:
-            o = self.orient
-            if kind == "edge":
-                geometry = (o.edge_midpoint, o.edge_length, o.edge_tangent[:, None, :])
-            elif kind == "face":
-                geometry = (o.face_center, o.face_diameter,
-                            np.stack([o.face_tau1, o.face_tau2], axis=1))
-            else:
-                geometry = (o.cell_center, o.cell_diameter,
-                            np.broadcast_to(np.eye(3), (self.mesh.n_elements, 3, 3)))
-            self._frames[kind] = geometry
-        return self._frames[kind]
 
     def _top(self, kind: str) -> int:
         """The highest degree the builders read of a basis of ``kind``: k+2 on
@@ -302,17 +268,37 @@ class DdrComplex:
         the consistency sweep and the VTK potentials ask for the degree they
         read: numpy multiplies a strided column slice in its own loop, which
         rounds differently from BLAS and would move their results."""
-        centers, diameters, frames = self._frame(kind)
-        y = ((pts - centers[ids][:, None, :]) @ frames[ids].swapaxes(1, 2)
-             / diameters[ids][:, None, None])
+        geometry = self.orient.geometry(kind)
+        y = ((pts - geometry.center[ids][:, None, :]) @ geometry.frame[ids].swapaxes(1, 2)
+             / geometry.diameter[ids][:, None, None])
         count, q, dim = y.shape
         degree = self._top(kind) if degree is None else degree
         return mono.eval_monomials(dim, degree, y.reshape(-1, dim)).reshape(count, q, -1)
 
+    def _rule_store(self, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Quadrature points (P, 3) and weights (P,) of a kind's entities, and
+        each one's first point and point count: filled like a point stack."""
+        if kind not in self._rules:
+            first, count = np.zeros((2, entity_count(self.mesh, kind)), dtype=int)
+            points, weights, size = [], [], 0
+            for ids in self._size_groups(kind):
+                for part in _point_stacks(kind, ids):
+                    pts, w = rule_stack(self.mesh, self.orient, kind, ids[part],
+                                        self.quad_degree)
+                    first[ids[part]] = size + w.shape[1] * np.arange(len(w))
+                    count[ids[part]] = w.shape[1]
+                    size += w.size
+                    points.append(pts.reshape(-1, 3))
+                    weights.append(w.ravel())
+            self._rules[kind] = (np.concatenate(points), np.concatenate(weights), first, count)
+            _read_only(*self._rules[kind])
+        return self._rules[kind]
+
     def _points(self, kind: str, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature points (G, q, 3) and weights (G, q) of equally sized rules."""
-        rules = [self.rule(kind, int(i)) for i in ids]
-        return np.stack([r.points for r in rules]), np.stack([r.weights for r in rules])
+        points, weights, first, count = self._rule_store(kind)
+        at = first[ids][:, None] + np.arange(count[ids[0]])
+        return points[at], weights[at]
 
     def _top_gram(self, kind: str) -> np.ndarray:
         """The scalar Gram matrix at the top degree of every entity of one
@@ -480,7 +466,7 @@ class DdrComplex:
         trace = grp.solve(system, rhs, "scalar trace")
 
         g_kk = self._grams("edge", ids, k, k)
-        inv_h = (1.0 / self._frame("edge")[1][ids])[:, None, None]
+        inv_h = (1.0 / self.orient.geometry("edge").diameter[ids])[:, None, None]
         deriv = mono.derivative_matrix(1, k, 0) * inv_h
         b = np.zeros((count, k + 1, nloc))
         b[:, :, c_qe] = -(g_mm @ deriv).swapaxes(1, 2)
@@ -497,8 +483,8 @@ class DdrComplex:
         k, kind, ids = self.k, grp.kind, grp.ids
         dim = KINDS.index(kind)
         sub = KINDS[dim - 1]
-        frames = self._frame(kind)[2][ids]
-        inv_h = (1.0 / self._frame(kind)[1][ids])[:, None, None]
+        frames = self.orient.geometry(kind).frame[ids]
+        inv_h = (1.0 / self.orient.geometry(kind).diameter[ids])[:, None, None]
         nk = _n(kind, k)
         vg_kk = self._grams(kind, ids, k, k, vector=True)
         div_k = mono.div_matrix(dim, k) * inv_h
@@ -574,7 +560,7 @@ class DdrComplex:
         space = grp.lmaps[0].layout.space
         (image, _), (complement, _) = PARTS[space][kind]
         name = next(op.name for op in OPERATORS if op.source == space)
-        inv_h = (1.0 / self._frame(kind)[1][ids])[:, None, None]
+        inv_h = (1.0 / self.orient.geometry(kind).diameter[ids])[:, None, None]
         nk = _n(kind, k)
         g_kk = self._grams(kind, ids, k, k)
         deriv_k = deriv(k) * inv_h
@@ -615,7 +601,7 @@ class DdrComplex:
         k, ids = self.k, grp.ids
         (image, _), (complement, _) = PARTS["Xcurl"]["cell"]
         count, nk = len(ids), _n("cell", k)
-        inv_h = (1.0 / self._frame("cell")[1][ids])[:, None, None]
+        inv_h = (1.0 / self.orient.geometry("cell").diameter[ids])[:, None, None]
         vg_kk = self._grams("cell", ids, k, k, vector=True)
         curl_k = mono.curl_matrix(k) * inv_h
         r = span_matrix(image, 3, k - 1)
@@ -630,7 +616,7 @@ class DdrComplex:
         # trace w_gt; the curl and its potential both read them from
         # u = w_gt @ cross(I, n_F).T
         subs, signs, normals = self._boundary(grp)
-        face_frames = self._frame("face")[2]
+        face_frames = self.orient.geometry("face").frame
         nf_k = _n("face", k)
         boundary = []
         for j in range(subs.shape[1]):
@@ -748,9 +734,8 @@ def ddr0_closed_forms(mesh: Mesh, orientation: OrientationTable
     vertices).  Must match the generically assembled degree-0 operators
     entrywise.
     """
-    o = orientation
-    measures = (np.ones(mesh.n_vertices), o.edge_length, o.face_area, o.cell_volume)
+    measures = [orientation.geometry(kind).measure for kind in KINDS]
     return tuple(CsrMatrix.from_coo((len(target), len(source)), rows, cols,
                                     signs * source[cols] / target[rows])
                  for (rows, cols, signs), source, target
-                 in zip(_signed_incidences(mesh, o), measures, measures[1:]))
+                 in zip(_signed_incidences(mesh, orientation), measures, measures[1:]))

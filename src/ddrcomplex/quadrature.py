@@ -2,10 +2,11 @@
 
 Edges use Gauss-Legendre.  Faces are fanned into triangles around the face
 centroid and elements into tetrahedra with apex at the element centroid;
-each simplex carries a collapsed (Duffy-type) tensor Gauss rule.  The
-collapse maps a polynomial of total degree d to a tensor polynomial whose
-per-axis degree is d plus the Jacobian degree, so per-axis Gauss orders can
-be chosen to integrate total degree d exactly with all-positive weights.
+each simplex carries a collapsed (Duffy-type) tensor Gauss rule, mapped for
+a whole size group at once (:func:`rule_stack`).  The collapse maps a
+polynomial of total degree d to a tensor polynomial whose per-axis degree is
+d plus the Jacobian degree, so per-axis Gauss orders can be chosen to
+integrate total degree d exactly with all-positive weights.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureDegreeError
+from .errors import DomainError, QuadratureDegreeError
+from .mesh import checked_entity, face_fans, row_dot
 
 _MAX_GAUSS = 64
 
@@ -55,12 +57,6 @@ def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _npts(degree: int) -> int:
     return max(1, (degree + 2) // 2)
-
-
-def segment_points(p0: np.ndarray, p1: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    a, w = _gauss01(_npts(degree))
-    pts = p0[None, :] + a[:, None] * (p1 - p0)[None, :]
-    return pts, w * np.linalg.norm(p1 - p0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -125,44 +121,37 @@ def tetra_points(p0, p1, p2, p3, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return pts.reshape(-1, 3), (vol6[:, None] * w).ravel()
 
 
-def edge_rule(mesh, index: int, degree: int) -> QuadratureRule:
-    v1, v2 = mesh.edges[index]
-    pts, w = segment_points(mesh.vertices[v1], mesh.vertices[v2], degree)
-    return QuadratureRule(("edge", index), pts, w, degree)
-
-
-def _fan(mesh, face: int) -> tuple[list[int], list[int]]:
-    """Start and end vertices of the boundary edges of a face's fan triangles."""
-    loop = list(mesh.face_loops[face])
-    return loop, loop[1:] + loop[:1]
-
-
-def face_rule(mesh, orientation, index: int, degree: int) -> QuadratureRule:
-    """Centroid-fan triangulation; requires the face star-shaped w.r.t. its centroid."""
-    a, b = _fan(mesh, index)
-    pts, w = triangle_points(orientation.face_center[index], mesh.vertices[a],
-                             mesh.vertices[b], degree)
-    return QuadratureRule(("face", index), pts, w, degree)
-
-
-def cell_rule(mesh, orientation, index: int, degree: int) -> QuadratureRule:
-    """Apex-centroid tetrahedralization over the fan triangles of each face."""
-    centers, a, b = [], [], []
-    for f in mesh.element_faces[index]:
-        start, end = _fan(mesh, f)
-        centers += [f] * len(start)
-        a += start
-        b += end
-    pts, w = tetra_points(orientation.cell_center[index], orientation.face_center[centers],
-                          mesh.vertices[a], mesh.vertices[b], degree)
-    return QuadratureRule(("cell", index), pts, w, degree)
+def rule_stack(mesh, orientation, kind: str, ids, degree: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Points (G, q, 3) and weights (G, q) of the rules of the entities
+    ``ids`` of one kind whose rules have one size, as in a size group:
+    every segment or fan simplex of every member mapped at once.  A face's
+    centroid must see its whole boundary, an element's its faces' fans."""
+    ids = np.asarray(ids)
+    if kind == "edge":
+        a, w = _gauss01(_npts(degree))
+        p0, p1 = mesh.vertices[mesh.edges[ids]].swapaxes(0, 1)
+        pts, w = p0[:, None] + a[:, None] * (p1 - p0)[:, None], np.sqrt(
+            row_dot(p1 - p0, p1 - p0))[:, None] * w
+    elif kind in ("face", "cell"):
+        faces = ids[:, None] if kind == "face" else np.asarray(
+            [mesh.element_faces[t] for t in ids])
+        owner, start, end = face_fans(mesh, faces)
+        corners = [x.reshape(-1, 3) for x in (orientation.face_center[owner],
+                                              mesh.vertices[start], mesh.vertices[end])]
+        if kind == "face":
+            pts, w = triangle_points(*corners, degree)
+        else:
+            apex = np.repeat(orientation.cell_center[ids], owner.shape[1], axis=0)
+            pts, w = tetra_points(apex, *corners, degree)
+    else:
+        raise DomainError(f"no quadrature rule on entity kind {kind!r}")
+    return pts.reshape(len(ids), -1, 3), w.reshape(len(ids), -1)
 
 
 def entity_rule(mesh, orientation, kind: str, index: int, degree: int) -> QuadratureRule:
-    if kind == "edge":
-        return edge_rule(mesh, index, degree)
-    if kind == "face":
-        return face_rule(mesh, orientation, index, degree)
-    if kind == "cell":
-        return cell_rule(mesh, orientation, index, degree)
-    raise ValueError(f"unknown entity kind {kind!r}")
+    """One entity's rule: :func:`rule_stack` on the group of one ``[index]``.
+    An unknown kind or an index out of range raises :class:`DomainError`."""
+    index = checked_entity(mesh, kind, index)
+    pts, w = rule_stack(mesh, orientation, kind, [index], degree)
+    return QuadratureRule((kind, index), pts[0], w[0], degree)

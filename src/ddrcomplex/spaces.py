@@ -140,26 +140,18 @@ def frame_moments(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def entity_basis(mesh, orientation, kind: str, index: int, degree: int,
                  vector: bool = False) -> ScaledMonomialBasis:
-    if kind == "edge":
-        frame = orientation.edge_tangent[index][None, :]
-        dim = 1
-    elif kind == "face":
-        frame = np.stack([orientation.face_tau1[index], orientation.face_tau2[index]])
-        dim = 2
-    elif kind == "cell":
-        frame = np.eye(3)
-        dim = 3
-    else:
+    if kind not in ("edge", "face", "cell"):
         raise DomainError(f"unknown entity kind {kind!r}")
-    if vector and dim == 1:
+    if vector and kind == "edge":
         raise DomainError("vector bases live on faces and cells only")
+    geometry = orientation.geometry(kind)
     return ScaledMonomialBasis(
         entity=(kind, index),
-        dim=dim,
+        dim=geometry.frame.shape[1],
         degree=degree,
-        center=np.asarray(orientation.entity_center(kind, index), dtype=float),
-        length=orientation.entity_diameter(kind, index),
-        frame=frame,
+        center=np.asarray(geometry.center[index], dtype=float),
+        length=float(geometry.diameter[index]),
+        frame=geometry.frame[index],
         vector=vector,
     )
 

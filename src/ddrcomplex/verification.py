@@ -513,7 +513,7 @@ def check_consistency(s: VerifySession) -> list[CheckResult]:
     def table(kind: str, builder: str, trace: bool) -> np.ndarray:
         """The (monomial, entity) residual table of one row."""
         out = np.empty((len(alphas), entity_count(s.mesh, kind)))
-        frames = high._frame(kind)[2]
+        frames = s.orient.geometry(kind).frame
         for ids, _, dofs, op, potential, *_ in high.stacks(builder):
             for part in _point_stacks(kind, ids):
                 sub = ids[part]

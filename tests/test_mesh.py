@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ddrcomplex import (
+    DomainError,
     GeometryError,
     MeshFormatError,
     MeshReferenceError,
@@ -279,3 +280,19 @@ def test_outward_signs_on_unit_cube(cube):
         outward = orient.cell_face_sign[0][pos] * orient.face_normal[f]
         assert orient.face_center[f] @ outward > 0.49 or \
             (orient.face_center[f] - np.array([0.5, 0.5, 0.5])) @ outward > 0.49
+
+
+def test_geometry_of_each_kind_in_one_place():
+    mesh, orient = mesh_and_orientation("ring")
+    vertex, edge, face, cell = (orient.geometry(kind) for kind in ("vertex", "edge", "face", "cell"))
+    assert np.array_equal(vertex.center, mesh.vertices)
+    assert vertex.frame.shape == (mesh.n_vertices, 0, 3)
+    assert (vertex.diameter == 1.0).all() and (vertex.measure == 1.0).all()
+    assert edge.measure is edge.diameter is orient.edge_length
+    assert np.array_equal(edge.frame[:, 0], orient.edge_tangent)
+    assert face.measure is orient.face_area and face.diameter is orient.face_diameter
+    assert np.array_equal(face.frame, np.stack([orient.face_tau1, orient.face_tau2], axis=1))
+    assert cell.measure is orient.cell_volume and cell.center is orient.cell_center
+    assert np.array_equal(cell.frame, np.broadcast_to(np.eye(3), (mesh.n_elements, 3, 3)))
+    with pytest.raises(DomainError, match="unknown entity kind 'element'"):
+        orient.geometry("element")

@@ -11,10 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddrcomplex import QuadratureDegreeError, compute_orientation, entity_rule
-from ddrcomplex.quadrature import _gauss01, _tetra_ref, _triangle_ref, cell_rule, face_rule
+from ddrcomplex import DomainError, QuadratureDegreeError, compute_orientation, entity_rule
+from ddrcomplex.quadrature import _gauss01, _tetra_ref, _triangle_ref
 
-from conftest import mesh_and_orientation
+from conftest import complex_for, mesh_and_orientation
 from test_general_meshes import prism_pair
 
 
@@ -42,7 +42,7 @@ def test_exactness_on_cube_entities(kind, index, degree):
     rule = entity_rule(mesh, orient, kind, index, degree)
     assert (rule.weights > 0).all()
     lo, hi = entity_box(mesh, kind, index)
-    measure = orient.entity_measure(kind, index)
+    measure = orient.geometry(kind).measure[index]
     assert abs(rule.measure - measure) < 1e-12 * max(measure, 1)
     for alpha in itertools.product(range(degree + 1), repeat=3):
         if sum(alpha) > degree:
@@ -155,9 +155,38 @@ def _graded_cavity():
 def test_fan_rules_match_one_map_per_simplex(mesh, degree):
     # all fan simplices of an entity are mapped at once, bit for bit as one by one
     orient = compute_orientation(mesh)
-    for kind, rule, count in (("face", face_rule, mesh.n_faces),
-                              ("cell", cell_rule, mesh.n_elements)):
+    for kind, count in (("face", mesh.n_faces), ("cell", mesh.n_elements)):
         for i in range(count):
-            got = rule(mesh, orient, i, degree)
+            got = entity_rule(mesh, orient, kind, i, degree)
             pts, wts = _fan_rules_loop(mesh, orient, kind, i, degree)
             assert np.array_equal(got.points, pts) and np.array_equal(got.weights, wts)
+
+
+@pytest.mark.parametrize("kind,index,message", [
+    ("edge", -1, "no edge -1: the mesh has 12"),
+    ("edge", 12, "no edge 12: the mesh has 12"),
+    ("vertex", 0, "unknown entity kind 'vertex'"),
+    ("element", 0, "unknown entity kind 'element'"),
+])
+def test_rules_of_entities_the_mesh_lacks_raise_domain_error(kind, index, message):
+    # no wrap-around to the last edge, no bare IndexError or ValueError
+    mesh, orient = mesh_and_orientation("cube")
+    with pytest.raises(DomainError) as direct:
+        entity_rule(mesh, orient, kind, index, 4)
+    with pytest.raises(DomainError) as cached:
+        complex_for("cube", 0).rule(kind, index)
+    assert str(direct.value) == str(cached.value) == message
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_complex_rules_view_the_rules_of_groups_of_one(k):
+    mesh, orient = mesh_and_orientation("cavity")
+    c = complex_for("cavity", k)
+    for kind, count in (("edge", mesh.n_edges), ("face", mesh.n_faces),
+                        ("cell", mesh.n_elements)):
+        for i in range(count):
+            got, want = c.rule(kind, i), entity_rule(mesh, orient, kind, i, 2 * k + 4)
+            assert got.entity == want.entity == (kind, i) and got.degree == want.degree
+            assert np.array_equal(got.points, want.points)
+            assert np.array_equal(got.weights, want.weights)
+            assert got.points.base is not None and not got.points.flags.writeable

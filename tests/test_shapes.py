@@ -1,8 +1,10 @@
-"""Local operators built in stacked passes over entities of equal array sizes.
+"""Geometry and local operators built in stacked passes over entities of
+equal array sizes.
 
-Every stack member, and the extensions, reductions, interpolates and
-consistency residuals read from the stacks, are checked against builds of
-each entity alone (groups of one), perturbations of one entity must reach
+The orientation and the quadrature rules of a size group, every stack
+member, and the extensions, reductions, interpolates and consistency
+residuals read from the stacks, are checked against builds of each entity
+alone (groups of one), perturbations of one entity must reach
 its stacked operators, a failing operator, extension or interpolation solve
 names the same entity and solve as a build entity by entity, the stacked
 builds are no more than the congruence classes, the number of stacked solves
@@ -11,10 +13,12 @@ element's.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddrcomplex.mesh as mesh_module
 import ddrcomplex.operators as operators
 import ddrcomplex.verification as verification
 from ddrcomplex import (
@@ -24,12 +28,15 @@ from ddrcomplex import (
     build_voxel_mesh,
     compute_orientation,
     corrupt_orientation,
+    entity_rule,
+    load_mesh,
     reduction_matrix,
     run_all,
     zero_reduction_basis,
 )
 from ddrcomplex.cli import main
 from ddrcomplex.layouts import SPACES, closure, entity_count
+from ddrcomplex.quadrature import rule_stack
 from ddrcomplex.verification import VerifySession, check_consistency
 
 from conftest import complex_for, graded_block, mesh_and_orientation
@@ -41,6 +48,7 @@ BUILDERS = (
     ("face", "face_curl_ops"), ("cell", "cell_curl_ops"), ("cell", "cell_div_ops"),
 )
 KINDS = ("edge", "face", "cell")
+SHEARED_RING = Path(__file__).resolve().parent.parent / "tools" / "meshes" / "sheared_ring.json"
 
 
 def _block(h, offset=0.0):
@@ -55,8 +63,9 @@ def _mesh(name):
         return _block(1.0, 1e3)
     if name == "graded":
         return graded_block(3, cavity=True)
-    if name in ("prism_pair", "l_prism"):
-        mesh = prism_pair() if name == "prism_pair" else l_prism()
+    if name in ("prism_pair", "l_prism", "sheared_ring"):
+        mesh = {"prism_pair": prism_pair, "l_prism": l_prism,
+                "sheared_ring": lambda: load_mesh(str(SHEARED_RING))}[name]()
         return mesh, compute_orientation(mesh)
     return mesh_and_orientation(name)
 
@@ -71,10 +80,19 @@ def _build_all(c):
         getattr(c, builder)(0)
 
 
-def _singletons(m):
-    """Patch ``size_groups`` (through ``m``) to make every entity a group of one."""
-    m.setattr(operators, "size_groups", lambda mesh, kind: [
+def _singletons(m, module=operators):
+    """Patch ``module.size_groups`` (through ``m``) to make every entity a
+    group of one."""
+    m.setattr(module, "size_groups", lambda mesh, kind: [
         np.asarray([i]) for i in range(entity_count(mesh, kind))])
+
+
+def _same_field(a, b):
+    """Bit for bit equality of two OrientationTable fields."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same_field(np.asarray(x), np.asarray(y))
+                                        for x, y in zip(a, b))
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 def _alone(mesh, orient, k, monkeypatch):
@@ -116,12 +134,26 @@ def _arrays(ops):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 @pytest.mark.parametrize("name", ["ring", "cavity", "offset_block", "graded", "prism_pair",
-                                  "l_prism"])
+                                  "l_prism", "sheared_ring"])
 def test_shared_blocks_match_fresh_builds(monkeypatch, name, k):
-    # every member of every stack, the stacked projections and means, and the
-    # extensions and reductions read from the stacks, against the build of
-    # each entity alone; the interpolates and consistency residuals bit for bit
+    # the orientation and every group's quadrature rules bit for bit against
+    # those of each entity alone; every member of every stack, the stacked
+    # projections and means, and the extensions and reductions read from the
+    # stacks, against the build of each entity alone; the interpolates and
+    # consistency residuals bit for bit
     mesh, orient = _mesh(name)
+    with monkeypatch.context() as m:
+        _singletons(m, mesh_module)
+        single = compute_orientation(mesh)
+    for field in dataclasses.fields(orient):
+        assert _same_field(getattr(orient, field.name), getattr(single, field.name)), field.name
+    for kind in KINDS:
+        for ids in mesh_module.size_groups(mesh, kind):
+            pts, weights = rule_stack(mesh, orient, kind, ids, 2 * k + 4)
+            for g, i in enumerate(ids):
+                rule = entity_rule(mesh, orient, kind, i, 2 * k + 4)
+                assert np.array_equal(pts[g], rule.points), (kind, i)
+                assert np.array_equal(weights[g], rule.weights), (kind, i)
     stacked, stacked_low = (complex_for(name, d) if name in ("ring", "cavity")
                             else DdrComplex(mesh, orient, d) for d in (k, 0))
     alone, alone_low = (_alone(mesh, orient, d, monkeypatch) for d in (k, 0))
