@@ -1,6 +1,7 @@
 """Voxel meshes, file round-trips, validation errors, orientation invariants."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from ddrcomplex import (
 )
 
 from conftest import MALFORMED, malformed_cube_document, mesh_and_orientation
-from test_general_meshes import prism_pair
+from test_general_meshes import l_prism, prism_pair
+
+SHEARED_RING = Path(__file__).resolve().parent.parent / "tools" / "meshes" / "sheared_ring.json"
 
 
 def brute_force_voxel_counts(pattern):
@@ -296,3 +299,83 @@ def test_geometry_of_each_kind_in_one_place():
     assert np.array_equal(cell.frame, np.broadcast_to(np.eye(3), (mesh.n_elements, 3, 3)))
     with pytest.raises(DomainError, match="unknown entity kind 'element'"):
         orient.geometry("element")
+
+
+def _orientation_loop(mesh):
+    """Reference: the orientation fields computed one face and one element
+    at a time, each dot a 1-D ``@`` and each fan sum a running ``+=``."""
+    verts = mesh.vertices
+    tangent = verts[mesh.edges[:, 1]] - verts[mesh.edges[:, 0]]
+    tangent = tangent / np.linalg.norm(tangent, axis=1)[:, None]
+    midpoint = 0.5 * (verts[mesh.edges[:, 0]] + verts[mesh.edges[:, 1]])
+    out = {name: [] for name in ("face_normal", "face_tau1", "face_tau2", "face_area",
+                                 "face_center", "face_diameter", "face_edge_sign",
+                                 "face_edge_normal", "cell_volume", "cell_center",
+                                 "cell_diameter", "cell_face_sign")}
+
+    def diameter(coords):
+        return max(np.linalg.norm(coords[i] - coords[j])
+                   for i in range(len(coords)) for j in range(i + 1, len(coords)))
+
+    for f, loop in enumerate(mesh.face_loops):
+        coords = verts[list(loop)]
+        rel = coords - coords[0]
+        normal = 0.5 * np.cross(rel, np.roll(rel, -1, axis=0)).sum(axis=0)
+        area = np.linalg.norm(normal)
+        n = normal / area
+        pmean = coords.mean(axis=0)
+        tri_area, tri_cent = np.empty(len(loop)), np.empty((len(loop), 3))
+        for i in range(len(loop)):
+            a, b = coords[i], coords[(i + 1) % len(loop)]
+            tri_area[i] = 0.5 * np.cross(a - pmean, b - pmean) @ n
+            tri_cent[i] = (pmean + a + b) / 3.0
+        center = (tri_area[:, None] * tri_cent).sum(axis=0) / tri_area.sum()
+        t1 = coords[1] - coords[0]
+        t1 = t1 - (t1 @ n) * n
+        t1 /= np.linalg.norm(t1)
+        normals = np.asarray([np.cross(n, tangent[e]) for e in mesh.face_edges[f]])
+        signs = tuple(1 if nfe @ (midpoint[e] - center) > 0 else -1
+                      for nfe, e in zip(normals, mesh.face_edges[f]))
+        for name, value in (("face_normal", n), ("face_tau1", t1), ("face_tau2", np.cross(n, t1)),
+                            ("face_area", area), ("face_center", center),
+                            ("face_diameter", diameter(coords)), ("face_edge_sign", signs),
+                            ("face_edge_normal", normals)):
+            out[name].append(value)
+    face_center = np.asarray(out["face_center"])
+    face_normal = np.asarray(out["face_normal"])
+    for t, faces in enumerate(mesh.element_faces):
+        coords = verts[list(mesh.element_vertices(t))]
+        pmean = coords.mean(axis=0)
+        volume, cent = 0.0, np.zeros(3)
+        for f in faces:
+            loop, c = mesh.face_loops[f], face_center[f]
+            for i in range(len(loop)):
+                a, b = verts[loop[i]], verts[loop[(i + 1) % len(loop)]]
+                v6 = abs(np.dot(np.cross(a - c, b - c), pmean - c))
+                volume += v6 / 6.0
+                cent += (v6 / 6.0) * (pmean + a + b + c) / 4.0
+        cent /= volume
+        signs = tuple(1 if face_normal[f] @ (face_center[f] - cent) > 0 else -1 for f in faces)
+        for name, value in (("cell_volume", volume), ("cell_center", cent),
+                            ("cell_diameter", diameter(coords)), ("cell_face_sign", signs)):
+            out[name].append(value)
+    return out
+
+
+@pytest.mark.parametrize("name", ["cube", "ring", "cavity", "graded", "prism_pair", "l_prism",
+                                  "sheared_ring"])
+def test_stacked_orientation_matches_the_loop_bit_for_bit(name):
+    # the size-group passes round every entry as the pass entity by entity
+    # does: batched row dots, and fan sums in fan order
+    mesh = {"prism_pair": prism_pair, "l_prism": l_prism,
+            "sheared_ring": lambda: load_mesh(str(SHEARED_RING))}.get(
+        name, lambda: mesh_and_orientation(name)[0])()
+    orient = compute_orientation(mesh)
+    for field, want in _orientation_loop(mesh).items():
+        got = getattr(orient, field)
+        if field in ("face_edge_sign", "cell_face_sign"):
+            assert got == tuple(want), field
+        elif field == "face_edge_normal":
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), field
+        else:
+            assert np.array_equal(got, np.asarray(want)), field
