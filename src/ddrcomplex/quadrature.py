@@ -131,8 +131,8 @@ def rule_stack(mesh, orientation, kind: str, ids, degree: int
     if kind == "edge":
         a, w = _gauss01(_npts(degree))
         p0, p1 = mesh.vertices[mesh.edges[ids]].swapaxes(0, 1)
-        pts, w = p0[:, None] + a[:, None] * (p1 - p0)[:, None], np.sqrt(
-            row_dot(p1 - p0, p1 - p0))[:, None] * w
+        pts = p0[:, None] + a[:, None] * (p1 - p0)[:, None]
+        w = np.sqrt(row_dot(p1 - p0, p1 - p0))[:, None] * w
     elif kind in ("face", "cell"):
         faces = ids[:, None] if kind == "face" else np.asarray(
             [mesh.element_faces[t] for t in ids])
