@@ -7,15 +7,15 @@ Usage (from anywhere; the package is taken from this checkout's ``src``)::
 Runs, with ``--no-timestamp``:
 
 * ``verify`` (all families) on the builtins cube, ring and cavity and on
-  ``meshes/graded_cavity.json``, ``meshes/prism_pair.json`` and
-  ``meshes/sheared_ring.json`` at k = 0..2: report, stdout, stderr and exit
-  code;
-* ``cohomology --generators`` on the same eighteen cases: report, stdout,
+  ``meshes/graded_cavity.json``, ``meshes/prism_pair.json``,
+  ``meshes/sheared_ring.json`` and ``meshes/double_ring.json`` at k = 0..2:
+  report, stdout, stderr and exit code;
+* ``cohomology --generators`` on the same twenty-one cases: report, stdout,
   stderr, exit code and VTK file;
 * ``verify`` on ring k = 1 with each ``--inject-fault`` kind: report,
   stdout, stderr and exit code.
 
-and prints one ``sha256  name`` line per output file (174 in all), sorted by
+and prints one ``sha256  name`` line per output file (201 in all), sorted by
 name.  Run it on two commits and ``diff`` the outputs: no difference means
 the reports, messages, exit codes and VTK files are byte-identical.  The
 graded mesh (a 3x3x3 block on graded grid lines with its central cell
@@ -29,6 +29,9 @@ h = 0.7 under x -> Ax + b, A = [[1, 0.31, -0.17], [0.12, 0.93, 0.26],
 [-0.21, 0.08, 1.11]], b = (0.37, -1.23, 2.71): no coordinate, normal or
 measure is a round number, so a change that reorders the floating-point
 sums of the geometry moves its outputs where the voxel meshes would not.
+The double ring is a 5x3x1 voxel slab with cells (1, 1, 0) and (3, 1, 0)
+removed, so b1 = 2: the only gated mesh with more than one generator in a
+degree, so the order in which generators are selected is gated too.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ MESHES = {"cube": ["--builtin", "cube"], "ring": ["--builtin", "ring"],
           "cavity": ["--builtin", "cavity"],
           "graded": ["--mesh", str(MESH_FILES / "graded_cavity.json")],
           "prism_pair": ["--mesh", str(MESH_FILES / "prism_pair.json")],
-          "sheared_ring": ["--mesh", str(MESH_FILES / "sheared_ring.json")]}
+          "sheared_ring": ["--mesh", str(MESH_FILES / "sheared_ring.json")],
+          "double_ring": ["--mesh", str(MESH_FILES / "double_ring.json")]}
 DEGREES = (0, 1, 2)
 FAULTS = ("omega_tf", "omega_fe", "edge_length")
 
