@@ -7,39 +7,111 @@ Coboundary matrices use the orientation table signs:
 * d1[F, E] = -omega_FE  (the sign that makes the degree-0 curl diagram commute);
 * d2[T, F] = +omega_TF.
 
-Everything here is exact.  One fraction-free elimination over Python
-integers (:func:`_echelon`) gives the ranks, the kernel bases (primitive
-integer vectors) and the generator selection; the integer generator
-representatives are certified by rank identities.  The exact subspace
-bases of :mod:`.spaces` pick their columns with the same elimination.
+They are stored sparse (:class:`.sparse.CsrMatrix`; entries of +-1 are exact
+in float64).  Everything here is exact.  One sparse fraction-free elimination
+over Python integers (:func:`_eliminate`) gives the ranks, the kernel bases
+(primitive integer vectors) and the generator selection; the integer
+generator representatives are certified by rank identities.  Each
+coboundary is eliminated at most once per complex
+(:meth:`CochainComplexInt.echelon`).  The exact subspace bases of
+:mod:`.spaces` pick their columns with the same elimination.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CertificationError, DdrError, DomainError
 from .mesh import Mesh, OrientationTable
+from .sparse import CsrMatrix
+
+
+@dataclass(frozen=True)
+class Echelon:
+    """Row echelon form of an integer matrix over the rationals.
+
+    ``rows`` are the pivot rows, sparse (``{column: entry}``, Python
+    integers), in the order of their pivot columns ``pivots``.  Each pivot
+    row is zero left of its pivot column.
+    """
+    rows: tuple[dict[int, int], ...]
+    pivots: tuple[int, ...]
+    ncols: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def kernel(self) -> list[dict[int, int]]:
+        """Exact kernel basis, one sparse vector per free column in ascending
+        order: the primitive integer vector positive at that column and zero
+        at the other free columns.  Back-substitution visits only the pivot
+        rows that meet the entries found so far, right to left."""
+        row_at = dict(zip(self.pivots, self.rows))
+        users = defaultdict(list)        # column -> pivot columns whose rows hold it
+        for c, row in row_at.items():
+            for col in row:
+                if col != c:
+                    users[col].append(c)
+        basis = []
+        for free in sorted(set(range(self.ncols)) - set(self.pivots)):
+            x = {free: 1}
+            # columns to solve, largest first; each pushed column is left of
+            # the one that pushed it, so pops never increase
+            heap = [-c for c in users[free]]
+            heapq.heapify(heap)
+            last = None
+            while heap:
+                c = -heapq.heappop(heap)
+                if c == last:
+                    continue
+                last = c
+                row = row_at[c]
+                s = sum(v * x[col] for col, v in row.items() if col in x)
+                if not s:
+                    continue
+                p = row[c]
+                scale = abs(p) // math.gcd(s, p)
+                if scale != 1:           # keep x integral: scale it by the new denominator
+                    for col in x:
+                        x[col] *= scale
+                    s *= scale
+                x[c] = -s // p
+                for u in users[c]:
+                    heapq.heappush(heap, -u)
+            g = math.gcd(*x.values())
+            basis.append({col: v // g for col, v in x.items()})
+        return basis
 
 
 @dataclass(frozen=True)
 class CochainComplexInt:
-    d0: np.ndarray   # (E, V) int
-    d1: np.ndarray   # (F, E) int
-    d2: np.ndarray   # (T, F) int
+    d0: CsrMatrix   # (E, V), entries +-1
+    d1: CsrMatrix   # (F, E)
+    d2: CsrMatrix   # (T, F)
+    _echelons: dict[int, Echelon] = field(default_factory=dict, init=False, repr=False,
+                                          compare=False)
 
     @property
     def counts(self) -> tuple[int, int, int, int]:
         return (self.d0.shape[1], self.d0.shape[0], self.d1.shape[0], self.d2.shape[0])
 
-    def boundary(self, i: int) -> np.ndarray:
+    def boundary(self, i: int) -> CsrMatrix:
         if i not in (0, 1, 2):
             raise DomainError(f"no coboundary of index {i}")
         return (self.d0, self.d1, self.d2)[i]
+
+    def echelon(self, i: int) -> Echelon:
+        """The elimination of ``d_i``, computed on first use and kept."""
+        if i not in self._echelons:
+            self._echelons[i] = _eliminate(*_integer_rows(self.boundary(i)))
+        return self._echelons[i]
 
 
 @dataclass(frozen=True)
@@ -74,77 +146,116 @@ def _signed_incidences(mesh: Mesh, orientation: OrientationTable
 
 def build_cochain_complex(mesh: Mesh, orientation: OrientationTable) -> CochainComplexInt:
     counts = mesh.counts
-    d0, d1, d2 = (np.zeros(shape, dtype=np.int64) for shape in zip(counts[1:], counts))
-    for d, (rows, cols, signs) in zip((d0, d1, d2), _signed_incidences(mesh, orientation)):
-        d[rows, cols] = signs
-    if np.any(d1 @ d0) or np.any(d2 @ d1):
+    d0, d1, d2 = (CsrMatrix.from_coo(shape, *triplets) for shape, triplets
+                  in zip(zip(counts[1:], counts), _signed_incidences(mesh, orientation)))
+    if (d1 @ d0).nnz or (d2 @ d1).nnz:
         raise DdrError("coboundary composition is nonzero: inconsistent orientation data")
     return CochainComplexInt(d0, d1, d2)
 
 
-def _echelon(mat, reduce: bool = False) -> tuple[list[list[int]], list[int]]:
-    """Exact elimination of an integer matrix over the rationals, fraction-free.
-
-    Returns the eliminated rows and the pivot columns.  Columns are scanned
-    left to right, so each pivot column is the leftmost column independent of
-    the columns before it, and their number is the rank.  Every entry stays
-    an integer minor of the input (Bareiss), so each division is exact and
-    Python integers never overflow.  With ``reduce`` the rows above each
-    pivot are eliminated too (fraction-free Gauss-Jordan): each pivot row
-    then holds the last pivot value at its own pivot column and zero at the
-    other pivot columns.  Entries must be integral (``1.0`` is accepted);
-    any other entry raises :class:`DomainError`.
-    """
-    rows = np.asarray(mat).tolist()
+def _integer_rows(mat) -> tuple[list[dict[int, int]], int]:
+    """Sparse rows (``{column: entry}``, Python integers, no zeros) and the
+    column count of a 2-D array or a :class:`CsrMatrix`.  Entries must be
+    integral (``1.0`` is accepted); any other entry raises
+    :class:`DomainError`."""
+    if isinstance(mat, CsrMatrix):
+        (m, n), cols, vals = mat.shape, mat.indices, mat.data
+        at = np.repeat(np.arange(m), np.diff(mat.indptr))
+    else:
+        arr = np.asarray(mat)
+        if arr.ndim != 2:
+            raise DomainError(f"exact elimination needs a 2-D matrix, got shape {arr.shape}")
+        (m, n), (at, cols) = arr.shape, np.nonzero(arr)
+        vals = arr[at, cols]
+    values = vals.tolist()
     try:
-        a = [[int(x) for x in row] for row in rows]
-    except (ValueError, OverflowError):     # NaN, infinity
-        a = None
-    if a != rows:
+        ints = [int(x) for x in values]
+    except (TypeError, ValueError, OverflowError):     # NaN, infinity
+        ints = None
+    if ints != values:
         raise DomainError("exact elimination needs integral entries")
+    rows: list[dict[int, int]] = [{} for _ in range(m)]
+    for i, j, v in zip(at.tolist(), cols.tolist(), ints):
+        if v:
+            rows[i][j] = v
+    return rows, n
+
+
+def _eliminate(rows: list[dict[int, int]], ncols: int) -> Echelon:
+    """Exact sparse elimination over the rationals, fraction-free; it
+    consumes ``rows`` (see :func:`_integer_rows`).
+
+    Columns are scanned left to right, so each pivot column is the leftmost
+    column independent of the columns before it, whichever rows are chosen,
+    and their number is the rank.  In a column the pivot row is one with a
+    unit entry if any, then one with the fewest nonzeros, then the lowest
+    index.  A unit pivot is subtracted from the other rows as is; otherwise
+    a row is cross-multiplied with the pivot row and divided by the gcd of its
+    entries, so every entry stays an integer.
+    """
+    holders: list = [[] for _ in range(ncols)]     # column -> rows that may hold it
+    for i, row in enumerate(rows):
+        for c in row:
+            holders[c].append(i)
+    active = [True] * len(rows)
+    pivot_rows: list[dict[int, int]] = []
     pivots: list[int] = []
-    prev = 1
-    for c in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        if r == len(a):
+    for c in range(ncols):
+        if len(pivots) == len(rows):
             break
-        pivot = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if pivot is None:
+        cands = [i for i in set(holders[c]) if active[i] and c in rows[i]]
+        holders[c] = None
+        if not cands:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        row, p = a[r], a[r][c]
-        for i in range(len(a)) if reduce else range(r + 1, len(a)):
-            if i == r:
+        p = min(cands, key=lambda i: (abs(rows[i][c]) != 1, len(rows[i]), i))
+        active[p] = False
+        prow, pv = rows[p], rows[p][c]
+        for i in cands:
+            if i == p:
                 continue
-            f = a[i][c]
-            if f:
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
-            elif p != prev:
-                a[i] = [p * x // prev for x in a[i]]
-        prev = p
+            row, f = rows[i], rows[i][c]
+            if pv in (1, -1):
+                f *= pv
+            else:
+                for j in row:
+                    row[j] *= pv
+            for j, v in prow.items():
+                new = row.get(j, 0) - f * v
+                if new:
+                    if j not in row:
+                        holders[j].append(i)
+                    row[j] = new
+                else:
+                    del row[j]
+            if pv not in (1, -1):
+                g = math.gcd(*row.values())
+                if g > 1:
+                    for j in row:
+                        row[j] //= g
+        pivot_rows.append(prow)
         pivots.append(c)
-    return a, pivots
+    return Echelon(tuple(pivot_rows), tuple(pivots), ncols)
 
 
-def integer_rank(mat: np.ndarray) -> int:
-    """Exact rank over the rationals via fraction-free (Bareiss) elimination."""
-    return len(_echelon(np.asarray(mat))[1])
+def _pivot_columns(mat) -> tuple[int, ...]:
+    """The leftmost independent columns of an integer matrix, ascending."""
+    return _eliminate(*_integer_rows(mat)).pivots
 
 
-def _kernel(mat: np.ndarray) -> list[list[int]]:
-    """Exact kernel basis: one primitive integer vector per free column,
-    positive at that column and zero at the other free columns."""
-    a, pivots = _echelon(mat, reduce=True)
-    d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
-    basis = []
-    for free in sorted(set(range(mat.shape[1])) - set(pivots)):
-        vec = [0] * mat.shape[1]
-        vec[free] = d
-        for row, c in zip(a, pivots):
-            vec[c] = -row[free]
-        g = math.gcd(*vec) if d > 0 else -math.gcd(*vec)
-        basis.append([x // g for x in vec])
-    return basis
+def integer_rank(mat) -> int:
+    """Exact rank over the rationals of an integer matrix, dense or
+    :class:`CsrMatrix`."""
+    return len(_pivot_columns(mat))
+
+
+def _with_columns(mat: CsrMatrix, columns: list[dict[int, int]]
+                  ) -> tuple[list[dict[int, int]], int]:
+    """The sparse rows of ``[mat | columns]``, each column given as ``{row: entry}``."""
+    rows, n = _integer_rows(mat)
+    for j, col in enumerate(columns, start=n):
+        for i, v in col.items():
+            rows[i][j] = v
+    return rows, n + len(columns)
 
 
 def cohomology_dims(dims, ranks, head: int = 0) -> tuple[int, ...]:
@@ -158,7 +269,7 @@ def cohomology_dims(dims, ranks, head: int = 0) -> tuple[int, ...]:
 
 
 def betti_numbers(complex_: CochainComplexInt) -> BettiVector:
-    ranks = [integer_rank(d) for d in (complex_.d0, complex_.d1, complex_.d2)]
+    ranks = [complex_.echelon(i).rank for i in (0, 1, 2)]
     return BettiVector(*cohomology_dims(complex_.counts, ranks))
 
 
@@ -169,28 +280,33 @@ def cohomology_generators(complex_: CochainComplexInt, i: int) -> list[np.ndarra
     [d_(i-1) | kernel] beyond d_(i-1); their number is the Betti number
     dim ker d_i - rank d_(i-1).  Certificates: the generators raise the rank
     of [d_(i-1) | generators] by their count and lie in the kernel of d_i.
+    The eliminations of d_i and d_(i-1) are the complex's own
+    (:meth:`CochainComplexInt.echelon`), and a zero Betti number needs no
+    other: the kernel is built only when there is something to select.
     """
     if i not in (1, 2):
         raise DomainError("generators are computed for cohomology indices 1 and 2")
     d_out = complex_.boundary(i)
     d_in = complex_.boundary(i - 1)
-    kernel = _kernel(d_out)
-    r_in = integer_rank(d_in)
-    betti = len(kernel) - r_in
-    gens = []
+    out = complex_.echelon(i)
+    r_in = complex_.echelon(i - 1).rank
+    betti = out.ncols - out.rank - r_in
+    selected: list[dict[int, int]] = []
     if betti > 0:
+        kernel = out.kernel()
         n = d_in.shape[1]
-        stacked = np.concatenate([d_in, np.asarray(kernel, dtype=object).T], axis=1)
-        gens = [np.asarray(kernel[j - n], dtype=np.int64)
-                for j in _echelon(stacked)[1] if j >= n]
+        selected = [kernel[j - n] for j in _eliminate(*_with_columns(d_in, kernel)).pivots
+                    if j >= n]
 
-    if gens:
-        certify = np.concatenate([d_in, np.asarray(gens, dtype=np.int64).T], axis=1)
-        if integer_rank(certify) != r_in + len(gens):
-            raise CertificationError("generators not independent modulo the incoming image")
-    for g in gens:
+    if selected and _eliminate(*_with_columns(d_in, selected)).rank != r_in + len(selected):
+        raise CertificationError("generators not independent modulo the incoming image")
+    gens = []
+    for vec in selected:
+        g = np.zeros(out.ncols, dtype=np.int64)
+        g[list(vec)] = list(vec.values())
         if np.any(d_out @ g):
             raise CertificationError("generator not in the kernel of the outgoing coboundary")
+        gens.append(g)
     if len(gens) != betti:
         raise CertificationError(f"expected {betti} generators, selected {len(gens)}")
     return gens

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import monomials as mono
 from .errors import BasisRankError, ConditioningError, DomainError
-from .homology import _echelon
+from .homology import _pivot_columns
 from .quadrature import QuadratureRule
 
 KINDS = ("P", "P0", "vP", "G", "Gc", "R", "Rc")
@@ -217,7 +217,7 @@ def span_matrix(kind: str, dim: int, degree: int) -> np.ndarray:
     else:
         raise DomainError(f"no span construction for kind {kind!r}")
 
-    keep = _echelon(cand)[1]
+    keep = list(_pivot_columns(cand))
     if len(keep) != expected:
         raise BasisRankError(
             f"{kind}^{degree} in dim {dim}: got rank {len(keep)}, expected {expected}")

@@ -389,7 +389,7 @@ def check_cochain_diagram(s: VerifySession) -> list[CheckResult]:
     for i, op in enumerate(OPERATORS):
         _timed(out, f"cochain.cw_{op.local}", lambda i=i, op=op: _residual_check(
             residual_between(kappa[op.target] + [low.operator(op.name).toarray()],
-                             [s.cochain.boundary(i).astype(float)] + kappa[op.source]), tol))
+                             [s.cochain.boundary(i).toarray()] + kappa[op.source]), tol))
     return out
 
 

@@ -9,11 +9,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import reject, settings, strategies as st
 
 from ddrcomplex import (
     DdrComplex,
     ExtensionMaps,
+    InputError,
     build_voxel_mesh,
     builtin_pattern,
     compute_orientation,
@@ -72,6 +73,22 @@ def extensions_for(name, degree):
     if key not in _EXTENSIONS:
         _EXTENSIONS[key] = ExtensionMaps(complex_for(name, degree), complex_for(name, 0))
     return _EXTENSIONS[key]
+
+
+@st.composite
+def voxel_patterns(draw):
+    """Blocks of at most 3x3x2 cells with up to four cells removed, kept when
+    still face-connected (so that ``build_voxel_mesh`` accepts them)."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    pattern = np.ones(shape, dtype=bool)
+    cells = [tuple(c) for c in np.argwhere(pattern)]
+    for cell in draw(st.lists(st.sampled_from(cells), max_size=4, unique=True)):
+        pattern[cell] = False
+    try:
+        build_voxel_mesh(pattern)
+    except InputError:
+        reject()
+    return pattern
 
 
 # Defects of a mesh document, each with the MeshFormatError message it raises.

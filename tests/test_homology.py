@@ -1,15 +1,15 @@
 """Integer cochain complex, exact ranks, Betti numbers, generators, de Rham maps."""
 
 import collections
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, strategies as st
+from hypothesis import example, given
 
 from ddrcomplex import (
     DdrError,
     DomainError,
-    InputError,
     betti_numbers,
     build_cochain_complex,
     build_voxel_mesh,
@@ -25,18 +25,20 @@ from ddrcomplex import (
     run_all,
     verification,
 )
+from ddrcomplex.cli import main
 
-from conftest import complex_for, mesh_and_orientation
+from conftest import complex_for, mesh_and_orientation, voxel_patterns
 
 
 def test_coboundary_shapes_and_rows(cube):
     mesh, orient = cube
     cc = build_cochain_complex(mesh, orient)
     assert cc.d0.shape == (12, 8)
-    assert ((cc.d0 == 1).sum(axis=1) == 1).all()
-    assert ((cc.d0 == -1).sum(axis=1) == 1).all()
-    assert np.abs(cc.d1 @ cc.d0).max() == 0
-    assert np.abs(cc.d2 @ cc.d1).max() == 0
+    d0 = cc.d0.toarray()
+    assert ((d0 == 1).sum(axis=1) == 1).all()
+    assert ((d0 == -1).sum(axis=1) == 1).all()
+    assert (cc.d1 @ cc.d0).nnz == 0
+    assert (cc.d2 @ cc.d1).nnz == 0
 
 
 def test_cube_integer_ranks(cube):
@@ -56,6 +58,12 @@ def test_integer_rank_basics():
     for bad in ([[0.5]], [[0.5, 0.0], [0.0, 1.0]], [[np.nan]], [[np.inf]]):
         with pytest.raises(DomainError):
             integer_rank(np.asarray(bad))
+
+
+@pytest.mark.parametrize("shape", [(2,), (), (2, 2, 2)])
+def test_integer_rank_names_the_shape_of_a_non_matrix(shape):
+    with pytest.raises(DomainError, match=re.escape(f"needs a 2-D matrix, got shape {shape}")):
+        integer_rank(np.ones(shape, dtype=int))
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -81,23 +89,43 @@ def test_generator_ring_h1(ring):
     assert len(gens) == 1
     g = gens[0]
     assert np.abs(cc.d1 @ g).max() == 0
-    stacked = np.concatenate([cc.d0, g[:, None]], axis=1)
+    stacked = np.concatenate([cc.d0.toarray(), g[:, None]], axis=1)
     assert integer_rank(stacked) == integer_rank(cc.d0) + 1
 
 
-def test_empty_generator_selection_needs_no_certifying_rank(ring, monkeypatch):
-    # b2 = 0 on the ring: the kernel of d2 and the rank of d1 settle it
+def test_empty_generator_selection_needs_no_certifying_rank(ring, monkeypatch, tmp_path):
+    # every elimination is recorded by the shape of the matrix it eliminates
     calls = []
-    original = homology._echelon
+    original = homology._eliminate
 
-    def counting(mat, reduce=False):
-        calls.append(reduce)
-        return original(mat, reduce)
+    def counting(rows, ncols):
+        calls.append((len(rows), ncols))
+        return original(rows, ncols)
 
-    monkeypatch.setattr(homology, "_echelon", counting)
+    monkeypatch.setattr(homology, "_eliminate", counting)
     mesh, orient = ring
-    assert cohomology_generators(build_cochain_complex(mesh, orient), 2) == []
-    assert len(calls) == 2
+    # b2 = 0 on a fresh complex: the eliminations of d2 and d1 settle it
+    cc = build_cochain_complex(mesh, orient)
+    assert cohomology_generators(cc, 2) == []
+    assert calls == [cc.d2.shape, cc.d1.shape]
+
+    # after the Betti numbers, h2 costs no elimination, and h1 only the
+    # selection from [d0 | kernel of d1] and its certificate [d0 | generator]
+    cc = build_cochain_complex(mesh, orient)
+    betti_numbers(cc)
+    calls.clear()
+    assert cohomology_generators(cc, 2) == []
+    assert calls == []
+    assert len(cohomology_generators(cc, 1)) == 1
+    (v, e, _, _), kernel_dim = cc.counts, cc.d1.shape[1] - cc.echelon(1).rank
+    assert calls == [(e, v + kernel_dim), (e, v + 1)]
+
+    # a whole ``cohomology --generators`` session eliminates each coboundary once
+    calls.clear()
+    assert main(["cohomology", "--builtin", "ring", "--degree", "0", "--no-timestamp",
+                 "--generators", str(tmp_path / "g.vtk"), "--out", str(tmp_path / "r.json")]) == 0
+    shapes = collections.Counter(calls)
+    assert [shapes[d.shape] for d in (cc.d0, cc.d1, cc.d2)] == [1, 1, 1]
 
 
 def test_generator_cavity_h2(cavity):
@@ -107,24 +135,8 @@ def test_generator_cavity_h2(cavity):
     assert len(gens) == 1
     g = gens[0]
     assert np.abs(cc.d2 @ g).max() == 0
-    stacked = np.concatenate([cc.d1, g[:, None]], axis=1)
+    stacked = np.concatenate([cc.d1.toarray(), g[:, None]], axis=1)
     assert integer_rank(stacked) == integer_rank(cc.d1) + 1
-
-
-@st.composite
-def voxel_patterns(draw):
-    """Blocks of at most 3x3x2 cells with up to four cells removed, kept when
-    still face-connected (so that ``build_voxel_mesh`` accepts them)."""
-    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2)))
-    pattern = np.ones(shape, dtype=bool)
-    cells = [tuple(c) for c in np.argwhere(pattern)]
-    for cell in draw(st.lists(st.sampled_from(cells), max_size=4, unique=True)):
-        pattern[cell] = False
-    try:
-        build_voxel_mesh(pattern)
-    except InputError:
-        reject()
-    return pattern
 
 
 def test_elimination_against_sympy_on_voxel_patterns():
@@ -144,13 +156,13 @@ def test_elimination_against_sympy_on_voxel_patterns():
         mesh = build_voxel_mesh(pattern)
         cc = build_cochain_complex(mesh, compute_orientation(mesh))
         for d in (cc.d0, cc.d1, cc.d2):
-            assert integer_rank(d) == rank(d)
+            assert integer_rank(d) == rank(d.toarray().astype(np.int64))
         betti = betti_numbers(cc)
         assert betti.b0 - betti.b1 + betti.b2 - betti.b3 == mesh.euler_characteristic
         for i in (1, 2):
             gens = cohomology_generators(cc, i)
             assert len(gens) == betti.as_tuple()[i]
-            d_in, d_out = cc.boundary(i - 1), cc.boundary(i)
+            d_in, d_out = (cc.boundary(j).toarray().astype(np.int64) for j in (i - 1, i))
             for g in gens:
                 assert not np.any(d_out @ g)
             if gens:
@@ -218,9 +230,10 @@ def test_diagram_commutation(name):
     sc = de_rham_scaling(mesh, orient)
     kc, kd, kp = np.diag(sc.edge), np.diag(sc.face), np.diag(sc.cell)
     G0, C0, D0 = (m.toarray() for m in (c0.gradient, c0.curl, c0.divergence))
-    assert np.abs(kc @ G0 - cc.d0).max() < 1e-13
-    assert np.abs(kd @ C0 - cc.d1 @ kc).max() < 1e-13
-    assert np.abs(kp @ D0 - cc.d2 @ kd).max() < 1e-13
+    d0, d1, d2 = (d.toarray() for d in (cc.d0, cc.d1, cc.d2))
+    assert np.abs(kc @ G0 - d0).max() < 1e-13
+    assert np.abs(kd @ C0 - d1 @ kc).max() < 1e-13
+    assert np.abs(kp @ D0 - d2 @ kd).max() < 1e-13
     assert np.abs(c0.head_column - 1.0).max() == 0.0  # kappa_grad I0 = i_R
 
 
