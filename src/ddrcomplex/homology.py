@@ -170,7 +170,7 @@ def _integer_rows(mat) -> tuple[list[dict[int, int]], int]:
     values = vals.tolist()
     try:
         ints = [int(x) for x in values]
-    except (TypeError, ValueError, OverflowError):     # NaN, infinity
+    except (TypeError, ValueError, OverflowError):     # NaN, infinity, non-numbers
         ints = None
     if ints != values:
         raise DomainError("exact elimination needs integral entries")
@@ -204,17 +204,18 @@ def _eliminate(rows: list[dict[int, int]], ncols: int) -> Echelon:
         if len(pivots) == len(rows):
             break
         cands = [i for i in set(holders[c]) if active[i] and c in rows[i]]
-        holders[c] = None
+        holders[c] = None       # no row gains column c from here on
         if not cands:
             continue
         p = min(cands, key=lambda i: (abs(rows[i][c]) != 1, len(rows[i]), i))
         active[p] = False
         prow, pv = rows[p], rows[p][c]
+        unit = pv in (1, -1)
         for i in cands:
             if i == p:
                 continue
             row, f = rows[i], rows[i][c]
-            if pv in (1, -1):
+            if unit:
                 f *= pv
             else:
                 for j in row:
@@ -227,7 +228,7 @@ def _eliminate(rows: list[dict[int, int]], ncols: int) -> Echelon:
                     row[j] = new
                 else:
                     del row[j]
-            if pv not in (1, -1):
+            if not unit:
                 g = math.gcd(*row.values())
                 if g > 1:
                     for j in row:
