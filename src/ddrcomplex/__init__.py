@@ -30,13 +30,9 @@ from .homology import (
 )
 from .layouts import DofLayout
 from .lifting import (
-    DeRhamScaling,
     ExtensionMaps,
     LiftedGenerators,
-    de_rham_map,
-    de_rham_scaling,
     lift_generators,
-    reduce_vector,
     reduction_matrix,
     zero_reduction_basis,
 )
@@ -77,17 +73,16 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisRankError", "BettiVector", "CertificationError", "CheckResult",
     "CochainComplexInt", "ConditioningError", "DdrComplex", "DdrError",
-    "DeRhamScaling", "DofLayout", "DomainError", "ExtensionMaps",
-    "GeometryError", "InputError", "LiftedGenerators", "Mesh",
-    "MeshFormatError", "MeshReferenceError", "MeshTopologyError",
-    "OrientationTable", "QuadratureDegreeError", "QuadratureRule",
-    "RankOptions", "RankResult", "ScaledMonomialBasis", "SubspaceBasis",
-    "VerificationReport", "betti_numbers", "build_cochain_complex",
-    "build_voxel_mesh", "builtin_pattern", "cohomology_generators",
-    "compute_orientation", "corrupt_orientation", "ddr0_closed_forms",
-    "de_rham_map", "de_rham_scaling", "entity_basis", "entity_rule",
-    "gram_matrix", "integer_rank", "lift_generators", "load_mesh",
-    "mesh_from_document", "mesh_to_document", "numeric_rank",
-    "parse_pattern_text", "reduce_vector", "reduction_matrix", "run_all",
-    "save_mesh", "space_dim", "subspace_basis", "zero_reduction_basis",
+    "DofLayout", "DomainError", "ExtensionMaps", "GeometryError", "InputError",
+    "LiftedGenerators", "Mesh", "MeshFormatError", "MeshReferenceError",
+    "MeshTopologyError", "OrientationTable", "QuadratureDegreeError",
+    "QuadratureRule", "RankOptions", "RankResult", "ScaledMonomialBasis",
+    "SubspaceBasis", "VerificationReport", "betti_numbers",
+    "build_cochain_complex", "build_voxel_mesh", "builtin_pattern",
+    "cohomology_generators", "compute_orientation", "corrupt_orientation",
+    "ddr0_closed_forms", "entity_basis", "entity_rule", "gram_matrix",
+    "integer_rank", "lift_generators", "load_mesh", "mesh_from_document",
+    "mesh_to_document", "numeric_rank", "parse_pattern_text",
+    "reduction_matrix", "run_all", "save_mesh", "space_dim", "subspace_basis",
+    "zero_reduction_basis",
 ]

@@ -37,7 +37,7 @@ PARTS = {
 }
 SPACES = tuple(PARTS)
 # The entity kind carrying each space's degree-0 unknowns, its first: what
-# the reductions keep and what the de Rham map scales by its measure.
+# the reductions keep and what the CW identification scales by its measure.
 CARRIERS = {space: next(iter(parts)) for space, parts in PARTS.items()}
 
 

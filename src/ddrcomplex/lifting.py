@@ -11,11 +11,12 @@ as data: one stacked solve per size group, read from the group stacks of the
 two complexes.  The pair is a one-sided inverse (reduction after extension
 is the identity) and both are cochain maps.
 
-The de Rham scaling, diagonal in the measures of the carrier entities,
-identifies the degree-0 complex with the CW cochain complex.  The generator
-pipeline lifts exact CW cohomology generators through the inverse scaling
-and the curl/div extension, producing certified representatives of the
-degree-k cohomology.
+The degree-0 complex is the CW cochain complex up to diagonal scalings by
+the measures of the carrier entities (``OrientationTable.geometry``; a
+vertex has measure one).  The generator pipeline divides exact CW
+cohomology generators by these measures and extends them with the
+curl/div extension, producing certified representatives of the degree-k
+cohomology.
 """
 
 from __future__ import annotations
@@ -33,15 +34,9 @@ from .homology import (
     cohomology_generators,
 )
 from .layouts import CARRIERS, KINDS, PARTS
-from .mesh import Mesh, OrientationTable
 from .operators import OPERATORS, DdrComplex, _Coo, _Group
 from .spaces import span_matrix
 from .sparse import CsrMatrix
-
-
-def _check_length(vector: np.ndarray, size: int, space: str) -> None:
-    if vector.shape != (size,):
-        raise DomainError(f"{space}: vector of shape {vector.shape}, expected ({size},)")
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +60,6 @@ def reduction_matrix(complex_: DdrComplex, space: str) -> CsrMatrix:
                               np.arange(count * n), weights)
 
 
-def reduce_vector(complex_: DdrComplex, space: str, vector: np.ndarray) -> np.ndarray:
-    vector = np.asarray(vector, dtype=float)
-    _check_length(vector, complex_.layout(space).total, space)
-    return reduction_matrix(complex_, space) @ vector
-
-
 def zero_reduction_basis(complex_: DdrComplex, space: str) -> CsrMatrix:
     """Columns spanning the kernel of the reduction (zero-mean completions).
 
@@ -87,45 +76,6 @@ def zero_reduction_basis(complex_: DdrComplex, space: str) -> CsrMatrix:
                               np.concatenate([kept, np.repeat(leads, n - 1)]),
                               np.concatenate([np.arange(len(kept)), np.arange(count * (n - 1))]),
                               np.concatenate([np.ones(len(kept)), -weights[:, 1:].ravel()]))
-
-
-# ---------------------------------------------------------------------------
-# the degree-0 complex as the CW cochain complex
-
-@dataclass(frozen=True)
-class DeRhamScaling:
-    """Diagonal measure scalings identifying DDR(0) vectors with cochains."""
-
-    vertex: np.ndarray  # 1: a vertex value is its cochain
-    edge: np.ndarray    # |E|
-    face: np.ndarray    # |F|
-    cell: np.ndarray    # |T|
-
-    def measure(self, space: str) -> np.ndarray:
-        """Measures of the carriers of a space's degree-0 unknowns (ones on
-        vertices)."""
-        if space not in CARRIERS:
-            raise DomainError(f"unknown space {space!r}")
-        return getattr(self, CARRIERS[space])
-
-
-def de_rham_scaling(mesh: Mesh, orientation: OrientationTable) -> DeRhamScaling:
-    return DeRhamScaling(*(orientation.geometry(kind).measure.copy() for kind in KINDS))
-
-
-def de_rham_map(direction: str, space: str, scaling: DeRhamScaling,
-                vector: np.ndarray) -> np.ndarray:
-    """Diagonal identification of DDR(0) vectors with integer cochains.
-
-    forward: vertex values id, edge values * |E|, face * |F|, element * |T|;
-    inverse divides.  forward(inverse(x)) == x exactly (IEEE x/x = 1).
-    """
-    if direction not in ("forward", "inverse"):
-        raise DomainError(f"direction must be forward or inverse, got {direction!r}")
-    diag = scaling.measure(space)
-    vector = np.asarray(vector, dtype=float)
-    _check_length(vector, len(diag), space)
-    return vector * diag if direction == "forward" else vector / diag
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +172,7 @@ def lift_generators(high: DdrComplex, low: DdrComplex, index: int,
                     ext: ExtensionMaps | None = None) -> LiftedGenerators:
     """Certified degree-k cohomology representatives from CW generators.
 
-    Pipeline: exact CW generator -> inverse de Rham scaling (a degree-0
+    Pipeline: exact CW generator -> divided by the measures (a degree-0
     vector) -> curl/div extension.  Certificates: kernel residual of the
     outgoing operator below ``kernel_tol`` (relative), and each lifted
     vector raising the rank of [outgoing-image basis | lifted] by one.
@@ -245,7 +195,7 @@ def lift_generators(high: DdrComplex, low: DdrComplex, index: int,
     space = outgoing.source
     if not gens:
         return LiftedGenerators(high.k, index, space, (), ())
-    measures = de_rham_scaling(mesh, orient).measure(space)
+    measures = orient.geometry(CARRIERS[space]).measure
     ext_mat = (ext or ExtensionMaps(high, low)).matrix(space)
 
     vectors, certs = [], []

@@ -19,7 +19,7 @@ Conventions:
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,6 +117,17 @@ def _build_mesh(vertices: np.ndarray,
             raise MeshTopologyError(f"face {fi} belongs to no element")
         if len(owners) > 2:
             raise MeshTopologyError(f"face {fi} belongs to {len(owners)} elements (max 2)")
+    # each element's boundary is closed: distinct faces, and every edge on two of them
+    for ti, faces in enumerate(element_faces):
+        if len(set(faces)) < len(faces):
+            f = next(f for i, f in enumerate(faces) if f in faces[:i])
+            raise MeshTopologyError(f"element {ti}: face {f} is listed twice")
+        uses = Counter(e for f in faces for e in face_edges[f])
+        for e, count in uses.items():
+            if count != 2:
+                a, b = edge_list[e]
+                raise MeshTopologyError(f"element {ti}: edge {e} (vertices {a}, {b}) lies on "
+                                        f"{count} of its faces, not 2")
 
     # vertex-edge graph connectivity (the domain must be connected)
     adj: list[list[int]] = [[] for _ in range(nv)]

@@ -1,9 +1,10 @@
 """Compressed sparse row matrices on numpy, for the global operators.
 
 :class:`CsrMatrix` holds what the package needs of a sparse matrix and no
-more: assembly from COO triplets (duplicates summed), densification, products
-with dense arrays and with other CSR matrices, differences, and a dense
-gather of a ``(rows, cols)`` block.  Entries are float64.
+more: assembly from COO triplets (duplicates summed) or from a diagonal,
+densification, products with dense arrays and with other CSR matrices,
+differences of two CSR matrices, and a dense gather of a ``(rows, cols)``
+block.  Entries are float64.
 
 Every sum is formed in a fixed order, the one of the classic CSR kernels
 (scipy's ``sparsetools``): each output entry starts from 0 and accumulates its
@@ -73,6 +74,13 @@ class CsrMatrix:
         indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // max(n, 1), minlength=m), out=indptr[1:])
         return cls(shape, indptr, keys % max(n, 1), data)
+
+    @classmethod
+    def diagonal(cls, values) -> CsrMatrix:
+        """The square matrix with ``values`` on its diagonal."""
+        values = np.asarray(values, dtype=float)
+        n = len(values)
+        return cls((n, n), np.arange(n + 1), np.arange(n), values)
 
     @property
     def nnz(self) -> int:
@@ -170,18 +178,15 @@ class CsrMatrix:
                                     np.concatenate(out_data + [np.zeros(0)]))
 
     def __sub__(self, other):
-        if isinstance(other, CsrMatrix):
-            if other.shape != self.shape:
-                raise ValueError(f"cannot subtract {other.shape} from {self.shape}")
-            diff = CsrMatrix.from_coo(
-                self.shape,
-                np.concatenate([self._row_of_entries(), other._row_of_entries()]),
-                np.concatenate([self.indices, other.indices]),
-                np.concatenate([self.data, -other.data]))
-            keep = diff.data != 0
-            indptr = np.concatenate([[0], np.cumsum(keep)])[diff.indptr]
-            return CsrMatrix(self.shape, indptr, diff.indices[keep], diff.data[keep])
-        other = np.asarray(other)
+        if not isinstance(other, CsrMatrix):
+            return NotImplemented
         if other.shape != self.shape:
             raise ValueError(f"cannot subtract {other.shape} from {self.shape}")
-        return self.toarray() - other
+        diff = CsrMatrix.from_coo(
+            self.shape,
+            np.concatenate([self._row_of_entries(), other._row_of_entries()]),
+            np.concatenate([self.indices, other.indices]),
+            np.concatenate([self.data, -other.data]))
+        keep = diff.data != 0
+        indptr = np.concatenate([[0], np.cumsum(keep)])[diff.indptr]
+        return CsrMatrix(self.shape, indptr, diff.indices[keep], diff.data[keep])

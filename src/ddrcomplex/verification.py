@@ -8,7 +8,8 @@ Check families (selectable by name):
                         CW Betti numbers; Euler identities; spectral gaps;
 * ``cochain``        -- the 16 diagram identities: reduction-after-extension,
                         reduction/extension commutation, and the degree-0 /
-                        CW-cochain identification;
+                        CW-cochain identification through the measure
+                        scalings;
 * ``zero_reduction`` -- exactness of the subcomplex annihilated by the
                         reductions (rank chain, any topology);
 * ``closed_forms``   -- degree-0 boundary-value formulas equal the generic
@@ -39,7 +40,6 @@ from .layouts import CARRIERS, SPACES, entity_count
 from .lifting import (
     ExtensionMaps,
     LiftedGenerators,
-    de_rham_scaling,
     lift_generators,
     reduction_matrix,
     zero_reduction_basis,
@@ -342,8 +342,12 @@ def check_cohomology(s: VerifySession) -> list[CheckResult]:
 def check_cochain_diagram(s: VerifySession) -> list[CheckResult]:
     """Reduction and extension diagrams, and the CW identification.
 
-    Each reduction, extension and operator is built inside the first check
-    that uses it, so its cost, or the error it raises, belongs to that check.
+    Every residual is of sparse matrices: ``RE`` against the identity, and
+    each degree-0 operator scaled by the measures of its target's carriers
+    against the coboundary scaled by those of its source's (a vertex has
+    measure one).  Each reduction, extension and operator is built inside
+    the first check that uses it, so its cost, or the error it raises,
+    belongs to that check.
     """
     out: list[CheckResult] = []
     reds: dict[str, CsrMatrix] = {}
@@ -360,7 +364,8 @@ def check_cochain_diagram(s: VerifySession) -> list[CheckResult]:
     tags = {op.source: op.local for op in OPERATORS}
     for sp in SPACES:
         _timed(out, f"cochain.RE_{tags.get(sp, 'tail')}", lambda sp=sp: _residual_check(
-            residual_between([red(sp), ext(sp)], [np.eye(ext(sp).shape[1])]), tol))
+            residual_between([red(sp), ext(sp)],
+                             [CsrMatrix.diagonal(np.ones(ext(sp).shape[1]))]), tol))
 
     tol = TOLERANCES["reduction_commute"]
     _timed(out, "cochain.red_interp", lambda: _residual_check(
@@ -381,15 +386,14 @@ def check_cochain_diagram(s: VerifySession) -> list[CheckResult]:
             tol))
 
     tol = TOLERANCES["cw_diagram"]
-    sc = de_rham_scaling(s.mesh, s.orient)
-    kappa = {sp: [] if CARRIERS[sp] == "vertex" else [np.diag(sc.measure(sp))] for sp in SPACES}
+    kappa = {sp: CsrMatrix.diagonal(s.orient.geometry(CARRIERS[sp]).measure) for sp in SPACES}
     ones = np.ones((s.mesh.n_vertices, 1))
     _timed(out, "cochain.cw_interp", lambda: _residual_check(
         residual_between([low.head_column[:, None]], [ones]), tol))
     for i, op in enumerate(OPERATORS):
         _timed(out, f"cochain.cw_{op.local}", lambda i=i, op=op: _residual_check(
-            residual_between(kappa[op.target] + [low.operator(op.name).toarray()],
-                             [s.cochain.boundary(i).toarray()] + kappa[op.source]), tol))
+            residual_between([kappa[op.target], low.operator(op.name)],
+                             [s.cochain.boundary(i), kappa[op.source]]), tol))
     return out
 
 

@@ -131,6 +131,30 @@ def malformed_cube_document(case):
     return doc
 
 
+# Elements whose boundary is not closed, each with the MeshTopologyError
+# message it raises.
+OPEN_ELEMENTS = {
+    "repeated face": "^element 0: face 0 is listed twice$",
+    "dropped shared face": r"^element 0: edge 4 \(vertices 1, 4\) lies on 1 of its faces, not 2$",
+}
+
+
+def open_element_document(case):
+    """A mesh document with the open element named by ``case``: the builtin
+    cube with face 0 listed twice, or a 1x1x2 voxel pair whose lower element
+    drops the face it shares with the upper one."""
+    if case == "repeated face":
+        doc = mesh_to_document(build_voxel_mesh(builtin_pattern("cube")))
+        doc["elements"][0].append(0)
+    elif case == "dropped shared face":
+        doc = mesh_to_document(build_voxel_mesh(np.ones((1, 1, 2), dtype=bool)))
+        lower, upper = doc["elements"]
+        doc["elements"][0] = [f for f in lower if f not in upper]
+    else:
+        raise ValueError(case)
+    return doc
+
+
 @pytest.fixture(scope="session")
 def cube():
     return mesh_and_orientation("cube")

@@ -13,7 +13,7 @@ from ddrcomplex import lifting
 from ddrcomplex.cli import main
 from ddrcomplex.operators import DdrComplex
 
-from conftest import MALFORMED, malformed_cube_document
+from conftest import MALFORMED, OPEN_ELEMENTS, malformed_cube_document, open_element_document
 
 
 def run_cli(*argv):
@@ -57,6 +57,15 @@ def test_malformed_mesh_document_exit_2(tmp_path, capsys, case):
     assert run_cli("verify", "--mesh", str(path), "--degree", "0", "--checks", "complex",
                    "--out", str(tmp_path / "r.json")) == 2
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", OPEN_ELEMENTS)
+def test_open_element_exit_2(tmp_path, capsys, case):
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps(open_element_document(case)))
+    assert run_cli("verify", "--mesh", str(path), "--degree", "0",
+                   "--out", str(tmp_path / "r.json")) == 2
+    assert capsys.readouterr().err.startswith("error: element 0: ")
 
 
 def test_bad_degree_exit_2(tmp_path):

@@ -1,4 +1,4 @@
-"""Integer cochain complex, exact ranks, Betti numbers, generators, de Rham maps."""
+"""Integer cochain complex, exact ranks, Betti numbers, generators, measure scalings."""
 
 import collections
 import re
@@ -17,8 +17,6 @@ from ddrcomplex import (
     cohomology_generators,
     compute_orientation,
     corrupt_orientation,
-    de_rham_map,
-    de_rham_scaling,
     homology,
     integer_rank,
     lifting,
@@ -189,37 +187,21 @@ def test_generators_and_lifts_share_one_betti_computation(ring, monkeypatch):
 
 
 def test_de_rham_map_quarter_edge():
+    # a degree-0 edge value times the edge's measure is its cochain
     mesh = build_voxel_mesh(builtin_pattern("cube"), h=0.25)
     orient = compute_orientation(mesh)
-    scaling = de_rham_scaling(mesh, orient)
-    v = np.ones(mesh.n_edges)
-    cochain = de_rham_map("forward", "Xcurl", scaling, v)
-    assert np.abs(cochain - 0.25).max() < 1e-15
+    assert np.abs(orient.geometry("edge").measure - 0.25).max() < 1e-15
 
 
 def test_de_rham_roundtrip(ring):
     mesh, orient = ring
-    scaling = de_rham_scaling(mesh, orient)
     rng = np.random.default_rng(11)
-    for space in ("Xgrad", "Xcurl", "Xdiv", "Pk"):
-        n = {"Xgrad": mesh.n_vertices, "Xcurl": mesh.n_edges,
-             "Xdiv": mesh.n_faces, "Pk": mesh.n_elements}[space]
+    for n, kind in zip(mesh.counts, ("vertex", "edge", "face", "cell")):
+        measure = orient.geometry(kind).measure
+        assert measure.shape == (n,)
         v = rng.standard_normal(n)
-        w = de_rham_map("inverse", space, scaling, de_rham_map("forward", space, scaling, v))
-        assert np.array_equal(w, v)  # x * d / d == x exactly for these measures
-
-
-def test_de_rham_map_checks_direction_and_length(ring):
-    # every space, the vertex values too: a wrong length or direction is an error
-    mesh, orient = ring
-    scaling = de_rham_scaling(mesh, orient)
-    for space, n in zip(("Xgrad", "Xcurl", "Xdiv", "Pk"), mesh.counts):
-        assert de_rham_map("forward", space, scaling, np.ones(n)).shape == (n,)
-        for bad in (np.ones(3), np.ones(n + 1), np.ones((n, 1))):
-            with pytest.raises(DomainError, match=f"^{space}: vector of shape"):
-                de_rham_map("forward", space, scaling, bad)
-        with pytest.raises(DomainError, match="direction must be forward or inverse"):
-            de_rham_map("sideways", space, scaling, np.ones(n))
+        assert np.array_equal(v * measure / measure, v)  # exact for these measures
+    assert np.array_equal(orient.geometry("vertex").measure, np.ones(mesh.n_vertices))
 
 
 @pytest.mark.parametrize("name", ["cube", "ring", "cavity"])
@@ -227,8 +209,7 @@ def test_diagram_commutation(name):
     mesh, orient = mesh_and_orientation(name)
     c0 = complex_for(name, 0)
     cc = build_cochain_complex(mesh, orient)
-    sc = de_rham_scaling(mesh, orient)
-    kc, kd, kp = np.diag(sc.edge), np.diag(sc.face), np.diag(sc.cell)
+    kc, kd, kp = (np.diag(orient.geometry(kind).measure) for kind in ("edge", "face", "cell"))
     G0, C0, D0 = (m.toarray() for m in (c0.gradient, c0.curl, c0.divergence))
     d0, d1, d2 = (d.toarray() for d in (cc.d0, cc.d1, cc.d2))
     assert np.abs(kc @ G0 - d0).max() < 1e-13

@@ -10,7 +10,6 @@ from ddrcomplex import (
     entity_basis,
     lift_generators,
     numeric_rank,
-    reduce_vector,
     reduction_matrix,
     zero_reduction_basis,
 )
@@ -30,25 +29,16 @@ def test_reduction_after_extension_is_identity(name, k):
         e = ext.matrix(space)
         r = reduction_matrix(high, space)
         eye = np.eye(e.shape[1])
-        assert np.abs((r @ e) - eye).max() < 1e-12
+        assert np.abs((r @ e).toarray() - eye).max() < 1e-12
 
 
 def test_reduction_of_interpolate_is_vertex_values():
     c = complex_for("cube", 2)
     mesh, _ = mesh_and_orientation("cube")
     vec = c.interpolate_grad(lambda p: p[:, 0] * p[:, 1] + 2.0)
-    red = reduce_vector(c, "Xgrad", vec)
+    red = reduction_matrix(c, "Xgrad") @ vec
     expected = np.asarray([p[0] * p[1] + 2.0 for p in mesh.vertices])
     assert np.abs(red - expected).max() < 1e-13
-
-
-@pytest.mark.parametrize("space", SPACES)
-def test_reduce_vector_rejects_a_wrong_length(space):
-    c = complex_for("ring", 1)
-    total = c.layout(space).total
-    for vector in (np.ones(total - 1), np.ones((total, 2))):
-        with pytest.raises(DomainError, match=f"^{space}: vector of shape"):
-            reduce_vector(c, space, vector)
 
 
 def test_extension_of_constant_is_interpolate():

@@ -1,5 +1,6 @@
 """Voxel meshes, file round-trips, validation errors, orientation invariants."""
 
+import collections
 import json
 from pathlib import Path
 
@@ -23,7 +24,13 @@ from ddrcomplex import (
     save_mesh,
 )
 
-from conftest import MALFORMED, malformed_cube_document, mesh_and_orientation
+from conftest import (
+    MALFORMED,
+    OPEN_ELEMENTS,
+    malformed_cube_document,
+    mesh_and_orientation,
+    open_element_document,
+)
 from test_general_meshes import l_prism, prism_pair
 
 SHEARED_RING = Path(__file__).resolve().parent.parent / "tools" / "meshes" / "sheared_ring.json"
@@ -128,6 +135,12 @@ def test_face_in_three_elements_rejected():
         mesh_from_document(doc)
 
 
+@pytest.mark.parametrize("case,message", OPEN_ELEMENTS.items())
+def test_open_element_rejected(case, message):
+    with pytest.raises(MeshTopologyError, match=message):
+        mesh_from_document(open_element_document(case))
+
+
 def test_nonplanar_face_rejected():
     doc = {"vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0.3], [0, 1, 0],
                         [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]],
@@ -139,15 +152,12 @@ def test_nonplanar_face_rejected():
         compute_orientation(mesh)
 
 
-def _prism_pair(moves=(), elements=None):
+def _prism_pair(moves=()):
     """The prism pair (faces 0, 1, 5, 6 triangles, the others quadrilaterals)
-    with vertices moved, ``{vertex: position}``, and optionally its faces
-    regrouped into other elements."""
+    with vertices moved, ``{vertex: position}``."""
     doc = mesh_to_document(prism_pair())
     for v, x in dict(moves).items():
         doc["vertices"][v] = list(x)
-    if elements is not None:
-        doc["elements"] = elements
     return mesh_from_document(doc)
 
 
@@ -181,6 +191,21 @@ def _three_elements(pyramid_z=-0.5, tetra_r=(1, 1, -2)):
         "elements": [[0, 1, 2, 3], [4, 5, 6, 7, 8], [9, 10, 11, 12]]})
 
 
+def _s_voxels():
+    """The voxels (0,0,0), (1,0,0), (1,1,0) and (2,1,0) merged into one
+    element bounded by their 18 outer unit squares.  It is closed and
+    point-symmetric about its vertex mean (1.5, 1, 0.5), which lies on the
+    plane y = 1 of two of its faces (2 and 14)."""
+    pattern = np.zeros((3, 2, 1), dtype=bool)
+    for cell in ((0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)):
+        pattern[cell] = True
+    doc = mesh_to_document(build_voxel_mesh(pattern))
+    owners = collections.Counter(f for faces in doc["elements"] for f in faces)
+    doc["faces"] = [loop for f, loop in enumerate(doc["faces"]) if owners[f] == 1]
+    doc["elements"] = [list(range(len(doc["faces"])))]
+    return mesh_from_document(doc)
+
+
 # Every GeometryError of compute_orientation, with the exact message.  Where
 # several entities fail, the lowest index is named, faces before elements,
 # as a pass over the entities in index order would name them; a zero
@@ -202,10 +227,8 @@ def _three_elements(pyramid_z=-0.5, tetra_r=(1, 1, -2)):
     (lambda: _three_elements(pyramid_z=0, tetra_r=(1, 0, -2)), "element 1: zero volume"),
     # element 1 flat, and face 12 of element 2 a segment
     (lambda: _three_elements(pyramid_z=0, tetra_r=(2, 0, -1)), "face 12: zero area"),
-    # one element bounded by the cube and holding the diagonal face 4, on
-    # whose plane its centre lies
-    (lambda: _prism_pair(elements=[list(range(9))]),
-     "element 0, face 4: ambiguous boundary sign"),
+    # a closed element whose centre lies on the plane of face 2
+    (_s_voxels, "element 0, face 2: ambiguous boundary sign"),
 ], ids=["edge_length", "face_area", "face_lowest", "face_edge_sign", "element_volume",
         "element_lowest", "faces_first", "element_face_sign"])
 def test_geometry_errors_name_the_lowest_failing_entity(build, message):

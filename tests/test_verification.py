@@ -1,7 +1,9 @@
 """Rank diagnostics, check families, report schema, determinism, fault injection."""
 
 import json
+import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +16,15 @@ from ddrcomplex import (
     numeric_rank,
     run_all,
     InputError,
+    build_voxel_mesh,
+    load_mesh,
+    reduction_matrix,
 )
 from ddrcomplex import betti_numbers, build_cochain_complex, integer_rank, lifting, verification
 from ddrcomplex.homology import cohomology_dims
+from ddrcomplex.layouts import CARRIERS, SPACES
 from ddrcomplex.errors import ConditioningError
-from ddrcomplex.operators import DdrComplex
+from ddrcomplex.operators import OPERATORS, DdrComplex
 from ddrcomplex.spaces import frame_values
 from ddrcomplex.verification import (
     FAMILIES,
@@ -30,8 +36,11 @@ from ddrcomplex.verification import (
     check_consistency,
 )
 
-from conftest import complex_for, mesh_and_orientation
+from conftest import complex_for, extensions_for, mesh_and_orientation
 from test_general_meshes import prism_pair
+from test_sparse import traced_peak
+
+MESH_FILES = Path(__file__).resolve().parent.parent / "tools" / "meshes"
 
 
 def test_numeric_rank_examples():
@@ -64,6 +73,75 @@ def test_cochain_diagram_sixteen_identities():
         "cochain.red_interp", "cochain.red_grad", "cochain.red_curl", "cochain.red_div",
         "cochain.ext_interp", "cochain.ext_grad", "cochain.ext_curl", "cochain.ext_div",
         "cochain.cw_interp", "cochain.cw_grad", "cochain.cw_curl", "cochain.cw_div"]
+
+
+def _dense_cochain_residuals(s):
+    """The RE_* and cw_* residuals of the cochain family from dense factors:
+    the product R E densified against ``np.eye``, and ``np.diag`` measure
+    scalings of the densified degree-0 operators and coboundaries, with the
+    scale of ``residual_between``."""
+    def residual(left, right, left_factors, right_factors):
+        scale = max(1.0, *(np.prod([np.abs(f).max(initial=0.0) for f in factors])
+                           for factors in (left_factors, right_factors)))
+        return float(np.abs(left - right).max(initial=0.0)) / scale
+
+    out = {}
+    tags = {op.source: op.local for op in OPERATORS}
+    for sp in SPACES:
+        red, ext = reduction_matrix(s.high, sp), s.ext.matrix(sp)
+        eye = np.eye(ext.shape[1])
+        out[f"cochain.RE_{tags.get(sp, 'tail')}"] = residual(
+            (red @ ext).toarray(), eye, [red.toarray(), ext.toarray()], [eye])
+    kappa = {sp: np.diag(s.orient.geometry(CARRIERS[sp]).measure) for sp in SPACES}
+    for i, op in enumerate(OPERATORS):
+        low, cob = s.low.operator(op.name).toarray(), s.cochain.boundary(i).toarray()
+        kt, ks = kappa[op.target], kappa[op.source]
+        out[f"cochain.cw_{op.local}"] = residual(kt @ low, cob @ ks, [kt, low], [cob, ks])
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("name", ["cube", "ring", "cavity", "prism_pair", "sheared_ring"])
+def test_sparse_cochain_residuals_equal_the_dense_ones(name, k):
+    if name in ("prism_pair", "sheared_ring"):
+        mesh = load_mesh(str(MESH_FILES / f"{name}.json"))
+        s = VerifySession(mesh, compute_orientation(mesh), k)
+    else:
+        mesh, orient = mesh_and_orientation(name)
+        s = VerifySession(mesh, orient, k)
+        s.high, s.low, s.ext = complex_for(name, k), complex_for(name, 0), extensions_for(name, k)
+    want = _dense_cochain_residuals(s)
+    got = {c.name: c.residual for c in check_cochain_diagram(s) if c.name in want}
+    assert got.keys() == want.keys()
+    for row, value in want.items():
+        assert got[row] == value, row
+
+
+def _tunnel(n):
+    """An n x n x n voxel block with the column (n//2, n//2, :) removed (b1 = 1)."""
+    pattern = np.ones((n, n, n), dtype=bool)
+    pattern[n // 2, n // 2, :] = False
+    mesh = build_voxel_mesh(pattern)
+    return mesh, compute_orientation(mesh)
+
+
+def test_cochain_family_memory_grows_about_linearly():
+    # traced peak of the family alone, once every operator, the cochain
+    # complex and the extensions exist; tunnel4 -> tunnel8 multiplies the
+    # operators' nonzeros by about 8
+    sizes, peaks = [], []
+    for n in (4, 8):
+        s = VerifySession(*_tunnel(n), 0)
+        ops = [s.low.operator(op.name) for op in OPERATORS]
+        s.cochain.boundary(0)
+        for sp in SPACES:
+            s.ext.matrix(sp)
+        checks, peak = traced_peak(lambda: check_cochain_diagram(s))
+        assert all(c.passed for c in checks)
+        sizes.append(sum(op.nnz for op in ops))
+        peaks.append(peak)
+    exponent = math.log(peaks[1] / peaks[0]) / math.log(sizes[1] / sizes[0])
+    assert exponent <= 1.2, (sizes, peaks)
 
 
 @pytest.mark.parametrize("name", ["cube", "ring", "cavity"])
