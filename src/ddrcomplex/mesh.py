@@ -19,7 +19,7 @@ Conventions:
 from __future__ import annotations
 
 import json
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,17 +117,33 @@ def _build_mesh(vertices: np.ndarray,
             raise MeshTopologyError(f"face {fi} belongs to no element")
         if len(owners) > 2:
             raise MeshTopologyError(f"face {fi} belongs to {len(owners)} elements (max 2)")
-    # each element's boundary is closed: distinct faces, and every edge on two of them
+    # each element's boundary is a closed connected surface: distinct faces,
+    # every edge on two of them, and every face reached from the first
+    # across shared edges
     for ti, faces in enumerate(element_faces):
         if len(set(faces)) < len(faces):
             f = next(f for i, f in enumerate(faces) if f in faces[:i])
             raise MeshTopologyError(f"element {ti}: face {f} is listed twice")
-        uses = Counter(e for f in faces for e in face_edges[f])
-        for e, count in uses.items():
-            if count != 2:
+        on_edge: dict[int, list[int]] = {}
+        for f in faces:
+            for e in face_edges[f]:
+                on_edge.setdefault(e, []).append(f)
+        for e, holders in on_edge.items():
+            if len(holders) != 2:
                 a, b = edge_list[e]
                 raise MeshTopologyError(f"element {ti}: edge {e} (vertices {a}, {b}) lies on "
-                                        f"{count} of its faces, not 2")
+                                        f"{len(holders)} of its faces, not 2")
+        reached, stack = {faces[0]}, [faces[0]]
+        while stack:
+            for e in face_edges[stack.pop()]:
+                for f in on_edge[e]:
+                    if f not in reached:
+                        reached.add(f)
+                        stack.append(f)
+        if len(reached) < len(faces):
+            f = next(f for f in faces if f not in reached)
+            raise MeshTopologyError(f"element {ti}: boundary is not connected (face {f} "
+                                    f"shares no chain of edges with face {faces[0]})")
 
     # vertex-edge graph connectivity (the domain must be connected)
     adj: list[list[int]] = [[] for _ in range(nv)]

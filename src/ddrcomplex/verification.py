@@ -4,14 +4,17 @@ Check families (selectable by name):
 
 * ``complex``        -- the two operator products vanish, and so does the
                         gradient of the interpolated constant;
-* ``cohomology``     -- cohomology dimensions from numeric ranks equal the
-                        CW Betti numbers; Euler identities; spectral gaps;
+* ``cohomology``     -- the DDR cohomology dimensions equal the CW Betti
+                        numbers, certified by the reduction and the
+                        per-entity blocks of its kernel; Euler identities;
+                        spectral gaps of those blocks;
 * ``cochain``        -- the 16 diagram identities: reduction-after-extension,
                         reduction/extension commutation, and the degree-0 /
                         CW-cochain identification through the measure
                         scalings;
 * ``zero_reduction`` -- exactness of the subcomplex annihilated by the
-                        reductions (rank chain, any topology);
+                        reductions, from the same per-entity blocks (rank
+                        chain, any topology);
 * ``closed_forms``   -- degree-0 boundary-value formulas equal the generic
                         assembly entrywise;
 * ``consistency``    -- trace/gradient polynomial consistency sweep over all
@@ -36,7 +39,7 @@ import numpy as np
 
 from .errors import DdrError, DomainError, InputError
 from .homology import betti_numbers, build_cochain_complex, cohomology_dims
-from .layouts import CARRIERS, SPACES, entity_count
+from .layouts import CARRIERS, KINDS, PARTS, SPACES, entity_count
 from .lifting import (
     ExtensionMaps,
     LiftedGenerators,
@@ -45,7 +48,7 @@ from .lifting import (
     zero_reduction_basis,
 )
 from .mesh import Mesh, OrientationTable
-from .operators import OPERATORS, DdrComplex, _point_stacks, ddr0_closed_forms
+from .operators import OPERATORS, DdrComplex, _label, _point_stacks, ddr0_closed_forms
 from .spaces import frame_values
 from .sparse import CsrMatrix
 
@@ -83,6 +86,10 @@ class RankOptions:
             raise InputError(f"rank tolerance must lie strictly between 0 and 1, "
                              f"got {self.rel_tol}")
 
+    def threshold(self, rows: int, cols: int) -> float:
+        """rel_tol for a rows x cols matrix: tau is this times sigma_max."""
+        return self.rel_tol if self.rel_tol is not None else max(rows, cols) * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class RankResult:
@@ -107,8 +114,7 @@ def numeric_rank(mat: np.ndarray, opts: RankOptions | None = None) -> RankResult
         return RankResult(0, 0.0, 0.0, 0.0, 0.0, np.inf)
     sigma = np.linalg.svd(mat, compute_uv=False)
     smax = float(sigma[0])
-    rel = opts.rel_tol if opts.rel_tol is not None else max(mat.shape) * np.finfo(float).eps
-    tau = rel * smax
+    tau = opts.threshold(*mat.shape) * smax
     rank = int((sigma > tau).sum())
     s_rank = float(sigma[rank - 1]) if rank else float("inf")
     s_next = float(sigma[rank]) if rank < sigma.size else 0.0
@@ -222,10 +228,120 @@ def residual_between(left_factors: list, right_factors: list | None = None) -> f
 
 
 # ---------------------------------------------------------------------------
+# the local certificate of ker R
+
+@dataclass(frozen=True)
+class LocalRanks:
+    """One operator restricted to ker R, certified entity by entity.
+
+    ``result`` summarises the per-entity diagonal blocks: its rank is the
+    sum of their ranks, ``sigma_max`` and ``tau`` the largest of a block,
+    and ``gap`` (with ``sigma_rank`` and ``sigma_next``) the smallest block
+    gap, found at ``gap_at``.  ``failures`` names what breaks the
+    certificate: an entry above the diagonal blocks, or a block whose rank
+    is not the one its entity's own complex needs.
+    """
+
+    result: RankResult
+    gap_at: str | None
+    failures: tuple[str, ...]
+
+
+NO_BLOCKS = LocalRanks(RankResult(0, 0.0, 0.0, 0.0, 0.0, np.inf), None, ())
+
+
+@dataclass(frozen=True)
+class KernelCoordinates:
+    """The coordinates of ker R in one space: its unknowns other than each
+    carrier's constant (the leads), in layout order.  ``index`` gives each
+    unknown's coordinate (-1 at a lead); per coordinate, ``owner`` is its
+    entity as an ordinal over all entities in layout order (vertices,
+    edges, faces, elements) and ``local`` its position among that entity's
+    own coordinates."""
+
+    index: np.ndarray
+    owner: np.ndarray
+    local: np.ndarray
+
+
+def _kernel_coordinates(complex_: DdrComplex, space: str) -> KernelCoordinates:
+    layout, mesh = complex_.layout(space), complex_.mesh
+    first = dict(zip(KINDS, np.cumsum([0, *mesh.counts])))
+    owner = np.empty(layout.total, dtype=np.int64)
+    for kind, parts in PARTS[space].items():
+        ents = np.arange(entity_count(mesh, kind))
+        for part, _ in parts:
+            owner[layout.indices(kind, ents, part)] = (first[kind] + ents)[:, None]
+    # the carriers' components lead the layout, one after another
+    leads = np.arange(entity_count(mesh, CARRIERS[space])) * layout.components[0].dim
+    index = np.zeros(layout.total, dtype=np.int64)
+    index[leads] = -1
+    kept = index == 0
+    index[kept] = np.arange(kept.sum())
+    owner = owner[kept]
+    return KernelCoordinates(index, owner, np.arange(len(owner)) - np.searchsorted(owner, owner))
+
+
+def _own_counts(complex_: DdrComplex) -> dict[str, dict[str, int]]:
+    """Per space and entity kind, the own ker R coordinates of one entity."""
+    return {space: {kind: sum(complex_.layout(space).component(kind, 0, part).dim
+                              for part, _ in parts) - (kind == CARRIERS[space])
+                    for kind, parts in PARTS[space].items()} for space in SPACES}
+
+
+def _expected_ranks(own: dict[str, dict[str, int]]) -> dict[str, list[int]]:
+    """Per entity kind, the ranks of its gradient, curl and divergence blocks
+    that make its own complex exact: each is the own count of the
+    operator's source less the rank before it.  The last must leave the
+    own count of Pk."""
+    out = {}
+    for kind in KINDS:
+        ranks, before = [], 0
+        for op in OPERATORS:
+            before = own[op.source].get(kind, 0) - before
+            ranks.append(before)
+        out[kind] = ranks
+    return out
+
+
+def _stacked_ranks(blocks: np.ndarray, opts: RankOptions):
+    """The rule of :func:`numeric_rank` on every matrix of a stack: ranks,
+    sigma_max, tau, the smallest kept and the largest discarded singular
+    value (tau when the block has full rank), and their ratio, the gap."""
+    count, m, n = blocks.shape
+    sigma = np.linalg.svd(blocks, compute_uv=False)
+    tau = opts.threshold(m, n) * sigma[:, 0]
+    rank = (sigma > tau[:, None]).sum(axis=1)
+    at, last = np.arange(count), sigma.shape[1] - 1
+    kept = np.where(rank > 0, sigma[at, np.maximum(rank - 1, 0)], np.inf)
+    following = np.where(rank <= last, sigma[at, np.minimum(rank, last)], tau)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.where(following > 0, kept / following, np.inf)
+    return rank, sigma[:, 0], tau, kept, following, gap
+
+
+# ---------------------------------------------------------------------------
 # verification session
 
+# The premises of the cohomology certificate, as rows of their own families:
+# the complex property, the reductions as cochain maps that are onto
+# (``reduction.onto``, no row of its own), and the degree-0 / CW
+# identification.  At degree 0 the reduction is the identity.
+_KERNEL_PREMISES = ("complex.curl_grad", "complex.div_curl")
+_REDUCTION_PREMISES = ("cochain.red_grad", "cochain.red_curl", "cochain.red_div",
+                       "reduction.onto")
+_CW_PREMISES = ("cochain.cw_interp", "cochain.cw_grad", "cochain.cw_curl", "cochain.cw_div")
+
+
 class VerifySession:
-    """Lazily builds and shares the operators a battery of checks needs."""
+    """Lazily builds and shares the operators a battery of checks needs.
+
+    The residual rows of the ``complex`` and ``cochain`` families are
+    computed once (:meth:`residual`): the cohomology certificate reads
+    some of them as its premises.  :meth:`local_ranks` certifies each
+    operator on ker R from its per-entity blocks, and :meth:`operator_rank`
+    adds the exact rank of the CW coboundary.
+    """
 
     def __init__(self, mesh: Mesh, orientation: OrientationTable, degree: int,
                  opts: RankOptions | None = None):
@@ -234,6 +350,9 @@ class VerifySession:
         self.k = degree
         self.opts = opts or RankOptions()
         self._ranks: dict[str, RankResult] = {}
+        self._local: dict[str, LocalRanks] = {}
+        self._residuals: dict[str, CheckResult] = {}
+        self._reductions: dict[str, CsrMatrix] = {}
 
     @cached_property
     def high(self) -> DdrComplex:
@@ -255,15 +374,220 @@ class VerifySession:
     def betti(self):
         return betti_numbers(self.cochain)
 
-    def operator_rank(self, which: str) -> RankResult:
-        if which not in self._ranks:
-            mat = self.high.operator(which).toarray()
-            self._ranks[which] = numeric_rank(mat, self.opts)
-        return self._ranks[which]
-
     @property
     def dims(self) -> dict[str, int]:
         return {sp: self.high.layout(sp).total for sp in SPACES}
+
+    def reduction(self, space: str) -> CsrMatrix:
+        if space not in self._reductions:
+            self._reductions[space] = reduction_matrix(self.high, space)
+        return self._reductions[space]
+
+    # -- residual rows and premises ------------------------------------------
+
+    @cached_property
+    def _residual_rows(self) -> dict:
+        """Every residual row of the complex and cochain families, in row
+        order, and ``reduction.onto``: name -> (residual thunk, tolerance).
+        Each reduction, extension and operator is built inside the first
+        row that uses it.  The CW rows compare each degree-0 operator scaled
+        by the measures of its target's carriers with the coboundary scaled
+        by those of its source's (a vertex has measure one)."""
+        high, low, red = self.high, self.low, self.reduction
+        rows = {}
+
+        def ext(sp):
+            return self.ext.matrix(sp)
+
+        def add(name, tol, left, right=None):
+            rows[name] = (lambda: residual_between(left(), right() if right else None), tol)
+
+        tol = TOLERANCES["complex"]
+        add("complex.grad_of_constant", tol,
+            lambda: [high.gradient, high.head_column[:, None]])
+        for first, then in zip(OPERATORS, OPERATORS[1:]):
+            add(f"complex.{then.local}_{first.local}", tol, lambda first=first, then=then:
+                [high.operator(then.name), high.operator(first.name)])
+
+        tol = TOLERANCES["re_identity"]
+        tags = {op.source: op.local for op in OPERATORS}
+        for sp in SPACES:
+            add(f"cochain.RE_{tags.get(sp, 'tail')}", tol, lambda sp=sp: [red(sp), ext(sp)],
+                lambda sp=sp: [CsrMatrix.diagonal(np.ones(ext(sp).shape[1]))])
+
+        def onto() -> float:
+            # each row of R starts at its carrier's constant, so R restricted
+            # to the leads is diagonal with the mean of the constant
+            return max(float(np.abs(red(sp).data[red(sp).indptr[:-1]] - 1.0).max(initial=0.0))
+                       for sp in SPACES)
+
+        rows["reduction.onto"] = (onto, tol)
+
+        tol = TOLERANCES["reduction_commute"]
+        add("cochain.red_interp", tol, lambda: [red(SPACES[0]), high.head_column[:, None]],
+            lambda: [low.head_column[:, None]])
+        for op in OPERATORS:
+            add(f"cochain.red_{op.local}", tol,
+                lambda op=op: [red(op.target), high.operator(op.name)],
+                lambda op=op: [low.operator(op.name), red(op.source)])
+
+        tol = TOLERANCES["extension_commute"]
+        add("cochain.ext_interp", tol, lambda: [high.head_column[:, None]],
+            lambda: [ext(SPACES[0]), low.head_column[:, None]])
+        for op in OPERATORS:
+            add(f"cochain.ext_{op.local}", tol,
+                lambda op=op: [high.operator(op.name), ext(op.source)],
+                lambda op=op: [ext(op.target), low.operator(op.name)])
+
+        tol = TOLERANCES["cw_diagram"]
+
+        def kappa(sp):
+            return CsrMatrix.diagonal(self.orient.geometry(CARRIERS[sp]).measure)
+
+        add("cochain.cw_interp", tol, lambda: [low.head_column[:, None]],
+            lambda: [np.ones((self.mesh.n_vertices, 1))])
+        for i, op in enumerate(OPERATORS):
+            add(f"cochain.cw_{op.local}", tol,
+                lambda op=op: [kappa(op.target), low.operator(op.name)],
+                lambda i=i, op=op: [self.cochain.boundary(i), kappa(op.source)])
+        return rows
+
+    def residual(self, name: str) -> CheckResult:
+        """The residual row ``name``, computed on first use and kept; each
+        call returns a copy of its own (unnamed, untimed).  An error of the
+        computation is raised, and not kept."""
+        if name not in self._residuals:
+            value, tol = self._residual_rows[name]
+            self._residuals[name] = _residual_check(value(), tol)
+        return replace(self._residuals[name])
+
+    def premises(self, cw: bool = True) -> tuple[str, ...]:
+        """The premises of the exactness of ker R (with ``cw``, of the
+        cohomology): the complex property, and above degree 0 the
+        reductions as onto cochain maps; then the CW identification."""
+        return (_KERNEL_PREMISES + (_REDUCTION_PREMISES if self.k else ())
+                + (_CW_PREMISES if cw else ()))
+
+    def premise_failures(self, names) -> list[str]:
+        """The premises among ``names`` above their tolerance, described."""
+        out = []
+        for name in names:
+            row = self.residual(name)
+            if not row.passed:
+                out.append(f"premise {name} failed (residual {row.residual:.1e}, "
+                           f"tolerance {row.tolerance:.0e})")
+        return out
+
+    # -- the certificate --------------------------------------------------------
+
+    @cached_property
+    def kernel_bases(self) -> dict[str, CsrMatrix]:
+        return {sp: zero_reduction_basis(self.high, sp) for sp in SPACES}
+
+    @cached_property
+    def kernel_coordinates(self) -> dict[str, KernelCoordinates]:
+        return {sp: _kernel_coordinates(self.high, sp) for sp in SPACES}
+
+    @cached_property
+    def own_counts(self) -> dict[str, dict[str, int]]:
+        return _own_counts(self.high)
+
+    def local_ranks(self, which: str) -> LocalRanks:
+        """Certify one operator on ker R from its per-entity diagonal blocks.
+
+        The zero-reduction bases' non-lead rows are the identity, so the
+        non-lead rows of ``d @ B`` are d on ker R in ker R coordinates,
+        ``M`` (the lead rows follow from the ``red_*`` premises).  In layout
+        order an entity's own unknowns reach only that entity and entities
+        of higher dimension, so ``M`` is block lower triangular: an entry
+        above the per-entity diagonal blocks is a failure, and otherwise
+        ``rank M`` is at least the sum of the blocks' ranks.  The blocks of
+        one entity kind share one shape and go through one stacked SVD.  A
+        block's expected rank makes its entity's own complex exact
+        (:func:`_expected_ranks`); a block off it fails, and is named.  At
+        degree 0 ker R is zero: there are no blocks.
+        """
+        if which in self._local:
+            return self._local[which]
+        if self.k == 0:
+            return self._local.setdefault(which, NO_BLOCKS)
+        i, op = next((i, op) for i, op in enumerate(OPERATORS) if op.name == which)
+        mesh, coords = self.mesh, self.kernel_coordinates
+        tgt, src = coords[op.target], coords[op.source]
+        mat = self.high.operator(which) @ self.kernel_bases[op.source]
+        rows = tgt.index[np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))]
+        keep = rows >= 0
+        rows, cols, vals = rows[keep], mat.indices[keep], mat.data[keep]
+        if not np.all(np.isfinite(vals)):
+            raise DomainError(f"local ranks of {which}: operator has non-finite entries")
+        ro, co = tgt.owner[rows], src.owner[cols]
+        starts = np.cumsum([0, *mesh.counts])
+
+        def label(ordinal) -> str:
+            kind = int(np.searchsorted(starts, ordinal, "right")) - 1
+            return _label(KINDS[kind], int(ordinal - starts[kind]))
+
+        failures: list[str] = []
+        above = np.nonzero(ro < co)[0]
+        if len(above):
+            failures.append(f"{op.local}: entry above the diagonal blocks, row of "
+                            f"{label(ro[above[0]])}, column of {label(co[above[0]])}")
+        expected = _expected_ranks(self.own_counts)
+        on_diagonal = ro == co
+        total, smallest, sigma_max, tau_max = 0, None, 0.0, 0.0
+        for d, kind in enumerate(KINDS):
+            m, n = self.own_counts[op.target].get(kind, 0), self.own_counts[op.source].get(kind, 0)
+            want = expected[kind][i]
+            if not (m and n):       # rank 0, as the sums checked by local_failures need
+                continue
+            at = on_diagonal & (ro >= starts[d]) & (ro < starts[d + 1])
+            blocks = np.zeros((starts[d + 1] - starts[d], m, n))
+            blocks[ro[at] - starts[d], tgt.local[rows[at]], src.local[cols[at]]] = vals[at]
+            rank, smax, tau, kept, following, gap = _stacked_ranks(blocks, self.opts)
+            total += int(rank.sum())
+            sigma_max, tau_max = max(sigma_max, float(smax.max())), max(tau_max, float(tau.max()))
+            g = int(np.argmin(gap))
+            if np.isfinite(gap[g]) and (smallest is None or gap[g] < smallest[2]):
+                smallest = (float(kept[g]), float(following[g]), float(gap[g]), _label(kind, g))
+            off = np.nonzero(rank != want)[0]
+            failures += [f"{op.local}: {_label(kind, int(e))} local rank {rank[e]}, "
+                         f"expected {want}" for e in off[:3]]
+            if len(off) > 3:
+                failures.append(f"{op.local}: {len(off) - 3} more {kind} blocks off their rank")
+        kept, following, gap, gap_at = smallest or (0.0, 0.0, np.inf, None)
+        self._local[which] = LocalRanks(
+            RankResult(total, sigma_max, kept, following, tau_max, gap), gap_at, tuple(failures))
+        return self._local[which]
+
+    def local_failures(self) -> list[str]:
+        """What breaks the local certificate: a kind whose own complex
+        cannot be exact, then each operator's failures."""
+        out = []
+        if self.k:
+            for kind, ranks in _expected_ranks(self.own_counts).items():
+                if min(ranks) < 0 or ranks[-1] != self.own_counts["Pk"].get(kind, 0):
+                    out.append(f"{kind}: own unknowns cannot form an exact complex")
+        for op in OPERATORS:
+            out += self.local_ranks(op.name).failures
+        return out
+
+    def certified(self) -> bool:
+        """Whether the local certificate and every premise of the
+        cohomology hold (an error computing them counts as no)."""
+        try:
+            return not self.local_failures() and not self.premise_failures(self.premises())
+        except DdrError:
+            return False
+
+    def operator_rank(self, which: str) -> RankResult:
+        """The rank of one operator: the exact rank of its CW coboundary plus
+        the certified rank on ker R, with the summary of its local blocks.
+        It is the operator's rank when :meth:`certified` holds."""
+        if which not in self._ranks:
+            i = next(i for i, op in enumerate(OPERATORS) if op.name == which)
+            local = self.local_ranks(which).result
+            self._ranks[which] = replace(local, rank=self.cochain.echelon(i).rank + local.rank)
+        return self._ranks[which]
 
     def cohomology_dims(self) -> tuple[int, int, int, int]:
         ranks = [self.operator_rank(op.name).rank for op in OPERATORS]
@@ -292,24 +616,38 @@ def _flag_check(ok: bool, detail: str) -> CheckResult:
     return CheckResult("", passed=bool(ok), detail=detail)
 
 
-# -- families ----------------------------------------------------------------
-
-def check_complex(s: VerifySession) -> list[CheckResult]:
-    tol = TOLERANCES["complex"]
+def _family_rows(s: VerifySession, family: str) -> list[CheckResult]:
+    """The session's residual rows of one family, each timed on its own."""
     out: list[CheckResult] = []
-    _timed(out, "complex.grad_of_constant", lambda: _residual_check(
-        residual_between([s.high.gradient, s.high.head_column[:, None]]), tol))
-    for first, then in zip(OPERATORS, OPERATORS[1:]):
-        _timed(out, f"complex.{then.local}_{first.local}", lambda first=first, then=then:
-               _residual_check(residual_between([s.high.operator(then.name),
-                                                 s.high.operator(first.name)]), tol))
+    for name in s._residual_rows:
+        if name.startswith(f"{family}."):
+            _timed(out, name, partial(s.residual, name))
     return out
 
 
+# -- families ----------------------------------------------------------------
+
+def check_complex(s: VerifySession) -> list[CheckResult]:
+    return _family_rows(s, "complex")
+
+
 def check_cohomology(s: VerifySession) -> list[CheckResult]:
+    """The DDR cohomology is the CW one when ker R is exact.
+
+    R is an onto cochain map to the degree-0 complex, which is the CW
+    cochain complex up to the measure scalings, so the long exact sequence
+    of ``0 -> ker R -> X_k -> X_0 -> 0`` gives ``H(X_k) = H_CW`` when ker R
+    is exact; its local certificate (:meth:`VerifySession.local_ranks`)
+    shows that.  Each operator's rank is then the exact CW rank plus its
+    certified rank on ker R.  A failed premise or local block fails
+    ``betti_match``, named.
+    """
     out: list[CheckResult] = []
 
     def betti_match():
+        problems = s.local_failures() + s.premise_failures(s.premises())
+        if problems:
+            return _flag_check(False, "; ".join(problems))
         h = s.cohomology_dims()
         want = (0, s.betti.b1, s.betti.b2, 0)
         return _flag_check(h == want, f"H={list(h)} betti={list(s.betti.as_tuple())}")
@@ -327,9 +665,13 @@ def check_cohomology(s: VerifySession) -> list[CheckResult]:
                            f"betti {list(b.as_tuple())} alternating sum {alt} vs chi {chi}")
 
     def spectral_gaps():
-        gaps = {op.name: s.operator_rank(op.name).gap for op in OPERATORS}
+        local = {op.name: s.local_ranks(op.name) for op in OPERATORS}
+        gaps = {w: r.result.gap for w, r in local.items()}
         ok = all(not np.isfinite(g) or g >= MIN_SPECTRAL_GAP for g in gaps.values())
         txt = ", ".join(f"{w}: {'inf' if np.isinf(g) else f'{g:.1e}'}" for w, g in gaps.items())
+        worst = min(gaps, key=gaps.get)
+        if np.isfinite(gaps[worst]):
+            txt += f"; smallest at {worst}: {local[worst].gap_at}"
         return _flag_check(ok, f"rank gaps {txt}")
 
     _timed(out, "cohomology.betti_match", betti_match)
@@ -345,71 +687,30 @@ def check_cochain_diagram(s: VerifySession) -> list[CheckResult]:
     Every residual is of sparse matrices: ``RE`` against the identity, and
     each degree-0 operator scaled by the measures of its target's carriers
     against the coboundary scaled by those of its source's (a vertex has
-    measure one).  Each reduction, extension and operator is built inside
-    the first check that uses it, so its cost, or the error it raises,
-    belongs to that check.
+    measure one).  The rows are the session's (:meth:`VerifySession.residual`):
+    each reduction, extension and operator is built inside the first row,
+    of this family or a premise read before it, that uses it, so its cost,
+    or the error it raises, belongs to that row.
     """
-    out: list[CheckResult] = []
-    reds: dict[str, CsrMatrix] = {}
-
-    def red(sp: str) -> CsrMatrix:
-        if sp not in reds:
-            reds[sp] = reduction_matrix(s.high, sp)
-        return reds[sp]
-
-    ext = s.ext.matrix   # cached by the session's extension maps
-    high, low = s.high, s.low
-
-    tol = TOLERANCES["re_identity"]
-    tags = {op.source: op.local for op in OPERATORS}
-    for sp in SPACES:
-        _timed(out, f"cochain.RE_{tags.get(sp, 'tail')}", lambda sp=sp: _residual_check(
-            residual_between([red(sp), ext(sp)],
-                             [CsrMatrix.diagonal(np.ones(ext(sp).shape[1]))]), tol))
-
-    tol = TOLERANCES["reduction_commute"]
-    _timed(out, "cochain.red_interp", lambda: _residual_check(
-        residual_between([red(SPACES[0]), high.head_column[:, None]],
-                         [low.head_column[:, None]]), tol))
-    for op in OPERATORS:
-        _timed(out, f"cochain.red_{op.local}", lambda op=op: _residual_check(residual_between(
-            [red(op.target), high.operator(op.name)], [low.operator(op.name), red(op.source)]),
-            tol))
-
-    tol = TOLERANCES["extension_commute"]
-    _timed(out, "cochain.ext_interp", lambda: _residual_check(
-        residual_between([high.head_column[:, None]],
-                         [ext(SPACES[0]), low.head_column[:, None]]), tol))
-    for op in OPERATORS:
-        _timed(out, f"cochain.ext_{op.local}", lambda op=op: _residual_check(residual_between(
-            [high.operator(op.name), ext(op.source)], [ext(op.target), low.operator(op.name)]),
-            tol))
-
-    tol = TOLERANCES["cw_diagram"]
-    kappa = {sp: CsrMatrix.diagonal(s.orient.geometry(CARRIERS[sp]).measure) for sp in SPACES}
-    ones = np.ones((s.mesh.n_vertices, 1))
-    _timed(out, "cochain.cw_interp", lambda: _residual_check(
-        residual_between([low.head_column[:, None]], [ones]), tol))
-    for i, op in enumerate(OPERATORS):
-        _timed(out, f"cochain.cw_{op.local}", lambda i=i, op=op: _residual_check(
-            residual_between([kappa[op.target], low.operator(op.name)],
-                             [s.cochain.boundary(i), kappa[op.source]]), tol))
-    return out
+    return _family_rows(s, "cochain")
 
 
 def check_zero_reduction(s: VerifySession) -> list[CheckResult]:
+    """ker R is exact when its local certificate holds, it is a subcomplex
+    (the reductions commute with the operators and are onto) and the
+    operators compose to zero; the stage deficits are those of the
+    certified local rank sums."""
     out: list[CheckResult] = []
 
     def exactness():
         if s.k == 0:
             return _flag_check(True, "trivial at degree 0 (all subspaces are zero)")
-        bases = {sp: zero_reduction_basis(s.high, sp) for sp in SPACES}
-        ranks = [numeric_rank((s.high.operator(op.name) @ bases[op.source]).toarray(),
-                              s.opts).rank for op in OPERATORS]
-        dims = [b.shape[1] for b in bases.values()]
+        ranks = [s.local_ranks(op.name).result.rank for op in OPERATORS]
+        dims = [b.shape[1] for b in s.kernel_bases.values()]
         deficits = cohomology_dims(dims, ranks)
-        return _flag_check(not any(deficits), f"stage deficits {list(deficits)} "
-                                              f"(dims {dims}, ranks {ranks})")
+        problems = s.local_failures() + s.premise_failures(s.premises(cw=False))
+        return _flag_check(not any(deficits) and not problems, "; ".join(
+            [f"stage deficits {list(deficits)} (dims {dims}, ranks {ranks})", *problems]))
 
     _timed(out, "zero_reduction.exact", exactness)
     return out
@@ -592,7 +893,7 @@ def run_all(mesh: Mesh, orientation: OrientationTable, degree: int,
 
     checks: list[CheckResult] = []
     generator_payload: list[dict] = []
-    cohomology_ddr = None
+    cohomology_ddr, certified = None, False
 
     for family in FAMILIES:
         if family not in selection:
@@ -602,7 +903,9 @@ def run_all(mesh: Mesh, orientation: OrientationTable, degree: int,
                 checks.extend(check_complex(s))
             elif family == "cohomology":
                 checks.extend(check_cohomology(s))
-                cohomology_ddr = list(s.cohomology_dims())
+                # the ranks and dimensions of an uncertified complex are not reported
+                certified = s.certified()
+                cohomology_ddr = list(s.cohomology_dims()) if certified else []
             elif family == "cochain":
                 checks.extend(check_cochain_diagram(s))
             elif family == "zero_reduction":
@@ -624,10 +927,8 @@ def run_all(mesh: Mesh, orientation: OrientationTable, degree: int,
             checks.append(CheckResult(f"{family}.error", passed=False,
                                       error=f"{type(exc).__name__}: {exc}"))
 
-    ranks = {}
-    for op in OPERATORS:
-        if op.name in s._ranks:
-            ranks[op.name] = s._ranks[op.name].as_dict()
+    ranks = {op.name: s.operator_rank(op.name).as_dict() for op in OPERATORS} \
+        if certified else {}
 
     try:
         betti_cw = list(s.betti.as_tuple())

@@ -131,18 +131,22 @@ def malformed_cube_document(case):
     return doc
 
 
-# Elements whose boundary is not closed, each with the MeshTopologyError
+# Elements whose boundary is not one closed surface, each with the MeshTopologyError
 # message it raises.
 OPEN_ELEMENTS = {
     "repeated face": "^element 0: face 0 is listed twice$",
     "dropped shared face": r"^element 0: edge 4 \(vertices 1, 4\) lies on 1 of its faces, not 2$",
+    "disconnected boundary": r"^element 0: boundary is not connected \(face 11 shares no chain "
+                             r"of edges with face 0\)$",
 }
 
 
 def open_element_document(case):
     """A mesh document with the open element named by ``case``: the builtin
     cube with face 0 listed twice, or a 1x1x2 voxel pair whose lower element
-    drops the face it shares with the upper one."""
+    drops the face it shares with the upper one, or a 1x1x3 voxel column whose
+    two end cells form one element (two closed surfaces), the middle cell
+    the other."""
     if case == "repeated face":
         doc = mesh_to_document(build_voxel_mesh(builtin_pattern("cube")))
         doc["elements"][0].append(0)
@@ -150,6 +154,10 @@ def open_element_document(case):
         doc = mesh_to_document(build_voxel_mesh(np.ones((1, 1, 2), dtype=bool)))
         lower, upper = doc["elements"]
         doc["elements"][0] = [f for f in lower if f not in upper]
+    elif case == "disconnected boundary":
+        doc = mesh_to_document(build_voxel_mesh(np.ones((1, 1, 3), dtype=bool)))
+        bottom, middle, top = doc["elements"]
+        doc["elements"] = [bottom + top, middle]
     else:
         raise ValueError(case)
     return doc

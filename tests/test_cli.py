@@ -132,6 +132,24 @@ def test_verify_fault_injection_exit_1(tmp_path, fault, capsys):
     assert "FAIL" in capsys.readouterr().err or failed
 
 
+@pytest.mark.parametrize("fault", ["omega_tf", "omega_fe", "edge_length"])
+def test_fault_on_the_ring_at_degree_one_exit_1(tmp_path, fault):
+    # every fault breaks a premise of the cohomology certificate, so the
+    # report gives no ranks and no cohomology dimensions; a measure fault
+    # breaks only the CW identification, which betti_match names
+    out = tmp_path / "r.json"
+    assert run_cli("verify", "--builtin", "ring", "--degree", "1", "--inject-fault", fault,
+                   "--out", str(out), "--no-timestamp") == 1
+    doc = json.loads(out.read_text())
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert not checks["cohomology.betti_match"]["passed"]
+    assert doc["ranks"] == {} and doc["cohomology_ddr"] == []
+    if fault == "edge_length":
+        assert checks["cohomology.betti_match"]["detail"].startswith(
+            "premise cochain.cw_grad failed")
+        assert checks["zero_reduction.exact"]["passed"]
+
+
 def test_verify_golden_determinism(tmp_path):
     outs = []
     for i in range(2):

@@ -2,6 +2,7 @@
 
 import copy
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -115,6 +116,18 @@ def test_roundoff_changes_are_reported_not_failed(report_diff):
     assert worst["generators.vector"] == pytest.approx(0.5e-17)
     assert worst["vtk"] == pytest.approx(2.2e-16, rel=0.1)
     assert result.worst["vtk"][1] == "verify-ring-k1"
+
+
+@pytest.mark.parametrize("ours,theirs", [(None, 1.1e14), (1.1e14, None)])
+def test_a_gap_between_infinite_and_finite_is_an_infinite_change(report_diff, ours, theirs):
+    # an infinite gap is written as null; its move to a finite gap is reported
+    def gap(value):
+        return _changed(_set(("report", "ranks", "curl", "gap"), value))
+
+    result = report_diff.compare(gap(ours), gap(theirs))
+    assert result.problems == []
+    assert result.worst["ranks.gap"] == (math.inf, "verify-ring-k1")
+    assert report_diff._ratio(None, None) == 0.0
 
 
 def test_missing_request_is_a_problem(report_diff):

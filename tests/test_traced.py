@@ -27,7 +27,8 @@ VERIFY = COMMON | {
     "verification.family.zero_reduction", "verification.family.closed_forms",
     "verification.family.consistency",
 }
-COHOMOLOGY = COMMON | {"cli.generator_fields", "vtkio.write"}
+# the cohomology certificate reads the reductions (its red_* premises)
+COHOMOLOGY = COMMON | {"cli.generator_fields", "vtkio.write", "lifting.reduction"}
 
 
 @pytest.mark.parametrize("argv,spans", [
@@ -44,4 +45,4 @@ def test_traced_request_records_every_span(tmp_path, argv, spans):
     doc = json.loads((tmp_path / "spans.json").read_text())
     assert doc["rc"] == 0
     assert {span[0] for span in doc["spans"]} == spans
-    assert len(spans) == {"verify": 34, "cohomology": 27}[argv[0]]
+    assert len(spans) == {"verify": 34, "cohomology": 28}[argv[0]]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from ddrcomplex import (
     RankOptions,
@@ -22,7 +23,8 @@ from ddrcomplex import (
 )
 from ddrcomplex import betti_numbers, build_cochain_complex, integer_rank, lifting, verification
 from ddrcomplex.homology import cohomology_dims
-from ddrcomplex.layouts import CARRIERS, SPACES
+from ddrcomplex.layouts import CARRIERS, PARTS, SPACES
+from ddrcomplex.sparse import CsrMatrix
 from ddrcomplex.errors import ConditioningError
 from ddrcomplex.operators import OPERATORS, DdrComplex
 from ddrcomplex.spaces import frame_values
@@ -33,10 +35,12 @@ from ddrcomplex.verification import (
     _monomial_sweep,
     check_closed_forms,
     check_cochain_diagram,
+    check_cohomology,
     check_consistency,
+    check_zero_reduction,
 )
 
-from conftest import complex_for, extensions_for, mesh_and_orientation
+from conftest import complex_for, extensions_for, mesh_and_orientation, voxel_patterns
 from test_general_meshes import prism_pair
 from test_sparse import traced_peak
 
@@ -441,3 +445,116 @@ def test_consistency_matches_pointwise_oracle(name, k):
         assert c.residual == val, c.name
         assert c.passed == (val <= tol), c.name
         assert c.detail == (f"worst: {where}" if where else ""), c.name
+
+
+# ---------------------------------------------------------------------------
+# the local certificate of ker R against the dense ranks it replaces
+
+CERTIFIED_MESHES = ("cube", "ring", "cavity", "graded_cavity", "prism_pair", "sheared_ring",
+                    "double_ring")
+
+
+def _session(name, k):
+    if name in ("cube", "ring", "cavity"):
+        s = VerifySession(*mesh_and_orientation(name), k)
+        s.high, s.low = complex_for(name, k), complex_for(name, 0)
+        return s
+    mesh = load_mesh(str(MESH_FILES / f"{name}.json"))
+    return VerifySession(mesh, compute_orientation(mesh), k)
+
+
+def _assert_certificate_equals_dense_ranks(s):
+    # the dense SVD stays here as the reference: of each operator, and of
+    # the operator on ker R, d @ B
+    assert s.certified()
+    for op in OPERATORS:
+        d = s.high.operator(op.name)
+        assert s.operator_rank(op.name).rank == numeric_rank(d.toarray()).rank, op.name
+        on_kernel = (d @ s.kernel_bases[op.source]).toarray()
+        assert s.local_ranks(op.name).result.rank == numeric_rank(on_kernel).rank, op.name
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", CERTIFIED_MESHES)
+def test_certified_ranks_equal_the_dense_ranks(name, k):
+    _assert_certificate_equals_dense_ranks(_session(name, k))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_certified_ranks_equal_the_dense_ranks_on_voxel_patterns(k):
+    @given(voxel_patterns())
+    def check(pattern):
+        mesh = build_voxel_mesh(pattern)
+        _assert_certificate_equals_dense_ranks(VerifySession(mesh, compute_orientation(mesh), k))
+
+    check()
+
+
+def _with_planted_defect(s, which, kind, entity):
+    """``s`` whose operator ``which`` is a copy in which every own column of
+    one entity of the source space repeats the first, so that the entity's
+    diagonal block keeps rank at most 1."""
+    op = next(op for op in OPERATORS if op.name == which)
+    layout = s.high.layout(op.source)
+    cols = np.concatenate([layout.indices(kind, entity, part)
+                           for part, _ in PARTS[op.source][kind]])
+    n = layout.total
+    rows = np.arange(n)
+    rows[cols] = cols[0]
+    planted = s.high.operator(which) @ CsrMatrix.from_coo((n, n), rows, np.arange(n),
+                                                          np.ones(n))
+    build = s.high.operator
+    s.high.operator = lambda name: planted if name == which else build(name)
+    return s
+
+
+@pytest.mark.parametrize("which,kind,entity,label", [("curl", "face", 17, "face 17"),
+                                                     ("divergence", "cell", 5, "element 5")])
+def test_planted_local_rank_defect_fails_and_names_the_entity(which, kind, entity, label):
+    mesh, orient = mesh_and_orientation("ring")
+    s = _with_planted_defect(VerifySession(mesh, orient, 1), which, kind, entity)
+    checks = {c.name: c for c in check_cohomology(s) + check_zero_reduction(s)}
+    local = next(op.local for op in OPERATORS if op.name == which)
+    for name in ("cohomology.betti_match", "zero_reduction.exact"):
+        assert not checks[name].passed and checks[name].error is None, name
+        assert f"{local}: {label} local rank 1, expected " in checks[name].detail, name
+    assert not s.certified()
+
+
+def test_local_blocks_use_the_rank_tolerance():
+    # at k = 2 an edge's gradient block has two singular values less than a
+    # factor 2 apart: --rank-tol 0.5 drops the smaller, and the edges are named
+    mesh, orient = mesh_and_orientation("cube")
+    s = VerifySession(mesh, orient, 2, RankOptions(rel_tol=0.5))
+    s.high = complex_for("cube", 2)
+    assert s.local_failures()[0] == "grad: edge 0 local rank 1, expected 2"
+    assert not s.certified()
+    report = run_all(mesh, orient, 2, selection=["cohomology"], opts=RankOptions(rel_tol=0.5))
+    assert not report.passed and report.ranks == {} and report.cohomology_ddr == []
+
+
+def test_local_ranks_at_degree_zero_have_no_blocks():
+    mesh, orient = mesh_and_orientation("ring")
+    s = VerifySession(mesh, orient, 0)
+    report = run_all(mesh, orient, 0, selection=["cohomology"])
+    assert report.cohomology_ddr == [0, 1, 0, 0]
+    assert report.ranks == {op.name: {"rank": s.cochain.echelon(i).rank, "sigma_max": 0.0,
+                                      "tau": 0.0, "gap": None}
+                            for i, op in enumerate(OPERATORS)}
+
+
+def test_certificate_memory_grows_about_linearly():
+    # traced peak of the cohomology and zero_reduction families, once the
+    # operators and the premises exist; tunnel4 -> tunnel6 multiplies the
+    # operators' nonzeros by about 3.4 (dense ranks grew with exponent 1.9)
+    sizes, peaks = [], []
+    for n in (4, 6):
+        s = VerifySession(*_tunnel(n), 1)
+        ops = [s.high.operator(op.name) for op in OPERATORS]
+        assert s.premise_failures(s.premises()) == []
+        checks, peak = traced_peak(lambda: check_cohomology(s) + check_zero_reduction(s))
+        assert all(c.passed for c in checks)
+        sizes.append(sum(op.nnz for op in ops))
+        peaks.append(peak)
+    exponent = math.log(peaks[1] / peaks[0]) / math.log(sizes[1] / sizes[0])
+    assert exponent <= 1.2, (sizes, peaks)

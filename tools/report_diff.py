@@ -19,7 +19,8 @@ generator certificate, or a ``worst:`` label.  Otherwise it is 0.
 Either way it prints the outputs whose bytes differ, the worst change of
 each numeric field (residuals per check family and generator
 ``kernel_residual`` as |delta|; ``sigma_max``, ``tau`` and ``gap`` as
-|delta| over the larger value; generator vectors and VTK values as
+|delta| over the larger value, infinite when a gap moves between infinite
+and finite; generator vectors and VTK values as
 max|delta v| / max|v|) with the request where it occurred, and every other
 detail text that changed, such as the figures of ``cohomology.spectral_gaps``.
 """
@@ -27,6 +28,7 @@ detail text that changed, such as the figures of ``cohomology.spectral_gaps``.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 import tempfile
@@ -61,10 +63,13 @@ def _relative(a, b) -> float:
 
 
 def _ratio(a, b) -> float:
-    """|a - b| over the larger of |a|, |b|; None stands for an infinite gap."""
+    """|a - b| over the larger of |a|, |b|; None stands for an infinite gap,
+    and a move between an infinite and a finite value is an infinite change."""
     a, b = (float("inf") if x is None else float(x) for x in (a, b))
     if a == b:
         return 0.0
+    if math.isinf(a) or math.isinf(b):
+        return float("inf")
     return abs(a - b) / max(abs(a), abs(b))
 
 
