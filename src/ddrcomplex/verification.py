@@ -19,8 +19,8 @@ Check families (selectable by name):
                         assembly entrywise;
 * ``consistency``    -- trace/gradient polynomial consistency sweep over all
                         monomials of degree <= k+1;
-* ``generators``     -- lifted cohomology generators with kernel-residual and
-                        independence certificates.
+* ``generators``     -- lifted cohomology generators with kernel-residual
+                        certificates, independent by the cochain-map premises.
 
 Tolerances are pinned here: 1e-12 for bookkeeping identities, 1e-10 for
 assembled operator identities, 1e-9 for identities through solved local
@@ -331,6 +331,11 @@ _KERNEL_PREMISES = ("complex.curl_grad", "complex.div_curl")
 _REDUCTION_PREMISES = ("cochain.red_grad", "cochain.red_curl", "cochain.red_div",
                        "reduction.onto")
 _CW_PREMISES = ("cochain.cw_interp", "cochain.cw_grad", "cochain.cw_curl", "cochain.cw_div")
+# The premises of independent lifted H^i generators (see ``lift_generators``):
+# RE = I on their space and R commuting with the incoming operator, then its
+# CW identification, last.  At degree 0, R and E are identities.
+_GENERATOR_PREMISES = {1: ("cochain.RE_curl", "cochain.red_grad", "cochain.cw_grad"),
+                       2: ("cochain.RE_div", "cochain.red_curl", "cochain.cw_curl")}
 
 
 class VerifySession:
@@ -868,9 +873,11 @@ def check_generators(s: VerifySession) -> tuple[list[CheckResult], list[LiftedGe
         lifted.append(lg)
         want = s.betti.as_tuple()[index]
         res = max((c["kernel_residual"] for c in lg.certificates), default=0.0)
-        return CheckResult("", passed=len(lg.vectors) == want, residual=float(res),
-                           tolerance=tol,
-                           detail=f"{len(lg.vectors)} generator(s), expected {want}")
+        premises = _GENERATOR_PREMISES[index][0 if s.k else -1:]
+        problems = s.premise_failures(premises) if lg.vectors else []
+        return CheckResult("", passed=len(lg.vectors) == want and not problems,
+                           residual=float(res), tolerance=tol, detail="; ".join(
+                               [f"{len(lg.vectors)} generator(s), expected {want}", *problems]))
 
     for index in (1, 2):
         _timed(out, f"generators.h{index}", lambda index=index: lift(index))

@@ -75,6 +75,15 @@ def extensions_for(name, degree):
     return _EXTENSIONS[key]
 
 
+def dense_rank_raise(incoming, vectors) -> tuple[int, int]:
+    """The dense reference for lifted generators: the rank of
+    ``[incoming | vectors...]`` and the rank of ``incoming`` plus the number
+    of vectors, equal when they are independent modulo its image."""
+    image = incoming.toarray()
+    return (int(np.linalg.matrix_rank(np.column_stack([image, *vectors]))),
+            int(np.linalg.matrix_rank(image)) + len(vectors))
+
+
 @st.composite
 def voxel_patterns(draw):
     """Blocks of at most 3x3x2 cells with up to four cells removed, kept when

@@ -136,7 +136,8 @@ def test_verify_fault_injection_exit_1(tmp_path, fault, capsys):
 def test_fault_on_the_ring_at_degree_one_exit_1(tmp_path, fault):
     # every fault breaks a premise of the cohomology certificate, so the
     # report gives no ranks and no cohomology dimensions; a measure fault
-    # breaks only the CW identification, which betti_match names
+    # breaks only the CW identification, which betti_match names, and so
+    # does the row of the lifted H1 generator, whose independence rests on it
     out = tmp_path / "r.json"
     assert run_cli("verify", "--builtin", "ring", "--degree", "1", "--inject-fault", fault,
                    "--out", str(out), "--no-timestamp") == 1
@@ -148,6 +149,9 @@ def test_fault_on_the_ring_at_degree_one_exit_1(tmp_path, fault):
         assert checks["cohomology.betti_match"]["detail"].startswith(
             "premise cochain.cw_grad failed")
         assert checks["zero_reduction.exact"]["passed"]
+        assert not checks["generators.h1"]["passed"]
+        assert checks["generators.h1"]["detail"].startswith(
+            "1 generator(s), expected 1; premise cochain.cw_grad failed")
 
 
 def test_verify_golden_determinism(tmp_path):

@@ -130,6 +130,19 @@ def test_a_gap_between_infinite_and_finite_is_an_infinite_change(report_diff, ou
     assert report_diff._ratio(None, None) == 0.0
 
 
+@pytest.mark.parametrize("edit", [
+    lambda gen: gen.pop("image_rank"),                      # a key dropped on our side
+    lambda gen: gen.update(condition=3.5),                  # a float key only on our side
+], ids=["dropped", "added"])
+def test_generator_keys_must_agree(report_diff, edit):
+    def change(run):
+        edit(run["report"]["generators"][0])
+
+    result = report_diff.compare(_changed(change), _outputs())
+    assert [p.split(": ", 1)[1].startswith("generator 0 keys") for p in result.problems] == \
+        [True], result.problems
+
+
 def test_missing_request_is_a_problem(report_diff):
     ours = _outputs()
     ours["verify-ring-k2"] = ours["verify-ring-k1"]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from ddrcomplex import (
     RankOptions,
@@ -37,10 +37,12 @@ from ddrcomplex.verification import (
     check_cochain_diagram,
     check_cohomology,
     check_consistency,
+    check_generators,
     check_zero_reduction,
 )
 
-from conftest import complex_for, extensions_for, mesh_and_orientation, voxel_patterns
+from conftest import (complex_for, dense_rank_raise, extensions_for, mesh_and_orientation,
+                      voxel_patterns)
 from test_general_meshes import prism_pair
 from test_sparse import traced_peak
 
@@ -554,6 +556,88 @@ def test_certificate_memory_grows_about_linearly():
         assert s.premise_failures(s.premises()) == []
         checks, peak = traced_peak(lambda: check_cohomology(s) + check_zero_reduction(s))
         assert all(c.passed for c in checks)
+        sizes.append(sum(op.nnz for op in ops))
+        peaks.append(peak)
+    exponent = math.log(peaks[1] / peaks[0]) / math.log(sizes[1] / sizes[0])
+    assert exponent <= 1.2, (sizes, peaks)
+
+
+# ---------------------------------------------------------------------------
+# lifted generators: independence from the cochain-map premises, against the
+# dense rank it replaces
+
+
+def _assert_lifts_raise_the_dense_rank(s):
+    # the dense rank stays here as the reference: each passing generators
+    # row's lifts raise the rank of [incoming | lifts] by their count
+    checks, lifted = check_generators(s)
+    assert all(c.passed for c in checks), [c.as_dict() for c in checks]
+    for lg in lifted:
+        incoming = s.high.operator(OPERATORS[lg.index - 1].name)
+        ranked, expected = dense_rank_raise(incoming, lg.vectors)
+        assert ranked == expected, lg.index
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("name", CERTIFIED_MESHES)
+def test_certified_generators_raise_the_dense_rank(name, k):
+    _assert_lifts_raise_the_dense_rank(_session(name, k))
+
+
+def _holed(shape):
+    """A voxel block of ``shape`` with the column (1, 1, :) removed (b1 = 1)."""
+    pattern = np.ones(shape, dtype=bool)
+    pattern[1, 1, :] = False
+    return pattern
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_certified_generators_raise_the_dense_rank_on_voxel_patterns(k):
+    # the family's drawn examples all have b1 = b2 = 0, so two of its members
+    # with b1 = 1 are added
+    @given(voxel_patterns())
+    @example(_holed((3, 3, 1)))
+    @example(_holed((3, 3, 2)))
+    def check(pattern):
+        mesh = build_voxel_mesh(pattern)
+        _assert_lifts_raise_the_dense_rank(VerifySession(mesh, compute_orientation(mesh), k))
+
+    check()
+
+
+def _transpose(mat):
+    return CsrMatrix.from_coo(mat.shape[::-1], mat.indices, mat._row_of_entries(), mat.data)
+
+
+@pytest.mark.parametrize("broken", ["zero", "exact"])
+def test_lifts_of_a_broken_extension_fail_on_re_identity(broken):
+    # an Xcurl extension replaced by zero, or by G E_grad d0^T, whose lifts
+    # are exact, so that their kernel residual still passes: no rank is
+    # computed, and the failed premise RE = I fails generators.h1, named
+    s = _session("ring", 1)
+    shape = s.ext.matrix("Xcurl").shape
+    s.ext._cache["Xcurl"] = (CsrMatrix.from_coo(shape, [], [], []) if broken == "zero" else
+                             s.high.gradient @ s.ext.matrix("Xgrad") @ _transpose(s.cochain.d0))
+    (h1, h2), (lg, _) = check_generators(s)
+    assert not h1.passed and h1.error is None and h1.residual <= h1.tolerance
+    assert h1.detail.startswith("1 generator(s), expected 1; premise cochain.RE_curl failed")
+    assert h2.passed
+    ranked, expected = dense_rank_raise(s.high.gradient, lg.vectors)
+    assert ranked < expected          # the dense reference: dependent modulo the image
+
+
+def test_generator_family_memory_grows_about_linearly():
+    # traced peak of the generators family alone, once the operators, the
+    # extensions, the cochain complex and its premises exist; tunnel4 ->
+    # tunnel6 at k = 1 multiplies the operators' nonzeros by about 3.4 (the
+    # dense independence rank grew with exponent 1.85)
+    sizes, peaks = [], []
+    for n in (4, 6):
+        s = VerifySession(*_tunnel(n), 1)
+        ops = [s.high.operator(op.name) for op in OPERATORS]
+        assert all(c.passed for c in check_cochain_diagram(s)) and s.betti.b1 == 1
+        (checks, lifted), peak = traced_peak(lambda: check_generators(s))
+        assert all(c.passed for c in checks) and len(lifted[0].vectors) == 1
         sizes.append(sum(op.nnz for op in ops))
         peaks.append(peak)
     exponent = math.log(peaks[1] / peaks[0]) / math.log(sizes[1] / sizes[0])

@@ -13,8 +13,9 @@ The exit code is 1 if anything that states a result differs: an exit code,
 a stderr line once its ``residual=`` figure is dropped (this covers the
 ``error:`` lines), the check names, a check's ``passed`` or error, the
 report's ``passed``, an operator rank, ``dims``, ``betti_cw``,
-``cohomology_ddr``, the generator count of a cohomology index or an integer
-generator certificate, or a ``worst:`` label.  Otherwise it is 0.
+``cohomology_ddr``, the generator count of a cohomology index, the keys of
+a generator or an integer generator certificate, or a ``worst:`` label.
+Otherwise it is 0.
 
 Either way it prints the outputs whose bytes differ, the worst change of
 each numeric field (residuals per check family and generator
@@ -138,14 +139,17 @@ class Comparison:
         if not self.equal(run, "generator counts", count(ours), count(theirs)):
             return
         for j, (mine, other) in enumerate(zip(ours, theirs)):
+            self.equal(run, f"generator {j} keys", sorted(mine), sorted(other))
             for key, value in mine.items():
+                if key not in other:
+                    continue
                 if key == "vector":
                     if self.equal(run, f"generator {j} length", len(value), len(other[key])):
                         self.change("generators.vector", _relative(other[key], value), run)
                 elif isinstance(value, float):
                     self.change(f"generators.{key}", abs(value - other[key]), run)
                 else:
-                    self.equal(run, f"generator {j} {key}", value, other.get(key))
+                    self.equal(run, f"generator {j} {key}", value, other[key])
 
     def vtk(self, run: str, ours: str, theirs: str) -> None:
         # the mesh part and the words of the cell data must agree; its values may move
