@@ -149,10 +149,10 @@ def _generator_fields(high, generators: list[dict]) -> dict[str, np.ndarray]:
         vectors = [g["vector"] for g in generators if g["cohomology_index"] == index]
         for j, vec in enumerate(map(np.asarray, vectors)):
             values = np.zeros((high.mesh.n_elements, 3))
-            for ids, _, dofs, _, potential, *_ in high.stacks(cells.builder):
-                phi = high._eval("cell", ids, geometry.center[ids][:, None, :], high.k)
-                coeffs = (potential @ vec[dofs][..., None])[..., 0]
-                values[ids] = frame_values(phi, geometry.frame[ids], coeffs)[:, 0]
+            for st in high.stacks(cells.builder):
+                phi = high._eval("cell", st.ids, geometry.center[st.ids][:, None, :], high.k)
+                coeffs = (st.potential @ vec[st.globals][..., None])[..., 0]
+                values[st.ids] = frame_values(phi, geometry.frame[st.ids], coeffs)[:, 0]
             fields[f"h{index}_generator_{j}"] = values
     return fields
 

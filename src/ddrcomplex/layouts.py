@@ -15,13 +15,10 @@ components so that k = 0 flows through the same code paths.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
-from .mesh import KINDS, closure, entity_count
+from .mesh import KINDS, entity_count, group_closure
 from .spaces import space_dim
 
 # Each space's components per entity kind, in order of dimension, as
@@ -41,95 +38,51 @@ SPACES = tuple(PARTS)
 CARRIERS = {space: next(iter(parts)) for space, parts in PARTS.items()}
 
 
-@dataclass(frozen=True)
-class Component:
-    entity_kind: str   # vertex | edge | face | cell
-    entity: int
-    part: str          # val | poly | R | Rc | G | Gc
-    dim: int
-    offset: int
-
-
 class DofLayout:
-    """Component table of one discrete space on one mesh."""
+    """Unknown numbering of one discrete space on one mesh: per entity kind,
+    its first unknown, its stride (one entity's unknowns; the entities of a
+    kind follow one another) and each part's offset in the stride and size."""
 
     def __init__(self, space: str, degree: int, mesh):
         if space not in SPACES:
             raise DomainError(f"unknown space {space!r}")
         if degree < 0:
             raise DomainError("degree must be >= 0")
-        self.space = space
-        self.degree = degree
-        self.mesh = mesh
-        comps: list[Component] = []
-        off = 0
+        self.space, self.degree, self.mesh = space, degree, mesh
+        # kind -> (first unknown, stride, {part: (offset in the stride, size)})
+        self._kinds: dict[str, tuple[int, int, dict[str, tuple[int, int]]]] = {}
+        first = 0
         for kind, parts in PARTS[space].items():
-            for ent in range(entity_count(mesh, kind)):
-                for part, shift in parts:
-                    dim = 1 if part == "val" else space_dim(
-                        "P" if part == "poly" else part, degree + shift, KINDS.index(kind))
-                    comps.append(Component(kind, ent, part, dim, off))
-                    off += dim
+            table, stride = {}, 0
+            for part, shift in parts:
+                dim = 1 if part == "val" else space_dim(
+                    "P" if part == "poly" else part, degree + shift, KINDS.index(kind))
+                table[part] = (stride, dim)
+                stride += dim
+            self._kinds[kind] = (first, stride, table)
+            first += stride * entity_count(mesh, kind)
+        self.total = first
 
-        self.components = tuple(comps)
-        self.total = off
-        self._index = {(c.entity_kind, c.entity, c.part): c for c in comps}
-        self._by_entity: dict[tuple[str, int], list[Component]] = {}
-        for c in comps:
-            self._by_entity.setdefault((c.entity_kind, c.entity), []).append(c)
-
-    def component(self, kind: str, entity: int, part: str) -> Component:
-        return self._index[(kind, entity, part)]
+    def dim(self, kind: str, part: str) -> int:
+        """The number of ``part`` unknowns of one entity of ``kind``."""
+        return self._kinds[kind][2][part][1]
 
     def indices(self, kind: str, entity, part: str) -> np.ndarray:
         """Global numbers of one entity's ``part`` unknowns, or one row of
-        them per entity of an array.  The entities of a kind follow one
-        another, each with the same components."""
+        them per entity of an array."""
+        first, stride, table = self._kinds[kind]
+        at, dim = table[part]
         entity = np.asarray(entity)
         if entity.size and not 0 <= entity.min() <= entity.max() < entity_count(self.mesh, kind):
             raise KeyError((kind, part))
-        first = self.component(kind, 0, part)
-        stride = sum(c.dim for c in self._by_entity[kind, 0])
-        return (first.offset + stride * entity)[..., None] + np.arange(first.dim)
+        return (first + at + stride * entity)[..., None] + np.arange(dim)
 
-    def entity_components(self, kind: str, entity: int) -> list[Component]:
-        return list(self._by_entity.get((kind, entity), ()))
-
-    def restriction(self, kind: str, entity: int) -> "LocalMap":
-        """Local dof map gathering the entity's own and boundary components.
-
-        Order: vertices ascending, edges ascending, faces ascending, cell;
-        per entity the component order matches the global layout, so the
-        local dofs' global numbers ascend.
-        """
-        comps = [c for ekind, ents in zip(KINDS, closure(self.mesh, kind, entity))
-                 for ent in ents for c in self._by_entity.get((ekind, ent), ())]
-        dims = [c.dim for c in comps]
-        starts = [0, *itertools.accumulate(dims)]
-        shifts = np.asarray([c.offset - start for c, start in zip(comps, starts)], dtype=int)
-        return LocalMap(self, np.repeat(shifts, dims) + np.arange(starts[-1]))
-
-
-class LocalMap:
-    """Restriction of a global layout to one entity's closure: the global
-    numbers of its local dofs, ascending."""
-
-    def __init__(self, layout: DofLayout, globals_: np.ndarray):
-        self.layout = layout
-        self.globals = globals_
-        self.total = int(globals_.size)
-
-    def local_indices(self, kind: str, entity: int, part: str) -> np.ndarray:
-        c = self.layout.component(kind, entity, part)
-        start = int(np.searchsorted(self.globals, c.offset))
-        if c.dim and (start == self.total or self.globals[start] != c.offset):
-            raise KeyError((kind, entity, part))
-        return np.arange(start, start + c.dim)
-
-    def embed(self, sub: "LocalMap") -> np.ndarray:
-        """Positions of a sub-restriction's dofs inside this one."""
-        return np.searchsorted(self.globals, sub.globals)
-
-    def gather(self, vector: np.ndarray) -> np.ndarray:
-        """Extract the local dofs from a global vector (or matrix rows)."""
-        return np.asarray(vector)[self.globals]
+    def closure_dofs(self, kind: str, ids) -> np.ndarray:
+        """Global numbers (G, m) of the unknowns on the closures of a size
+        group ``ids`` of one kind: vertices, edges, faces, then the entity,
+        each kind's entities ascending and each entity's components in
+        layout order, so every row ascends."""
+        closure = dict(zip(KINDS, group_closure(self.mesh, kind, ids)))
+        return np.concatenate([((first + stride * closure[sub])[..., None] + np.arange(stride))
+                               .reshape(len(closure[sub]), -1)
+                               for sub, (first, stride, _) in self._kinds.items()], axis=1)

@@ -110,10 +110,13 @@ class ExtensionMaps:
         high, low, k = self.high, self.low, self.high.k
         hlay, llay = high.layout(space), low.layout(space)
         shape = (hlay.total, llay.total)
-        # one degree-0 unknown per carrier, whose components lead both layouts
-        count, n = llay.total, hlay.components[0].dim
+        # one degree-0 unknown per carrier, copied into the carrier's first
+        # degree-k unknown (a carrier has one part)
+        carrier, count = CARRIERS[space], llay.total
+        ((part, _),) = PARTS[space][carrier]
         coo = _Coo()
-        coo.add(np.arange(count)[:, None] * n, np.arange(count)[:, None], np.ones((count, 1, 1)))
+        coo.add(hlay.indices(carrier, np.arange(count), part)[:, :1], np.arange(count)[:, None],
+                np.ones((count, 1, 1)))
         # Each block of the operator leaving ``space`` solves for its entities'
         # own unknowns of ``space`` (none at k = 0).  The first component is
         # fixed by the block's moment system restricted to tests: a "poly"
@@ -127,27 +130,26 @@ class ExtensionMaps:
             (own, _), *complement = PARTS[space][kind]
             done = coo.build(shape)   # rows of lower-dimensional entities
             failed: dict[int, ConditioningError] = {}
-            for (ids, hmaps, rows, _, _, mass, rhs), (_, _, cols, lop, lpot, _, _) in zip(
-                    high.stacks(block.builder), low.stacks(block.builder)):
-                grp = _Group(kind, ids, hmaps, failed)
+            for hst, lst in zip(high.stacks(block.builder), low.stacks(block.builder)):
+                grp = _Group(kind, hst.ids, hlay, hst.globals, failed)
                 # extended boundary rows; zero on the entities' own unknowns
-                known = np.stack([done.gather(r, c) for r, c in zip(rows, cols)])
+                known = done.gather(hst.globals, lst.globals)
                 # The degree-0 operator value is the constant coefficient
                 # leading each component, so its moments are the leading
                 # columns of the mass matrix.
-                lead = np.arange(lop.shape[1]) * (mass.shape[1] // lop.shape[1])
-                target = mass[:, :, lead] @ lop - rhs @ known
-                solved = rhs[:, :, grp.own(own)]
+                lead = np.arange(lst.op.shape[1]) * (hst.mass.shape[1] // lst.op.shape[1])
+                target = hst.mass[:, :, lead] @ lst.op - hst.rhs @ known
+                solved = hst.rhs[:, :, grp.own(own)]
                 if len(targets) == 1:
                     solved, target = solved[:, 1:], target[:, 1:]
                 else:
                     p = span_matrix(targets[1][0], KINDS.index(kind), k).T
                     solved, target = p @ solved, p @ target
-                coo.add(rows[:, grp.own(own)], cols,
+                coo.add(hst.globals[:, grp.own(own)], lst.globals,
                         grp.solve(solved, target, f"{op.local} extension"))
                 for part, _ in complement:
-                    coo.add(rows[:, grp.own(part)], cols,
-                            high._project(kind, ids, part, k, 0, lpot))
+                    coo.add(hst.globals[:, grp.own(part)], lst.globals,
+                            high._project(kind, hst.ids, part, k, 0, lst.potential))
             if failed:
                 raise failed[min(failed)]
         mat = coo.build(shape)
@@ -174,10 +176,10 @@ def lift_generators(high: DdrComplex, low: DdrComplex, index: int,
 
     Pipeline: exact CW generator g_j -> divided by the measures kappa (a
     degree-0 vector) -> curl/div extension E: ``l_j = E(g_j / kappa)``.
-    Certificate: kernel residual of the outgoing operator below
-    ``kernel_tol`` (relative).  The lifts are independent modulo the
-    incoming image by the cochain maps: if ``sum c_j l_j = d_k x``, the
-    reduction R (``RE = I``, commuting with d) gives
+    Certificate: a finite nonzero lift, with the kernel residual of the
+    outgoing operator below ``kernel_tol`` (relative).  The lifts are
+    independent modulo the incoming image by the cochain maps: if
+    ``sum c_j l_j = d_k x``, the reduction R (``RE = I``, commuting with d) gives
     ``sum c_j g_j / kappa = d_0 R x``, and the CW identification
     ``sum c_j g_j = d_CW (kappa' R x)``, which the exact certificate of
     :func:`.cohomology_generators` rules out unless every ``c_j`` is 0.
@@ -210,8 +212,11 @@ def lift_generators(high: DdrComplex, low: DdrComplex, index: int,
     vectors, certs = [], []
     for j, g in enumerate(gens):
         lifted = ext_mat @ (np.asarray(g, dtype=float) / measures)
-        res = float(np.linalg.norm(high.operator(outgoing.name) @ lifted))
-        rel = res / max(np.linalg.norm(lifted), 1e-300)
+        norm = float(np.linalg.norm(lifted))
+        if norm in (0.0, np.inf):      # a NaN lift fails on its NaN residual
+            raise CertificationError(f"lifted generator {j}: "
+                                     + ("zero lift" if norm == 0 else "lift of infinite norm"))
+        rel = float(np.linalg.norm(high.operator(outgoing.name) @ lifted)) / norm
         if not rel <= kernel_tol:
             raise CertificationError(
                 f"lifted generator {j}: kernel residual {rel:.3e} above {kernel_tol:.1e}")

@@ -72,9 +72,6 @@ class Mesh:
     def element_vertices(self, t: int) -> tuple[int, ...]:
         return tuple(sorted({v for f in self.element_faces[t] for v in self.face_loops[f]}))
 
-    def element_edges(self, t: int) -> tuple[int, ...]:
-        return tuple(sorted({e for f in self.element_faces[t] for e in self.face_edges[f]}))
-
 
 def _build_mesh(vertices: np.ndarray,
                 face_loops: list[tuple[int, ...]],
@@ -365,32 +362,42 @@ def checked_entity(mesh: Mesh, kind: str, index) -> int:
     return int(index)
 
 
-def closure(mesh, kind: str, entity: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Vertices, edges, faces and cells of one entity's closure, in local order."""
+def _unique_rows(a: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` ascending without repeats; every row keeps as many."""
+    a = np.sort(a, axis=1)
+    keep = np.ones(a.shape, dtype=bool)
+    keep[:, 1:] = a[:, 1:] != a[:, :-1]
+    return a[keep].reshape(len(a), -1)
+
+
+def group_closure(mesh: Mesh, kind: str, ids) -> tuple[np.ndarray, ...]:
+    """The closures of a size group ``ids`` of edges, faces or cells (see
+    :func:`size_groups`), as four (G, .) arrays: their vertices, edges,
+    faces and cells, each row ascending (an edge's vertices are)."""
+    ids = np.asarray(ids)[:, None]
     if kind == "edge":
-        return [int(v) for v in mesh.edges[entity]], [entity], [], []
-    if kind == "face":
-        return (sorted(set(mesh.face_loops[entity])), sorted(mesh.face_edges[entity]),
-                [entity], [])
-    if kind == "cell":
-        return (list(mesh.element_vertices(entity)), list(mesh.element_edges(entity)),
-                sorted(mesh.element_faces[entity]), [entity])
-    raise DomainError(f"no restriction to entity kind {kind!r}")
+        return mesh.edges[ids[:, 0]], ids, ids[:, :0], ids[:, :0]
+    faces = ids if kind == "face" else np.asarray([mesh.element_faces[t] for t in ids[:, 0]])
+    return (*(_unique_rows(np.asarray([[x for f in row for x in table[f]] for row in faces]))
+              for table in (mesh.face_loops, mesh.face_edges)),
+            np.sort(faces, axis=1), ids if kind == "cell" else ids[:, :0])
 
 
 def size_groups(mesh: Mesh, kind: str) -> list[np.ndarray]:
     """The entities of one kind whose local arrays have equal sizes, each
     group in index order, groups in order of their first entity.
 
-    Entities group together when their closures have equal vertex, edge and
-    face counts and their faces, in element-face order, equal loop lengths;
-    these fix every local dof count and quadrature rule size.
+    Entities group together when their faces (a face is its own), in
+    element-face order, have equal loop lengths and, on elements, their
+    vertex counts are equal.  These fix the closure counts (each edge of an
+    element lies on two of its faces), so every local dof count and
+    quadrature rule size.
     """
     groups: dict[tuple, list[int]] = {}
     for i in range(entity_count(mesh, kind)):
         faces = (i,) if kind == "face" else mesh.element_faces[i] if kind == "cell" else ()
-        key = (tuple(map(len, closure(mesh, kind, i))),
-               tuple(len(mesh.face_loops[f]) for f in faces))
+        key = (tuple(len(mesh.face_loops[f]) for f in faces),
+               len(mesh.element_vertices(i)) if kind == "cell" else 0)
         groups.setdefault(key, []).append(i)
     return [np.asarray(ids) for ids in groups.values()]
 

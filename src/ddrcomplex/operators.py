@@ -6,9 +6,8 @@ polynomial test functions, boundary terms feed in the traces built on the
 lower-dimensional entities.  All defining systems are dense Gram or pairing
 systems, one per entity; global operators collect the local blocks into
 sparse matrices with deterministic (entity-index ascending) ordering.  Every
-local operator is one :class:`LocalOps` record, which keeps its moment system
-(:class:`Moments`) for the extensions of :mod:`.lifting` to solve with
-degree-0 data.
+local operator is built with its moment system, which the extensions of
+:mod:`.lifting` solve with degree-0 data.
 :data:`OPERATORS` describes the complex once, operator by operator and entity
 kind by entity kind; assembly, extensions and checks all loop over it.
 
@@ -16,17 +15,18 @@ Local operators are built in stacked passes.  :func:`.mesh.size_groups`
 splits the entities of one kind into groups whose arrays have equal sizes
 (closure counts, and face-loop lengths in element-face order, which also fix
 the quadrature rule sizes).  The first access to any entity's operator builds
-every group of its kind: a leading entity axis runs through the boundary
-evaluations, the moment right-hand sides, the guarded solves, and later the
-projections and the global COO adds.  :meth:`DdrComplex.edge_ops` ...
-:meth:`DdrComplex.cell_div_ops` return records whose arrays are read-only
-views into their group's stacks; :meth:`DdrComplex.stacks` returns the
-stacks themselves, which global assembly, the extensions of :mod:`.lifting`,
-interpolation, the consistency sweep of :mod:`.verification` and the VTK
-potentials of :mod:`.cli` read a group at a time.  A solve that fails its
-condition-number guard names the lowest-index failing entity and that
-entity's first failing solve, as a build entity by entity would.  The
-builders evaluate each entity basis once per point set, at the highest
+every group of its kind: a leading entity axis runs through the global
+numbers of the local dofs (:meth:`.DofLayout.closure_dofs`) and the local
+positions read from them, the boundary evaluations, the moment right-hand
+sides, the guarded solves, and later the projections and the global COO
+adds.  :meth:`DdrComplex.stacks` returns each group's :class:`Stack`, which
+global assembly, the extensions of :mod:`.lifting`, the consistency sweep of
+:mod:`.verification` and the VTK potentials of :mod:`.cli` read by field, a
+group at a time; :meth:`DdrComplex.edge_ops` ... :meth:`DdrComplex.cell_div_ops`
+return one entity's :class:`LocalOps`, views into its group's stack made on
+demand.  A solve that fails its condition-number guard names the lowest-index
+failing entity and that entity's first failing solve, as a build entity by
+entity would.  The builders evaluate each entity basis once per point set, at the highest
 degree they read of it (k+2 on faces, k+1 on edges and elements; lower
 degrees are column slices), and each entity's Gram matrices are slices of
 one top-degree Gram.  Interpolation, the consistency sweep and the VTK
@@ -42,13 +42,14 @@ operators, and assembled global matrices for one (mesh, orientation, degree).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partialmethod
 
 import numpy as np
 
 from . import monomials as mono
 from .errors import ConditioningError, DomainError
 from .homology import _signed_incidences
-from .layouts import KINDS, PARTS, DofLayout, LocalMap, entity_count
+from .layouts import KINDS, PARTS, DofLayout, entity_count
 from .mesh import Mesh, OrientationTable, checked_entity, size_groups
 from .quadrature import QuadratureRule, rule_stack
 from .spaces import frame_dot, frame_moments, span_matrix, stacked_solve
@@ -56,32 +57,42 @@ from .sparse import CsrMatrix
 
 
 @dataclass(frozen=True)
-class Moments:
-    """The moment system ``mass @ op = rhs`` that defines a local operator.
+class LocalOps:
+    """One entity's local operator, the potential built with it, and the
+    operator's moment system ``mass @ op = rhs``: read-only views into its
+    size group's :class:`Stack`.
 
+    ``globals`` are the global numbers of the local dofs, those on the
+    entity's closure, ascending; ``op`` maps the local dofs to the
+    operator's target polynomials.  ``potential`` holds the edge or face
+    scalar trace (to P^(k+1)), the face tangential trace or the element curl
+    or divergence potential (to vP^k); the element gradient has none.
     ``mass`` is the Gram matrix of the operator's target space; ``rhs`` holds
     the tested integration-by-parts terms, one column per local dof.
     """
 
+    globals: np.ndarray
+    op: np.ndarray
+    potential: np.ndarray | None
     mass: np.ndarray
     rhs: np.ndarray
 
 
 @dataclass(frozen=True)
-class LocalOps:
-    """One entity's local operator, the potential built with it, and the
-    operator's moment system.
+class Stack(LocalOps):
+    """One builder's size group: its entities ``ids`` (G,) and the arrays of
+    their LocalOps, stacked along a leading entity axis."""
 
-    ``op`` maps the local dofs of ``lmap`` to the operator's target
-    polynomials.  ``potential`` holds the edge or face scalar trace (to
-    P^(k+1)), the face tangential trace or the element curl or divergence
-    potential (to vP^k); the element gradient has none.
-    """
+    ids: np.ndarray
 
-    lmap: LocalMap
-    op: np.ndarray
-    potential: np.ndarray | None
-    moments: Moments
+
+def _positions(globals_: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Where the numbers ``wanted`` (G, n) sit in the ascending rows of
+    ``globals_`` (G, m), row by row: one search of the rows laid end to end,
+    each shifted above the one before."""
+    row = np.arange(len(globals_))[:, None]
+    shift = (int(globals_.max()) + 1) * row
+    return np.searchsorted((globals_ + shift).ravel(), wanted + shift) - globals_.shape[1] * row
 
 
 @dataclass(frozen=True)
@@ -141,12 +152,14 @@ def _add_columns(target: np.ndarray, cols: np.ndarray, block: np.ndarray) -> Non
 
 @dataclass(frozen=True)
 class _Group:
-    """Entities of one kind built together, and the first failure of each
-    failing entity of the kind (entity index -> ConditioningError)."""
+    """Entities of one kind built together, the global numbers of their
+    local dofs, and the first failure of each failing entity of the kind
+    (entity index -> ConditioningError)."""
 
     kind: str
     ids: np.ndarray
-    lmaps: list[LocalMap]
+    layout: DofLayout
+    globals: np.ndarray       # (G, m): DofLayout.closure_dofs
     failed: dict[int, ConditioningError]
 
     def solve(self, system: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -159,7 +172,7 @@ class _Group:
     def own(self, part: str) -> np.ndarray:
         """Local positions of the entities' own ``part`` unknowns (the same
         for every member: an entity's own components come last)."""
-        return self.lmaps[0].local_indices(self.kind, int(self.ids[0]), part)
+        return _positions(self.globals[:1], self.layout.indices(self.kind, self.ids[:1], part))[0]
 
 
 class _Coo:
@@ -225,11 +238,10 @@ class DdrComplex:
         self._rules: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._top_grams: dict[str, np.ndarray] = {}
         self._means: dict[str, np.ndarray] = {}
-        # per entity kind: size groups; per builder: every entity's record,
-        # and each group's entities with their local maps and stacked arrays
-        self._groups: dict[str, list[np.ndarray]] = {}
-        self._ops: dict[str, list[LocalOps]] = {}
-        self._stacks: dict[str, list[tuple]] = {}
+        # per entity kind: size groups and where each entity sits in them;
+        # per builder: each group's stacks
+        self._groups: dict[str, tuple[list[np.ndarray], np.ndarray]] = {}
+        self._stacks: dict[str, list[Stack]] = {}
         self._globals: dict[str, CsrMatrix] = {}
 
     # -- cached geometry-level objects ------------------------------------
@@ -315,8 +327,16 @@ class DdrComplex:
         return self._top_grams[kind]
 
     def _size_groups(self, kind: str) -> list[np.ndarray]:
+        return self._grouping(kind)[0]
+
+    def _grouping(self, kind: str) -> tuple[list[np.ndarray], np.ndarray]:
+        """A kind's size groups, and each entity's group and row in it (2, n)."""
         if kind not in self._groups:
-            self._groups[kind] = size_groups(self.mesh, kind)
+            groups = size_groups(self.mesh, kind)
+            where = np.empty((2, entity_count(self.mesh, kind)), dtype=int)
+            for g, ids in enumerate(groups):
+                where[0, ids], where[1, ids] = g, np.arange(len(ids))
+            self._groups[kind] = groups, where
         return self._groups[kind]
 
     def _grams(self, kind: str, ids, deg_a: int, deg_b: int,
@@ -380,33 +400,28 @@ class DdrComplex:
         return out
 
     # -- local operators ------------------------------------------------------
-    # edge_ops ... cell_div_ops are the blocks of OPERATORS; each returns a
-    # LocalOps.  Face and element gradient are one integration by parts, as
-    # are the face curl and the element divergence with their potentials.
+    # edge_ops ... cell_div_ops are the blocks of OPERATORS; each returns one
+    # entity's LocalOps, views into its group's Stack made on demand.  Face
+    # and element gradient are one integration by parts, as are the face curl
+    # and the element divergence with their potentials.
 
-    def edge_ops(self, e: int) -> LocalOps:
-        return self._records("edge_ops")[e]
+    def _view(self, builder: str, index: int) -> LocalOps:
+        st, g = self._find(builder, checked_entity(self.mesh, _BLOCKS[builder][0], index))
+        return LocalOps(*(None if a is None else a[g] for a in
+                          (st.globals, st.op, st.potential, st.mass, st.rhs)))
 
-    def face_grad_ops(self, f: int) -> LocalOps:
-        return self._records("face_grad_ops")[f]
+    edge_ops = partialmethod(_view, "edge_ops")
+    face_grad_ops = partialmethod(_view, "face_grad_ops")
+    cell_grad_ops = partialmethod(_view, "cell_grad_ops")
+    face_curl_ops = partialmethod(_view, "face_curl_ops")
+    cell_curl_ops = partialmethod(_view, "cell_curl_ops")
+    cell_div_ops = partialmethod(_view, "cell_div_ops")
 
-    def cell_grad_ops(self, t: int) -> LocalOps:
-        return self._records("cell_grad_ops")[t]
-
-    def face_curl_ops(self, f: int) -> LocalOps:
-        return self._records("face_curl_ops")[f]
-
-    def cell_curl_ops(self, t: int) -> LocalOps:
-        return self._records("cell_curl_ops")[t]
-
-    def cell_div_ops(self, t: int) -> LocalOps:
-        return self._records("cell_div_ops")[t]
-
-    def _records(self, builder: str) -> list[LocalOps]:
-        """Every entity's LocalOps of one builder, built on first use, one
-        stacked pass per size group.  A failing solve raises for the lowest
-        failing entity once every group is built."""
-        if builder not in self._ops:
+    def stacks(self, builder: str) -> list[Stack]:
+        """One builder's size groups, built on first use, one stacked pass
+        per group.  A failing solve raises for the lowest failing entity
+        once every group is built."""
+        if builder not in self._stacks:
             kind, space = _BLOCKS[builder]
             build = {"edge_ops": self._edge_stack,
                      "face_grad_ops": self._grad_stack, "cell_grad_ops": self._grad_stack,
@@ -415,46 +430,39 @@ class DdrComplex:
                      "cell_div_ops": lambda grp: self._curl_div_stack(
                          grp, lambda degree: mono.grad_matrix(3, degree), 1)}[builder]
             layout = self.layout(space)
-            records: list[LocalOps] = [None] * entity_count(self.mesh, kind)
             stacks, failed = [], {}
             for ids in self._size_groups(kind):
-                grp = _Group(kind, ids, [layout.restriction(kind, int(i)) for i in ids], failed)
-                op, potential, mass, rhs = build(grp)
-                _read_only(op, potential, mass, rhs)
-                for g, (i, lmap) in enumerate(zip(ids, grp.lmaps)):
-                    records[i] = LocalOps(lmap, op[g], None if potential is None else potential[g],
-                                          Moments(mass[g], rhs[g]))
-                globals_ = _read_only(np.stack([lmap.globals for lmap in grp.lmaps]))
-                stacks.append((ids, grp.lmaps, globals_, op, potential, mass, rhs))
+                grp = _Group(kind, ids, layout, _read_only(layout.closure_dofs(kind, ids)), failed)
+                arrays = build(grp)
+                _read_only(*arrays)
+                stacks.append(Stack(grp.globals, *arrays, ids))
             if failed:
                 raise failed[min(failed)]
-            self._ops[builder], self._stacks[builder] = records, stacks
-        return self._ops[builder]
-
-    def stacks(self, builder: str) -> list[tuple]:
-        """One builder's size groups, each ``(ids, lmaps, globals, op,
-        potential, mass, rhs)``: the entities, their local maps, the global
-        numbers of their local dofs (G, m), and the read-only stacks their
-        LocalOps view."""
-        self._records(builder)
+            self._stacks[builder] = stacks
         return self._stacks[builder]
 
     def _sub_data(self, grp: _Group, sub_builder: str, subs: np.ndarray):
-        """Per member, where one boundary sub-entity's local dofs sit in the
-        member's (G, m) and the sub-entity's potentials (G, ., m)."""
-        records = self._records(sub_builder)
-        return (np.stack([lmap.embed(records[s].lmap) for lmap, s in zip(grp.lmaps, subs)]),
-                np.stack([records[s].potential for s in subs]))
+        """Where the local dofs of each member's boundary sub-entity ``subs``
+        (G,) sit among the member's (G, m), and the sub-entities' potentials
+        (G, ., m): the sub-entities of one column of a size group's
+        boundary share a size group."""
+        st, rows = self._find(sub_builder, subs)
+        return _positions(grp.globals, st.globals[rows]), st.potential[rows]
+
+    def _find(self, builder: str, ids) -> tuple[Stack, np.ndarray]:
+        """The stack of ``builder`` holding the entities ``ids``, all of one
+        size group, and their rows in it."""
+        group, rows = self._grouping(_BLOCKS[builder][0])[1][:, ids]
+        return self.stacks(builder)[np.ravel(group)[0]], rows
 
     def _edge_stack(self, grp: _Group):
         k, ids = self.k, grp.ids
-        count, nloc = len(ids), grp.lmaps[0].total
+        count, nloc = len(ids), grp.globals.shape[1]
         ends = self.mesh.edges[ids]                                     # (G, 2)
         phi_ends = self._eval("edge", ids, self.mesh.vertices[ends])    # (G, 2, k+3)
         g_mm = self._grams("edge", ids, k - 1, k - 1)
         g_m1 = self._grams("edge", ids, k - 1, k + 1)
-        c_v = np.asarray([[lmap.local_indices("vertex", int(v), "val")[0] for v in vs]
-                          for lmap, vs in zip(grp.lmaps, ends)])        # (G, 2)
+        c_v = _positions(grp.globals, grp.layout.indices("vertex", ends, "val")[..., 0])
         c_qe = grp.own("poly")
         every = np.arange(count)
 
@@ -490,7 +498,7 @@ class DdrComplex:
         div_k = mono.div_matrix(dim, k) * inv_h
         g_mm = self._grams(kind, ids, k - 1, k - 1)
 
-        b = np.zeros((len(ids), dim * nk, grp.lmaps[0].total))
+        b = np.zeros((len(ids), dim * nk, grp.globals.shape[1]))
         (own, _), = PARTS["Xgrad"][kind]
         c_own = grp.own(own)
         if c_own.size:
@@ -557,7 +565,7 @@ class DdrComplex:
         k, kind, ids = self.k, grp.kind, grp.ids
         dim = KINDS.index(kind)
         sub = KINDS[dim - 1]
-        space = grp.lmaps[0].layout.space
+        space = grp.layout.space
         (image, _), (complement, _) = PARTS[space][kind]
         name = next(op.name for op in OPERATORS if op.source == space)
         inv_h = (1.0 / self.orient.geometry(kind).diameter[ids])[:, None, None]
@@ -567,7 +575,7 @@ class DdrComplex:
         img = span_matrix(image, dim, k - 1)
         vg_mm = self._grams(kind, ids, k - 1, k - 1, vector=True)
 
-        b = np.zeros((len(ids), nk, grp.lmaps[0].total))
+        b = np.zeros((len(ids), nk, grp.globals.shape[1]))
         c_img = grp.own(image)
         if c_img.size:
             b[:, :, c_img] = -sign * (img.T @ vg_mm @ deriv_k).swapaxes(1, 2)
@@ -576,8 +584,7 @@ class DdrComplex:
         boundary = []
         for j in range(subs.shape[1]):
             pts, weights = self._points(sub, subs[:, j])
-            c_s = np.stack([lmap.local_indices(sub, int(s), "poly")
-                            for lmap, s in zip(grp.lmaps, subs[:, j])])
+            c_s = _positions(grp.globals, grp.layout.indices(sub, subs[:, j], "poly"))
             phi_s = self._eval(sub, subs[:, j], pts)[..., :_n(sub, k)]
             wphi_s = weights[:, :, None] * phi_s                 # (G, q, n_k of s)
             phi = self._eval(kind, ids, pts)                     # (G, q, top)
@@ -607,7 +614,7 @@ class DdrComplex:
         r = span_matrix(image, 3, k - 1)
         vg_mm = self._grams("cell", ids, k - 1, k - 1, vector=True)
 
-        b = np.zeros((count, 3 * nk, grp.lmaps[0].total))
+        b = np.zeros((count, 3 * nk, grp.globals.shape[1]))
         c_r = grp.own(image)
         if c_r.size:
             b[:, :, c_r] = (r.T @ vg_mm @ curl_k).swapaxes(1, 2)
@@ -660,11 +667,11 @@ class DdrComplex:
             coo = _Coo()
             for block in op.blocks:
                 parts = PARTS[op.target][block.kind]
-                for ids, _, cols, ops, *_ in self.stacks(block.builder):
+                for st in self.stacks(block.builder):
                     for part, shift in parts:
-                        rows = tgt.indices(block.kind, ids, part)
-                        coo.add(rows, cols, ops if len(parts) == 1 else self._project(
-                            block.kind, ids, part, self.k + shift, self.k, ops))
+                        rows = tgt.indices(block.kind, st.ids, part)
+                        coo.add(rows, st.globals, st.op if len(parts) == 1 else self._project(
+                            block.kind, st.ids, part, self.k + shift, self.k, st.op))
             self._globals[which] = coo.build((tgt.total, self.layout(op.source).total))
         return self._globals[which]
 
@@ -715,9 +722,10 @@ class DdrComplex:
         """Interpolate of the constant 1 (the complex head applied to 1)."""
         lay = self.layout("Xgrad")
         out = np.zeros(lay.total)
-        for c in lay.components:
-            if c.dim:
-                out[c.offset] = 1.0   # constant monomial is the first basis member
+        for kind, ((part, _),) in PARTS["Xgrad"].items():
+            # the constant monomial is the first basis member
+            if lay.dim(kind, part):
+                out[lay.indices(kind, np.arange(entity_count(self.mesh, kind)), part)[:, 0]] = 1.0
         return out
 
 

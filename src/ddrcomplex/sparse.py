@@ -3,8 +3,8 @@
 :class:`CsrMatrix` holds what the package needs of a sparse matrix and no
 more: assembly from COO triplets (duplicates summed) or from a diagonal,
 densification, products with dense arrays and with other CSR matrices,
-differences of two CSR matrices, and a dense gather of a ``(rows, cols)``
-block.  Entries are float64.
+differences of two CSR matrices, and dense gathers of ``(rows, cols)``
+blocks.  Entries are float64.
 
 Every sum is formed in a fixed order, the one of the classic CSR kernels
 (scipy's ``sparsetools``): each output entry starts from 0 and accumulates its
@@ -97,26 +97,33 @@ class CsrMatrix:
         return out
 
     def gather(self, rows, cols) -> np.ndarray:
-        """The dense block ``A[rows][:, cols]``, in C order."""
+        """The dense block ``A[rows][:, cols]``, in C order.  Leading axes of
+        ``rows`` and ``cols`` (equal) stack blocks: ``out[g]`` is the block
+        of ``rows[g]`` and ``cols[g]``."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        order = np.argsort(cols, kind="stable")
-        wanted = cols[order]
+        lead, m, n = rows.shape[:-1], rows.shape[-1], cols.shape[-1]
+        count, rows = int(np.prod(lead)), rows.ravel()
+        # each block's columns keyed by (block, column): one search for all
+        keys = (np.arange(count)[:, None] * self.shape[1] + cols.reshape(count, n)).ravel()
+        order = np.argsort(keys, kind="stable")
+        wanted = keys[order]
         lens = self.indptr[rows + 1] - self.indptr[rows]
         pos = _ranges(self.indptr[rows], lens)
-        out = np.zeros((len(rows), len(cols)))
-        if len(pos) and len(cols):
-            found = self.indices[pos]
-            at = np.minimum(np.searchsorted(wanted, found), len(cols) - 1)
-            hit = wanted[at] == found
+        out = np.zeros((count, m, n))
+        if len(pos) and len(wanted):
             block_rows = np.repeat(np.arange(len(rows)), lens)
-            out[block_rows[hit], order[at[hit]]] = self.data[pos[hit]] + 0.0
-            # a repeated column copies its first occurrence
+            found = block_rows // m * self.shape[1] + self.indices[pos]
+            at = np.minimum(np.searchsorted(wanted, found), len(wanted) - 1)
+            hit = wanted[at] == found
+            out.reshape(-1, n)[block_rows[hit], order[at[hit]] % n] = self.data[pos[hit]] + 0.0
+            # a repeated column copies its first occurrence in its block
             first = np.searchsorted(wanted, wanted)
-            repeated = first != np.arange(len(cols))
+            repeated = first != np.arange(len(wanted))
             if repeated.any():
-                out[:, order[repeated]] = out[:, order[first[repeated]]]
-        return out
+                (g, c), (_, c0) = (np.divmod(order[i], n) for i in (repeated, first[repeated]))
+                out[g, :, c] = out[g, :, c0]
+        return out.reshape(*lead, m, n)
 
     def __matmul__(self, other):
         if isinstance(other, CsrMatrix):

@@ -272,8 +272,9 @@ def _kernel_coordinates(complex_: DdrComplex, space: str) -> KernelCoordinates:
         ents = np.arange(entity_count(mesh, kind))
         for part, _ in parts:
             owner[layout.indices(kind, ents, part)] = (first[kind] + ents)[:, None]
-    # the carriers' components lead the layout, one after another
-    leads = np.arange(entity_count(mesh, CARRIERS[space])) * layout.components[0].dim
+    carrier = CARRIERS[space]
+    ((part, _),) = PARTS[space][carrier]     # the leads: each carrier's first unknown
+    leads = layout.indices(carrier, np.arange(entity_count(mesh, carrier)), part)[:, 0]
     index = np.zeros(layout.total, dtype=np.int64)
     index[leads] = -1
     kept = index == 0
@@ -284,7 +285,7 @@ def _kernel_coordinates(complex_: DdrComplex, space: str) -> KernelCoordinates:
 
 def _own_counts(complex_: DdrComplex) -> dict[str, dict[str, int]]:
     """Per space and entity kind, the own ker R coordinates of one entity."""
-    return {space: {kind: sum(complex_.layout(space).component(kind, 0, part).dim
+    return {space: {kind: sum(complex_.layout(space).dim(kind, part)
                               for part, _ in parts) - (kind == CARRIERS[space])
                     for kind, parts in PARTS[space].items()} for space in SPACES}
 
@@ -824,14 +825,15 @@ def check_consistency(s: VerifySession) -> list[CheckResult]:
         """The (monomial, entity) residual table of one row."""
         out = np.empty((len(alphas), entity_count(s.mesh, kind)))
         frames = s.orient.geometry(kind).frame
-        for ids, _, dofs, op, potential, *_ in high.stacks(builder):
+        for st in high.stacks(builder):
+            ids, dofs = st.ids, st.globals
             for part in _point_stacks(kind, ids):
                 sub = ids[part]
                 pts = high._points(kind, sub)[0]
                 flat = pts.reshape(-1, 3)
                 phi = high._eval(kind, sub, pts, k + 1 if trace else k)
                 for a, (vec, alpha) in enumerate(zip(vecs(), alphas)):
-                    coeffs = (potential if trace else op)[part] @ vec[dofs[part]][..., None]
+                    coeffs = (st.potential if trace else st.op)[part] @ vec[dofs[part]][..., None]
                     if trace:
                         approx, exact = phi @ coeffs, fields[a](flat).reshape(*pts.shape[:2], 1)
                     else:

@@ -86,10 +86,16 @@ def dense_rank_raise(incoming, vectors) -> tuple[int, int]:
 
 @st.composite
 def voxel_patterns(draw):
-    """Blocks of at most 3x3x2 cells with up to four cells removed, kept when
-    still face-connected (so that ``build_voxel_mesh`` accepts them)."""
-    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    """Blocks of at most 3x3x2 cells, some of them 3x3 slabs with the
+    through-column (1, 1, :) removed (a tunnel: b1 = 1), with up to four
+    more cells removed, kept when still face-connected (so that
+    ``build_voxel_mesh`` accepts them)."""
+    tunnel = draw(st.booleans())
+    shape = ((3, 3) if tunnel else (draw(st.integers(1, 3)), draw(st.integers(1, 3)))) + \
+        (draw(st.integers(1, 2)),)
     pattern = np.ones(shape, dtype=bool)
+    if tunnel:
+        pattern[1, 1, :] = False
     cells = [tuple(c) for c in np.argwhere(pattern)]
     for cell in draw(st.lists(st.sampled_from(cells), max_size=4, unique=True)):
         pattern[cell] = False

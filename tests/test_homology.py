@@ -223,3 +223,18 @@ def test_flipped_sign_breaks_cochain_build(cube):
     bad = corrupt_orientation(orient, "omega_tf:0:2")
     with pytest.raises(DdrError):
         build_cochain_complex(mesh, bad)
+
+
+def test_voxel_family_draws_holes():
+    # the draws the property tests see include domains with a tunnel, so
+    # their cross-checks meet nonzero cohomology
+    drawn = []
+
+    @given(voxel_patterns())
+    def collect(pattern):
+        mesh = build_voxel_mesh(pattern)
+        betti = betti_numbers(build_cochain_complex(mesh, compute_orientation(mesh)))
+        drawn.append((pattern.shape, betti.as_tuple()))
+
+    collect()
+    assert any(b1 >= 1 for _, (_, b1, _, _) in drawn), drawn

@@ -183,13 +183,13 @@ def test_potentials_reproduce_extended_constant_fields(k):
     vk = ext.matrix("Xcurl") @ (orient.edge_tangent @ const)
     ops = high.cell_curl_ops(0)
     vals = np.einsum("pax,a->px", basis.eval_vector(rule.points),
-                     ops.potential @ ops.lmap.gather(vk))
+                     ops.potential @ vk[ops.globals])
     assert np.abs(vals - const[None, :]).max() < 1e-11
 
     wk = ext.matrix("Xdiv") @ (orient.face_normal @ const)
     dops = high.cell_div_ops(0)
     vals = np.einsum("pax,a->px", basis.eval_vector(rule.points),
-                     dops.potential @ dops.lmap.gather(wk))
+                     dops.potential @ wk[dops.globals])
     assert np.abs(vals - const[None, :]).max() < 1e-11
 
 
@@ -239,6 +239,40 @@ def test_lift_fails_a_nan_residual():
                                     np.full_like(good.data, np.nan))
     with pytest.raises(CertificationError, match="kernel residual nan above"):
         lift_generators(high, low, 1, ext=ext)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("scale,cause", [(0.0, "zero lift"), (1e200, "lift of infinite norm")])
+def test_lift_fails_a_zero_or_infinite_lift(scale, cause):
+    # a zero lift has kernel residual 0 and used to be certified; a lift
+    # whose norm overflows would have residual inf / inf
+    high, low = complex_for("ring", 1), complex_for("ring", 0)
+    ext = ExtensionMaps(high, low)
+    good = ext.matrix("Xcurl")
+    ext._cache["Xcurl"] = CsrMatrix(good.shape, good.indptr, good.indices, scale * good.data)
+    with pytest.raises(CertificationError, match=f"^lifted generator 0: {cause}$"):
+        lift_generators(high, low, 1, ext=ext)
+
+
+def test_verify_names_a_zero_lift(monkeypatch, capsys):
+    # the battery runs on, exits 1, and its generators.h1 row names the cause
+    import ddrcomplex.lifting as lifting
+    from ddrcomplex import run_all
+    from ddrcomplex.cli import main
+
+    matrix = lifting.ExtensionMaps.matrix
+
+    def zero_curl(self, space):
+        mat = matrix(self, space)
+        return CsrMatrix.from_coo(mat.shape, [], [], []) if space == "Xcurl" else mat
+
+    monkeypatch.setattr(lifting.ExtensionMaps, "matrix", zero_curl)
+    report = run_all(*mesh_and_orientation("ring"), 1, ["generators"])
+    rows = {c.name: c for c in report.checks}
+    assert not report.passed and rows["generators.h2"].passed
+    assert rows["generators.h1"].error == "CertificationError: lifted generator 0: zero lift"
+    assert main(["verify", "--builtin", "ring", "--degree", "1", "--checks", "generators"]) == 1
+    assert "lifted generator 0: zero lift" in capsys.readouterr().out
 
 
 def test_lift_rejects_extensions_of_other_complexes():

@@ -35,12 +35,13 @@ from ddrcomplex import (
     zero_reduction_basis,
 )
 from ddrcomplex.cli import main
-from ddrcomplex.layouts import SPACES, closure, entity_count
+from ddrcomplex.layouts import SPACES, entity_count
 from ddrcomplex.quadrature import rule_stack
 from ddrcomplex.verification import VerifySession, check_consistency
 
 from conftest import complex_for, graded_block, mesh_and_orientation
 from test_general_meshes import l_prism, prism_pair
+from test_layouts import closure
 
 # (entity kind, builder), in build order
 BUILDERS = (
@@ -128,7 +129,7 @@ def _sweep(high, monkeypatch):
 
 
 def _arrays(ops):
-    out = [ops.op, ops.moments.mass, ops.moments.rhs]
+    out = [ops.op, ops.mass, ops.rhs]
     return out if ops.potential is None else out + [ops.potential]
 
 
@@ -161,7 +162,7 @@ def test_shared_blocks_match_fresh_builds(monkeypatch, name, k):
     for kind, builder in BUILDERS:
         for i in range(entity_count(mesh, kind)):
             a, b = getattr(stacked, builder)(i), getattr(alone, builder)(i)
-            assert np.array_equal(a.lmap.globals, b.lmap.globals)
+            assert np.array_equal(a.globals, b.globals)
             assert (a.potential is None) == (b.potential is None)
             worst = max([worst] + [_rel(x, y) for x, y in zip(_arrays(a), _arrays(b))])
     for which in ("gradient", "curl", "divergence"):
@@ -301,12 +302,12 @@ def test_fault_on_a_congruent_copy_exit_1(tmp_path, fault, k):
 
 
 def test_copies_share_read_only_arrays():
-    # the members of a stack view its arrays, each with its own local map
+    # the members of a stack view its arrays, each with its own dof numbers
     c = complex_for("ring", 1)
     a, b = c.edge_ops(3), c.edge_ops(7)
     for x, y in zip(_arrays(a), _arrays(b)):
         assert x.base is not None and x.base is y.base
-    assert a.lmap.globals.tolist() != b.lmap.globals.tolist()
+    assert a.globals.tolist() != b.globals.tolist()
     for arr in _arrays(a) + [c.means("edge")]:
         assert not arr.flags.writeable
 

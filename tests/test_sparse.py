@@ -112,6 +112,20 @@ def test_gather_matches_dense(shape, seed):
         assert got.flags["C_CONTIGUOUS"]
 
 
+@pytest.mark.parametrize("shape", [shape for shape in SHAPES if all(shape)])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gather_stacks_blocks_along_leading_axes(shape, seed):
+    # each block as the 2-D call gives it, repeated columns included
+    rng = np.random.default_rng(seed)
+    mat = random_csr(rng, shape)
+    m, n = shape
+    rows, cols = rng.integers(0, m, (2, 3, 4)), rng.integers(0, n, (2, 3, 5))
+    got = mat.gather(rows, cols)
+    assert got.shape == (2, 3, 4, 5) and got.flags["C_CONTIGUOUS"]
+    for g in np.ndindex(2, 3):
+        assert same_bits(got[g], mat.gather(rows[g], cols[g]))
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_products_match_dense(shape, seed):

@@ -393,7 +393,7 @@ def _pointwise_consistency(s):
         tagged = f"monomial x^{alpha[0]} y^{alpha[1]} z^{alpha[2]}"
         for e in range(s.mesh.n_edges):
             ops, rule = high.edge_ops(e), high.rule("edge", e)
-            loc = ops.lmap.gather(vec)
+            loc = vec[ops.globals]
             qv = np.asarray([q(p) for p in rule.points])
             tv = basis_of("edge", e, k + 1).eval(rule.points) @ (ops.potential @ loc)
             update("edge_trace", np.abs(tv - qv).max() / max(1.0, np.abs(qv).max()),
@@ -404,7 +404,7 @@ def _pointwise_consistency(s):
                    f"{tagged}, edge {e}")
         for f in range(s.mesh.n_faces):
             ops, rule = high.face_grad_ops(f), high.rule("face", f)
-            loc = ops.lmap.gather(vec)
+            loc = vec[ops.globals]
             qv = np.asarray([q(p) for p in rule.points])
             tv = basis_of("face", f, k + 1).eval(rule.points) @ (ops.potential @ loc)
             update("face_trace", np.abs(tv - qv).max() / max(1.0, np.abs(qv).max()),
@@ -419,7 +419,7 @@ def _pointwise_consistency(s):
             ops, rule = high.cell_grad_ops(t), high.rule("cell", t)
             gq = np.asarray([grad_q(p) for p in rule.points])
             basis = basis_of("cell", t, k)
-            gv = frame_values(basis.eval(rule.points), basis.frame, ops.op @ ops.lmap.gather(vec))
+            gv = frame_values(basis.eval(rule.points), basis.frame, ops.op @ vec[ops.globals])
             update("element_gradient", np.abs(gv - gq).max() / max(1.0, np.abs(gq).max()),
                    f"{tagged}, element {t}")
     return worst
@@ -593,8 +593,7 @@ def _holed(shape):
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_certified_generators_raise_the_dense_rank_on_voxel_patterns(k):
-    # the family's drawn examples all have b1 = b2 = 0, so two of its members
-    # with b1 = 1 are added
+    # two members with b1 = 1 are pinned, whatever the family draws
     @given(voxel_patterns())
     @example(_holed((3, 3, 1)))
     @example(_holed((3, 3, 2)))
@@ -611,14 +610,20 @@ def _transpose(mat):
 
 @pytest.mark.parametrize("broken", ["zero", "exact"])
 def test_lifts_of_a_broken_extension_fail_on_re_identity(broken):
-    # an Xcurl extension replaced by zero, or by G E_grad d0^T, whose lifts
-    # are exact, so that their kernel residual still passes: no rank is
-    # computed, and the failed premise RE = I fails generators.h1, named
+    # an Xcurl extension replaced by zero, whose zero lift fails generators.h1
+    # as such, or by G E_grad d0^T, whose lifts are exact, so that their
+    # kernel residual still passes: no rank is computed, and the failed
+    # premise RE = I fails generators.h1, named
     s = _session("ring", 1)
     shape = s.ext.matrix("Xcurl").shape
     s.ext._cache["Xcurl"] = (CsrMatrix.from_coo(shape, [], [], []) if broken == "zero" else
                              s.high.gradient @ s.ext.matrix("Xgrad") @ _transpose(s.cochain.d0))
-    (h1, h2), (lg, _) = check_generators(s)
+    (h1, h2), lifted = check_generators(s)
+    if broken == "zero":
+        assert not h1.passed and h2.passed and len(lifted) == 1
+        assert h1.error == "CertificationError: lifted generator 0: zero lift"
+        return
+    lg = lifted[0]
     assert not h1.passed and h1.error is None and h1.residual <= h1.tolerance
     assert h1.detail.startswith("1 generator(s), expected 1; premise cochain.RE_curl failed")
     assert h2.passed

@@ -21,7 +21,7 @@ the reports, messages, exit codes and VTK files are byte-identical.  The
 graded mesh (a 3x3x3 block on graded grid lines with its central cell
 removed, made with ``perfbench/meshgen.py``) has no two congruent elements,
 unlike the voxel builtins.  Each of those meshes has one size group of
-entities per kind (see ``operators.size_groups``); the prism pair (the unit
+entities per kind (see ``mesh.size_groups``); the prism pair (the unit
 cube cut along the plane x = y, ``tests/test_general_meshes.prism_pair``)
 has two groups of faces and two of elements, so code that pairs the groups
 of two complexes is gated too.  The sheared ring is the builtin ring at
