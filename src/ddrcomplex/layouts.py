@@ -77,12 +77,12 @@ class DofLayout:
             raise KeyError((kind, part))
         return (first + at + stride * entity)[..., None] + np.arange(dim)
 
-    def closure_dofs(self, kind: str, ids) -> np.ndarray:
+    def closure_dofs(self, kind: str, group) -> np.ndarray:
         """Global numbers (G, m) of the unknowns on the closures of a size
-        group ``ids`` of one kind: vertices, edges, faces, then the entity,
-        each kind's entities ascending and each entity's components in
-        layout order, so every row ascends."""
-        closure = dict(zip(KINDS, group_closure(self.mesh, kind, ids)))
+        group of one kind (:meth:`.Mesh.groups`): vertices, edges, faces,
+        then the entity, each kind's entities ascending and each entity's
+        components in layout order, so every row ascends."""
+        closure = dict(zip(KINDS, group_closure(self.mesh, kind, group)))
         return np.concatenate([((first + stride * closure[sub])[..., None] + np.arange(stride))
                                .reshape(len(closure[sub]), -1)
                                for sub, (first, stride, _) in self._kinds.items()], axis=1)

@@ -131,7 +131,7 @@ class ExtensionMaps:
             done = coo.build(shape)   # rows of lower-dimensional entities
             failed: dict[int, ConditioningError] = {}
             for hst, lst in zip(high.stacks(block.builder), low.stacks(block.builder)):
-                grp = _Group(kind, hst.ids, hlay, hst.globals, failed)
+                grp = _Group(kind, hst.group, hlay, hst.globals, failed)
                 # extended boundary rows; zero on the entities' own unknowns
                 known = done.gather(hst.globals, lst.globals)
                 # The degree-0 operator value is the constant coefficient

@@ -43,6 +43,8 @@ class Mesh:
     face_loops: tuple[tuple[int, ...], ...]  # CCW vertex loops
     element_faces: tuple[tuple[int, ...], ...]
     face_edges: tuple[tuple[int, ...], ...] = field(default=())      # derived
+    # kind -> (size groups, each entity's group and row (2, n)), built on first use
+    _groupings: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -72,6 +74,21 @@ class Mesh:
     def element_vertices(self, t: int) -> tuple[int, ...]:
         return tuple(sorted({v for f in self.element_faces[t] for v in self.face_loops[f]}))
 
+    def groups(self, kind: str) -> tuple[SizeGroup, ...]:
+        """The size groups of one kind (:func:`size_groups`), built once."""
+        if kind not in self._groupings:
+            groups = tuple(_size_group(self, kind, ids) for ids in size_groups(self, kind))
+            table = np.empty((2, entity_count(self, kind)), dtype=int)
+            for g, grp in enumerate(groups):
+                table[0, grp.ids], table[1, grp.ids] = g, np.arange(len(grp.ids))
+            self._groupings[kind] = groups, *_read_only(table)
+        return self._groupings[kind][0]
+
+    def group_table(self, kind: str) -> np.ndarray:
+        """Each entity's group in :meth:`groups` and its row there, (2, n)."""
+        self.groups(kind)
+        return self._groupings[kind][1]
+
 
 def _build_mesh(vertices: np.ndarray,
                 face_loops: list[tuple[int, ...]],
@@ -99,6 +116,12 @@ def _build_mesh(vertices: np.ndarray,
     face_edges = [tuple(edge_ids[(min(a, b), max(a, b))]
                         for a, b in zip(loop, loop[1:] + loop[:1]))
                   for loop in face_loops]
+    # a cycle of edges bounds one polygon: two faces on it are one face twice
+    first_on: dict[frozenset, int] = {}
+    for fi, edges in enumerate(face_edges):
+        fj = first_on.setdefault(frozenset(edges), fi)
+        if fj != fi:
+            raise MeshTopologyError(f"face {fi} has the same edges as face {fj}")
 
     nf = len(face_loops)
     face_elements: list[list[int]] = [[] for _ in range(nf)]
@@ -357,9 +380,17 @@ def checked_entity(mesh: Mesh, kind: str, index) -> int:
     """``index`` as an edge, face or cell of the mesh, else DomainError."""
     if kind not in KINDS[1:]:
         raise DomainError(f"unknown entity kind {kind!r}")
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise DomainError(f"{kind} index {index!r} is not an integer")
     if not 0 <= index < entity_count(mesh, kind):
         raise DomainError(f"no {kind} {index}: the mesh has {entity_count(mesh, kind)}")
     return int(index)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _unique_rows(a: np.ndarray) -> np.ndarray:
@@ -370,22 +401,47 @@ def _unique_rows(a: np.ndarray) -> np.ndarray:
     return a[keep].reshape(len(a), -1)
 
 
-def group_closure(mesh: Mesh, kind: str, ids) -> tuple[np.ndarray, ...]:
-    """The closures of a size group ``ids`` of edges, faces or cells (see
-    :func:`size_groups`), as four (G, .) arrays: their vertices, edges,
-    faces and cells, each row ascending (an edge's vertices are)."""
-    ids = np.asarray(ids)[:, None]
+class SizeGroup(namedtuple("SizeGroup", "ids faces owner start end edge")):
+    """A size group as read-only integer arrays: entities ``ids`` (G,), their
+    ``faces`` (G, nF) in element-face order (a face is its own column, an edge
+    has none) and fan table (G, S), faces in that order, each in loop order:
+    each fan triangle's face ``owner``, loop vertices ``start`` and ``end``
+    and the ``edge`` between them (``face_edges[f][i]`` joins ``loop[i]`` to
+    ``loop[i + 1]``)."""
+
+    def rows(self, at) -> SizeGroup:
+        """The members ``at`` (a slice or index array) as a group."""
+        return SizeGroup(*(a[at] for a in self))
+
+
+def _size_group(mesh: Mesh, kind: str, ids) -> SizeGroup:
+    """The arrays of a size group ``ids`` (G,) of one kind, from the mesh's tables."""
+    faces = (np.asarray([mesh.element_faces[t] for t in ids]) if kind == "cell"
+             else ids[:, None] if kind == "face" else np.empty((len(ids), 0), dtype=int))
+    fans = []
+    for column in faces.T:
+        loops = np.asarray([mesh.face_loops[f] for f in column])
+        fans.append((np.repeat(column[:, None], loops.shape[1], axis=1), loops,
+                     np.roll(loops, -1, axis=1), np.asarray([mesh.face_edges[f] for f in column])))
+    fan = [np.concatenate(part, axis=1) for part in zip(*fans)] or [faces] * 4
+    return SizeGroup(*_read_only(ids, faces, *fan))
+
+
+def group_closure(mesh: Mesh, kind: str, group: SizeGroup) -> tuple[np.ndarray, ...]:
+    """The closures of a size group of edges, faces or cells, as four
+    (G, .) arrays: their vertices, edges, faces and cells, each row
+    ascending (an edge's vertices are)."""
+    ids = group.ids[:, None]
     if kind == "edge":
-        return mesh.edges[ids[:, 0]], ids, ids[:, :0], ids[:, :0]
-    faces = ids if kind == "face" else np.asarray([mesh.element_faces[t] for t in ids[:, 0]])
-    return (*(_unique_rows(np.asarray([[x for f in row for x in table[f]] for row in faces]))
-              for table in (mesh.face_loops, mesh.face_edges)),
-            np.sort(faces, axis=1), ids if kind == "cell" else ids[:, :0])
+        return mesh.edges[group.ids], ids, ids[:, :0], ids[:, :0]
+    return (_unique_rows(group.start), _unique_rows(group.edge), np.sort(group.faces, axis=1),
+            ids if kind == "cell" else ids[:, :0])
 
 
 def size_groups(mesh: Mesh, kind: str) -> list[np.ndarray]:
     """The entities of one kind whose local arrays have equal sizes, each
-    group in index order, groups in order of their first entity.
+    group in index order, groups in order of their first entity (read once
+    per mesh and kind, by :meth:`Mesh.groups`).
 
     Entities group together when their faces (a face is its own), in
     element-face order, have equal loop lengths and, on elements, their
@@ -400,17 +456,6 @@ def size_groups(mesh: Mesh, kind: str) -> list[np.ndarray]:
                len(mesh.element_vertices(i)) if kind == "cell" else 0)
         groups.setdefault(key, []).append(i)
     return [np.asarray(ids) for ids in groups.values()]
-
-
-def face_fans(mesh: Mesh, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Face, start and end vertex of the fan triangles (G, S) of each row of
-    ``faces`` (G, m), in row and loop order; columns share loop lengths."""
-    parts = []
-    for column in np.asarray(faces).T:
-        loops = np.asarray([mesh.face_loops[f] for f in column])
-        parts.append((np.repeat(column[:, None], loops.shape[1], axis=1), loops,
-                      np.roll(loops, -1, axis=1)))
-    return tuple(np.concatenate(part, axis=1) for part in zip(*parts))
 
 
 # Centres (n, 3), diameters (n,), frames (n, dim, 3) and measures (n,) of a kind.
@@ -479,7 +524,7 @@ def _diameters(coords: np.ndarray) -> np.ndarray:
 def compute_orientation(mesh: Mesh, planarity_tol: float = 1e-9,
                         sign_tol: float = 1e-10) -> OrientationTable:
     """Derive tangents, normals, signs, measures, and centroids, one size
-    group of faces or elements at a time (:func:`size_groups`).  Dots and
+    group of faces or elements at a time (:meth:`Mesh.groups`).  Dots and
     norms are batched matmuls (:func:`row_dot`) and the element fan sums
     cumulative sums, so every entry rounds as in a pass entity by entity.
 
@@ -501,9 +546,9 @@ def compute_orientation(mesh: Mesh, planarity_tol: float = 1e-9,
     face_area, face_diameter = np.empty((2, nf))
     face_edge_sign, face_edge_normal = [()] * nf, [None] * nf
     failures: dict[int, str] = {}
-    for ids in size_groups(mesh, "face"):
-        _, start, end = face_fans(mesh, ids[:, None])
-        coords, nxt = verts[start], verts[end]                        # (G, L, 3)
+    for grp in mesh.groups("face"):
+        ids, edges = grp.ids, grp.edge
+        coords, nxt = verts[grp.start], verts[grp.end]                # (G, L, 3)
         rel = coords - coords[:, :1]
         normal_vec = 0.5 * np.cross(rel, np.roll(rel, -1, axis=1)).sum(axis=1)
         area = np.sqrt(row_dot(normal_vec, normal_vec))
@@ -520,7 +565,6 @@ def compute_orientation(mesh: Mesh, planarity_tol: float = 1e-9,
         t1 = coords[:, 1] - coords[:, 0]
         t1 = t1 - row_dot(t1, n)[:, None] * n
         t1 = t1 / np.where(zero | bent, 1.0, np.sqrt(row_dot(t1, t1)))[:, None]
-        edges = np.asarray([mesh.face_edges[f] for f in ids])
         normals = np.cross(n[:, None], edge_tangent[edges])           # (G, L, 3)
         dot = row_dot(normals, edge_midpoint[edges] - center[:, None])
         ambiguous = np.abs(dot) <= sign_tol * diam[:, None]
@@ -542,11 +586,10 @@ def compute_orientation(mesh: Mesh, planarity_tol: float = 1e-9,
     cell_volume, cell_diameter = np.empty((2, nt))
     cell_center = np.empty((nt, 3))
     cell_face_sign = [()] * nt
-    for ids in size_groups(mesh, "cell"):
-        coords = verts[[mesh.element_vertices(t) for t in ids]]       # (G, V, 3)
+    for grp in mesh.groups("cell"):
+        ids, faces, owner, start, end = grp.ids, grp.faces, grp.owner, grp.start, grp.end
+        coords = verts[_unique_rows(start)]                           # (G, V, 3)
         pmean = coords.mean(axis=1)[:, None]
-        faces = np.asarray([mesh.element_faces[t] for t in ids])
-        owner, start, end = face_fans(mesh, faces)
         # tetra fan (pmean, c_f, a, b), each with |signed volume| as stored
         # loop windings are arbitrary w.r.t. the element (pmean must see the
         # boundary: star-shaped elements), summed in fan order, not pairwise.

@@ -11,29 +11,30 @@ local operator is built with its moment system, which the extensions of
 :data:`OPERATORS` describes the complex once, operator by operator and entity
 kind by entity kind; assembly, extensions and checks all loop over it.
 
-Local operators are built in stacked passes.  :func:`.mesh.size_groups`
-splits the entities of one kind into groups whose arrays have equal sizes
-(closure counts, and face-loop lengths in element-face order, which also fix
-the quadrature rule sizes).  The first access to any entity's operator builds
-every group of its kind: a leading entity axis runs through the global
-numbers of the local dofs (:meth:`.DofLayout.closure_dofs`) and the local
-positions read from them, the boundary evaluations, the moment right-hand
-sides, the guarded solves, and later the projections and the global COO
-adds.  :meth:`DdrComplex.stacks` returns each group's :class:`Stack`, which
-global assembly, the extensions of :mod:`.lifting`, the consistency sweep of
-:mod:`.verification` and the VTK potentials of :mod:`.cli` read by field, a
-group at a time; :meth:`DdrComplex.edge_ops` ... :meth:`DdrComplex.cell_div_ops`
-return one entity's :class:`LocalOps`, views into its group's stack made on
-demand.  A solve that fails its condition-number guard names the lowest-index
-failing entity and that entity's first failing solve, as a build entity by
-entity would.  The builders evaluate each entity basis once per point set, at the highest
-degree they read of it (k+2 on faces, k+1 on edges and elements; lower
-degrees are column slices), and each entity's Gram matrices are slices of
-one top-degree Gram.  Interpolation, the consistency sweep and the VTK
+Local operators are built in stacked passes over the mesh's one grouping:
+:meth:`.Mesh.groups` gives the entities of a kind in groups of equal array
+sizes (closure counts, and face-loop lengths in element-face order, which
+also fix the rule sizes) with their faces and fans as integer arrays.  The
+first access to any entity's operator builds every group of its kind: a
+leading entity axis runs through the global numbers of the local dofs
+(:meth:`.DofLayout.closure_dofs`) and the local positions read from them,
+the boundary evaluations, the moment right-hand sides, the guarded solves,
+and later the projections and the global COO adds.  :meth:`DdrComplex.stacks`
+returns each group's :class:`Stack`, which global assembly, the extensions of
+:mod:`.lifting`, the consistency sweep of :mod:`.verification` and the VTK
+potentials of :mod:`.cli` read by field, a group at a time;
+:meth:`DdrComplex.edge_ops` ... :meth:`DdrComplex.cell_div_ops` return one
+entity's :class:`LocalOps`, views into its group's stack made on demand.  A
+solve that fails its condition-number guard names the lowest-index failing
+entity and that entity's first failing solve, as a build entity by entity
+would.  The builders evaluate each entity basis once per point set, at the
+highest degree they read of it (k+2 on faces, k+1 on edges and elements;
+lower degrees are column slices), and each entity's Gram matrices are slices
+of one top-degree Gram.  Interpolation, the consistency sweep and the VTK
 potentials evaluate a basis at the degree they read.  Quadrature points are
 stacked a size group at a time on edges and faces but one element at a time
 (:func:`_point_stacks`), so no stack holds the interior points of more than
-one element.  Each kind's rules are built the same way, into one store.
+one element; each size group's rules are mapped the same way, into one store.
 
 :class:`DdrComplex` memoizes quadrature rules, Gram matrices, local
 operators, and assembled global matrices for one (mesh, orientation, degree).
@@ -50,7 +51,7 @@ from . import monomials as mono
 from .errors import ConditioningError, DomainError
 from .homology import _signed_incidences
 from .layouts import KINDS, PARTS, DofLayout, entity_count
-from .mesh import Mesh, OrientationTable, checked_entity, size_groups
+from .mesh import Mesh, OrientationTable, SizeGroup, _read_only, checked_entity
 from .quadrature import QuadratureRule, rule_stack
 from .spaces import frame_dot, frame_moments, span_matrix, stacked_solve
 from .sparse import CsrMatrix
@@ -80,10 +81,11 @@ class LocalOps:
 
 @dataclass(frozen=True)
 class Stack(LocalOps):
-    """One builder's size group: its entities ``ids`` (G,) and the arrays of
-    their LocalOps, stacked along a leading entity axis."""
+    """One builder's size group, with its entities ``ids`` (G,), and the
+    arrays of their LocalOps, stacked along a leading entity axis."""
 
-    ids: np.ndarray
+    group: SizeGroup
+    ids = property(lambda self: self.group.ids)
 
 
 def _positions(globals_: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -132,13 +134,6 @@ OPERATORS = (
 _BLOCKS = {b.builder: (b.kind, op.source) for op in OPERATORS for b in op.blocks}
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        if a is not None:
-            a.setflags(write=False)
-    return arrays[0]
-
-
 def _label(kind: str, index: int) -> str:
     """An entity as solve and error messages name it."""
     return f"{'element' if kind == 'cell' else kind} {index}"
@@ -152,15 +147,16 @@ def _add_columns(target: np.ndarray, cols: np.ndarray, block: np.ndarray) -> Non
 
 @dataclass(frozen=True)
 class _Group:
-    """Entities of one kind built together, the global numbers of their
-    local dofs, and the first failure of each failing entity of the kind
-    (entity index -> ConditioningError)."""
+    """A size group of one kind built together, the global numbers of its
+    members' local dofs, and the first failure of each failing entity of the
+    kind (entity index -> ConditioningError)."""
 
     kind: str
-    ids: np.ndarray
+    group: SizeGroup
     layout: DofLayout
     globals: np.ndarray       # (G, m): DofLayout.closure_dofs
     failed: dict[int, ConditioningError]
+    ids = property(lambda self: self.group.ids)
 
     def solve(self, system: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
         out, errors = stacked_solve(system, rhs,
@@ -234,13 +230,11 @@ class DdrComplex:
         self.k = degree
         self.quad_degree = 2 * degree + 4
         self._layouts: dict[str, DofLayout] = {}
-        # per entity kind: the rule store, top-degree Grams, degree-k means
-        self._rules: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        # per entity kind: each size group's rules, top-degree Grams, degree-k means
+        self._rules: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._top_grams: dict[str, np.ndarray] = {}
         self._means: dict[str, np.ndarray] = {}
-        # per entity kind: size groups and where each entity sits in them;
-        # per builder: each group's stacks
-        self._groups: dict[str, tuple[list[np.ndarray], np.ndarray]] = {}
+        # per builder: the stacks of the mesh's size groups (Mesh.groups)
         self._stacks: dict[str, list[Stack]] = {}
         self._globals: dict[str, CsrMatrix] = {}
 
@@ -252,17 +246,17 @@ class DdrComplex:
         return self._layouts[space]
 
     def rule(self, kind: str, index: int) -> QuadratureRule:
-        """One entity's rule, a read-only view into its kind's store."""
+        """One entity's rule, a read-only view into its size group's rules."""
         index = checked_entity(self.mesh, kind, index)
-        points, weights, first, count = self._rule_store(kind)
-        at = slice(first[index], first[index] + count[index])
-        return QuadratureRule((kind, index), points[at], weights[at], self.quad_degree)
+        group, row = self.mesh.group_table(kind)[:, index]
+        points, weights = self._rule_store(kind)[group]
+        return QuadratureRule((kind, index), points[row], weights[row], self.quad_degree)
 
     def means(self, kind: str) -> np.ndarray:
         """Mean over each entity of one kind of each scalar degree-k basis
         monomial, (n, .), read-only."""
         if kind not in self._means:
-            self._means[kind] = _read_only(self._mean_stack(kind, slice(None), self.k))
+            self._means[kind], = _read_only(self._mean_stack(kind, slice(None), self.k))
         return self._means[kind]
 
     # -- stacked evaluation --------------------------------------------------
@@ -287,30 +281,22 @@ class DdrComplex:
         degree = self._top(kind) if degree is None else degree
         return mono.eval_monomials(dim, degree, y.reshape(-1, dim)).reshape(count, q, -1)
 
-    def _rule_store(self, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Quadrature points (P, 3) and weights (P,) of a kind's entities, and
-        each one's first point and point count: filled like a point stack."""
+    def _rule_store(self, kind: str) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Quadrature points (G, q, 3) and weights (G, q) of each size group
+        of a kind, mapped one point stack at a time."""
         if kind not in self._rules:
-            first, count = np.zeros((2, entity_count(self.mesh, kind)), dtype=int)
-            points, weights, size = [], [], 0
-            for ids in self._size_groups(kind):
-                for part in _point_stacks(kind, ids):
-                    pts, w = rule_stack(self.mesh, self.orient, kind, ids[part],
-                                        self.quad_degree)
-                    first[ids[part]] = size + w.shape[1] * np.arange(len(w))
-                    count[ids[part]] = w.shape[1]
-                    size += w.size
-                    points.append(pts.reshape(-1, 3))
-                    weights.append(w.ravel())
-            self._rules[kind] = (np.concatenate(points), np.concatenate(weights), first, count)
-            _read_only(*self._rules[kind])
+            self._rules[kind] = []
+            for grp in self.mesh.groups(kind):
+                parts = [rule_stack(self.mesh, self.orient, kind, grp.rows(p), self.quad_degree)
+                         for p in _point_stacks(kind, grp.ids)]
+                self._rules[kind].append(_read_only(*(np.concatenate(a) for a in zip(*parts))))
         return self._rules[kind]
 
     def _points(self, kind: str, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Quadrature points (G, q, 3) and weights (G, q) of equally sized rules."""
-        points, weights, first, count = self._rule_store(kind)
-        at = first[ids][:, None] + np.arange(count[ids[0]])
-        return points[at], weights[at]
+        """Quadrature points (G, q, 3) and weights (G, q) of entities of one size group."""
+        group, rows = self.mesh.group_table(kind)[:, ids]
+        points, weights = self._rule_store(kind)[group[0]]
+        return points[rows], weights[rows]
 
     def _top_gram(self, kind: str) -> np.ndarray:
         """The scalar Gram matrix at the top degree of every entity of one
@@ -318,26 +304,12 @@ class DdrComplex:
         if kind not in self._top_grams:
             size = _n(kind, self._top(kind))
             grams = np.empty((entity_count(self.mesh, kind), size, size))
-            for ids in self._size_groups(kind):
-                for part in _point_stacks(kind, ids):
-                    pts, weights = self._points(kind, ids[part])
-                    phi = self._eval(kind, ids[part], pts)
-                    grams[ids[part]] = phi.swapaxes(1, 2) @ (weights[:, :, None] * phi)
-            self._top_grams[kind] = _read_only(grams)
+            for grp, (points, weights) in zip(self.mesh.groups(kind), self._rule_store(kind)):
+                for part in _point_stacks(kind, grp.ids):
+                    phi = self._eval(kind, grp.ids[part], points[part])
+                    grams[grp.ids[part]] = phi.swapaxes(1, 2) @ (weights[part, :, None] * phi)
+            self._top_grams[kind], = _read_only(grams)
         return self._top_grams[kind]
-
-    def _size_groups(self, kind: str) -> list[np.ndarray]:
-        return self._grouping(kind)[0]
-
-    def _grouping(self, kind: str) -> tuple[list[np.ndarray], np.ndarray]:
-        """A kind's size groups, and each entity's group and row in it (2, n)."""
-        if kind not in self._groups:
-            groups = size_groups(self.mesh, kind)
-            where = np.empty((2, entity_count(self.mesh, kind)), dtype=int)
-            for g, ids in enumerate(groups):
-                where[0, ids], where[1, ids] = g, np.arange(len(ids))
-            self._groups[kind] = groups, where
-        return self._groups[kind]
 
     def _grams(self, kind: str, ids, deg_a: int, deg_b: int,
                vector: bool = False) -> np.ndarray:
@@ -376,10 +348,9 @@ class DdrComplex:
         n_F), in mesh order."""
         o, ids = self.orient, grp.ids
         if grp.kind == "face":
-            subs = np.asarray([self.mesh.face_edges[i] for i in ids])
-            return (subs, np.asarray([o.face_edge_sign[i] for i in ids], dtype=float),
+            return (grp.group.edge, np.asarray([o.face_edge_sign[i] for i in ids], dtype=float),
                     np.stack([o.face_edge_normal[i] for i in ids]))
-        subs = np.asarray([self.mesh.element_faces[i] for i in ids])
+        subs = grp.group.faces
         return (subs, np.asarray([o.cell_face_sign[i] for i in ids], dtype=float),
                 o.face_normal[subs])
 
@@ -431,11 +402,11 @@ class DdrComplex:
                          grp, lambda degree: mono.grad_matrix(3, degree), 1)}[builder]
             layout = self.layout(space)
             stacks, failed = [], {}
-            for ids in self._size_groups(kind):
-                grp = _Group(kind, ids, layout, _read_only(layout.closure_dofs(kind, ids)), failed)
+            for group in self.mesh.groups(kind):
+                grp = _Group(kind, group, layout, *_read_only(layout.closure_dofs(kind, group)), failed)
                 arrays = build(grp)
-                _read_only(*arrays)
-                stacks.append(Stack(grp.globals, *arrays, ids))
+                _read_only(*(a for a in arrays if a is not None))
+                stacks.append(Stack(grp.globals, *arrays, group))
             if failed:
                 raise failed[min(failed)]
             self._stacks[builder] = stacks
@@ -452,7 +423,7 @@ class DdrComplex:
     def _find(self, builder: str, ids) -> tuple[Stack, np.ndarray]:
         """The stack of ``builder`` holding the entities ``ids``, all of one
         size group, and their rows in it."""
-        group, rows = self._grouping(_BLOCKS[builder][0])[1][:, ids]
+        group, rows = self.mesh.group_table(_BLOCKS[builder][0])[:, ids]
         return self.stacks(builder)[np.ravel(group)[0]], rows
 
     def _edge_stack(self, grp: _Group):
@@ -701,7 +672,7 @@ class DdrComplex:
             row[vertex_dofs] = _field_values(field, self.mesh.vertices)
         for kind in KINDS[1:] if k else []:
             failed: dict[int, ConditioningError] = {}
-            for ids in self._size_groups(kind):
+            for ids in (grp.ids for grp in self.mesh.groups(kind)):
                 rhs = np.empty((len(fields), len(ids), _n(kind, k - 1), 1))
                 for part in _point_stacks(kind, ids):
                     pts, weights = self._points(kind, ids[part])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureDegreeError
-from .mesh import checked_entity, face_fans, row_dot
+from .mesh import _read_only, checked_entity, row_dot
 
 _MAX_GAUSS = 64
 
@@ -38,12 +38,6 @@ class QuadratureRule:
     def integrate(self, values: np.ndarray) -> np.ndarray:
         """Weighted sum along the first axis of pointwise values."""
         return np.tensordot(self.weights, values, axes=(0, 0))
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,28 +115,25 @@ def tetra_points(p0, p1, p2, p3, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return pts.reshape(-1, 3), (vol6[:, None] * w).ravel()
 
 
-def rule_stack(mesh, orientation, kind: str, ids, degree: int
+def rule_stack(mesh, orientation, kind: str, group, degree: int
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Points (G, q, 3) and weights (G, q) of the rules of the entities
-    ``ids`` of one kind whose rules have one size, as in a size group:
+    """Points (G, q, 3) and weights (G, q) of the rules of the members of
+    ``group``, rows of one size group of ``kind`` (:meth:`.Mesh.groups`):
     every segment or fan simplex of every member mapped at once.  A face's
     centroid must see its whole boundary, an element's its faces' fans."""
-    ids = np.asarray(ids)
+    ids = group.ids
     if kind == "edge":
         a, w = _gauss01(_npts(degree))
         p0, p1 = mesh.vertices[mesh.edges[ids]].swapaxes(0, 1)
         pts = p0[:, None] + a[:, None] * (p1 - p0)[:, None]
         w = np.sqrt(row_dot(p1 - p0, p1 - p0))[:, None] * w
     elif kind in ("face", "cell"):
-        faces = ids[:, None] if kind == "face" else np.asarray(
-            [mesh.element_faces[t] for t in ids])
-        owner, start, end = face_fans(mesh, faces)
-        corners = [x.reshape(-1, 3) for x in (orientation.face_center[owner],
-                                              mesh.vertices[start], mesh.vertices[end])]
+        corners = [x.reshape(-1, 3) for x in (orientation.face_center[group.owner],
+                                              *mesh.vertices[np.stack([group.start, group.end])])]
         if kind == "face":
             pts, w = triangle_points(*corners, degree)
         else:
-            apex = np.repeat(orientation.cell_center[ids], owner.shape[1], axis=0)
+            apex = np.repeat(orientation.cell_center[ids], group.owner.shape[1], axis=0)
             pts, w = tetra_points(apex, *corners, degree)
     else:
         raise DomainError(f"no quadrature rule on entity kind {kind!r}")
@@ -150,8 +141,9 @@ def rule_stack(mesh, orientation, kind: str, ids, degree: int
 
 
 def entity_rule(mesh, orientation, kind: str, index: int, degree: int) -> QuadratureRule:
-    """One entity's rule: :func:`rule_stack` on the group of one ``[index]``.
+    """One entity's rule: :func:`rule_stack` on its row of its size group.
     An unknown kind or an index out of range raises :class:`DomainError`."""
     index = checked_entity(mesh, kind, index)
-    pts, w = rule_stack(mesh, orientation, kind, [index], degree)
+    group, row = mesh.group_table(kind)[:, index]
+    pts, w = rule_stack(mesh, orientation, kind, mesh.groups(kind)[group].rows([row]), degree)
     return QuadratureRule((kind, index), pts[0], w[0], degree)

@@ -178,6 +178,24 @@ def open_element_document(case):
     return doc
 
 
+# a face listed again under a new index, as a copy or with its loop reversed
+DOUBLED_FACES = {
+    "copied face": "^face 11 has the same edges as face 1$",
+    "reversed face": "^face 11 has the same edges as face 1$",
+}
+
+
+def doubled_face_document(case):
+    """A 2x1x1 voxel pair whose second element lists a new face 11 on the
+    loop of the face 1 it shares with the first: a copy of the loop, or the
+    loop reversed.  Each element is closed, the pair is not a mesh."""
+    doc = mesh_to_document(build_voxel_mesh(np.ones((2, 1, 1), dtype=bool)))
+    loop = doc["faces"][1]
+    doc["faces"].append({"copied face": loop, "reversed face": loop[::-1]}[case])
+    doc["elements"][1] = [11 if f == 1 else f for f in doc["elements"][1]]
+    return doc
+
+
 @pytest.fixture(scope="session")
 def cube():
     return mesh_and_orientation("cube")

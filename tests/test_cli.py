@@ -13,7 +13,14 @@ from ddrcomplex import lifting
 from ddrcomplex.cli import main
 from ddrcomplex.operators import DdrComplex
 
-from conftest import MALFORMED, OPEN_ELEMENTS, malformed_cube_document, open_element_document
+from conftest import (
+    DOUBLED_FACES,
+    MALFORMED,
+    OPEN_ELEMENTS,
+    doubled_face_document,
+    malformed_cube_document,
+    open_element_document,
+)
 
 
 def run_cli(*argv):
@@ -66,6 +73,16 @@ def test_open_element_exit_2(tmp_path, capsys, case):
     assert run_cli("verify", "--mesh", str(path), "--degree", "0",
                    "--out", str(tmp_path / "r.json")) == 2
     assert capsys.readouterr().err.startswith("error: element 0: ")
+
+
+@pytest.mark.parametrize("case", DOUBLED_FACES)
+def test_doubled_face_exit_2(tmp_path, capsys, case):
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps(doubled_face_document(case)))
+    assert run_cli("verify", "--mesh", str(path), "--degree", "1",
+                   "--out", str(tmp_path / "r.json")) == 2
+    assert capsys.readouterr().err == "error: face 11 has the same edges as face 1\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_bad_degree_exit_2(tmp_path):

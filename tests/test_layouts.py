@@ -5,8 +5,9 @@ built from: one component record per (entity, part), in layout order, and
 per entity the components of its closure (vertices, edges, faces, the entity,
 each ascending), looked up one by one.  The layout's ``indices``, ``dim``
 and ``closure_dofs``, and the local positions the builders read from them,
-must equal what the reference gives, entity by entity, and the size groups
-must be those of the closure counts the groups were once keyed by.
+must equal what the reference gives, entity by entity; the mesh's size
+groups must be those of the closure counts the groups were once keyed by,
+and each group's arrays must be the mesh's per-entity tables.
 """
 
 from pathlib import Path
@@ -17,7 +18,6 @@ from hypothesis import given
 
 from ddrcomplex import DofLayout, build_voxel_mesh, load_mesh
 from ddrcomplex.layouts import KINDS, PARTS, SPACES, entity_count
-from ddrcomplex.mesh import size_groups
 from ddrcomplex.operators import OPERATORS, _Group, _positions
 from ddrcomplex.spaces import space_dim
 
@@ -82,11 +82,34 @@ def reference_local(globals_, comps, key):
     return np.arange(start, start + dim)
 
 
+def check_groups(mesh, kind):
+    """The mesh's size groups of ``kind`` against the reference grouping, its
+    group table, and each group's arrays against the per-entity tables:
+    faces in element-face order, and per face in that order its loop, the
+    loop rolled by one and its edges; an element's vertices are its loops'."""
+    groups = mesh.groups(kind)
+    assert [g.ids.tolist() for g in groups] == reference_groups(mesh, kind)
+    for g, grp in enumerate(groups):
+        assert all(not a.flags.writeable for a in grp)
+        assert mesh.group_table(kind)[:, grp.ids].tolist() == [[g] * len(grp.ids),
+                                                              list(range(len(grp.ids)))]
+        for row, i in enumerate(grp.ids.tolist()):
+            faces = [i] if kind == "face" else list(mesh.element_faces[i]) if kind == "cell" else []
+            loops = [mesh.face_loops[f] for f in faces]
+            assert grp.faces[row].tolist() == faces
+            assert grp.owner[row].tolist() == [f for f, loop in zip(faces, loops) for _ in loop]
+            assert grp.start[row].tolist() == [v for loop in loops for v in loop]
+            assert grp.end[row].tolist() == [v for loop in loops for v in loop[1:] + loop[:1]]
+            assert grp.edge[row].tolist() == [e for f in faces for e in mesh.face_edges[f]]
+            if kind == "cell":
+                assert sorted(set(grp.start[row].tolist())) == list(mesh.element_vertices(i))
+
+
 def check_layout(mesh, degree):
     """The size groups of ``mesh`` and every layout of it at ``degree``
     against the reference."""
     for kind in KINDS[1:]:
-        assert [g.tolist() for g in size_groups(mesh, kind)] == reference_groups(mesh, kind)
+        check_groups(mesh, kind)
     for space in SPACES:
         lay = DofLayout(space, degree, mesh)
         comps, total = reference_components(lay)
@@ -95,18 +118,18 @@ def check_layout(mesh, degree):
             assert lay.dim(kind, part) == dim
             assert lay.indices(kind, ent, part).tolist() == list(range(offset, offset + dim))
         for kind in KINDS[1:]:
-            for ids in size_groups(mesh, kind):
-                dofs = lay.closure_dofs(kind, ids)
-                ref = [reference_restriction(lay, comps, kind, int(i)) for i in ids]
+            for group in mesh.groups(kind):
+                dofs = lay.closure_dofs(kind, group)
+                ref = [reference_restriction(lay, comps, kind, int(i)) for i in group.ids]
                 assert dofs.tolist() == np.stack(ref).tolist(), (space, kind)
-                check_positions(lay, comps, kind, ids, dofs)
+                check_positions(lay, comps, kind, group, dofs)
 
 
-def check_positions(lay, comps, kind, ids, dofs):
+def check_positions(lay, comps, kind, group, dofs):
     """The local positions of a group's own parts and of each part of every
     entity on its closure, as the builders compute them, against the
     reference's search of one entity at a time."""
-    grp = _Group(kind, ids, lay, dofs, {})
+    grp, ids = _Group(kind, group, lay, dofs, {}), group.ids
     for sub, ents in zip(KINDS, zip(*(closure(lay.mesh, kind, int(i)) for i in ids))):
         for part, _ in PARTS[lay.space].get(sub, ()):
             if sub == kind:
@@ -136,7 +159,7 @@ def test_layout_matches_reference_on_mesh_files(path, k):
 def test_the_prism_pair_has_two_groups_per_kind():
     # so the cross-check above covers layouts over several size groups
     mesh = load_mesh(str(ROOT / "tools" / "meshes" / "prism_pair.json"))
-    assert [len(size_groups(mesh, kind)) for kind in ("face", "cell")] == [2, 2]
+    assert [len(mesh.groups(kind)) for kind in ("face", "cell")] == [2, 2]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -163,10 +186,10 @@ def test_sub_entity_embedding_matches_reference(name):
         comps, _ = reference_components(lay)
         for block in op.blocks[1:]:
             sub = KINDS[KINDS.index(block.kind) - 1]
-            for ids in size_groups(mesh, block.kind):
-                dofs = lay.closure_dofs(block.kind, ids)
+            for grp in mesh.groups(block.kind):
+                dofs = lay.closure_dofs(block.kind, grp)
                 for col in np.asarray([closure(mesh, block.kind, int(i))[KINDS.index(sub)]
-                                       for i in ids]).T:
+                                       for i in grp.ids]).T:
                     subs = np.stack([reference_restriction(lay, comps, sub, int(s)) for s in col])
                     want = [np.searchsorted(row, s) for row, s in zip(dofs, subs)]
                     assert _positions(dofs, subs).tolist() == np.stack(want).tolist()

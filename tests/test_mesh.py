@@ -25,8 +25,10 @@ from ddrcomplex import (
 )
 
 from conftest import (
+    DOUBLED_FACES,
     MALFORMED,
     OPEN_ELEMENTS,
+    doubled_face_document,
     malformed_cube_document,
     mesh_and_orientation,
     open_element_document,
@@ -139,6 +141,14 @@ def test_face_in_three_elements_rejected():
 def test_open_element_rejected(case, message):
     with pytest.raises(MeshTopologyError, match=message):
         mesh_from_document(open_element_document(case))
+
+
+@pytest.mark.parametrize("case,message", DOUBLED_FACES.items())
+def test_doubled_face_rejected(case, message):
+    # each element of the pair is closed, but between them lies a cavity of
+    # zero volume, bounded by one polygon listed twice
+    with pytest.raises(MeshTopologyError, match=message):
+        mesh_from_document(doubled_face_document(case))
 
 
 def test_nonplanar_face_rejected():

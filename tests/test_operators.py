@@ -5,7 +5,7 @@ import pytest
 
 from ddrcomplex import DofLayout, DomainError, ddr0_closed_forms, entity_basis
 from ddrcomplex.layouts import entity_count
-from ddrcomplex.operators import OPERATORS, size_groups
+from ddrcomplex.operators import OPERATORS
 
 from conftest import complex_for, mesh_and_orientation
 from test_layouts import reference_components
@@ -400,7 +400,7 @@ def test_interpolate_list_of_fields_gives_one_row_per_field(monkeypatch):
     rows = c.interpolate_grad(fields)
     assert rows.shape == (3, c.layout("Xgrad").total)
     assert np.array_equal(rows, single)
-    assert len(conds) == sum(len(size_groups(c.mesh, kind)) for kind in ("edge", "face", "cell"))
+    assert len(conds) == sum(len(c.mesh.groups(kind)) for kind in ("edge", "face", "cell"))
 
 
 def test_coo_blocks_keep_row_major_order():

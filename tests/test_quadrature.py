@@ -6,12 +6,14 @@ x^p over [a, b], evaluated in closed form.
 """
 
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ddrcomplex import DomainError, QuadratureDegreeError, compute_orientation, entity_rule
+from ddrcomplex.operators import OPERATORS
 from ddrcomplex.quadrature import _gauss01, _tetra_ref, _triangle_ref
 
 from conftest import complex_for, mesh_and_orientation
@@ -167,15 +169,24 @@ def test_fan_rules_match_one_map_per_simplex(mesh, degree):
     ("edge", 12, "no edge 12: the mesh has 12"),
     ("vertex", 0, "unknown entity kind 'vertex'"),
     ("element", 0, "unknown entity kind 'element'"),
+    ("edge", 1.7, "edge index 1.7 is not an integer"),
+    ("face", True, "face index True is not an integer"),
+    ("cell", 0.5, "cell index 0.5 is not an integer"),
 ])
 def test_rules_of_entities_the_mesh_lacks_raise_domain_error(kind, index, message):
-    # no wrap-around to the last edge, no bare IndexError or ValueError
+    # no wrap-around to the last edge, no rounding of a fraction or a bool to
+    # an entity, no bare IndexError or ValueError; the local operators of
+    # the kind say the same
     mesh, orient = mesh_and_orientation("cube")
+    c = complex_for("cube", 0)
     with pytest.raises(DomainError) as direct:
         entity_rule(mesh, orient, kind, index, 4)
     with pytest.raises(DomainError) as cached:
-        complex_for("cube", 0).rule(kind, index)
+        c.rule(kind, index)
     assert str(direct.value) == str(cached.value) == message
+    for builder in [b.builder for op in OPERATORS for b in op.blocks if b.kind == kind]:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            getattr(c, builder)(index)
 
 
 @pytest.mark.parametrize("k", [0, 2])

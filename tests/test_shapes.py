@@ -13,6 +13,7 @@ element's.
 """
 
 import dataclasses
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from ddrcomplex import (
     DdrComplex,
     ExtensionMaps,
     build_voxel_mesh,
+    builtin_pattern,
     compute_orientation,
     corrupt_orientation,
     entity_rule,
@@ -81,11 +83,16 @@ def _build_all(c):
         getattr(c, builder)(0)
 
 
-def _singletons(m, module=operators):
-    """Patch ``module.size_groups`` (through ``m``) to make every entity a
-    group of one."""
-    m.setattr(module, "size_groups", lambda mesh, kind: [
-        np.asarray([i]) for i in range(entity_count(mesh, kind))])
+def _singletons(mesh, monkeypatch):
+    """A copy of ``mesh`` whose every entity is a group of one: its grouping
+    is built under a patched ``mesh.size_groups``, the one grouping builder."""
+    with monkeypatch.context() as m:
+        m.setattr(mesh_module, "size_groups", lambda mesh, kind: [
+            np.asarray([i]) for i in range(entity_count(mesh, kind))])
+        alone = dataclasses.replace(mesh)
+        for kind in KINDS:
+            alone.groups(kind)
+    return alone
 
 
 def _same_field(a, b):
@@ -96,14 +103,12 @@ def _same_field(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
-def _alone(mesh, orient, k, monkeypatch):
-    """A complex whose every entity is a group of one, fully built."""
-    with monkeypatch.context() as m:
-        _singletons(m)
-        c = DdrComplex(mesh, orient, k)
-        _build_all(c)
-        for which in ("gradient", "curl", "divergence"):
-            c.operator(which)
+def _alone(mesh, orient, k):
+    """A complex of a mesh of singleton groups (:func:`_singletons`), fully built."""
+    c = DdrComplex(mesh, orient, k)
+    _build_all(c)
+    for which in ("gradient", "curl", "divergence"):
+        c.operator(which)
     return c
 
 
@@ -143,21 +148,20 @@ def test_shared_blocks_match_fresh_builds(monkeypatch, name, k):
     # stacks, against the build of each entity alone; the interpolates and
     # consistency residuals bit for bit
     mesh, orient = _mesh(name)
-    with monkeypatch.context() as m:
-        _singletons(m, mesh_module)
-        single = compute_orientation(mesh)
+    singletons = _singletons(mesh, monkeypatch)
+    single = compute_orientation(singletons)
     for field in dataclasses.fields(orient):
         assert _same_field(getattr(orient, field.name), getattr(single, field.name)), field.name
     for kind in KINDS:
-        for ids in mesh_module.size_groups(mesh, kind):
-            pts, weights = rule_stack(mesh, orient, kind, ids, 2 * k + 4)
-            for g, i in enumerate(ids):
+        for grp in mesh.groups(kind):
+            pts, weights = rule_stack(mesh, orient, kind, grp, 2 * k + 4)
+            for g, i in enumerate(grp.ids):
                 rule = entity_rule(mesh, orient, kind, i, 2 * k + 4)
                 assert np.array_equal(pts[g], rule.points), (kind, i)
                 assert np.array_equal(weights[g], rule.weights), (kind, i)
     stacked, stacked_low = (complex_for(name, d) if name in ("ring", "cavity")
                             else DdrComplex(mesh, orient, d) for d in (k, 0))
-    alone, alone_low = (_alone(mesh, orient, d, monkeypatch) for d in (k, 0))
+    alone, alone_low = (_alone(singletons, orient, d) for d in (k, 0))
     worst = 0.0
     for kind, builder in BUILDERS:
         for i in range(entity_count(mesh, kind)):
@@ -184,12 +188,35 @@ def test_groups_split_by_array_sizes():
     # the prism pair's elements list their triangles and quadrilaterals in
     # different orders, so each is a group of its own
     mesh = prism_pair()
-    groups = {kind: [g.tolist() for g in operators.size_groups(mesh, kind)] for kind in KINDS}
+    groups = {kind: [g.ids.tolist() for g in mesh.groups(kind)] for kind in KINDS}
     assert groups["edge"] == [list(range(mesh.n_edges))]
     assert groups["face"] == [[0, 1, 5, 6], [2, 3, 4, 7, 8]]
     assert groups["cell"] == [[0], [1]]
     block = build_voxel_mesh(np.ones((3, 2, 1), dtype=int))
-    assert [len(g) for g in operators.size_groups(block, "cell")] == [block.n_elements]
+    assert [len(g.ids) for g in block.groups("cell")] == [block.n_elements]
+
+
+def test_one_grouping_per_mesh_and_kind():
+    # the orientation, the quadrature rules, the layouts, and the local
+    # operators and extensions of both complexes read one grouping per mesh
+    # and kind, built once: the grouping builder runs once per kind, under
+    # whatever name it is called
+    calls = []
+    code = mesh_module.size_groups.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append((frame.f_locals["mesh"], frame.f_locals["kind"]))
+
+    mesh = build_voxel_mesh(builtin_pattern("ring"))
+    sys.setprofile(profile)
+    try:
+        report = run_all(mesh, compute_orientation(mesh), 1)
+    finally:
+        sys.setprofile(None)
+    assert all(c.passed for c in report.checks)
+    assert all(m is mesh for m, _ in calls)
+    assert sorted(kind for _, kind in calls) == sorted(KINDS)
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -199,9 +226,7 @@ def test_offset_block_keeps_its_verdicts(monkeypatch, k):
     # entity by entity
     mesh, orient = _block(0.7, 1e3)
     stacked = run_all(mesh, orient, k)
-    monkeypatch.setattr(operators, "size_groups", lambda mesh, kind: [
-        np.asarray([i]) for i in range(entity_count(mesh, kind))])
-    alone = run_all(mesh, orient, k)
+    alone = run_all(_singletons(mesh, monkeypatch), orient, k)
     assert [(c.name, c.passed) for c in stacked.checks] == \
         [(c.name, c.passed) for c in alone.checks]
     assert stacked.cohomology_ddr == alone.cohomology_ddr == [0, 0, 0, 0]
@@ -272,7 +297,7 @@ def test_stack_sees_every_input_of_the_builders(monkeypatch, name, perturb):
     healthy = DdrComplex(mesh, orient, 1)
     mesh2, orient2, targets = perturb(mesh, orient)
     stacked = DdrComplex(mesh2, orient2, 1)
-    alone = _alone(mesh2, orient2, 1, monkeypatch)
+    alone = _alone(_singletons(mesh2, monkeypatch), orient2, 1)
     for kind, i in targets:
         for bkind, builder in BUILDERS:
             if bkind != kind:
@@ -334,10 +359,9 @@ def test_failing_solve_names_its_entity(monkeypatch, mesh_name, kind, planted, n
         _build_all(DdrComplex(mesh, bad, 1))
     # the message of a build entity by entity: the lowest failing entity,
     # its first failing solve
-    with monkeypatch.context() as m:
-        _singletons(m)
-        with pytest.raises(ConditioningError) as alone:
-            _build_all(DdrComplex(mesh, bad, 1))
+    singletons = _singletons(mesh, monkeypatch)
+    with pytest.raises(ConditioningError) as alone:
+        _build_all(DdrComplex(singletons, bad, 1))
     label = {"cell": "element"}.get(kind, kind)
     assert str(stacked.value) == str(alone.value)
     assert str(stacked.value).startswith(f"{label} {named}: ")
@@ -362,15 +386,12 @@ def test_failing_solve_names_its_entity(monkeypatch, mesh_name, kind, planted, n
     doomed |= {f"interpolation on {kind} {i}" for i in planted}
     monkeypatch.setattr(operators, "stacked_solve", planting)
     messages = []
-    for groups in ("stacked", "singletons"):
-        with monkeypatch.context() as m:
-            if groups == "singletons":
-                _singletons(m)
-            high = DdrComplex(mesh, orient, 1)
-            with pytest.raises(ConditioningError) as failure:
-                ExtensionMaps(high, DdrComplex(mesh, orient, 0)).matrix(space)
-            with pytest.raises(ConditioningError) as interpolation:
-                high.interpolate_grad(lambda p: p[:, 0])
+    for grouped in (mesh, singletons):
+        high = DdrComplex(grouped, orient, 1)
+        with pytest.raises(ConditioningError) as failure:
+            ExtensionMaps(high, DdrComplex(grouped, orient, 0)).matrix(space)
+        with pytest.raises(ConditioningError) as interpolation:
+            high.interpolate_grad(lambda p: p[:, 0])
         messages.append((str(failure.value), str(interpolation.value)))
     # the texts an extension and an interpolation solved entity by entity
     # raise for the lowest one
@@ -414,9 +435,9 @@ def test_fresh_builds_count_congruence_classes(monkeypatch, hole):
     built = []
     group = operators._Group
 
-    def spy(kind, ids, *args):
-        built.append((kind, len(ids)))
-        return group(kind, ids, *args)
+    def spy(kind, members, *args):
+        built.append((kind, len(members.ids)))
+        return group(kind, members, *args)
 
     monkeypatch.setattr(operators, "_Group", spy)
     c = DdrComplex(mesh, orient, 1)
@@ -428,7 +449,7 @@ def test_fresh_builds_count_congruence_classes(monkeypatch, hole):
         classes = _congruence_classes(mesh, orient, kind)
         assert all(k == kind for k, _ in builds), (builder, builds)
         assert sum(size for _, size in builds) == n, (builder, builds, n)
-        assert len(builds) == len(operators.size_groups(mesh, kind)) <= classes < n, \
+        assert len(builds) == len(mesh.groups(kind)) <= classes < n, \
             (builder, len(builds), classes, n)
 
 
