@@ -69,11 +69,12 @@ class DofLayout:
 
     def indices(self, kind: str, entity, part: str) -> np.ndarray:
         """Global numbers of one entity's ``part`` unknowns, or one row of
-        them per entity of an array."""
+        them per entity of an array of integers in range."""
         first, stride, table = self._kinds[kind]
         at, dim = table[part]
         entity = np.asarray(entity)
-        if entity.size and not 0 <= entity.min() <= entity.max() < entity_count(self.mesh, kind):
+        if entity.dtype.kind not in "iu" or entity.size and not (
+                0 <= entity.min() <= entity.max() < entity_count(self.mesh, kind)):
             raise KeyError((kind, part))
         return (first + at + stride * entity)[..., None] + np.arange(dim)
 

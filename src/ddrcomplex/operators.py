@@ -27,14 +27,15 @@ potentials of :mod:`.cli` read by field, a group at a time;
 entity's :class:`LocalOps`, views into its group's stack made on demand.  A
 solve that fails its condition-number guard names the lowest-index failing
 entity and that entity's first failing solve, as a build entity by entity
-would.  The builders evaluate each entity basis once per point set, at the
-highest degree they read of it (k+2 on faces, k+1 on edges and elements;
-lower degrees are column slices), and each entity's Gram matrices are slices
-of one top-degree Gram.  Interpolation, the consistency sweep and the VTK
-potentials evaluate a basis at the degree they read.  Quadrature points are
-stacked a size group at a time on edges and faces but one element at a time
-(:func:`_point_stacks`), so no stack holds the interior points of more than
-one element; each size group's rules are mapped the same way, into one store.
+would.  The builders evaluate each basis at the highest degree they read of
+it (k+2 on faces, k+1 on edges and elements; lower degrees are column
+slices): an edge or face basis once per size group at its own rule points,
+an element basis at its faces' points once per builder.  Each entity's Gram
+matrices are slices of one top-degree Gram, on elements a sum over the face
+rules, so the operator build maps no element rule.  Interpolation, the
+consistency sweep and :meth:`DdrComplex.rule` read element rules (see
+:func:`_point_stacks`), and evaluate a basis at the degree they read, as do
+the VTK potentials.
 
 :class:`DdrComplex` memoizes quadrature rules, Gram matrices, local
 operators, and assembled global matrices for one (mesh, orientation, degree).
@@ -51,7 +52,7 @@ from . import monomials as mono
 from .errors import ConditioningError, DomainError
 from .homology import _signed_incidences
 from .layouts import KINDS, PARTS, DofLayout, entity_count
-from .mesh import Mesh, OrientationTable, SizeGroup, _read_only, checked_entity
+from .mesh import Mesh, OrientationTable, SizeGroup, _read_only, checked_entity, row_dot
 from .quadrature import QuadratureRule, rule_stack
 from .spaces import frame_dot, frame_moments, span_matrix, stacked_solve
 from .sparse import CsrMatrix
@@ -200,7 +201,9 @@ def _point_stacks(kind: str, ids: np.ndarray) -> list[slice]:
     """The parts of a size group ``ids`` that share one stack of quadrature
     points: the whole group on edges and faces, one element at a time on
     elements, so no stack holds the interior points of more than one element
-    (3600 on a hexahedron at k = 2)."""
+    (3600 on a hexahedron at k = 2).  Only the readers of element rules map
+    them: interpolation, the consistency sweep and :meth:`DdrComplex.rule`;
+    the element Grams come from the face rules."""
     return [slice(g, g + 1) for g in range(len(ids))] if kind == "cell" else [slice(None)]
 
 
@@ -249,7 +252,7 @@ class DdrComplex:
         """One entity's rule, a read-only view into its size group's rules."""
         index = checked_entity(self.mesh, kind, index)
         group, row = self.mesh.group_table(kind)[:, index]
-        points, weights = self._rule_store(kind)[group]
+        points, weights = self._rule_store(kind)[group][:2]
         return QuadratureRule((kind, index), points[row], weights[row], self.quad_degree)
 
     def means(self, kind: str) -> np.ndarray:
@@ -281,33 +284,52 @@ class DdrComplex:
         degree = self._top(kind) if degree is None else degree
         return mono.eval_monomials(dim, degree, y.reshape(-1, dim)).reshape(count, q, -1)
 
-    def _rule_store(self, kind: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _rule_store(self, kind: str) -> list[tuple[np.ndarray, ...]]:
         """Quadrature points (G, q, 3) and weights (G, q) of each size group
-        of a kind, mapped one point stack at a time."""
+        of a kind, mapped one point stack at a time, and on edges and faces
+        the top-degree bases at them (G, q, N), evaluated once per group."""
         if kind not in self._rules:
             self._rules[kind] = []
             for grp in self.mesh.groups(kind):
                 parts = [rule_stack(self.mesh, self.orient, kind, grp.rows(p), self.quad_degree)
                          for p in _point_stacks(kind, grp.ids)]
-                self._rules[kind].append(_read_only(*(np.concatenate(a) for a in zip(*parts))))
+                points, weights = (np.concatenate(a) for a in zip(*parts))
+                values = () if kind == "cell" else (self._eval(kind, grp.ids, points),)
+                self._rules[kind].append(_read_only(points, weights, *values))
         return self._rules[kind]
+
+    def _own_rule(self, kind: str, ids: np.ndarray, count: int = 3) -> tuple[np.ndarray, ...]:
+        """The first ``count`` arrays the rule store keeps of entities ``ids`` of one
+        size group: points, weights and, on edges and faces, the bases there."""
+        group, rows = self.mesh.group_table(kind)[:, ids]
+        return tuple(a[rows] for a in self._rule_store(kind)[group[0]][:count])
 
     def _points(self, kind: str, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature points (G, q, 3) and weights (G, q) of entities of one size group."""
-        group, rows = self.mesh.group_table(kind)[:, ids]
-        points, weights = self._rule_store(kind)[group[0]]
-        return points[rows], weights[rows]
+        return self._own_rule(kind, ids, 2)
 
     def _top_gram(self, kind: str) -> np.ndarray:
         """The scalar Gram matrix at the top degree of every entity of one
-        kind, (n, N, N), each from its own rule, one point stack at a time."""
+        kind, (n, N, N), a size group at a time: on edges and faces from
+        their own rules; on elements from their faces' rules, as
+        ``int_T y^a y^b = sum_F |n_F.(x_F - c_T)| int_F y^a y^b / (3+|a|+|b|)``
+        (Euler's identity and the divergence theorem; the unsigned distance
+        is the factor the fan rule's |det| weights carry)."""
         if kind not in self._top_grams:
-            size = _n(kind, self._top(kind))
-            grams = np.empty((entity_count(self.mesh, kind), size, size))
-            for grp, (points, weights) in zip(self.mesh.groups(kind), self._rule_store(kind)):
-                for part in _point_stacks(kind, grp.ids):
-                    phi = self._eval(kind, grp.ids[part], points[part])
-                    grams[grp.ids[part]] = phi.swapaxes(1, 2) @ (weights[part, :, None] * phi)
+            o, top = self.orient, self._top(kind)
+            grams = np.empty((entity_count(self.mesh, kind), _n(kind, top), _n(kind, top)))
+            for g, grp in enumerate(self.mesh.groups(kind)):
+                if kind == "cell":
+                    faces, centre = grp.faces.T, o.cell_center[grp.ids]
+                    dist = np.abs(row_dot(o.face_normal[faces], o.face_center[faces] - centre))
+                    points, weights = zip(*(self._points("face", f) for f in faces))
+                    phi = self._eval(kind, grp.ids, np.concatenate(points, 1))
+                    weights = np.concatenate([w * d[:, None] for w, d in zip(weights, dist)], 1)
+                    degree = np.asarray([sum(a) for a in mono.monomial_powers(3, top)])
+                    order = 3 + degree[:, None] + degree
+                else:
+                    (_, weights, phi), order = self._rule_store(kind)[g], 1
+                grams[grp.ids] = phi.swapaxes(1, 2) @ (weights[..., None] * phi) / order
             self._top_grams[kind], = _read_only(grams)
         return self._top_grams[kind]
 
@@ -478,10 +500,10 @@ class DdrComplex:
         subs, signs, normals = self._boundary(grp)
         boundary = []
         for j in range(subs.shape[1]):
-            pts, weights = self._points(sub, subs[:, j])
+            pts, weights, phi_s = self._own_rule(sub, subs[:, j])
             embed, potential = self._sub_data(grp, "edge_ops" if sub == "edge"
                                               else "face_grad_ops", subs[:, j])
-            phi_tr = self._eval(sub, subs[:, j], pts)[..., :_n(sub, k + 1)] @ potential
+            phi_tr = phi_s[..., :_n(sub, k + 1)] @ potential
             wphi = weights[:, :, None] * phi_tr                  # (G, q, nloc of s)
             phi = self._eval(kind, ids, pts)
             vn = frame_dot(phi[..., :nk], frames, normals[:, j])   # (G, q, dim nk)
@@ -554,10 +576,9 @@ class DdrComplex:
         subs, signs, _ = self._boundary(grp)
         boundary = []
         for j in range(subs.shape[1]):
-            pts, weights = self._points(sub, subs[:, j])
+            pts, weights, phi_s = self._own_rule(sub, subs[:, j])
             c_s = _positions(grp.globals, grp.layout.indices(sub, subs[:, j], "poly"))
-            phi_s = self._eval(sub, subs[:, j], pts)[..., :_n(sub, k)]
-            wphi_s = weights[:, :, None] * phi_s                 # (G, q, n_k of s)
+            wphi_s = weights[:, :, None] * phi_s[..., :_n(sub, k)]   # (G, q, n_k of s)
             phi = self._eval(kind, ids, pts)                     # (G, q, top)
             omega = signs[:, j, None, None]
             _add_columns(b, c_s, sign * omega * phi[..., :nk].swapaxes(1, 2) @ wphi_s)
@@ -599,10 +620,9 @@ class DdrComplex:
         boundary = []
         for j in range(subs.shape[1]):
             faces = subs[:, j]
-            pts, weights = self._points("face", faces)
+            pts, weights, phi_f = self._own_rule("face", faces)
             embed, potential = self._sub_data(grp, "face_curl_ops", faces)
-            phi_f = self._eval("face", faces, pts)[..., :nf_k]    # (G, q, n_k of F)
-            parts = phi_f[:, None] @ potential.reshape(count, 2, nf_k, -1)   # (G, 2, q, m)
+            parts = phi_f[:, None, :, :nf_k] @ potential.reshape(count, 2, nf_k, -1)  # (G, 2, q, m)
             gt_vals = np.moveaxis(parts, 1, -1) @ face_frames[faces][:, None]  # (G, q, m, 3)
             w_gt = weights[:, :, None, None] * gt_vals
             cross = np.cross(np.eye(3), normals[:, j, None, :]).swapaxes(1, 2)   # (G, 3, 3)

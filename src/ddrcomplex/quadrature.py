@@ -6,7 +6,10 @@ each simplex carries a collapsed (Duffy-type) tensor Gauss rule, mapped for
 a whole size group at once (:func:`rule_stack`).  The collapse maps a
 polynomial of total degree d to a tensor polynomial whose per-axis degree is
 d plus the Jacobian degree, so per-axis Gauss orders can be chosen to
-integrate total degree d exactly with all-positive weights.
+integrate total degree d exactly with all-positive weights.  The operator
+build reads edge and face rules only (element Grams are sums over the face
+rules); element rules serve the readers of volume points: interpolation,
+the consistency sweep and :meth:`.DdrComplex.rule`.
 """
 
 from __future__ import annotations

@@ -67,6 +67,14 @@ def test_layout_indices_of_an_entity_array(space):
                 lay.indices(kind, [0, entity_count(mesh, kind)], part)
 
 
+@pytest.mark.parametrize("entity", [1.7, True, [0.0, 1.0], np.array([True, False])])
+def test_layout_indices_reject_float_and_bool_entities(entity):
+    # a float would be scaled by the stride, a bool read as 0 or 1
+    mesh, _ = mesh_and_orientation("cube")
+    with pytest.raises(KeyError):
+        DofLayout("Xgrad", 1, mesh).indices("edge", entity, "poly")
+
+
 def test_layout_k0_single_scalar_components():
     mesh, _ = mesh_and_orientation("cube")
     for space, count in (("Xgrad", 8), ("Xcurl", 12), ("Xdiv", 6), ("Pk", 1)):

@@ -9,7 +9,8 @@ its stacked operators, a failing operator, extension or interpolation solve
 names the same entity and solve as a build entity by entity, the stacked
 builds are no more than the congruence classes, the number of stacked solves
 does not grow with the mesh, and no stack of points holds more than one
-element's.
+element's.  The element Grams come from the face rules, equal to the fan
+rule's, and the operator build maps no element rule.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ddrcomplex.cli as cli
 import ddrcomplex.mesh as mesh_module
 import ddrcomplex.operators as operators
 import ddrcomplex.verification as verification
@@ -30,7 +32,9 @@ from ddrcomplex import (
     builtin_pattern,
     compute_orientation,
     corrupt_orientation,
+    entity_basis,
     entity_rule,
+    gram_matrix,
     load_mesh,
     reduction_matrix,
     run_all,
@@ -496,3 +500,69 @@ def test_point_stacks_hold_one_element_at_most(monkeypatch):
     assert {kind for kind, _ in sizes} == set(KINDS)
     assert all(n == 1 for kind, n in sizes if kind == "cell")
     assert any(n > 1 for kind, n in sizes if kind != "cell")
+
+
+GATED_MESHES = ("cube", "ring", "cavity", "graded_cavity", "prism_pair", "sheared_ring",
+                "double_ring")
+
+
+def _gated(name):
+    """A mesh of ``tools/refactor_gate.py``: a builtin, or one of ``tools/meshes``."""
+    if name in ("cube", "ring", "cavity"):
+        return mesh_and_orientation(name)
+    mesh = load_mesh(str(SHEARED_RING.with_name(f"{name}.json")))
+    return mesh, compute_orientation(mesh)
+
+
+@pytest.mark.parametrize("name", GATED_MESHES)
+def test_element_grams_from_face_rules(name):
+    # each element's top Gram, summed over its faces' rules, against the
+    # Gram over its fan rule; its (0, 0) entry is the element's volume, and
+    # a flipped omega_TF does not reach it (the face factor is unsigned)
+    mesh, orient = _gated(name)
+    for k in range(3):
+        c = DdrComplex(mesh, orient, k)
+        grams = c._top_gram("cell")
+        for t in range(mesh.n_elements):
+            basis = entity_basis(mesh, orient, "cell", t, k + 1)
+            want = gram_matrix(basis, basis, entity_rule(mesh, orient, "cell", t, c.quad_degree))
+            assert _rel(grams[t], want) < 1e-13, (name, k, t)
+        assert np.allclose(grams[:, 0, 0], orient.cell_volume, rtol=1e-13, atol=0.0)
+        for fault in ("omega_tf", f"omega_tf:{mesh.n_elements - 1}:1"):
+            faulty = DdrComplex(mesh, corrupt_orientation(orient, fault), k)
+            assert np.array_equal(faulty._top_gram("cell"), grams), (name, k, fault)
+        assert "cell" not in c._rules
+
+
+def test_operator_build_maps_no_element_rule(monkeypatch, tmp_path):
+    # a complex/cohomology/cochain battery and a cohomology --generators run
+    # map no element rule, and evaluate each edge and face size group's basis
+    # at its own rule points once per complex
+    own = []
+    evaluate = DdrComplex._eval
+
+    def spy(self, kind, ids, pts, degree=None):
+        if kind != "cell":
+            own.append((self, kind, ids, pts))
+        return evaluate(self, kind, ids, pts, degree)
+
+    def own_counts(c):
+        """The calls on ``c`` at its own rule points, per kind."""
+        counts = dict.fromkeys(("edge", "face"), 0)
+        for who, kind, ids, pts in own:
+            if who is c and np.array_equal(c._points(kind, ids)[0], pts):
+                counts[kind] += 1
+        return counts
+
+    monkeypatch.setattr(DdrComplex, "_eval", spy)
+    reports = []
+    monkeypatch.setattr(cli, "run_all", lambda *a, **kw: reports.append(run_all(*a, **kw))
+                        or reports[-1])
+    mesh, orient = mesh_and_orientation("graded")
+    reports.append(run_all(mesh, orient, 1, ["complex", "cohomology", "cochain"]))
+    assert main(["cohomology", "--builtin", "ring", "--degree", "1", "--no-timestamp",
+                 "--generators", str(tmp_path / "g.vtk"), "--out", str(tmp_path / "r.json")]) == 0
+    for report in reports:
+        for c in {report.session.high, report.session.low}:
+            assert "cell" not in c._rules
+            assert own_counts(c) == {kind: len(c.mesh.groups(kind)) for kind in ("edge", "face")}
