@@ -49,15 +49,8 @@ from .mesh import (
     save_mesh,
 )
 from .operators import DdrComplex, ddr0_closed_forms
-from .quadrature import QuadratureRule, entity_rule
-from .spaces import (
-    ScaledMonomialBasis,
-    SubspaceBasis,
-    entity_basis,
-    gram_matrix,
-    space_dim,
-    subspace_basis,
-)
+from .quadrature import QuadratureRule
+from .spaces import space_dim
 from .verification import (
     CheckResult,
     RankOptions,
@@ -73,16 +66,15 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisRankError", "BettiVector", "CertificationError", "CheckResult",
     "CochainComplexInt", "ConditioningError", "DdrComplex", "DdrError",
-    "DofLayout", "DomainError", "ExtensionMaps", "GeometryError", "InputError",
-    "LiftedGenerators", "Mesh", "MeshFormatError", "MeshReferenceError",
-    "MeshTopologyError", "OrientationTable", "QuadratureDegreeError",
-    "QuadratureRule", "RankOptions", "RankResult", "ScaledMonomialBasis",
-    "SubspaceBasis", "VerificationReport", "betti_numbers",
-    "build_cochain_complex", "build_voxel_mesh", "builtin_pattern",
-    "cohomology_generators", "compute_orientation", "corrupt_orientation",
-    "ddr0_closed_forms", "entity_basis", "entity_rule", "gram_matrix",
+    "DofLayout", "DomainError", "ExtensionMaps", "GeometryError",
+    "InputError", "LiftedGenerators", "Mesh", "MeshFormatError",
+    "MeshReferenceError", "MeshTopologyError", "OrientationTable",
+    "QuadratureDegreeError", "QuadratureRule", "RankOptions", "RankResult",
+    "VerificationReport", "betti_numbers", "build_cochain_complex",
+    "build_voxel_mesh", "builtin_pattern", "cohomology_generators",
+    "compute_orientation", "corrupt_orientation", "ddr0_closed_forms",
     "integer_rank", "lift_generators", "load_mesh", "mesh_from_document",
     "mesh_to_document", "numeric_rank", "parse_pattern_text",
-    "reduction_matrix", "run_all", "save_mesh", "space_dim", "subspace_basis",
+    "reduction_matrix", "run_all", "save_mesh", "space_dim",
     "zero_reduction_basis",
 ]

@@ -38,6 +38,16 @@ SPACES = tuple(PARTS)
 CARRIERS = {space: next(iter(parts)) for space, parts in PARTS.items()}
 
 
+def checked_degree(degree) -> int:
+    """``degree`` as a polynomial degree, else DomainError: an integer, not
+    a bool, and not negative."""
+    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)):
+        raise DomainError(f"degree {degree!r} is not an integer")
+    if degree < 0:
+        raise DomainError("degree must be >= 0")
+    return int(degree)
+
+
 class DofLayout:
     """Unknown numbering of one discrete space on one mesh: per entity kind,
     its first unknown, its stride (one entity's unknowns; the entities of a
@@ -46,8 +56,7 @@ class DofLayout:
     def __init__(self, space: str, degree: int, mesh):
         if space not in SPACES:
             raise DomainError(f"unknown space {space!r}")
-        if degree < 0:
-            raise DomainError("degree must be >= 0")
+        degree = checked_degree(degree)
         self.space, self.degree, self.mesh = space, degree, mesh
         # kind -> (first unknown, stride, {part: (offset in the stride, size)})
         self._kinds: dict[str, tuple[int, int, dict[str, tuple[int, int]]]] = {}

@@ -330,6 +330,11 @@ def mesh_from_document(doc: dict) -> Mesh:
     for key in ("vertices", "faces", "elements"):
         if key not in doc:
             raise MeshFormatError(f"mesh document missing {key!r}")
+    rows, seqs = doc["vertices"], (list, tuple, np.ndarray)
+    for n, v in enumerate(rows if isinstance(rows, seqs) else ()):
+        for x in v if isinstance(v, seqs) else ():
+            if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+                raise MeshFormatError(f"vertex {n}: coordinate {x!r} is not a number")
     try:
         vertices = np.asarray(doc["vertices"], dtype=float)
     except (TypeError, ValueError) as exc:

@@ -51,7 +51,7 @@ import numpy as np
 from . import monomials as mono
 from .errors import ConditioningError, DomainError
 from .homology import _signed_incidences
-from .layouts import KINDS, PARTS, DofLayout, entity_count
+from .layouts import KINDS, PARTS, DofLayout, checked_degree, entity_count
 from .mesh import Mesh, OrientationTable, SizeGroup, _read_only, checked_entity, row_dot
 from .quadrature import QuadratureRule, rule_stack
 from .spaces import frame_dot, frame_moments, span_matrix, stacked_solve
@@ -226,12 +226,10 @@ class DdrComplex:
     """All discrete spaces and operators of one mesh at one degree."""
 
     def __init__(self, mesh: Mesh, orientation: OrientationTable, degree: int):
-        if degree < 0:
-            raise DomainError("degree must be >= 0")
         self.mesh = mesh
         self.orient = orientation
-        self.k = degree
-        self.quad_degree = 2 * degree + 4
+        self.k = checked_degree(degree)
+        self.quad_degree = 2 * self.k + 4
         self._layouts: dict[str, DofLayout] = {}
         # per entity kind: each size group's rules, top-degree Grams, degree-k means
         self._rules: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -356,7 +354,7 @@ class DdrComplex:
 
     def _p0(self, kind: str, ids: np.ndarray, degree: int) -> np.ndarray:
         """Coefficients (G, n, n-1) of the zero-mean monomials of ``degree``:
-        y^alpha minus its entity mean, as :func:`.spaces.subspace_basis`."""
+        the P0 columns y^alpha minus its entity mean, for alpha != 0."""
         means = self._mean_stack(kind, ids, degree)
         n = means.shape[1]
         out = np.zeros((len(ids), n, n - 1))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureDegreeError
-from .mesh import _read_only, checked_entity, row_dot
+from .mesh import _read_only, row_dot
 
 _MAX_GAUSS = 64
 
@@ -142,11 +142,3 @@ def rule_stack(mesh, orientation, kind: str, group, degree: int
         raise DomainError(f"no quadrature rule on entity kind {kind!r}")
     return pts.reshape(len(ids), -1, 3), w.reshape(len(ids), -1)
 
-
-def entity_rule(mesh, orientation, kind: str, index: int, degree: int) -> QuadratureRule:
-    """One entity's rule: :func:`rule_stack` on its row of its size group.
-    An unknown kind or an index out of range raises :class:`DomainError`."""
-    index = checked_entity(mesh, kind, index)
-    group, row = mesh.group_table(kind)[:, index]
-    pts, w = rule_stack(mesh, orientation, kind, mesh.groups(kind)[group].rows([row]), degree)
-    return QuadratureRule((kind, index), pts[0], w[0], degree)

@@ -11,14 +11,12 @@ projections go through floating point (quadrature).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import monomials as mono
 from .errors import BasisRankError, ConditioningError, DomainError
 from .homology import _pivot_columns
-from .quadrature import QuadratureRule
 
 KINDS = ("P", "P0", "vP", "G", "Gc", "R", "Rc")
 
@@ -55,63 +53,13 @@ def space_dim(kind: str, degree: int, dim: int) -> int:
     return mono.n_monomials(dim, degree - 1)
 
 
-@dataclass(frozen=True)
-class ScaledMonomialBasis:
-    """Monomials of y = (x - center)/length, in 1/2/3 intrinsic variables.
-
-    ``frame`` maps ambient 3D points to intrinsic coordinates: the unit
-    tangent for edges, the two orthonormal in-plane axes for faces, and the
-    identity for elements.  Vector-valued bases stack one copy of the scalar
-    basis per intrinsic component; component c of a face basis is the 3D
-    field (monomial) * frame[c].
-    """
-
-    entity: tuple[str, int]
-    dim: int
-    degree: int
-    center: np.ndarray
-    length: float
-    frame: np.ndarray     # (dim, 3)
-    vector: bool = False
-
-    @property
-    def n_scalar(self) -> int:
-        return mono.n_monomials(self.dim, self.degree)
-
-    @property
-    def size(self) -> int:
-        return self.n_scalar * (self.dim if self.vector else 1)
-
-    def local_coords(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return (pts - self.center[None, :]) @ self.frame.T / self.length
-
-    def eval(self, pts: np.ndarray) -> np.ndarray:
-        """Scalar design matrix (npts, n_scalar) at ambient points."""
-        return mono.eval_monomials(self.dim, self.degree, self.local_coords(pts))
-
-    def eval_vector(self, pts: np.ndarray) -> np.ndarray:
-        """Ambient vector values (npts, size, 3) of the stacked vector basis.
-
-        The reference form of the frame contractions below, which the
-        library uses instead.
-        """
-        if not self.vector:
-            raise DomainError("eval_vector on a scalar basis")
-        phi = self.eval(pts)
-        out = np.zeros((phi.shape[0], self.size, 3))
-        n = self.n_scalar
-        for c in range(self.dim):
-            out[:, c * n:(c + 1) * n, :] = phi[:, :, None] * self.frame[c][None, None, :]
-        return out
-
-
 # ---------------------------------------------------------------------------
 # Frame contractions.  A vector basis V is its scalar design matrix phi
 # (q, n) stacked along its frame (dim, 3): V[p, c n + j] = phi[p, j] frame[c].
 # Products with V are products of phi with a small frame factor, so no
 # (q, dim n, 3) array is built.  np.cross(V, w) is V with the frame
 # np.cross(frame, w).  Leading axes of every argument stack entities.
+# tests/test_spaces.py keeps the (q, dim n, 3) values they stand for.
 
 def frame_dot(phi: np.ndarray, frame: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``V @ u`` for a 3-vector ``u``: the (q, dim n) u-components of V."""
@@ -136,45 +84,6 @@ def frame_moments(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
     m, dim = u.shape[-2:]
     blocks = (phi.swapaxes(-1, -2) @ u.reshape(*lead, q, m * dim)).reshape(*lead, n, m, dim)
     return np.moveaxis(blocks, -1, -3).reshape(*lead, dim * n, m)
-
-
-def entity_basis(mesh, orientation, kind: str, index: int, degree: int,
-                 vector: bool = False) -> ScaledMonomialBasis:
-    if kind not in ("edge", "face", "cell"):
-        raise DomainError(f"unknown entity kind {kind!r}")
-    if vector and kind == "edge":
-        raise DomainError("vector bases live on faces and cells only")
-    geometry = orientation.geometry(kind)
-    return ScaledMonomialBasis(
-        entity=(kind, index),
-        dim=geometry.frame.shape[1],
-        degree=degree,
-        center=np.asarray(geometry.center[index], dtype=float),
-        length=float(geometry.diameter[index]),
-        frame=geometry.frame[index],
-        vector=vector,
-    )
-
-
-class SubspaceBasis:
-    """A polynomial subspace as columns over an ambient basis; ``coeffs``
-    is read-only."""
-
-    def __init__(self, ambient: ScaledMonomialBasis, kind: str, coeffs: np.ndarray):
-        self.ambient = ambient
-        self.kind = kind
-        self.coeffs = coeffs
-        coeffs.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[1]
-
-    def eval_vector(self, pts: np.ndarray) -> np.ndarray:
-        """Ambient 3D values (npts, dim, 3) of the subspace columns (the
-        reference form of :func:`frame_values` on ``coeffs``)."""
-        amb = self.ambient.eval_vector(pts)
-        return np.einsum("pax,ab->pbx", amb, self.coeffs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,54 +132,6 @@ def span_matrix(kind: str, dim: int, degree: int) -> np.ndarray:
             f"{kind}^{degree} in dim {dim}: got rank {len(keep)}, expected {expected}")
     out = cand[:, keep].astype(float)
     out.setflags(write=False)
-    return out
-
-
-def subspace_basis(mesh, orientation, kind: str, entity: tuple[str, int], degree: int,
-                   rule: QuadratureRule | None = None) -> SubspaceBasis:
-    """Build a tagged subspace over the entity's scaled monomial ambient basis.
-
-    P0 subtracts the entity mean of each non-constant monomial and therefore
-    needs a quadrature ``rule``; all other kinds are quadrature-free.
-    """
-    ekind, eidx = entity
-    dim = {"edge": 1, "face": 2, "cell": 3}[ekind]
-    space_dim(kind, degree, dim)  # validates kind/dim compatibility
-    if kind in ("P", "P0"):
-        ambient = entity_basis(mesh, orientation, ekind, eidx, degree, vector=False)
-        n = ambient.n_scalar
-        if kind == "P" or degree < 0:
-            return SubspaceBasis(ambient, kind, np.eye(n)[:, :space_dim(kind, degree, dim)])
-        if rule is None:
-            raise DomainError("P0 basis needs a quadrature rule for entity means")
-        phi = ambient.eval(rule.points)
-        means = rule.integrate(phi) / rule.measure
-        # y^alpha - mean; 0.0 - mean keeps a zero mean +0.0
-        coeffs = np.vstack([0.0 - means[1:], np.eye(n - 1)])
-        return SubspaceBasis(ambient, kind, coeffs)
-
-    ambient = entity_basis(mesh, orientation, ekind, eidx, degree, vector=True)
-    if kind == "vP":
-        return SubspaceBasis(ambient, kind, np.eye(ambient.size))
-    return SubspaceBasis(ambient, kind, span_matrix(kind, dim, degree))
-
-
-# ---------------------------------------------------------------------------
-# Gram matrices and L2 projections
-
-def gram_matrix(a: ScaledMonomialBasis, b: ScaledMonomialBasis,
-                rule: QuadratureRule) -> np.ndarray:
-    """Ambient Gram between two (scalar or vector) bases on one entity."""
-    if a.vector != b.vector:
-        raise DomainError("mixed scalar/vector Gram")
-    pa, pb = a.eval(rule.points), b.eval(rule.points)
-    g = pa.T @ (rule.weights[:, None] * pb)
-    if not a.vector:
-        return g
-    out = np.zeros((a.size, b.size))
-    na, nb = a.n_scalar, b.n_scalar
-    for c in range(a.dim):
-        out[c * na:(c + 1) * na, c * nb:(c + 1) * nb] = g
     return out
 
 

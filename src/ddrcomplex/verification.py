@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DdrError, DomainError, InputError
 from .homology import betti_numbers, build_cochain_complex, cohomology_dims
-from .layouts import CARRIERS, KINDS, PARTS, SPACES, entity_count
+from .layouts import CARRIERS, KINDS, PARTS, SPACES, checked_degree, entity_count
 from .lifting import (
     ExtensionMaps,
     LiftedGenerators,
@@ -353,7 +353,7 @@ class VerifySession:
                  opts: RankOptions | None = None):
         self.mesh = mesh
         self.orient = orientation
-        self.k = degree
+        self.k = checked_degree(degree)
         self.opts = opts or RankOptions()
         self._ranks: dict[str, RankResult] = {}
         self._local: dict[str, LocalRanks] = {}
@@ -946,7 +946,7 @@ def run_all(mesh: Mesh, orientation: OrientationTable, degree: int,
 
     return VerificationReport(
         mesh_counts=mesh.counts,
-        degree=degree,
+        degree=s.k,
         dims=s.dims,
         ranks=ranks,
         betti_cw=betti_cw,

@@ -117,6 +117,9 @@ MALFORMED = {
     "elements not index lists": "'elements' must be a list of index lists",
     "nan coordinate": "vertex coordinates must be finite",
     "infinite coordinate": "vertex coordinates must be finite",
+    "string coordinates": "vertex 0: coordinate '0.0' is not a number",
+    "boolean coordinate": "vertex 2: coordinate False is not a number",
+    "nested coordinate": r"vertex 5: coordinate \[1\.0\] is not a number",
 }
 
 
@@ -141,6 +144,12 @@ def malformed_cube_document(case):
         doc["vertices"][3][2] = float("nan")
     elif case == "infinite coordinate":
         doc["vertices"][0][0] = float("inf")
+    elif case == "string coordinates":      # every coordinate, each a valid float literal
+        doc["vertices"] = [[str(x) for x in v] for v in doc["vertices"]]
+    elif case == "boolean coordinate":
+        doc["vertices"][2][1] = False
+    elif case == "nested coordinate":
+        doc["vertices"][5][2] = [doc["vertices"][5][2]]
     else:
         raise ValueError(case)
     return doc

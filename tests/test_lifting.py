@@ -8,7 +8,6 @@ from ddrcomplex import (
     DomainError,
     ExtensionMaps,
     build_cochain_complex,
-    entity_basis,
     lift_generators,
     numeric_rank,
     reduction_matrix,
@@ -17,6 +16,7 @@ from ddrcomplex import (
 from ddrcomplex.sparse import CsrMatrix
 
 from conftest import complex_for, dense_rank_raise, extensions_for, mesh_and_orientation
+from test_spaces import entity_basis
 
 SPACES = ("Xgrad", "Xcurl", "Xdiv", "Pk")
 

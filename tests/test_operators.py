@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from ddrcomplex import DofLayout, DomainError, ddr0_closed_forms, entity_basis
+from ddrcomplex import DdrComplex, DofLayout, DomainError, ddr0_closed_forms
 from ddrcomplex.layouts import entity_count
 from ddrcomplex.operators import OPERATORS
 
 from conftest import complex_for, mesh_and_orientation
 from test_layouts import reference_components
+from test_spaces import entity_basis
 
 
 def basis(c, kind, index, degree, vector=False):
@@ -73,6 +74,25 @@ def test_layout_indices_reject_float_and_bool_entities(entity):
     mesh, _ = mesh_and_orientation("cube")
     with pytest.raises(KeyError):
         DofLayout("Xgrad", 1, mesh).indices("edge", entity, "poly")
+
+
+@pytest.mark.parametrize("degree,message", [(True, "degree True is not an integer"),
+                                            (1.0, "degree 1.0 is not an integer"),
+                                            (1.5, "degree 1.5 is not an integer"),
+                                            (-1, "degree must be >= 0")])
+def test_layout_and_complex_reject_a_bad_degree(degree, message):
+    mesh, orient = mesh_and_orientation("cube")
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        DofLayout("Xgrad", degree, mesh)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        DdrComplex(mesh, orient, degree)
+
+
+def test_layout_and_complex_accept_a_numpy_degree():
+    mesh, orient = mesh_and_orientation("cube")
+    lay = DofLayout("Xgrad", np.int64(1), mesh)
+    assert type(lay.degree) is int and lay.total == DofLayout("Xgrad", 1, mesh).total
+    assert type(DdrComplex(mesh, orient, np.int64(1)).k) is int
 
 
 def test_layout_k0_single_scalar_components():

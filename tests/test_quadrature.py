@@ -12,12 +12,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddrcomplex import DomainError, QuadratureDegreeError, compute_orientation, entity_rule
+from ddrcomplex import DomainError, QuadratureDegreeError, compute_orientation
 from ddrcomplex.operators import OPERATORS
 from ddrcomplex.quadrature import _gauss01, _tetra_ref, _triangle_ref
 
 from conftest import complex_for, mesh_and_orientation
 from test_general_meshes import prism_pair
+from test_spaces import entity_rule
 
 
 def box_monomial_integral(lo, hi, alpha):

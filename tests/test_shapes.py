@@ -32,9 +32,6 @@ from ddrcomplex import (
     builtin_pattern,
     compute_orientation,
     corrupt_orientation,
-    entity_basis,
-    entity_rule,
-    gram_matrix,
     load_mesh,
     reduction_matrix,
     run_all,
@@ -48,6 +45,7 @@ from ddrcomplex.verification import VerifySession, check_consistency
 from conftest import complex_for, graded_block, mesh_and_orientation
 from test_general_meshes import l_prism, prism_pair
 from test_layouts import closure
+from test_spaces import entity_basis, entity_rule, gram_matrix
 
 # (entity kind, builder), in build order
 BUILDERS = (
@@ -223,7 +221,7 @@ def test_one_grouping_per_mesh_and_kind():
     assert sorted(kind for _, kind in calls) == sorted(KINDS)
 
 
-@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("k", [0, 1, 2])
 def test_offset_block_keeps_its_verdicts(monkeypatch, k):
     # 1e3 from the origin with h = 0.7, coordinates and centres round at about
     # 1e-13 of a diameter: the stacked build keeps the verdicts of builds

@@ -1,23 +1,175 @@
-"""Polynomial subspace dimensions, exact calculus, Gram/projection behaviour."""
+"""Polynomial subspace dimensions, exact calculus, Gram/projection behaviour.
+
+The per-entity reference forms live here: one entity's scaled monomial
+basis (:class:`ScaledMonomialBasis`, :func:`entity_basis`), its tagged
+subspaces (:class:`SubspaceBasis`, :func:`subspace_basis`), its Gram
+(:func:`gram_matrix`) and its quadrature rule (:func:`entity_rule`).  The
+package evaluates stacks of entities at once; these forms spell out the
+same quantities one entity at a time, and the tests of the stacked paths
+compare against them.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from ddrcomplex import ConditioningError, DomainError, compute_orientation, space_dim
+from ddrcomplex import ConditioningError, DomainError, QuadratureRule, compute_orientation, space_dim
 from ddrcomplex import monomials as mono
 from ddrcomplex.homology import integer_rank
+from ddrcomplex.mesh import checked_entity
+from ddrcomplex.quadrature import rule_stack
 from ddrcomplex.spaces import (
-    entity_basis,
     frame_dot,
     frame_moments,
     frame_values,
-    gram_matrix,
+    span_matrix,
     stacked_solve,
-    subspace_basis,
 )
 
 from conftest import complex_for, mesh_and_orientation
 from test_general_meshes import prism_pair
+
+
+# -- per-entity reference forms ------------------------------------------------
+
+@dataclass(frozen=True)
+class ScaledMonomialBasis:
+    """Monomials of y = (x - center)/length, in 1/2/3 intrinsic variables.
+
+    ``frame`` maps ambient 3D points to intrinsic coordinates: the unit
+    tangent for edges, the two orthonormal in-plane axes for faces, and the
+    identity for elements.  Vector-valued bases stack one copy of the scalar
+    basis per intrinsic component; component c of a face basis is the 3D
+    field (monomial) * frame[c].
+    """
+
+    entity: tuple[str, int]
+    dim: int
+    degree: int
+    center: np.ndarray
+    length: float
+    frame: np.ndarray     # (dim, 3)
+    vector: bool = False
+
+    @property
+    def n_scalar(self) -> int:
+        return mono.n_monomials(self.dim, self.degree)
+
+    @property
+    def size(self) -> int:
+        return self.n_scalar * (self.dim if self.vector else 1)
+
+    def local_coords(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return (pts - self.center[None, :]) @ self.frame.T / self.length
+
+    def eval(self, pts: np.ndarray) -> np.ndarray:
+        """Scalar design matrix (npts, n_scalar) at ambient points."""
+        return mono.eval_monomials(self.dim, self.degree, self.local_coords(pts))
+
+    def eval_vector(self, pts: np.ndarray) -> np.ndarray:
+        """Ambient vector values (npts, size, 3) of the stacked vector basis:
+        the reference form of the frame contractions of ``spaces``."""
+        if not self.vector:
+            raise DomainError("eval_vector on a scalar basis")
+        phi = self.eval(pts)
+        out = np.zeros((phi.shape[0], self.size, 3))
+        n = self.n_scalar
+        for c in range(self.dim):
+            out[:, c * n:(c + 1) * n, :] = phi[:, :, None] * self.frame[c][None, None, :]
+        return out
+
+
+def entity_basis(mesh, orientation, kind, index, degree, vector=False):
+    """The scaled monomial basis of one edge, face or element."""
+    if kind not in ("edge", "face", "cell"):
+        raise DomainError(f"unknown entity kind {kind!r}")
+    if vector and kind == "edge":
+        raise DomainError("vector bases live on faces and cells only")
+    geometry = orientation.geometry(kind)
+    return ScaledMonomialBasis(
+        entity=(kind, index),
+        dim=geometry.frame.shape[1],
+        degree=degree,
+        center=np.asarray(geometry.center[index], dtype=float),
+        length=float(geometry.diameter[index]),
+        frame=geometry.frame[index],
+        vector=vector,
+    )
+
+
+class SubspaceBasis:
+    """A polynomial subspace as columns over an ambient basis; ``coeffs``
+    is read-only."""
+
+    def __init__(self, ambient, kind, coeffs):
+        self.ambient = ambient
+        self.kind = kind
+        self.coeffs = coeffs
+        coeffs.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        return self.coeffs.shape[1]
+
+    def eval_vector(self, pts: np.ndarray) -> np.ndarray:
+        """Ambient 3D values (npts, dim, 3) of the subspace columns (the
+        reference form of :func:`frame_values` on ``coeffs``)."""
+        amb = self.ambient.eval_vector(pts)
+        return np.einsum("pax,ab->pbx", amb, self.coeffs)
+
+
+def subspace_basis(mesh, orientation, kind, entity, degree, rule=None):
+    """A tagged subspace over the entity's scaled monomial ambient basis.
+
+    P0 subtracts the entity mean of each non-constant monomial and therefore
+    needs a quadrature ``rule``; all other kinds are quadrature-free.
+    """
+    ekind, eidx = entity
+    dim = {"edge": 1, "face": 2, "cell": 3}[ekind]
+    space_dim(kind, degree, dim)  # validates kind/dim compatibility
+    if kind in ("P", "P0"):
+        ambient = entity_basis(mesh, orientation, ekind, eidx, degree, vector=False)
+        n = ambient.n_scalar
+        if kind == "P" or degree < 0:
+            return SubspaceBasis(ambient, kind, np.eye(n)[:, :space_dim(kind, degree, dim)])
+        if rule is None:
+            raise DomainError("P0 basis needs a quadrature rule for entity means")
+        phi = ambient.eval(rule.points)
+        means = rule.integrate(phi) / rule.measure
+        # y^alpha - mean; 0.0 - mean keeps a zero mean +0.0
+        coeffs = np.vstack([0.0 - means[1:], np.eye(n - 1)])
+        return SubspaceBasis(ambient, kind, coeffs)
+
+    ambient = entity_basis(mesh, orientation, ekind, eidx, degree, vector=True)
+    if kind == "vP":
+        return SubspaceBasis(ambient, kind, np.eye(ambient.size))
+    return SubspaceBasis(ambient, kind, span_matrix(kind, dim, degree))
+
+
+def gram_matrix(a, b, rule):
+    """Ambient Gram between two (scalar or vector) bases on one entity."""
+    if a.vector != b.vector:
+        raise DomainError("mixed scalar/vector Gram")
+    pa, pb = a.eval(rule.points), b.eval(rule.points)
+    g = pa.T @ (rule.weights[:, None] * pb)
+    if not a.vector:
+        return g
+    out = np.zeros((a.size, b.size))
+    na, nb = a.n_scalar, b.n_scalar
+    for c in range(a.dim):
+        out[c * na:(c + 1) * na, c * nb:(c + 1) * nb] = g
+    return out
+
+
+def entity_rule(mesh, orientation, kind, index, degree):
+    """One entity's rule: ``rule_stack`` on its row of its size group.
+    An unknown kind or an index out of range raises :class:`DomainError`."""
+    index = checked_entity(mesh, kind, index)
+    group, row = mesh.group_table(kind)[:, index]
+    pts, w = rule_stack(mesh, orientation, kind, mesh.groups(kind)[group].rows([row]), degree)
+    return QuadratureRule((kind, index), pts[0], w[0], degree)
 
 
 def _cube_subspace(kind, entity, degree):

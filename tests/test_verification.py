@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given
 
 from ddrcomplex import (
+    DomainError,
     RankOptions,
     compute_orientation,
     corrupt_orientation,
-    entity_basis,
     numeric_rank,
     run_all,
     InputError,
@@ -44,6 +44,7 @@ from ddrcomplex.verification import (
 from conftest import (complex_for, dense_rank_raise, extensions_for, mesh_and_orientation,
                       voxel_patterns)
 from test_general_meshes import prism_pair
+from test_spaces import entity_basis
 from test_sparse import traced_peak
 
 MESH_FILES = Path(__file__).resolve().parent.parent / "tools" / "meshes"
@@ -263,6 +264,21 @@ def test_run_all_selection_semantics():
     assert report.cohomology_ddr is None
     with pytest.raises(InputError):
         run_all(mesh, orient, 1, selection=["bogus"])
+
+
+@pytest.mark.parametrize("degree", [True, 1.0, 1.5])
+def test_run_all_rejects_a_non_integer_degree_before_any_family(degree, monkeypatch):
+    mesh, orient = mesh_and_orientation("cube")
+    monkeypatch.setattr(verification, "check_complex", lambda s: pytest.fail("a family ran"))
+    with pytest.raises(DomainError, match=f"^degree {degree!r} is not an integer$"):
+        run_all(mesh, orient, degree)
+
+
+def test_run_all_reports_a_numpy_degree_as_an_integer():
+    mesh, orient = mesh_and_orientation("cube")
+    doc = run_all(mesh, orient, np.int64(1), selection=["complex"]).as_dict()
+    assert doc["degree"] == 1 and type(doc["degree"]) is int
+    json.dumps(doc)
 
 
 def test_run_all_reports_h1_for_ring():
