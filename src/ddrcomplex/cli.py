@@ -137,23 +137,22 @@ def cmd_mesh(args) -> int:
     return EXIT_OK
 
 
-def _generator_fields(high, generators: list[dict]) -> dict[str, np.ndarray]:
+def _generator_fields(high, lifted) -> dict[str, np.ndarray]:
     """One constant potential vector per element for each lifted generator
-    of a report: the potential that the element block of the generator's
-    outgoing operator reconstructs on the report's degree-k complex
+    (:attr:`.VerifySession.lifted`): the potential that the element block of
+    the generator's outgoing operator reconstructs on the degree-k complex
     ``high``, at the element centres, a size group at a time."""
     fields: dict[str, np.ndarray] = {}
     geometry = high.orient.geometry("cell")
-    for index in (1, 2):
-        cells = OPERATORS[index].blocks[-1]
-        vectors = [g["vector"] for g in generators if g["cohomology_index"] == index]
-        for j, vec in enumerate(map(np.asarray, vectors)):
+    for lg in lifted:
+        cells = OPERATORS[lg.index].blocks[-1]
+        for j, vec in enumerate(lg.vectors):
             values = np.zeros((high.mesh.n_elements, 3))
             for st in high.stacks(cells.builder):
                 phi = high._eval("cell", st.ids, geometry.center[st.ids][:, None, :], high.k)
                 coeffs = (st.potential @ vec[st.globals][..., None])[..., 0]
                 values[st.ids] = frame_values(phi, geometry.frame[st.ids], coeffs)[:, 0]
-            fields[f"h{index}_generator_{j}"] = values
+            fields[f"h{lg.index}_generator_{j}"] = values
     return fields
 
 
@@ -166,9 +165,9 @@ def cmd_cohomology(args) -> int:
     report = run_all(mesh, orient, k, selection, opts, timestamp=_timestamp(args))
     if args.no_timestamp:
         report.strip_timing()
-    lifted = all(c.passed for c in report.checks if c.name.startswith("generators."))
-    if args.generators and lifted:
-        fields = _generator_fields(report.session.high, report.generators)
+    lifts_pass = all(c.passed for c in report.checks if c.name.startswith("generators."))
+    if args.generators and lifts_pass:
+        fields = _generator_fields(report.session.high, report.session.lifted)
         write_vtk(args.generators, mesh, fields, title=f"cohomology generators (degree {k})")
     _emit(report.as_dict(), args.out)
     betti = report.betti_cw        # empty when the Betti numbers could not be computed
@@ -186,7 +185,7 @@ def cmd_verify(args) -> int:
     orient = compute_orientation(mesh)
     if args.inject_fault:
         orient = corrupt_orientation(orient, args.inject_fault)
-    selection = args.checks.split(",") if args.checks else None
+    selection = None if args.checks is None else args.checks.split(",")
     opts = RankOptions(rel_tol=args.rank_tol, seed=args.seed)
     report = run_all(mesh, orient, k, selection, opts, timestamp=_timestamp(args))
     if args.no_timestamp:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificationError, DdrError, DomainError
-from .mesh import Mesh, OrientationTable
+from .mesh import Mesh, OrientationTable, checked_integer
 from .sparse import CsrMatrix
 
 
@@ -103,6 +103,7 @@ class CochainComplexInt:
         return (self.d0.shape[1], self.d0.shape[0], self.d1.shape[0], self.d2.shape[0])
 
     def boundary(self, i: int) -> CsrMatrix:
+        i = checked_integer(i, "coboundary index")
         if i not in (0, 1, 2):
             raise DomainError(f"no coboundary of index {i}")
         return (self.d0, self.d1, self.d2)[i]
@@ -139,9 +140,9 @@ def _signed_incidences(mesh: Mesh, orientation: OrientationTable
     edges = np.asarray(mesh.edges, dtype=np.int64).reshape(-1, 2)
     faces, face_edges = _flat(mesh.face_edges)
     cells, cell_faces = _flat(mesh.element_faces)
+    fe, tf = orientation.face_edge_sign, orientation.cell_face_sign
     return ((np.repeat(np.arange(len(edges)), 2), edges.ravel(), np.tile([-1, 1], len(edges))),
-            (faces, face_edges, -_flat(orientation.face_edge_sign)[1]),
-            (cells, cell_faces, _flat(orientation.cell_face_sign)[1]))
+            (faces, face_edges, -fe[fe != 0]), (cells, cell_faces, tf[tf != 0]))
 
 
 def build_cochain_complex(mesh: Mesh, orientation: OrientationTable) -> CochainComplexInt:
@@ -285,6 +286,7 @@ def cohomology_generators(complex_: CochainComplexInt, i: int) -> list[np.ndarra
     (:meth:`CochainComplexInt.echelon`), and a zero Betti number needs no
     other: the kernel is built only when there is something to select.
     """
+    i = checked_integer(i, "cohomology index")
     if i not in (1, 2):
         raise DomainError("generators are computed for cohomology indices 1 and 2")
     d_out = complex_.boundary(i)

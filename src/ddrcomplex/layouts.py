@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .mesh import KINDS, entity_count, group_closure
+from .mesh import KINDS, checked_integer, entity_count, group_closure
 from .spaces import space_dim
 
 # Each space's components per entity kind, in order of dimension, as
@@ -41,11 +41,10 @@ CARRIERS = {space: next(iter(parts)) for space, parts in PARTS.items()}
 def checked_degree(degree) -> int:
     """``degree`` as a polynomial degree, else DomainError: an integer, not
     a bool, and not negative."""
-    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)):
-        raise DomainError(f"degree {degree!r} is not an integer")
+    degree = checked_integer(degree, "degree")
     if degree < 0:
         raise DomainError("degree must be >= 0")
-    return int(degree)
+    return degree
 
 
 class DofLayout:

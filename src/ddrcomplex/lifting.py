@@ -34,6 +34,7 @@ from .homology import (
     cohomology_generators,
 )
 from .layouts import CARRIERS, KINDS, PARTS
+from .mesh import checked_integer
 from .operators import OPERATORS, DdrComplex, _Coo, _Group
 from .spaces import span_matrix
 from .sparse import CsrMatrix
@@ -190,6 +191,7 @@ def lift_generators(high: DdrComplex, low: DdrComplex, index: int,
     ``(high, low)`` passes them as ``cochain`` and ``ext``; otherwise they
     are built here.
     """
+    index = checked_integer(index, "cohomology index")
     if index not in (1, 2):
         raise DomainError("cohomology index must be 1 or 2")
     if not (np.isfinite(kernel_tol) and kernel_tol > 0):

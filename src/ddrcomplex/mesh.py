@@ -4,7 +4,9 @@ A mesh stores vertices, derived edges (ascending vertex pairs, sorted
 lexicographically), faces as counter-clockwise vertex loops, and elements as
 face-index lists.  Orientation/measure data consumed by the discrete
 operators (tangents, normals, boundary signs, measures, centroids) is
-derived once into an :class:`OrientationTable`.
+derived once into an :class:`OrientationTable`, one array per field; the
+boundary signs and normals have one row per face or element, its own
+entries first and zeros after.
 
 Conventions:
 
@@ -381,15 +383,22 @@ def entity_count(mesh: Mesh, kind: str) -> int:
     return mesh.counts[KINDS.index(kind)]
 
 
+def checked_integer(value, what: str) -> int:
+    """``value`` as an ``int`` (a numpy integer too, not a bool), else
+    DomainError naming it as ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 def checked_entity(mesh: Mesh, kind: str, index) -> int:
     """``index`` as an edge, face or cell of the mesh, else DomainError."""
     if kind not in KINDS[1:]:
         raise DomainError(f"unknown entity kind {kind!r}")
-    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
-        raise DomainError(f"{kind} index {index!r} is not an integer")
+    index = checked_integer(index, f"{kind} index")
     if not 0 <= index < entity_count(mesh, kind):
         raise DomainError(f"no {kind} {index}: the mesh has {entity_count(mesh, kind)}")
-    return int(index)
+    return index
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -486,12 +495,12 @@ class OrientationTable:
     face_area: np.ndarray       # (F,)
     face_center: np.ndarray     # (F, 3) area centroid
     face_diameter: np.ndarray   # (F,)
-    face_edge_sign: tuple[tuple[int, ...], ...]        # omega_FE per face edge
-    face_edge_normal: tuple[np.ndarray, ...]           # n_FE per face edge, (nE, 3)
+    face_edge_sign: np.ndarray  # (F, L) omega_FE per face edge in loop order, then 0
+    face_edge_normal: np.ndarray  # (F, L, 3) n_FE per face edge in loop order, then 0
     cell_volume: np.ndarray     # (T,)
     cell_center: np.ndarray     # (T, 3) volume centroid
     cell_diameter: np.ndarray   # (T,)
-    cell_face_sign: tuple[tuple[int, ...], ...]        # omega_TF per element face
+    cell_face_sign: np.ndarray  # (T, N) omega_TF per element face in face order, then 0
 
     def geometry(self, kind: str) -> EntityGeometry:
         """Centres, diameters, frames (tangent, tau1 and tau2, identity) and
@@ -549,7 +558,9 @@ def compute_orientation(mesh: Mesh, planarity_tol: float = 1e-9,
     nf, nt = mesh.n_faces, mesh.n_elements
     face_normal, face_tau1, face_tau2, face_center = np.empty((4, nf, 3))
     face_area, face_diameter = np.empty((2, nf))
-    face_edge_sign, face_edge_normal = [()] * nf, [None] * nf
+    loop_len = max(map(len, mesh.face_loops), default=0)
+    face_edge_sign = np.zeros((nf, loop_len), dtype=np.int64)
+    face_edge_normal = np.zeros((nf, loop_len, 3))
     failures: dict[int, str] = {}
     for grp in mesh.groups("face"):
         ids, edges = grp.ids, grp.edge
@@ -583,14 +594,14 @@ def compute_orientation(mesh: Mesh, planarity_tol: float = 1e-9,
                 "ambiguous boundary sign")
         face_normal[ids], face_tau1[ids], face_tau2[ids] = n, t1, np.cross(n, t1)
         face_area[ids], face_center[ids], face_diameter[ids] = area, center, diam
-        for f, signs, nfe in zip(ids, np.where(dot > 0, 1, -1).tolist(), normals):
-            face_edge_sign[f], face_edge_normal[f] = tuple(signs), nfe
+        face_edge_sign[ids, :edges.shape[1]] = np.where(dot > 0, 1, -1)
+        face_edge_normal[ids, :edges.shape[1]] = normals
     if failures:
         raise GeometryError(failures[min(failures)])
 
     cell_volume, cell_diameter = np.empty((2, nt))
     cell_center = np.empty((nt, 3))
-    cell_face_sign = [()] * nt
+    cell_face_sign = np.zeros((nt, max(map(len, mesh.element_faces), default=0)), dtype=np.int64)
     for grp in mesh.groups("cell"):
         ids, faces, owner, start, end = grp.ids, grp.faces, grp.owner, grp.start, grp.end
         coords = verts[_unique_rows(start)]                           # (G, V, 3)
@@ -615,12 +626,11 @@ def compute_orientation(mesh: Mesh, planarity_tol: float = 1e-9,
                 f"element {ids[g]}, face {faces[g, np.argmax(ambiguous[g])]}: "
                 "ambiguous boundary sign")
         cell_volume[ids], cell_center[ids], cell_diameter[ids] = volume, cent, diam
-        for t, signs in zip(ids, np.where(dot > 0, 1, -1).tolist()):
-            cell_face_sign[t] = tuple(signs)
+        cell_face_sign[ids, :faces.shape[1]] = np.where(dot > 0, 1, -1)
     if failures:
         raise GeometryError(failures[min(failures)])
 
     return OrientationTable(verts, edge_tangent, edge_length, edge_midpoint, face_normal,
                             face_tau1, face_tau2, face_area, face_center, face_diameter,
-                            tuple(face_edge_sign), tuple(face_edge_normal), cell_volume,
-                            cell_center, cell_diameter, tuple(cell_face_sign))
+                            face_edge_sign, face_edge_normal, cell_volume,
+                            cell_center, cell_diameter, cell_face_sign)

@@ -368,11 +368,11 @@ class DdrComplex:
         n_F), in mesh order."""
         o, ids = self.orient, grp.ids
         if grp.kind == "face":
-            return (grp.group.edge, np.asarray([o.face_edge_sign[i] for i in ids], dtype=float),
-                    np.stack([o.face_edge_normal[i] for i in ids]))
+            subs = grp.group.edge
+            return (subs, o.face_edge_sign[ids, :subs.shape[1]].astype(float),
+                    o.face_edge_normal[ids, :subs.shape[1]])
         subs = grp.group.faces
-        return (subs, np.asarray([o.cell_face_sign[i] for i in ids], dtype=float),
-                o.face_normal[subs])
+        return subs, o.cell_face_sign[ids, :subs.shape[1]].astype(float), o.face_normal[subs]
 
     def _project(self, kind: str, ids, part: str, degree: int, source_degree: int,
                  columns: np.ndarray) -> np.ndarray:

@@ -22,6 +22,11 @@ Check families (selectable by name):
 * ``generators``     -- lifted cohomology generators with kernel-residual
                         certificates, independent by the cochain-map premises.
 
+Each family is a function ``check_<family>`` (``check_cochain_diagram`` for
+``cochain``) of a :class:`VerifySession` that returns its rows; what is read
+after the rows (the certificate, the ranks, the generators' lifts) stays on
+the session, where :func:`run_all` and the CLI read it.
+
 Tolerances are pinned here: 1e-12 for bookkeeping identities, 1e-10 for
 assembled operator identities, 1e-9 for identities through solved local
 systems, 1e-13 for the degree-0/CW diagram.  Relative residuals scale by
@@ -30,7 +35,6 @@ the max absolute entries of the product factors.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
@@ -48,6 +52,7 @@ from .lifting import (
     zero_reduction_basis,
 )
 from .mesh import Mesh, OrientationTable
+from .monomials import monomial_powers
 from .operators import OPERATORS, DdrComplex, _label, _point_stacks, ddr0_closed_forms
 from .spaces import frame_values
 from .sparse import CsrMatrix
@@ -342,11 +347,12 @@ _GENERATOR_PREMISES = {1: ("cochain.RE_curl", "cochain.red_grad", "cochain.cw_gr
 class VerifySession:
     """Lazily builds and shares the operators a battery of checks needs.
 
-    The residual rows of the ``complex`` and ``cochain`` families are
-    computed once (:meth:`residual`): the cohomology certificate reads
-    some of them as its premises.  :meth:`local_ranks` certifies each
-    operator on ker R from its per-entity blocks, and :meth:`operator_rank`
-    adds the exact rank of the CW coboundary.
+    The residual rows of the ``complex``, ``cochain`` and ``closed_forms``
+    families are computed once (:meth:`residual`): the cohomology
+    certificate reads some of them as its premises.  :meth:`local_ranks`
+    certifies each operator on ker R from its per-entity blocks, and
+    :meth:`operator_rank` adds the exact rank of the CW coboundary.
+    ``lifted`` holds the lifts of the last ``generators`` family.
     """
 
     def __init__(self, mesh: Mesh, orientation: OrientationTable, degree: int,
@@ -359,6 +365,7 @@ class VerifySession:
         self._local: dict[str, LocalRanks] = {}
         self._residuals: dict[str, CheckResult] = {}
         self._reductions: dict[str, CsrMatrix] = {}
+        self.lifted: list[LiftedGenerators] = []
 
     @cached_property
     def high(self) -> DdrComplex:
@@ -392,13 +399,19 @@ class VerifySession:
     # -- residual rows and premises ------------------------------------------
 
     @cached_property
+    def closed_forms(self) -> tuple[CsrMatrix, ...]:
+        """The degree-0 operators from their boundary-value formulas."""
+        return tuple(ddr0_closed_forms(self.mesh, self.orient))
+
+    @cached_property
     def _residual_rows(self) -> dict:
-        """Every residual row of the complex and cochain families, in row
-        order, and ``reduction.onto``: name -> (residual thunk, tolerance).
-        Each reduction, extension and operator is built inside the first
-        row that uses it.  The CW rows compare each degree-0 operator scaled
-        by the measures of its target's carriers with the coboundary scaled
-        by those of its source's (a vertex has measure one)."""
+        """Every residual row of the complex, cochain and closed_forms
+        families, in row order, and ``reduction.onto``: name -> (residual
+        thunk, tolerance).  Each reduction, extension, operator and the
+        closed forms are built inside the first row that uses them.  The CW
+        rows compare each degree-0 operator scaled by the measures of its
+        target's carriers with the coboundary scaled by those of its
+        source's (a vertex has measure one)."""
         high, low, red = self.high, self.low, self.reduction
         rows = {}
 
@@ -456,6 +469,11 @@ class VerifySession:
             add(f"cochain.cw_{op.local}", tol,
                 lambda op=op: [kappa(op.target), low.operator(op.name)],
                 lambda i=i, op=op: [self.cochain.boundary(i), kappa(op.source)])
+
+        tol = TOLERANCES["closed_forms"]
+        for i, op in enumerate(OPERATORS):
+            add(f"closed_forms.{op.name}", tol, lambda op=op: [low.operator(op.name)],
+                lambda i=i: [self.closed_forms[i]])
         return rows
 
     def residual(self, name: str) -> CheckResult:
@@ -724,29 +742,8 @@ def check_zero_reduction(s: VerifySession) -> list[CheckResult]:
 
 def check_closed_forms(s: VerifySession) -> list[CheckResult]:
     """Each degree-0 operator against its boundary-value formula; the
-    formulas are built inside the first check."""
-    tol = TOLERANCES["closed_forms"]
-    out: list[CheckResult] = []
-    closed: list[CsrMatrix] = []
-
-    def formula(i: int) -> CsrMatrix:
-        if not closed:
-            closed.extend(ddr0_closed_forms(s.mesh, s.orient))
-        return closed[i]
-
-    for i, op in enumerate(OPERATORS):
-        _timed(out, f"closed_forms.{op.name}", lambda i=i, op=op: _residual_check(
-            residual_between([s.low.operator(op.name)], [formula(i)]), tol))
-    return out
-
-
-def _monomial_sweep(degree: int):
-    for total in range(degree + 1):
-        for ax in itertools.combinations_with_replacement(range(3), total):
-            alpha = [0, 0, 0]
-            for a in ax:
-                alpha[a] += 1
-            yield tuple(alpha)
+    formulas are built inside the first row."""
+    return _family_rows(s, "closed_forms")
 
 
 def _monomial(alpha):
@@ -811,7 +808,7 @@ def check_consistency(s: VerifySession) -> list[CheckResult]:
     """
     tol = TOLERANCES["consistency"]
     high, k = s.high, s.k
-    alphas = list(_monomial_sweep(k + 1))
+    alphas = monomial_powers(3, k + 1)
     fields = [_monomial(alpha) for alpha in alphas]
     interpolates: list[np.ndarray] = []
 
@@ -864,15 +861,17 @@ def check_consistency(s: VerifySession) -> list[CheckResult]:
     return out
 
 
-def check_generators(s: VerifySession) -> tuple[list[CheckResult], list[LiftedGenerators]]:
+def check_generators(s: VerifySession) -> list[CheckResult]:
+    """Lift the CW generators of H^1 and H^2 to degree k; the lifts that
+    pass their own certificate replace :attr:`VerifySession.lifted`."""
     tol = TOLERANCES["generator_kernel"]
     out: list[CheckResult] = []
-    lifted: list[LiftedGenerators] = []
+    s.lifted = []
 
     def lift(index: int) -> CheckResult:
         lg = lift_generators(s.high, s.low, index, kernel_tol=tol,
                              cochain=s.cochain, ext=s.ext)
-        lifted.append(lg)
+        s.lifted.append(lg)
         want = s.betti.as_tuple()[index]
         res = max((c["kernel_residual"] for c in lg.certificates), default=0.0)
         premises = _GENERATOR_PREMISES[index][0 if s.k else -1:]
@@ -883,7 +882,7 @@ def check_generators(s: VerifySession) -> tuple[list[CheckResult], list[LiftedGe
 
     for index in (1, 2):
         _timed(out, f"generators.h{index}", lambda index=index: lift(index))
-    return out, lifted
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -893,51 +892,38 @@ def run_all(mesh: Mesh, orientation: OrientationTable, degree: int,
             selection: list[str] | None = None,
             opts: RankOptions | None = None,
             timestamp: str | None = None) -> VerificationReport:
-    """Execute the selected check families in dependency order."""
-    selection = list(selection) if selection else list(FAMILIES)
+    """Execute the selected check families (``None``: all) in the order of
+    :data:`FAMILIES`; a family's error outside its rows becomes its
+    ``<family>.error`` row."""
+    if isinstance(selection, str):
+        raise InputError(f"check families are a list of names, not the string {selection!r}")
+    selection = list(FAMILIES) if selection is None else list(selection)
+    if not selection:
+        raise InputError(f"no check families selected; choose from {list(FAMILIES)}")
     unknown = sorted(set(selection) - set(FAMILIES))
     if unknown:
         raise InputError(f"unknown check families {unknown}; choose from {list(FAMILIES)}")
     s = VerifySession(mesh, orientation, degree, opts)
 
     checks: list[CheckResult] = []
-    generator_payload: list[dict] = []
-    cohomology_ddr, certified = None, False
-
     for family in FAMILIES:
         if family not in selection:
             continue
+        # looked up on each call, so that a replaced check_<family> takes effect
+        check = globals()["check_cochain_diagram" if family == "cochain" else f"check_{family}"]
         try:
-            if family == "complex":
-                checks.extend(check_complex(s))
-            elif family == "cohomology":
-                checks.extend(check_cohomology(s))
-                # the ranks and dimensions of an uncertified complex are not reported
-                certified = s.certified()
-                cohomology_ddr = list(s.cohomology_dims()) if certified else []
-            elif family == "cochain":
-                checks.extend(check_cochain_diagram(s))
-            elif family == "zero_reduction":
-                checks.extend(check_zero_reduction(s))
-            elif family == "closed_forms":
-                checks.extend(check_closed_forms(s))
-            elif family == "consistency":
-                checks.extend(check_consistency(s))
-            elif family == "generators":
-                gen_checks, lifted = check_generators(s)
-                checks.extend(gen_checks)
-                for lg in lifted:
-                    for vec, cert in zip(lg.vectors, lg.certificates):
-                        generator_payload.append({
-                            "space": lg.space, "degree": lg.degree,
-                            "cohomology_index": lg.index,
-                            "vector": [float(x) for x in vec], **cert})
+            checks.extend(check(s))
         except DdrError as exc:
             checks.append(CheckResult(f"{family}.error", passed=False,
                                       error=f"{type(exc).__name__}: {exc}"))
 
-    ranks = {op.name: s.operator_rank(op.name).as_dict() for op in OPERATORS} \
-        if certified else {}
+    # the ranks and dimensions of an uncertified complex are not reported
+    cohomology_ddr, ranks = None, {}
+    if "cohomology" in selection:
+        certified = s.certified()
+        cohomology_ddr = list(s.cohomology_dims()) if certified else []
+        if certified:
+            ranks = {op.name: s.operator_rank(op.name).as_dict() for op in OPERATORS}
 
     try:
         betti_cw = list(s.betti.as_tuple())
@@ -954,7 +940,9 @@ def run_all(mesh: Mesh, orientation: OrientationTable, degree: int,
         checks=checks,
         seed=(opts or RankOptions()).seed,
         timestamp=timestamp,
-        generators=generator_payload,
+        generators=[{"space": lg.space, "degree": lg.degree, "cohomology_index": lg.index,
+                     "vector": [float(x) for x in vec], **cert}
+                    for lg in s.lifted for vec, cert in zip(lg.vectors, lg.certificates)],
         session=s,
     )
 
@@ -995,13 +983,11 @@ def corrupt_orientation(orientation: OrientationTable, fault: str) -> Orientatio
     if len(given) > len(names):
         raise InputError(f"fault {fault!r}: too many indices; {kind} takes "
                          f"{' and '.join(names)}")
-    table = getattr(orientation, field_name)
+    table = getattr(orientation, field_name).copy()
     i = _fault_index(given, 0, len(table), f"{kind}: {names[0]}")
     if kind == "edge_length":
-        lengths = table.copy()
-        lengths[i] *= 1.0 + 1e-3
-        return replace(orientation, edge_length=lengths)
-    j = _fault_index(given, 1, len(table[i]), f"{kind}: {names[1]}")
-    signs = [list(sg) for sg in table]
-    signs[i][j] = -signs[i][j]
-    return replace(orientation, **{field_name: tuple(tuple(sg) for sg in signs)})
+        table[i] *= 1.0 + 1e-3
+    else:       # a row of signs ends in zeros past the entity's own
+        j = _fault_index(given, 1, np.count_nonzero(table[i]), f"{kind}: {names[1]}")
+        table[i, j] = -table[i, j]
+    return replace(orientation, **{field_name: table})

@@ -137,6 +137,16 @@ def test_verify_selection(tmp_path):
     assert names == {"complex", "cochain", "cohomology"}
 
 
+def test_verify_empty_selection_exit_2(tmp_path, capsys):
+    # an empty --checks selects nothing, not every family
+    out = tmp_path / "r.json"
+    assert run_cli("verify", "--builtin", "cube", "--checks", "", "--out", str(out),
+                   "--no-timestamp") == 2
+    assert capsys.readouterr().err == ("error: unknown check families ['']; choose from "
+                                       f"{list(ddrcomplex.verification.FAMILIES)}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fault", ["omega_tf", "omega_fe", "edge_length"])
 def test_verify_fault_injection_exit_1(tmp_path, fault, capsys):
     out = tmp_path / "r.json"

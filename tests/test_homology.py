@@ -39,6 +39,25 @@ def test_coboundary_shapes_and_rows(cube):
     assert (cc.d2 @ cc.d1).nnz == 0
 
 
+@pytest.mark.parametrize("index", [True, 1.0, 1.5])
+def test_coboundary_and_cohomology_indices_must_be_integers(ring, index):
+    cc = build_cochain_complex(*ring)
+    with pytest.raises(DomainError, match=f"^coboundary index {re.escape(repr(index))} "
+                                          "is not an integer$"):
+        cc.boundary(index)
+    with pytest.raises(DomainError, match=f"^cohomology index {re.escape(repr(index))} "
+                                          "is not an integer$"):
+        cohomology_generators(cc, index)
+
+
+def test_numpy_integer_indices_are_accepted(ring):
+    cc = build_cochain_complex(*ring)
+    assert cc.boundary(np.int64(1)) is cc.d1
+    [got] = cohomology_generators(cc, np.int64(1))
+    [want] = cohomology_generators(cc, 1)
+    assert np.array_equal(got, want)
+
+
 def test_cube_integer_ranks(cube):
     mesh, orient = cube
     cc = build_cochain_complex(mesh, orient)

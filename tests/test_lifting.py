@@ -1,5 +1,7 @@
 """Reduction/extension identities, zero-reduction exactness, generator lifting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,18 @@ def test_lift_generators(name, k, index, count):
     # the dense reference: the lifts are independent modulo the incoming image
     ranked, expected = dense_rank_raise(incoming, lifted.vectors)
     assert ranked == expected
+
+
+@pytest.mark.parametrize("index", [True, 1.0, 1.5, 2.0])
+def test_lift_generators_rejects_a_non_integer_index(index):
+    with pytest.raises(DomainError, match=f"^cohomology index {re.escape(repr(index))} "
+                                          "is not an integer$"):
+        lift_generators(complex_for("ring", 1), complex_for("ring", 0), index)
+
+
+def test_lift_generators_stores_a_numpy_index_as_an_integer():
+    lifted = lift_generators(complex_for("ring", 1), complex_for("ring", 0), np.int64(1))
+    assert type(lifted.index) is int and lifted.index == 1 and len(lifted.vectors) == 1
 
 
 @pytest.mark.parametrize("index", [1, 2])

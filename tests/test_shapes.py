@@ -39,6 +39,7 @@ from ddrcomplex import (
 )
 from ddrcomplex.cli import main
 from ddrcomplex.layouts import SPACES, entity_count
+from ddrcomplex.monomials import monomial_powers
 from ddrcomplex.quadrature import rule_stack
 from ddrcomplex.verification import VerifySession, check_consistency
 
@@ -131,7 +132,7 @@ def _sweep(high, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(verification, "_worst", lambda table: tables.append(table) or worst(table))
         check_consistency(s)
-    fields = [verification._monomial(a) for a in verification._monomial_sweep(high.k + 1)]
+    fields = [verification._monomial(a) for a in monomial_powers(3, high.k + 1)]
     return [high.interpolate_grad(fields)] + tables
 
 
@@ -416,9 +417,11 @@ def _congruence_classes(mesh, orient, kind):
         edges = tuple(where[int(v)] for e in es for v in mesh.edges[e])
         eat = {e: n for n, e in enumerate(es)}
         faces = tuple((tuple(where[v] for v in mesh.face_loops[f]),
-                       tuple(eat[e] for e in mesh.face_edges[f]), orient.face_edge_sign[f])
+                       tuple(eat[e] for e in mesh.face_edges[f]),
+                       tuple(orient.face_edge_sign[f].tolist()))
                       for f in fs)
-        cell = ((tuple(fs.index(f) for f in mesh.element_faces[i]), orient.cell_face_sign[i])
+        cell = ((tuple(fs.index(f) for f in mesh.element_faces[i]),
+                 tuple(orient.cell_face_sign[i].tolist()))
                 if kind == "cell" else ())
         classes.add((rel, edges, faces, cell))
     return len(classes)

@@ -24,6 +24,7 @@ from ddrcomplex import (
 from ddrcomplex import betti_numbers, build_cochain_complex, integer_rank, lifting, verification
 from ddrcomplex.homology import cohomology_dims
 from ddrcomplex.layouts import CARRIERS, PARTS, SPACES
+from ddrcomplex.monomials import monomial_powers
 from ddrcomplex.sparse import CsrMatrix
 from ddrcomplex.errors import ConditioningError
 from ddrcomplex.operators import OPERATORS, DdrComplex
@@ -32,7 +33,6 @@ from ddrcomplex.verification import (
     FAMILIES,
     TOLERANCES,
     VerifySession,
-    _monomial_sweep,
     check_closed_forms,
     check_cochain_diagram,
     check_cohomology,
@@ -266,6 +266,29 @@ def test_run_all_selection_semantics():
         run_all(mesh, orient, 1, selection=["bogus"])
 
 
+@pytest.mark.parametrize("selection,message", [
+    ([], r"^no check families selected; choose from \['complex', "),
+    ((), r"^no check families selected; "),
+    ("complex", r"^check families are a list of names, not the string 'complex'$"),
+], ids=["empty list", "empty tuple", "bare string"])
+def test_run_all_rejects_an_empty_or_string_selection(selection, message, monkeypatch):
+    # only None selects every family
+    mesh, orient = mesh_and_orientation("cube")
+    monkeypatch.setattr(verification, "check_complex", lambda s: pytest.fail("a family ran"))
+    with pytest.raises(InputError, match=message):
+        run_all(mesh, orient, 0, selection=selection)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_run_all_calls_a_family_replaced_on_the_module(family, monkeypatch):
+    mesh, orient = mesh_and_orientation("cube")
+    name = "check_cochain_diagram" if family == "cochain" else f"check_{family}"
+    monkeypatch.setattr(verification, name,
+                        lambda s: [verification.CheckResult(f"{family}.stub", passed=True)])
+    report = run_all(mesh, orient, 0, selection=[family])
+    assert [c.name for c in report.checks] == [f"{family}.stub"]
+
+
 @pytest.mark.parametrize("degree", [True, 1.0, 1.5])
 def test_run_all_rejects_a_non_integer_degree_before_any_family(degree, monkeypatch):
     mesh, orient = mesh_and_orientation("cube")
@@ -392,7 +415,7 @@ def _pointwise_consistency(s):
         if val > worst[name][0]:
             worst[name] = (val, where)
 
-    for alpha in _monomial_sweep(k + 1):
+    for alpha in monomial_powers(3, k + 1):
         def q(p, alpha=alpha):
             return p[0] ** alpha[0] * p[1] ** alpha[1] * p[2] ** alpha[2]
 
@@ -586,12 +609,27 @@ def test_certificate_memory_grows_about_linearly():
 def _assert_lifts_raise_the_dense_rank(s):
     # the dense rank stays here as the reference: each passing generators
     # row's lifts raise the rank of [incoming | lifts] by their count
-    checks, lifted = check_generators(s)
+    checks = check_generators(s)
     assert all(c.passed for c in checks), [c.as_dict() for c in checks]
-    for lg in lifted:
+    for lg in s.lifted:
         incoming = s.high.operator(OPERATORS[lg.index - 1].name)
         ranked, expected = dense_rank_raise(incoming, lg.vectors)
         assert ranked == expected, lg.index
+
+
+def test_generator_lifts_are_kept_on_the_session_and_reported():
+    # each call of the family replaces the session's lifts; the report's
+    # generator vectors are those lifts
+    mesh, orient = mesh_and_orientation("ring")
+    report = run_all(mesh, orient, 1, selection=["generators"])
+    s = report.session
+    assert [lg.index for lg in s.lifted] == [1, 2]
+    vectors = [vec for lg in s.lifted for vec in lg.vectors]
+    assert len(vectors) == len(report.generators) == 1
+    assert np.array_equal(report.generators[0]["vector"], vectors[0])
+    first = s.lifted
+    check_generators(s)
+    assert [lg.index for lg in s.lifted] == [1, 2] and s.lifted is not first
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -634,7 +672,8 @@ def test_lifts_of_a_broken_extension_fail_on_re_identity(broken):
     shape = s.ext.matrix("Xcurl").shape
     s.ext._cache["Xcurl"] = (CsrMatrix.from_coo(shape, [], [], []) if broken == "zero" else
                              s.high.gradient @ s.ext.matrix("Xgrad") @ _transpose(s.cochain.d0))
-    (h1, h2), lifted = check_generators(s)
+    h1, h2 = check_generators(s)
+    lifted = s.lifted
     if broken == "zero":
         assert not h1.passed and h2.passed and len(lifted) == 1
         assert h1.error == "CertificationError: lifted generator 0: zero lift"
@@ -657,8 +696,8 @@ def test_generator_family_memory_grows_about_linearly():
         s = VerifySession(*_tunnel(n), 1)
         ops = [s.high.operator(op.name) for op in OPERATORS]
         assert all(c.passed for c in check_cochain_diagram(s)) and s.betti.b1 == 1
-        (checks, lifted), peak = traced_peak(lambda: check_generators(s))
-        assert all(c.passed for c in checks) and len(lifted[0].vectors) == 1
+        checks, peak = traced_peak(lambda: check_generators(s))
+        assert all(c.passed for c in checks) and len(s.lifted[0].vectors) == 1
         sizes.append(sum(op.nnz for op in ops))
         peaks.append(peak)
     exponent = math.log(peaks[1] / peaks[0]) / math.log(sizes[1] / sizes[0])
