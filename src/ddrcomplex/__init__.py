@@ -5,76 +5,51 @@ at any polynomial degree, identify the degree-0 complex with the mesh's CW
 cochain complex, compute exact Betti numbers and cohomology generators, lift
 the generators to any degree through extension maps, and certify the whole
 construction with a named battery of numerical checks.
+
+Importing the package loads none of its modules: each public name and each
+submodule is imported on first access (PEP 562), so loading and orienting a
+mesh compiles ``errors`` and ``mesh`` alone.
 """
 
-from .errors import (
-    BasisRankError,
-    CertificationError,
-    ConditioningError,
-    DdrError,
-    DomainError,
-    GeometryError,
-    InputError,
-    MeshFormatError,
-    MeshReferenceError,
-    MeshTopologyError,
-    QuadratureDegreeError,
-)
-from .homology import (
-    BettiVector,
-    CochainComplexInt,
-    betti_numbers,
-    build_cochain_complex,
-    cohomology_generators,
-    integer_rank,
-)
-from .layouts import DofLayout
-from .lifting import (
-    ExtensionMaps,
-    LiftedGenerators,
-    lift_generators,
-    reduction_matrix,
-    zero_reduction_basis,
-)
-from .mesh import (
-    Mesh,
-    OrientationTable,
-    build_voxel_mesh,
-    builtin_pattern,
-    compute_orientation,
-    load_mesh,
-    mesh_from_document,
-    mesh_to_document,
-    parse_pattern_text,
-    save_mesh,
-)
-from .operators import DdrComplex, ddr0_closed_forms
-from .quadrature import QuadratureRule
-from .spaces import space_dim
-from .verification import (
-    CheckResult,
-    RankOptions,
-    RankResult,
-    VerificationReport,
-    corrupt_orientation,
-    numeric_rank,
-    run_all,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisRankError", "BettiVector", "CertificationError", "CheckResult",
-    "CochainComplexInt", "ConditioningError", "DdrComplex", "DdrError",
-    "DofLayout", "DomainError", "ExtensionMaps", "GeometryError",
-    "InputError", "LiftedGenerators", "Mesh", "MeshFormatError",
-    "MeshReferenceError", "MeshTopologyError", "OrientationTable",
-    "QuadratureDegreeError", "QuadratureRule", "RankOptions", "RankResult",
-    "VerificationReport", "betti_numbers", "build_cochain_complex",
-    "build_voxel_mesh", "builtin_pattern", "cohomology_generators",
-    "compute_orientation", "corrupt_orientation", "ddr0_closed_forms",
-    "integer_rank", "lift_generators", "load_mesh", "mesh_from_document",
-    "mesh_to_document", "numeric_rank", "parse_pattern_text",
-    "reduction_matrix", "run_all", "save_mesh", "space_dim",
-    "zero_reduction_basis",
-]
+# The public names, by the module that defines them.
+_EXPORTS = {
+    "errors": ("BasisRankError", "CertificationError", "ConditioningError", "DdrError",
+               "DomainError", "GeometryError", "InputError", "MeshFormatError",
+               "MeshReferenceError", "MeshTopologyError", "QuadratureDegreeError"),
+    "homology": ("BettiVector", "CochainComplexInt", "betti_numbers", "build_cochain_complex",
+                 "cohomology_generators", "integer_rank"),
+    "layouts": ("DofLayout",),
+    "lifting": ("ExtensionMaps", "LiftedGenerators", "lift_generators", "reduction_matrix",
+                "zero_reduction_basis"),
+    "mesh": ("Mesh", "OrientationTable", "build_voxel_mesh", "builtin_pattern",
+             "compute_orientation", "load_mesh", "mesh_from_document", "mesh_to_document",
+             "parse_pattern_text", "save_mesh"),
+    "operators": ("DdrComplex", "ddr0_closed_forms"),
+    "quadrature": ("QuadratureRule",),
+    "spaces": ("space_dim",),
+    "verification": ("CheckResult", "RankOptions", "RankResult", "VerificationReport",
+                     "corrupt_orientation", "numeric_rank", "run_all"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({*_EXPORTS, "cli", "monomials", "sparse", "vtkio"})
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -224,6 +224,8 @@ def build_voxel_mesh(pattern: np.ndarray, h: float = 1.0) -> Mesh:
     pattern = np.asarray(pattern, dtype=bool)
     if pattern.ndim != 3:
         raise InputError(f"occupancy pattern must be 3D, got shape {pattern.shape}")
+    if not is_real(h):
+        raise InputError(f"cell size {h!r} is not a number")
     if not np.isfinite(h) or h <= 0:
         raise InputError(f"cell size must be positive and finite, got {h}")
     cells = sorted(map(tuple, np.argwhere(pattern)))
@@ -335,7 +337,7 @@ def mesh_from_document(doc: dict) -> Mesh:
     rows, seqs = doc["vertices"], (list, tuple, np.ndarray)
     for n, v in enumerate(rows if isinstance(rows, seqs) else ()):
         for x in v if isinstance(v, seqs) else ():
-            if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+            if not is_real(x):
                 raise MeshFormatError(f"vertex {n}: coordinate {x!r} is not a number")
     try:
         vertices = np.asarray(doc["vertices"], dtype=float)
@@ -383,10 +385,20 @@ def entity_count(mesh: Mesh, kind: str) -> int:
     return mesh.counts[KINDS.index(kind)]
 
 
+def is_integer(value) -> bool:
+    """An ``int`` or numpy integer, not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
+def is_real(value) -> bool:
+    """An ``int``, ``float`` or numpy integer or float, not a bool."""
+    return is_integer(value) or isinstance(value, (float, np.floating))
+
+
 def checked_integer(value, what: str) -> int:
     """``value`` as an ``int`` (a numpy integer too, not a bool), else
     DomainError naming it as ``what``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not is_integer(value):
         raise DomainError(f"{what} {value!r} is not an integer")
     return int(value)
 

@@ -51,7 +51,7 @@ from .lifting import (
     reduction_matrix,
     zero_reduction_basis,
 )
-from .mesh import Mesh, OrientationTable
+from .mesh import Mesh, OrientationTable, is_integer, is_real
 from .monomials import monomial_powers
 from .operators import OPERATORS, DdrComplex, _label, _point_stacks, ddr0_closed_forms
 from .spaces import frame_values
@@ -81,12 +81,17 @@ MIN_SPECTRAL_GAP = 10.0
 class RankOptions:
     """Singular-value thresholding rule: tau = rel_tol * sigma_max, with
     rel_tol strictly between 0 and 1, defaulting to max(m, n) * machine
-    epsilon; the seed is recorded for report reproducibility."""
+    epsilon; the seed, an integer, is recorded for report reproducibility."""
 
     rel_tol: float | None = None
     seed: int = 0
 
     def __post_init__(self):
+        if not is_integer(self.seed):
+            raise InputError(f"seed {self.seed!r} is not an integer")
+        object.__setattr__(self, "seed", int(self.seed))
+        if self.rel_tol is not None and not is_real(self.rel_tol):
+            raise InputError(f"rank tolerance {self.rel_tol!r} is not a number")
         if self.rel_tol is not None and not 0.0 < self.rel_tol < 1.0:
             raise InputError(f"rank tolerance must lie strictly between 0 and 1, "
                              f"got {self.rel_tol}")

@@ -80,6 +80,22 @@ def test_voxel_input_errors():
         build_voxel_mesh(np.ones((2, 2), dtype=bool))
 
 
+@pytest.mark.parametrize("h,message", [
+    (True, "cell size True is not a number"),
+    ("1", "cell size '1' is not a number"),
+    (None, "cell size None is not a number"),
+    ([1.0], "cell size [1.0] is not a number"),
+    (float("nan"), "cell size must be positive and finite, got nan"),
+    (-np.inf, "cell size must be positive and finite, got -inf"),
+    (0.0, "cell size must be positive and finite, got 0.0"),
+])
+def test_cell_size_must_be_a_positive_finite_number(h, message):
+    with pytest.raises(InputError) as info:
+        build_voxel_mesh(builtin_pattern("cube"), h=h)
+    assert str(info.value) == message
+    assert build_voxel_mesh(builtin_pattern("cube"), h=np.float32(0.5)).vertices.max() == 0.5
+
+
 def test_pattern_text_roundtrip():
     text = "###\n#.#\n###\n"
     pattern = parse_pattern_text(text)

@@ -1,6 +1,9 @@
 """The README's library sketch runs, and the API its comments name exists."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import numpy as np
 from ddrcomplex.sparse import CsrMatrix
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 
 def _sketch() -> str:
@@ -35,3 +39,11 @@ def test_library_sketch_runs():
     assert np.array_equal(G.gather(rows, cols),
                           np.stack([G.gather(r, c) for r, c in zip(rows, cols)]))
     assert np.array_equal(G.gather(rows[0], cols[0]), G.toarray()[:3, :4])
+
+
+def test_library_sketch_runs_in_a_fresh_interpreter():
+    # the package loads its names on first use, which this interpreter has
+    # already done for every one of them
+    proc = subprocess.run([sys.executable, "-c", _sketch()], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr

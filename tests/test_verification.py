@@ -176,6 +176,27 @@ def test_rank_options_reject_tolerances_outside_the_unit_interval():
     assert RankOptions(rel_tol=1e-6).rel_tol == 1e-6
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("seed", True, "seed True is not an integer"),
+    ("seed", 1.5, "seed 1.5 is not an integer"),
+    ("seed", "7", "seed '7' is not an integer"),
+    ("rel_tol", "0.5", "rank tolerance '0.5' is not a number"),
+    ("rel_tol", True, "rank tolerance True is not a number"),
+])
+def test_rank_options_reject_a_seed_or_tolerance_of_the_wrong_type(field, value, message):
+    with pytest.raises(InputError) as info:
+        RankOptions(**{field: value})
+    assert str(info.value) == message
+
+
+def test_a_numpy_seed_is_reported_as_a_json_integer():
+    opts = RankOptions(rel_tol=np.float64(0.5), seed=np.int64(3))
+    assert type(opts.seed) is int
+    mesh, orient = mesh_and_orientation("cube")
+    doc = run_all(mesh, orient, 0, selection=["complex"], opts=opts).as_dict()
+    assert json.loads(json.dumps(doc))["seed"] == 3
+
+
 def test_cochain_checks_time_the_extension_solves(monkeypatch):
     # every extension build is slowed by a fixed delay, which the cochain
     # checks' own seconds must cover
