@@ -8,7 +8,8 @@ Coboundary matrices use the orientation table signs:
 * d2[T, F] = +omega_TF.
 
 They are stored sparse (:class:`.sparse.CsrMatrix`; entries of +-1 are exact
-in float64).  Everything here is exact.  One sparse fraction-free elimination
+in float64), and compose to zero on each face's and element's closure.
+Everything here is exact.  One sparse fraction-free elimination
 over Python integers (:func:`_eliminate`) gives the ranks, the kernel bases
 (primitive integer vectors) and the generator selection; the integer
 generator representatives are certified by rank identities.  Each
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificationError, DdrError, DomainError
-from .mesh import Mesh, OrientationTable, checked_integer
-from .sparse import CsrMatrix
+from .mesh import Mesh, OrientationTable, checked_integer, group_closure
+from .sparse import CsrMatrix, block_product
 
 
 @dataclass(frozen=True)
@@ -147,11 +148,14 @@ def _signed_incidences(mesh: Mesh, orientation: OrientationTable
 
 def build_cochain_complex(mesh: Mesh, orientation: OrientationTable) -> CochainComplexInt:
     counts = mesh.counts
-    d0, d1, d2 = (CsrMatrix.from_coo(shape, *triplets) for shape, triplets
-                  in zip(zip(counts[1:], counts), _signed_incidences(mesh, orientation)))
-    if (d1 @ d0).nnz or (d2 @ d1).nnz:
-        raise DdrError("coboundary composition is nonzero: inconsistent orientation data")
-    return CochainComplexInt(d0, d1, d2)
+    d = [CsrMatrix.from_coo(shape, *triplets) for shape, triplets
+         in zip(zip(counts[1:], counts), _signed_incidences(mesh, orientation))]
+    for dim, kind in ((2, "face"), (3, "cell")):    # d1 d0 and d2 d1, on each closure
+        for grp in mesh.groups(kind):
+            closure = group_closure(mesh, kind, grp)
+            if block_product(d[dim - 2:dim][::-1], [closure[dim - i] for i in range(3)]).any():
+                raise DdrError("coboundary composition is nonzero: inconsistent orientation data")
+    return CochainComplexInt(*d)
 
 
 def _integer_rows(mat) -> tuple[list[dict[int, int]], int]:

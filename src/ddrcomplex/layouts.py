@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .mesh import KINDS, checked_integer, entity_count, group_closure
+from .mesh import KINDS, _read_only, checked_integer, entity_count, group_closure
 from .spaces import space_dim
 
 # Each space's components per entity kind, in order of dimension, as
@@ -70,6 +70,7 @@ class DofLayout:
             self._kinds[kind] = (first, stride, table)
             first += stride * entity_count(mesh, kind)
         self.total = first
+        self._closures: dict[str, list[np.ndarray]] = {}
 
     def dim(self, kind: str, part: str) -> int:
         """The number of ``part`` unknowns of one entity of ``kind``."""
@@ -85,6 +86,18 @@ class DofLayout:
                 0 <= entity.min() <= entity.max() < entity_count(self.mesh, kind)):
             raise KeyError((kind, part))
         return (first + at + stride * entity)[..., None] + np.arange(dim)
+
+    def own(self, kind: str, ids: np.ndarray) -> np.ndarray:
+        """Global numbers (G, stride) of the own unknowns of entities ``ids`` (G,)."""
+        first, stride, _ = self._kinds[kind]
+        return first + stride * ids[:, None] + np.arange(stride)
+
+    def closures(self, kind: str) -> list[np.ndarray]:
+        """:meth:`closure_dofs` of each of :meth:`.Mesh.groups`, kept read-only."""
+        if kind not in self._closures:
+            self._closures[kind] = [_read_only(self.closure_dofs(kind, grp))[0]
+                                    for grp in self.mesh.groups(kind)]
+        return self._closures[kind]
 
     def closure_dofs(self, kind: str, group) -> np.ndarray:
         """Global numbers (G, m) of the unknowns on the closures of a size

@@ -34,7 +34,7 @@ from .homology import (
     cohomology_generators,
 )
 from .layouts import CARRIERS, KINDS, PARTS
-from .mesh import checked_integer
+from .mesh import checked_integer, is_real
 from .operators import OPERATORS, DdrComplex, _Coo, _Group
 from .spaces import span_matrix
 from .sparse import CsrMatrix
@@ -194,7 +194,7 @@ def lift_generators(high: DdrComplex, low: DdrComplex, index: int,
     index = checked_integer(index, "cohomology index")
     if index not in (1, 2):
         raise DomainError("cohomology index must be 1 or 2")
-    if not (np.isfinite(kernel_tol) and kernel_tol > 0):
+    if not (is_real(kernel_tol) and np.isfinite(kernel_tol) and kernel_tol > 0):
         raise DomainError(f"kernel_tol must be finite and positive, got {kernel_tol!r}")
     if ext is not None and (ext.high is not high or ext.low is not low):
         raise DomainError("extension maps of other complexes")

@@ -454,10 +454,12 @@ def _size_group(mesh: Mesh, kind: str, ids) -> SizeGroup:
 
 
 def group_closure(mesh: Mesh, kind: str, group: SizeGroup) -> tuple[np.ndarray, ...]:
-    """The closures of a size group of edges, faces or cells, as four
-    (G, .) arrays: their vertices, edges, faces and cells, each row
-    ascending (an edge's vertices are)."""
+    """The closures of a size group of one kind, as four (G, .) arrays:
+    their vertices, edges, faces and cells, each row ascending (an edge's
+    vertices are); a vertex is its own closure."""
     ids = group.ids[:, None]
+    if kind == "vertex":
+        return ids, ids[:, :0], ids[:, :0], ids[:, :0]
     if kind == "edge":
         return mesh.edges[group.ids], ids, ids[:, :0], ids[:, :0]
     return (_unique_rows(group.start), _unique_rows(group.edge), np.sort(group.faces, axis=1),
@@ -547,16 +549,21 @@ def _diameters(coords: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dot(coords[:, i] - coords[:, j], coords[:, i] - coords[:, j])).max(axis=1)
 
 
-def compute_orientation(mesh: Mesh, planarity_tol: float = 1e-9,
-                        sign_tol: float = 1e-10) -> OrientationTable:
+# Relative to an entity's diameter: the largest distance of a face vertex
+# from the face's plane, and the smallest boundary-sign dot product.
+PLANARITY_TOL = 1e-9
+SIGN_TOL = 1e-10
+
+
+def compute_orientation(mesh: Mesh) -> OrientationTable:
     """Derive tangents, normals, signs, measures, and centroids, one size
     group of faces or elements at a time (:meth:`Mesh.groups`).  Dots and
     norms are batched matmuls (:func:`row_dot`) and the element fan sums
     cumulative sums, so every entry rounds as in a pass entity by entity.
 
     Raises :class:`GeometryError` for non-planar faces, zero measures, or
-    boundary-sign dot products below ``sign_tol`` times the diameter, naming
-    the lowest failing face, else element; failed members divide by one.
+    ambiguous boundary signs (:data:`PLANARITY_TOL`, :data:`SIGN_TOL`),
+    naming the lowest failing face, else element; failed members divide by 1.
     """
     verts = mesh.vertices
 
@@ -584,7 +591,7 @@ def compute_orientation(mesh: Mesh, planarity_tol: float = 1e-9,
         n = normal_vec / np.where(zero, 1.0, area)[:, None]
         diam = _diameters(coords)
         dev = np.abs(row_dot(rel, n[:, None])).max(axis=1)
-        bent = ~zero & (dev > planarity_tol * diam)
+        bent = ~zero & (dev > PLANARITY_TOL * diam)
         # area centroid via the vertex-mean fan (exact for planar polygons)
         pmean = coords.mean(axis=1)[:, None]
         tri_area = row_dot(0.5 * np.cross(coords - pmean, nxt - pmean), n[:, None])
@@ -595,7 +602,7 @@ def compute_orientation(mesh: Mesh, planarity_tol: float = 1e-9,
         t1 = t1 / np.where(zero | bent, 1.0, np.sqrt(row_dot(t1, t1)))[:, None]
         normals = np.cross(n[:, None], edge_tangent[edges])           # (G, L, 3)
         dot = row_dot(normals, edge_midpoint[edges] - center[:, None])
-        ambiguous = np.abs(dot) <= sign_tol * diam[:, None]
+        ambiguous = np.abs(dot) <= SIGN_TOL * diam[:, None]
         bad = zero | bent | ambiguous.any(axis=1)
         if bad.any():
             g = np.argmax(bad)
@@ -629,7 +636,7 @@ def compute_orientation(mesh: Mesh, planarity_tol: float = 1e-9,
         cent = cent / np.where(zero, 1.0, volume)[:, None]
         diam = _diameters(coords)
         dot = row_dot(face_normal[faces], face_center[faces] - cent[:, None])
-        ambiguous = np.abs(dot) <= sign_tol * diam[:, None]
+        ambiguous = np.abs(dot) <= SIGN_TOL * diam[:, None]
         bad = zero | ambiguous.any(axis=1)
         if bad.any():
             g = np.argmax(bad)

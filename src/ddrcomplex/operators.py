@@ -422,8 +422,8 @@ class DdrComplex:
                          grp, lambda degree: mono.grad_matrix(3, degree), 1)}[builder]
             layout = self.layout(space)
             stacks, failed = [], {}
-            for group in self.mesh.groups(kind):
-                grp = _Group(kind, group, layout, *_read_only(layout.closure_dofs(kind, group)), failed)
+            for group, dofs in zip(self.mesh.groups(kind), layout.closures(kind)):
+                grp = _Group(kind, group, layout, dofs, failed)
                 arrays = build(grp)
                 _read_only(*(a for a in arrays if a is not None))
                 stacks.append(Stack(grp.globals, *arrays, group))

@@ -2,26 +2,21 @@
 
 :class:`CsrMatrix` holds what the package needs of a sparse matrix and no
 more: assembly from COO triplets (duplicates summed) or from a diagonal,
-densification, products with dense arrays and with other CSR matrices,
-differences of two CSR matrices, and dense gathers of ``(rows, cols)``
-blocks.  Entries are float64.
+densification, products with dense arrays and dense gathers of ``(rows,
+cols)`` blocks.  Entries are float64.  Two sparse matrices do not multiply:
+:func:`block_product` multiplies gathered blocks, the whole product on rows
+whose stored entries the blocks hold (an entity's rows, on its closure).
 
-Every sum is formed in a fixed order, the one of the classic CSR kernels
-(scipy's ``sparsetools``): each output entry starts from 0 and accumulates its
-products one at a time, in the stored order of the left factor's row and then
-of the right factor's.  Results are therefore reproducible bit for bit, and
-equal to scipy's.  Like scipy, assembly keeps explicit zeros (``nnz`` counts
-them), while a sparse product or difference drops the entries that come out
-exactly zero.
+A product with a dense array sums in the order of the classic CSR kernels
+(scipy's ``sparsetools``): each output entry starts from 0 and accumulates
+its products one at a time, in the stored order of the row.  Results are
+therefore reproducible bit for bit, and equal to scipy's.  Like scipy,
+assembly keeps explicit zeros (``nnz`` counts them).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Size of a row block of a sparse product: at most this many expanded
-# products, and this many (row, column) keys in the block's slot table.
-_BLOCK = 1 << 18
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -118,16 +113,16 @@ class CsrMatrix:
             hit = wanted[at] == found
             out.reshape(-1, n)[block_rows[hit], order[at[hit]] % n] = self.data[pos[hit]] + 0.0
             # a repeated column copies its first occurrence in its block
-            first = np.searchsorted(wanted, wanted)
-            repeated = first != np.arange(len(wanted))
-            if repeated.any():
-                (g, c), (_, c0) = (np.divmod(order[i], n) for i in (repeated, first[repeated]))
+            repeated = np.flatnonzero(wanted[1:] == wanted[:-1]) + 1
+            if len(repeated):
+                first = np.searchsorted(wanted, wanted[repeated])
+                (g, c), (_, c0) = (np.divmod(order[i], n) for i in (repeated, first))
                 out[g, :, c] = out[g, :, c0]
         return out.reshape(*lead, m, n)
 
     def __matmul__(self, other):
         if isinstance(other, CsrMatrix):
-            return self._times_csr(other)
+            return NotImplemented       # no sparse product: see block_product
         other = np.asarray(other)
         if other.ndim not in (1, 2) or other.shape[0] != self.shape[1]:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
@@ -148,52 +143,12 @@ class CsrMatrix:
             out[rows] += terms
         return out
 
-    def _times_csr(self, other: CsrMatrix) -> CsrMatrix:
-        if self.shape[1] != other.shape[0]:
-            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        m, n = self.shape[0], other.shape[1]
-        per_entry = np.diff(other.indptr)[self.indices]   # products of each stored entry
-        before = np.concatenate([[0], np.cumsum(per_entry)])[self.indptr]
-        entry_row = self._row_of_entries()
-        # Rows go in blocks (see _BLOCK).  ``slot`` maps a block's keys to
-        # their output entries; only the entries of keys that occur are read.
-        block_rows = max(1, _BLOCK // max(n, 1))
-        slot = np.empty(block_rows * n, dtype=np.int64)
-        out_keys, out_data = [], []
-        start = 0
-        while start < m:
-            stop = min(m, start + block_rows,
-                       int(np.searchsorted(before, before[start] + _BLOCK, "right")) - 1)
-            stop = max(stop, start + 1)
-            first, last = self.indptr[start], self.indptr[stop]
-            counts = per_entry[first:last]
-            right = _ranges(other.indptr[self.indices[first:last]], counts)
-            keys = np.repeat((entry_row[first:last] - start) * n, counts) + other.indices[right]
-            products = np.repeat(self.data[first:last], counts) * other.data[right]
-            order = np.arange(len(keys))
-            slot[keys] = order
-            distinct = np.sort(keys[slot[keys] == order])   # one product per key wins
-            slot[distinct] = np.arange(len(distinct))
-            # bincount adds each entry's products one at a time, in order, from 0
-            sums = np.bincount(slot[keys], products, len(distinct))
-            nonzero = sums != 0
-            out_keys.append(distinct[nonzero] + start * n)
-            out_data.append(sums[nonzero])
-            start = stop
-        return CsrMatrix._from_keys((m, n),
-                                    np.concatenate(out_keys + [np.zeros(0, dtype=np.int64)]),
-                                    np.concatenate(out_data + [np.zeros(0)]))
 
-    def __sub__(self, other):
-        if not isinstance(other, CsrMatrix):
-            return NotImplemented
-        if other.shape != self.shape:
-            raise ValueError(f"cannot subtract {other.shape} from {self.shape}")
-        diff = CsrMatrix.from_coo(
-            self.shape,
-            np.concatenate([self._row_of_entries(), other._row_of_entries()]),
-            np.concatenate([self.indices, other.indices]),
-            np.concatenate([self.data, -other.data]))
-        keep = diff.data != 0
-        indptr = np.concatenate([[0], np.cumsum(keep)])[diff.indptr]
-        return CsrMatrix(self.shape, indptr, diff.indices[keep], diff.data[keep])
+def block_product(factors: list[CsrMatrix], indices: list) -> np.ndarray:
+    """The stacked product of the blocks ``factors[i].gather(indices[i],
+    indices[i + 1])``: the product's rows ``indices[0]`` on the columns
+    ``indices[-1]`` where each block holds what its rows store."""
+    out = factors[0].gather(indices[0], indices[1])
+    for mat, rows, cols in zip(factors[1:], indices[1:], indices[2:]):
+        out = out @ mat.gather(rows, cols)
+    return out

@@ -30,20 +30,23 @@ the session, where :func:`run_all` and the CLI read it.
 Tolerances are pinned here: 1e-12 for bookkeeping identities, 1e-10 for
 assembled operator identities, 1e-9 for identities through solved local
 systems, 1e-13 for the degree-0/CW diagram.  Relative residuals scale by
-the max absolute entries of the product factors.
+the max absolute entries of the product factors.  Every product of sparse
+matrices is formed entity by entity, from blocks on the entity's closure.
 """
 
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
+from operator import matmul
 
 import numpy as np
 
 from .errors import DdrError, DomainError, InputError
 from .homology import betti_numbers, build_cochain_complex, cohomology_dims
-from .layouts import CARRIERS, KINDS, PARTS, SPACES, checked_degree, entity_count
+from .layouts import CARRIERS, KINDS, PARTS, SPACES, DofLayout, checked_degree, entity_count
 from .lifting import (
     ExtensionMaps,
     LiftedGenerators,
@@ -55,7 +58,7 @@ from .mesh import Mesh, OrientationTable, is_integer, is_real
 from .monomials import monomial_powers
 from .operators import OPERATORS, DdrComplex, _label, _point_stacks, ddr0_closed_forms
 from .spaces import frame_values
-from .sparse import CsrMatrix
+from .sparse import CsrMatrix, block_product
 
 FAMILIES = ("complex", "cohomology", "cochain", "zero_reduction",
             "closed_forms", "consistency", "generators")
@@ -210,31 +213,22 @@ class VerificationReport:
 
 
 def _maxabs(mat) -> float:
-    if isinstance(mat, CsrMatrix):
-        data = mat.data
-        return float(np.abs(data).max()) if data.size else 0.0
-    mat = np.asarray(mat)
-    return float(np.abs(mat).max()) if mat.size else 0.0
+    return float(np.abs(mat.data if isinstance(mat, CsrMatrix) else mat).max(initial=0.0))
 
 
-def residual_between(left_factors: list, right_factors: list | None = None) -> float:
-    """Relative max-norm residual of prod(left) - prod(right).
+def _scale(*sides: list) -> float:
+    """The larger of 1 and, per side, the product of its factors' max
+    absolute entries, so pure bookkeeping identities stay near 1e-16."""
+    return max(1.0, *(float(np.prod([_maxabs(f) for f in side])) for side in sides if side))
 
-    The scale is the larger of 1 and the products of the factors' max
-    absolute entries, so pure bookkeeping identities stay near 1e-16.
-    """
-    def prod(factors):
-        out = factors[0]
-        for f in factors[1:]:
-            out = out @ f
-        return out
 
-    left = prod(left_factors)
-    diff = left - prod(right_factors) if right_factors else left
-    scale = max(1.0, float(np.prod([_maxabs(f) for f in left_factors])))
-    if right_factors:
-        scale = max(scale, float(np.prod([_maxabs(f) for f in right_factors])))
-    return _maxabs(diff) / scale
+# A sparse factor: its name in errors, the matrix, its rows' and columns' DofLayouts
+_Factor = namedtuple("_Factor", "name mat rows cols")
+
+
+# The most entries of a stack of gathered blocks (2 MB of float64): a size
+# group is gathered and multiplied in chunks of its members this small.
+_ENTRIES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +241,8 @@ class LocalRanks:
     ``result`` summarises the per-entity diagonal blocks: its rank is the
     sum of their ranks, ``sigma_max`` and ``tau`` the largest of a block,
     and ``gap`` (with ``sigma_rank`` and ``sigma_next``) the smallest block
-    gap, found at ``gap_at``.  ``failures`` names what breaks the
-    certificate: an entry above the diagonal blocks, or a block whose rank
-    is not the one its entity's own complex needs.
+    gap, found at ``gap_at``.  ``failures`` names the blocks whose rank is
+    not the one their entity's own complex needs.
     """
 
     result: RankResult
@@ -258,39 +251,6 @@ class LocalRanks:
 
 
 NO_BLOCKS = LocalRanks(RankResult(0, 0.0, 0.0, 0.0, 0.0, np.inf), None, ())
-
-
-@dataclass(frozen=True)
-class KernelCoordinates:
-    """The coordinates of ker R in one space: its unknowns other than each
-    carrier's constant (the leads), in layout order.  ``index`` gives each
-    unknown's coordinate (-1 at a lead); per coordinate, ``owner`` is its
-    entity as an ordinal over all entities in layout order (vertices,
-    edges, faces, elements) and ``local`` its position among that entity's
-    own coordinates."""
-
-    index: np.ndarray
-    owner: np.ndarray
-    local: np.ndarray
-
-
-def _kernel_coordinates(complex_: DdrComplex, space: str) -> KernelCoordinates:
-    layout, mesh = complex_.layout(space), complex_.mesh
-    first = dict(zip(KINDS, np.cumsum([0, *mesh.counts])))
-    owner = np.empty(layout.total, dtype=np.int64)
-    for kind, parts in PARTS[space].items():
-        ents = np.arange(entity_count(mesh, kind))
-        for part, _ in parts:
-            owner[layout.indices(kind, ents, part)] = (first[kind] + ents)[:, None]
-    carrier = CARRIERS[space]
-    ((part, _),) = PARTS[space][carrier]     # the leads: each carrier's first unknown
-    leads = layout.indices(carrier, np.arange(entity_count(mesh, carrier)), part)[:, 0]
-    index = np.zeros(layout.total, dtype=np.int64)
-    index[leads] = -1
-    kept = index == 0
-    index[kept] = np.arange(kept.sum())
-    owner = owner[kept]
-    return KernelCoordinates(index, owner, np.arange(len(owner)) - np.searchsorted(owner, owner))
 
 
 def _own_counts(complex_: DdrComplex) -> dict[str, dict[str, int]]:
@@ -370,6 +330,7 @@ class VerifySession:
         self._local: dict[str, LocalRanks] = {}
         self._residuals: dict[str, CheckResult] = {}
         self._reductions: dict[str, CsrMatrix] = {}
+        self._local_matrices: set[CsrMatrix] = set()      # checked by check_local
         self.lifted: list[LiftedGenerators] = []
 
     @cached_property
@@ -408,86 +369,157 @@ class VerifySession:
         """The degree-0 operators from their boundary-value formulas."""
         return tuple(ddr0_closed_forms(self.mesh, self.orient))
 
+    def _row_chunks(self, rows: DofLayout, cols: list[DofLayout]):
+        """Per kind, size group and chunk of the entities with own ``rows``:
+        the kind, the entities, their own rows and closure dofs in ``cols``."""
+        for kind in PARTS[rows.space]:
+            for g, grp in enumerate(self.mesh.groups(kind)):
+                idx = [rows.own(kind, grp.ids)] + [c.closures(kind)[g] for c in cols]
+                step = max(1, _ENTRIES // max(i.shape[1] for i in idx) ** 2)
+                for at in range(0, len(grp.ids) if idx[0].shape[1] else 0, step):
+                    yield kind, grp.ids[at:at + step], [i[at:at + step] for i in idx]
+
+    def check_local(self, f: _Factor) -> None:
+        """Raise :class:`DdrError`, naming the matrix and an entity, unless
+        every nonzero of ``f`` lies in ``own(X) x closure(X)`` for the entity
+        X of its row; each matrix is checked once.  Products of closure
+        blocks are whole products only then."""
+        if f.mat not in self._local_matrices:
+            # per row, its nonzeros; per entity, those its closure block holds
+            nonzeros = np.diff(np.append(0, np.cumsum(f.mat.data != 0))[f.mat.indptr])
+            for kind, ids, (own, closure) in self._row_chunks(f.rows, [f.cols]):
+                inside = np.count_nonzero(f.mat.gather(own, closure), axis=(1, 2))
+                stray = ids[inside < nonzeros[own].sum(axis=1)]
+                if len(stray):
+                    raise DdrError(f"{f.name}: entry outside the closure of "
+                                   f"{_label(kind, int(stray[0]))}")
+            self._local_matrices.add(f.mat)
+
+    def _closure_residual(self, left: list[_Factor], right: list[_Factor],
+                          scale: float) -> tuple[float, str | None]:
+        """The largest entry of ``prod(left) - prod(right)`` over ``scale``,
+        and its row's entity.  An entity's rows of a product are a product
+        of closure blocks (:func:`.sparse.block_product`): the first factor
+        on its own rows and closure, each later one on closure x closure."""
+        worst = [(0.0, None)]
+        for kind, ids, idx in self._row_chunks(left[0].rows, [f.cols for f in left + right]):
+            diff = block_product([f.mat for f in left], idx[:len(left) + 1])
+            if right:
+                diff -= block_product([f.mat for f in right], idx[:1] + idx[len(left) + 1:])
+            per = np.abs(diff).max(axis=(1, 2), initial=0.0)
+            at = int(np.argmax(per))                    # a NaN is its own argmax
+            worst.append((per[at], _label(kind, int(ids[at]))))
+        value, where = worst[int(np.argmax([w[0] for w in worst]))]
+        return float(value) / scale, where
+
     @cached_property
     def _residual_rows(self) -> dict:
         """Every residual row of the complex, cochain and closed_forms
-        families, in row order, and ``reduction.onto``: name -> (residual
-        thunk, tolerance).  Each reduction, extension, operator and the
-        closed forms are built inside the first row that uses them.  The CW
-        rows compare each degree-0 operator scaled by the measures of its
-        target's carriers with the coboundary scaled by those of its
+        families, in row order, and ``reduction.onto``: name -> (thunk of
+        the residual and where it is largest, tolerance).  Each matrix is
+        built and :meth:`check_local` inside the first row that uses it; a
+        row ending in a dense column multiplies whole matrices, the others
+        closure blocks.  The CW rows compare each degree-0 operator scaled
+        by its target carriers' measures with the coboundary scaled by its
         source's (a vertex has measure one)."""
-        high, low, red = self.high, self.low, self.reduction
+        high, low = self.high, self.low
         rows = {}
 
-        def ext(sp):
-            return self.ext.matrix(sp)
+        def op(c: DdrComplex, o, name=None, mat=None):     # or a matrix between its layouts
+            return _Factor(name or f"degree-{c.k} {o.name}", c.operator(o.name) if mat is None
+                           else mat, c.layout(o.target), c.layout(o.source))
 
-        def add(name, tol, left, right=None):
-            rows[name] = (lambda: residual_between(left(), right() if right else None), tol)
+        def red(sp):
+            return _Factor(f"reduction of {sp}", self.reduction(sp), low.layout(sp),
+                           high.layout(sp))
+
+        def ext(sp):
+            return _Factor(f"extension of {sp}", self.ext.matrix(sp), high.layout(sp),
+                           low.layout(sp))
+
+        def diagonal(sp, values, name):
+            return _Factor(f"{name} of {sp}", CsrMatrix.diagonal(values), low.layout(sp),
+                           low.layout(sp))
+
+        def residual(left, right):
+            left, right = left(), right()
+            for f in left + right:
+                if isinstance(f, _Factor):
+                    self.check_local(f)
+            mats = [[getattr(f, "mat", f) for f in side] for side in (left, right)]
+            if isinstance(left[-1], _Factor):
+                return self._closure_residual(left, right, _scale(*mats))
+            # a dense column: sparse times dense products
+            diff = reduce(matmul, mats[0]) - (reduce(matmul, mats[1]) if right else 0.0)
+            return _maxabs(diff) / _scale(*mats), None
+
+        def add(name, tol, left, right=list):
+            rows[name] = (partial(residual, left, right), tol)
 
         tol = TOLERANCES["complex"]
         add("complex.grad_of_constant", tol,
-            lambda: [high.gradient, high.head_column[:, None]])
+            lambda: [op(high, OPERATORS[0]), high.head_column[:, None]])
         for first, then in zip(OPERATORS, OPERATORS[1:]):
             add(f"complex.{then.local}_{first.local}", tol, lambda first=first, then=then:
-                [high.operator(then.name), high.operator(first.name)])
+                [op(high, then), op(high, first)])
 
         tol = TOLERANCES["re_identity"]
-        tags = {op.source: op.local for op in OPERATORS}
+        tags = {o.source: o.local for o in OPERATORS}
         for sp in SPACES:
             add(f"cochain.RE_{tags.get(sp, 'tail')}", tol, lambda sp=sp: [red(sp), ext(sp)],
-                lambda sp=sp: [CsrMatrix.diagonal(np.ones(ext(sp).shape[1]))])
+                lambda sp=sp: [diagonal(sp, np.ones(low.layout(sp).total), "identity")])
 
-        def onto() -> float:
+        def onto():
             # each row of R starts at its carrier's constant, so R restricted
             # to the leads is diagonal with the mean of the constant
-            return max(float(np.abs(red(sp).data[red(sp).indptr[:-1]] - 1.0).max(initial=0.0))
-                       for sp in SPACES)
+            return max(float(np.abs(r.data[r.indptr[:-1]] - 1.0).max(initial=0.0))
+                       for r in map(self.reduction, SPACES)), None
 
         rows["reduction.onto"] = (onto, tol)
 
         tol = TOLERANCES["reduction_commute"]
         add("cochain.red_interp", tol, lambda: [red(SPACES[0]), high.head_column[:, None]],
             lambda: [low.head_column[:, None]])
-        for op in OPERATORS:
-            add(f"cochain.red_{op.local}", tol,
-                lambda op=op: [red(op.target), high.operator(op.name)],
-                lambda op=op: [low.operator(op.name), red(op.source)])
+        for o in OPERATORS:
+            add(f"cochain.red_{o.local}", tol, lambda o=o: [red(o.target), op(high, o)],
+                lambda o=o: [op(low, o), red(o.source)])
 
         tol = TOLERANCES["extension_commute"]
         add("cochain.ext_interp", tol, lambda: [high.head_column[:, None]],
             lambda: [ext(SPACES[0]), low.head_column[:, None]])
-        for op in OPERATORS:
-            add(f"cochain.ext_{op.local}", tol,
-                lambda op=op: [high.operator(op.name), ext(op.source)],
-                lambda op=op: [ext(op.target), low.operator(op.name)])
+        for o in OPERATORS:
+            add(f"cochain.ext_{o.local}", tol, lambda o=o: [op(high, o), ext(o.source)],
+                lambda o=o: [ext(o.target), op(low, o)])
 
         tol = TOLERANCES["cw_diagram"]
 
         def kappa(sp):
-            return CsrMatrix.diagonal(self.orient.geometry(CARRIERS[sp]).measure)
+            return diagonal(sp, self.orient.geometry(CARRIERS[sp]).measure, "measures")
 
         add("cochain.cw_interp", tol, lambda: [low.head_column[:, None]],
             lambda: [np.ones((self.mesh.n_vertices, 1))])
-        for i, op in enumerate(OPERATORS):
-            add(f"cochain.cw_{op.local}", tol,
-                lambda op=op: [kappa(op.target), low.operator(op.name)],
-                lambda i=i, op=op: [self.cochain.boundary(i), kappa(op.source)])
+        for i, o in enumerate(OPERATORS):
+            add(f"cochain.cw_{o.local}", tol, lambda o=o: [kappa(o.target), op(low, o)],
+                lambda i=i, o=o: [op(low, o, f"coboundary d{i}", self.cochain.boundary(i)),
+                                  kappa(o.source)])
 
         tol = TOLERANCES["closed_forms"]
-        for i, op in enumerate(OPERATORS):
-            add(f"closed_forms.{op.name}", tol, lambda op=op: [low.operator(op.name)],
-                lambda i=i: [self.closed_forms[i]])
+        for i, o in enumerate(OPERATORS):
+            add(f"closed_forms.{o.name}", tol, lambda o=o: [op(low, o)],
+                lambda i=i, o=o: [op(low, o, f"closed-form {o.name}", self.closed_forms[i])])
         return rows
 
     def residual(self, name: str) -> CheckResult:
         """The residual row ``name``, computed on first use and kept; each
-        call returns a copy of its own (unnamed, untimed).  An error of the
-        computation is raised, and not kept."""
+        call returns a copy of its own (unnamed, untimed), and names where a
+        failing residual is largest.  An error is raised, and not kept."""
         if name not in self._residuals:
             value, tol = self._residual_rows[name]
-            self._residuals[name] = _residual_check(value(), tol)
+            residual, where = value()
+            row = _residual_check(residual, tol)
+            if where and not row.passed:
+                row.detail = f"largest at {where}"
+            self._residuals[name] = row
         return replace(self._residuals[name])
 
     def premises(self, cw: bool = True) -> tuple[str, ...]:
@@ -513,9 +545,6 @@ class VerifySession:
     def kernel_bases(self) -> dict[str, CsrMatrix]:
         return {sp: zero_reduction_basis(self.high, sp) for sp in SPACES}
 
-    @cached_property
-    def kernel_coordinates(self) -> dict[str, KernelCoordinates]:
-        return {sp: _kernel_coordinates(self.high, sp) for sp in SPACES}
 
     @cached_property
     def own_counts(self) -> dict[str, dict[str, int]]:
@@ -526,12 +555,13 @@ class VerifySession:
 
         The zero-reduction bases' non-lead rows are the identity, so the
         non-lead rows of ``d @ B`` are d on ker R in ker R coordinates,
-        ``M`` (the lead rows follow from the ``red_*`` premises).  In layout
-        order an entity's own unknowns reach only that entity and entities
-        of higher dimension, so ``M`` is block lower triangular: an entry
-        above the per-entity diagonal blocks is a failure, and otherwise
-        ``rank M`` is at least the sum of the blocks' ranks.  The blocks of
-        one entity kind share one shape and go through one stacked SVD.  A
+        ``M`` (the lead rows follow from the ``red_*`` premises).  Each
+        entry of d lies in its row entity's closure (:meth:`check_local`),
+        which comes before the entity in layout order, so ``M`` is block
+        lower triangular and ``rank M`` is at least the sum of the ranks of
+        its diagonal blocks: d on an entity's own non-lead rows and own
+        columns times B on those columns and its own ker R coordinates,
+        ranked by stacked SVDs a size group (in chunks) at a time.  A
         block's expected rank makes its entity's own complex exact
         (:func:`_expected_ranks`); a block off it fails, and is named.  At
         degree 0 ker R is zero: there are no blocks.
@@ -541,38 +571,30 @@ class VerifySession:
         if self.k == 0:
             return self._local.setdefault(which, NO_BLOCKS)
         i, op = next((i, op) for i, op in enumerate(OPERATORS) if op.name == which)
-        mesh, coords = self.mesh, self.kernel_coordinates
-        tgt, src = coords[op.target], coords[op.source]
-        mat = self.high.operator(which) @ self.kernel_bases[op.source]
-        rows = tgt.index[np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))]
-        keep = rows >= 0
-        rows, cols, vals = rows[keep], mat.indices[keep], mat.data[keep]
-        if not np.all(np.isfinite(vals)):
-            raise DomainError(f"local ranks of {which}: operator has non-finite entries")
-        ro, co = tgt.owner[rows], src.owner[cols]
-        starts = np.cumsum([0, *mesh.counts])
-
-        def label(ordinal) -> str:
-            kind = int(np.searchsorted(starts, ordinal, "right")) - 1
-            return _label(KINDS[kind], int(ordinal - starts[kind]))
-
+        d, basis = self.high.operator(which), self.kernel_bases[op.source]
+        tgt, src = self.high.layout(op.target), self.high.layout(op.source)
+        self.check_local(_Factor(f"degree-{self.k} {which}", d, tgt, src))
+        # ker R numbers the unknowns other than the leads, which come first
+        leads = entity_count(self.mesh, CARRIERS[op.source])
+        counts = {kind: (self.own_counts[op.target].get(kind, 0),
+                         self.own_counts[op.source].get(kind, 0)) for kind in KINDS}
+        # per kind and entity: rank, sigma_max, tau, kept, following, gap
+        ranked = {kind: np.empty((6, entity_count(self.mesh, kind))) for kind in KINDS}
+        for kind, ids, (rows, _) in self._row_chunks(tgt, [src]):
+            m, n = counts[kind]
+            if m and n:             # else rank 0, as the sums checked by local_failures need
+                cols = src.own(kind, ids)
+                coords = cols[:, -n:] - (ids[:, None] + 1 if kind == CARRIERS[op.source]
+                                         else leads)
+                blocks = block_product([d, basis], [rows[:, -m:], cols, coords])
+                if not np.all(np.isfinite(blocks)):
+                    raise DomainError(f"local ranks of {which}: operator has non-finite entries")
+                ranked[kind][:, ids] = _stacked_ranks(blocks, self.opts)
         failures: list[str] = []
-        above = np.nonzero(ro < co)[0]
-        if len(above):
-            failures.append(f"{op.local}: entry above the diagonal blocks, row of "
-                            f"{label(ro[above[0]])}, column of {label(co[above[0]])}")
-        expected = _expected_ranks(self.own_counts)
-        on_diagonal = ro == co
         total, smallest, sigma_max, tau_max = 0, None, 0.0, 0.0
-        for d, kind in enumerate(KINDS):
-            m, n = self.own_counts[op.target].get(kind, 0), self.own_counts[op.source].get(kind, 0)
-            want = expected[kind][i]
-            if not (m and n):       # rank 0, as the sums checked by local_failures need
-                continue
-            at = on_diagonal & (ro >= starts[d]) & (ro < starts[d + 1])
-            blocks = np.zeros((starts[d + 1] - starts[d], m, n))
-            blocks[ro[at] - starts[d], tgt.local[rows[at]], src.local[cols[at]]] = vals[at]
-            rank, smax, tau, kept, following, gap = _stacked_ranks(blocks, self.opts)
+        for kind in (kind for kind in KINDS if all(counts[kind])):
+            rank, smax, tau, kept, following, gap = ranked[kind]
+            rank, want = rank.astype(int), _expected_ranks(self.own_counts)[kind][i]
             total += int(rank.sum())
             sigma_max, tau_max = max(sigma_max, float(smax.max())), max(tau_max, float(tau.max()))
             g = int(np.argmin(gap))
@@ -713,13 +735,11 @@ def check_cohomology(s: VerifySession) -> list[CheckResult]:
 def check_cochain_diagram(s: VerifySession) -> list[CheckResult]:
     """Reduction and extension diagrams, and the CW identification.
 
-    Every residual is of sparse matrices: ``RE`` against the identity, and
-    each degree-0 operator scaled by the measures of its target's carriers
-    against the coboundary scaled by those of its source's (a vertex has
-    measure one).  The rows are the session's (:meth:`VerifySession.residual`):
-    each reduction, extension and operator is built inside the first row,
-    of this family or a premise read before it, that uses it, so its cost,
-    or the error it raises, belongs to that row.
+    ``RE`` against the identity, and each degree-0 operator scaled by its
+    target carriers' measures against the coboundary scaled by its source's.
+    The rows are the session's (:meth:`VerifySession.residual`): each matrix
+    is built inside the first row, of this family or a premise read before
+    it, that uses it, so its cost, or the error it raises, is that row's.
     """
     return _family_rows(s, "cochain")
 

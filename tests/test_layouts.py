@@ -118,11 +118,15 @@ def check_layout(mesh, degree):
             assert lay.dim(kind, part) == dim
             assert lay.indices(kind, ent, part).tolist() == list(range(offset, offset + dim))
         for kind in KINDS[1:]:
-            for group in mesh.groups(kind):
+            for group, kept in zip(mesh.groups(kind), lay.closures(kind)):
                 dofs = lay.closure_dofs(kind, group)
                 ref = [reference_restriction(lay, comps, kind, int(i)) for i in group.ids]
-                assert dofs.tolist() == np.stack(ref).tolist(), (space, kind)
+                assert dofs.tolist() == kept.tolist() == np.stack(ref).tolist(), (space, kind)
                 check_positions(lay, comps, kind, group, dofs)
+        for kind, parts in PARTS[space].items():
+            ids = np.arange(entity_count(mesh, kind))
+            assert lay.own(kind, ids).tolist() == np.concatenate(
+                [lay.indices(kind, ids, part) for part, _ in parts], axis=1).tolist()
 
 
 def check_positions(lay, comps, kind, group, dofs):
@@ -154,6 +158,20 @@ def test_layout_matches_reference_on_builtins(name, k):
 @pytest.mark.parametrize("path", MESH_FILES, ids=lambda p: p.stem)
 def test_layout_matches_reference_on_mesh_files(path, k):
     check_layout(load_mesh(str(path)), k)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_a_vertex_is_its_own_closure(k):
+    # one size group of every vertex; the closure of a vertex holds its value
+    # in Xgrad and nothing in the other spaces
+    mesh = l_prism()
+    (group,) = mesh.groups("vertex")
+    assert group.ids.tolist() == list(range(mesh.n_vertices))
+    for space in SPACES:
+        lay = DofLayout(space, k, mesh)
+        want = (lay.indices("vertex", group.ids, "val") if space == "Xgrad"
+                else np.empty((mesh.n_vertices, 0), dtype=int))
+        assert lay.closure_dofs("vertex", group).tolist() == want.tolist(), space
 
 
 def test_the_prism_pair_has_two_groups_per_kind():

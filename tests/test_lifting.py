@@ -32,7 +32,7 @@ def test_reduction_after_extension_is_identity(name, k):
         e = ext.matrix(space)
         r = reduction_matrix(high, space)
         eye = np.eye(e.shape[1])
-        assert np.abs((r @ e).toarray() - eye).max() < 1e-12
+        assert np.abs(r @ e.toarray() - eye).max() < 1e-12
 
 
 def test_reduction_of_interpolate_is_vertex_values():
@@ -236,9 +236,11 @@ def test_generator_family_reuses_the_session(monkeypatch):
     assert sorted(extensions) == ["Pk", "Xcurl", "Xdiv", "Xgrad"]
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9,
+                                 True, "1e-9", None, [1e-9]])
 def test_lift_rejects_a_kernel_tolerance_that_certifies_nothing(tol):
-    # a NaN tolerance used to certify every generator: rel > NaN is False
+    # a NaN tolerance used to certify every generator: rel > NaN is False; a
+    # bool is not a tolerance, and a string, None or a list is not a number
     with pytest.raises(DomainError, match="kernel_tol must be finite and positive"):
         lift_generators(complex_for("ring", 1), complex_for("ring", 0), 1, kernel_tol=tol)
 

@@ -24,6 +24,8 @@ from ddrcomplex import (
     save_mesh,
 )
 
+from ddrcomplex import mesh as mesh_module
+
 from conftest import (
     DOUBLED_FACES,
     MALFORMED,
@@ -261,6 +263,18 @@ def test_geometry_errors_name_the_lowest_failing_entity(build, message):
     with pytest.raises(GeometryError) as failure:
         compute_orientation(build())
     assert str(failure.value) == message
+
+
+@pytest.mark.parametrize("knob", [{"planarity_tol": "1e-9"}, {"sign_tol": -1.0},
+                                  {"sign_tol": None}])
+def test_orientation_tolerances_are_constants(knob):
+    # no keyword switches the guards off or reaches numpy with a wrong type;
+    # with the module's tolerances the dart prism still fails its sign guard
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        compute_orientation(_dart_prism(), **knob)
+    with pytest.raises(GeometryError, match="ambiguous boundary sign"):
+        compute_orientation(_dart_prism())
+    assert (mesh_module.PLANARITY_TOL, mesh_module.SIGN_TOL) == (1e-9, 1e-10)
 
 
 def test_three_elements_are_valid_until_flattened():

@@ -201,9 +201,10 @@ def test_groups_split_by_array_sizes():
 
 def test_one_grouping_per_mesh_and_kind():
     # the orientation, the quadrature rules, the layouts, and the local
-    # operators and extensions of both complexes read one grouping per mesh
-    # and kind, built once: the grouping builder runs once per kind, under
-    # whatever name it is called
+    # operators and extensions of both complexes, and the closure products of
+    # the battery (vertices included) read one grouping per mesh and kind,
+    # built once: the grouping builder runs once per kind, under whatever
+    # name it is called
     calls = []
     code = mesh_module.size_groups.__code__
 
@@ -219,7 +220,7 @@ def test_one_grouping_per_mesh_and_kind():
         sys.setprofile(None)
     assert all(c.passed for c in report.checks)
     assert all(m is mesh for m, _ in calls)
-    assert sorted(kind for _, kind in calls) == sorted(KINDS)
+    assert sorted(kind for _, kind in calls) == sorted(mesh_module.KINDS)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

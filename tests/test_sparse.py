@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ddrcomplex import sparse
-from ddrcomplex.sparse import CsrMatrix
+from ddrcomplex.sparse import CsrMatrix, block_product
 
 from conftest import complex_for
 
@@ -62,10 +61,6 @@ def loop_product(a: CsrMatrix, b) -> np.ndarray:
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def stored_zeros(mat: CsrMatrix) -> int:
-    return int(np.count_nonzero(mat.data == 0))
 
 
 # -- dense oracle --------------------------------------------------------------
@@ -138,12 +133,8 @@ def test_products_match_dense(shape, seed):
     assert same_bits(a @ block, loop_product(a, block))
     assert np.allclose(a @ block, a.toarray() @ block, rtol=1e-13, atol=1e-13)
     assert same_bits(a @ np.arange(n), loop_product(a, np.arange(n)))
-    for k in (0, 1, 7):
-        b = random_csr(rng, (n, k))
-        prod = a @ b
-        assert isinstance(prod, CsrMatrix) and prod.shape == (m, k)
-        assert same_bits(prod.toarray(), loop_product(a, b))
-        assert stored_zeros(prod) == 0
+    with pytest.raises(TypeError):          # no product of two sparse matrices
+        a @ random_csr(rng, (n, 3))
 
 
 @pytest.mark.parametrize("n", [0, 1, 7])
@@ -155,43 +146,33 @@ def test_diagonal_matches_dense(n):
     assert same_bits(diag.toarray(), np.diag(values) + 0.0)
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
-def test_sparse_product_is_the_same_in_any_row_blocks(monkeypatch, block):
-    rng = np.random.default_rng(3)
-    a, b = random_csr(rng, (40, 30)), random_csr(rng, (30, 20))
-    whole = a @ b
-    monkeypatch.setattr(sparse, "_BLOCK", block)
-    blocked = a @ b
-    assert same_bits(blocked.toarray(), loop_product(a, b))
-    assert np.array_equal(blocked.indptr, whole.indptr)
-    assert np.array_equal(blocked.indices, whole.indices)
-    assert same_bits(blocked.data, whole.data)
-
-
-@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("shape", [shape for shape in SHAPES if all(shape)])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_differences_match_dense(shape, seed):
+def test_block_products_match_dense(shape, seed):
+    # a stack of three blocks of a chain of three factors, against the dense
+    # product of the gathered dense blocks
     rng = np.random.default_rng(seed)
-    a, b = random_csr(rng, shape), random_csr(rng, shape)
-    diff = a - b
-    assert isinstance(diff, CsrMatrix)
-    assert np.array_equal(diff.toarray(), a.toarray() - b.toarray())
-    assert stored_zeros(diff) == 0
-    assert (a - a).nnz == 0
-    with pytest.raises(TypeError):
-        a - a.toarray()
+    m, n = shape
+    a, b, c = random_csr(rng, (m, n)), random_csr(rng, (n, n)), random_csr(rng, (n, 4))
+    idx = [rng.integers(0, m, (3, 2)), rng.integers(0, n, (3, 5)), rng.integers(0, n, (3, 4)),
+           rng.integers(0, 4, (3, 3))]
+    got = block_product([a, b, c], idx)
+    dense = [f.toarray() for f in (a, b, c)]
+    for g in range(3):
+        want = np.linalg.multi_dot([f[np.ix_(r, k)] for f, r, k in
+                                    zip(dense, [i[g] for i in idx], [i[g] for i in idx[1:]])])
+        assert np.allclose(got[g], want, rtol=1e-13, atol=1e-13)
+    assert same_bits(block_product([a], idx[:2]), a.gather(*idx[:2]))
 
 
 def test_mismatched_shapes_raise():
     a = CsrMatrix.from_coo((2, 3), [0], [1], [1.0])
     with pytest.raises(ValueError):
         a @ np.ones(2)
-    with pytest.raises(ValueError):
-        a @ a
-    with pytest.raises(ValueError):
-        a - CsrMatrix.from_coo((3, 2), [], [], [])
     with pytest.raises(TypeError):
-        a - np.ones((3, 2))
+        a @ CsrMatrix.from_coo((3, 2), [], [], [])
+    with pytest.raises(TypeError):
+        a - a
     with pytest.raises(TypeError):
         np.ones((2, 2)) @ a
 
@@ -226,26 +207,18 @@ def test_bitwise_equal_to_scipy(shape, seed):
     vec, block = rng.standard_normal(n), rng.standard_normal((n, 4))
     assert same_bits(a @ vec, sa @ vec)
     assert same_bits(a @ block, sa @ block)
-    b = random_csr(rng, (n, 6), multiple=False)
-    assert same_csr(a @ b, sa @ as_scipy(sp, b))
-    c = random_csr(rng, shape, multiple=False)
-    assert same_csr(a - c, sa - as_scipy(sp, c))
-    left, right = rng.standard_normal(m), rng.standard_normal(n)
-    assert same_csr(CsrMatrix.diagonal(left) @ a - a @ CsrMatrix.diagonal(right),
-                    sp.diags(left) @ sa - sa @ sp.diags(right))
+    diag = rng.standard_normal(m)
+    assert same_csr(CsrMatrix.diagonal(diag), sp.diags(diag))
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_operator_products_equal_scipy(k):
     sp = pytest.importorskip("scipy.sparse")
     c = complex_for("cavity", k)
-    g, cu = c.gradient, c.curl
-    sg, sc = as_scipy(sp, g), as_scipy(sp, cu)
-    assert same_csr(cu @ g, sc @ sg)
-    x = np.random.default_rng(k).standard_normal((g.shape[1], 5))
-    assert same_bits(g @ x, sg @ x)
-    assert same_bits(g @ x[:, 0], sg @ x[:, 0])
-    assert same_csr(g - g, sg - sg)
+    for mat in (c.gradient, c.curl):
+        x = np.random.default_rng(k).standard_normal((mat.shape[1], 5))
+        assert same_bits(mat @ x, as_scipy(sp, mat) @ x)
+        assert same_bits(mat @ x[:, 0], as_scipy(sp, mat) @ x[:, 0])
 
 
 # -- memory -----------------------------------------------------------------------
@@ -270,13 +243,3 @@ def test_sparse_times_dense_peaks_at_a_small_multiple_of_its_output():
     out, peak = traced_peak(lambda: a @ x)
     # an (nnz, 64) intermediate alone would be about per_row times the output
     assert peak <= 4 * out.nbytes
-
-
-def test_sparse_product_allocates_no_dense_output():
-    rng = np.random.default_rng(6)
-    n, per_row = 4000, 5
-    a = CsrMatrix.from_coo((n, n), np.repeat(np.arange(n), per_row),
-                           rng.integers(0, n, n * per_row), rng.standard_normal(n * per_row))
-    out, peak = traced_peak(lambda: a @ a)
-    assert out.nnz > 0
-    assert peak <= n * n * 8 // 10

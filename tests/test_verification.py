@@ -27,7 +27,7 @@ from ddrcomplex.layouts import CARRIERS, PARTS, SPACES
 from ddrcomplex.monomials import monomial_powers
 from ddrcomplex.sparse import CsrMatrix
 from ddrcomplex.errors import ConditioningError
-from ddrcomplex.operators import OPERATORS, DdrComplex
+from ddrcomplex.operators import OPERATORS, DdrComplex, ddr0_closed_forms
 from ddrcomplex.spaces import frame_values
 from ddrcomplex.verification import (
     FAMILIES,
@@ -35,6 +35,7 @@ from ddrcomplex.verification import (
     VerifySession,
     check_closed_forms,
     check_cochain_diagram,
+    check_complex,
     check_cohomology,
     check_consistency,
     check_generators,
@@ -82,34 +83,61 @@ def test_cochain_diagram_sixteen_identities():
         "cochain.cw_interp", "cochain.cw_grad", "cochain.cw_curl", "cochain.cw_div"]
 
 
-def _dense_cochain_residuals(s):
-    """The RE_* and cw_* residuals of the cochain family from dense factors:
-    the product R E densified against ``np.eye``, and ``np.diag`` measure
-    scalings of the densified degree-0 operators and coboundaries, with the
-    scale of ``residual_between``."""
-    def residual(left, right, left_factors, right_factors):
+def _csr(dense):
+    """A dense matrix as a CsrMatrix of its nonzeros."""
+    rows, cols = np.nonzero(dense)
+    return CsrMatrix.from_coo(dense.shape, rows, cols, dense[rows, cols])
+
+
+def _dense_residuals(s):
+    """The 18 matrix rows of the complex, cochain and closed_forms families
+    from dense factors: products of the densified operators, reductions,
+    extensions, coboundaries and closed forms, ``np.eye`` and ``np.diag``
+    measure scalings, on the scale of the rows (the largest product of the
+    factors' max absolute entries of a side, at least 1)."""
+    def residual(left_factors, right_factors=()):
         scale = max(1.0, *(np.prod([np.abs(f).max(initial=0.0) for f in factors])
-                           for factors in (left_factors, right_factors)))
+                           for factors in (left_factors, right_factors) if factors))
+        left = np.linalg.multi_dot(left_factors) if len(left_factors) > 1 else left_factors[0]
+        right = (np.linalg.multi_dot(right_factors) if len(right_factors) > 1
+                 else right_factors[0] if right_factors else 0.0)
         return float(np.abs(left - right).max(initial=0.0)) / scale
 
+    def dense(c, op):
+        return c.operator(op.name).toarray()
+
+    red = {sp: reduction_matrix(s.high, sp).toarray() for sp in SPACES}
+    ext = {sp: s.ext.matrix(sp).toarray() for sp in SPACES}
     out = {}
+    for first, then in zip(OPERATORS, OPERATORS[1:]):
+        out[f"complex.{then.local}_{first.local}"] = residual([dense(s.high, then),
+                                                               dense(s.high, first)])
     tags = {op.source: op.local for op in OPERATORS}
     for sp in SPACES:
-        red, ext = reduction_matrix(s.high, sp), s.ext.matrix(sp)
-        eye = np.eye(ext.shape[1])
         out[f"cochain.RE_{tags.get(sp, 'tail')}"] = residual(
-            (red @ ext).toarray(), eye, [red.toarray(), ext.toarray()], [eye])
+            [red[sp], ext[sp]], [np.eye(ext[sp].shape[1])])
+    for op in OPERATORS:
+        out[f"cochain.red_{op.local}"] = residual([red[op.target], dense(s.high, op)],
+                                                  [dense(s.low, op), red[op.source]])
+    for op in OPERATORS:
+        out[f"cochain.ext_{op.local}"] = residual([dense(s.high, op), ext[op.source]],
+                                                  [ext[op.target], dense(s.low, op)])
     kappa = {sp: np.diag(s.orient.geometry(CARRIERS[sp]).measure) for sp in SPACES}
     for i, op in enumerate(OPERATORS):
-        low, cob = s.low.operator(op.name).toarray(), s.cochain.boundary(i).toarray()
-        kt, ks = kappa[op.target], kappa[op.source]
-        out[f"cochain.cw_{op.local}"] = residual(kt @ low, cob @ ks, [kt, low], [cob, ks])
+        cob = s.cochain.boundary(i).toarray()
+        out[f"cochain.cw_{op.local}"] = residual([kappa[op.target], dense(s.low, op)],
+                                                 [cob, kappa[op.source]])
+    forms = ddr0_closed_forms(s.mesh, s.orient)
+    for op, form in zip(OPERATORS, forms):
+        out[f"closed_forms.{op.name}"] = residual([dense(s.low, op)], [form.toarray()])
     return out
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("name", ["cube", "ring", "cavity", "prism_pair", "sheared_ring"])
 def test_sparse_cochain_residuals_equal_the_dense_ones(name, k):
+    # the closure products against dense products of whole matrices, which
+    # sum in another order: equal within roundoff
     if name in ("prism_pair", "sheared_ring"):
         mesh = load_mesh(str(MESH_FILES / f"{name}.json"))
         s = VerifySession(mesh, compute_orientation(mesh), k)
@@ -117,11 +145,12 @@ def test_sparse_cochain_residuals_equal_the_dense_ones(name, k):
         mesh, orient = mesh_and_orientation(name)
         s = VerifySession(mesh, orient, k)
         s.high, s.low, s.ext = complex_for(name, k), complex_for(name, 0), extensions_for(name, k)
-    want = _dense_cochain_residuals(s)
-    got = {c.name: c.residual for c in check_cochain_diagram(s) if c.name in want}
-    assert got.keys() == want.keys()
+    want = _dense_residuals(s)
+    rows = check_complex(s) + check_cochain_diagram(s) + check_closed_forms(s)
+    got = {c.name: c.residual for c in rows if c.name in want}
+    assert len(got) == len(want) == 18
     for row, value in want.items():
-        assert got[row] == value, row
+        assert abs(got[row] - value) <= 1e-15, (row, got[row], value)
 
 
 def _tunnel(n):
@@ -532,7 +561,7 @@ def _assert_certificate_equals_dense_ranks(s):
     for op in OPERATORS:
         d = s.high.operator(op.name)
         assert s.operator_rank(op.name).rank == numeric_rank(d.toarray()).rank, op.name
-        on_kernel = (d @ s.kernel_bases[op.source]).toarray()
+        on_kernel = d @ s.kernel_bases[op.source].toarray()
         assert s.local_ranks(op.name).result.rank == numeric_rank(on_kernel).rank, op.name
 
 
@@ -560,11 +589,9 @@ def _with_planted_defect(s, which, kind, entity):
     layout = s.high.layout(op.source)
     cols = np.concatenate([layout.indices(kind, entity, part)
                            for part, _ in PARTS[op.source][kind]])
-    n = layout.total
-    rows = np.arange(n)
-    rows[cols] = cols[0]
-    planted = s.high.operator(which) @ CsrMatrix.from_coo((n, n), rows, np.arange(n),
-                                                          np.ones(n))
+    source = np.arange(layout.total)
+    source[cols] = cols[0]
+    planted = _csr(s.high.operator(which).toarray()[:, source])
     build = s.high.operator
     s.high.operator = lambda name: planted if name == which else build(name)
     return s
@@ -581,6 +608,63 @@ def test_planted_local_rank_defect_fails_and_names_the_entity(which, kind, entit
         assert not checks[name].passed and checks[name].error is None, name
         assert f"{local}: {label} local rank 1, expected " in checks[name].detail, name
     assert not s.certified()
+
+
+def _with_stray(mat, row, col):
+    """A copy of ``mat`` with one more stored entry, 1 at ``(row, col)``."""
+    return CsrMatrix.from_coo(mat.shape, np.append(mat._row_of_entries(), row),
+                              np.append(mat.indices, col), np.append(mat.data, 1.0))
+
+
+def _outside_closure(layout, kind, entity):
+    """The first unknown of ``layout`` outside the closure of one entity."""
+    group, row = layout.mesh.group_table(kind)[:, entity]
+    return np.setdiff1d(np.arange(layout.total), layout.closures(kind)[group][row])[0]
+
+
+@pytest.mark.parametrize("matrix,kind,reading", [
+    ("gradient", "edge", ("complex.grad_of_constant", "complex.curl_grad", "cochain.red_grad",
+                          "cochain.ext_grad")),
+    ("curl", "face", ("complex.curl_grad", "complex.div_curl", "cochain.red_curl",
+                      "cochain.ext_curl")),
+    ("divergence", "cell", ("complex.div_curl", "cochain.red_div", "cochain.ext_div")),
+    ("reduction", "edge", ("cochain.RE_curl", "cochain.red_grad", "cochain.red_curl")),
+    ("extension", "face", ("cochain.RE_curl", "cochain.ext_grad", "cochain.ext_curl")),
+])
+def test_a_stray_entry_outside_a_closure_fails_every_row_that_reads_it(matrix, kind, reading):
+    # one stored entry of the degree-1 G, C, D, or of the Xcurl reduction or
+    # extension, in a row of entity 0 and a column outside its closure (a
+    # session of its own: the operators of shared complexes stay as they are)
+    s = VerifySession(*mesh_and_orientation("ring"), 1)
+    if matrix in ("reduction", "extension"):
+        low, high = s.low.layout("Xcurl"), s.high.layout("Xcurl")
+        rows, cols = (low, high) if matrix == "reduction" else (high, low)
+        name = f"{matrix} of Xcurl"
+        mat = s.reduction("Xcurl") if matrix == "reduction" else s.ext.matrix("Xcurl")
+    else:
+        op = next(op for op in OPERATORS if op.name == matrix)
+        rows, cols = s.high.layout(op.target), s.high.layout(op.source)
+        name, mat = f"degree-1 {matrix}", s.high.operator(matrix)
+    planted = _with_stray(mat, rows.own(kind, np.arange(1))[0, 0], _outside_closure(cols, kind, 0))
+    if matrix == "reduction":
+        s._reductions["Xcurl"] = planted
+    elif matrix == "extension":
+        s.ext._cache["Xcurl"] = planted
+    else:
+        build = s.high.operator
+        s.high.operator = lambda which: planted if which == matrix else build(which)
+    label = {"edge": "edge 0", "face": "face 0", "cell": "element 0"}[kind]
+    error = f"DdrError: {name}: entry outside the closure of {label}"
+    checks = check_complex(s) + check_cochain_diagram(s) + check_closed_forms(s)
+    assert sorted(c.name for c in checks if not c.passed) == sorted(reading)
+    assert all(c.error == error for c in checks if not c.passed)
+    if matrix == "extension":
+        # no premise of the cohomology reads E; the generators' RE_curl does
+        h1, _ = check_generators(s)
+        assert h1.error == error
+        assert s.certified()
+    else:
+        assert not s.certified()
 
 
 def test_local_blocks_use_the_rank_tolerance():
@@ -679,20 +763,21 @@ def test_certified_generators_raise_the_dense_rank_on_voxel_patterns(k):
     check()
 
 
-def _transpose(mat):
-    return CsrMatrix.from_coo(mat.shape[::-1], mat.indices, mat._row_of_entries(), mat.data)
-
-
 @pytest.mark.parametrize("broken", ["zero", "exact"])
 def test_lifts_of_a_broken_extension_fail_on_re_identity(broken):
     # an Xcurl extension replaced by zero, whose zero lift fails generators.h1
-    # as such, or by G E_grad d0^T, whose lifts are exact, so that their
-    # kernel residual still passes: no rank is computed, and the failed
-    # premise RE = I fails generators.h1, named
+    # as such, or by G N, N putting each edge's value into its own Xgrad
+    # unknown: its lifts are exact, so that their kernel residual still
+    # passes, and it reaches only closures: no rank is computed, and the
+    # failed premise RE = I fails generators.h1, named
     s = _session("ring", 1)
     shape = s.ext.matrix("Xcurl").shape
+    edges = np.arange(s.mesh.n_edges)
+    into = s.high.layout("Xgrad").indices("edge", edges, "poly")[:, 0]
+    bubbles = CsrMatrix.from_coo((s.high.layout("Xgrad").total, len(edges)), into, edges,
+                                 np.ones(len(edges)))
     s.ext._cache["Xcurl"] = (CsrMatrix.from_coo(shape, [], [], []) if broken == "zero" else
-                             s.high.gradient @ s.ext.matrix("Xgrad") @ _transpose(s.cochain.d0))
+                             _csr(s.high.gradient @ bubbles.toarray()))
     h1, h2 = check_generators(s)
     lifted = s.lifted
     if broken == "zero":
