@@ -135,6 +135,14 @@ OPERATORS = (
 _BLOCKS = {b.builder: (b.kind, op.source) for op in OPERATORS for b in op.blocks}
 
 
+def _operator_index(which: str) -> int:
+    """The position in :data:`OPERATORS` of the operator named ``which``."""
+    for i, op in enumerate(OPERATORS):
+        if op.name == which:
+            return i
+    raise DomainError(f"unknown operator {which!r}")
+
+
 def _label(kind: str, index: int) -> str:
     """An entity as solve and error messages name it."""
     return f"{'element' if kind == 'cell' else kind} {index}"
@@ -208,8 +216,15 @@ def _point_stacks(kind: str, ids: np.ndarray) -> list[slice]:
 
 
 def _field_values(fn, points: np.ndarray) -> np.ndarray:
-    """``fn`` at an ``(n, 3)`` array of points, as ``n`` floats."""
-    vals = np.asarray(fn(points), dtype=float)
+    """``fn`` at an ``(n, 3)`` array of points, as ``n`` finite floats."""
+    vals = fn(points)
+    try:
+        vals = np.asarray(vals, dtype=float)
+    except (TypeError, ValueError):
+        vals = np.array(np.nan)
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"interpolated field gave values that are not finite numbers "
+                          f"at {len(points)} points")
     try:
         return np.broadcast_to(vals, (len(points),))
     except ValueError:
@@ -649,9 +664,7 @@ class DdrComplex:
         """The global operator named ``which``, assembled from the local
         blocks of :data:`OPERATORS` in entity order, one group at a time."""
         if which not in self._globals:
-            op = next((op for op in OPERATORS if op.name == which), None)
-            if op is None:
-                raise DomainError(f"unknown operator {which!r}")
+            op = OPERATORS[_operator_index(which)]
             tgt = self.layout(op.target)
             coo = _Coo()
             for block in op.blocks:

@@ -97,6 +97,9 @@ class CsrMatrix:
         of ``rows[g]`` and ``cols[g]``."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
+        for idx, size in zip((rows, cols), self.shape):
+            if idx.size and (idx.min() < 0 or idx.max() >= size):
+                raise ValueError(f"gather index out of range for shape {self.shape}")
         lead, m, n = rows.shape[:-1], rows.shape[-1], cols.shape[-1]
         count, rows = int(np.prod(lead)), rows.ravel()
         # each block's columns keyed by (block, column): one search for all

@@ -56,7 +56,8 @@ from .lifting import (
 )
 from .mesh import Mesh, OrientationTable, is_integer, is_real
 from .monomials import monomial_powers
-from .operators import OPERATORS, DdrComplex, _label, _point_stacks, ddr0_closed_forms
+from .operators import (OPERATORS, DdrComplex, _label, _operator_index, _point_stacks,
+                        ddr0_closed_forms)
 from .spaces import frame_values
 from .sparse import CsrMatrix, block_product
 
@@ -184,14 +185,6 @@ class VerificationReport:
         for c in self.checks:
             c.seconds = 0.0
 
-    def families(self) -> list[str]:
-        seen = []
-        for c in self.checks:
-            fam = c.name.split(".", 1)[0]
-            if fam not in seen:
-                seen.append(fam)
-        return seen
-
     def as_dict(self) -> dict:
         out = {
             "mesh": {"vertices": self.mesh_counts[0], "edges": self.mesh_counts[1],
@@ -312,11 +305,12 @@ _GENERATOR_PREMISES = {1: ("cochain.RE_curl", "cochain.red_grad", "cochain.cw_gr
 class VerifySession:
     """Lazily builds and shares the operators a battery of checks needs.
 
-    The residual rows of the ``complex``, ``cochain`` and ``closed_forms``
-    families are computed once (:meth:`residual`): the cohomology
-    certificate reads some of them as its premises.  :meth:`local_ranks`
-    certifies each operator on ker R from its per-entity blocks, and
-    :meth:`operator_rank` adds the exact rank of the CW coboundary.
+    The residual rows of the ``complex``, ``cochain``, ``closed_forms`` and
+    ``consistency`` families are computed once (:meth:`residual`): the
+    cohomology certificate reads some of them as its premises.
+    :meth:`local_ranks` certifies each operator on ker R from its
+    per-entity blocks, and :meth:`operator_rank` adds the exact rank of the
+    CW coboundary.
     ``lifted`` holds the lifts of the last ``generators`` family.
     """
 
@@ -369,6 +363,11 @@ class VerifySession:
         """The degree-0 operators from their boundary-value formulas."""
         return tuple(ddr0_closed_forms(self.mesh, self.orient))
 
+    @cached_property
+    def monomial_interpolates(self) -> np.ndarray:
+        """The interpolates of the consistency monomials, as rows."""
+        return self.high.interpolate_grad([_monomial(a) for a in monomial_powers(3, self.k + 1)])
+
     def _row_chunks(self, rows: DofLayout, cols: list[DofLayout]):
         """Per kind, size group and chunk of the entities with own ``rows``:
         the kind, the entities, their own rows and closure dofs in ``cols``."""
@@ -414,14 +413,17 @@ class VerifySession:
 
     @cached_property
     def _residual_rows(self) -> dict:
-        """Every residual row of the complex, cochain and closed_forms
-        families, in row order, and ``reduction.onto``: name -> (thunk of
-        the residual and where it is largest, tolerance).  Each matrix is
-        built and :meth:`check_local` inside the first row that uses it; a
-        row ending in a dense column multiplies whole matrices, the others
-        closure blocks.  The CW rows compare each degree-0 operator scaled
-        by its target carriers' measures with the coboundary scaled by its
-        source's (a vertex has measure one)."""
+        """Every residual row of the complex, cochain, closed_forms and
+        consistency families, in row order, and ``reduction.onto``: name ->
+        (thunk of the residual and where it is largest, tolerance).  Each
+        matrix is built and :meth:`check_local` inside the first row that
+        uses it; a row ending in a dense column multiplies whole matrices,
+        the others closure blocks.  The CW rows compare each degree-0
+        operator scaled by its target carriers' measures with the
+        coboundary scaled by its source's (a vertex has measure one).  A
+        consistency row is the largest entry of its (monomial, entity)
+        table (:func:`_consistency_table`), the first in monomial-major
+        order."""
         high, low = self.high, self.low
         rows = {}
 
@@ -507,16 +509,29 @@ class VerifySession:
         for i, o in enumerate(OPERATORS):
             add(f"closed_forms.{o.name}", tol, lambda o=o: [op(low, o)],
                 lambda i=i, o=o: [op(low, o, f"closed-form {o.name}", self.closed_forms[i])])
+
+        def consistency(kind, builder, trace):
+            table = _consistency_table(self, kind, builder, trace)
+            if not table.size:
+                return 0.0, None
+            a, e = divmod(int(np.argmax(table)), table.shape[1])   # a NaN is its own argmax
+            x, y, z = monomial_powers(3, self.k + 1)[a]
+            return float(table[a, e]), f"{_label(kind, e)}, monomial x^{x} y^{y} z^{z}"
+
+        for name, *how in _CONSISTENCY_ROWS:
+            rows[f"consistency.{name}"] = (partial(consistency, *how), TOLERANCES["consistency"])
         return rows
 
     def residual(self, name: str) -> CheckResult:
         """The residual row ``name``, computed on first use and kept; each
         call returns a copy of its own (unnamed, untimed), and names where a
         failing residual is largest.  An error is raised, and not kept."""
+        if name not in self._residual_rows:
+            raise DomainError(f"unknown residual row {name!r}")
         if name not in self._residuals:
             value, tol = self._residual_rows[name]
             residual, where = value()
-            row = _residual_check(residual, tol)
+            row = CheckResult("", passed=residual <= tol, residual=float(residual), tolerance=tol)
             if where and not row.passed:
                 row.detail = f"largest at {where}"
             self._residuals[name] = row
@@ -568,9 +583,10 @@ class VerifySession:
         """
         if which in self._local:
             return self._local[which]
+        i = _operator_index(which)
         if self.k == 0:
             return self._local.setdefault(which, NO_BLOCKS)
-        i, op = next((i, op) for i, op in enumerate(OPERATORS) if op.name == which)
+        op = OPERATORS[i]
         d, basis = self.high.operator(which), self.kernel_bases[op.source]
         tgt, src = self.high.layout(op.target), self.high.layout(op.source)
         self.check_local(_Factor(f"degree-{self.k} {which}", d, tgt, src))
@@ -635,7 +651,7 @@ class VerifySession:
         the certified rank on ker R, with the summary of its local blocks.
         It is the operator's rank when :meth:`certified` holds."""
         if which not in self._ranks:
-            i = next(i for i, op in enumerate(OPERATORS) if op.name == which)
+            i = _operator_index(which)
             local = self.local_ranks(which).result
             self._ranks[which] = replace(local, rank=self.cochain.echelon(i).rank + local.rank)
         return self._ranks[which]
@@ -656,11 +672,6 @@ def _timed(checks: list[CheckResult], name: str, fn) -> None:
     except DdrError as exc:
         checks.append(CheckResult(name, passed=False, seconds=time.perf_counter() - start,
                                   error=f"{type(exc).__name__}: {exc}"))
-
-
-def _residual_check(value: float, tol: float, detail: str = "") -> CheckResult:
-    return CheckResult("", passed=value <= tol, residual=float(value), tolerance=tol,
-                       detail=detail)
 
 
 def _flag_check(ok: bool, detail: str) -> CheckResult:
@@ -795,19 +806,6 @@ def _relative_error(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
     return np.abs(approx - exact).max(axis=axes) / np.maximum(1.0, np.abs(exact).max(axis=axes))
 
 
-def _worst(residuals: np.ndarray) -> tuple[float, tuple[int, int] | None]:
-    """Largest entry of a (monomial, entity) residual table and its position.
-
-    ``argmax`` scans monomial-major and keeps the first maximum; a table of
-    zeros has no worst position.
-    """
-    if residuals.size == 0:
-        return 0.0, None
-    j = int(np.argmax(residuals))
-    val = float(residuals.flat[j])
-    return val, (divmod(j, residuals.shape[1]) if val != 0.0 else None)
-
-
 # The rows of the consistency sweep: (name, entity kind, builder, trace); a
 # trace row checks the builder's potential, a gradient row its operator.
 _CONSISTENCY_ROWS = (("edge_trace", "edge", "edge_ops", True),
@@ -817,73 +815,53 @@ _CONSISTENCY_ROWS = (("edge_trace", "edge", "edge_ops", True),
                      ("element_gradient", "cell", "cell_grad_ops", False))
 
 
-def check_consistency(s: VerifySession) -> list[CheckResult]:
-    """Trace and gradient consistency for interpolated monomials of degree <= k+1.
+def _consistency_table(s: VerifySession, kind: str, builder: str, trace: bool) -> np.ndarray:
+    """The (monomial, entity) residual table of one consistency row.
 
-    Each row compares, on the entities' quadrature points, the trace
-    (P^(k+1)) or the gradient (P^k, tangential on edges and faces) that one
-    builder reconstructs from the interpolate with the monomial's own.  It
-    reads the builder's stacks a size group at a time, on the group's point
-    stacks (elements one at a time), and evaluates each monomial and the
-    bases once per point stack.  The operators act on one monomial's local
-    dofs at a time: a product with all monomials as columns rounds
-    differently and moves the residuals and their worst places.  The
-    interpolates are built inside the first row, so each row's seconds, or
-    the error it reports, are its own.
+    It compares, on the entities' quadrature points, the trace (P^(k+1))
+    or the gradient (P^k, tangential on edges and faces) that one builder
+    reconstructs from each interpolated monomial with the monomial's own.
+    It reads the builder's stacks a size group at a time, on the group's
+    point stacks (elements one at a time), and evaluates each monomial and
+    the bases once per point stack.  The operators act on one monomial's
+    local dofs at a time: a product with all monomials as columns rounds
+    differently and moves the residuals.
     """
-    tol = TOLERANCES["consistency"]
     high, k = s.high, s.k
     alphas = monomial_powers(3, k + 1)
-    fields = [_monomial(alpha) for alpha in alphas]
-    interpolates: list[np.ndarray] = []
-
-    def vecs() -> np.ndarray:
-        """One interpolate per monomial, as rows, built once."""
-        if not interpolates:
-            interpolates.append(high.interpolate_grad(fields))
-        return interpolates[0]
-
-    def table(kind: str, builder: str, trace: bool) -> np.ndarray:
-        """The (monomial, entity) residual table of one row."""
-        out = np.empty((len(alphas), entity_count(s.mesh, kind)))
-        frames = s.orient.geometry(kind).frame
-        for st in high.stacks(builder):
-            ids, dofs = st.ids, st.globals
-            for part in _point_stacks(kind, ids):
-                sub = ids[part]
-                pts = high._points(kind, sub)[0]
-                flat = pts.reshape(-1, 3)
-                phi = high._eval(kind, sub, pts, k + 1 if trace else k)
-                for a, (vec, alpha) in enumerate(zip(vecs(), alphas)):
-                    coeffs = (st.potential if trace else st.op)[part] @ vec[dofs[part]][..., None]
-                    if trace:
-                        approx, exact = phi @ coeffs, fields[a](flat).reshape(*pts.shape[:2], 1)
+    out = np.empty((len(alphas), entity_count(s.mesh, kind)))
+    frames = s.orient.geometry(kind).frame
+    for st in high.stacks(builder):
+        ids, dofs = st.ids, st.globals
+        for part in _point_stacks(kind, ids):
+            sub = ids[part]
+            pts = high._points(kind, sub)[0]
+            flat = pts.reshape(-1, 3)
+            phi = high._eval(kind, sub, pts, k + 1 if trace else k)
+            for a, (vec, alpha) in enumerate(zip(s.monomial_interpolates, alphas)):
+                coeffs = (st.potential if trace else st.op)[part] @ vec[dofs[part]][..., None]
+                if trace:
+                    approx, exact = phi @ coeffs, _monomial(alpha)(flat).reshape(*pts.shape[:2], 1)
+                else:
+                    exact = _monomial_gradient(flat, alpha).reshape(pts.shape)
+                    if kind == "edge":     # the derivative along the tangent
+                        approx = phi @ coeffs
+                        exact = exact @ s.orient.edge_tangent[sub][..., None]
                     else:
-                        exact = _monomial_gradient(flat, alpha).reshape(pts.shape)
-                        if kind == "edge":     # the derivative along the tangent
-                            approx = phi @ coeffs
-                            exact = exact @ s.orient.edge_tangent[sub][..., None]
-                        else:
-                            approx = frame_values(phi, frames[sub], coeffs[..., 0])
-                        if kind == "face":     # the tangential part
-                            n = s.orient.face_normal[sub][..., None]
-                            exact = exact - (exact @ n) * n.swapaxes(1, 2)
-                    out[a, sub] = _relative_error(approx, exact)
-        return out
-
-    def row(name: str, kind: str, builder: str, trace: bool) -> CheckResult:
-        """The worst of one row's residual table."""
-        val, at = _worst(table(kind, builder, trace))
-        detail = ""
-        if at is not None:
-            (a0, a1, a2), i = alphas[at[0]], at[1]
-            detail = f"worst: monomial x^{a0} y^{a1} z^{a2}, {name.split('_')[0]} {i}"
-        return _residual_check(val, tol, detail)
-
-    out: list[CheckResult] = []
-    for name, *how in _CONSISTENCY_ROWS:
-        _timed(out, f"consistency.{name}", partial(row, name, *how))
+                        approx = frame_values(phi, frames[sub], coeffs[..., 0])
+                    if kind == "face":     # the tangential part
+                        n = s.orient.face_normal[sub][..., None]
+                        exact = exact - (exact @ n) * n.swapaxes(1, 2)
+                out[a, sub] = _relative_error(approx, exact)
     return out
+
+
+def check_consistency(s: VerifySession) -> list[CheckResult]:
+    """Trace and gradient consistency for interpolated monomials of degree
+    <= k+1 (:func:`_consistency_table`).  The interpolates are built inside
+    the first row, so each row's seconds, or the error it reports, are its
+    own."""
+    return _family_rows(s, "consistency")
 
 
 def check_generators(s: VerifySession) -> list[CheckResult]:

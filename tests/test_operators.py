@@ -391,10 +391,12 @@ def test_interpolate_linear_k1():
         assert abs(vec[idx][0] - orient.edge_midpoint[e][0]) < 1e-13
 
 
-@pytest.mark.parametrize("field", [lambda p: p, lambda p: p[:, :1], lambda p: np.ones(2)],
-                         ids=["vector", "column", "wrong_length"])
+@pytest.mark.parametrize("field", [lambda p: p, lambda p: p[:, :1], lambda p: np.ones(2),
+                                   lambda p: None, lambda p: "a",
+                                   lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0)],
+                         ids=["vector", "column", "wrong_length", "none", "string", "nan"])
 def test_interpolate_rejects_field_of_wrong_shape(field):
-    # a field maps (n, 3) points to n values; anything that will not broadcast is an error
+    # a field maps (n, 3) points to n finite numbers; anything else is an error
     c = complex_for("cube", 1)
     with pytest.raises(DomainError, match="interpolated field"):
         c.interpolate_grad(field)

@@ -39,7 +39,6 @@ from ddrcomplex import (
 )
 from ddrcomplex.cli import main
 from ddrcomplex.layouts import SPACES, entity_count
-from ddrcomplex.monomials import monomial_powers
 from ddrcomplex.quadrature import rule_stack
 from ddrcomplex.verification import VerifySession, check_consistency
 
@@ -122,18 +121,13 @@ def _extensions_and_reductions(high, low):
         ext.matrix(space), reduction_matrix(high, space), zero_reduction_basis(high, space))]
 
 
-def _sweep(high, monkeypatch):
+def _sweep(high):
     """The interpolates of the consistency sweep's monomials and its five
     (monomial, entity) residual tables, on the complex ``high``."""
     s = VerifySession(high.mesh, high.orient, high.k)
     s.high = high
-    tables = []
-    worst = verification._worst
-    with monkeypatch.context() as m:
-        m.setattr(verification, "_worst", lambda table: tables.append(table) or worst(table))
-        check_consistency(s)
-    fields = [verification._monomial(a) for a in monomial_powers(3, high.k + 1)]
-    return [high.interpolate_grad(fields)] + tables
+    return [s.monomial_interpolates] + [verification._consistency_table(s, *how)
+                                        for _, *how in verification._CONSISTENCY_ROWS]
 
 
 def _arrays(ops):
@@ -182,7 +176,7 @@ def test_shared_blocks_match_fresh_builds(monkeypatch, name, k):
         assert a.shape == b.shape
         worst = max(worst, _rel(a, b))
     assert worst <= 1e-13
-    got, want = _sweep(stacked, monkeypatch), _sweep(alone, monkeypatch)
+    got, want = _sweep(stacked), _sweep(alone)
     assert len(got) == len(want) == 6
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 

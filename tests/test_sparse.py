@@ -121,6 +121,16 @@ def test_gather_stacks_blocks_along_leading_axes(shape, seed):
         assert same_bits(got[g], mat.gather(rows[g], cols[g]))
 
 
+@pytest.mark.parametrize("rows,cols", [([[0], [1]], [[3], [0]]), ([2], [0]), ([-1], [0])],
+                         ids=["column_past_the_end", "row_past_the_end", "negative_row"])
+def test_gather_rejects_an_index_outside_the_shape(rows, cols):
+    # a column past the end once aliased the next block's keys: block 1
+    # read A[1, 1] for A[1, 0]
+    a = CsrMatrix.diagonal([5.0, 7.0])
+    with pytest.raises(ValueError, match=r"gather index out of range for shape \(2, 2\)"):
+        a.gather(rows, cols)
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_products_match_dense(shape, seed):

@@ -303,7 +303,7 @@ def test_run_all_passes(name, k):
     mesh, orient = mesh_and_orientation(name)
     report = run_all(mesh, orient, k)
     assert report.passed
-    assert report.families() == list(FAMILIES)
+    assert list(dict.fromkeys(c.name.split(".", 1)[0] for c in report.checks)) == list(FAMILIES)
     assert report.cohomology_ddr is not None
 
 
@@ -450,8 +450,8 @@ def test_fault_injection_completeness_sampled():
 def _pointwise_consistency(s):
     """Reference consistency sweep: every field value and gradient one point at a time.
 
-    Returns ``{check name: (worst residual, where)}``; the first strictly
-    larger residual in monomial, then entity order is the worst.
+    Returns ``{check name: (largest residual, where)}``; the first strictly
+    larger residual in monomial, then entity order is the largest.
     """
     high, k, orient = s.high, s.k, s.orient
 
@@ -479,38 +479,38 @@ def _pointwise_consistency(s):
             return g
 
         vec = high.interpolate_grad(lambda pts: np.asarray([q(p) for p in pts]))
-        tagged = f"monomial x^{alpha[0]} y^{alpha[1]} z^{alpha[2]}"
+        tagged = f", monomial x^{alpha[0]} y^{alpha[1]} z^{alpha[2]}"
         for e in range(s.mesh.n_edges):
             ops, rule = high.edge_ops(e), high.rule("edge", e)
             loc = vec[ops.globals]
             qv = np.asarray([q(p) for p in rule.points])
             tv = basis_of("edge", e, k + 1).eval(rule.points) @ (ops.potential @ loc)
             update("edge_trace", np.abs(tv - qv).max() / max(1.0, np.abs(qv).max()),
-                   f"{tagged}, edge {e}")
+                   f"edge {e}{tagged}")
             dq = np.asarray([grad_q(p) @ orient.edge_tangent[e] for p in rule.points])
             gv = basis_of("edge", e, k).eval(rule.points) @ (ops.op @ loc)
             update("edge_gradient", np.abs(gv - dq).max() / max(1.0, np.abs(dq).max()),
-                   f"{tagged}, edge {e}")
+                   f"edge {e}{tagged}")
         for f in range(s.mesh.n_faces):
             ops, rule = high.face_grad_ops(f), high.rule("face", f)
             loc = vec[ops.globals]
             qv = np.asarray([q(p) for p in rule.points])
             tv = basis_of("face", f, k + 1).eval(rule.points) @ (ops.potential @ loc)
             update("face_trace", np.abs(tv - qv).max() / max(1.0, np.abs(qv).max()),
-                   f"{tagged}, face {f}")
+                   f"face {f}{tagged}")
             n = orient.face_normal[f]
             gq = np.asarray([grad_q(p) - (grad_q(p) @ n) * n for p in rule.points])
             basis = basis_of("face", f, k)
             gv = frame_values(basis.eval(rule.points), basis.frame, ops.op @ loc)
             update("face_gradient", np.abs(gv - gq).max() / max(1.0, np.abs(gq).max()),
-                   f"{tagged}, face {f}")
+                   f"face {f}{tagged}")
         for t in range(s.mesh.n_elements):
             ops, rule = high.cell_grad_ops(t), high.rule("cell", t)
             gq = np.asarray([grad_q(p) for p in rule.points])
             basis = basis_of("cell", t, k)
             gv = frame_values(basis.eval(rule.points), basis.frame, ops.op @ vec[ops.globals])
             update("element_gradient", np.abs(gv - gq).max() / max(1.0, np.abs(gq).max()),
-                   f"{tagged}, element {t}")
+                   f"element {t}{tagged}")
     return worst
 
 
@@ -535,7 +535,35 @@ def test_consistency_matches_pointwise_oracle(name, k):
         val, where = want[c.name.split(".", 1)[1]]
         assert c.residual == val, c.name
         assert c.passed == (val <= tol), c.name
-        assert c.detail == (f"worst: {where}" if where else ""), c.name
+        assert c.detail == ("" if c.passed else f"largest at {where}"), c.name
+
+
+def test_a_failing_row_names_where_its_residual_is_largest():
+    # a flipped face-edge sign of face 0 fails the face and element rows of
+    # the sweep at the constant monomial; every passing residual row
+    # (matrix and consistency alike) carries no detail
+    mesh, orient = mesh_and_orientation("ring")
+    report = run_all(mesh, corrupt_orientation(orient, "omega_fe"), 1)
+    rows = {c.name: c for c in report.checks if c.name in report.session._residual_rows}
+    assert {name: rows[name].detail for name in rows if name.startswith("consistency.")
+            and not rows[name].passed} == {
+        "consistency.face_trace": "largest at face 0, monomial x^0 y^0 z^0",
+        "consistency.face_gradient": "largest at face 0, monomial x^0 y^0 z^0",
+        "consistency.element_gradient": "largest at element 0, monomial x^0 y^0 z^0"}
+    assert all(c.detail == "" for c in rows.values() if c.passed)
+    assert any(c.passed for c in rows.values() if c.name.startswith("consistency."))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda s: s.operator_rank("grad"), "unknown operator 'grad'"),
+    (lambda s: s.local_ranks("grad"), "unknown operator 'grad'"),
+    (lambda s: s.residual("nope"), "unknown residual row 'nope'"),
+], ids=["operator_rank", "local_ranks", "residual"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_session_rejects_an_unknown_name(call, message, k):
+    s = VerifySession(*mesh_and_orientation("cube"), k)
+    with pytest.raises(DomainError, match=message):
+        call(s)
 
 
 # ---------------------------------------------------------------------------
