@@ -18,7 +18,8 @@ Check families (selectable by name):
 * ``closed_forms``   -- degree-0 boundary-value formulas equal the generic
                         assembly entrywise;
 * ``consistency``    -- trace/gradient polynomial consistency sweep over all
-                        monomials of degree <= k+1;
+                        monomials of degree <= k+1 of the centred, scaled
+                        coordinates;
 * ``generators``     -- lifted cohomology generators with kernel-residual
                         certificates, independent by the cochain-map premises.
 
@@ -40,7 +41,7 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial, reduce
-from operator import matmul
+from operator import matmul, mul
 
 import numpy as np
 
@@ -55,10 +56,9 @@ from .lifting import (
     zero_reduction_basis,
 )
 from .mesh import Mesh, OrientationTable, is_integer, is_real
-from .monomials import monomial_powers
+from .monomials import eval_monomials, grad_matrix, monomial_powers
 from .operators import (OPERATORS, DdrComplex, _label, _operator_index, _point_stacks,
                         ddr0_closed_forms)
-from .spaces import frame_values
 from .sparse import CsrMatrix, block_product
 
 FAMILIES = ("complex", "cohomology", "cochain", "zero_reduction",
@@ -364,9 +364,18 @@ class VerifySession:
         return tuple(ddr0_closed_forms(self.mesh, self.orient))
 
     @cached_property
+    def monomial_frame(self) -> tuple[np.ndarray, float]:
+        """The centre c and scale r of the consistency monomials, which are
+        monomials of y = (x - c)/r: the centre of the vertices' bounding box
+        and half its longest side, so that y lies in [-1, 1]^3."""
+        lo, hi = self.mesh.vertices.min(axis=0), self.mesh.vertices.max(axis=0)
+        return (lo + hi) / 2, float((hi - lo).max()) / 2
+
+    @cached_property
     def monomial_interpolates(self) -> np.ndarray:
         """The interpolates of the consistency monomials, as rows."""
-        return self.high.interpolate_grad([_monomial(a) for a in monomial_powers(3, self.k + 1)])
+        return self.high.interpolate_grad([_monomial(a, *self.monomial_frame)
+                                           for a in monomial_powers(3, self.k + 1)])
 
     def _row_chunks(self, rows: DofLayout, cols: list[DofLayout]):
         """Per kind, size group and chunk of the entities with own ``rows``:
@@ -512,8 +521,6 @@ class VerifySession:
 
         def consistency(kind, builder, trace):
             table = _consistency_table(self, kind, builder, trace)
-            if not table.size:
-                return 0.0, None
             a, e = divmod(int(np.argmax(table)), table.shape[1])   # a NaN is its own argmax
             x, y, z = monomial_powers(3, self.k + 1)[a]
             return float(table[a, e]), f"{_label(kind, e)}, monomial x^{x} y^{y} z^{z}"
@@ -559,7 +566,6 @@ class VerifySession:
     @cached_property
     def kernel_bases(self) -> dict[str, CsrMatrix]:
         return {sp: zero_reduction_basis(self.high, sp) for sp in SPACES}
-
 
     @cached_property
     def own_counts(self) -> dict[str, dict[str, int]]:
@@ -782,22 +788,18 @@ def check_closed_forms(s: VerifySession) -> list[CheckResult]:
     return _family_rows(s, "closed_forms")
 
 
-def _monomial(alpha):
-    """The monomial x^alpha as a field on an ``(n, 3)`` array of points."""
+def _monomial(alpha, centre: np.ndarray, scale: float):
+    """y^alpha, y = (x - centre)/scale, as a field on an ``(n, 3)`` array of
+    x.  Each power is that of |y_i|, signed: numpy raises a negative base to
+    a power about 30 times slower."""
     def q(p):
-        return p[:, 0] ** alpha[0] * p[:, 1] ** alpha[1] * p[:, 2] ** alpha[2]
+        factors = []
+        for ax, n in enumerate(alpha):
+            if n:
+                t = (p[:, ax] - centre[ax]) / scale
+                factors.append(np.copysign(np.abs(t) ** n, t if n % 2 else 1.0))
+        return reduce(mul, factors) if factors else 1.0
     return q
-
-
-def _monomial_gradient(p: np.ndarray, alpha) -> np.ndarray:
-    """Gradient ``(n, 3)`` of x^alpha at an ``(n, 3)`` array of points."""
-    g = np.zeros(p.shape)
-    for ax in range(3):
-        if alpha[ax]:
-            b = list(alpha)
-            b[ax] -= 1
-            g[:, ax] = alpha[ax] * p[:, 0] ** b[0] * p[:, 1] ** b[1] * p[:, 2] ** b[2]
-    return g
 
 
 def _relative_error(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
@@ -816,42 +818,39 @@ _CONSISTENCY_ROWS = (("edge_trace", "edge", "edge_ops", True),
 
 
 def _consistency_table(s: VerifySession, kind: str, builder: str, trace: bool) -> np.ndarray:
-    """The (monomial, entity) residual table of one consistency row.
-
-    It compares, on the entities' quadrature points, the trace (P^(k+1))
-    or the gradient (P^k, tangential on edges and faces) that one builder
-    reconstructs from each interpolated monomial with the monomial's own.
-    It reads the builder's stacks a size group at a time, on the group's
-    point stacks (elements one at a time), and evaluates each monomial and
-    the bases once per point stack.  The operators act on one monomial's
-    local dofs at a time: a product with all monomials as columns rounds
-    differently and moves the residuals.
-    """
+    """The (monomial, entity) residual table of one consistency row: on the
+    entities' quadrature points, in each entity's frame, the trace (P^(k+1),
+    one column) or the gradient (P^k, a component per frame vector) that one
+    builder reconstructs from each interpolated monomial of y (see
+    :attr:`VerifySession.monomial_frame`), against the monomial's value or
+    the values of the at most three monomials of its gradient (``grad_matrix``
+    over the scale) rotated into the frame.  Monomials, bases and rotated
+    gradients are evaluated once per point stack of a size group (elements
+    one at a time); the operators act on one monomial's local dofs at a time
+    (all monomials as columns would round differently)."""
     high, k = s.high, s.k
-    alphas = monomial_powers(3, k + 1)
-    out = np.empty((len(alphas), entity_count(s.mesh, kind)))
+    centre, scale = s.monomial_frame
+    count, degree = len(monomial_powers(3, k + 1)), k + 1 if trace else k
+    out = np.empty((count, entity_count(s.mesh, kind)))
     frames = s.orient.geometry(kind).frame
+    grads = grad_matrix(3, k + 1).reshape(3, -1, count) / scale    # per axis, (P^k, P^(k+1))
+    reads = [[a] if trace else np.flatnonzero(grads[..., a].any(axis=0)) for a in range(count)]
     for st in high.stacks(builder):
         ids, dofs = st.ids, st.globals
         for part in _point_stacks(kind, ids):
             sub = ids[part]
             pts = high._points(kind, sub)[0]
-            flat = pts.reshape(-1, 3)
-            phi = high._eval(kind, sub, pts, k + 1 if trace else k)
-            for a, (vec, alpha) in enumerate(zip(s.monomial_interpolates, alphas)):
+            phi = high._eval(kind, sub, pts, degree)
+            y = ((pts - centre) / scale).reshape(-1, 3)
+            values = eval_monomials(3, degree, y).reshape(*pts.shape[:2], -1)
+            # P^k, P^(k+1) and the frame vectors (one of weight 1 for a trace)
+            rotated = (np.ones((1, count, count, 1)) if trace
+                       else np.einsum("gdi,ijm->gjmd", frames[sub], grads))
+            for a, vec in enumerate(s.monomial_interpolates):
                 coeffs = (st.potential if trace else st.op)[part] @ vec[dofs[part]][..., None]
-                if trace:
-                    approx, exact = phi @ coeffs, _monomial(alpha)(flat).reshape(*pts.shape[:2], 1)
-                else:
-                    exact = _monomial_gradient(flat, alpha).reshape(pts.shape)
-                    if kind == "edge":     # the derivative along the tangent
-                        approx = phi @ coeffs
-                        exact = exact @ s.orient.edge_tangent[sub][..., None]
-                    else:
-                        approx = frame_values(phi, frames[sub], coeffs[..., 0])
-                    if kind == "face":     # the tangential part
-                        n = s.orient.face_normal[sub][..., None]
-                        exact = exact - (exact @ n) * n.swapaxes(1, 2)
+                approx = phi @ coeffs.reshape(len(sub), -1, phi.shape[-1]).swapaxes(1, 2)
+                # take copies C-contiguously, so the product rounds alike in stacks of any size
+                exact = values.take(reads[a], axis=-1) @ rotated[:, reads[a], a]
                 out[a, sub] = _relative_error(approx, exact)
     return out
 

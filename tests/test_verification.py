@@ -23,12 +23,11 @@ from ddrcomplex import (
 )
 from ddrcomplex import betti_numbers, build_cochain_complex, integer_rank, lifting, verification
 from ddrcomplex.homology import cohomology_dims
-from ddrcomplex.layouts import CARRIERS, PARTS, SPACES
+from ddrcomplex.layouts import CARRIERS, PARTS, SPACES, entity_count
 from ddrcomplex.monomials import monomial_powers
 from ddrcomplex.sparse import CsrMatrix
 from ddrcomplex.errors import ConditioningError
 from ddrcomplex.operators import OPERATORS, DdrComplex, ddr0_closed_forms
-from ddrcomplex.spaces import frame_values
 from ddrcomplex.verification import (
     FAMILIES,
     TOLERANCES,
@@ -450,10 +449,14 @@ def test_fault_injection_completeness_sampled():
 def _pointwise_consistency(s):
     """Reference consistency sweep: every field value and gradient one point at a time.
 
-    Returns ``{check name: (largest residual, where)}``; the first strictly
-    larger residual in monomial, then entity order is the largest.
+    The monomials are those of ``y = (x - c)/r`` with ``(c, r)`` the
+    session's ``monomial_frame``, and a gradient is compared by its
+    components along the entity's frame vectors.  Returns ``{check name:
+    (largest residual, where)}``; the first strictly larger residual in
+    monomial, then entity order is the largest.
     """
     high, k, orient = s.high, s.k, s.orient
+    centre, scale = s.monomial_frame
 
     def basis_of(kind, index, degree):
         return entity_basis(high.mesh, orient, kind, index, degree)
@@ -461,56 +464,40 @@ def _pointwise_consistency(s):
     worst = {name: (0.0, "") for name in ("edge_trace", "edge_gradient", "face_trace",
                                           "face_gradient", "element_gradient")}
 
-    def update(name, val, where):
+    def update(name, approx, exact, where):
+        val = np.abs(approx - exact).max() / max(1.0, np.abs(exact).max())
         if val > worst[name][0]:
             worst[name] = (val, where)
 
     for alpha in monomial_powers(3, k + 1):
         def q(p, alpha=alpha):
-            return p[0] ** alpha[0] * p[1] ** alpha[1] * p[2] ** alpha[2]
+            y = (p - centre) / scale
+            return y[0] ** alpha[0] * y[1] ** alpha[1] * y[2] ** alpha[2]
 
         def grad_q(p, alpha=alpha):
-            g = np.zeros(3)
+            y, g = (p - centre) / scale, np.zeros(3)
             for ax in range(3):
                 if alpha[ax]:
                     b = list(alpha)
                     b[ax] -= 1
-                    g[ax] = alpha[ax] * p[0] ** b[0] * p[1] ** b[1] * p[2] ** b[2]
+                    g[ax] = alpha[ax] * y[0] ** b[0] * y[1] ** b[1] * y[2] ** b[2] / scale
             return g
 
         vec = high.interpolate_grad(lambda pts: np.asarray([q(p) for p in pts]))
         tagged = f", monomial x^{alpha[0]} y^{alpha[1]} z^{alpha[2]}"
-        for e in range(s.mesh.n_edges):
-            ops, rule = high.edge_ops(e), high.rule("edge", e)
-            loc = vec[ops.globals]
-            qv = np.asarray([q(p) for p in rule.points])
-            tv = basis_of("edge", e, k + 1).eval(rule.points) @ (ops.potential @ loc)
-            update("edge_trace", np.abs(tv - qv).max() / max(1.0, np.abs(qv).max()),
-                   f"edge {e}{tagged}")
-            dq = np.asarray([grad_q(p) @ orient.edge_tangent[e] for p in rule.points])
-            gv = basis_of("edge", e, k).eval(rule.points) @ (ops.op @ loc)
-            update("edge_gradient", np.abs(gv - dq).max() / max(1.0, np.abs(dq).max()),
-                   f"edge {e}{tagged}")
-        for f in range(s.mesh.n_faces):
-            ops, rule = high.face_grad_ops(f), high.rule("face", f)
-            loc = vec[ops.globals]
-            qv = np.asarray([q(p) for p in rule.points])
-            tv = basis_of("face", f, k + 1).eval(rule.points) @ (ops.potential @ loc)
-            update("face_trace", np.abs(tv - qv).max() / max(1.0, np.abs(qv).max()),
-                   f"face {f}{tagged}")
-            n = orient.face_normal[f]
-            gq = np.asarray([grad_q(p) - (grad_q(p) @ n) * n for p in rule.points])
-            basis = basis_of("face", f, k)
-            gv = frame_values(basis.eval(rule.points), basis.frame, ops.op @ loc)
-            update("face_gradient", np.abs(gv - gq).max() / max(1.0, np.abs(gq).max()),
-                   f"face {f}{tagged}")
-        for t in range(s.mesh.n_elements):
-            ops, rule = high.cell_grad_ops(t), high.rule("cell", t)
-            gq = np.asarray([grad_q(p) for p in rule.points])
-            basis = basis_of("cell", t, k)
-            gv = frame_values(basis.eval(rule.points), basis.frame, ops.op @ vec[ops.globals])
-            update("element_gradient", np.abs(gv - gq).max() / max(1.0, np.abs(gq).max()),
-                   f"element {t}{tagged}")
+        for kind, label, builder in (("edge", "edge", high.edge_ops),
+                                     ("face", "face", high.face_grad_ops),
+                                     ("cell", "element", high.cell_grad_ops)):
+            for e in range(entity_count(s.mesh, kind)):
+                ops, rule = builder(e), high.rule(kind, e)
+                loc, where = vec[ops.globals], f"{label} {e}{tagged}"
+                if kind != "cell":
+                    tv = basis_of(kind, e, k + 1).eval(rule.points) @ (ops.potential @ loc)
+                    update(f"{kind}_trace", tv, np.asarray([q(p) for p in rule.points]), where)
+                basis = basis_of(kind, e, k)
+                gq = np.asarray([basis.frame @ grad_q(p) for p in rule.points])
+                gv = basis.eval(rule.points) @ (ops.op @ loc).reshape(len(basis.frame), -1).T
+                update(f"{label}_gradient", gv, gq, where)
     return worst
 
 
@@ -539,9 +526,10 @@ def test_consistency_matches_pointwise_oracle(name, k):
 
 
 def test_a_failing_row_names_where_its_residual_is_largest():
-    # a flipped face-edge sign of face 0 fails the face and element rows of
-    # the sweep at the constant monomial; every passing residual row
-    # (matrix and consistency alike) carries no detail
+    # a flipped face-edge sign of face 0 fails the face rows of the sweep at
+    # the constant monomial and the element row at the first linear one;
+    # every passing residual row (matrix and consistency alike) carries no
+    # detail
     mesh, orient = mesh_and_orientation("ring")
     report = run_all(mesh, corrupt_orientation(orient, "omega_fe"), 1)
     rows = {c.name: c for c in report.checks if c.name in report.session._residual_rows}
@@ -549,7 +537,7 @@ def test_a_failing_row_names_where_its_residual_is_largest():
             and not rows[name].passed} == {
         "consistency.face_trace": "largest at face 0, monomial x^0 y^0 z^0",
         "consistency.face_gradient": "largest at face 0, monomial x^0 y^0 z^0",
-        "consistency.element_gradient": "largest at element 0, monomial x^0 y^0 z^0"}
+        "consistency.element_gradient": "largest at element 0, monomial x^1 y^0 z^0"}
     assert all(c.detail == "" for c in rows.values() if c.passed)
     assert any(c.passed for c in rows.values() if c.name.startswith("consistency."))
 
