@@ -126,6 +126,8 @@ def _build_mesh(vertices: np.ndarray,
             raise MeshTopologyError(f"face {fi} has the same edges as face {fj}")
 
     nf = len(face_loops)
+    if not element_faces:
+        raise MeshTopologyError("mesh has no elements")
     face_elements: list[list[int]] = [[] for _ in range(nf)]
     for ti, faces in enumerate(element_faces):
         if len(faces) < 4:
@@ -139,9 +141,9 @@ def _build_mesh(vertices: np.ndarray,
             raise MeshTopologyError(f"face {fi} belongs to no element")
         if len(owners) > 2:
             raise MeshTopologyError(f"face {fi} belongs to {len(owners)} elements (max 2)")
-    # each element's boundary is a closed connected surface: distinct faces,
-    # every edge on two of them, and every face reached from the first
-    # across shared edges
+    # each element's boundary is a sphere: distinct faces, every edge on two
+    # of them, every face reached from the first across shared edges, and
+    # Euler characteristic 2 (which makes a closed connected surface a sphere)
     for ti, faces in enumerate(element_faces):
         if len(set(faces)) < len(faces):
             f = next(f for i, f in enumerate(faces) if f in faces[:i])
@@ -166,6 +168,10 @@ def _build_mesh(vertices: np.ndarray,
             f = next(f for f in faces if f not in reached)
             raise MeshTopologyError(f"element {ti}: boundary is not connected (face {f} "
                                     f"shares no chain of edges with face {faces[0]})")
+        chi = len({v for f in faces for v in face_loops[f]}) - len(on_edge) + len(faces)
+        if chi != 2:
+            raise MeshTopologyError(f"element {ti}: boundary has Euler characteristic {chi}, "
+                                    f"not 2 (not a sphere)")
 
     # vertex-edge graph connectivity (the domain must be connected)
     adj: list[list[int]] = [[] for _ in range(nv)]

@@ -6,6 +6,7 @@ construction, so sharing is safe.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -155,13 +156,17 @@ def malformed_cube_document(case):
     return doc
 
 
-# Elements whose boundary is not one closed surface, each with the MeshTopologyError
+# Element lists that make no mesh: none at all, or an element whose boundary
+# is not one closed surface, or not a sphere; each with the MeshTopologyError
 # message it raises.
 OPEN_ELEMENTS = {
     "repeated face": "^element 0: face 0 is listed twice$",
     "dropped shared face": r"^element 0: edge 4 \(vertices 1, 4\) lies on 1 of its faces, not 2$",
     "disconnected boundary": r"^element 0: boundary is not connected \(face 11 shares no chain "
                              r"of edges with face 0\)$",
+    "no elements": "^mesh has no elements$",
+    "toroidal element": r"^element 0: boundary has Euler characteristic 0, not 2 "
+                        r"\(not a sphere\)$",
 }
 
 
@@ -170,7 +175,9 @@ def open_element_document(case):
     cube with face 0 listed twice, or a 1x1x2 voxel pair whose lower element
     drops the face it shares with the upper one, or a 1x1x3 voxel column whose
     two end cells form one element (two closed surfaces), the middle cell
-    the other."""
+    the other; or one vertex and no element, or the builtin ring's eight
+    cells merged into one element bounded by their 32 outer faces (a torus:
+    32 vertices, 64 edges)."""
     if case == "repeated face":
         doc = mesh_to_document(build_voxel_mesh(builtin_pattern("cube")))
         doc["elements"][0].append(0)
@@ -182,6 +189,14 @@ def open_element_document(case):
         doc = mesh_to_document(build_voxel_mesh(np.ones((1, 1, 3), dtype=bool)))
         bottom, middle, top = doc["elements"]
         doc["elements"] = [bottom + top, middle]
+    elif case == "no elements":
+        doc = {"vertices": [[0.0, 0.0, 0.0]], "faces": [], "elements": []}
+    elif case == "toroidal element":
+        doc = mesh_to_document(build_voxel_mesh(builtin_pattern("ring")))
+        owners = Counter(f for faces in doc["elements"] for f in faces)
+        outer = [f for f in range(len(doc["faces"])) if owners[f] == 1]
+        doc["faces"] = [doc["faces"][f] for f in outer]
+        doc["elements"] = [list(range(len(outer)))]
     else:
         raise ValueError(case)
     return doc
