@@ -233,6 +233,13 @@ def test_offset_block_keeps_its_verdicts(monkeypatch, k):
     assert all(c.passed for c in stacked.checks)
 
 
+def test_the_gated_offset_block_is_this_block():
+    # tools/meshes/offset_block.json, gated by tools/refactor_gate.py
+    mesh, _ = _block(0.7, 1e3)
+    gated = load_mesh(str(SHEARED_RING.with_name("offset_block.json")))
+    assert np.array_equal(gated.vertices, mesh.vertices)
+    assert (gated.face_loops, gated.element_faces) == (mesh.face_loops, mesh.element_faces)
+
 
 def _copy_of(mesh, kind):
     """The first entity of ``kind`` whose closure is a translated copy of an
