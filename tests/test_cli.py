@@ -74,7 +74,8 @@ def test_open_element_exit_2(tmp_path, capsys, case):
     assert run_cli("verify", "--mesh", str(path), "--degree", "0",
                    "--out", str(tmp_path / "r.json")) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and re.match(OPEN_ELEMENTS[case], err[7:].rstrip("\n"))
+    assert err.startswith("error: ")
+    assert re.match(OPEN_ELEMENTS[case], err.removeprefix("error: ").rstrip("\n"))
 
 
 @pytest.mark.parametrize("case", DOUBLED_FACES)
