@@ -24,7 +24,7 @@ import heapq
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ from .mesh import Mesh, OrientationTable, checked_integer, group_closure
 from .sparse import CsrMatrix, block_product
 
 
-@dataclass(frozen=True)
-class Echelon:
+class Echelon(NamedTuple):
     """Row echelon form of an integer matrix over the rationals.
 
     ``rows`` are the pivot rows, sparse (``{column: entry}``, Python
@@ -91,13 +90,15 @@ class Echelon:
         return basis
 
 
-@dataclass(frozen=True)
 class CochainComplexInt:
-    d0: CsrMatrix   # (E, V), entries +-1
-    d1: CsrMatrix   # (F, E)
-    d2: CsrMatrix   # (T, F)
-    _echelons: dict[int, Echelon] = field(default_factory=dict, init=False, repr=False,
-                                          compare=False)
+    """The coboundaries d0 (E, V), d1 (F, E) and d2 (T, F), entries +-1,
+    with each one's elimination kept once computed."""
+
+    __slots__ = ("d0", "d1", "d2", "_echelons")
+
+    def __init__(self, d0: CsrMatrix, d1: CsrMatrix, d2: CsrMatrix):
+        self.d0, self.d1, self.d2 = d0, d1, d2
+        self._echelons: dict[int, Echelon] = {}
 
     @property
     def counts(self) -> tuple[int, int, int, int]:
@@ -116,8 +117,7 @@ class CochainComplexInt:
         return self._echelons[i]
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class BettiVector(NamedTuple):
     b0: int
     b1: int
     b2: int

@@ -21,7 +21,7 @@ cohomology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,7 +82,6 @@ def zero_reduction_basis(complex_: DdrComplex, space: str) -> CsrMatrix:
 # ---------------------------------------------------------------------------
 # extensions
 
-@dataclass
 class ExtensionMaps:
     """Extension matrices from the degree-0 complex into a degree-k one.
 
@@ -95,15 +94,15 @@ class ExtensionMaps:
     with one stacked solve per size group.
     """
 
-    high: DdrComplex
-    low: DdrComplex
-    _cache: dict[str, CsrMatrix] = field(default_factory=dict)
+    __slots__ = ("high", "low", "_cache")
 
-    def __post_init__(self):
-        if self.low.k != 0:
+    def __init__(self, high: DdrComplex, low: DdrComplex):
+        if low.k != 0:
             raise DomainError("extensions start from a degree-0 complex")
-        if self.high.mesh is not self.low.mesh or self.high.orient is not self.low.orient:
+        if high.mesh is not low.mesh or high.orient is not low.orient:
             raise DomainError("extension endpoints must share mesh and orientation")
+        self.high, self.low = high, low
+        self._cache: dict[str, CsrMatrix] = {}
 
     def matrix(self, space: str) -> CsrMatrix:
         if space in self._cache:
@@ -161,8 +160,7 @@ class ExtensionMaps:
 # ---------------------------------------------------------------------------
 # generator lifting
 
-@dataclass(frozen=True)
-class LiftedGenerators:
+class LiftedGenerators(NamedTuple):
     degree: int
     index: int                       # cohomology index (1 or 2)
     space: str                       # Xcurl or Xdiv

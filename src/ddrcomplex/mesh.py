@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,17 +36,30 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class Mesh:
-    """Immutable polyhedral mesh with derived incidence tables."""
+    """Immutable polyhedral mesh with derived incidence tables.
 
-    vertices: np.ndarray                     # (V, 3) float
-    edges: np.ndarray                        # (E, 2) int, each row ascending
-    face_loops: tuple[tuple[int, ...], ...]  # CCW vertex loops
-    element_faces: tuple[tuple[int, ...], ...]
-    face_edges: tuple[tuple[int, ...], ...] = field(default=())      # derived
-    # kind -> (size groups, each entity's group and row (2, n)), built on first use
-    _groupings: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    ``vertices`` (V, 3) float; ``edges`` (E, 2) int, each row ascending;
+    ``face_loops`` the CCW vertex loops; ``element_faces``; ``face_edges``
+    derived from the loops.  A copy made with :meth:`_replace` builds its
+    own grouping.
+    """
+
+    __slots__ = ("vertices", "edges", "face_loops", "element_faces", "face_edges", "_groupings")
+
+    def __init__(self, vertices: np.ndarray, edges: np.ndarray,
+                 face_loops: tuple[tuple[int, ...], ...],
+                 element_faces: tuple[tuple[int, ...], ...],
+                 face_edges: tuple[tuple[int, ...], ...] = ()):
+        self.vertices, self.edges = vertices, edges
+        self.face_loops, self.element_faces, self.face_edges = face_loops, element_faces, face_edges
+        # kind -> (size groups, each entity's group and row (2, n)), built on first use
+        self._groupings: dict = {}
+
+    def _replace(self, **changes) -> Mesh:
+        """A copy with some fields replaced, and no grouping yet."""
+        fields = {name: getattr(self, name) for name in self.__slots__[:-1]}
+        return Mesh(**{**fields, **changes})
 
     @property
     def n_vertices(self) -> int:
@@ -496,8 +509,7 @@ def size_groups(mesh: Mesh, kind: str) -> list[np.ndarray]:
 EntityGeometry = namedtuple("EntityGeometry", "center diameter frame measure")
 
 
-@dataclass(frozen=True)
-class OrientationTable:
+class OrientationTable(NamedTuple):
     """Measures, frames, and boundary signs for every mesh entity.
 
     Immutable after construction; all discrete operators read geometry from

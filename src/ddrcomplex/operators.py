@@ -43,8 +43,8 @@ operators, and assembled global matrices for one (mesh, orientation, degree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partialmethod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ from .spaces import frame_dot, frame_moments, span_matrix, stacked_solve
 from .sparse import CsrMatrix
 
 
-@dataclass(frozen=True)
-class LocalOps:
+class LocalOps(NamedTuple):
     """One entity's local operator, the potential built with it, and the
     operator's moment system ``mass @ op = rhs``: read-only views into its
     size group's :class:`Stack`.
@@ -80,11 +79,15 @@ class LocalOps:
     rhs: np.ndarray
 
 
-@dataclass(frozen=True)
-class Stack(LocalOps):
+class Stack(NamedTuple):
     """One builder's size group, with its entities ``ids`` (G,), and the
     arrays of their LocalOps, stacked along a leading entity axis."""
 
+    globals: np.ndarray
+    op: np.ndarray
+    potential: np.ndarray | None
+    mass: np.ndarray
+    rhs: np.ndarray
     group: SizeGroup
     ids = property(lambda self: self.group.ids)
 
@@ -98,8 +101,7 @@ def _positions(globals_: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return np.searchsorted((globals_ + shift).ravel(), wanted + shift) - globals_.shape[1] * row
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """One entity kind's share of a global operator.
 
     The local operator fills the target's components on the entity, read
@@ -113,8 +115,7 @@ class Block:
     builder: str
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(NamedTuple):
     name: str
     source: str
     target: str
@@ -154,8 +155,7 @@ def _add_columns(target: np.ndarray, cols: np.ndarray, block: np.ndarray) -> Non
     target[np.arange(len(target))[:, None], :, cols] += block.swapaxes(1, 2)
 
 
-@dataclass(frozen=True)
-class _Group:
+class _Group(NamedTuple):
     """A size group of one kind built together, the global numbers of its
     members' local dofs, and the first failure of each failing entity of the
     kind (entity index -> ConditioningError)."""
@@ -169,7 +169,7 @@ class _Group:
 
     def solve(self, system: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
         out, errors = stacked_solve(system, rhs,
-                                    [f"{_label(self.kind, i)}: {what}" for i in self.ids])
+                                    lambda g: f"{_label(self.kind, self.ids[g])}: {what}")
         for g, err in errors.items():
             self.failed.setdefault(int(self.ids[g]), err)
         return out
@@ -400,7 +400,7 @@ class DdrComplex:
         own = self._grams(kind, ids, degree, degree, vector=True)
         cross = self._grams(kind, ids, degree, source_degree, vector=True)
         out, errors = stacked_solve(c.T @ own @ c, c.T @ cross @ columns,
-                                    [f"projection onto {part}^{degree}"] * len(ids))
+                                    lambda g: f"projection onto {part}^{degree}")
         if errors:
             raise errors[min(errors)]
         return out
@@ -712,7 +712,7 @@ class DdrComplex:
                         vals = _field_values(field, pts.reshape(-1, 3)).reshape(weights.shape)
                         rhs[f, part] = phi_t @ (weights * vals)[..., None]
                 sol, errors = stacked_solve(self._grams(kind, ids, k - 1, k - 1), rhs,
-                                            [f"interpolation on {kind} {i}" for i in ids])
+                                            lambda g: f"interpolation on {kind} {ids[g]}")
                 failed.update((int(ids[g]), err) for g, err in errors.items())
                 out[:, lay.indices(kind, ids, "poly")] = sol[..., 0]
             if failed:

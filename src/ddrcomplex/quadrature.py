@@ -15,7 +15,7 @@ the consistency sweep and :meth:`.DdrComplex.rule`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .mesh import _read_only, row_dot
 _MAX_GAUSS = 64
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """Points (n, 3) in ambient coordinates, positive weights (n,), certified degree."""
 
     entity: tuple[str, int]

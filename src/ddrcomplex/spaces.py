@@ -11,6 +11,7 @@ projections go through floating point (quadrature).
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 
 import numpy as np
 
@@ -135,17 +136,18 @@ def span_matrix(kind: str, dim: int, degree: int) -> np.ndarray:
     return out
 
 
-def stacked_solve(system: np.ndarray, rhs: np.ndarray, what: list[str]
+def stacked_solve(system: np.ndarray, rhs: np.ndarray, what: Callable[[int], str]
                   ) -> tuple[np.ndarray, dict[int, ConditioningError]]:
     """Dense solves of a stack of systems (G, n, n) for right-hand sides
     (..., G, n, m), with one condition estimate (limit 1e14) and one solve
     for all G members; leading axes of ``rhs`` beyond G solve the same
     systems again, each on its own.
 
-    ``what[g]`` names member g.  The members that fail the guard come back
-    as ``{g: error}``, the error ``"<what[g]>: condition number … beyond
-    limit"``, or the linear algebra error when the estimate itself fails;
-    their solutions are zero, and the other members are solved as usual.
+    ``what(g)`` names member g, called for the failing members only.  They
+    come back as ``{g: error}``, the error ``"<what(g)>: condition number …
+    beyond limit"``, or the linear algebra error when the estimate itself
+    fails; their solutions are zero, and the other members are solved as
+    usual.
     """
     count, n = system.shape[0], system.shape[-1]
     if n == 0:
@@ -159,11 +161,11 @@ def stacked_solve(system: np.ndarray, rhs: np.ndarray, what: list[str]
         try:
             cond = np.linalg.cond(system[g])
         except np.linalg.LinAlgError as exc:
-            errors[int(g)] = ConditioningError(f"{what[g]}: {exc}")
+            errors[int(g)] = ConditioningError(f"{what(g)}: {exc}")
             continue
         if not cond <= COND_LIMIT:
             errors[int(g)] = ConditioningError(
-                f"{what[g]}: condition number {cond:.3e} beyond limit")
+                f"{what(g)}: condition number {cond:.3e} beyond limit")
     if not errors:
         return np.linalg.solve(system, rhs), errors
     bad = list(errors)

@@ -3,9 +3,10 @@
 :class:`CsrMatrix` holds what the package needs of a sparse matrix and no
 more: assembly from COO triplets (duplicates summed) or from a diagonal,
 densification, products with dense arrays and dense gathers of ``(rows,
-cols)`` blocks.  Entries are float64.  Two sparse matrices do not multiply:
-:func:`block_product` multiplies gathered blocks, the whole product on rows
-whose stored entries the blocks hold (an entity's rows, on its closure).
+cols)`` blocks, each block's columns ascending.  Entries are float64.  Two
+sparse matrices do not multiply: :func:`block_product` multiplies gathered
+blocks, the whole product on rows whose stored entries the blocks hold (an
+entity's rows, on its closure).
 
 A product with a dense array sums in the order of the classic CSR kernels
 (scipy's ``sparsetools``): each output entry starts from 0 and accumulates
@@ -94,18 +95,19 @@ class CsrMatrix:
     def gather(self, rows, cols) -> np.ndarray:
         """The dense block ``A[rows][:, cols]``, in C order.  Leading axes of
         ``rows`` and ``cols`` (equal) stack blocks: ``out[g]`` is the block
-        of ``rows[g]`` and ``cols[g]``."""
+        of ``rows[g]`` and ``cols[g]``.  Each block's columns are distinct
+        and ascending, or a ``ValueError`` is raised."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         for idx, size in zip((rows, cols), self.shape):
             if idx.size and (idx.min() < 0 or idx.max() >= size):
                 raise ValueError(f"gather index out of range for shape {self.shape}")
+        if np.any(cols[..., 1:] <= cols[..., :-1]):
+            raise ValueError("gather columns are not distinct and ascending in each block")
         lead, m, n = rows.shape[:-1], rows.shape[-1], cols.shape[-1]
         count, rows = int(np.prod(lead)), rows.ravel()
-        # each block's columns keyed by (block, column): one search for all
-        keys = (np.arange(count)[:, None] * self.shape[1] + cols.reshape(count, n)).ravel()
-        order = np.argsort(keys, kind="stable")
-        wanted = keys[order]
+        # each block's columns keyed by (block, column), so already ascending
+        wanted = (np.arange(count)[:, None] * self.shape[1] + cols.reshape(count, n)).ravel()
         lens = self.indptr[rows + 1] - self.indptr[rows]
         pos = _ranges(self.indptr[rows], lens)
         out = np.zeros((count, m, n))
@@ -114,13 +116,7 @@ class CsrMatrix:
             found = block_rows // m * self.shape[1] + self.indices[pos]
             at = np.minimum(np.searchsorted(wanted, found), len(wanted) - 1)
             hit = wanted[at] == found
-            out.reshape(-1, n)[block_rows[hit], order[at[hit]] % n] = self.data[pos[hit]] + 0.0
-            # a repeated column copies its first occurrence in its block
-            repeated = np.flatnonzero(wanted[1:] == wanted[:-1]) + 1
-            if len(repeated):
-                first = np.searchsorted(wanted, wanted[repeated])
-                (g, c), (_, c0) = (np.divmod(order[i], n) for i in (repeated, first))
-                out[g, :, c] = out[g, :, c0]
+            out.reshape(-1, n)[block_rows[hit], at[hit] % n] = self.data[pos[hit]] + 0.0
         return out.reshape(*lead, m, n)
 
     def __matmul__(self, other):

@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
 from functools import cached_property, partial, reduce
 from operator import matmul, mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,32 +81,28 @@ MIN_SPECTRAL_GAP = 10.0
 # ---------------------------------------------------------------------------
 # numeric rank with gap diagnostics
 
-@dataclass(frozen=True)
 class RankOptions:
     """Singular-value thresholding rule: tau = rel_tol * sigma_max, with
     rel_tol strictly between 0 and 1, defaulting to max(m, n) * machine
     epsilon; the seed, an integer, is recorded for report reproducibility."""
 
-    rel_tol: float | None = None
-    seed: int = 0
+    __slots__ = ("rel_tol", "seed")
 
-    def __post_init__(self):
-        if not is_integer(self.seed):
-            raise InputError(f"seed {self.seed!r} is not an integer")
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.rel_tol is not None and not is_real(self.rel_tol):
-            raise InputError(f"rank tolerance {self.rel_tol!r} is not a number")
-        if self.rel_tol is not None and not 0.0 < self.rel_tol < 1.0:
-            raise InputError(f"rank tolerance must lie strictly between 0 and 1, "
-                             f"got {self.rel_tol}")
+    def __init__(self, rel_tol: float | None = None, seed: int = 0):
+        if not is_integer(seed):
+            raise InputError(f"seed {seed!r} is not an integer")
+        if rel_tol is not None and not is_real(rel_tol):
+            raise InputError(f"rank tolerance {rel_tol!r} is not a number")
+        if rel_tol is not None and not 0.0 < rel_tol < 1.0:
+            raise InputError(f"rank tolerance must lie strictly between 0 and 1, got {rel_tol}")
+        self.rel_tol, self.seed = rel_tol, int(seed)
 
     def threshold(self, rows: int, cols: int) -> float:
         """rel_tol for a rows x cols matrix: tau is this times sigma_max."""
         return self.rel_tol if self.rel_tol is not None else max(rows, cols) * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(NamedTuple):
     rank: int
     sigma_max: float
     sigma_rank: float      # smallest kept singular value
@@ -139,15 +135,16 @@ def numeric_rank(mat: np.ndarray, opts: RankOptions | None = None) -> RankResult
 # ---------------------------------------------------------------------------
 # results and report
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    residual: float | None = None
-    tolerance: float | None = None
-    detail: str = ""
-    seconds: float = 0.0
-    error: str | None = None
+    """One row of the report; :func:`run_all` names and times it."""
+
+    __slots__ = ("name", "passed", "residual", "tolerance", "detail", "seconds", "error")
+
+    def __init__(self, name: str, passed: bool, residual: float | None = None,
+                 tolerance: float | None = None, detail: str = "", seconds: float = 0.0,
+                 error: str | None = None):
+        self.name, self.passed, self.residual, self.tolerance = name, passed, residual, tolerance
+        self.detail, self.seconds, self.error = detail, seconds, error
 
     def as_dict(self) -> dict:
         out = {"name": self.name, "passed": bool(self.passed),
@@ -160,21 +157,23 @@ class CheckResult:
         return out
 
 
-@dataclass
 class VerificationReport:
-    mesh_counts: tuple[int, int, int, int]
-    degree: int
-    dims: dict[str, int]
-    ranks: dict[str, dict]
-    betti_cw: list[int]
-    cohomology_ddr: list[int] | None
-    checks: list[CheckResult]
-    seed: int
-    timestamp: str | None = None
-    generators: list[dict] = field(default_factory=list)
-    # the session that produced the report, for callers that reuse its
-    # operators; never serialized
-    session: VerifySession | None = field(default=None, repr=False, compare=False)
+    """What :func:`run_all` found, serialized by :meth:`as_dict`; ``session``,
+    the session that produced it, is kept for callers that reuse its
+    operators and never serialized."""
+
+    __slots__ = ("mesh_counts", "degree", "dims", "ranks", "betti_cw", "cohomology_ddr",
+                 "checks", "seed", "timestamp", "generators", "session")
+
+    def __init__(self, mesh_counts: tuple[int, int, int, int], degree: int,
+                 dims: dict[str, int], ranks: dict[str, dict], betti_cw: list[int],
+                 cohomology_ddr: list[int] | None, checks: list[CheckResult], seed: int,
+                 timestamp: str | None = None, generators: list[dict] | None = None,
+                 session: VerifySession | None = None):
+        self.mesh_counts, self.degree, self.dims, self.ranks = mesh_counts, degree, dims, ranks
+        self.betti_cw, self.cohomology_ddr, self.checks = betti_cw, cohomology_ddr, checks
+        self.seed, self.timestamp, self.session = seed, timestamp, session
+        self.generators = [] if generators is None else generators
 
     @property
     def passed(self) -> bool:
@@ -227,8 +226,7 @@ _ENTRIES = 1 << 18
 # ---------------------------------------------------------------------------
 # the local certificate of ker R
 
-@dataclass(frozen=True)
-class LocalRanks:
+class LocalRanks(NamedTuple):
     """One operator restricted to ker R, certified entity by entity.
 
     ``result`` summarises the per-entity diagonal blocks: its rank is the
@@ -542,7 +540,8 @@ class VerifySession:
             if where and not row.passed:
                 row.detail = f"largest at {where}"
             self._residuals[name] = row
-        return replace(self._residuals[name])
+        row = self._residuals[name]
+        return CheckResult("", row.passed, row.residual, row.tolerance, row.detail)
 
     def premises(self, cw: bool = True) -> tuple[str, ...]:
         """The premises of the exactness of ker R (with ``cw``, of the
@@ -659,7 +658,7 @@ class VerifySession:
         if which not in self._ranks:
             i = _operator_index(which)
             local = self.local_ranks(which).result
-            self._ranks[which] = replace(local, rank=self.cochain.echelon(i).rank + local.rank)
+            self._ranks[which] = local._replace(rank=self.cochain.echelon(i).rank + local.rank)
         return self._ranks[which]
 
     def cohomology_dims(self) -> tuple[int, int, int, int]:
@@ -992,4 +991,4 @@ def corrupt_orientation(orientation: OrientationTable, fault: str) -> Orientatio
     else:       # a row of signs ends in zeros past the entity's own
         j = _fault_index(given, 1, np.count_nonzero(table[i]), f"{kind}: {names[1]}")
         table[i, j] = -table[i, j]
-    return replace(orientation, **{field_name: table})
+    return orientation._replace(**{field_name: table})

@@ -5,7 +5,6 @@ per (mesh, degree) for the whole session; they are immutable after
 construction, so sharing is safe.
 """
 
-import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -57,7 +56,7 @@ def graded_block(n, cavity=False):
     lines = [np.concatenate([[0.0], np.cumsum(s[:n])]) for s in _GRADED_SPACINGS]
     grid = np.rint(mesh.vertices).astype(int)
     vertices = np.stack([lines[ax][grid[:, ax]] for ax in range(3)], axis=1)
-    mesh = dataclasses.replace(mesh, vertices=vertices)
+    mesh = mesh._replace(vertices=vertices)
     return mesh, compute_orientation(mesh)
 
 

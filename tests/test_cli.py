@@ -1,16 +1,20 @@
 """CLI integration: subcommands, exit-code contract, golden reports, VTK export."""
 
+import ast
 import collections
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
 import ddrcomplex
-from ddrcomplex import lifting
+from ddrcomplex import cli, lifting
 from ddrcomplex.cli import main
 from ddrcomplex.operators import DdrComplex
 
@@ -294,12 +298,76 @@ def test_cli_and_battery_load_no_fractions():
     assert out.strip() == "False"
 
 
+def test_cli_import_loads_no_dataclasses():
+    # the package's records are named tuples and slotted classes: no
+    # dataclasses import and no generated methods on the path of a request
+    code = "import sys, ddrcomplex.cli; print('dataclasses' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddrcomplex.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def _cli_process(*argv):
+    """The CLI run in a fresh interpreter, through its ``__main__`` block."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddrcomplex.__file__)))
+    return subprocess.run([sys.executable, "-m", "ddrcomplex.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+
+
 def _cli_subprocess(*argv):
     """Exit code and stderr of the CLI run in a fresh interpreter."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ddrcomplex.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "ddrcomplex.cli", *argv],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    proc = _cli_process(*argv)
     return proc.returncode, proc.stderr
+
+
+def test_process_entry_prints_the_whole_report(tmp_path):
+    # the process exits without freeing its objects, after stdout is flushed;
+    # main() in-process writes the same report and leaves the collector alone
+    argv = ["verify", "--builtin", "ring", "--degree", "1", "--no-timestamp"]
+    proc = _cli_process(*argv)
+    assert proc.returncode == 0, proc.stderr
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+    assert json.loads(proc.stdout) == json.loads((tmp_path / "r.json").read_text())
+    assert proc.stdout == (tmp_path / "r.json").read_text()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "--builtin", "ring", "--degree", "0", "--inject-fault", "omega_tf"], 1),
+    (["verify", "--mesh", "nope.json", "--degree", "0"], 2),
+], ids=["failed_check", "missing_mesh"])
+def test_process_entry_keeps_exit_codes_and_stderr(tmp_path, capsys, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    argv = argv + ["--no-timestamp", "--out", "r.json"]
+    proc = _cli_process(*argv)
+    assert main(argv) == code
+    assert proc.returncode == code
+    assert proc.stderr == capsys.readouterr().err
+
+
+def test_process_entry_freezes_then_runs_exit_handlers():
+    code = ("import atexit, gc, sys, ddrcomplex.cli as cli; "
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+            "sys.argv = ['ddrcomplex', 'verify', '--builtin', 'cube', '--checks', 'complex', "
+            "'--out', sys.argv[1]]; cli.run()")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddrcomplex.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (0, "frozen True\n"), proc.stderr
+
+
+def test_console_script_and_main_block_name_the_same_function():
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["ddrcomplex"]
+    module, _, name = script.partition(":")
+    assert module == "ddrcomplex.cli" and callable(getattr(cli, name))
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert ast.unparse(block) == f"if __name__ == '__main__':\n    {name}()"
 
 
 @pytest.mark.parametrize("spec,message", [

@@ -7,7 +7,6 @@ x^p over [a, b], evaluated in closed form.
 
 import itertools
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,7 +149,7 @@ def _graded_cavity():
     """The builtin cavity with its grid lines graded along each axis."""
     mesh, _ = mesh_and_orientation("cavity")
     x = mesh.vertices
-    return replace(mesh, vertices=x + np.asarray([0.13, 0.07, -0.05]) * x ** 2)
+    return mesh._replace(vertices=x + np.asarray([0.13, 0.07, -0.05]) * x ** 2)
 
 
 @pytest.mark.parametrize("mesh", [_graded_cavity(), prism_pair()], ids=["graded", "prisms"])

@@ -324,8 +324,10 @@ def test_singular_gram_raises_conditioning_error():
     # the singular member gets the error its caller raises and a zero
     # solution; the other member is solved as usual
     singular = np.asarray([[1.0, 1.0], [1.0, 1.0]])
+    named = []
     out, errors = stacked_solve(np.stack([2 * np.eye(2), singular]), np.ones((2, 2, 1)),
-                                ["fine", "test system"])
+                                lambda g: named.append(g) or ("fine", "test system")[g])
+    assert named == [1]       # only a failing member's name is formatted
     assert list(errors) == [1] and isinstance(errors[1], ConditioningError)
     assert str(errors[1]).startswith("test system: condition number ")
     assert np.array_equal(out, [[[0.5], [0.5]], [[0.0], [0.0]]])
@@ -333,7 +335,8 @@ def test_singular_gram_raises_conditioning_error():
 
 def test_non_finite_system_raises_labelled_conditioning_error():
     # the condition estimate itself fails (SVD does not converge) on a NaN system
-    _, errors = stacked_solve(np.full((1, 2, 2), np.nan), np.ones((1, 2, 1)), ["test system"])
+    _, errors = stacked_solve(np.full((1, 2, 2), np.nan), np.ones((1, 2, 1)),
+                              lambda g: "test system")
     with pytest.raises(ConditioningError, match="^test system: "):
         raise errors[0]
 
@@ -359,7 +362,7 @@ def test_stacked_solve_matches_single_solves(monkeypatch):
     conds = []
     cond = np.linalg.cond
     monkeypatch.setattr(np.linalg, "cond", lambda a: conds.append(1) or cond(a))
-    got, errors = stacked_solve(system, rhs, ["test system"] * 3)
+    got, errors = stacked_solve(system, rhs, lambda g: "test system")
     assert not errors and len(conds) == 1
     for f in range(4):
         for g in range(3):

@@ -42,6 +42,14 @@ def random_csr(rng, shape, **kw):
     return CsrMatrix.from_coo(shape, *random_coo(rng, shape, **kw))
 
 
+def ascending(rng, n, shape):
+    """Columns for gathers: ``shape[-1]`` (at most ``n``) distinct columns
+    below ``n`` per block, ascending, with leading axes ``shape[:-1]``."""
+    lead, count = shape[:-1], min(shape[-1], n)
+    draws = [np.sort(rng.permutation(n)[:count]) for _ in range(int(np.prod(lead)))]
+    return np.asarray(draws, dtype=int).reshape(*lead, count)
+
+
 def dense_of(shape, rows, cols, vals):
     out = np.zeros(shape)
     np.add.at(out, (rows, cols), vals)
@@ -98,8 +106,8 @@ def test_gather_matches_dense(shape, seed):
     dense = mat.toarray()
     m, n = shape
     for rows, cols in ((np.arange(m), np.arange(n)),
-                       (rng.integers(0, m, 5) if m else [], rng.integers(0, n, 7) if n else []),
-                       (rng.permutation(m)[:3], rng.permutation(n)[:4]),
+                       (rng.integers(0, m, 5) if m else [], ascending(rng, n, (7,))),
+                       (rng.permutation(m)[:3], ascending(rng, n, (4,))),
                        ([], np.arange(n))):
         got = mat.gather(rows, cols)
         want = dense[np.asarray(rows, dtype=int)][:, np.asarray(cols, dtype=int)]
@@ -110,13 +118,13 @@ def test_gather_matches_dense(shape, seed):
 @pytest.mark.parametrize("shape", [shape for shape in SHAPES if all(shape)])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_gather_stacks_blocks_along_leading_axes(shape, seed):
-    # each block as the 2-D call gives it, repeated columns included
+    # each block as the 2-D call gives it, repeated rows included
     rng = np.random.default_rng(seed)
     mat = random_csr(rng, shape)
     m, n = shape
-    rows, cols = rng.integers(0, m, (2, 3, 4)), rng.integers(0, n, (2, 3, 5))
+    rows, cols = rng.integers(0, m, (2, 3, 4)), ascending(rng, n, (2, 3, 5))
     got = mat.gather(rows, cols)
-    assert got.shape == (2, 3, 4, 5) and got.flags["C_CONTIGUOUS"]
+    assert got.shape == (2, 3, 4, min(n, 5)) and got.flags["C_CONTIGUOUS"]
     for g in np.ndindex(2, 3):
         assert same_bits(got[g], mat.gather(rows[g], cols[g]))
 
@@ -129,6 +137,15 @@ def test_gather_rejects_an_index_outside_the_shape(rows, cols):
     a = CsrMatrix.diagonal([5.0, 7.0])
     with pytest.raises(ValueError, match=r"gather index out of range for shape \(2, 2\)"):
         a.gather(rows, cols)
+
+
+@pytest.mark.parametrize("cols", [[[0, 1], [1, 1]], [[0, 1], [1, 0]]],
+                         ids=["repeated_column", "descending_columns"])
+def test_gather_rejects_columns_not_ascending(cols):
+    # a block's columns are distinct and ascending; any other order is refused
+    a = CsrMatrix.diagonal([5.0, 7.0])
+    with pytest.raises(ValueError, match="gather columns are not distinct and ascending"):
+        a.gather([[0], [1]], cols)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -164,8 +181,8 @@ def test_block_products_match_dense(shape, seed):
     rng = np.random.default_rng(seed)
     m, n = shape
     a, b, c = random_csr(rng, (m, n)), random_csr(rng, (n, n)), random_csr(rng, (n, 4))
-    idx = [rng.integers(0, m, (3, 2)), rng.integers(0, n, (3, 5)), rng.integers(0, n, (3, 4)),
-           rng.integers(0, 4, (3, 3))]
+    idx = [rng.integers(0, m, (3, 2)), ascending(rng, n, (3, 5)), ascending(rng, n, (3, 4)),
+           ascending(rng, 4, (3, 3))]
     got = block_product([a, b, c], idx)
     dense = [f.toarray() for f in (a, b, c)]
     for g in range(3):
