@@ -58,7 +58,7 @@ class Mesh:
 
     def _replace(self, **changes) -> Mesh:
         """A copy with some fields replaced, and no grouping yet."""
-        fields = {name: getattr(self, name) for name in self.__slots__[:-1]}
+        fields = {name: getattr(self, name) for name in self.__slots__ if name != "_groupings"}
         return Mesh(**{**fields, **changes})
 
     @property
