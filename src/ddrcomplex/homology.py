@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CertificationError, DdrError, DomainError
-from .mesh import Mesh, OrientationTable, checked_integer, group_closure
+from .mesh import Frozen, Mesh, OrientationTable, checked_integer, group_closure
 from .sparse import CsrMatrix, block_product
 
 
@@ -90,15 +90,14 @@ class Echelon(NamedTuple):
         return basis
 
 
-class CochainComplexInt:
+class CochainComplexInt(Frozen):
     """The coboundaries d0 (E, V), d1 (F, E) and d2 (T, F), entries +-1,
     with each one's elimination kept once computed."""
 
     __slots__ = ("d0", "d1", "d2", "_echelons")
 
     def __init__(self, d0: CsrMatrix, d1: CsrMatrix, d2: CsrMatrix):
-        self.d0, self.d1, self.d2 = d0, d1, d2
-        self._echelons: dict[int, Echelon] = {}
+        self._set(d0=d0, d1=d1, d2=d2, _echelons={})
 
     @property
     def counts(self) -> tuple[int, int, int, int]:
@@ -122,9 +121,6 @@ class BettiVector(NamedTuple):
     b1: int
     b2: int
     b3: int
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.b0, self.b1, self.b2, self.b3)
 
 
 def _flat(table) -> tuple[np.ndarray, np.ndarray]:

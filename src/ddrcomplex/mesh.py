@@ -36,7 +36,25 @@ from .errors import (
 )
 
 
-class Mesh:
+class Frozen:
+    """A slotted record whose fields are set once, by :meth:`_set` in its
+    ``__init__``; setting or deleting one afterwards raises AttributeError.
+    A cache it keeps is a dict filled in place."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
+
+
+class Mesh(Frozen):
     """Immutable polyhedral mesh with derived incidence tables.
 
     ``vertices`` (V, 3) float; ``edges`` (E, 2) int, each row ascending;
@@ -51,10 +69,10 @@ class Mesh:
                  face_loops: tuple[tuple[int, ...], ...],
                  element_faces: tuple[tuple[int, ...], ...],
                  face_edges: tuple[tuple[int, ...], ...] = ()):
-        self.vertices, self.edges = vertices, edges
-        self.face_loops, self.element_faces, self.face_edges = face_loops, element_faces, face_edges
-        # kind -> (size groups, each entity's group and row (2, n)), built on first use
-        self._groupings: dict = {}
+        # _groupings: kind -> (size groups, each entity's group and row (2, n)),
+        # built on first use
+        self._set(vertices=vertices, edges=edges, face_loops=face_loops,
+                  element_faces=element_faces, face_edges=face_edges, _groupings={})
 
     def _replace(self, **changes) -> Mesh:
         """A copy with some fields replaced, and no grouping yet."""

@@ -43,6 +43,7 @@ operators, and assembled global matrices for one (mesh, orientation, degree).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import partialmethod
 from typing import NamedTuple
 
@@ -79,16 +80,12 @@ class LocalOps(NamedTuple):
     rhs: np.ndarray
 
 
-class Stack(NamedTuple):
-    """One builder's size group, with its entities ``ids`` (G,), and the
-    arrays of their LocalOps, stacked along a leading entity axis."""
+class Stack(namedtuple("Stack", LocalOps._fields + ("group",))):
+    """One builder's size group (a :class:`.mesh.SizeGroup`), with its
+    entities ``ids`` (G,), and the arrays of their LocalOps, stacked along
+    a leading entity axis."""
 
-    globals: np.ndarray
-    op: np.ndarray
-    potential: np.ndarray | None
-    mass: np.ndarray
-    rhs: np.ndarray
-    group: SizeGroup
+    __slots__ = ()
     ids = property(lambda self: self.group.ids)
 
 
@@ -413,8 +410,7 @@ class DdrComplex:
 
     def _view(self, builder: str, index: int) -> LocalOps:
         st, g = self._find(builder, checked_entity(self.mesh, _BLOCKS[builder][0], index))
-        return LocalOps(*(None if a is None else a[g] for a in
-                          (st.globals, st.op, st.potential, st.mass, st.rhs)))
+        return LocalOps._make(None if a is None else a[g] for a in st[:len(LocalOps._fields)])
 
     edge_ops = partialmethod(_view, "edge_ops")
     face_grad_ops = partialmethod(_view, "face_grad_ops")

@@ -55,7 +55,7 @@ from .lifting import (
     reduction_matrix,
     zero_reduction_basis,
 )
-from .mesh import Mesh, OrientationTable, is_integer, is_real
+from .mesh import Frozen, Mesh, OrientationTable, is_integer, is_real
 from .monomials import eval_monomials, grad_matrix, monomial_powers
 from .operators import (OPERATORS, DdrComplex, _label, _operator_index, _point_stacks,
                         ddr0_closed_forms)
@@ -81,7 +81,7 @@ MIN_SPECTRAL_GAP = 10.0
 # ---------------------------------------------------------------------------
 # numeric rank with gap diagnostics
 
-class RankOptions:
+class RankOptions(Frozen):
     """Singular-value thresholding rule: tau = rel_tol * sigma_max, with
     rel_tol strictly between 0 and 1, defaulting to max(m, n) * machine
     epsilon; the seed, an integer, is recorded for report reproducibility."""
@@ -95,7 +95,7 @@ class RankOptions:
             raise InputError(f"rank tolerance {rel_tol!r} is not a number")
         if rel_tol is not None and not 0.0 < rel_tol < 1.0:
             raise InputError(f"rank tolerance must lie strictly between 0 and 1, got {rel_tol}")
-        self.rel_tol, self.seed = rel_tol, int(seed)
+        self._set(rel_tol=rel_tol, seed=int(seed))
 
     def threshold(self, rows: int, cols: int) -> float:
         """rel_tol for a rows x cols matrix: tau is this times sigma_max."""
@@ -717,7 +717,7 @@ def check_cohomology(s: VerifySession) -> list[CheckResult]:
             return _flag_check(False, "; ".join(problems))
         h = s.cohomology_dims()
         want = (0, s.betti.b1, s.betti.b2, 0)
-        return _flag_check(h == want, f"H={list(h)} betti={list(s.betti.as_tuple())}")
+        return _flag_check(h == want, f"H={list(h)} betti={list(s.betti)}")
 
     def euler_dofs():
         alt = sum((-1) ** i * d for i, d in enumerate(s.dims.values()))
@@ -729,7 +729,7 @@ def check_cohomology(s: VerifySession) -> list[CheckResult]:
         chi = s.mesh.euler_characteristic
         alt = b.b0 - b.b1 + b.b2 - b.b3
         return _flag_check(alt == chi and b.b0 == 1 and b.b3 == 0,
-                           f"betti {list(b.as_tuple())} alternating sum {alt} vs chi {chi}")
+                           f"betti {list(b)} alternating sum {alt} vs chi {chi}")
 
     def spectral_gaps():
         local = {op.name: s.local_ranks(op.name) for op in OPERATORS}
@@ -873,7 +873,7 @@ def check_generators(s: VerifySession) -> list[CheckResult]:
         lg = lift_generators(s.high, s.low, index, kernel_tol=tol,
                              cochain=s.cochain, ext=s.ext)
         s.lifted.append(lg)
-        want = s.betti.as_tuple()[index]
+        want = s.betti[index]
         res = max((c["kernel_residual"] for c in lg.certificates), default=0.0)
         premises = _GENERATOR_PREMISES[index][0 if s.k else -1:]
         problems = s.premise_failures(premises) if lg.vectors else []
@@ -927,7 +927,7 @@ def run_all(mesh: Mesh, orientation: OrientationTable, degree: int,
             ranks = {op.name: s.operator_rank(op.name).as_dict() for op in OPERATORS}
 
     try:
-        betti_cw = list(s.betti.as_tuple())
+        betti_cw = list(s.betti)
     except DdrError:
         betti_cw = []
 

@@ -46,7 +46,7 @@ def test_criterion_01_betti_numbers():
         t0 = time.time()
         mesh, orient = mesh_and_orientation(name)
         b = betti_numbers(build_cochain_complex(mesh, orient))
-        assert b.as_tuple() == expected[name], name
+        assert b == expected[name], name
         v, e, f, t = mesh.counts
         assert v - e + f - t == b.b0 - b.b1 + b.b2 - b.b3, name
         assert time.time() - t0 < 1.0, f"{name}: Betti computation exceeded 1s"

@@ -1,34 +1,32 @@
 """tools/ladder.py on one tiny cell, with this checkout on both sides."""
 
+import importlib.util
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("ladder", ROOT / "tools" / "ladder.py")
+ladder = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ladder)
 
 
-def _ladder(*args):
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "ladder.py"), str(ROOT / "src"),
-                           *args], capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-def test_ladder_times_one_tiny_cell():
-    doc = _ladder("--cells", "tunnel4:1", "--pairs", "2")
-    (cell,) = doc["cells"]
+def test_ladder_times_one_tiny_cell(tmp_path):
+    (cell,) = ladder.run_cells(ladder.Ladder(ROOT / "src", tmp_path, ladder.BUDGET),
+                               [("tunnel4", 1)])
     assert (cell["mesh"], cell["degree"], cell["status"]) == ("tunnel4", 1, "ok")
     assert cell["same_report"]
     for side in ("parent", "change"):
-        assert cell[side]["rc"] == [0, 0]
-        assert all(len(cell[side][key]) == 2 and min(cell[side][key]) > 0
+        assert cell[side]["rc"] == [0] * ladder.PAIRS
+        assert all(len(cell[side][key]) == ladder.PAIRS and min(cell[side][key]) > 0
                    for key in ("wall_s", "cpu_s", "peak_mb"))
     assert {"delta_wall_ms", "delta_cpu_ms", "delta_peak_mb"} <= set(cell)
+    json.dumps(cell)
 
 
-def test_ladder_skips_cells_over_budget():
+def test_ladder_skips_cells_over_budget(tmp_path):
     # the first request is stopped; the larger cell of its degree is not run
-    doc = _ladder("--cells", "tunnel4:0,tunnel6:0,cavity:1", "--pairs", "1", "--budget", "0.05")
-    assert [c["status"] for c in doc["cells"]] == ["skipped"] * 3
-    assert doc["cells"][1]["reason"] == "a smaller cell of this degree ran over the budget"
+    cells = ladder.run_cells(ladder.Ladder(ROOT / "src", tmp_path, budget=0.05),
+                             [("tunnel4", 0), ("tunnel6", 0), ("cavity", 1)])
+    assert [c["status"] for c in cells] == ["skipped"] * 3
+    assert cells[0]["reason"] == "a parent request ran over 0.05 s"
+    assert cells[1]["reason"] == "a smaller cell of this degree ran over the budget"

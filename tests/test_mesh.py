@@ -443,3 +443,24 @@ def test_stacked_orientation_matches_the_loop_bit_for_bit(name):
                 for row, w in zip(got, want)), field
         else:
             assert np.array_equal(got, np.asarray(want)), field
+
+
+def test_mesh_cochains_and_rank_options_are_read_only():
+    # a field set after construction would leave the cached groupings or
+    # eliminations stale, or skip the tolerance's range check
+    from ddrcomplex import RankOptions, build_cochain_complex
+
+    mesh = build_voxel_mesh(builtin_pattern("cube"))
+    cochains = build_cochain_complex(mesh, compute_orientation(mesh))
+    opts = RankOptions(rel_tol=1e-8)
+    for record, name, value in ((mesh, "vertices", mesh.vertices + 1.0),
+                                (mesh, "_groupings", {}),
+                                (cochains, "d1", cochains.d0),
+                                (opts, "rel_tol", 2.0)):
+        before = getattr(record, name)
+        with pytest.raises(AttributeError, match=f"read-only: cannot set '{name}'"):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError, match=f"read-only: cannot delete '{name}'"):
+            delattr(record, name)
+        assert getattr(record, name) is before
+    assert mesh._replace(vertices=mesh.vertices + 1.0).vertices[0, 0] == mesh.vertices[0, 0] + 1.0

@@ -4,7 +4,6 @@ package against this checkout's.
 Usage (from anywhere; this checkout's package is taken from its ``src``)::
 
     python3 tools/ladder.py PARENT/src > BENCH.json
-    python3 tools/ladder.py PARENT/src --cells tunnel4:0,cavity:0 --pairs 1
 
 A cell is a mesh and a degree: the builtin cavity at k = 0, and ``tunnelN``
 (an N x N x N voxel block with the column (N//2, N//2, :) removed, so
@@ -12,12 +11,12 @@ b1 = 1 and b2 = 0) for N = 4, 6, ..., 14 at k = 0 and N = 4, 6, 8, 10 at
 k = 1 and 2.  Each request is ``python -m ddrcomplex.cli verify --degree k
 --no-timestamp`` with every check family, in a fresh process, so it pays
 the interpreter's start, the imports and the exit as a user does.  A cell
-runs ``--pairs`` pairs, one request with the parent's package and one with
+runs ``PAIRS`` pairs, one request with the parent's package and one with
 this checkout's, the side that goes first alternating from pair to pair;
 each request's wall time, CPU time (user + system, from ``wait4``) and peak
 memory (``ru_maxrss``) are recorded, with its exit code and whether the two
 sides' reports are byte-identical.  A request that runs longer than
-``--budget`` seconds is stopped, and its cell and the larger cells of its
+``BUDGET`` seconds is stopped, and its cell and the larger cells of its
 degree are recorded as skipped.
 
 Prints one JSON document: the machine, both sources, and per cell every
@@ -45,6 +44,8 @@ import numpy
 SRC = Path(__file__).resolve().parent.parent / "src"
 CELLS = ([("cavity", 0)] + [(f"tunnel{n}", 0) for n in range(4, 16, 2)]
          + [(f"tunnel{n}", k) for k in (1, 2) for n in range(4, 12, 2)])
+PAIRS = 3          # alternating pairs of requests per cell
+BUDGET = 60.0      # seconds one request may take
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -53,18 +54,6 @@ def tunnel_pattern(n: int) -> str:
     rows = ["".join("." if (i, j) == (n // 2, n // 2) else "#" for i in range(n))
             for j in range(n)]
     return "\n\n".join(["\n".join(rows)] * n) + "\n"
-
-
-def parse_cells(text: str) -> list[tuple[str, int]]:
-    cells = []
-    for item in text.split(","):
-        mesh, _, degree = item.partition(":")
-        if mesh != "cavity" and not (mesh.startswith("tunnel") and mesh[6:].isdigit()):
-            raise argparse.ArgumentTypeError(f"unknown ladder mesh {mesh!r}: cavity or tunnelN")
-        if not degree.isdigit():
-            raise argparse.ArgumentTypeError(f"cell {item!r}: the degree is not a number")
-        cells.append((mesh, int(degree)))
-    return cells
 
 
 class Ladder:
@@ -116,12 +105,12 @@ class Ladder:
                 "peak_mb": round(usage.ru_maxrss / 1024.0, 1),
                 "report": report.read_bytes() if report.exists() else None}
 
-    def cell(self, mesh: str, degree: int, pairs: int) -> dict:
+    def cell(self, mesh: str, degree: int) -> dict:
         """Run one cell's pairs; a request over budget ends the cell."""
         args = self.mesh_args(mesh) + ["--degree", str(degree)]
         runs = {"parent": [], "change": []}
         same = True
-        for p in range(pairs):
+        for p in range(PAIRS):
             order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
             for side in order:
                 run = self.request(side, args)
@@ -154,37 +143,35 @@ def _commit(src: Path) -> str | None:
     return head.stdout.strip() + ("-dirty" if edited else "")
 
 
+def run_cells(ladder: Ladder, cells: list[tuple[str, int]]) -> list[dict]:
+    """Each cell's record, in order; after a cell over budget the larger
+    cells of its degree are skipped unrun."""
+    records, over = [], set()
+    for mesh, degree in cells:
+        record = {"mesh": mesh, "degree": degree}
+        if degree in over:
+            record.update(status="skipped", reason="a smaller cell of this degree "
+                                                   "ran over the budget")
+        else:
+            record.update(ladder.cell(mesh, degree))
+            if record["status"] == "skipped":
+                over.add(degree)
+        print(f"{mesh} k={degree}: {record['status']}"
+              + (f", delta wall {record['delta_wall_ms']} ms" if "delta_wall_ms" in record
+                 else ""), file=sys.stderr)
+        records.append(record)
+    return records
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="the src directory of the parent checkout")
-    parser.add_argument("--cells", type=parse_cells, default=CELLS, metavar="LIST",
-                        help="comma-separated MESH:K cells (default: the whole ladder)")
-    parser.add_argument("--pairs", type=int, default=3, metavar="N",
-                        help="alternating pairs of requests per cell (default 3)")
-    parser.add_argument("--budget", type=float, default=60.0, metavar="S",
-                        help="seconds one request may take (default 60)")
     args = parser.parse_args(argv)
     if not (args.parent / "ddrcomplex" / "cli.py").is_file():
         parser.error(f"{args.parent} holds no ddrcomplex package")
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
-    cells, over = [], set()
     with tempfile.TemporaryDirectory() as tmp:
-        ladder = Ladder(args.parent.resolve(), Path(tmp), args.budget)
-        for mesh, degree in args.cells:
-            record = {"mesh": mesh, "degree": degree}
-            if degree in over:
-                record.update(status="skipped", reason="a smaller cell of this degree "
-                                                       "ran over the budget")
-            else:
-                record.update(ladder.cell(mesh, degree, args.pairs))
-                if record["status"] == "skipped":
-                    over.add(degree)
-            print(f"{mesh} k={degree}: {record['status']}"
-                  + (f", delta wall {record['delta_wall_ms']} ms" if "delta_wall_ms" in record
-                     else ""), file=sys.stderr)
-            cells.append(record)
+        cells = run_cells(Ladder(args.parent.resolve(), Path(tmp), BUDGET), CELLS)
 
     json.dump({"tool": "tools/ladder.py", "command": "verify (all families), --no-timestamp",
                "machine": {"python": platform.python_version(), "numpy": numpy.__version__,
@@ -192,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
                            "blas_threads": 1,
                            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
                "parent": _commit(args.parent), "change": _commit(SRC),
-               "pairs": args.pairs, "budget_s": args.budget, "cells": cells},
+               "pairs": PAIRS, "budget_s": BUDGET, "cells": cells},
               sys.stdout, indent=1)
     print()
     return 0
