@@ -53,6 +53,10 @@ class Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
 
+    def __setstate__(self, state: tuple) -> None:
+        # copy and pickle restore the slots here: state is (None, {slot: value})
+        self._set(**state[1])
+
 
 class Mesh(Frozen):
     """Immutable polyhedral mesh with derived incidence tables.

@@ -1,7 +1,9 @@
 """Voxel meshes, file round-trips, validation errors, orientation invariants."""
 
 import collections
+import copy
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -464,3 +466,8 @@ def test_mesh_cochains_and_rank_options_are_read_only():
             delattr(record, name)
         assert getattr(record, name) is before
     assert mesh._replace(vertices=mesh.vertices + 1.0).vertices[0, 0] == mesh.vertices[0, 0] + 1.0
+    # copies and pickles still restore every field
+    assert copy.copy(opts).rel_tol == 1e-8
+    assert copy.copy(mesh).vertices is mesh.vertices
+    again = pickle.loads(pickle.dumps(cochains))
+    assert again.counts == cochains.counts and again.echelon(1).pivots == cochains.echelon(1).pivots
