@@ -61,7 +61,8 @@ class Frozen:
 class Mesh(Frozen):
     """Immutable polyhedral mesh with derived incidence tables.
 
-    ``vertices`` (V, 3) float; ``edges`` (E, 2) int, each row ascending;
+    ``vertices`` (V, 3) float; ``edges`` (E, 2) int, each row ascending
+    (both read-only when :func:`_build_mesh` made them);
     ``face_loops`` the CCW vertex loops; ``element_faces``; ``face_edges``
     derived from the loops.  A copy made with :meth:`_replace` builds its
     own grouping.
@@ -225,9 +226,10 @@ def _build_mesh(vertices: np.ndarray,
     if not seen.all():
         raise MeshTopologyError("vertex-edge graph is disconnected")
 
+    vertices, edges = _read_only(np.asarray(vertices, dtype=float),
+                                 np.asarray(edge_list, dtype=int).reshape(len(edge_list), 2))
     return Mesh(
-        vertices=np.asarray(vertices, dtype=float),
-        edges=np.asarray(edge_list, dtype=int).reshape(len(edge_list), 2),
+        vertices=vertices, edges=edges,
         face_loops=tuple(tuple(int(v) for v in loop) for loop in face_loops),
         element_faces=tuple(tuple(int(f) for f in faces) for faces in element_faces),
         face_edges=tuple(face_edges),

@@ -56,9 +56,12 @@ def power_index(dim: int, degree: int) -> dict[tuple[int, ...], int]:
 def eval_monomials(dim: int, degree: int, y: np.ndarray) -> np.ndarray:
     """Design matrix of the monomials at local coordinates y (npts, dim).
 
-    Each power ``y[:, ax] ** p`` is computed once, into a per-axis power
-    table, and each column is the product of its monomial's powers, axis by
-    axis, the powers 0 left out.
+    Each power is computed once, into a per-axis power table: ``t ** p``
+    for p = 1, 2 (numpy's fast paths, exact in sign), and from p = 3 on the
+    power of ``|t|`` with the sign restored for odd ``p``, since numpy
+    raises a negative base to such a power about 30 times slower (the
+    result is within one ulp of ``t ** p``).  Each column is the product of
+    its monomial's powers, axis by axis, the powers 0 left out.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     powers = monomial_powers(dim, degree)
@@ -69,7 +72,9 @@ def eval_monomials(dim: int, degree: int, y: np.ndarray) -> np.ndarray:
         for ax, p in enumerate(alpha):
             if p:
                 if (ax, p) not in table:
-                    table[ax, p] = y[:, ax] ** p
+                    t = y[:, ax]
+                    table[ax, p] = (t ** p if p < 3
+                                    else np.copysign(np.abs(t) ** p, t if p % 2 else 1.0))
                 col = table[ax, p] if col is None else col * table[ax, p]
         out[:, j] = 1.0 if col is None else col
     return out

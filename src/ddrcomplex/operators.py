@@ -206,14 +206,33 @@ def _point_stacks(kind: str, ids: np.ndarray) -> list[slice]:
     """The parts of a size group ``ids`` that share one stack of quadrature
     points: the whole group on edges and faces, one element at a time on
     elements, so no stack holds the interior points of more than one element
-    (3600 on a hexahedron at k = 2).  Only the readers of element rules map
+    (864 on a hexahedron at k = 2).  Only the readers of element rules map
     them: interpolation, the consistency sweep and :meth:`DdrComplex.rule`;
     the element Grams come from the face rules."""
     return [slice(g, g + 1) for g in range(len(ids))] if kind == "cell" else [slice(None)]
 
 
+class MonomialField:
+    """The monomials of degree <= ``degree`` of y = (x - centre)/scale, as
+    one polynomial field of several columns, in the order of
+    :func:`.monomials.monomial_powers`: :meth:`DdrComplex.interpolate_grad`
+    evaluates them all once per stack of points and gives one interpolate
+    per monomial."""
+
+    __slots__ = ("degree", "centre", "scale")
+
+    def __init__(self, degree: int, centre: np.ndarray, scale: float):
+        self.degree, self.centre, self.scale = degree, centre, scale
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        return mono.eval_monomials(3, self.degree, (points - self.centre) / self.scale)
+
+
 def _field_values(fn, points: np.ndarray) -> np.ndarray:
-    """``fn`` at an ``(n, 3)`` array of points, as ``n`` finite floats."""
+    """``fn`` at an ``(n, 3)`` array of points, as ``(n, m)`` finite floats:
+    the columns of a :class:`MonomialField`, else ``n`` values as one column."""
+    if isinstance(fn, MonomialField):
+        return fn(points)
     vals = fn(points)
     try:
         vals = np.asarray(vals, dtype=float)
@@ -223,7 +242,7 @@ def _field_values(fn, points: np.ndarray) -> np.ndarray:
         raise DomainError(f"interpolated field gave values that are not finite numbers "
                           f"at {len(points)} points")
     try:
-        return np.broadcast_to(vals, (len(points),))
+        return np.broadcast_to(vals, (len(points),))[:, None]
     except ValueError:
         raise DomainError(f"interpolated field gave shape {vals.shape} "
                           f"at {len(points)} points; expected ({len(points)},)") from None
@@ -241,7 +260,6 @@ class DdrComplex:
         self.mesh = mesh
         self.orient = orientation
         self.k = checked_degree(degree)
-        self.quad_degree = 2 * self.k + 4
         self._layouts: dict[str, DofLayout] = {}
         # per entity kind: each size group's rules, top-degree Grams, degree-k means
         self._rules: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -263,7 +281,15 @@ class DdrComplex:
         index = checked_entity(self.mesh, kind, index)
         group, row = self.mesh.group_table(kind)[:, index]
         points, weights = self._rule_store(kind)[group][:2]
-        return QuadratureRule((kind, index), points[row], weights[row], self.quad_degree)
+        return QuadratureRule((kind, index), points[row], weights[row], self.rule_degree(kind))
+
+    def rule_degree(self, kind: str) -> int:
+        """The degree the rules of ``kind`` integrate exactly: 2k+4 on edges and
+        faces, for the face Grams at the top degree k+2; 2k on elements,
+        what their readers need: interpolation pairs P^(k-1) with P^(k+1)
+        fields, and a positive rule exact to 2k is unisolvent for the
+        sweep's P^k residuals."""
+        return 2 * self.k + (0 if kind == "cell" else 4)
 
     def means(self, kind: str) -> np.ndarray:
         """Mean over each entity of one kind of each scalar degree-k basis
@@ -301,7 +327,8 @@ class DdrComplex:
         if kind not in self._rules:
             self._rules[kind] = []
             for grp in self.mesh.groups(kind):
-                parts = [rule_stack(self.mesh, self.orient, kind, grp.rows(p), self.quad_degree)
+                parts = [rule_stack(self.mesh, self.orient, kind, grp.rows(p),
+                                    self.rule_degree(kind))
                          for p in _point_stacks(kind, grp.ids)]
                 points, weights = (np.concatenate(a) for a in zip(*parts))
                 values = () if kind == "cell" else (self._eval(kind, grp.ids, points),)
@@ -685,35 +712,40 @@ class DdrComplex:
         ``fn`` is vectorised: it maps an ``(n, 3)`` array of points to ``n``
         values (a scalar broadcasts).  It is called once on the vertices and
         once on each stack of quadrature points of a size group (see
-        :func:`_point_stacks`).  A list of fields gives one interpolate per
-        field, as the rows of an array; the bases are then evaluated, and
-        each group's Gram conditioning checked, once for all of them, while
-        each field keeps its own solve.  A failing solve names the lowest
-        failing entity of the first kind that fails.
+        :func:`_point_stacks`).  A list of fields, or a :class:`MonomialField`,
+        gives one interpolate per field or monomial, as the rows of an array;
+        the bases are then evaluated, and each group's Gram conditioning
+        checked, once for all of them, while each field keeps its own
+        moments and solve.  A failing solve names the lowest failing entity
+        of the first kind that fails.
         """
         fields = list(fn) if isinstance(fn, (list, tuple)) else [fn]
+
+        def values(points):
+            return np.concatenate([_field_values(f, points) for f in fields], axis=1)
+
         lay, k = self.layout("Xgrad"), self.k
-        out = np.zeros((len(fields), lay.total))
         vertex_dofs = lay.indices("vertex", np.arange(self.mesh.n_vertices), "val")[:, 0]
-        for row, field in zip(out, fields):
-            row[vertex_dofs] = _field_values(field, self.mesh.vertices)
+        at_vertices = values(self.mesh.vertices)
+        out = np.zeros((at_vertices.shape[1], lay.total))
+        out[:, vertex_dofs] = at_vertices.T
         for kind in KINDS[1:] if k else []:
             failed: dict[int, ConditioningError] = {}
             for ids in (grp.ids for grp in self.mesh.groups(kind)):
-                rhs = np.empty((len(fields), len(ids), _n(kind, k - 1), 1))
+                rhs = np.empty((len(out), len(ids), _n(kind, k - 1), 1))
                 for part in _point_stacks(kind, ids):
                     pts, weights = self._points(kind, ids[part])
                     phi_t = self._eval(kind, ids[part], pts, k - 1).swapaxes(1, 2)
-                    for f, field in enumerate(fields):
-                        vals = _field_values(field, pts.reshape(-1, 3)).reshape(weights.shape)
-                        rhs[f, part] = phi_t @ (weights * vals)[..., None]
+                    vals = values(pts.reshape(-1, 3))
+                    for f, column in enumerate(vals.T):
+                        rhs[f, part] = phi_t @ (weights * column.reshape(weights.shape))[..., None]
                 sol, errors = stacked_solve(self._grams(kind, ids, k - 1, k - 1), rhs,
                                             lambda g: f"interpolation on {kind} {ids[g]}")
                 failed.update((int(ids[g]), err) for g, err in errors.items())
                 out[:, lay.indices(kind, ids, "poly")] = sol[..., 0]
             if failed:
                 raise failed[min(failed)]
-        return out if isinstance(fn, (list, tuple)) else out[0]
+        return out if isinstance(fn, (list, tuple, MonomialField)) else out[0]
 
     @property
     def head_column(self) -> np.ndarray:

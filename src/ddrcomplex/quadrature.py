@@ -1,6 +1,7 @@
 """Quadrature rules on mesh entities with certified polynomial exactness.
 
-Edges use Gauss-Legendre.  Faces are fanned into triangles around the face
+Edges use Gauss-Legendre, its nodes found by Newton's method on the
+Legendre recurrence.  Faces are fanned into triangles around the face
 centroid and elements into tetrahedra with apex at the element centroid;
 each simplex carries a collapsed (Duffy-type) tensor Gauss rule, mapped for
 a whole size group at once (:func:`rule_stack`).  The collapse maps a
@@ -8,8 +9,9 @@ polynomial of total degree d to a tensor polynomial whose per-axis degree is
 d plus the Jacobian degree, so per-axis Gauss orders can be chosen to
 integrate total degree d exactly with all-positive weights.  The operator
 build reads edge and face rules only (element Grams are sums over the face
-rules); element rules serve the readers of volume points: interpolation,
-the consistency sweep and :meth:`.DdrComplex.rule`.
+rules, mapped at degree 2k+4); element rules serve the readers of volume
+points, interpolation, the consistency sweep and :meth:`.DdrComplex.rule`,
+at degree 2k (:meth:`.DdrComplex.rule_degree`).
 """
 
 from __future__ import annotations
@@ -42,13 +44,36 @@ class QuadratureRule(NamedTuple):
         return np.tensordot(self.weights, values, axes=(0, 0))
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence (|x| < 1 for the derivative)."""
+    p, prev = x, np.ones_like(x)
+    for j in range(1, n):
+        p, prev = ((2 * j + 1) * x * p - j * prev) / (j + 1), p
+    return p, n * (prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [0, 1], read-only (shared by every caller)."""
+    """n-point Gauss-Legendre nodes and weights on [0, 1], read-only (shared by every caller).
+
+    The roots of P_n by Newton's method from Tricomi's estimates
+    cos(pi (i - 1/4) / (n + 1/2)), the weights 2 / ((1 - x^2) P_n'(x)^2),
+    both made symmetric about 0 and the weights scaled to sum to 2, as
+    ``numpy.polynomial.legendre.leggauss`` does (which agrees within a few
+    ulp, but pulls in ``numpy.polynomial`` and an eigensolver).
+    """
     if n > _MAX_GAUSS:
         raise QuadratureDegreeError(f"Gauss order {n} exceeds supported maximum {_MAX_GAUSS}")
-    x, w = np.polynomial.legendre.leggauss(n)
-    return _read_only(0.5 * (x + 1.0), 0.5 * w)
+    x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= 1e-15:
+            break
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * _legendre(n, x)[1] ** 2)
+    x, w = (x - x[::-1]) / 2, (w + w[::-1]) / 2
+    return _read_only(0.5 * (x + 1.0), w / w.sum())
 
 
 def _npts(degree: int) -> int:

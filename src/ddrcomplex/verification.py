@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from functools import cached_property, partial, reduce
-from operator import matmul, mul
+from operator import matmul
 from typing import NamedTuple
 
 import numpy as np
@@ -57,8 +57,8 @@ from .lifting import (
 )
 from .mesh import Frozen, Mesh, OrientationTable, is_integer, is_real
 from .monomials import eval_monomials, grad_matrix, monomial_powers
-from .operators import (OPERATORS, DdrComplex, _label, _operator_index, _point_stacks,
-                        ddr0_closed_forms)
+from .operators import (OPERATORS, DdrComplex, MonomialField, _label, _operator_index,
+                        _point_stacks, ddr0_closed_forms)
 from .sparse import CsrMatrix, block_product
 
 FAMILIES = ("complex", "cohomology", "cochain", "zero_reduction",
@@ -222,6 +222,11 @@ _Factor = namedtuple("_Factor", "name mat rows cols")
 # group is gathered and multiplied in chunks of its members this small.
 _ENTRIES = 1 << 18
 
+# The most reconstructed values in one chunk of monomials of the consistency
+# sweep (256 kB of float64), or else one monomial: a chunk, its exact values
+# and their difference stay well below the closure products' stacks.
+_SWEEP_ENTRIES = 1 << 15
+
 
 # ---------------------------------------------------------------------------
 # the local certificate of ker R
@@ -372,8 +377,7 @@ class VerifySession:
     @cached_property
     def monomial_interpolates(self) -> np.ndarray:
         """The interpolates of the consistency monomials, as rows."""
-        return self.high.interpolate_grad([_monomial(a, *self.monomial_frame)
-                                           for a in monomial_powers(3, self.k + 1)])
+        return self.high.interpolate_grad(MonomialField(self.k + 1, *self.monomial_frame))
 
     def _row_chunks(self, rows: DofLayout, cols: list[DofLayout]):
         """Per kind, size group and chunk of the entities with own ``rows``:
@@ -787,23 +791,9 @@ def check_closed_forms(s: VerifySession) -> list[CheckResult]:
     return _family_rows(s, "closed_forms")
 
 
-def _monomial(alpha, centre: np.ndarray, scale: float):
-    """y^alpha, y = (x - centre)/scale, as a field on an ``(n, 3)`` array of
-    x.  Each power is that of |y_i|, signed: numpy raises a negative base to
-    a power about 30 times slower."""
-    def q(p):
-        factors = []
-        for ax, n in enumerate(alpha):
-            if n:
-                t = (p[:, ax] - centre[ax]) / scale
-                factors.append(np.copysign(np.abs(t) ** n, t if n % 2 else 1.0))
-        return reduce(mul, factors) if factors else 1.0
-    return q
-
-
 def _relative_error(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
-    """Max-norm error of each stack member (G, ...) over max(1, its |exact|)."""
-    axes = tuple(range(1, exact.ndim))
+    """Max-norm error of each stack member (..., G, q, c) over max(1, its |exact|)."""
+    axes = (-2, -1)
     return np.abs(approx - exact).max(axis=axes) / np.maximum(1.0, np.abs(exact).max(axis=axes))
 
 
@@ -822,35 +812,47 @@ def _consistency_table(s: VerifySession, kind: str, builder: str, trace: bool) -
     one column) or the gradient (P^k, a component per frame vector) that one
     builder reconstructs from each interpolated monomial of y (see
     :attr:`VerifySession.monomial_frame`), against the monomial's value or
-    the values of the at most three monomials of its gradient (``grad_matrix``
-    over the scale) rotated into the frame.  Monomials, bases and rotated
-    gradients are evaluated once per point stack of a size group (elements
-    one at a time); the operators act on one monomial's local dofs at a time
-    (all monomials as columns would round differently)."""
+    the values of the at most three monomials of its gradient in y
+    (``grad_matrix``) rotated into the frame, then over the scale.
+    Monomials, bases and rotated gradients are evaluated once per point
+    stack of a size group (elements one at a time, at their rules of degree
+    2k, unisolvent for P^k).  The monomials lie on a leading axis of one
+    product per point stack, chunked to at most ``_SWEEP_ENTRIES``
+    reconstructed values or one monomial: the operators act on each
+    monomial's local dofs, and the bases on its coefficients, as one
+    product per (monomial, entity) each (all monomials as the columns of
+    one product would round differently)."""
     high, k = s.high, s.k
     centre, scale = s.monomial_frame
     count, degree = len(monomial_powers(3, k + 1)), k + 1 if trace else k
     out = np.empty((count, entity_count(s.mesh, kind)))
     frames = s.orient.geometry(kind).frame
-    grads = grad_matrix(3, k + 1).reshape(3, -1, count) / scale    # per axis, (P^k, P^(k+1))
-    reads = [[a] if trace else np.flatnonzero(grads[..., a].any(axis=0)) for a in range(count)]
+    grads = grad_matrix(3, k + 1).reshape(3, -1, count)    # per axis, (P^k, P^(k+1))
+    reads = [np.flatnonzero(grads[..., a].any(axis=0)) for a in range(count)]
     for st in high.stacks(builder):
         ids, dofs = st.ids, st.globals
+        ops = st.potential if trace else st.op
         for part in _point_stacks(kind, ids):
             sub = ids[part]
             pts = high._points(kind, sub)[0]
             phi = high._eval(kind, sub, pts, degree)
             y = ((pts - centre) / scale).reshape(-1, 3)
             values = eval_monomials(3, degree, y).reshape(*pts.shape[:2], -1)
-            # P^k, P^(k+1) and the frame vectors (one of weight 1 for a trace)
-            rotated = (np.ones((1, count, count, 1)) if trace
-                       else np.einsum("gdi,ijm->gjmd", frames[sub], grads))
-            for a, vec in enumerate(s.monomial_interpolates):
-                coeffs = (st.potential if trace else st.op)[part] @ vec[dofs[part]][..., None]
-                approx = phi @ coeffs.reshape(len(sub), -1, phi.shape[-1]).swapaxes(1, 2)
-                # take copies C-contiguously, so the product rounds alike in stacks of any size
-                exact = values.take(reads[a], axis=-1) @ rotated[:, reads[a], a]
-                out[a, sub] = _relative_error(approx, exact)
+            # P^k, P^(k+1) and the frame vectors
+            rotated = None if trace else np.einsum("gdi,ijm->gjmd", frames[sub], grads)
+            width = ops.shape[1] // phi.shape[-1]       # components of the reconstruction
+            step = max(1, _SWEEP_ENTRIES // (len(sub) * pts.shape[1] * width))
+            for chunk in (slice(at, at + step) for at in range(0, count, step)):
+                coeffs = ops[part] @ s.monomial_interpolates[chunk][:, dofs[part], None]
+                approx = phi @ coeffs.reshape(*coeffs.shape[:2], width, -1).swapaxes(-1, -2)
+                if trace:
+                    exact = np.moveaxis(values[..., chunk, None], -2, 0)
+                else:
+                    # take copies C-contiguously, so the product rounds alike in stacks of
+                    # any size; d/dx is d/dy over the scale
+                    exact = np.stack([values.take(reads[a], axis=-1) @ rotated[:, reads[a], a]
+                                      for a in range(count)[chunk]]) / scale
+                out[chunk, sub] = _relative_error(approx, exact)
     return out
 
 

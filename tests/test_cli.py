@@ -308,6 +308,19 @@ def test_cli_import_loads_no_dataclasses():
     assert out.strip() == "False"
 
 
+def test_verify_request_loads_no_numpy_polynomial():
+    # the Gauss rules come from the Legendre recurrence, not from
+    # numpy.polynomial's eigenvalue rule, which costs its import on every request
+    code = ("import os, sys, ddrcomplex.cli as cli; "
+            "code = cli.main(['verify', '--builtin', 'ring', '--degree', '2', "
+            "'--no-timestamp', '--out', os.devnull]); "
+            "print(code, 'numpy.polynomial' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddrcomplex.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 False"
+
+
 def _cli_process(*argv):
     """The CLI run in a fresh interpreter, through its ``__main__`` block."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ddrcomplex.__file__)))

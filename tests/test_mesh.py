@@ -447,6 +447,18 @@ def test_stacked_orientation_matches_the_loop_bit_for_bit(name):
             assert np.array_equal(got, np.asarray(want)), field
 
 
+def test_mesh_arrays_are_read_only(tmp_path):
+    # a vertex moved in place would move under the cached groupings and any
+    # orientation already computed from the mesh
+    path = tmp_path / "ring.json"
+    save_mesh(build_voxel_mesh(builtin_pattern("ring")), str(path))
+    for mesh in (build_voxel_mesh(builtin_pattern("cube")), load_mesh(str(path))):
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.vertices[0] += 1
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.edges[0, 0] = 1
+
+
 def test_mesh_cochains_and_rank_options_are_read_only():
     # a field set after construction would leave the cached groupings or
     # eliminations stale, or skip the tolerance's range check

@@ -38,6 +38,7 @@ from ddrcomplex import (
 )
 from ddrcomplex.cli import main
 from ddrcomplex.layouts import SPACES, entity_count
+from ddrcomplex.monomials import monomial_powers
 from ddrcomplex.quadrature import rule_stack
 from ddrcomplex.verification import VerifySession, check_consistency
 
@@ -527,13 +528,53 @@ def test_element_grams_from_face_rules(name):
         grams = c._top_gram("cell")
         for t in range(mesh.n_elements):
             basis = entity_basis(mesh, orient, "cell", t, k + 1)
-            want = gram_matrix(basis, basis, entity_rule(mesh, orient, "cell", t, c.quad_degree))
+            want = gram_matrix(basis, basis, entity_rule(mesh, orient, "cell", t, 2 * k + 4))
             assert _rel(grams[t], want) < 1e-13, (name, k, t)
         assert np.allclose(grams[:, 0, 0], orient.cell_volume, rtol=1e-13, atol=0.0)
         for fault in ("omega_tf", f"omega_tf:{mesh.n_elements - 1}:1"):
             faulty = DdrComplex(mesh, corrupt_orientation(orient, fault), k)
             assert np.array_equal(faulty._top_gram("cell"), grams), (name, k, fault)
         assert "cell" not in c._rules
+
+
+@pytest.mark.parametrize("name", GATED_MESHES + ("offset_block",))
+def test_element_rules_of_degree_2k_are_exact_and_unisolvent_for_pk(name):
+    # the element rules are mapped at degree 2k, what interpolation and the
+    # sweep read: their weights integrate every monomial of P^(2k) (the P^k
+    # Gram) as the face-rule identity of the top Grams does, and the P^k
+    # Gram at their points is positive definite, so a P^k residual that
+    # vanishes at every point vanishes
+    mesh, orient = _gated(name)
+    for k in range(4):
+        c = DdrComplex(mesh, orient, k)
+        n = len(monomial_powers(3, k))
+        for grp in mesh.groups("cell"):
+            points, weights = c._points("cell", grp.ids)
+            phi = c._eval("cell", grp.ids, points, k)
+            grams = phi.swapaxes(1, 2) @ (weights[..., None] * phi)
+            assert (weights > 0).all()
+            for g, t in enumerate(grp.ids):
+                assert _rel(grams[g], c._top_gram("cell")[t, :n, :n]) < 1e-13, (name, k, t)
+            assert np.linalg.eigvalsh(grams).min() > 0, (name, k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_sweep_at_element_points_of_degree_2k_names_a_planted_error(k):
+    # one wrong entry in one element's gradient reconstruction fails the
+    # element row of the sweep at its rule of degree 2k, and names that element
+    mesh, orient = mesh_and_orientation("ring")
+    element = 5
+    s = VerifySession(mesh, orient, k)
+    group, row = mesh.group_table("cell")[:, element]
+    stacks = list(s.high.stacks("cell_grad_ops"))
+    op = stacks[group].op.copy()
+    op[row, 0, 0] += 1e-6
+    stacks[group] = stacks[group]._replace(op=op)
+    s.high._stacks["cell_grad_ops"] = stacks
+    result = s.residual("consistency.element_gradient")
+    assert not result.passed and result.residual > 1e-7
+    assert result.detail.startswith(f"largest at element {element}, monomial")
+    assert s.residual("consistency.edge_gradient").passed
 
 
 def test_operator_build_maps_no_element_rule(monkeypatch, tmp_path):
