@@ -10,9 +10,10 @@ Coboundary matrices use the orientation table signs:
 They are stored sparse (:class:`.sparse.CsrMatrix`; entries of +-1 are exact
 in float64), and compose to zero on each face's and element's closure.
 Everything here is exact.  One sparse fraction-free elimination
-over Python integers (:func:`_eliminate`) gives the ranks, the kernel bases
-(primitive integer vectors) and the generator selection; the integer
-generator representatives are certified by rank identities.  Each
+over Python integers (:func:`_eliminate`) gives the ranks and the
+generator selection, which eliminates [d_(i-1) | I] on the free rows of
+d_i; only the selected kernel vectors (primitive integer vectors) are
+back-substituted, and they are certified by rank identities.  Each
 coboundary is eliminated at most once per complex
 (:meth:`CochainComplexInt.echelon`).  The exact subspace bases of
 :mod:`.spaces` pick their columns with the same elimination.
@@ -20,10 +21,8 @@ coboundary is eliminated at most once per complex
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from collections import defaultdict
 from typing import NamedTuple
 
 import numpy as np
@@ -48,46 +47,25 @@ class Echelon(NamedTuple):
     def rank(self) -> int:
         return len(self.pivots)
 
-    def kernel(self) -> list[dict[int, int]]:
-        """Exact kernel basis, one sparse vector per free column in ascending
-        order: the primitive integer vector positive at that column and zero
-        at the other free columns.  Back-substitution visits only the pivot
-        rows that meet the entries found so far, right to left."""
-        row_at = dict(zip(self.pivots, self.rows))
-        users = defaultdict(list)        # column -> pivot columns whose rows hold it
-        for c, row in row_at.items():
-            for col in row:
-                if col != c:
-                    users[col].append(c)
-        basis = []
-        for free in sorted(set(range(self.ncols)) - set(self.pivots)):
-            x = {free: 1}
-            # columns to solve, largest first; each pushed column is left of
-            # the one that pushed it, so pops never increase
-            heap = [-c for c in users[free]]
-            heapq.heapify(heap)
-            last = None
-            while heap:
-                c = -heapq.heappop(heap)
-                if c == last:
-                    continue
-                last = c
-                row = row_at[c]
-                s = sum(v * x[col] for col, v in row.items() if col in x)
-                if not s:
-                    continue
-                p = row[c]
-                scale = abs(p) // math.gcd(s, p)
-                if scale != 1:           # keep x integral: scale it by the new denominator
-                    for col in x:
-                        x[col] *= scale
-                    s *= scale
-                x[c] = -s // p
-                for u in users[c]:
-                    heapq.heappush(heap, -u)
-            g = math.gcd(*x.values())
-            basis.append({col: v // g for col, v in x.items()})
-        return basis
+    def kernel_vector(self, free: int) -> dict[int, int]:
+        """The kernel vector of free column ``free``: the primitive integer
+        vector positive there and zero at the other free columns.
+        Back-substitution sweeps the pivot rows right to left; a row that
+        meets no entry found so far contributes nothing."""
+        x = {free: 1}
+        for c, row in zip(reversed(self.pivots), reversed(self.rows)):
+            s = sum(v * x[col] for col, v in row.items() if col in x)
+            if not s:
+                continue
+            p = row[c]
+            scale = abs(p) // math.gcd(s, p)
+            if scale != 1:               # keep x integral: scale it by the new denominator
+                for col in x:
+                    x[col] *= scale
+                s *= scale
+            x[c] = -s // p
+        g = math.gcd(*x.values())
+        return {col: v // g for col, v in x.items()}
 
 
 class CochainComplexInt(Frozen):
@@ -189,9 +167,12 @@ def _eliminate(rows: list[dict[int, int]], ncols: int) -> Echelon:
     Columns are scanned left to right, so each pivot column is the leftmost
     column independent of the columns before it, whichever rows are chosen,
     and their number is the rank.  In a column the pivot row is one with a
-    unit entry if any, then one with the fewest nonzeros, then the lowest
-    index.  A unit pivot is subtracted from the other rows as is; otherwise
-    a row is cross-multiplied with the pivot row and divided by the gcd of its
+    unit entry if any, then one with the fewest nonzeros, then the one whose
+    last nonzero is rightmost, then the lowest index.  (On ``d0``, whose
+    rows are edges, that takes the edge whose other vertex is scanned last,
+    and keeps the front of the scanned region off the current column.)  A
+    unit pivot is subtracted from the other rows as is; otherwise a row is
+    cross-multiplied with the pivot row and divided by the gcd of its
     entries, so every entry stays an integer.
     """
     holders: list = [[] for _ in range(ncols)]     # column -> rows that may hold it
@@ -208,7 +189,7 @@ def _eliminate(rows: list[dict[int, int]], ncols: int) -> Echelon:
         holders[c] = None       # no row gains column c from here on
         if not cands:
             continue
-        p = min(cands, key=lambda i: (abs(rows[i][c]) != 1, len(rows[i]), i))
+        p = min(cands, key=lambda i: (abs(rows[i][c]) != 1, len(rows[i]), -max(rows[i]), i))
         active[p] = False
         prow, pv = rows[p], rows[p][c]
         unit = pv in (1, -1)
@@ -278,13 +259,18 @@ def betti_numbers(complex_: CochainComplexInt) -> BettiVector:
 def cohomology_generators(complex_: CochainComplexInt, i: int) -> list[np.ndarray]:
     """Integer representatives of H^i generators (i in {1, 2}), certified.
 
-    Exact linear algebra: the kernel basis of d_i whose columns are pivots of
-    [d_(i-1) | kernel] beyond d_(i-1); their number is the Betti number
-    dim ker d_i - rank d_(i-1).  Certificates: the generators raise the rank
-    of [d_(i-1) | generators] by their count and lie in the kernel of d_i.
+    Exact linear algebra on the free columns F of d_i's elimination: a
+    vector of ker d_i is fixed by its entries on F, where the kernel vector
+    of a free column f is a positive multiple of e_f, and the columns of
+    d_(i-1) lie in ker d_i.  So the kernel vectors that are pivots of
+    [d_(i-1) | kernel] beyond d_(i-1) are those of the free columns that
+    are pivots of [d_(i-1) | I] on the rows F beyond d_(i-1); their number
+    is the Betti number dim ker d_i - rank d_(i-1), and only they are
+    back-substituted.  Certificates: the generators raise the rank of
+    [d_(i-1) | generators] by their count and lie in the kernel of d_i.
     The eliminations of d_i and d_(i-1) are the complex's own
     (:meth:`CochainComplexInt.echelon`), and a zero Betti number needs no
-    other: the kernel is built only when there is something to select.
+    other.
     """
     i = checked_integer(i, "cohomology index")
     if i not in (1, 2):
@@ -296,10 +282,11 @@ def cohomology_generators(complex_: CochainComplexInt, i: int) -> list[np.ndarra
     betti = out.ncols - out.rank - r_in
     selected: list[dict[int, int]] = []
     if betti > 0:
-        kernel = out.kernel()
+        free = sorted(set(range(out.ncols)) - set(out.pivots))
+        rows, ncols = _with_columns(d_in, [{f: 1} for f in free])
         n = d_in.shape[1]
-        selected = [kernel[j - n] for j in _eliminate(*_with_columns(d_in, kernel)).pivots
-                    if j >= n]
+        selected = [out.kernel_vector(free[j - n])
+                    for j in _eliminate([rows[f] for f in free], ncols).pivots if j >= n]
 
     if selected and _eliminate(*_with_columns(d_in, selected)).rank != r_in + len(selected):
         raise CertificationError("generators not independent modulo the incoming image")

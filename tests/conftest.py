@@ -166,6 +166,12 @@ OPEN_ELEMENTS = {
     "no elements": "^mesh has no elements$",
     "toroidal element": r"^element 0: boundary has Euler characteristic 0, not 2 "
                         r"\(not a sphere\)$",
+    # pinched vertices: a vertex link of more than one cycle fails one of
+    # the checks above (README, "File formats")
+    "pinched corner": r"^element 0: boundary has Euler characteristic 1, not 2 "
+                      r"\(not a sphere\)$",
+    "cells touching at a vertex": r"^element 0: boundary is not connected \(face 17 shares "
+                                  r"no chain of edges with face 0\)$",
 }
 
 
@@ -176,7 +182,10 @@ def open_element_document(case):
     two end cells form one element (two closed surfaces), the middle cell
     the other; or one vertex and no element, or the builtin ring's eight
     cells merged into one element bounded by their 32 outer faces (a torus:
-    32 vertices, 64 edges)."""
+    32 vertices, 64 edges); or the builtin cube with its corner (1, 1, 1)
+    replaced by the corner (0, 0, 0) in every face loop (one vertex whose
+    link is two cycles), or cells (0, 0, 0) and (1, 1, 1) of a 2x2x2 block,
+    which meet only at the centre vertex, as one element."""
     if case == "repeated face":
         doc = mesh_to_document(build_voxel_mesh(builtin_pattern("cube")))
         doc["elements"][0].append(0)
@@ -196,6 +205,14 @@ def open_element_document(case):
         outer = [f for f in range(len(doc["faces"])) if owners[f] == 1]
         doc["faces"] = [doc["faces"][f] for f in outer]
         doc["elements"] = [list(range(len(outer)))]
+    elif case == "pinched corner":
+        doc = mesh_to_document(build_voxel_mesh(builtin_pattern("cube")))
+        low, high = (doc["vertices"].index(x) for x in ([0.0] * 3, [1.0] * 3))
+        doc["faces"] = [[low if v == high else v for v in loop] for loop in doc["faces"]]
+    elif case == "cells touching at a vertex":
+        doc = mesh_to_document(build_voxel_mesh(np.ones((2, 2, 2), dtype=bool)))
+        first, *middle, last = doc["elements"]
+        doc["elements"] = [first + last, *middle]
     else:
         raise ValueError(case)
     return doc

@@ -2,6 +2,7 @@
 
 import collections
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ddrcomplex import (
     homology,
     integer_rank,
     lifting,
+    load_mesh,
     run_all,
     verification,
 )
@@ -127,7 +129,8 @@ def test_empty_generator_selection_needs_no_certifying_rank(ring, monkeypatch, t
     assert calls == [cc.d2.shape, cc.d1.shape]
 
     # after the Betti numbers, h2 costs no elimination, and h1 only the
-    # selection from [d0 | kernel of d1] and its certificate [d0 | generator]
+    # selection from [d0 | I] on the free rows of d1 and its certificate
+    # [d0 | generator]
     cc = build_cochain_complex(mesh, orient)
     betti_numbers(cc)
     calls.clear()
@@ -135,7 +138,7 @@ def test_empty_generator_selection_needs_no_certifying_rank(ring, monkeypatch, t
     assert calls == []
     assert len(cohomology_generators(cc, 1)) == 1
     (v, e, _, _), kernel_dim = cc.counts, cc.d1.shape[1] - cc.echelon(1).rank
-    assert calls == [(e, v + kernel_dim), (e, v + 1)]
+    assert calls == [(kernel_dim, v + kernel_dim), (e, v + 1)]
 
     # a whole ``cohomology --generators`` session eliminates each coboundary once
     calls.clear()
@@ -143,6 +146,26 @@ def test_empty_generator_selection_needs_no_certifying_rank(ring, monkeypatch, t
                  "--generators", str(tmp_path / "g.vtk"), "--out", str(tmp_path / "r.json")]) == 0
     shapes = collections.Counter(calls)
     assert [shapes[d.shape] for d in (cc.d0, cc.d1, cc.d2)] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("name, index", [("double_ring", 1), ("double_cavity", 2)])
+def test_selection_back_substitutes_only_the_generators(name, index, monkeypatch):
+    # b_i = 2 of many free columns: only the two selected kernel vectors are built
+    mesh = load_mesh(str(Path(__file__).resolve().parent.parent / "tools" / "meshes"
+                         / f"{name}.json"))
+    cc = build_cochain_complex(mesh, compute_orientation(mesh))
+    betti = betti_numbers(cc)
+    assert betti[index] == 2 and cc.counts[index] - cc.echelon(index).rank > 2
+    built = []
+    original = homology.Echelon.kernel_vector
+
+    def counting(self, free):
+        built.append(free)
+        return original(self, free)
+
+    monkeypatch.setattr(homology.Echelon, "kernel_vector", counting)
+    assert len(cohomology_generators(cc, index)) == 2
+    assert len(built) == 2
 
 
 def test_generator_cavity_h2(cavity):

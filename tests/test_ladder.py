@@ -18,8 +18,8 @@ def test_ladder_times_one_tiny_cell(tmp_path):
     for side in ("parent", "change"):
         assert cell[side]["rc"] == [0] * ladder.PAIRS
         assert all(len(cell[side][key]) == ladder.PAIRS and min(cell[side][key]) > 0
-                   for key in ("wall_s", "cpu_s", "peak_mb"))
-    assert {"delta_wall_ms", "delta_cpu_ms", "delta_peak_mb"} <= set(cell)
+                   for key in ("wall_s", "cpu_s", "peak_mb", "ref_s"))
+    assert {"delta_wall_ms", "delta_cpu_ms", "delta_wall_ref", "delta_peak_mb"} <= set(cell)
     json.dumps(cell)
 
 

@@ -7,7 +7,7 @@ Usage (from anywhere; this checkout's package is taken from its ``src``)::
 
 A cell is a mesh and a degree: the builtin cavity at k = 0, and ``tunnelN``
 (an N x N x N voxel block with the column (N//2, N//2, :) removed, so
-b1 = 1 and b2 = 0) for N = 4, 6, ..., 14 at k = 0 and N = 4, 6, 8, 10 at
+b1 = 1 and b2 = 0) for N = 4, 6, ..., 20 at k = 0 and N = 4, 6, 8, 10 at
 k = 1 and 2.  Each request is ``python -m ddrcomplex.cli verify --degree k
 --no-timestamp`` with every check family, in a fresh process, so it pays
 the interpreter's start, the imports and the exit as a user does.  A cell
@@ -15,12 +15,16 @@ runs ``PAIRS`` pairs, one request with the parent's package and one with
 this checkout's, the side that goes first alternating from pair to pair;
 each request's wall time, CPU time (user + system, from ``wait4``) and peak
 memory (``ru_maxrss``) are recorded, with its exit code and whether the two
-sides' reports are byte-identical.  A request that runs longer than
+sides' reports are byte-identical.  A fixed pure-Python reference loop is
+timed just before each request (``ref_s``, the median of three runs), so
+that a wall time can be read in units of how fast the machine ran then, as
+in ``perfbench/run.py``.  A request that runs longer than
 ``BUDGET`` seconds is stopped, and its cell and the larger cells of its
 degree are recorded as skipped.
 
 Prints one JSON document: the machine, both sources, and per cell every
-sample and the median of the paired differences (change minus parent).
+sample and the median of the paired differences (change minus parent), in
+seconds and, for the wall time, in reference loops (``delta_wall_ref``).
 Progress goes to standard error.  BLAS runs one thread, as in
 ``perfbench/run.py``; the rest of the environment is passed on unchanged.
 """
@@ -42,10 +46,11 @@ from pathlib import Path
 import numpy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-CELLS = ([("cavity", 0)] + [(f"tunnel{n}", 0) for n in range(4, 16, 2)]
+CELLS = ([("cavity", 0)] + [(f"tunnel{n}", 0) for n in range(4, 22, 2)]
          + [(f"tunnel{n}", k) for k in (1, 2) for n in range(4, 12, 2)])
 PAIRS = 3          # alternating pairs of requests per cell
 BUDGET = 60.0      # seconds one request may take
+REFERENCE_LOOP = 500_000   # iterations of the reference loop (about 0.05 s)
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -54,6 +59,16 @@ def tunnel_pattern(n: int) -> str:
     rows = ["".join("." if (i, j) == (n // 2, n // 2) else "#" for i in range(n))
             for j in range(n)]
     return "\n\n".join(["\n".join(rows)] * n) + "\n"
+
+
+def reference_s() -> float:
+    """Median time of a fixed pure-Python loop: how fast the machine runs now."""
+    def once() -> float:
+        t, x = time.perf_counter(), 0
+        for i in range(REFERENCE_LOOP):
+            x += i * i % 7
+        return time.perf_counter() - t
+    return statistics.median(once() for _ in range(3))
 
 
 class Ladder:
@@ -82,9 +97,11 @@ class Ladder:
 
     def request(self, side: str, args: list[str]) -> dict:
         """One fresh-process request: exit code, wall and CPU seconds, peak
-        MB and the report's bytes; ``None`` past the budget."""
+        MB, the reference loop's seconds just before it and the report's
+        bytes; ``None`` past the budget."""
         report = self.work / f"{side}.report.json"
         report.unlink(missing_ok=True)
+        ref = reference_s()
         argv = [sys.executable, "-m", "ddrcomplex.cli", "verify", *args, "--no-timestamp",
                 "--out", str(report)]
         start = time.perf_counter()
@@ -102,7 +119,7 @@ class Ladder:
             return None
         return {"rc": proc.returncode, "wall_s": round(wall, 4),
                 "cpu_s": round(usage.ru_utime + usage.ru_stime, 4),
-                "peak_mb": round(usage.ru_maxrss / 1024.0, 1),
+                "peak_mb": round(usage.ru_maxrss / 1024.0, 1), "ref_s": round(ref, 4),
                 "report": report.read_bytes() if report.exists() else None}
 
     def cell(self, mesh: str, degree: int) -> dict:
@@ -122,10 +139,14 @@ class Ladder:
         out = {"status": "ok", "same_report": same}
         for side, samples in runs.items():
             out[side] = {key: [s[key] for s in samples]
-                         for key in ("rc", "wall_s", "cpu_s", "peak_mb")}
+                         for key in ("rc", "wall_s", "cpu_s", "peak_mb", "ref_s")}
         for key in ("wall_s", "cpu_s"):
             diffs = [c - p for p, c in zip(out["parent"][key], out["change"][key])]
             out[f"delta_{key[:-2]}_ms"] = round(1e3 * statistics.median(diffs), 1)
+        ratios = {side: [w / r for w, r in zip(out[side]["wall_s"], out[side]["ref_s"])]
+                  for side in runs}
+        out["delta_wall_ref"] = round(statistics.median(
+            c - p for p, c in zip(ratios["parent"], ratios["change"])), 2)
         out["delta_peak_mb"] = round(statistics.median(out["change"]["peak_mb"])
                                      - statistics.median(out["parent"]["peak_mb"]), 1)
         return out
@@ -179,7 +200,8 @@ def main(argv: list[str] | None = None) -> int:
                            "blas_threads": 1,
                            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
                "parent": _commit(args.parent), "change": _commit(SRC),
-               "pairs": PAIRS, "budget_s": BUDGET, "cells": cells},
+               "pairs": PAIRS, "budget_s": BUDGET, "reference_loop": REFERENCE_LOOP,
+               "cells": cells},
               sys.stdout, indent=1)
     print()
     return 0

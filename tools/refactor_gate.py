@@ -8,15 +8,15 @@ Runs, with ``--no-timestamp``:
 
 * ``verify`` (all families) on the builtins cube, ring and cavity and on
   ``meshes/graded_cavity.json``, ``meshes/prism_pair.json``,
-  ``meshes/sheared_ring.json``, ``meshes/double_ring.json`` and
-  ``meshes/offset_block.json`` at k = 0..2: report, stdout, stderr and exit
-  code;
-* ``cohomology --generators`` on the same twenty-four cases: report, stdout,
+  ``meshes/sheared_ring.json``, ``meshes/double_ring.json``,
+  ``meshes/offset_block.json`` and ``meshes/double_cavity.json`` at
+  k = 0..2: report, stdout, stderr and exit code;
+* ``cohomology --generators`` on the same twenty-seven cases: report, stdout,
   stderr, exit code and VTK file;
 * ``verify`` on ring k = 1 with each ``--inject-fault`` kind: report,
   stdout, stderr and exit code.
 
-and prints one ``sha256  name`` line per output file (228 in all), sorted by
+and prints one ``sha256  name`` line per output file (255 in all), sorted by
 name.  Run it on two commits and ``diff`` the outputs: no difference means
 the reports, messages, exit codes and VTK files are byte-identical.  The
 graded mesh (a 3x3x3 block on graded grid lines with its central cell
@@ -36,6 +36,9 @@ degree, so the order in which generators are selected is gated too.
 The offset block is a 3x2x1 voxel block with h = 0.7 and 1e3 added to every
 coordinate: the only gated mesh far from the origin, so a change to the
 geometry shows there what rounding of order |x| eps / h does to it.
+The double cavity is a 5x3x3 voxel block with cells (1, 1, 1) and
+(3, 1, 1) removed, so b2 = 2: the only gated mesh with more than one H^2
+generator, so the order in which those are selected is gated too.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ MESHES = {"cube": ["--builtin", "cube"], "ring": ["--builtin", "ring"],
           "prism_pair": ["--mesh", str(MESH_FILES / "prism_pair.json")],
           "sheared_ring": ["--mesh", str(MESH_FILES / "sheared_ring.json")],
           "double_ring": ["--mesh", str(MESH_FILES / "double_ring.json")],
-          "offset_block": ["--mesh", str(MESH_FILES / "offset_block.json")]}
+          "offset_block": ["--mesh", str(MESH_FILES / "offset_block.json")],
+          "double_cavity": ["--mesh", str(MESH_FILES / "double_cavity.json")]}
 DEGREES = (0, 1, 2)
 FAULTS = ("omega_tf", "omega_fe", "edge_length")
 
