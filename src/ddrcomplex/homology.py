@@ -189,7 +189,10 @@ def _eliminate(rows: list[dict[int, int]], ncols: int) -> Echelon:
         holders[c] = None       # no row gains column c from here on
         if not cands:
             continue
-        p = min(cands, key=lambda i: (abs(rows[i][c]) != 1, len(rows[i]), -max(rows[i]), i))
+        keys = [(abs(rows[i][c]) != 1, len(rows[i])) for i in cands]
+        best = min(keys)
+        tied = [i for i, key in zip(cands, keys) if key == best]
+        p = tied[0] if len(tied) == 1 else min(tied, key=lambda i: (-max(rows[i]), i))
         active[p] = False
         prow, pv = rows[p], rows[p][c]
         unit = pv in (1, -1)

@@ -27,12 +27,16 @@ potentials of :mod:`.cli` read by field, a group at a time;
 entity's :class:`LocalOps`, views into its group's stack made on demand.  A
 solve that fails its condition-number guard names the lowest-index failing
 entity and that entity's first failing solve, as a build entity by entity
-would.  The builders evaluate each basis at the highest degree they read of
-it (k+2 on faces, k+1 on edges and elements; lower degrees are column
-slices): an edge or face basis once per size group at its own rule points,
-an element basis at its faces' points once per builder.  Each entity's Gram
-matrices are slices of one top-degree Gram, on elements a sum over the face
-rules, so the operator build maps no element rule.  Interpolation, the
+would.  The builders read each basis at the highest degree they read of it
+(k+2 on faces, k+1 on edges and elements; lower degrees are column slices):
+an edge or face basis is evaluated once per size group at its own rule
+points, and a face or element basis once per complex at its boundary's rule
+points, where :meth:`DdrComplex._boundary_moments` pairs it with the
+sub-entities' bases; the builders' boundary terms are products of those
+moments with the sub-entities' potentials and frame factors, with no array
+over points.  Each entity's Gram matrices are slices of one top-degree Gram,
+on elements a sum over the face rules from the same evaluation, so the
+operator build maps no element rule.  Interpolation, the
 consistency sweep and :meth:`DdrComplex.rule` read element rules (see
 :func:`_point_stacks`), and evaluate a basis at the degree they read, as do
 the VTK potentials.
@@ -55,7 +59,7 @@ from .homology import _signed_incidences
 from .layouts import KINDS, PARTS, DofLayout, checked_degree, entity_count
 from .mesh import Mesh, OrientationTable, SizeGroup, _read_only, checked_entity, row_dot
 from .quadrature import QuadratureRule, rule_stack
-from .spaces import frame_dot, frame_moments, span_matrix, stacked_solve
+from .spaces import span_matrix, stacked_solve
 from .sparse import CsrMatrix
 
 
@@ -265,6 +269,7 @@ class DdrComplex:
         self._rules: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._top_grams: dict[str, np.ndarray] = {}
         self._means: dict[str, np.ndarray] = {}
+        self._moments: dict[str, list[np.ndarray]] = {}   # see _boundary_moments
         # per builder: the stacks of the mesh's size groups (Mesh.groups)
         self._stacks: dict[str, list[Stack]] = {}
         self._globals: dict[str, CsrMatrix] = {}
@@ -348,27 +353,49 @@ class DdrComplex:
     def _top_gram(self, kind: str) -> np.ndarray:
         """The scalar Gram matrix at the top degree of every entity of one
         kind, (n, N, N), a size group at a time: on edges and faces from
-        their own rules; on elements from their faces' rules, as
+        their own rules; on elements from their faces' rules, with the
+        element's basis evaluation of :meth:`_boundary_moments`."""
+        if kind == "cell":
+            self._boundary_moments(kind)
+        elif kind not in self._top_grams:
+            n = _n(kind, self._top(kind))
+            grams = np.empty((entity_count(self.mesh, kind), n, n))
+            for grp, (_, weights, phi) in zip(self.mesh.groups(kind), self._rule_store(kind)):
+                grams[grp.ids] = phi.swapaxes(1, 2) @ (weights[..., None] * phi)
+            self._top_grams[kind], = _read_only(grams)
+        return self._top_grams[kind]
+
+    def _boundary_moments(self, kind: str) -> list[np.ndarray]:
+        """Each size group's pairings (G, B, N, Ns) of its top-degree basis
+        with the degree-(k+1) basis of each boundary column's sub-entities,
+        the highest the builders pair, ``int_s phi phi_s``: faces against
+        their edges, elements against their faces.  The element basis at a
+        face's points also gives that face's share of the element's top Gram,
         ``int_T y^a y^b = sum_F |n_F.(x_F - c_T)| int_F y^a y^b / (3+|a|+|b|)``
         (Euler's identity and the divergence theorem; the unsigned distance
         is the factor the fan rule's |det| weights carry)."""
-        if kind not in self._top_grams:
-            o, top = self.orient, self._top(kind)
-            grams = np.empty((entity_count(self.mesh, kind), _n(kind, top), _n(kind, top)))
-            for g, grp in enumerate(self.mesh.groups(kind)):
-                if kind == "cell":
-                    faces, centre = grp.faces.T, o.cell_center[grp.ids]
-                    dist = np.abs(row_dot(o.face_normal[faces], o.face_center[faces] - centre))
-                    points, weights = zip(*(self._points("face", f) for f in faces))
-                    phi = self._eval(kind, grp.ids, np.concatenate(points, 1))
-                    weights = np.concatenate([w * d[:, None] for w, d in zip(weights, dist)], 1)
-                    degree = np.asarray([sum(a) for a in mono.monomial_powers(3, top)])
-                    order = 3 + degree[:, None] + degree
-                else:
-                    (_, weights, phi), order = self._rule_store(kind)[g], 1
-                grams[grp.ids] = phi.swapaxes(1, 2) @ (weights[..., None] * phi) / order
-            self._top_grams[kind], = _read_only(grams)
-        return self._top_grams[kind]
+        if kind not in self._moments:
+            o, sub, top = self.orient, KINDS[KINDS.index(kind) - 1], self._top(kind)
+            n, ns = _n(kind, top), _n(sub, self.k + 1)
+            grams = np.zeros((entity_count(self.mesh, kind), n, n)) if kind == "cell" else None
+            self._moments[kind] = []
+            for grp in self.mesh.groups(kind):
+                subs = grp.faces if kind == "cell" else grp.edge
+                out = np.empty((len(grp.ids), subs.shape[1], n, ns))
+                for j, col in enumerate(subs.T):
+                    pts, weights, phi_s = self._own_rule(sub, col)
+                    phi = self._eval(kind, grp.ids, pts)
+                    out[:, j] = phi.swapaxes(1, 2) @ (weights[..., None] * phi_s[..., :ns])
+                    if grams is not None:
+                        dist = np.abs(row_dot(o.face_normal[col],
+                                              o.face_center[col] - o.cell_center[grp.ids]))
+                        weights = weights * dist[:, None]
+                        grams[grp.ids] += phi.swapaxes(1, 2) @ (weights[..., None] * phi)
+                self._moments[kind] += _read_only(out)
+            if grams is not None:
+                degree = np.asarray([sum(a) for a in mono.monomial_powers(3, top)])
+                self._top_grams[kind], = _read_only(grams / (3 + degree[:, None] + degree))
+        return self._moments[kind]
 
     def _grams(self, kind: str, ids, deg_a: int, deg_b: int,
                vector: bool = False) -> np.ndarray:
@@ -401,17 +428,19 @@ class DdrComplex:
         out[:, 1:] = np.eye(n - 1)
         return out
 
-    def _boundary(self, grp: _Group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _boundary(self, grp: _Group) -> tuple[np.ndarray, ...]:
         """Sub-entities (G, B), signs (G, B) and normals (G, B, 3) of a group:
         each face's edges (omega_FE, n_FE) or each element's faces (omega_TF,
-        n_F), in mesh order."""
+        n_F), in mesh order; and the group's boundary moments (G, B, N, Ns)."""
         o, ids = self.orient, grp.ids
+        moments = self._boundary_moments(grp.kind)[self.mesh.group_table(grp.kind)[0, ids[0]]]
         if grp.kind == "face":
             subs = grp.group.edge
             return (subs, o.face_edge_sign[ids, :subs.shape[1]].astype(float),
-                    o.face_edge_normal[ids, :subs.shape[1]])
+                    o.face_edge_normal[ids, :subs.shape[1]], moments)
         subs = grp.group.faces
-        return subs, o.cell_face_sign[ids, :subs.shape[1]].astype(float), o.face_normal[subs]
+        return (subs, o.cell_face_sign[ids, :subs.shape[1]].astype(float), o.face_normal[subs],
+                moments)
 
     def _project(self, kind: str, ids, part: str, degree: int, source_degree: int,
                  columns: np.ndarray) -> np.ndarray:
@@ -518,49 +547,45 @@ class DdrComplex:
         boundary's scalar traces against their normal components.  A face
         also gets its scalar trace, which the element gradient uses."""
         k, kind, ids = self.k, grp.kind, grp.ids
-        dim = KINDS.index(kind)
+        count, dim = len(ids), KINDS.index(kind)
         sub = KINDS[dim - 1]
-        frames = self.orient.geometry(kind).frame[ids]
         inv_h = (1.0 / self.orient.geometry(kind).diameter[ids])[:, None, None]
         nk = _n(kind, k)
         vg_kk = self._grams(kind, ids, k, k, vector=True)
         div_k = mono.div_matrix(dim, k) * inv_h
         g_mm = self._grams(kind, ids, k - 1, k - 1)
 
-        b = np.zeros((len(ids), dim * nk, grp.globals.shape[1]))
+        b = np.zeros((count, dim * nk, grp.globals.shape[1]))
         (own, _), = PARTS["Xgrad"][kind]
         c_own = grp.own(own)
         if c_own.size:
             b[:, :, c_own] = -(g_mm @ div_k).swapaxes(1, 2)
 
-        subs, signs, normals = self._boundary(grp)
-        boundary = []
+        # the boundary terms pair the tests' normal components (frame.n_s
+        # times the scalar tests) with the sub-entities' scalar traces:
+        # omega_s (frame.n_s)_c (moments @ trace), (G, dim, N, m) per column;
+        # a face's scalar trace is tested against Rc^(k+2), square since
+        # div_F : Rc^(k+2) -> P^(k+1) is an isomorphism
+        subs, signs, normals, moments = self._boundary(grp)
+        along = self.orient.geometry(kind).frame[ids, None] @ normals[..., None]  # (G, B, dim, 1)
+        c2 = span_matrix("Rc", 2, k + 2)
+        rhs = np.zeros((count, c2.shape[1], b.shape[2])) if kind == "face" else None
         for j in range(subs.shape[1]):
-            pts, weights, phi_s = self._own_rule(sub, subs[:, j])
             embed, potential = self._sub_data(grp, "edge_ops" if sub == "edge"
                                               else "face_grad_ops", subs[:, j])
-            phi_tr = phi_s[..., :_n(sub, k + 1)] @ potential
-            wphi = weights[:, :, None] * phi_tr                  # (G, q, nloc of s)
-            phi = self._eval(kind, ids, pts)
-            vn = frame_dot(phi[..., :nk], frames, normals[:, j])   # (G, q, dim nk)
-            omega = signs[:, j, None, None]
-            _add_columns(b, embed, omega * vn.swapaxes(1, 2) @ wphi)
-            boundary.append((omega, normals[:, j], phi, embed, wphi))
+            paired = signs[:, j, None, None] * (moments[:, j] @ potential)
+            normal = along[:, j, :, :, None] * paired[:, None]
+            _add_columns(b, embed, normal[:, :, :nk].reshape(count, dim * nk, -1))
+            if rhs is not None:
+                _add_columns(rhs, embed, c2.T @ normal.reshape(count, -1, normal.shape[-1]))
         grad = grp.solve(vg_kk, b, "gradient")
         if kind == "cell":
             return grad, None, vg_kk, b
 
-        # scalar trace: pairing against Rc^(k+2), square since
-        # div_F : Rc^(k+2) -> P^(k+1) is an isomorphism
-        c2 = span_matrix("Rc", 2, k + 2)
         divf_k2 = mono.div_matrix(2, k + 2) * inv_h
         g_11 = self._grams(kind, ids, k + 1, k + 1)
         system = (divf_k2 @ c2).swapaxes(1, 2) @ g_11
-        vg_2k = self._grams(kind, ids, k + 2, k, vector=True)
-        rhs = -(c2.T @ vg_2k @ grad)
-        for omega, normal, phi, embed, wphi in boundary:
-            wn = frame_dot(phi[..., :_n(kind, k + 2)], frames, normal) @ c2   # (G, q, m)
-            _add_columns(rhs, embed, omega * wn.swapaxes(1, 2) @ wphi)
+        rhs -= c2.T @ self._grams(kind, ids, k + 2, k, vector=True) @ grad
         trace = grp.solve(system, rhs, "scalar trace")
         return grad, trace, vg_kk, b
 
@@ -609,25 +634,18 @@ class DdrComplex:
         if c_img.size:
             b[:, :, c_img] = -sign * (img.T @ vg_mm @ deriv_k).swapaxes(1, 2)
 
-        subs, signs, _ = self._boundary(grp)
-        boundary = []
+        subs, signs, _, moments = self._boundary(grp)
+        p0 = self._p0(kind, ids, k + 1)
+        rhs1 = np.zeros((len(ids), p0.shape[2], b.shape[2]))     # (G, n_{k+1}-1, nloc)
         for j in range(subs.shape[1]):
-            pts, weights, phi_s = self._own_rule(sub, subs[:, j])
             c_s = _positions(grp.globals, grp.layout.indices(sub, subs[:, j], "poly"))
-            wphi_s = weights[:, :, None] * phi_s[..., :_n(sub, k)]   # (G, q, n_k of s)
-            phi = self._eval(kind, ids, pts)                     # (G, q, top)
-            omega = signs[:, j, None, None]
-            _add_columns(b, c_s, sign * omega * phi[..., :nk].swapaxes(1, 2) @ wphi_s)
-            boundary.append((omega, phi, c_s, wphi_s))
+            paired = signs[:, j, None, None] * moments[:, j, :, :_n(sub, k)]   # (G, N, nk of s)
+            _add_columns(b, c_s, sign * paired[:, :nk])
+            _add_columns(rhs1, c_s, p0.swapaxes(1, 2) @ paired[:, :_n(kind, k + 1)])
         op = grp.solve(g_kk, b, name)
 
-        p0 = self._p0(kind, ids, k + 1)
         deriv_k1 = deriv(k + 1) * inv_h
-        g_k_k1 = self._grams(kind, ids, k, k + 1)
-        rhs1 = -sign * ((g_k_k1 @ p0).swapaxes(1, 2) @ op)   # (G, n_{k+1}-1, nloc)
-        for omega, phi, c_s, wphi_s in boundary:
-            phi_r = phi[..., :_n(kind, k + 1)] @ p0
-            _add_columns(rhs1, c_s, omega * phi_r.swapaxes(1, 2) @ wphi_s)
+        rhs1 -= sign * ((self._grams(kind, ids, k, k + 1) @ p0).swapaxes(1, 2) @ op)
         what = "tangential trace" if kind == "face" else f"{name} potential"
         potential = self._complement_solve(grp, complement, deriv_k1 @ p0, rhs1, what)
         return op, potential, g_kk, b
@@ -647,36 +665,26 @@ class DdrComplex:
         if c_r.size:
             b[:, :, c_r] = (r.T @ vg_mm @ curl_k).swapaxes(1, 2)
 
-        # the boundary terms pair (test x n_F) with the weighted tangential
-        # trace w_gt; the curl and its potential both read them from
-        # u = w_gt @ cross(I, n_F).T
-        subs, signs, normals = self._boundary(grp)
-        face_frames = self.orient.geometry("face").frame
+        # the boundary terms pair the tests with n_F x (the tangential trace
+        # sum_c gt_c tau_c): per column omega_TF sum_c (n_F x tau_c) (moments
+        # @ gt_c), (G, 3, N, m), with tau_c the face's frame; the potential's
+        # tests curl(Gc^{k+1}) + Rc^k span vP^k
+        subs, signs, normals, moments = self._boundary(grp)
+        turns = np.cross(normals[:, :, None], self.orient.geometry("face").frame[subs])
         nf_k = _n("face", k)
-        boundary = []
+        gc1 = span_matrix("Gc", 3, k + 1)
+        rhs1 = np.zeros((count, gc1.shape[1], b.shape[2]))
         for j in range(subs.shape[1]):
-            faces = subs[:, j]
-            pts, weights, phi_f = self._own_rule("face", faces)
-            embed, potential = self._sub_data(grp, "face_curl_ops", faces)
-            parts = phi_f[:, None, :, :nf_k] @ potential.reshape(count, 2, nf_k, -1)  # (G, 2, q, m)
-            gt_vals = np.moveaxis(parts, 1, -1) @ face_frames[faces][:, None]  # (G, q, m, 3)
-            w_gt = weights[:, :, None, None] * gt_vals
-            cross = np.cross(np.eye(3), normals[:, j, None, :]).swapaxes(1, 2)   # (G, 3, 3)
-            u = (w_gt.reshape(count, -1, 3) @ cross).reshape(w_gt.shape)
-            phi = self._eval("cell", ids, pts)
-            omega = signs[:, j, None, None]
-            _add_columns(b, embed, omega * frame_moments(phi[..., :nk], u))
-            boundary.append((omega, phi, embed, u))
+            embed, potential = self._sub_data(grp, "face_curl_ops", subs[:, j])
+            parts = moments[:, j, None, :, :nf_k] @ potential.reshape(count, 2, nf_k, -1)
+            turn = signs[:, j, None, None] * turns[:, j].swapaxes(1, 2)       # (G, 3, 2)
+            paired = (turn @ parts.reshape(count, 2, -1)).reshape(count, 3, *parts.shape[2:])
+            _add_columns(b, embed, paired[:, :, :nk].reshape(count, 3 * nk, -1))
+            _add_columns(rhs1, embed, -(gc1.T @ paired.reshape(count, -1, paired.shape[-1])))
         curl = grp.solve(vg_kk, b, "curl")
 
-        # potential: tests curl(Gc^{k+1}) + Rc^k span vP^k
-        gc1 = span_matrix("Gc", 3, k + 1)
         curl_k1 = mono.curl_matrix(k + 1) * inv_h
-        vg_k1_k = self._grams("cell", ids, k + 1, k, vector=True)
-        rhs1 = (gc1.T @ vg_k1_k) @ curl
-        for omega, phi, embed, u in boundary:
-            _add_columns(rhs1, embed,
-                         -omega * (gc1.T @ frame_moments(phi[..., :_n("cell", k + 1)], u)))
+        rhs1 += (gc1.T @ self._grams("cell", ids, k + 1, k, vector=True)) @ curl
         potential = self._complement_solve(grp, complement, curl_k1 @ gc1, rhs1,
                                            "curl potential")
         return curl, potential, vg_kk, b

@@ -55,36 +55,16 @@ def space_dim(kind: str, degree: int, dim: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Frame contractions.  A vector basis V is its scalar design matrix phi
-# (q, n) stacked along its frame (dim, 3): V[p, c n + j] = phi[p, j] frame[c].
-# Products with V are products of phi with a small frame factor, so no
-# (q, dim n, 3) array is built.  np.cross(V, w) is V with the frame
-# np.cross(frame, w).  Leading axes of every argument stack entities.
-# tests/test_spaces.py keeps the (q, dim n, 3) values they stand for.
-
-def frame_dot(phi: np.ndarray, frame: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``V @ u`` for a 3-vector ``u``: the (q, dim n) u-components of V."""
-    a = (frame @ u[..., None])[..., 0]                         # (..., dim)
-    return np.concatenate([phi * a[..., c, None, None] for c in range(frame.shape[-2])],
-                          axis=-1)
-
+# A vector basis V is its scalar design matrix phi (q, n) stacked along its
+# frame (dim, 3): V[p, c n + j] = phi[p, j] frame[c].  Leading axes stack
+# entities; tests/test_spaces.py keeps the (q, dim n, 3) values.
 
 def frame_values(phi: np.ndarray, frame: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """``einsum("pax,a->px", V, coeffs)``: the ambient values (q, 3) of a
-    coefficient vector ``coeffs`` (dim n) over V."""
+    coefficient vector ``coeffs`` (dim n) over V, with no (q, dim n, 3) array."""
     dim, n = frame.shape[-2], phi.shape[-1]
     parts = phi[..., None, :, :] @ coeffs.reshape(*coeffs.shape[:-1], dim, n, 1)
     return parts[..., 0].swapaxes(-1, -2) @ frame           # (dim, q) -> (q, 3)
-
-
-def frame_moments(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``einsum("pax,plx->al", V, F)`` from ``u = F @ frame.T`` (q, m, dim):
-    the (dim n, m) pairings of V with m vector fields, whose row block c is
-    ``phi.T @ u[:, :, c]``."""
-    *lead, q, n = phi.shape
-    m, dim = u.shape[-2:]
-    blocks = (phi.swapaxes(-1, -2) @ u.reshape(*lead, q, m * dim)).reshape(*lead, n, m, dim)
-    return np.moveaxis(blocks, -1, -3).reshape(*lead, dim * n, m)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,15 +1,29 @@
 """Local operator oracles, layouts, global assembly, degree-0 closed forms."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ddrcomplex import DdrComplex, DofLayout, DomainError, ddr0_closed_forms
-from ddrcomplex.layouts import entity_count
-from ddrcomplex.operators import OPERATORS
+from ddrcomplex import (
+    DdrComplex,
+    DofLayout,
+    DomainError,
+    compute_orientation,
+    ddr0_closed_forms,
+    load_mesh,
+)
+from ddrcomplex import monomials as mono
+from ddrcomplex.layouts import KINDS, PARTS, entity_count
+from ddrcomplex.mesh import row_dot
+from ddrcomplex.operators import OPERATORS, _add_columns, _n, _positions
+from ddrcomplex.spaces import span_matrix
 
 from conftest import complex_for, mesh_and_orientation
 from test_layouts import reference_components
-from test_spaces import entity_basis
+from test_spaces import entity_basis, frame_dot, frame_moments
+
+MESHES = Path(__file__).resolve().parent.parent / "tools" / "meshes"
 
 
 def basis(c, kind, index, degree, vector=False):
@@ -440,3 +454,176 @@ def test_coo_blocks_keep_row_major_order():
     assert coo.rows[0].tolist() == [4, 4, 4, 1, 1, 1]
     assert coo.cols[0].tolist() == [0, 2, 3, 0, 2, 3]
     assert coo.build((5, 4)).toarray()[4].tolist() == [0.0, 0.0, 1.0, 2.0]
+
+
+# -- the point-level boundary terms, as a reference builder ---------------------------
+
+class PointLevelComplex(DdrComplex):
+    """The builders' boundary terms as sums over the sub-entities' rule
+    points: each builder evaluates the entity's basis at every boundary
+    column's points and pairs it with the weighted sub-entity traces there,
+    and the element top Gram sums over all face points at once.  The
+    package forms the same pairings from its boundary moments."""
+
+    def _top_gram(self, kind):
+        if kind == "cell" and kind not in self._top_grams:
+            o, top = self.orient, self._top(kind)
+            grams = np.empty((entity_count(self.mesh, kind), _n(kind, top), _n(kind, top)))
+            for grp in self.mesh.groups(kind):
+                faces, centre = grp.faces.T, o.cell_center[grp.ids]
+                dist = np.abs(row_dot(o.face_normal[faces], o.face_center[faces] - centre))
+                points, weights = zip(*(self._points("face", f) for f in faces))
+                phi = self._eval(kind, grp.ids, np.concatenate(points, 1))
+                weights = np.concatenate([w * d[:, None] for w, d in zip(weights, dist)], 1)
+                degree = np.asarray([sum(a) for a in mono.monomial_powers(3, top)])
+                grams[grp.ids] = (phi.swapaxes(1, 2) @ (weights[..., None] * phi)
+                                  / (3 + degree[:, None] + degree))
+            self._top_grams[kind] = grams
+        return self._top_grams[kind] if kind == "cell" else super()._top_gram(kind)
+
+    def _boundary_moments(self, kind):
+        raise AssertionError("the point-level builders read no boundary moments")
+
+    def _boundary(self, grp):
+        o, ids = self.orient, grp.ids
+        if grp.kind == "face":
+            subs = grp.group.edge
+            return (subs, o.face_edge_sign[ids, :subs.shape[1]].astype(float),
+                    o.face_edge_normal[ids, :subs.shape[1]])
+        subs = grp.group.faces
+        return subs, o.cell_face_sign[ids, :subs.shape[1]].astype(float), o.face_normal[subs]
+
+    def _grad_stack(self, grp):
+        k, kind, ids = self.k, grp.kind, grp.ids
+        dim = KINDS.index(kind)
+        sub = KINDS[dim - 1]
+        frames = self.orient.geometry(kind).frame[ids]
+        inv_h = (1.0 / self.orient.geometry(kind).diameter[ids])[:, None, None]
+        nk = _n(kind, k)
+        vg_kk = self._grams(kind, ids, k, k, vector=True)
+        b = np.zeros((len(ids), dim * nk, grp.globals.shape[1]))
+        (own, _), = PARTS["Xgrad"][kind]
+        c_own = grp.own(own)
+        if c_own.size:
+            div_k = mono.div_matrix(dim, k) * inv_h
+            b[:, :, c_own] = -(self._grams(kind, ids, k - 1, k - 1) @ div_k).swapaxes(1, 2)
+        subs, signs, normals = self._boundary(grp)
+        boundary = []
+        for j in range(subs.shape[1]):
+            pts, weights, phi_s = self._own_rule(sub, subs[:, j])
+            embed, potential = self._sub_data(grp, "edge_ops" if sub == "edge"
+                                              else "face_grad_ops", subs[:, j])
+            wphi = weights[:, :, None] * (phi_s[..., :_n(sub, k + 1)] @ potential)
+            phi = self._eval(kind, ids, pts)
+            vn = frame_dot(phi[..., :nk], frames, normals[:, j])
+            omega = signs[:, j, None, None]
+            _add_columns(b, embed, omega * vn.swapaxes(1, 2) @ wphi)
+            boundary.append((omega, normals[:, j], phi, embed, wphi))
+        grad = grp.solve(vg_kk, b, "gradient")
+        if kind == "cell":
+            return grad, None, vg_kk, b
+        c2 = span_matrix("Rc", 2, k + 2)
+        divf_k2 = mono.div_matrix(2, k + 2) * inv_h
+        system = (divf_k2 @ c2).swapaxes(1, 2) @ self._grams(kind, ids, k + 1, k + 1)
+        rhs = -(c2.T @ self._grams(kind, ids, k + 2, k, vector=True) @ grad)
+        for omega, normal, phi, embed, wphi in boundary:
+            wn = frame_dot(phi[..., :_n(kind, k + 2)], frames, normal) @ c2
+            _add_columns(rhs, embed, omega * wn.swapaxes(1, 2) @ wphi)
+        return grad, grp.solve(system, rhs, "scalar trace"), vg_kk, b
+
+    def _curl_div_stack(self, grp, deriv, sign):
+        k, kind, ids = self.k, grp.kind, grp.ids
+        dim = KINDS.index(kind)
+        sub = KINDS[dim - 1]
+        space = grp.layout.space
+        (image, _), (complement, _) = PARTS[space][kind]
+        name = next(op.name for op in OPERATORS if op.source == space)
+        inv_h = (1.0 / self.orient.geometry(kind).diameter[ids])[:, None, None]
+        nk = _n(kind, k)
+        g_kk = self._grams(kind, ids, k, k)
+        b = np.zeros((len(ids), nk, grp.globals.shape[1]))
+        c_img = grp.own(image)
+        if c_img.size:
+            img = span_matrix(image, dim, k - 1)
+            vg_mm = self._grams(kind, ids, k - 1, k - 1, vector=True)
+            b[:, :, c_img] = -sign * (img.T @ vg_mm @ (deriv(k) * inv_h)).swapaxes(1, 2)
+        subs, signs, _ = self._boundary(grp)
+        boundary = []
+        for j in range(subs.shape[1]):
+            pts, weights, phi_s = self._own_rule(sub, subs[:, j])
+            c_s = _positions(grp.globals, grp.layout.indices(sub, subs[:, j], "poly"))
+            wphi_s = weights[:, :, None] * phi_s[..., :_n(sub, k)]
+            phi = self._eval(kind, ids, pts)
+            omega = signs[:, j, None, None]
+            _add_columns(b, c_s, sign * omega * phi[..., :nk].swapaxes(1, 2) @ wphi_s)
+            boundary.append((omega, phi, c_s, wphi_s))
+        op = grp.solve(g_kk, b, name)
+        p0 = self._p0(kind, ids, k + 1)
+        rhs1 = -sign * ((self._grams(kind, ids, k, k + 1) @ p0).swapaxes(1, 2) @ op)
+        for omega, phi, c_s, wphi_s in boundary:
+            phi_r = phi[..., :_n(kind, k + 1)] @ p0
+            _add_columns(rhs1, c_s, omega * phi_r.swapaxes(1, 2) @ wphi_s)
+        what = "tangential trace" if kind == "face" else f"{name} potential"
+        potential = self._complement_solve(grp, complement, deriv(k + 1) * inv_h @ p0, rhs1,
+                                           what)
+        return op, potential, g_kk, b
+
+    def _cell_curl_stack(self, grp):
+        k, ids = self.k, grp.ids
+        (image, _), (complement, _) = PARTS["Xcurl"]["cell"]
+        count, nk = len(ids), _n("cell", k)
+        inv_h = (1.0 / self.orient.geometry("cell").diameter[ids])[:, None, None]
+        vg_kk = self._grams("cell", ids, k, k, vector=True)
+        b = np.zeros((count, 3 * nk, grp.globals.shape[1]))
+        c_r = grp.own(image)
+        if c_r.size:
+            r = span_matrix(image, 3, k - 1)
+            vg_mm = self._grams("cell", ids, k - 1, k - 1, vector=True)
+            b[:, :, c_r] = (r.T @ vg_mm @ (mono.curl_matrix(k) * inv_h)).swapaxes(1, 2)
+        # (test x n_F) against the weighted tangential trace w_gt, as
+        # u = w_gt @ cross(I, n_F).T at the face points
+        subs, signs, normals = self._boundary(grp)
+        face_frames = self.orient.geometry("face").frame
+        nf_k = _n("face", k)
+        boundary = []
+        for j in range(subs.shape[1]):
+            faces = subs[:, j]
+            pts, weights, phi_f = self._own_rule("face", faces)
+            embed, potential = self._sub_data(grp, "face_curl_ops", faces)
+            parts = phi_f[:, None, :, :nf_k] @ potential.reshape(count, 2, nf_k, -1)
+            gt_vals = np.moveaxis(parts, 1, -1) @ face_frames[faces][:, None]   # (G, q, m, 3)
+            w_gt = weights[:, :, None, None] * gt_vals
+            cross = np.cross(np.eye(3), normals[:, j, None, :]).swapaxes(1, 2)
+            u = (w_gt.reshape(count, -1, 3) @ cross).reshape(w_gt.shape)
+            phi = self._eval("cell", ids, pts)
+            omega = signs[:, j, None, None]
+            _add_columns(b, embed, omega * frame_moments(phi[..., :nk], u))
+            boundary.append((omega, phi, embed, u))
+        curl = grp.solve(vg_kk, b, "curl")
+        gc1 = span_matrix("Gc", 3, k + 1)
+        rhs1 = (gc1.T @ self._grams("cell", ids, k + 1, k, vector=True)) @ curl
+        for omega, phi, embed, u in boundary:
+            _add_columns(rhs1, embed,
+                         -omega * (gc1.T @ frame_moments(phi[..., :_n("cell", k + 1)], u)))
+        potential = self._complement_solve(grp, complement,
+                                           mono.curl_matrix(k + 1) * inv_h @ gc1, rhs1,
+                                           "curl potential")
+        return curl, potential, vg_kk, b
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("name", ["prism_pair", "sheared_ring", "offset_block", "graded_cavity"])
+def test_boundary_moments_match_the_point_level_builders(name, k):
+    # every stacked field within 1e-13 of the point-level reference, in the
+    # max norm relative to max(1, max |ref|)
+    mesh = load_mesh(str(MESHES / f"{name}.json"))
+    orient = compute_orientation(mesh)
+    got, ref = DdrComplex(mesh, orient, k), PointLevelComplex(mesh, orient, k)
+    for block in (b for op in OPERATORS for b in op.blocks):
+        for st, want in zip(got.stacks(block.builder), ref.stacks(block.builder)):
+            for field in ("op", "potential", "mass", "rhs"):
+                a, w = getattr(st, field), getattr(want, field)
+                assert (a is None) == (w is None), (block.builder, field)
+                if w is not None and w.size:
+                    err = np.abs(a - w).max() / max(1.0, np.abs(w).max())
+                    assert err <= 1e-13, (block.builder, field, err)

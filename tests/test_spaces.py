@@ -19,13 +19,7 @@ from ddrcomplex import monomials as mono
 from ddrcomplex.homology import integer_rank
 from ddrcomplex.mesh import checked_entity
 from ddrcomplex.quadrature import rule_stack
-from ddrcomplex.spaces import (
-    frame_dot,
-    frame_moments,
-    frame_values,
-    span_matrix,
-    stacked_solve,
-)
+from ddrcomplex.spaces import frame_values, span_matrix, stacked_solve
 
 from conftest import complex_for, mesh_and_orientation
 from test_general_meshes import prism_pair
@@ -372,6 +366,28 @@ def test_stacked_solve_matches_single_solves(monkeypatch):
 
 def _relative(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
+
+
+# Frame contractions of the point-level boundary terms, the reference the
+# operator builders' boundary moments are checked against
+# (tests/test_operators.py).  A vector basis V is phi (q, n) stacked along
+# its frame (dim, 3); np.cross(V, w) is V with the frame np.cross(frame, w).
+
+def frame_dot(phi, frame, u):
+    """``V @ u`` for a 3-vector ``u``: the (q, dim n) u-components of V."""
+    a = (frame @ u[..., None])[..., 0]                         # (..., dim)
+    return np.concatenate([phi * a[..., c, None, None] for c in range(frame.shape[-2])],
+                          axis=-1)
+
+
+def frame_moments(phi, u):
+    """``einsum("pax,plx->al", V, F)`` from ``u = F @ frame.T`` (q, m, dim):
+    the (dim n, m) pairings of V with m vector fields, whose row block c is
+    ``phi.T @ u[:, :, c]``."""
+    *lead, q, n = phi.shape
+    m, dim = u.shape[-2:]
+    blocks = (phi.swapaxes(-1, -2) @ u.reshape(*lead, q, m * dim)).reshape(*lead, n, m, dim)
+    return np.moveaxis(blocks, -1, -3).reshape(*lead, dim * n, m)
 
 
 # face 4 of the prism pair lies in the x=y plane, so its frame has no axis direction

@@ -1,8 +1,10 @@
 """Rank diagnostics, check families, report schema, determinism, fault injection."""
 
+import gc
 import json
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +179,23 @@ def test_cochain_family_memory_grows_about_linearly():
         peaks.append(peak)
     exponent = math.log(peaks[1] / peaks[0]) / math.log(sizes[1] / sizes[0])
     assert exponent <= 1.2, (sizes, peaks)
+
+
+def test_battery_peaks_within_half_again_what_it_keeps():
+    # the whole battery on tunnel4 at k = 2: the operator builds pair
+    # boundary moments, with no point-level arrays over the sub-entities'
+    # dofs, so the traced peak is at most 1.5 times what the report keeps
+    mesh, orient = _tunnel(4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = run_all(mesh, orient, 2)
+        gc.collect()
+        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 1.5 * kept, (peak, kept)
 
 
 @pytest.mark.parametrize("name", ["cube", "ring", "cavity"])

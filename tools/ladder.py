@@ -16,11 +16,11 @@ this checkout's, the side that goes first alternating from pair to pair;
 each request's wall time, CPU time (user + system, from ``wait4``) and peak
 memory (``ru_maxrss``) are recorded, with its exit code and whether the two
 sides' reports are byte-identical.  A fixed pure-Python reference loop is
-timed just before each request (``ref_s``, the median of three runs), so
-that a wall time can be read in units of how fast the machine ran then, as
-in ``perfbench/run.py``.  A request that runs longer than
-``BUDGET`` seconds is stopped, and its cell and the larger cells of its
-degree are recorded as skipped.
+timed just before and just after each request (each the median of three
+runs), and ``ref_s`` is their mean, so that a wall time can be read in units
+of how fast the machine ran then, as in ``perfbench/run.py``.  A request
+that runs longer than ``BUDGET`` seconds is stopped, and its cell and the
+larger cells of its degree are recorded as skipped.
 
 Prints one JSON document: the machine, both sources, and per cell every
 sample and the median of the paired differences (change minus parent), in
@@ -97,8 +97,8 @@ class Ladder:
 
     def request(self, side: str, args: list[str]) -> dict:
         """One fresh-process request: exit code, wall and CPU seconds, peak
-        MB, the reference loop's seconds just before it and the report's
-        bytes; ``None`` past the budget."""
+        MB, the mean of the reference loop's seconds just before and just
+        after it, and the report's bytes; ``None`` past the budget."""
         report = self.work / f"{side}.report.json"
         report.unlink(missing_ok=True)
         ref = reference_s()
@@ -117,6 +117,7 @@ class Ladder:
         proc.returncode = os.waitstatus_to_exitcode(status)
         if wall > self.budget:
             return None
+        ref = (ref + reference_s()) / 2
         return {"rc": proc.returncode, "wall_s": round(wall, 4),
                 "cpu_s": round(usage.ru_utime + usage.ru_stime, 4),
                 "peak_mb": round(usage.ru_maxrss / 1024.0, 1), "ref_s": round(ref, 4),
