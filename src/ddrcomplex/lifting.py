@@ -149,7 +149,7 @@ class ExtensionMaps:
                         grp.solve(solved, target, f"{op.local} extension"))
                 for part, _ in complement:
                     coo.add(hst.globals[:, grp.own(part)], lst.globals,
-                            high._project(kind, hst.ids, part, k, 0, lst.potential))
+                            high._project(kind, hst.ids, part, k, 0, lst.potential, failed))
             if failed:
                 raise failed[min(failed)]
         mat = coo.build(shape)

@@ -19,7 +19,7 @@ first access to any entity's operator builds every group of its kind: a
 leading entity axis runs through the global numbers of the local dofs
 (:meth:`.DofLayout.closure_dofs`) and the local positions read from them,
 the boundary evaluations, the moment right-hand sides, the guarded solves,
-and later the projections and the global COO adds.  :meth:`DdrComplex.stacks`
+and later the projections and the global assembly.  :meth:`DdrComplex.stacks`
 returns each group's :class:`Stack`, which global assembly, the extensions of
 :mod:`.lifting`, the consistency sweep of :mod:`.verification` and the VTK
 potentials of :mod:`.cli` read by field, a group at a time;
@@ -36,10 +36,10 @@ sub-entities' bases; the builders' boundary terms are products of those
 moments with the sub-entities' potentials and frame factors, with no array
 over points.  Each entity's Gram matrices are slices of one top-degree Gram,
 on elements a sum over the face rules from the same evaluation, so the
-operator build maps no element rule.  Interpolation, the
-consistency sweep and :meth:`DdrComplex.rule` read element rules (see
-:func:`_point_stacks`), and evaluate a basis at the degree they read, as do
-the VTK potentials.
+operator build maps no element rule.  Interpolation and the consistency
+sweep evaluate the rules of every kind in stacks of at most ``_STACK_POINTS``
+points (:func:`_slices`), and a basis at the degree they read, as do the VTK
+potentials.
 
 :class:`DdrComplex` memoizes quadrature rules, Gram matrices, local
 operators, and assembled global matrices for one (mesh, orientation, degree).
@@ -182,38 +182,47 @@ class _Group(NamedTuple):
 
 
 class _Coo:
-    """COO accumulator for dense blocks; leading axes of ``rows``, ``cols``
-    and ``block`` stack blocks, added one after another."""
+    """Global assembly from dense blocks (..., r, c) on rows (..., r) and
+    ascending columns (..., c), each row written once, scattered in place."""
 
     def __init__(self):
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
+        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def add(self, rows: np.ndarray, cols: np.ndarray, block: np.ndarray) -> None:
-        block = np.asarray(block, dtype=float)
-        if block.size == 0:
-            return
-        self.rows.append(np.repeat(rows, block.shape[-1]))
-        cols = np.repeat(np.asarray(cols)[..., None, :], block.shape[-2], axis=-2)
-        self.cols.append(cols.ravel())
-        self.vals.append(block.ravel())
+        if block.size:
+            self.blocks.append((rows, cols, block))
 
     def build(self, shape: tuple[int, int]) -> CsrMatrix:
-        if not self.rows:
-            return CsrMatrix.from_coo(shape, [], [], [])
-        return CsrMatrix.from_coo(shape, np.concatenate(self.rows),
-                                  np.concatenate(self.cols), np.concatenate(self.vals))
+        m, n = shape
+        lens = np.zeros(m, dtype=np.int64)
+        for rows, cols, block in self.blocks:
+            if rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n:
+                raise ValueError(f"block index out of range for shape {(m, n)}")
+            if (np.diff(cols, axis=-1) <= 0).any():
+                raise ValueError("block columns do not ascend")
+            lens[rows] = block.shape[-1]
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(lens, out=indptr[1:])
+        if indptr[-1] != sum(block.size for _, _, block in self.blocks):
+            raise ValueError("a row is written twice")   # its later block's length stands
+        indices, data = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1])
+        for rows, cols, block in self.blocks:
+            at = indptr[rows][..., None] + np.arange(block.shape[-1])
+            indices[at] = cols[..., None, :]
+            data[at] = block
+        return CsrMatrix((m, n), indptr, indices, data)
 
 
-def _point_stacks(kind: str, ids: np.ndarray) -> list[slice]:
-    """The parts of a size group ``ids`` that share one stack of quadrature
-    points: the whole group on edges and faces, one element at a time on
-    elements, so no stack holds the interior points of more than one element
-    (864 on a hexahedron at k = 2).  Only the readers of element rules map
-    them: interpolation, the consistency sweep and :meth:`DdrComplex.rule`;
-    the element Grams come from the face rules."""
-    return [slice(g, g + 1) for g in range(len(ids))] if kind == "cell" else [slice(None)]
+# The most quadrature points in one stack that interpolation or the
+# consistency sweep evaluates, or else one entity's.
+_STACK_POINTS = 1 << 11
+
+
+def _slices(count: int, each: int, budget: int) -> list[slice]:
+    """Consecutive runs of ``count`` stack members of ``each`` entries: at
+    most ``budget // each`` members to a run, and at least one."""
+    step = max(1, budget // max(each, 1))
+    return [slice(at, at + step) for at in range(0, count, step)]
 
 
 class MonomialField:
@@ -327,15 +336,13 @@ class DdrComplex:
 
     def _rule_store(self, kind: str) -> list[tuple[np.ndarray, ...]]:
         """Quadrature points (G, q, 3) and weights (G, q) of each size group
-        of a kind, mapped one point stack at a time, and on edges and faces
-        the top-degree bases at them (G, q, N), evaluated once per group."""
+        of a kind, mapped once per group, and on edges and faces the
+        top-degree bases at them (G, q, N), evaluated once per group."""
         if kind not in self._rules:
             self._rules[kind] = []
             for grp in self.mesh.groups(kind):
-                parts = [rule_stack(self.mesh, self.orient, kind, grp.rows(p),
-                                    self.rule_degree(kind))
-                         for p in _point_stacks(kind, grp.ids)]
-                points, weights = (np.concatenate(a) for a in zip(*parts))
+                points, weights = rule_stack(self.mesh, self.orient, kind, grp,
+                                             self.rule_degree(kind))
                 values = () if kind == "cell" else (self._eval(kind, grp.ids, points),)
                 self._rules[kind].append(_read_only(points, weights, *values))
         return self._rules[kind]
@@ -443,19 +450,23 @@ class DdrComplex:
                 moments)
 
     def _project(self, kind: str, ids, part: str, degree: int, source_degree: int,
-                 columns: np.ndarray) -> np.ndarray:
+                 columns: np.ndarray, failed: dict | None = None) -> np.ndarray:
         """L2 projection of stacked vector coefficient columns (G, over
         vP^source_degree) onto a tagged subspace of vP^degree, for each of
-        the entities ``ids``: solves (C^T M C) alpha = C^T M_x g."""
+        the entities ``ids``: solves (C^T M C) alpha = C^T M_x g.  Failures
+        are named for their entities and go into ``failed`` (entity index ->
+        first error), or else the lowest is raised."""
         c = span_matrix(part, KINDS.index(kind), degree)
         if not c.shape[1]:
             return np.zeros((len(ids), 0, columns.shape[-1]))
         own = self._grams(kind, ids, degree, degree, vector=True)
         cross = self._grams(kind, ids, degree, source_degree, vector=True)
-        out, errors = stacked_solve(c.T @ own @ c, c.T @ cross @ columns,
-                                    lambda g: f"projection onto {part}^{degree}")
-        if errors:
+        out, errors = stacked_solve(c.T @ own @ c, c.T @ cross @ columns, lambda g: (
+            f"{_label(kind, ids[g])}: projection onto {part}^{degree}"))
+        if errors and failed is None:
             raise errors[min(errors)]
+        for g, err in errors.items():
+            failed.setdefault(int(ids[g]), err)
         return out
 
     # -- local operators ------------------------------------------------------
@@ -699,12 +710,14 @@ class DdrComplex:
             tgt = self.layout(op.target)
             coo = _Coo()
             for block in op.blocks:
-                parts = PARTS[op.target][block.kind]
+                parts, failed = PARTS[op.target][block.kind], {}
                 for st in self.stacks(block.builder):
                     for part, shift in parts:
                         rows = tgt.indices(block.kind, st.ids, part)
                         coo.add(rows, st.globals, st.op if len(parts) == 1 else self._project(
-                            block.kind, st.ids, part, self.k + shift, self.k, st.op))
+                            block.kind, st.ids, part, self.k + shift, self.k, st.op, failed))
+                if failed:
+                    raise failed[min(failed)]
             self._globals[which] = coo.build((tgt.total, self.layout(op.source).total))
         return self._globals[which]
 
@@ -719,12 +732,12 @@ class DdrComplex:
 
         ``fn`` is vectorised: it maps an ``(n, 3)`` array of points to ``n``
         values (a scalar broadcasts).  It is called once on the vertices and
-        once on each stack of quadrature points of a size group (see
-        :func:`_point_stacks`).  A list of fields, or a :class:`MonomialField`,
-        gives one interpolate per field or monomial, as the rows of an array;
-        the bases are then evaluated, and each group's Gram conditioning
-        checked, once for all of them, while each field keeps its own
-        moments and solve.  A failing solve names the lowest failing entity
+        once on each stack of a size group's quadrature points (at most
+        ``_STACK_POINTS`` or one entity's).  A list of fields, or a
+        :class:`MonomialField`, gives one interpolate per field or monomial,
+        as the rows of an array; the bases are then evaluated, and each
+        group's Gram conditioning checked, once for all of them, while each
+        field keeps its own moments and solve.  A failing solve names the lowest failing entity
         of the first kind that fails.
         """
         fields = list(fn) if isinstance(fn, (list, tuple)) else [fn]
@@ -739,14 +752,15 @@ class DdrComplex:
         out[:, vertex_dofs] = at_vertices.T
         for kind in KINDS[1:] if k else []:
             failed: dict[int, ConditioningError] = {}
-            for ids in (grp.ids for grp in self.mesh.groups(kind)):
+            for grp, (points, weights, *_) in zip(self.mesh.groups(kind), self._rule_store(kind)):
+                ids = grp.ids
                 rhs = np.empty((len(out), len(ids), _n(kind, k - 1), 1))
-                for part in _point_stacks(kind, ids):
-                    pts, weights = self._points(kind, ids[part])
+                for part in _slices(len(ids), weights.shape[1], _STACK_POINTS):
+                    pts, w = points[part], weights[part]
                     phi_t = self._eval(kind, ids[part], pts, k - 1).swapaxes(1, 2)
                     vals = values(pts.reshape(-1, 3))
                     for f, column in enumerate(vals.T):
-                        rhs[f, part] = phi_t @ (weights * column.reshape(weights.shape))[..., None]
+                        rhs[f, part] = phi_t @ (w * column.reshape(w.shape))[..., None]
                 sol, errors = stacked_solve(self._grams(kind, ids, k - 1, k - 1), rhs,
                                             lambda g: f"interpolation on {kind} {ids[g]}")
                 failed.update((int(ids[g]), err) for g, err in errors.items())

@@ -57,8 +57,8 @@ from .lifting import (
 )
 from .mesh import Frozen, Mesh, OrientationTable, is_integer, is_real
 from .monomials import eval_monomials, grad_matrix, monomial_powers
-from .operators import (OPERATORS, DdrComplex, MonomialField, _label, _operator_index,
-                        _point_stacks, ddr0_closed_forms)
+from .operators import (_STACK_POINTS, OPERATORS, DdrComplex, MonomialField, _label,
+                        _operator_index, _slices, ddr0_closed_forms)
 from .sparse import CsrMatrix, block_product
 
 FAMILIES = ("complex", "cohomology", "cochain", "zero_reduction",
@@ -385,9 +385,9 @@ class VerifySession:
         for kind in PARTS[rows.space]:
             for g, grp in enumerate(self.mesh.groups(kind)):
                 idx = [rows.own(kind, grp.ids)] + [c.closures(kind)[g] for c in cols]
-                step = max(1, _ENTRIES // max(i.shape[1] for i in idx) ** 2)
-                for at in range(0, len(grp.ids) if idx[0].shape[1] else 0, step):
-                    yield kind, grp.ids[at:at + step], [i[at:at + step] for i in idx]
+                each = max(i.shape[1] for i in idx) ** 2
+                for at in _slices(len(grp.ids) if idx[0].shape[1] else 0, each, _ENTRIES):
+                    yield kind, grp.ids[at], [i[at] for i in idx]
 
     def check_local(self, f: _Factor) -> None:
         """Raise :class:`DdrError`, naming the matrix and an entity, unless
@@ -814,14 +814,14 @@ def _consistency_table(s: VerifySession, kind: str, builder: str, trace: bool) -
     :attr:`VerifySession.monomial_frame`), against the monomial's value or
     the values of the at most three monomials of its gradient in y
     (``grad_matrix``) rotated into the frame, then over the scale.
-    Monomials, bases and rotated gradients are evaluated once per point
-    stack of a size group (elements one at a time, at their rules of degree
-    2k, unisolvent for P^k).  The monomials lie on a leading axis of one
-    product per point stack, chunked to at most ``_SWEEP_ENTRIES``
-    reconstructed values or one monomial: the operators act on each
-    monomial's local dofs, and the bases on its coefficients, as one
-    product per (monomial, entity) each (all monomials as the columns of
-    one product would round differently)."""
+    Monomials, bases and rotated gradients are evaluated once per stack of
+    at most ``_STACK_POINTS`` points or one entity's, sliced from the rule
+    store (elements at rules of degree 2k, unisolvent for P^k).  The
+    monomials lie on a leading axis of one product per point stack, chunked
+    to at most ``_SWEEP_ENTRIES`` reconstructed values or one monomial: the
+    operators act on each monomial's local dofs, and the bases on its
+    coefficients, as one product per (monomial, entity) each (all monomials
+    as the columns of one product would round differently)."""
     high, k = s.high, s.k
     centre, scale = s.monomial_frame
     count, degree = len(monomial_powers(3, k + 1)), k + 1 if trace else k
@@ -829,20 +829,18 @@ def _consistency_table(s: VerifySession, kind: str, builder: str, trace: bool) -
     frames = s.orient.geometry(kind).frame
     grads = grad_matrix(3, k + 1).reshape(3, -1, count)    # per axis, (P^k, P^(k+1))
     reads = [np.flatnonzero(grads[..., a].any(axis=0)) for a in range(count)]
-    for st in high.stacks(builder):
+    for st, (points, *_) in zip(high.stacks(builder), high._rule_store(kind)):
         ids, dofs = st.ids, st.globals
         ops = st.potential if trace else st.op
-        for part in _point_stacks(kind, ids):
-            sub = ids[part]
-            pts = high._points(kind, sub)[0]
+        for part in _slices(len(ids), points.shape[1], _STACK_POINTS):
+            sub, pts = ids[part], points[part]
             phi = high._eval(kind, sub, pts, degree)
             y = ((pts - centre) / scale).reshape(-1, 3)
             values = eval_monomials(3, degree, y).reshape(*pts.shape[:2], -1)
             # P^k, P^(k+1) and the frame vectors
             rotated = None if trace else np.einsum("gdi,ijm->gjmd", frames[sub], grads)
             width = ops.shape[1] // phi.shape[-1]       # components of the reconstruction
-            step = max(1, _SWEEP_ENTRIES // (len(sub) * pts.shape[1] * width))
-            for chunk in (slice(at, at + step) for at in range(0, count, step)):
+            for chunk in _slices(count, len(sub) * pts.shape[1] * width, _SWEEP_ENTRIES):
                 coeffs = ops[part] @ s.monomial_interpolates[chunk][:, dofs[part], None]
                 approx = phi @ coeffs.reshape(*coeffs.shape[:2], width, -1).swapaxes(-1, -2)
                 if trace:

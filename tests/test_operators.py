@@ -451,9 +451,23 @@ def test_coo_blocks_keep_row_major_order():
     from ddrcomplex.operators import _Coo
     coo = _Coo()
     coo.add(np.asarray([4, 1]), np.asarray([0, 2, 3]), np.arange(6.0).reshape(2, 3))
-    assert coo.rows[0].tolist() == [4, 4, 4, 1, 1, 1]
-    assert coo.cols[0].tolist() == [0, 2, 3, 0, 2, 3]
-    assert coo.build((5, 4)).toarray()[4].tolist() == [0.0, 0.0, 1.0, 2.0]
+    coo.add(np.asarray([[0], [3]]), np.asarray([[1], [2]]), np.asarray([[[7.0]], [[8.0]]]))
+    coo.add(np.asarray([2]), np.asarray([0, 1]), np.zeros((1, 0)))     # empty: skipped
+    mat = coo.build((5, 4))
+    assert mat.indptr.tolist() == [0, 1, 4, 4, 5, 8]
+    assert mat.indices.tolist() == [1, 0, 2, 3, 2, 0, 2, 3]
+    assert mat.data.tolist() == [7.0, 3.0, 4.0, 5.0, 8.0, 0.0, 1.0, 2.0]
+    assert (mat.indptr.dtype, mat.indices.dtype, mat.data.dtype) == (np.int64, np.int64, float)
+    for rows, cols, match in ((np.asarray([1, 1]), np.asarray([0]), "written twice"),
+                              (np.asarray([3]), np.asarray([1, 2]), "written twice"),
+                              (np.asarray([0]), np.asarray([2, 1]), "do not ascend"),
+                              (np.asarray([0]), np.asarray([4]), "out of range"),
+                              (np.asarray([5]), np.asarray([0]), "out of range")):
+        bad = _Coo()
+        bad.add(np.asarray([3]), np.asarray([0]), np.ones((1, 1)))
+        bad.add(rows, cols, np.ones((len(rows), len(cols))))
+        with pytest.raises(ValueError, match=match):
+            bad.build((5, 4))
 
 
 # -- the point-level boundary terms, as a reference builder ---------------------------

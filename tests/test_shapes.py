@@ -8,9 +8,10 @@ alone (groups of one), perturbations of one entity must reach
 its stacked operators, a failing operator, extension or interpolation solve
 names the same entity and solve as a build entity by entity, the stacked
 builds are no more than the congruence classes, the number of stacked solves
-does not grow with the mesh, and no stack of points holds more than one
-element's.  The element Grams come from the face rules, equal to the fan
-rule's, and the operator build maps no element rule.
+does not grow with the mesh, and no stack of points holds more than
+``_STACK_POINTS`` points or one entity's.  The element Grams come from the
+face rules, equal to the fan rule's, and the operator build maps no element
+rule.
 """
 
 import sys
@@ -22,6 +23,7 @@ import pytest
 import ddrcomplex.cli as cli
 import ddrcomplex.mesh as mesh_module
 import ddrcomplex.operators as operators
+import ddrcomplex.spaces as spaces
 import ddrcomplex.verification as verification
 from ddrcomplex import (
     ConditioningError,
@@ -406,6 +408,44 @@ def test_failing_solve_names_its_entity(monkeypatch, mesh_name, kind, planted, n
                          "condition number inf beyond limit")] * 2
 
 
+def test_failing_projection_names_its_entity(monkeypatch):
+    # every solve fails its guard once the stacks are built: assembly fails
+    # at its first projection, an extension at its first solve, each on face 0
+    mesh, orient = _mesh("ring")
+    high, low = DdrComplex(mesh, orient, 1), DdrComplex(mesh, orient, 0)
+    for c in (high, low):
+        _build_all(c)
+    monkeypatch.setattr(spaces, "COND_LIMIT", 0.5)
+    with pytest.raises(ConditioningError, match="^face 0: projection onto R\\^0: condition"):
+        high.operator("gradient")
+    with pytest.raises(ConditioningError, match="^face 0: curl extension: condition"):
+        ExtensionMaps(high, low).matrix("Xcurl")
+    monkeypatch.undo()
+
+    # singular projections planted on faces 5 and 3, in two size groups (5's
+    # first): both callers raise for face 3, the lowest of the kind
+    solve = operators.stacked_solve
+
+    def planting(system, rhs, what):
+        hit = [g for g in range(len(system))
+               if what(g).startswith(("face 3: projection", "face 5: projection"))]
+        if hit:
+            system = system.copy()
+            system[hit] = 0.0
+        return solve(system, rhs, what)
+
+    mesh, orient = _mesh("prism_pair")
+    monkeypatch.setattr(operators, "stacked_solve", planting)
+    high = DdrComplex(mesh, orient, 1)
+    with pytest.raises(ConditioningError) as assembly:
+        high.operator("gradient")
+    with pytest.raises(ConditioningError) as extension:
+        ExtensionMaps(high, DdrComplex(mesh, orient, 0)).matrix("Xcurl")
+    assert [str(assembly.value), str(extension.value)] == [
+        f"face 3: projection onto {part}: condition number inf beyond limit"
+        for part in ("R^0", "Rc^1")]
+
+
 def _congruence_classes(mesh, orient, kind):
     """Classes of translated copies with the same local numbering, from scratch:
     closure vertices relative to their lowest corner (rounded), the local
@@ -484,25 +524,26 @@ def test_solve_count_does_not_grow_with_the_mesh(monkeypatch):
     assert max(calls) == 144        # the larger block's edges in one stack
 
 
-def test_point_stacks_hold_one_element_at_most(monkeypatch):
-    # interpolation and the consistency sweep evaluate a size group of edges
-    # or faces at once, but elements one at a time: no stack holds the
-    # interior points of more than one element
-    sizes = []
-    points = DdrComplex._points
+def test_point_stacks_hold_at_most_stack_points(monkeypatch):
+    # interpolation and the consistency sweep evaluate each size group in
+    # stacks of at most _STACK_POINTS points, or of one member: on the cavity
+    # at k = 1 an element has 288 points, so seven share a stack
+    stacks = []
+    evaluate = DdrComplex._eval
 
-    def spy(self, kind, ids):
-        sizes.append((kind, len(ids)))
-        return points(self, kind, ids)
+    def spy(self, kind, ids, pts, degree=None):
+        if degree is not None:        # the readers of the rule store, not the builders
+            stacks.append((kind, pts.shape[0], pts.shape[1]))
+        return evaluate(self, kind, ids, pts, degree)
 
-    monkeypatch.setattr(DdrComplex, "_points", spy)
+    monkeypatch.setattr(DdrComplex, "_eval", spy)
     mesh, orient = mesh_and_orientation("cavity")
     s = VerifySession(mesh, orient, 1)
     s.high.interpolate_grad(lambda p: p[:, 0])
     assert all(c.passed for c in check_consistency(s))
-    assert {kind for kind, _ in sizes} == set(KINDS)
-    assert all(n == 1 for kind, n in sizes if kind == "cell")
-    assert any(n > 1 for kind, n in sizes if kind != "cell")
+    assert {kind for kind, _, _ in stacks} == set(KINDS)
+    assert all(n * q <= operators._STACK_POINTS or n == 1 for _, n, q in stacks)
+    assert {(n, q) for kind, n, q in stacks if kind == "cell"} == {(7, 288), (5, 288)}
 
 
 GATED_MESHES = ("cube", "ring", "cavity", "graded_cavity", "prism_pair", "sheared_ring",
