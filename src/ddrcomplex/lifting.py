@@ -35,7 +35,7 @@ from .homology import (
 )
 from .layouts import CARRIERS, KINDS, PARTS
 from .mesh import checked_integer, is_real
-from .operators import OPERATORS, DdrComplex, _Coo, _Group
+from .operators import OPERATORS, DdrComplex, _Group
 from .spaces import span_matrix
 from .sparse import CsrMatrix
 
@@ -57,8 +57,8 @@ def reduction_matrix(complex_: DdrComplex, space: str) -> CsrMatrix:
     total = complex_.layout(space).total
     weights = _carrier_weights(complex_, space)
     count, n = weights.shape
-    return CsrMatrix.from_coo((count, total), np.repeat(np.arange(count), n),
-                              np.arange(count * n), weights)
+    return CsrMatrix.from_blocks((count, total), [
+        (np.arange(count)[:, None], np.arange(count * n).reshape(count, n), weights[:, None])])
 
 
 def zero_reduction_basis(complex_: DdrComplex, space: str) -> CsrMatrix:
@@ -73,10 +73,9 @@ def zero_reduction_basis(complex_: DdrComplex, space: str) -> CsrMatrix:
     count, n = weights.shape
     leads = np.arange(count) * n      # each carrier's constant (on a vertex, its value)
     kept = np.delete(np.arange(total), leads)
-    return CsrMatrix.from_coo((total, len(kept)),
-                              np.concatenate([kept, np.repeat(leads, n - 1)]),
-                              np.concatenate([np.arange(len(kept)), np.arange(count * (n - 1))]),
-                              np.concatenate([np.ones(len(kept)), -weights[:, 1:].ravel()]))
+    return CsrMatrix.from_blocks((total, len(kept)), [
+        (kept[:, None], np.arange(len(kept))[:, None], np.ones((len(kept), 1, 1))),
+        (leads[:, None], np.arange(count * (n - 1)).reshape(count, n - 1), -weights[:, None, 1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +113,8 @@ class ExtensionMaps:
         # degree-k unknown (a carrier has one part)
         carrier, count = CARRIERS[space], llay.total
         ((part, _),) = PARTS[space][carrier]
-        coo = _Coo()
-        coo.add(hlay.indices(carrier, np.arange(count), part)[:, :1], np.arange(count)[:, None],
-                np.ones((count, 1, 1)))
+        blocks = [(hlay.indices(carrier, np.arange(count), part)[:, :1],
+                   np.arange(count)[:, None], np.ones((count, 1, 1)))]
         # Each block of the operator leaving ``space`` solves for its entities'
         # own unknowns of ``space`` (none at k = 0).  The first component is
         # fixed by the block's moment system restricted to tests: a "poly"
@@ -124,11 +122,11 @@ class ExtensionMaps:
         # boundary data; an image/complement target tests against its degree-k
         # complement.  A second component is the L2 projection of the degree-0
         # block's potential.
-        blocks = [(op, b) for op in OPERATORS if op.source == space for b in op.blocks]
-        for op, block in blocks if k else []:
+        leaving = [(op, b) for op in OPERATORS if op.source == space for b in op.blocks]
+        for op, block in leaving if k else []:
             kind, targets = block.kind, PARTS[op.target][block.kind]
             (own, _), *complement = PARTS[space][kind]
-            done = coo.build(shape)   # rows of lower-dimensional entities
+            done = CsrMatrix.from_blocks(shape, blocks)   # rows of lower-dimensional entities
             failed: dict[int, ConditioningError] = {}
             for hst, lst in zip(high.stacks(block.builder), low.stacks(block.builder)):
                 grp = _Group(kind, hst.group, hlay, hst.globals, failed)
@@ -145,16 +143,15 @@ class ExtensionMaps:
                 else:
                     p = span_matrix(targets[1][0], KINDS.index(kind), k).T
                     solved, target = p @ solved, p @ target
-                coo.add(hst.globals[:, grp.own(own)], lst.globals,
-                        grp.solve(solved, target, f"{op.local} extension"))
+                blocks.append((hst.globals[:, grp.own(own)], lst.globals,
+                               grp.solve(solved, target, f"{op.local} extension")))
                 for part, _ in complement:
-                    coo.add(hst.globals[:, grp.own(part)], lst.globals,
-                            high._project(kind, hst.ids, part, k, 0, lst.potential, failed))
+                    projected = high._project(kind, hst.ids, part, k, 0, lst.potential, failed)
+                    blocks.append((hst.globals[:, grp.own(part)], lst.globals, projected))
             if failed:
                 raise failed[min(failed)]
-        mat = coo.build(shape)
-        self._cache[space] = mat
-        return mat
+        self._cache[space] = CsrMatrix.from_blocks(shape, blocks)
+        return self._cache[space]
 
 
 # ---------------------------------------------------------------------------

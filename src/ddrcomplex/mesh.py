@@ -478,10 +478,6 @@ class SizeGroup(namedtuple("SizeGroup", "ids faces owner start end edge")):
     and the ``edge`` between them (``face_edges[f][i]`` joins ``loop[i]`` to
     ``loop[i + 1]``)."""
 
-    def rows(self, at) -> SizeGroup:
-        """The members ``at`` (a slice or index array) as a group."""
-        return SizeGroup(*(a[at] for a in self))
-
 
 def _size_group(mesh: Mesh, kind: str, ids) -> SizeGroup:
     """The arrays of a size group ``ids`` (G,) of one kind, from the mesh's tables."""

@@ -150,6 +150,17 @@ def _label(kind: str, index: int) -> str:
     return f"{'element' if kind == 'cell' else kind} {index}"
 
 
+def _solve(kind: str, ids: np.ndarray, system: np.ndarray, rhs: np.ndarray, what: str,
+           failed: dict[int, ConditioningError]) -> np.ndarray:
+    """:func:`.spaces.stacked_solve` for entities ``ids`` of one kind: a failing
+    member is named ``<edge|face|element> i: <what>`` and its first failure
+    kept in ``failed`` (entity index -> ConditioningError)."""
+    out, errors = stacked_solve(system, rhs, lambda g: f"{_label(kind, ids[g])}: {what}")
+    for g, err in errors.items():
+        failed.setdefault(int(ids[g]), err)
+    return out
+
+
 def _add_columns(target: np.ndarray, cols: np.ndarray, block: np.ndarray) -> None:
     """``target[g][:, cols[g]] += block[g]`` for every stack member g (the
     columns of one member are distinct)."""
@@ -169,48 +180,12 @@ class _Group(NamedTuple):
     ids = property(lambda self: self.group.ids)
 
     def solve(self, system: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-        out, errors = stacked_solve(system, rhs,
-                                    lambda g: f"{_label(self.kind, self.ids[g])}: {what}")
-        for g, err in errors.items():
-            self.failed.setdefault(int(self.ids[g]), err)
-        return out
+        return _solve(self.kind, self.ids, system, rhs, what, self.failed)
 
     def own(self, part: str) -> np.ndarray:
         """Local positions of the entities' own ``part`` unknowns (the same
         for every member: an entity's own components come last)."""
         return _positions(self.globals[:1], self.layout.indices(self.kind, self.ids[:1], part))[0]
-
-
-class _Coo:
-    """Global assembly from dense blocks (..., r, c) on rows (..., r) and
-    ascending columns (..., c), each row written once, scattered in place."""
-
-    def __init__(self):
-        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def add(self, rows: np.ndarray, cols: np.ndarray, block: np.ndarray) -> None:
-        if block.size:
-            self.blocks.append((rows, cols, block))
-
-    def build(self, shape: tuple[int, int]) -> CsrMatrix:
-        m, n = shape
-        lens = np.zeros(m, dtype=np.int64)
-        for rows, cols, block in self.blocks:
-            if rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n:
-                raise ValueError(f"block index out of range for shape {(m, n)}")
-            if (np.diff(cols, axis=-1) <= 0).any():
-                raise ValueError("block columns do not ascend")
-            lens[rows] = block.shape[-1]
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(lens, out=indptr[1:])
-        if indptr[-1] != sum(block.size for _, _, block in self.blocks):
-            raise ValueError("a row is written twice")   # its later block's length stands
-        indices, data = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1])
-        for rows, cols, block in self.blocks:
-            at = indptr[rows][..., None] + np.arange(block.shape[-1])
-            indices[at] = cols[..., None, :]
-            data[at] = block
-        return CsrMatrix((m, n), indptr, indices, data)
 
 
 # The most quadrature points in one stack that interpolation or the
@@ -347,15 +322,11 @@ class DdrComplex:
                 self._rules[kind].append(_read_only(points, weights, *values))
         return self._rules[kind]
 
-    def _own_rule(self, kind: str, ids: np.ndarray, count: int = 3) -> tuple[np.ndarray, ...]:
-        """The first ``count`` arrays the rule store keeps of entities ``ids`` of one
-        size group: points, weights and, on edges and faces, the bases there."""
+    def _own_rule(self, kind: str, ids: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The arrays the rule store keeps of entities ``ids`` of one size
+        group: points, weights and, on edges and faces, the bases there."""
         group, rows = self.mesh.group_table(kind)[:, ids]
-        return tuple(a[rows] for a in self._rule_store(kind)[group[0]][:count])
-
-    def _points(self, kind: str, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Quadrature points (G, q, 3) and weights (G, q) of entities of one size group."""
-        return self._own_rule(kind, ids, 2)
+        return tuple(a[rows] for a in self._rule_store(kind)[group[0]])
 
     def _top_gram(self, kind: str) -> np.ndarray:
         """The scalar Gram matrix at the top degree of every entity of one
@@ -450,24 +421,18 @@ class DdrComplex:
                 moments)
 
     def _project(self, kind: str, ids, part: str, degree: int, source_degree: int,
-                 columns: np.ndarray, failed: dict | None = None) -> np.ndarray:
+                 columns: np.ndarray, failed: dict[int, ConditioningError]) -> np.ndarray:
         """L2 projection of stacked vector coefficient columns (G, over
         vP^source_degree) onto a tagged subspace of vP^degree, for each of
         the entities ``ids``: solves (C^T M C) alpha = C^T M_x g.  Failures
-        are named for their entities and go into ``failed`` (entity index ->
-        first error), or else the lowest is raised."""
+        are named for their entities and go into ``failed`` (:func:`_solve`)."""
         c = span_matrix(part, KINDS.index(kind), degree)
         if not c.shape[1]:
             return np.zeros((len(ids), 0, columns.shape[-1]))
         own = self._grams(kind, ids, degree, degree, vector=True)
         cross = self._grams(kind, ids, degree, source_degree, vector=True)
-        out, errors = stacked_solve(c.T @ own @ c, c.T @ cross @ columns, lambda g: (
-            f"{_label(kind, ids[g])}: projection onto {part}^{degree}"))
-        if errors and failed is None:
-            raise errors[min(errors)]
-        for g, err in errors.items():
-            failed.setdefault(int(ids[g]), err)
-        return out
+        return _solve(kind, ids, c.T @ own @ c, c.T @ cross @ columns,
+                      f"projection onto {part}^{degree}", failed)
 
     # -- local operators ------------------------------------------------------
     # edge_ops ... cell_div_ops are the blocks of OPERATORS; each returns one
@@ -708,17 +673,18 @@ class DdrComplex:
         if which not in self._globals:
             op = OPERATORS[_operator_index(which)]
             tgt = self.layout(op.target)
-            coo = _Coo()
+            blocks = []
             for block in op.blocks:
                 parts, failed = PARTS[op.target][block.kind], {}
                 for st in self.stacks(block.builder):
                     for part, shift in parts:
-                        rows = tgt.indices(block.kind, st.ids, part)
-                        coo.add(rows, st.globals, st.op if len(parts) == 1 else self._project(
-                            block.kind, st.ids, part, self.k + shift, self.k, st.op, failed))
+                        vals = st.op if len(parts) == 1 else self._project(
+                            block.kind, st.ids, part, self.k + shift, self.k, st.op, failed)
+                        blocks.append((tgt.indices(block.kind, st.ids, part), st.globals, vals))
                 if failed:
                     raise failed[min(failed)]
-            self._globals[which] = coo.build((tgt.total, self.layout(op.source).total))
+            self._globals[which] = CsrMatrix.from_blocks(
+                (tgt.total, self.layout(op.source).total), blocks)
         return self._globals[which]
 
     gradient = property(lambda self: self.operator("gradient"), doc="Xgrad -> Xcurl.")
@@ -761,9 +727,8 @@ class DdrComplex:
                     vals = values(pts.reshape(-1, 3))
                     for f, column in enumerate(vals.T):
                         rhs[f, part] = phi_t @ (w * column.reshape(w.shape))[..., None]
-                sol, errors = stacked_solve(self._grams(kind, ids, k - 1, k - 1), rhs,
-                                            lambda g: f"interpolation on {kind} {ids[g]}")
-                failed.update((int(ids[g]), err) for g, err in errors.items())
+                sol = _solve(kind, ids, self._grams(kind, ids, k - 1, k - 1), rhs,
+                             "interpolation", failed)
                 out[:, lay.indices(kind, ids, "poly")] = sol[..., 0]
             if failed:
                 raise failed[min(failed)]
@@ -795,7 +760,8 @@ def ddr0_closed_forms(mesh: Mesh, orientation: OrientationTable
     entrywise.
     """
     measures = [orientation.geometry(kind).measure for kind in KINDS]
-    return tuple(CsrMatrix.from_coo((len(target), len(source)), rows, cols,
-                                    signs * source[cols] / target[rows])
-                 for (rows, cols, signs), source, target
+    return tuple(CsrMatrix.from_blocks((len(target), len(source)), [
+                     (rows, cols, signs * source[cols][:, None] / target[rows][..., None])
+                     for rows, cols, signs in blocks])
+                 for blocks, source, target
                  in zip(_signed_incidences(mesh, orientation), measures, measures[1:]))

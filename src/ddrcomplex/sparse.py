@@ -1,12 +1,13 @@
-"""Compressed sparse row matrices on numpy, for the global operators.
+"""Compressed sparse row matrices on numpy, for every sparse matrix of the package.
 
 :class:`CsrMatrix` holds what the package needs of a sparse matrix and no
-more: assembly from COO triplets (duplicates summed) or from a diagonal,
-densification, products with dense arrays and dense gathers of ``(rows,
-cols)`` blocks, each block's columns ascending.  Entries are float64.  Two
-sparse matrices do not multiply: :func:`block_product` multiplies gathered
-blocks, the whole product on rows whose stored entries the blocks hold (an
-entity's rows, on its closure).
+more: assembly from dense row blocks (:meth:`CsrMatrix.from_blocks`, the
+one writer of the CSR arrays) or of a diagonal, densification, products
+with dense arrays and dense gathers of ``(rows, cols)`` blocks, each
+block's columns ascending.  Entries are float64.  Two sparse matrices do
+not multiply: :func:`block_product` multiplies gathered blocks, the whole
+product on rows whose stored entries the blocks hold (an entity's rows, on
+its closure).
 
 A product with a dense array sums in the order of the classic CSR kernels
 (scipy's ``sparsetools``): each output entry starts from 0 and accumulates
@@ -41,35 +42,30 @@ class CsrMatrix:
         self.data = data
 
     @classmethod
-    def from_coo(cls, shape: tuple[int, int], rows, cols, vals) -> CsrMatrix:
-        """Assemble triplets; duplicates are summed in their input order."""
+    def from_blocks(cls, shape: tuple[int, int], blocks) -> CsrMatrix:
+        """Assembly from dense blocks ``(rows, cols, block)``: ``block`` (...,
+        r, c) holds rows (..., r) on ascending columns (..., c).  Each row is
+        written by one block, its columns and values scattered into place;
+        empty blocks are skipped."""
         m, n = int(shape[0]), int(shape[1])
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        vals = np.asarray(vals, dtype=float).ravel()
-        if not len(rows) == len(cols) == len(vals):
-            raise ValueError("rows, cols and vals differ in length")
-        if len(rows) and (rows.min() < 0 or rows.max() >= m
-                          or cols.min() < 0 or cols.max() >= n):
-            raise ValueError(f"triplet index out of range for shape {(m, n)}")
-        keys = rows * n + cols
-        order = np.argsort(keys, kind="stable")
-        keys, vals = keys[order], vals[order]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        data = vals[first]
-        if not first.all():
-            # the first value of each key, then the later ones in order
-            np.add.at(data, np.cumsum(first)[~first] - 1, vals[~first])
-        return cls._from_keys((m, n), keys[first], data)
-
-    @classmethod
-    def _from_keys(cls, shape: tuple[int, int], keys: np.ndarray, data: np.ndarray) -> CsrMatrix:
-        """From ascending distinct keys ``row * ncols + col`` and their values."""
-        m, n = shape
+        blocks = [tuple(map(np.asarray, b)) for b in blocks if np.size(b[2])]
+        lens = np.zeros(m, dtype=np.int64)
+        for rows, cols, block in blocks:
+            if rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n:
+                raise ValueError(f"block index out of range for shape {(m, n)}")
+            if (np.diff(cols, axis=-1) <= 0).any():
+                raise ValueError("block columns do not ascend")
+            lens[rows] = block.shape[-1]
         indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // max(n, 1), minlength=m), out=indptr[1:])
-        return cls(shape, indptr, keys % max(n, 1), data)
+        np.cumsum(lens, out=indptr[1:])
+        if indptr[-1] != sum(block.size for _, _, block in blocks):
+            raise ValueError("a row is written twice")   # its later block's length stands
+        indices, data = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1])
+        for rows, cols, block in blocks:
+            at = indptr[rows][..., None] + np.arange(block.shape[-1])
+            indices[at] = cols[..., None, :]
+            data[at] = block
+        return cls((m, n), indptr, indices, data)
 
     @classmethod
     def diagonal(cls, values) -> CsrMatrix:

@@ -41,6 +41,36 @@ def test_coboundary_shapes_and_rows(cube):
     assert not (d1 @ d0).any() and not (d2 @ d1).any()
 
 
+@pytest.mark.parametrize("name", ["prism_pair", "sheared_ring"])
+def test_coboundaries_and_closed_forms_entry_by_entry(name):
+    # every stored entry of d0, d1, d2 and of the degree-0 closed forms
+    # against a reference built entity by entity from the mesh tables, each
+    # row's columns ascending: the prism pair has two size groups of faces
+    # and two of elements, the sheared ring generic measures
+    from ddrcomplex.operators import ddr0_closed_forms
+    mesh = load_mesh(str(Path(__file__).resolve().parent.parent / "tools" / "meshes"
+                         / f"{name}.json"))
+    orient = compute_orientation(mesh)
+    rows = ([{a: -1, b: 1} for a, b in mesh.edges.tolist()],
+            [{e: -orient.face_edge_sign[f, i] for i, e in enumerate(edges)}
+             for f, edges in enumerate(mesh.face_edges)],
+            [{f: orient.cell_face_sign[t, i] for i, f in enumerate(faces)}
+             for t, faces in enumerate(mesh.element_faces)])
+    measures = (np.ones(mesh.n_vertices), orient.edge_length, orient.face_area,
+                orient.cell_volume)
+    cc = build_cochain_complex(mesh, orient)
+    for i, (d, form) in enumerate(zip((cc.d0, cc.d1, cc.d2), ddr0_closed_forms(mesh, orient))):
+        source, target = measures[i], measures[i + 1]
+        assert d.shape == form.shape == (len(target), len(source))
+        for r, want in enumerate(rows[i]):
+            for mat, scaled in ((d, False), (form, True)):
+                cols = mat.indices[mat.indptr[r]:mat.indptr[r + 1]].tolist()
+                vals = mat.data[mat.indptr[r]:mat.indptr[r + 1]].tolist()
+                assert cols == sorted(want), (name, i, r)
+                assert vals == [want[c] * source[c] / target[r] if scaled else want[c]
+                                for c in cols], (name, i, r, scaled)
+
+
 @pytest.mark.parametrize("index", [True, 1.0, 1.5])
 def test_coboundary_and_cohomology_indices_must_be_integers(ring, index):
     cc = build_cochain_complex(*ring)

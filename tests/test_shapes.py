@@ -390,7 +390,7 @@ def test_failing_solve_names_its_entity(monkeypatch, mesh_name, kind, planted, n
         return solve(system, rhs, what)
 
     # and a singular interpolation Gram on the same entities
-    doomed |= {f"interpolation on {kind} {i}" for i in planted}
+    doomed |= {f"{label} {i}: interpolation" for i in planted}
     monkeypatch.setattr(operators, "stacked_solve", planting)
     messages = []
     for grouped in (mesh, singletons):
@@ -404,7 +404,7 @@ def test_failing_solve_names_its_entity(monkeypatch, mesh_name, kind, planted, n
     # raise for the lowest one
     assert messages == [(f"{label} {named}: {local} extension: "
                          "condition number inf beyond limit",
-                         f"interpolation on {kind} {named}: "
+                         f"{label} {named}: interpolation: "
                          "condition number inf beyond limit")] * 2
 
 
@@ -590,7 +590,7 @@ def test_element_rules_of_degree_2k_are_exact_and_unisolvent_for_pk(name):
         c = DdrComplex(mesh, orient, k)
         n = len(monomial_powers(3, k))
         for grp in mesh.groups("cell"):
-            points, weights = c._points("cell", grp.ids)
+            points, weights = c._own_rule("cell", grp.ids)
             phi = c._eval("cell", grp.ids, points, k)
             grams = phi.swapaxes(1, 2) @ (weights[..., None] * phi)
             assert (weights > 0).all()
@@ -634,7 +634,7 @@ def test_operator_build_maps_no_element_rule(monkeypatch, tmp_path):
         """The calls on ``c`` at its own rule points, per kind."""
         counts = dict.fromkeys(("edge", "face"), 0)
         for who, kind, ids, pts in own:
-            if who is c and np.array_equal(c._points(kind, ids)[0], pts):
+            if who is c and np.array_equal(c._own_rule(kind, ids)[0], pts):
                 counts[kind] += 1
         return counts
 

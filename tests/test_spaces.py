@@ -17,7 +17,7 @@ import pytest
 from ddrcomplex import ConditioningError, DomainError, QuadratureRule, compute_orientation, space_dim
 from ddrcomplex import monomials as mono
 from ddrcomplex.homology import integer_rank
-from ddrcomplex.mesh import checked_entity
+from ddrcomplex.mesh import SizeGroup, checked_entity
 from ddrcomplex.quadrature import rule_stack
 from ddrcomplex.spaces import frame_values, span_matrix, stacked_solve
 
@@ -162,7 +162,8 @@ def entity_rule(mesh, orientation, kind, index, degree):
     An unknown kind or an index out of range raises :class:`DomainError`."""
     index = checked_entity(mesh, kind, index)
     group, row = mesh.group_table(kind)[:, index]
-    pts, w = rule_stack(mesh, orientation, kind, mesh.groups(kind)[group].rows([row]), degree)
+    member = SizeGroup(*(a[[row]] for a in mesh.groups(kind)[group]))
+    pts, w = rule_stack(mesh, orientation, kind, member, degree)
     return QuadratureRule((kind, index), pts[0], w[0], degree)
 
 
@@ -291,7 +292,7 @@ def test_gram_spd_and_projection_idempotent():
     # projecting a member of the subspace returns identical coefficients
     sub = _cube_subspace("R", ("cell", 0), 1)
     member = sub.coeffs @ np.arange(1.0, sub.dim + 1)
-    alpha = c._project("cell", [0], "R", 1, 1, member[None, :, None])[0]
+    alpha = c._project("cell", [0], "R", 1, 1, member[None, :, None], {})[0]
     assert np.abs(alpha.ravel() - np.arange(1.0, sub.dim + 1)).max() < 1e-12
 
 

@@ -1,10 +1,13 @@
 """The numpy CSR class of the global operators, against dense and scipy oracles."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddrcomplex
 from ddrcomplex.sparse import CsrMatrix, block_product
 
 from conftest import complex_for
@@ -13,33 +16,48 @@ SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (6, 5), (9, 13), (40, 30)]
 SEEDS = [0, 1, 2]
 
 
-def random_coo(rng, shape, density=0.25, repeat=0.3, multiple=True):
-    """Triplets with empty rows, explicit (also negative) zeros and repeated keys.
-
-    With ``multiple`` a key may appear any number of times; without, a key
-    appears at most twice.
-    """
+def random_blocks(rng, shape, density=0.25):
+    """Row blocks with empty rows and explicit (also negative) zeros, in
+    random row order: single rows, rows sharing their columns (r,), (c,),
+    (r, c), and stacks of rows on columns of their own (G, 1), (G, c),
+    (G, 1, c); each row's columns distinct and ascending."""
     m, n = shape
     if not m or not n:
-        return np.zeros(0, int), np.zeros(0, int), np.zeros(0)
+        return []
     filled = rng.permutation(m)[:max(1, (2 * m) // 3)]       # the other rows stay empty
-    count = max(1, int(density * m * n))
-    rows, cols = rng.choice(filled, count), rng.integers(0, n, count)
-    if not multiple:
-        keys = np.unique(rows * n + cols)
-        rows, cols = keys // n, keys % n
-    again = rng.random(len(rows)) < repeat
-    rows = np.concatenate([rows, rows[again]])
-    cols = np.concatenate([cols, cols[again]])
-    vals = rng.standard_normal(len(rows))
-    vals[rng.random(len(vals)) < 0.1] = 0.0
-    vals[rng.random(len(vals)) < 0.05] = -0.0
-    order = rng.permutation(len(rows))
-    return rows[order], cols[order], vals[order]
+    blocks = []
+    for rows in np.array_split(filled, max(1, len(filled) // 3)):
+        count = rng.integers(1, max(1, int(2 * density * n)) + 1)
+        form = rng.integers(3)
+        if form == 0:                   # each row alone
+            cols = [np.sort(rng.permutation(n)[:count]) for _ in rows]
+            vals = [rng.standard_normal((1, count)) for _ in rows]
+            blocks += [([i], c, v) for i, c, v in zip(rows, cols, vals)]
+            continue
+        if form == 1:                   # shared columns
+            cols, vals = np.sort(rng.permutation(n)[:count]), rng.standard_normal((len(rows), count))
+        else:                           # stacked rows, each on its own columns
+            cols = np.asarray([np.sort(rng.permutation(n)[:count]) for _ in rows])
+            rows, vals = rows[:, None], rng.standard_normal((len(rows), 1, count))
+        blocks.append((rows, cols, vals))
+    for _, _, vals in blocks:
+        vals[rng.random(vals.shape) < 0.1] = 0.0
+        vals[rng.random(vals.shape) < 0.05] = -0.0
+    return [blocks[i] for i in rng.permutation(len(blocks))]
+
+
+def triplets(blocks):
+    """The rows, columns and values of the entries of row blocks, block by block."""
+    out = [np.zeros(0, int), np.zeros(0, int), np.zeros(0)]
+    for rows, cols, vals in blocks:
+        rows, cols = np.broadcast_arrays(np.asarray(rows)[..., :, None],
+                                         np.asarray(cols)[..., None, :])
+        out = [np.concatenate([acc, np.ravel(a)]) for acc, a in zip(out, (rows, cols, vals))]
+    return tuple(out)
 
 
 def random_csr(rng, shape, **kw):
-    return CsrMatrix.from_coo(shape, *random_coo(rng, shape, **kw))
+    return CsrMatrix.from_blocks(shape, random_blocks(rng, shape, **kw))
 
 
 def ascending(rng, n, shape):
@@ -71,31 +89,65 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+# -- the one writer ---------------------------------------------------------------
+
+def test_only_sparse_calls_the_constructor():
+    # every sparse matrix of the package is written by CsrMatrix.from_blocks
+    # or CsrMatrix.diagonal: no other module calls CsrMatrix(...)
+    callers = []
+    for path in sorted(Path(ddrcomplex.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "CsrMatrix" in (getattr(node.func, "id", None),
+                                                              getattr(node.func, "attr", None)):
+                callers.append(f"{path.name}:{node.lineno}")
+    assert callers == [], callers
+
+
 # -- dense oracle --------------------------------------------------------------
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_from_coo_sums_duplicates(shape, seed):
-    rows, cols, vals = random_coo(np.random.default_rng(seed), shape)
-    mat = CsrMatrix.from_coo(shape, rows, cols, vals)
+def test_from_blocks_matches_dense(shape, seed):
+    blocks = random_blocks(np.random.default_rng(seed), shape)
+    rows, cols, vals = triplets(blocks)
+    mat = CsrMatrix.from_blocks(shape, blocks)
     assert mat.shape == shape
-    assert np.array_equal(mat.toarray(), dense_of(shape, rows, cols, vals))
-    assert mat.nnz == len(np.unique(rows * shape[1] + cols)) == len(mat.indices)
+    assert same_bits(mat.toarray(), dense_of(shape, rows, cols, vals))
+    assert mat.nnz == len(rows) == len(np.unique(rows * shape[1] + cols)) == len(mat.indices)
     assert len(mat.indptr) == shape[0] + 1 and mat.indptr[-1] == mat.nnz
     for i in range(shape[0]):
         assert np.all(np.diff(mat.indices[mat.indptr[i]:mat.indptr[i + 1]]) > 0)
 
 
-def test_from_coo_keeps_explicit_zeros_and_rejects_bad_triplets():
-    mat = CsrMatrix.from_coo((2, 3), [0, 0, 1], [2, 2, 0], [1.0, -1.0, 0.0])
-    assert mat.nnz == 2
-    assert mat.toarray().tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+def test_from_blocks_keeps_row_major_order():
+    mat = CsrMatrix.from_blocks((5, 4), [
+        (np.asarray([4, 1]), np.asarray([0, 2, 3]), np.arange(6.0).reshape(2, 3)),
+        (np.asarray([[0], [3]]), np.asarray([[1], [2]]), np.asarray([[[7.0]], [[8.0]]])),
+        (np.asarray([2]), np.asarray([0, 1]), np.zeros((1, 0)))])     # empty: skipped
+    assert mat.indptr.tolist() == [0, 1, 4, 4, 5, 8]
+    assert mat.indices.tolist() == [1, 0, 2, 3, 2, 0, 2, 3]
+    assert mat.data.tolist() == [7.0, 3.0, 4.0, 5.0, 8.0, 0.0, 1.0, 2.0]
+    assert (mat.indptr.dtype, mat.indices.dtype, mat.data.dtype) == (np.int64, np.int64, float)
+    for rows, cols, match in ((np.asarray([1, 1]), np.asarray([0]), "written twice"),
+                              (np.asarray([3]), np.asarray([1, 2]), "written twice"),
+                              (np.asarray([0]), np.asarray([2, 1]), "do not ascend"),
+                              (np.asarray([0]), np.asarray([4]), "out of range"),
+                              (np.asarray([5]), np.asarray([0]), "out of range")):
+        with pytest.raises(ValueError, match=match):
+            CsrMatrix.from_blocks((5, 4), [(np.asarray([3]), np.asarray([0]), np.ones((1, 1))),
+                                           (rows, cols, np.ones((len(rows), len(cols))))])
+
+
+def test_from_blocks_keeps_explicit_zeros_and_rejects_bad_blocks():
+    mat = CsrMatrix.from_blocks((2, 3), [([0], [1, 2], [[-0.0, 1.0]]), ([1], [0], [[0.0]])])
+    assert mat.nnz == 3
+    assert mat.toarray().tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
     with pytest.raises(ValueError):
-        CsrMatrix.from_coo((2, 3), [2], [0], [1.0])
+        CsrMatrix.from_blocks((2, 3), [([2], [0], [[1.0]])])
     with pytest.raises(ValueError):
-        CsrMatrix.from_coo((2, 3), [0], [-1], [1.0])
-    with pytest.raises(ValueError):
-        CsrMatrix.from_coo((2, 3), [0, 1], [0], [1.0])
+        CsrMatrix.from_blocks((2, 3), [([0], [-1], [[1.0]])])
+    with pytest.raises(ValueError):         # two rows, one value
+        CsrMatrix.from_blocks((2, 3), [([0, 1], [0], [[1.0]])])
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -193,11 +245,11 @@ def test_block_products_match_dense(shape, seed):
 
 
 def test_mismatched_shapes_raise():
-    a = CsrMatrix.from_coo((2, 3), [0], [1], [1.0])
+    a = CsrMatrix.from_blocks((2, 3), [([0], [1], [[1.0]])])
     with pytest.raises(ValueError):
         a @ np.ones(2)
     with pytest.raises(TypeError):
-        a @ CsrMatrix.from_coo((3, 2), [], [], [])
+        a @ CsrMatrix.from_blocks((3, 2), [])
     with pytest.raises(TypeError):
         a - a
     with pytest.raises(TypeError):
@@ -225,8 +277,9 @@ def test_bitwise_equal_to_scipy(shape, seed):
     sp = pytest.importorskip("scipy.sparse")
     rng = np.random.default_rng(seed)
     m, n = shape
-    rows, cols, vals = random_coo(rng, shape, multiple=False)
-    a = CsrMatrix.from_coo(shape, rows, cols, vals)
+    blocks = random_blocks(rng, shape)
+    rows, cols, vals = triplets(blocks)
+    a = CsrMatrix.from_blocks(shape, blocks)
     sa = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
     assert same_csr(a, sa)
     assert a.nnz == sa.nnz
@@ -264,8 +317,10 @@ def traced_peak(fn):
 def test_sparse_times_dense_peaks_at_a_small_multiple_of_its_output():
     rng = np.random.default_rng(5)
     n, per_row = 1000, 12
-    a = CsrMatrix.from_coo((n, n), np.repeat(np.arange(n), per_row),
-                           rng.integers(0, n, n * per_row), rng.standard_normal(n * per_row))
+    # each row on per_row distinct columns, one in each of per_row bands
+    cols = np.arange(per_row) * (n // per_row) + rng.integers(0, n // per_row, (n, 1))
+    a = CsrMatrix.from_blocks((n, n), [(np.arange(n)[:, None], cols,
+                                        rng.standard_normal((n, 1, per_row)))])
     x = rng.standard_normal((n, 64))
     out, peak = traced_peak(lambda: a @ x)
     # an (nnz, 64) intermediate alone would be about per_row times the output

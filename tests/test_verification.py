@@ -85,9 +85,9 @@ def test_cochain_diagram_sixteen_identities():
 
 
 def _csr(dense):
-    """A dense matrix as a CsrMatrix of its nonzeros."""
-    rows, cols = np.nonzero(dense)
-    return CsrMatrix.from_coo(dense.shape, rows, cols, dense[rows, cols])
+    """A dense matrix as a CsrMatrix of its nonzeros, one block per row."""
+    return CsrMatrix.from_blocks(dense.shape, [([i], np.flatnonzero(row), row[None, row != 0])
+                                               for i, row in enumerate(dense)])
 
 
 def _dense_residuals(s):
@@ -664,8 +664,14 @@ def test_planted_local_rank_defect_fails_and_names_the_entity(which, kind, entit
 
 def _with_stray(mat, row, col):
     """A copy of ``mat`` with one more stored entry, 1 at ``(row, col)``."""
-    return CsrMatrix.from_coo(mat.shape, np.append(mat._row_of_entries(), row),
-                              np.append(mat.indices, col), np.append(mat.data, 1.0))
+    blocks = []
+    for i in range(mat.shape[0]):
+        cols, vals = (a[mat.indptr[i]:mat.indptr[i + 1]] for a in (mat.indices, mat.data))
+        if i == row:
+            at = np.searchsorted(cols, col)
+            cols, vals = np.insert(cols, at, col), np.insert(vals, at, 1.0)
+        blocks.append(([i], cols, vals[None]))
+    return CsrMatrix.from_blocks(mat.shape, blocks)
 
 
 def _outside_closure(layout, kind, entity):
@@ -826,9 +832,9 @@ def test_lifts_of_a_broken_extension_fail_on_re_identity(broken):
     shape = s.ext.matrix("Xcurl").shape
     edges = np.arange(s.mesh.n_edges)
     into = s.high.layout("Xgrad").indices("edge", edges, "poly")[:, 0]
-    bubbles = CsrMatrix.from_coo((s.high.layout("Xgrad").total, len(edges)), into, edges,
-                                 np.ones(len(edges)))
-    s.ext._cache["Xcurl"] = (CsrMatrix.from_coo(shape, [], [], []) if broken == "zero" else
+    bubbles = CsrMatrix.from_blocks((s.high.layout("Xgrad").total, len(edges)),
+                                    [(into[:, None], edges[:, None], np.ones((len(edges), 1, 1)))])
+    s.ext._cache["Xcurl"] = (CsrMatrix.from_blocks(shape, []) if broken == "zero" else
                              _csr(s.high.gradient @ bubbles.toarray()))
     h1, h2 = check_generators(s)
     lifted = s.lifted
