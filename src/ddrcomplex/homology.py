@@ -13,7 +13,7 @@ Everything here is exact.  One sparse fraction-free elimination
 over Python integers (:func:`_eliminate`) gives the ranks and the
 generator selection, which eliminates [d_(i-1) | I] on the free rows of
 d_i; only the selected kernel vectors (primitive integer vectors) are
-back-substituted, and they are certified by rank identities.  Each
+back-substituted, and certified by a rank identity on the same rows.  Each
 coboundary is eliminated at most once per complex
 (:meth:`CochainComplexInt.echelon`).  The exact subspace bases of
 :mod:`.spaces` pick their columns with the same elimination.
@@ -272,7 +272,8 @@ def cohomology_generators(complex_: CochainComplexInt, i: int) -> list[np.ndarra
     are pivots of [d_(i-1) | I] on the rows F beyond d_(i-1); their number
     is the Betti number dim ker d_i - rank d_(i-1), and only they are
     back-substituted.  Certificates: the generators raise the rank of
-    [d_(i-1) | generators] by their count and lie in the kernel of d_i.
+    [d_(i-1) | generators] on the rows F by their count, and lie in the
+    kernel of d_i, on which projection onto F is injective.
     The eliminations of d_i and d_(i-1) are the complex's own
     (:meth:`CochainComplexInt.echelon`), and a zero Betti number needs no
     other.
@@ -292,9 +293,10 @@ def cohomology_generators(complex_: CochainComplexInt, i: int) -> list[np.ndarra
         n = d_in.shape[1]
         selected = [out.kernel_vector(free[j - n])
                     for j in _eliminate([rows[f] for f in free], ncols).pivots if j >= n]
+        rows, ncols = _with_columns(d_in, selected)
+        if _eliminate([rows[f] for f in free], ncols).rank != r_in + len(selected):
+            raise CertificationError("generators not independent modulo the incoming image")
 
-    if selected and _eliminate(*_with_columns(d_in, selected)).rank != r_in + len(selected):
-        raise CertificationError("generators not independent modulo the incoming image")
     gens = []
     for vec in selected:
         g = np.zeros(out.ncols, dtype=np.int64)

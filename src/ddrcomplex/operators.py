@@ -699,21 +699,16 @@ class DdrComplex:
         ``fn`` is vectorised: it maps an ``(n, 3)`` array of points to ``n``
         values (a scalar broadcasts).  It is called once on the vertices and
         once on each stack of a size group's quadrature points (at most
-        ``_STACK_POINTS`` or one entity's).  A list of fields, or a
-        :class:`MonomialField`, gives one interpolate per field or monomial,
-        as the rows of an array; the bases are then evaluated, and each
-        group's Gram conditioning checked, once for all of them, while each
-        field keeps its own moments and solve.  A failing solve names the lowest failing entity
-        of the first kind that fails.
+        ``_STACK_POINTS`` or one entity's).  A :class:`MonomialField` gives
+        one interpolate per monomial, as the rows of an array; the bases are
+        then evaluated, and each group's Gram conditioning checked, once for
+        all of them, while each monomial keeps its own moments and solve.  A
+        failing solve names the lowest failing entity of the first kind that
+        fails.
         """
-        fields = list(fn) if isinstance(fn, (list, tuple)) else [fn]
-
-        def values(points):
-            return np.concatenate([_field_values(f, points) for f in fields], axis=1)
-
         lay, k = self.layout("Xgrad"), self.k
         vertex_dofs = lay.indices("vertex", np.arange(self.mesh.n_vertices), "val")[:, 0]
-        at_vertices = values(self.mesh.vertices)
+        at_vertices = _field_values(fn, self.mesh.vertices)
         out = np.zeros((at_vertices.shape[1], lay.total))
         out[:, vertex_dofs] = at_vertices.T
         for kind in KINDS[1:] if k else []:
@@ -724,7 +719,7 @@ class DdrComplex:
                 for part in _slices(len(ids), weights.shape[1], _STACK_POINTS):
                     pts, w = points[part], weights[part]
                     phi_t = self._eval(kind, ids[part], pts, k - 1).swapaxes(1, 2)
-                    vals = values(pts.reshape(-1, 3))
+                    vals = _field_values(fn, pts.reshape(-1, 3))
                     for f, column in enumerate(vals.T):
                         rhs[f, part] = phi_t @ (w * column.reshape(w.shape))[..., None]
                 sol = _solve(kind, ids, self._grams(kind, ids, k - 1, k - 1), rhs,
@@ -732,7 +727,7 @@ class DdrComplex:
                 out[:, lay.indices(kind, ids, "poly")] = sol[..., 0]
             if failed:
                 raise failed[min(failed)]
-        return out if isinstance(fn, (list, tuple, MonomialField)) else out[0]
+        return out if isinstance(fn, MonomialField) else out[0]
 
     @property
     def head_column(self) -> np.ndarray:

@@ -51,6 +51,9 @@ class CsrMatrix:
         blocks = [tuple(map(np.asarray, b)) for b in blocks if np.size(b[2])]
         lens = np.zeros(m, dtype=np.int64)
         for rows, cols, block in blocks:
+            if block.shape != rows.shape + cols.shape[-1:]:
+                raise ValueError(f"block of shape {block.shape} for rows {rows.shape} "
+                                 f"and columns {cols.shape}")
             if rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n:
                 raise ValueError(f"block index out of range for shape {(m, n)}")
             if (np.diff(cols, axis=-1) <= 0).any():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 
 from ddrcomplex import (
+    CertificationError,
     DdrError,
     DomainError,
     betti_numbers,
@@ -160,7 +161,7 @@ def test_empty_generator_selection_needs_no_certifying_rank(ring, monkeypatch, t
 
     # after the Betti numbers, h2 costs no elimination, and h1 only the
     # selection from [d0 | I] on the free rows of d1 and its certificate
-    # [d0 | generator]
+    # [d0 | generator] on the same rows
     cc = build_cochain_complex(mesh, orient)
     betti_numbers(cc)
     calls.clear()
@@ -168,7 +169,7 @@ def test_empty_generator_selection_needs_no_certifying_rank(ring, monkeypatch, t
     assert calls == []
     assert len(cohomology_generators(cc, 1)) == 1
     (v, e, _, _), kernel_dim = cc.counts, cc.d1.shape[1] - cc.echelon(1).rank
-    assert calls == [(kernel_dim, v + kernel_dim), (e, v + 1)]
+    assert calls == [(kernel_dim, v + kernel_dim), (kernel_dim, v + 1)]
 
     # a whole ``cohomology --generators`` session eliminates each coboundary once
     calls.clear()
@@ -196,6 +197,25 @@ def test_selection_back_substitutes_only_the_generators(name, index, monkeypatch
     monkeypatch.setattr(homology.Echelon, "kernel_vector", counting)
     assert len(cohomology_generators(cc, index)) == 2
     assert len(built) == 2
+
+
+def test_certificate_on_the_free_rows_rejects_a_repeated_generator(monkeypatch):
+    # b1 = 2 on the double ring: a selection that back-substitutes the first
+    # generator twice passes the kernel check and fails the rank certificate
+    mesh = load_mesh(str(Path(__file__).resolve().parent.parent / "tools" / "meshes"
+                         / "double_ring.json"))
+    cc = build_cochain_complex(mesh, compute_orientation(mesh))
+    first = []
+    original = homology.Echelon.kernel_vector
+
+    def repeated(self, free):
+        first.append(free)
+        return original(self, first[0])
+
+    monkeypatch.setattr(homology.Echelon, "kernel_vector", repeated)
+    with pytest.raises(CertificationError, match="not independent modulo the incoming image"):
+        cohomology_generators(cc, 1)
+    assert len(first) == 2 and first[0] != first[1]
 
 
 def test_generator_cavity_h2(cavity):

@@ -16,7 +16,8 @@ from ddrcomplex import (
 from ddrcomplex import monomials as mono
 from ddrcomplex.layouts import KINDS, PARTS, entity_count
 from ddrcomplex.mesh import row_dot
-from ddrcomplex.operators import OPERATORS, _add_columns, _n, _positions
+from ddrcomplex.operators import (OPERATORS, MonomialField, _add_columns, _Group, _n,
+                                  _positions)
 from ddrcomplex.spaces import span_matrix
 
 from conftest import complex_for, mesh_and_orientation
@@ -256,17 +257,34 @@ def test_tangential_trace_of_gradient_is_face_gradient(k):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 @pytest.mark.parametrize("name", ["cube", "ring", "cavity"])
-def test_local_records_solve_their_moment_systems(name, k):
-    # the extensions solve the stored moments with degree-0 data, which relies
-    # on mass @ op = rhs; every record but the element gradient's has a potential
-    c = complex_for(name, k)
-    for block in (b for op in OPERATORS for b in op.blocks):
-        for i in range(entity_count(c.mesh, block.kind)):
-            ops = getattr(c, block.builder)(i)
-            mass, rhs = ops.mass, ops.rhs
-            assert np.abs(mass @ ops.op - rhs).max() <= 1e-12 * np.abs(rhs).max(), \
-                (block.builder, i)
-            assert (ops.potential is None) == (block.builder == "cell_grad_ops")
+def test_local_records_solve_their_moment_systems(name, k, monkeypatch):
+    # the extensions test each degree-k operator against its entity's Gram:
+    # every operator solve's system is that Gram bit for bit, its solution
+    # is the stacked operator and solves it; every record but the element
+    # gradient's has a potential
+    solves = []
+    original = _Group.solve
+
+    def spying(self, system, rhs, what):
+        out = original(self, system, rhs, what)
+        solves.append((self.kind, what, self.ids, system, rhs, out))
+        return out
+
+    monkeypatch.setattr(_Group, "solve", spying)
+    c = DdrComplex(*mesh_and_orientation(name), k)
+    for op in OPERATORS:
+        for block in op.blocks:
+            stacks = c.stacks(block.builder)
+            mine = [s for s in solves if s[:2] == (block.kind, op.name)]
+            assert len(mine) == len(stacks), block.builder
+            vector = len(PARTS[op.target][block.kind]) > 1
+            for st, (kind, _, ids, system, rhs, out) in zip(stacks, mine):
+                assert np.array_equal(ids, st.ids) and out is st.op, block.builder
+                gram = c._grams(kind, ids, k, k, vector=vector)
+                assert system.shape == gram.shape and np.array_equal(system, gram), block.builder
+                assert np.abs(system @ out - rhs).max() <= 1e-12 * np.abs(rhs).max(), \
+                    block.builder
+                assert (st.potential is None) == (block.builder == "cell_grad_ops")
 
 
 # -- element operators ---------------------------------------------------------------
@@ -432,17 +450,18 @@ def test_interpolate_matches_the_entity_by_entity_reference():
             assert np.array_equal(vec[lay.indices(kind, i, "poly")], want), (kind, i)
 
 
-def test_interpolate_list_of_fields_gives_one_row_per_field(monkeypatch):
-    # each row is bit-identical to interpolating its field alone; the Gram
-    # conditioning is checked once per size group for the whole list
+def test_interpolate_monomial_field_gives_one_row_per_monomial(monkeypatch):
+    # each row is bit-identical to interpolating its monomial alone; the Gram
+    # conditioning is checked once per size group for the whole field
     c = complex_for("ring", 2)
-    fields = [lambda p: p[:, 0] * p[:, 1], lambda p: 2.5, lambda p: p[:, 2] ** 2]
-    single = np.stack([c.interpolate_grad(f) for f in fields])
+    field = MonomialField(2, np.array([0.4, -0.3, 1.1]), 1.7)
+    single = np.stack([c.interpolate_grad(lambda p, j=j: field(p)[:, j])
+                       for j in range(mono.n_monomials(3, 2))])
     conds = []
     cond = np.linalg.cond
     monkeypatch.setattr(np.linalg, "cond", lambda a: conds.append(1) or cond(a))
-    rows = c.interpolate_grad(fields)
-    assert rows.shape == (3, c.layout("Xgrad").total)
+    rows = c.interpolate_grad(field)
+    assert rows.shape == (10, c.layout("Xgrad").total)
     assert np.array_equal(rows, single)
     assert len(conds) == sum(len(c.mesh.groups(kind)) for kind in ("edge", "face", "cell"))
 

@@ -146,8 +146,10 @@ def test_from_blocks_keeps_explicit_zeros_and_rejects_bad_blocks():
         CsrMatrix.from_blocks((2, 3), [([2], [0], [[1.0]])])
     with pytest.raises(ValueError):
         CsrMatrix.from_blocks((2, 3), [([0], [-1], [[1.0]])])
-    with pytest.raises(ValueError):         # two rows, one value
-        CsrMatrix.from_blocks((2, 3), [([0, 1], [0], [[1.0]])])
+    with pytest.raises(ValueError, match=r"block of shape \(1, 1\) for rows \(2,\)"):
+        CsrMatrix.from_blocks((2, 3), [([0, 1], [0], [[1.0]])])      # two rows, one value
+    with pytest.raises(ValueError, match="a row is written twice"):
+        CsrMatrix.from_blocks((2, 3), [([0], [0], [[1.0]]), ([0], [1], [[2.0]])])
 
 
 @pytest.mark.parametrize("shape", SHAPES)
