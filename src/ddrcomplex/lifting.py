@@ -5,11 +5,12 @@ of each space (vertex values, edge/face means, element means), one sparse
 assembly per space from the carriers' stack of means.  The extension copies
 the degree-0 unknowns into the leading coefficient of their degree-k
 components, then solves, in order of increasing dimension, the moment
-systems that the local operators of :mod:`.operators` store, with the
-degree-0 operator value as right-hand side and the already extended boundary
-as data: one stacked solve per size group, read from the group stacks of the
-two complexes.  The pair is a one-sided inverse (reduction after extension
-is the identity) and both are cochain maps.
+systems of the local operators of :mod:`.operators` (each tested against
+its entity's Gram), with the degree-0 operator value as right-hand side and
+the already extended boundary as data: one stacked solve per size group,
+read from the group stacks of the two complexes.  The pair is a one-sided
+inverse (reduction after extension is the identity) and both are cochain
+maps.
 
 The degree-0 complex is the CW cochain complex up to diagonal scalings by
 the measures of the carrier entities (``OrientationTable.geometry``; a
@@ -88,9 +89,10 @@ class ExtensionMaps:
     degree-k components.  Edges, then faces, then elements solve the
     operators' own moment systems for their remaining unknowns, with the
     already extended boundary rows as data, so that the degree-k operator
-    of an extended vector is the degree-0 one.  The systems are read from
-    the size-group stacks of both complexes (:meth:`.DdrComplex.stacks`),
-    with one stacked solve per size group.
+    of an extended vector is the degree-0 one.  A system is the degree-k
+    operator of a size-group stack (:meth:`.DdrComplex.stacks`) tested
+    against its entities' Gram, the one its builder solves, with one
+    stacked solve per size group.
     """
 
     __slots__ = ("high", "low", "_cache")
@@ -134,10 +136,11 @@ class ExtensionMaps:
                 known = done.gather(hst.globals, lst.globals)
                 # The degree-0 operator value is the constant coefficient
                 # leading each component, so its moments are the leading
-                # columns of the mass matrix.
-                lead = np.arange(lst.op.shape[1]) * (hst.mass.shape[1] // lst.op.shape[1])
-                target = hst.mass[:, :, lead] @ lst.op - hst.rhs @ known
-                solved = hst.rhs[:, :, grp.own(own)]
+                # columns of the Gram; the degree-k operator's, Gram @ op.
+                mass = high._grams(kind, hst.ids, k, k, vector=len(targets) > 1)
+                lead = np.arange(lst.op.shape[1]) * (mass.shape[1] // lst.op.shape[1])
+                target = mass[:, :, lead] @ lst.op - mass @ (hst.op @ known)
+                solved = mass @ hst.op[:, :, grp.own(own)]
                 if len(targets) == 1:
                     solved, target = solved[:, 1:], target[:, 1:]
                 else:

@@ -5,9 +5,10 @@ integration by parts: the unknown polynomial is tested against a space of
 polynomial test functions, boundary terms feed in the traces built on the
 lower-dimensional entities.  All defining systems are dense Gram or pairing
 systems, one per entity; global operators collect the local blocks into
-sparse matrices with deterministic (entity-index ascending) ordering.  Every
-local operator is built with its moment system, which the extensions of
-:mod:`.lifting` solve with degree-0 data.
+sparse matrices with deterministic (entity-index ascending) ordering.  A
+stack keeps each local operator and its potential, not their moment
+systems: the extensions of :mod:`.lifting` test an operator against its
+entity's degree-k Gram, the system its builder solves.
 :data:`OPERATORS` describes the complex once, operator by operator and entity
 kind by entity kind; assembly, extensions and checks all loop over it.
 
@@ -64,24 +65,22 @@ from .sparse import CsrMatrix
 
 
 class LocalOps(NamedTuple):
-    """One entity's local operator, the potential built with it, and the
-    operator's moment system ``mass @ op = rhs``: read-only views into its
-    size group's :class:`Stack`.
+    """One entity's local operator and the potential built with it:
+    read-only views into its size group's :class:`Stack`.
 
     ``globals`` are the global numbers of the local dofs, those on the
     entity's closure, ascending; ``op`` maps the local dofs to the
-    operator's target polynomials.  ``potential`` holds the edge or face
-    scalar trace (to P^(k+1)), the face tangential trace or the element curl
-    or divergence potential (to vP^k); the element gradient has none.
-    ``mass`` is the Gram matrix of the operator's target space; ``rhs`` holds
-    the tested integration-by-parts terms, one column per local dof.
+    operator's target polynomials, solved from their moments against the
+    degree-k Gram of the target space (vector on faces and elements for
+    the gradient, on elements for the curl).  ``potential`` holds the edge
+    or face scalar trace (to P^(k+1)), the face tangential trace or the
+    element curl or divergence potential (to vP^k); the element gradient
+    has none.
     """
 
     globals: np.ndarray
     op: np.ndarray
     potential: np.ndarray | None
-    mass: np.ndarray
-    rhs: np.ndarray
 
 
 class Stack(namedtuple("Stack", LocalOps._fields + ("group",))):
@@ -442,7 +441,7 @@ class DdrComplex:
 
     def _view(self, builder: str, index: int) -> LocalOps:
         st, g = self._find(builder, checked_entity(self.mesh, _BLOCKS[builder][0], index))
-        return LocalOps._make(None if a is None else a[g] for a in st[:len(LocalOps._fields)])
+        return LocalOps._make(None if a is None else a[g] for a in st[:-1])
 
     edge_ops = partialmethod(_view, "edge_ops")
     face_grad_ops = partialmethod(_view, "face_grad_ops")
@@ -514,8 +513,7 @@ class DdrComplex:
         b[:, :, c_qe] = -(g_mm @ deriv).swapaxes(1, 2)
         b[every, :, c_v[:, 0]] -= phi_ends[:, 0, :k + 1]
         b[every, :, c_v[:, 1]] += phi_ends[:, 1, :k + 1]
-        grad = grp.solve(g_kk, b, "gradient")
-        return grad, trace, g_kk, b
+        return grp.solve(g_kk, b, "gradient"), trace
 
     def _grad_stack(self, grp: _Group):
         """Face or element gradient, tested against vP^k: minus the entity's
@@ -556,14 +554,13 @@ class DdrComplex:
                 _add_columns(rhs, embed, c2.T @ normal.reshape(count, -1, normal.shape[-1]))
         grad = grp.solve(vg_kk, b, "gradient")
         if kind == "cell":
-            return grad, None, vg_kk, b
+            return grad, None
 
         divf_k2 = mono.div_matrix(2, k + 2) * inv_h
         g_11 = self._grams(kind, ids, k + 1, k + 1)
         system = (divf_k2 @ c2).swapaxes(1, 2) @ g_11
         rhs -= c2.T @ self._grams(kind, ids, k + 2, k, vector=True) @ grad
-        trace = grp.solve(system, rhs, "scalar trace")
-        return grad, trace, vg_kk, b
+        return grad, grp.solve(system, rhs, "scalar trace")
 
     def _complement_solve(self, grp: _Group, part: str, t1: np.ndarray, rhs1: np.ndarray,
                           what: str) -> np.ndarray:
@@ -623,8 +620,7 @@ class DdrComplex:
         deriv_k1 = deriv(k + 1) * inv_h
         rhs1 -= sign * ((self._grams(kind, ids, k, k + 1) @ p0).swapaxes(1, 2) @ op)
         what = "tangential trace" if kind == "face" else f"{name} potential"
-        potential = self._complement_solve(grp, complement, deriv_k1 @ p0, rhs1, what)
-        return op, potential, g_kk, b
+        return op, self._complement_solve(grp, complement, deriv_k1 @ p0, rhs1, what)
 
     def _cell_curl_stack(self, grp: _Group):
         k, ids = self.k, grp.ids
@@ -661,9 +657,8 @@ class DdrComplex:
 
         curl_k1 = mono.curl_matrix(k + 1) * inv_h
         rhs1 += (gc1.T @ self._grams("cell", ids, k + 1, k, vector=True)) @ curl
-        potential = self._complement_solve(grp, complement, curl_k1 @ gc1, rhs1,
-                                           "curl potential")
-        return curl, potential, vg_kk, b
+        return curl, self._complement_solve(grp, complement, curl_k1 @ gc1, rhs1,
+                                            "curl potential")
 
     # -- global assembly -------------------------------------------------------
 

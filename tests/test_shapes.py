@@ -133,8 +133,7 @@ def _sweep(high):
 
 
 def _arrays(ops):
-    out = [ops.op, ops.mass, ops.rhs]
-    return out if ops.potential is None else out + [ops.potential]
+    return [ops.op] if ops.potential is None else [ops.op, ops.potential]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
